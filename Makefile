@@ -1,12 +1,13 @@
 # CI entry points. `make ci` is the gate: formatting, vet, the static
 # verification layer (lint), build, the race detector over the parallel
-# executor, and the full test suite.
+# executor, the full test suite, the micro-benchmark gate, and one pass of
+# the claims benchmark.
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke profile profile-diff report metrics trace update-goldens serve
 
-ci: fmt-check vet lint build race test bench-check
+ci: fmt-check vet lint build race test bench-check claims-smoke
 
 # Static verification layer: the determinism linter over the simulator
 # packages and the ISA program verifier over every benchmark kernel.
@@ -58,6 +59,14 @@ bench-check:
 # Re-measure and rewrite BENCH_baseline.json (run on an idle machine).
 bench-baseline:
 	$(GO) run ./cmd/dwsbench -update
+
+# The claims benchmark (bench/, a module of its own that `go test ./...`
+# does not see): its unit tests, then set-up plus one pass of every
+# workload with all its correctness checks (~20 s). Measuring is
+# `sh bench/run.sh`; see bench/README.md.
+claims-smoke:
+	$(GO) test -C bench -short ./...
+	sh bench/run.sh -smoke
 
 # Profile one live simulation (cpu.pprof + mem.pprof); inspect with e.g.
 #   go tool pprof -top cpu.pprof

@@ -1,6 +1,6 @@
 // dwsbench is the CI benchmark gate. It runs the event-engine
-// micro-benchmarks (BenchmarkEngineSteadyState: timing wheel, closure
-// path, and the retired heap queue kept as a reference), the execution
+// micro-benchmarks (BenchmarkEngineSteadyState: the timing wheel and the
+// retired heap queue kept as a reference), the execution
 // and memory fast paths, the end-to-end BenchmarkFullReportShort
 // (Table 1 from a cold session), and the observability pins
 // (BenchmarkHistRecord's zero-alloc record path, BenchmarkObsOverhead's
@@ -106,7 +106,7 @@ type suite struct {
 }
 
 var suites = []suite{
-	// The tentpole micro-benchmarks: wheel vs closure path vs retired heap.
+	// The event engine: the timing wheel vs the retired heap.
 	{pkg: "./internal/engine", bench: "^BenchmarkEngineSteadyState$", benchtime: "1000000x", count: 5},
 	// Execution-core fast paths: pre-decoded issue + SoA ALU lane loops,
 	// and the map-free memory paths (tiered page lookup, MSHR table) with

@@ -24,7 +24,6 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -142,18 +141,12 @@ func main() {
 	s.Verify = *verify
 
 	var live *sim.Live
-	var liveSys struct {
-		mu  sync.Mutex
-		sys *sim.System
-	}
 	if *httpObs != "" {
 		live = sim.NewLive(*obsRate)
-		s.OnSystem = func(sys *sim.System) {
-			live.Attach(sys)
-			liveSys.mu.Lock()
-			liveSys.sys = sys
-			liveSys.mu.Unlock()
-		}
+		// Attach's finish function publishes each run's final snapshot from
+		// inside the run; by the time Session.Run returns the machine may
+		// already be simulating something else.
+		s.OnSystem = live.Attach
 		ln, err := net.Listen("tcp", *httpObs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dwsim: -httpobs:", err)
@@ -225,14 +218,6 @@ func main() {
 			printRun(name, k, r)
 			docs = append(docs, report.NewRunDoc(r, k, s.Provenance(name, k), time.Since(start).Seconds()))
 		}
-	}
-
-	if live != nil {
-		liveSys.mu.Lock()
-		if liveSys.sys != nil {
-			live.Finish(liveSys.sys)
-		}
-		liveSys.mu.Unlock()
 	}
 
 	if *statsOut != "" {

@@ -48,8 +48,8 @@ type Handler interface {
 }
 
 // FuncHandler adapts a plain closure to Handler for call sites that are not
-// allocation-sensitive (tests, one-shot setup). Converting it to the
-// Handler interface allocates, so hot paths implement Handler directly.
+// allocation-sensitive (tests, one-shot setup). A closure that captures
+// allocates at its creation site, so hot paths implement Handler directly.
 type FuncHandler func()
 
 // HandleEvent runs the wrapped closure, ignoring the argument.
@@ -72,7 +72,6 @@ type event struct {
 	seq  uint64 // tie-break: FIFO among events at the same cycle
 	arg  uint64
 	h    Handler
-	fn   func() // legacy closure path; nil when h is used
 	next *event
 }
 
@@ -122,32 +121,13 @@ func (q *Queue) get() *event {
 
 func (q *Queue) put(e *event) {
 	e.h = nil
-	e.fn = nil
 	e.next = q.free
 	q.free = e
 }
 
-// At schedules fn to run at absolute cycle when. Scheduling in the past
-// (when < Now) is a programming error and panics, because it would make the
-// simulation non-causal. The closure path is kept for tests and cold setup
-// code; hot paths use ScheduleAt.
-func (q *Queue) At(when Cycle, fn func()) {
-	if when < q.now {
-		panic("engine: event scheduled in the past")
-	}
-	e := q.get()
-	q.seq++
-	e.when, e.seq, e.fn = when, q.seq, fn
-	q.schedule(e)
-}
-
-// After schedules fn to run delay cycles from now.
-func (q *Queue) After(delay Cycle, fn func()) {
-	q.At(q.now+delay, fn)
-}
-
-// ScheduleAt schedules h.HandleEvent(arg) at absolute cycle when — the
-// allocation-free path. Scheduling in the past panics, as with At.
+// ScheduleAt schedules h.HandleEvent(arg) at absolute cycle when.
+// Scheduling in the past (when < Now) is a programming error and panics,
+// because it would make the simulation non-causal.
 func (q *Queue) ScheduleAt(when Cycle, h Handler, arg uint64) {
 	if when < q.now {
 		panic("engine: event scheduled in the past")
@@ -274,12 +254,8 @@ func (q *Queue) nextTime() (Cycle, bool) {
 }
 
 func (q *Queue) dispatch(e *event) {
-	h, fn, arg := e.h, e.fn, e.arg
+	h, arg := e.h, e.arg
 	q.put(e) // recycle before dispatch so the handler can reuse it
-	if fn != nil {
-		fn()
-		return
-	}
 	h.HandleEvent(arg)
 }
 
@@ -328,6 +304,32 @@ func (q *Queue) NextEventTime() (when Cycle, ok bool) {
 		return 0, false
 	}
 	return q.nextDue, true
+}
+
+// Reset returns the queue to its zero-value state — time 0, nothing
+// pending, sequence numbers restarted — discarding whatever was still
+// scheduled (a kernel can end with fire-and-forget traffic in flight, and a
+// failed run with anything). Only capacity survives: the discarded event
+// records join the free list and the overflow heap keeps its backing array.
+func (q *Queue) Reset() {
+	for _, e := range q.overflow {
+		q.put(e)
+	}
+	clear(q.overflow)
+	q.overflow = q.overflow[:0]
+	if q.wheelN > 0 {
+		for i := range q.wheel {
+			b := &q.wheel[i]
+			for b.head != nil {
+				e := b.head
+				b.head = e.next
+				q.put(e)
+			}
+			b.tail = nil
+		}
+	}
+	q.occupied = [wheelSize / 64]uint64{}
+	q.now, q.seq, q.n, q.wheelN, q.nextDue = 0, 0, 0, 0, 0
 }
 
 // Drain runs events until the queue is empty, advancing time as needed.

@@ -20,7 +20,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	var got []Cycle
 	for _, c := range []Cycle{30, 10, 20, 5, 25} {
 		c := c
-		q.At(c, func() { got = append(got, c) })
+		q.ScheduleAt(c, FuncHandler(func() { got = append(got, c) }), 0)
 	}
 	q.Drain()
 	want := []Cycle{5, 10, 20, 25, 30}
@@ -36,7 +36,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.At(7, func() { got = append(got, i) })
+		q.ScheduleAt(7, FuncHandler(func() { got = append(got, i) }), 0)
 	}
 	q.Drain()
 	for i := range got {
@@ -51,7 +51,7 @@ func TestRunUntilDeliversOnlyDueEvents(t *testing.T) {
 	fired := map[Cycle]bool{}
 	for _, c := range []Cycle{1, 5, 10, 15} {
 		c := c
-		q.At(c, func() { fired[c] = true })
+		q.ScheduleAt(c, FuncHandler(func() { fired[c] = true }), 0)
 	}
 	q.RunUntil(10)
 	if !fired[1] || !fired[5] || !fired[10] {
@@ -81,7 +81,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	var q Queue
 	q.RunUntil(100)
 	var at Cycle
-	q.After(5, func() { at = q.Now() })
+	q.ScheduleAfter(5, FuncHandler(func() { at = q.Now() }), 0)
 	q.Drain()
 	if at != 105 {
 		t.Fatalf("After(5) fired at %d, want 105", at)
@@ -96,7 +96,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	q.At(5, func() {})
+	q.ScheduleAt(5, FuncHandler(func() {}), 0)
 }
 
 func TestEventsCanScheduleEvents(t *testing.T) {
@@ -106,10 +106,10 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	step = func() {
 		chain = append(chain, q.Now())
 		if len(chain) < 5 {
-			q.After(3, step)
+			q.ScheduleAfter(3, FuncHandler(step), 0)
 		}
 	}
-	q.At(0, step)
+	q.ScheduleAt(0, FuncHandler(step), 0)
 	q.Drain()
 	want := []Cycle{0, 3, 6, 9, 12}
 	for i := range want {
@@ -124,8 +124,8 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := q.NextEventTime(); ok {
 		t.Fatal("empty queue reported a next event")
 	}
-	q.At(9, func() {})
-	q.At(3, func() {})
+	q.ScheduleAt(9, FuncHandler(func() {}), 0)
+	q.ScheduleAt(3, FuncHandler(func() {}), 0)
 	if w, ok := q.NextEventTime(); !ok || w != 3 {
 		t.Fatalf("NextEventTime = %d,%v; want 3,true", w, ok)
 	}
@@ -139,7 +139,7 @@ func TestPropertyMonotonicDelivery(t *testing.T) {
 		var times []Cycle
 		for _, d := range delays {
 			d := Cycle(d)
-			q.At(d, func() { times = append(times, q.Now()) })
+			q.ScheduleAt(d, FuncHandler(func() { times = append(times, q.Now()) }), 0)
 		}
 		q.Drain()
 		for i := 1; i < len(times); i++ {

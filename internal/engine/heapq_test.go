@@ -11,7 +11,8 @@ import "container/heap"
 type heapEvent struct {
 	when Cycle
 	seq  uint64
-	fn   func()
+	h    Handler
+	arg  uint64
 }
 
 type refHeap []*heapEvent
@@ -48,23 +49,23 @@ func (q *heapQueue) Now() Cycle { return q.now }
 
 func (q *heapQueue) Len() int { return len(q.heap) }
 
-func (q *heapQueue) At(when Cycle, fn func()) {
+func (q *heapQueue) ScheduleAt(when Cycle, h Handler, arg uint64) {
 	if when < q.now {
 		panic("engine: event scheduled in the past")
 	}
 	q.seq++
-	heap.Push(&q.heap, &heapEvent{when: when, seq: q.seq, fn: fn})
+	heap.Push(&q.heap, &heapEvent{when: when, seq: q.seq, h: h, arg: arg})
 }
 
-func (q *heapQueue) After(delay Cycle, fn func()) {
-	q.At(q.now+delay, fn)
+func (q *heapQueue) ScheduleAfter(delay Cycle, h Handler, arg uint64) {
+	q.ScheduleAt(q.now+delay, h, arg)
 }
 
 func (q *heapQueue) RunUntil(cycle Cycle) {
 	for len(q.heap) > 0 && q.heap[0].when <= cycle {
 		e := heap.Pop(&q.heap).(*heapEvent)
 		q.now = e.when
-		e.fn()
+		e.h.HandleEvent(e.arg)
 	}
 	if cycle > q.now {
 		q.now = cycle
@@ -82,6 +83,6 @@ func (q *heapQueue) Drain() {
 	for len(q.heap) > 0 {
 		e := heap.Pop(&q.heap).(*heapEvent)
 		q.now = e.when
-		e.fn()
+		e.h.HandleEvent(e.arg)
 	}
 }

@@ -10,8 +10,8 @@ import (
 type eventQueue interface {
 	Now() Cycle
 	Len() int
-	At(when Cycle, fn func())
-	After(delay Cycle, fn func())
+	ScheduleAt(when Cycle, h Handler, arg uint64)
+	ScheduleAfter(delay Cycle, h Handler, arg uint64)
 	RunUntil(cycle Cycle)
 	NextEventTime() (Cycle, bool)
 	Drain()
@@ -29,7 +29,7 @@ func driveRandom(q eventQueue, seed int64) (ids []int, times []Cycle) {
 	schedule = func(depth int, delay Cycle) {
 		id := next
 		next++
-		q.After(delay, func() {
+		q.ScheduleAfter(delay, FuncHandler(func() {
 			ids = append(ids, id)
 			times = append(times, q.Now())
 			if depth > 0 {
@@ -47,7 +47,7 @@ func driveRandom(q eventQueue, seed int64) (ids []int, times []Cycle) {
 					schedule(depth-1, Cycle(rng.Intn(8)))
 				}
 			}
-		})
+		}), 0)
 	}
 	for i := 0; i < 200; i++ {
 		switch rng.Intn(6) {
@@ -106,8 +106,8 @@ func TestQueueDifferentialNextEventTime(t *testing.T) {
 			ref.RunUntil(ref.Now() + c)
 		} else {
 			d := Cycle(rng.Intn(6 * wheelSize))
-			wheel.After(d, func() {})
-			ref.After(d, func() {})
+			wheel.ScheduleAfter(d, FuncHandler(func() {}), 0)
+			ref.ScheduleAfter(d, FuncHandler(func() {}), 0)
 		}
 		gw, okw := wheel.NextEventTime()
 		gh, okh := ref.NextEventTime()
@@ -163,17 +163,17 @@ func TestQueueSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestQueueScheduleDeliverAllocBound bounds the closure path too: the event
-// record itself must come from the pool, so the only allocation is the
-// caller's own closure (if it captures).
+// TestQueueScheduleDeliverAllocBound bounds FuncHandler callers too: the
+// event record comes from the pool and the adapter itself costs nothing, so
+// the only allocation is the caller's own closure (if it captures).
 func TestQueueScheduleDeliverAllocBound(t *testing.T) {
 	var q Queue
 	for i := 0; i < 1024; i++ { // warm the pool
-		q.After(Cycle(i%200), func() {})
+		q.ScheduleAfter(Cycle(i%200), FuncHandler(func() {}), 0)
 	}
 	q.Drain()
 	allocs := testing.AllocsPerRun(100, func() {
-		q.After(3, func() {})
+		q.ScheduleAfter(3, FuncHandler(func() {}), 0)
 		q.RunUntil(q.Now() + 4)
 	})
 	if allocs > 0 {
@@ -183,9 +183,8 @@ func TestQueueScheduleDeliverAllocBound(t *testing.T) {
 
 // BenchmarkEngineSteadyState measures the steady-state event cost of both
 // implementations: "wheel" is the production timing wheel driven through
-// pre-bound handlers, "wheel-closure" the same queue through the legacy
-// closure path, and "heap" the original container/heap queue
-// (heapq_test.go). ns/op and allocs/op are per delivered event. The CI
+// pre-bound handlers and "heap" the original container/heap queue
+// (heapq_test.go) driven through closures, as its callers were. ns/op and allocs/op are per delivered event. The CI
 // bench gate (make bench-check) tracks the wheel numbers against
 // BENCH_baseline.json.
 func BenchmarkEngineSteadyState(b *testing.B) {
@@ -203,25 +202,6 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 			q.Drain()
 		}
 	})
-	b.Run("wheel-closure", func(b *testing.B) {
-		var q Queue
-		count := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		var step func()
-		step = func() {
-			count++
-			if count < b.N {
-				q.After(steadyDelays[count%len(steadyDelays)], step)
-			}
-		}
-		for i := 0; i < 16 && i < b.N; i++ {
-			q.After(steadyDelays[i%len(steadyDelays)], step)
-		}
-		for count < b.N {
-			q.Drain()
-		}
-	})
 	b.Run("heap", func(b *testing.B) {
 		var q heapQueue
 		count := 0
@@ -231,14 +211,55 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		step = func() {
 			count++
 			if count < b.N {
-				q.After(steadyDelays[count%len(steadyDelays)], step)
+				q.ScheduleAfter(steadyDelays[count%len(steadyDelays)], FuncHandler(step), 0)
 			}
 		}
 		for i := 0; i < 16 && i < b.N; i++ {
-			q.After(steadyDelays[i%len(steadyDelays)], step)
+			q.ScheduleAfter(steadyDelays[i%len(steadyDelays)], FuncHandler(step), 0)
 		}
 		for count < b.N {
 			q.Drain()
 		}
 	})
+}
+
+// TestQueueResetEqualsFresh abandons a queue mid-run — events parked in
+// wheel buckets and in the overflow heap, time and sequence advanced — and
+// checks that after Reset it is indistinguishable from a zero-value queue:
+// same observable state, same delivery order for a fresh random schedule,
+// and the abandoned events never fire.
+func TestQueueResetEqualsFresh(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		var q Queue
+		stale := 0
+		for i := 0; i < 300; i++ {
+			q.ScheduleAfter(Cycle(i*7%(5*wheelSize)), FuncHandler(func() { stale++ }), 0)
+		}
+		q.RunUntil(Cycle(wheelSize / 2))
+		fired := stale
+		if q.Len() == 0 || len(q.overflow) == 0 || q.wheelN == 0 {
+			t.Fatal("test set-up left nothing pending in wheel and overflow")
+		}
+		q.Reset()
+		if _, ok := q.NextEventTime(); q.Now() != 0 || q.Len() != 0 || ok {
+			t.Fatalf("seed %d: after Reset Now=%d Len=%d next=%v", seed, q.Now(), q.Len(), ok)
+		}
+		var fresh Queue
+		gotIDs, gotTimes := driveRandom(&q, seed)
+		wantIDs, wantTimes := driveRandom(&fresh, seed)
+		if len(gotIDs) != len(wantIDs) {
+			t.Fatalf("seed %d: delivered %d events, fresh queue %d", seed, len(gotIDs), len(wantIDs))
+		}
+		for i := range wantIDs {
+			if gotIDs[i] != wantIDs[i] || gotTimes[i] != wantTimes[i] {
+				t.Fatalf("seed %d: delivery %d differs from a fresh queue", seed, i)
+			}
+		}
+		if stale != fired {
+			t.Fatalf("seed %d: %d abandoned events fired after Reset", seed, stale-fired)
+		}
+		if q.seq != fresh.seq || q.nextDue != fresh.nextDue || q.occupied != fresh.occupied {
+			t.Fatalf("seed %d: internal state diverged from a fresh queue", seed)
+		}
+	}
 }

@@ -37,6 +37,9 @@ func NewLaneRegs(width int) *LaneRegs {
 	}
 }
 
+// Clear zeroes every register of every lane, the state NewLaneRegs builds.
+func (lr *LaneRegs) Clear() { clear(lr.slab) }
+
 // Width returns the lane count.
 func (lr *LaneRegs) Width() int { return lr.width }
 

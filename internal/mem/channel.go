@@ -20,10 +20,18 @@ type Channel struct {
 
 // NewChannel returns a channel bound to the event queue.
 func NewChannel(q *engine.Queue, latency, occupancy engine.Cycle) *Channel {
+	c := &Channel{q: q}
+	c.reset(latency, occupancy)
+	return c
+}
+
+// reset returns the channel to idle with the given timing.
+func (c *Channel) reset(latency, occupancy engine.Cycle) {
 	if occupancy == 0 {
 		occupancy = 1
 	}
-	return &Channel{q: q, Latency: latency, Occupancy: occupancy}
+	c.Latency, c.Occupancy = latency, occupancy
+	c.busyUntil, c.transfers = 0, 0
 }
 
 // depart reserves the channel for one message and returns its arrival time
@@ -38,16 +46,23 @@ func (c *Channel) depart() engine.Cycle {
 	return start + c.Latency
 }
 
-// Send delivers fn after the channel's queuing delay plus latency.
-func (c *Channel) Send(fn func()) {
-	c.q.At(c.depart(), fn)
-}
-
 // SendEvent delivers h.HandleEvent(arg) after the channel's queuing delay
-// plus latency — the allocation-free path for pre-bound handlers.
+// plus latency.
 func (c *Channel) SendEvent(h engine.Handler, arg uint64) {
 	c.q.ScheduleAt(c.depart(), h, arg)
 }
+
+// Occupy sends a message nobody waits for (a dirty line on its way out):
+// it holds the channel for its occupancy and its arrival is still an event,
+// so the machine is not idle — and not deadlocked — while it is in flight.
+func (c *Channel) Occupy() {
+	c.q.ScheduleAt(c.depart(), arrived{}, 0)
+}
+
+// arrived is the delivery of a message with no receiver-side effect.
+type arrived struct{}
+
+func (arrived) HandleEvent(uint64) {}
 
 // Transfers reports how many messages have crossed the channel.
 func (c *Channel) Transfers() uint64 { return c.transfers }

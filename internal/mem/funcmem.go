@@ -44,31 +44,64 @@ type Memory struct {
 	// overflow holds pages outside the directory range.
 	overflow map[uint64]*[pageWords]int64
 	brk      uint64 // next free byte for Alloc
+	// spare holds zeroed pages retired by Reset; page instantiation draws on
+	// it before the heap, so a recycled image allocates only when a run
+	// touches more pages than any before it.
+	spare []*[pageWords]int64
 }
+
+// allocBase is where the bump allocator starts.
+const allocBase = 1 << 20
 
 // NewMemory returns an empty memory image. Allocation starts at a non-zero
 // base so address 0 stays an obvious poison value.
 func NewMemory() *Memory {
-	m := &Memory{
-		lastPN:   noPage,
-		overflow: make(map[uint64]*[pageWords]int64),
-		brk:      1 << 20,
-	}
-	m.growDir()
+	m := &Memory{overflow: make(map[uint64]*[pageWords]int64)}
+	m.Reset()
 	return m
+}
+
+// Reset returns the image to NewMemory's state: every word reads zero and
+// the allocator starts over, so a workload laid out after Reset gets the
+// very addresses it would get in a new image (cache set mapping, and with
+// it timing, depends on them). Touched pages are zeroed and kept as spares.
+func (m *Memory) Reset() {
+	for i, p := range m.dir {
+		if p != nil {
+			m.retire(p)
+			m.dir[i] = nil
+		}
+	}
+	if len(m.overflow) > 0 {
+		// Map order only decides which spare slot a page lands in, and the
+		// spares are all alike: zeroed pages.
+		for _, p := range m.overflow {
+			m.retire(p)
+		}
+		clear(m.overflow)
+	}
+	m.lastPN, m.lastPage = noPage, nil
+	m.brk = allocBase
+	m.dir = m.dir[:0]
+	m.growDir()
+}
+
+func (m *Memory) retire(p *[pageWords]int64) {
+	*p = [pageWords]int64{}
+	m.spare = append(m.spare, p)
 }
 
 // growDir (re)sizes the flat directory to cover every page the bump
 // allocator has handed out, migrating overflow pages that fall inside the
 // new range. Called from Alloc, never from the Read/Write fast path.
 func (m *Memory) growDir() {
-	base := (uint64(1) << 20) / 8 / pageWords
+	base := uint64(allocBase) / 8 / pageWords
 	end := m.brk/8/pageWords + 1
 	if base >= end {
 		end = base + 1
 	}
 	need := end - base
-	if m.dir != nil && m.dirBase == base && uint64(len(m.dir)) >= need {
+	if len(m.dir) > 0 && m.dirBase == base && uint64(len(m.dir)) >= need {
 		return
 	}
 	// Grow geometrically so repeated small Allocs don't re-copy the
@@ -76,9 +109,14 @@ func (m *Memory) growDir() {
 	if have := uint64(len(m.dir)) * 2; need < have {
 		need = have
 	}
-	nd := make([]*[pageWords]int64, need)
-	copy(nd, m.dir)
-	m.dir = nd
+	if uint64(cap(m.dir)) >= need {
+		// A recycled image: the slots past len were nilled by Reset.
+		m.dir = m.dir[:need]
+	} else {
+		nd := make([]*[pageWords]int64, need)
+		copy(nd, m.dir)
+		m.dir = nd
+	}
 	m.dirBase = base
 	// Migrate any overflow pages now covered by the directory. Map order
 	// does not matter (each page lands in its own slot) but dwslint's
@@ -114,7 +152,12 @@ func (m *Memory) page(wordIdx uint64) *[pageWords]int64 {
 	}
 	p := m.lookup(pn)
 	if p == nil {
-		p = new([pageWords]int64)
+		if n := len(m.spare); n > 0 {
+			p, m.spare[n-1] = m.spare[n-1], nil
+			m.spare = m.spare[:n-1]
+		} else {
+			p = new([pageWords]int64)
+		}
 		if i := pn - m.dirBase; i < uint64(len(m.dir)) {
 			m.dir[i] = p
 		} else {

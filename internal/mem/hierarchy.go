@@ -44,10 +44,32 @@ func NewHierarchy(q *engine.Queue, numL1 int, cfg HierarchyConfig) *Hierarchy {
 	}
 	h.DRAM = NewDRAM(q, h.Bus, cfg.DRAMLat)
 	h.L2 = NewL2(q, cfg.L2, h.DRAM, cfg.Trace)
-	for i := 0; i < numL1; i++ {
-		h.L1s = append(h.L1s, NewL1(i, q, cfg.L1, h.Xbar, h.L2, cfg.Trace))
-	}
+	h.Reset(numL1, cfg)
 	return h
+}
+
+// Reset returns the whole memory system to its freshly built state under
+// cfg with numL1 private caches — empty functional memory, cold caches,
+// idle channels, zero statistics — reusing every array whose geometry cfg
+// leaves unchanged. The event queue the components were built on must be
+// reset by the caller: events still in flight refer to state this discards.
+func (h *Hierarchy) Reset(numL1 int, cfg HierarchyConfig) {
+	h.Mem.Reset()
+	h.Xbar.reset(cfg.XbarLat, cfg.XbarOcc)
+	h.Bus.reset(0, cfg.MemBusOcc)
+	h.DRAM.reset(cfg.DRAMLat)
+	h.L2.reset(cfg.L2, cfg.Trace)
+	keep := min(numL1, len(h.L1s))
+	clear(h.L1s[keep:])
+	h.L1s = h.L1s[:keep]
+	for i := 0; i < numL1; i++ {
+		if i == len(h.L1s) {
+			h.L1s = append(h.L1s, NewL1(i, h.L2.q, cfg.L1, h.Xbar, h.L2, cfg.Trace))
+			continue
+		}
+		h.L1s[i].reset(cfg.L1, cfg.Trace)
+		h.L2.attach(h.L1s[i])
+	}
 }
 
 // CheckCoherence validates the global MESI invariants; tests and the

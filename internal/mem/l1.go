@@ -127,34 +127,45 @@ type L1 struct {
 // NewL1 builds an L1 connected to the shared L2 through the crossbar.
 // trace is the per-System observability sink; nil disables event emission.
 func NewL1(id int, q *engine.Queue, cfg L1Config, xbar *Channel, l2 *L2, trace *obs.Trace) *L1 {
+	c := &L1{ID: id, q: q, store: &store{}, xbar: xbar, l2: l2}
+	c.reqHop = l1ReqHop{c}
+	c.penaltyHop = l1PenaltyHop{c}
+	c.completeHop = l1CompleteHop{c}
+	c.reset(cfg, trace)
+	l2.attach(c)
+	return c
+}
+
+// reset returns the cache to its freshly built state under cfg: empty
+// array, no miss in flight, idle banks, zero statistics. Arrays are
+// reallocated only when cfg resizes them; the MSHR free list survives (it
+// is capacity, not state). An L2 reset detaches every L1, so the caller
+// re-attaches the cache afterwards.
+func (c *L1) reset(cfg L1Config, trace *obs.Trace) {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
 	}
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 1
 	}
-	c := &L1{
-		ID:       id,
-		q:        q,
-		store:    newStore(cfg.SizeBytes, cfg.Ways, cfg.LineSize),
-		cfg:      cfg,
-		xbar:     xbar,
-		l2:       l2,
-		mshrs:    newMSHRTable[*l1MSHR](cfg.MSHRs),
-		bankFree: make([]engine.Cycle, cfg.Banks),
-		trace:    trace,
+	c.store.reset(cfg.SizeBytes, cfg.Ways, cfg.LineSize)
+	c.mshrs.reset(cfg.MSHRs)
+	clear(c.waiting)
+	c.waiting = c.waiting[:0]
+	if len(c.bankFree) != cfg.Banks {
+		c.bankFree = make([]engine.Cycle, cfg.Banks)
+	} else {
+		clear(c.bankFree)
 	}
+	c.cfg = cfg
 	c.lineMask = cfg.LineSize - 1
 	c.bankShift = uint(bits.TrailingZeros64(cfg.LineSize))
 	c.bankMask = -1
 	if cfg.Banks&(cfg.Banks-1) == 0 {
 		c.bankMask = int64(cfg.Banks - 1)
 	}
-	c.reqHop = l1ReqHop{c}
-	c.penaltyHop = l1PenaltyHop{c}
-	c.completeHop = l1CompleteHop{c}
-	l2.attach(c)
-	return c
+	c.trace = trace
+	c.Stats = L1Stats{}
 }
 
 // Line returns the line-aligned address containing addr; the WPU uses it to
@@ -434,7 +445,7 @@ func (c *L1) evict(w *way) {
 	c.Stats.Evictions++
 	if w.dirty {
 		c.Stats.Writebacks++
-		c.xbar.Send(func() {}) // dirty data occupies the crossbar
+		c.xbar.Occupy() // dirty data occupies the crossbar
 	}
 	c.l2.put(c.ID, w.lineAddr, w.dirty)
 	c.store.invalidate(w)

@@ -109,20 +109,29 @@ func (hp *l2FillHop) HandleEvent(lineAddr uint64) {
 // NewL2 builds the shared cache in front of dram. trace is the per-System
 // observability sink; nil disables event emission.
 func NewL2(q *engine.Queue, cfg L2Config, dram *DRAM, trace *obs.Trace) *L2 {
+	l := &L2{q: q, st: &store{}, dram: dram}
+	l.lookupHop = l2LookupHop{l}
+	l.fillHop = l2FillHop{l}
+	l.reset(cfg, trace)
+	return l
+}
+
+// reset returns the cache and its directory to their freshly built state
+// under cfg, with no L1 attached; see L1.reset for what survives.
+func (l *L2) reset(cfg L2Config, trace *obs.Trace) {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 1
 	}
-	l := &L2{
-		q:     q,
-		st:    newStore(cfg.SizeBytes, cfg.Ways, cfg.LineSize),
-		cfg:   cfg,
-		dram:  dram,
-		mshrs: newMSHRTable[*l2MSHR](cfg.MSHRs),
-		trace: trace,
-	}
-	l.lookupHop = l2LookupHop{l}
-	l.fillHop = l2FillHop{l}
-	return l
+	l.st.reset(cfg.SizeBytes, cfg.Ways, cfg.LineSize)
+	l.mshrs.reset(cfg.MSHRs)
+	clear(l.l1s)
+	l.l1s = l.l1s[:0]
+	clear(l.lookups)
+	l.lookups = l.lookups[:0]
+	l.lookupHead = 0
+	l.cfg = cfg
+	l.trace = trace
+	l.Stats = L2Stats{}
 }
 
 func (l *L2) attach(c *L1) {
@@ -383,9 +392,19 @@ func (hp *dramBusHop) HandleEvent(uint64) {
 
 // NewDRAM builds the memory model on the given bus.
 func NewDRAM(q *engine.Queue, bus *Channel, latency engine.Cycle) *DRAM {
-	d := &DRAM{q: q, bus: bus, Latency: latency}
+	d := &DRAM{q: q, bus: bus}
 	d.busHop = dramBusHop{d}
+	d.reset(latency)
 	return d
+}
+
+// reset forgets every fetch in flight and zeroes the counters.
+func (d *DRAM) reset(latency engine.Cycle) {
+	d.Latency = latency
+	clear(d.pending)
+	d.pending = d.pending[:0]
+	d.head = 0
+	d.Accesses, d.WritebackN = 0, 0
 }
 
 // FetchEvent schedules h.HandleEvent(arg) after the bus queuing plus device
@@ -406,5 +425,5 @@ func (d *DRAM) Fetch(done func()) {
 func (d *DRAM) Writeback() {
 	d.Accesses++
 	d.WritebackN++
-	d.bus.Send(func() {})
+	d.bus.Occupy()
 }

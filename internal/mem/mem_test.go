@@ -105,7 +105,7 @@ func TestChannelLatencyAndOccupancy(t *testing.T) {
 	ch := NewChannel(q, 6, 2)
 	var times []engine.Cycle
 	for i := 0; i < 3; i++ {
-		ch.Send(func() { times = append(times, q.Now()) })
+		ch.SendEvent(engine.FuncHandler(func() { times = append(times, q.Now()) }), 0)
 	}
 	q.Drain()
 	// First departs at 0 (+6 latency); occupancy staggers starts by 2.

@@ -23,6 +23,14 @@ type mshrSlot[V any] struct {
 }
 
 func newMSHRTable[V any](budget int) mshrTable[V] {
+	var t mshrTable[V]
+	t.reset(budget)
+	return t
+}
+
+// reset empties the table, resizing it only when the budget calls for a
+// different slot count.
+func (t *mshrTable[V]) reset(budget int) {
 	if budget < 1 {
 		budget = 1
 	}
@@ -30,7 +38,13 @@ func newMSHRTable[V any](budget int) mshrTable[V] {
 	for cap < budget*4 {
 		cap *= 2
 	}
-	return mshrTable[V]{slots: make([]mshrSlot[V], cap), mask: uint64(cap - 1)}
+	if len(t.slots) != cap {
+		t.slots = make([]mshrSlot[V], cap)
+		t.mask = uint64(cap - 1)
+	} else if t.n != 0 {
+		clear(t.slots)
+	}
+	t.n = 0
 }
 
 func (t *mshrTable[V]) hash(key uint64) uint64 {

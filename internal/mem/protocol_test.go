@@ -193,10 +193,10 @@ func TestPropertyChannelFIFO(t *testing.T) {
 		var times []engine.Cycle
 		for i := 0; i < count; i++ {
 			i := i
-			ch.Send(func() {
+			ch.SendEvent(engine.FuncHandler(func() {
 				order = append(order, i)
 				times = append(times, q.Now())
-			})
+			}), 0)
 		}
 		q.Drain()
 		for i := range order {

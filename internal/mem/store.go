@@ -30,10 +30,13 @@ func (c Coherence) String() string {
 }
 
 // way is one line frame. The directory fields (sharers, owner) are used
-// only by the L2; an L1 uses state/dirty.
+// only by the L2; an L1 uses state/dirty. The zero value is an invalid
+// frame: every field is written when the frame is filled (victim stamps
+// idx, the fill path the rest) and read only while valid, so a store needs
+// no initialisation pass and clears with one memclr.
 type way struct {
 	lineAddr uint64
-	idx      int32 // position in frames/tags, fixed at construction
+	idx      int32 // position in frames/tags, stamped by victim
 	valid    bool
 	state    Coherence
 	dirty    bool
@@ -49,9 +52,12 @@ type way struct {
 // to chase — this lookup runs on every simulated cache access.
 type store struct {
 	frames []way
-	// tags mirrors frames' lineAddr fields in a dense array: lookup's tag
-	// probe then touches one or two cache lines per set instead of striding
-	// across 48-byte frames. Kept in sync by setLine/invalidate.
+	// tags mirrors the valid frames' line addresses in a dense array:
+	// lookup's tag probe then touches one or two cache lines per set instead
+	// of striding across 40-byte frames. A valid frame's tag is its line
+	// address with the low bit set (line addresses are line-aligned and
+	// lines are at least two bytes, so the bit is free); an invalid frame's
+	// tag is 0 and matches nothing. Kept in sync by setLine/invalidate.
 	tags     []uint64
 	numSets  int
 	ways     int
@@ -65,7 +71,17 @@ type store struct {
 }
 
 func newStore(sizeBytes, ways int, lineSize uint64) *store {
-	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
+	s := &store{}
+	s.reset(sizeBytes, ways, lineSize)
+	return s
+}
+
+// reset empties the store, keeping its arrays when the geometry is
+// unchanged and reallocating them otherwise. useClock advances on every
+// fill, so a zero clock means nothing was ever installed and there is
+// nothing to clear — resetting an idle store costs nothing.
+func (s *store) reset(sizeBytes, ways int, lineSize uint64) {
+	if lineSize < 2 || lineSize&(lineSize-1) != 0 {
 		panic("mem: line size must be a power of two")
 	}
 	lines := sizeBytes / int(lineSize)
@@ -79,47 +95,40 @@ func newStore(sizeBytes, ways int, lineSize uint64) *store {
 	if numSets == 0 {
 		numSets = 1
 	}
-	s := &store{
-		frames:    make([]way, numSets*ways),
-		tags:      make([]uint64, numSets*ways),
-		numSets:   numSets,
-		ways:      ways,
-		lineSize:  lineSize,
-		lineShift: uint(bits.TrailingZeros64(lineSize)),
-		setMask:   -1,
+	if len(s.frames) != numSets*ways {
+		s.frames = make([]way, numSets*ways)
+		s.tags = make([]uint64, numSets*ways)
+	} else if s.useClock != 0 {
+		clear(s.frames)
+		clear(s.tags)
 	}
+	s.numSets = numSets
+	s.ways = ways
+	s.lineSize = lineSize
+	s.lineShift = uint(bits.TrailingZeros64(lineSize))
+	s.setMask = -1
 	if numSets&(numSets-1) == 0 {
 		s.setMask = int64(numSets - 1)
 	}
-	for i := range s.frames {
-		s.frames[i].owner = -1
-		s.frames[i].idx = int32(i)
-		s.frames[i].lineAddr = invalidLine
-		s.tags[i] = invalidLine
-	}
-	return s
+	s.useClock = 0
 }
 
-// invalidLine is the lineAddr held by invalid frames. Real line addresses
-// are line-aligned (low bits zero, lineSize ≥ 2), so all-ones can never
-// match one — lookup compares addresses alone, no valid-flag load.
-const invalidLine = ^uint64(0)
+// validTag marks a tag-array entry as holding a line; see store.tags.
+const validTag = 1
 
-// invalidate releases a frame, restoring the invalid-frame address
-// sentinel that keeps lookup's single-compare scan sound. Every site that
-// clears valid must go through here.
+// invalidate releases a frame, clearing its tag so lookup's
+// single-compare scan stays sound. Every site that clears valid must go
+// through here.
 func (s *store) invalidate(w *way) {
 	w.valid = false
-	w.lineAddr = invalidLine
-	s.tags[w.idx] = invalidLine
+	s.tags[w.idx] = 0
 }
 
 // setLine installs a line address into a frame, keeping the dense tag
-// array in sync. Every site that writes lineAddr must go through here or
-// invalidate.
+// array in sync. Every site that writes lineAddr must go through here.
 func (s *store) setLine(w *way, lineAddr uint64) {
 	w.lineAddr = lineAddr
-	s.tags[w.idx] = lineAddr
+	s.tags[w.idx] = lineAddr | validTag
 }
 
 // Line returns the line-aligned address containing addr.
@@ -133,19 +142,15 @@ func (s *store) baseOf(lineAddr uint64) int {
 	return idx * s.ways
 }
 
-func (s *store) setOf(lineAddr uint64) []way {
-	base := s.baseOf(lineAddr)
-	return s.frames[base : base+s.ways]
-}
-
-// lookup returns the frame holding lineAddr, or nil. Invalid frames hold
-// the invalidLine sentinel, so one compare per way suffices — against the
-// dense tag array, not the frames themselves.
+// lookup returns the frame holding lineAddr, or nil. Invalid frames have a
+// zero tag, so one compare per way suffices — against the dense tag array,
+// not the frames themselves.
 func (s *store) lookup(lineAddr uint64) *way {
 	base := s.baseOf(lineAddr)
 	tags := s.tags[base : base+s.ways]
+	want := lineAddr | validTag
 	for i := range tags {
-		if tags[i] == lineAddr {
+		if tags[i] == want {
 			return &s.frames[base+i]
 		}
 	}
@@ -161,10 +166,12 @@ func (s *store) touch(w *way) {
 // victim returns the frame to fill for lineAddr: an invalid frame if one
 // exists, otherwise the least recently used.
 func (s *store) victim(lineAddr uint64) *way {
-	set := s.setOf(lineAddr)
+	base := s.baseOf(lineAddr)
+	set := s.frames[base : base+s.ways]
 	var lru *way
 	for i := range set {
 		if !set[i].valid {
+			set[i].idx = int32(base + i)
 			return &set[i]
 		}
 		if lru == nil || set[i].lastUse < lru.lastUse {

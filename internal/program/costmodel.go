@@ -446,9 +446,11 @@ func (b *Builder) DeclareUniformRange(reg isa.Reg, lo, hi int64) {
 }
 
 // UniformRanges returns the declared input ranges (for Launch-time
-// validation and tooling).
+// validation and tooling). The slice is the program's own, shared like
+// Decoded's: every WPU reads it at every Launch, and it must not be
+// mutated.
 func (p *Program) UniformRanges() []UniformRange {
-	return append([]UniformRange(nil), p.uranges...)
+	return p.uranges[:len(p.uranges):len(p.uranges)]
 }
 
 // costEntry is the abstract register file at kernel entry under the

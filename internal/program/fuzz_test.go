@@ -100,14 +100,17 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 
-		// Tamper with one instruction and re-verify: findings are expected,
-		// panics are not.
+		// Tamper with one instruction of a private copy (built programs are
+		// shared and immutable) and re-verify: findings are expected, panics
+		// are not.
 		if len(data) > 0 && len(p.Code) > 0 {
-			pc := int(data[0]) % len(p.Code)
-			saved := p.Code[pc]
-			p.Code[pc] = isa.Inst{Op: isa.Op(200 + data[0]%50), Dst: isa.Reg(data[0])}
-			_ = p.Verify()
-			p.Code[pc] = saved
+			q, err := b.buildFresh()
+			if err != nil {
+				t.Fatalf("second build of an accepted program failed: %v", err)
+			}
+			pc := int(data[0]) % len(q.Code)
+			q.Code[pc] = isa.Inst{Op: isa.Op(200 + data[0]%50), Dst: isa.Reg(data[0])}
+			_ = q.Verify()
 		}
 	})
 }

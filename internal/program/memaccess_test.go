@@ -194,13 +194,14 @@ func benchKernel() (*Program, error) {
 	b.Label("done")
 	b.Barrier()
 	b.Halt()
-	return b.Build()
+	return b.buildFresh() // past the memo: the benchmark times the analyses
 }
 
 // BenchmarkProgramBuild is the build-time budget gate (cmd/dwsbench): the
 // static analyses added over time — divergence dataflow, memory-access
-// classification, verification — all run inside Build, and their summed
-// cost per kernel must not creep past the baseline.
+// classification, verification — all run inside Build's first encounter
+// with a kernel, and their summed cost per kernel must not creep past the
+// baseline.
 func BenchmarkProgramBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -13,9 +13,13 @@
 package program
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -118,6 +122,11 @@ type Program struct {
 	// so an issue never touches the branches/reconv maps. Populated by
 	// Build after verification passes.
 	decoded []isa.Decoded
+
+	// findings is what the verifier reported at Build time (warnings only:
+	// an error fails the build). MustVerify consults it instead of running
+	// the whole analysis a second time on a program that cannot have changed.
+	findings []Finding
 
 	verified bool
 }
@@ -470,7 +479,96 @@ func (b *Builder) Nop() { b.Emit(isa.Inst{Op: isa.NOP}) }
 // post-dominator analysis, applies the subdivide-branch heuristic, and runs
 // the static verifier (verify.go). Any Err-severity finding fails the build;
 // Warn findings are tolerated here and rejected only by MustVerify.
+//
+// Build is memoized: a Program is immutable once built (Code, Blocks and
+// the slices its accessors share must not be written to), the analyses are
+// pure functions of what the Builder holds, and every simulation of a
+// benchmark rebuilds the same few kernels — so two Builders holding the same
+// name, resolved code and declarations get the same *Program. Sharing is
+// safe across goroutines for the same reason it is safe at all: nobody
+// writes. Failed builds are not remembered.
 func (b *Builder) Build() (*Program, error) {
+	code, err := b.resolve()
+	if err != nil {
+		return nil, err
+	}
+	key := b.digest(code)
+	builds.mu.Lock()
+	p := builds.byDigest[key]
+	builds.mu.Unlock()
+	if p != nil {
+		return p, nil
+	}
+	if p, err = b.build(code); err != nil {
+		return nil, err
+	}
+	builds.mu.Lock()
+	defer builds.mu.Unlock()
+	if first := builds.byDigest[key]; first != nil {
+		return first, nil // a concurrent Build of the same kernel won
+	}
+	if len(builds.byDigest) >= maxBuilds {
+		clear(builds.byDigest)
+	}
+	builds.byDigest[key] = p
+	return p, nil
+}
+
+// builds is the process-wide memo behind Build. The suite has a few dozen
+// distinct kernels (8 benchmarks × launch geometries); maxBuilds only keeps
+// a program generator (a fuzzer, a sweep over thread counts) from growing
+// the table without bound, and emptying it costs one rebuild per kernel.
+var builds = struct {
+	mu       sync.Mutex
+	byDigest map[[sha256.Size]byte]*Program
+}{byDigest: make(map[[sha256.Size]byte]*Program)}
+
+const maxBuilds = 512
+
+// digest hashes everything build reads: the name, the resolved code, and
+// the declarations.
+func (b *Builder) digest(code []isa.Inst) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [8]byte
+	num := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	num(uint64(len(b.name)))
+	h.Write([]byte(b.name))
+	num(uint64(len(code)))
+	for _, in := range code {
+		num(uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.SrcA)<<16 | uint64(in.SrcB)<<24)
+		num(uint64(in.Imm))
+		num(math.Float64bits(in.FImm))
+		num(uint64(in.Target))
+	}
+	declared := uint64(0)
+	if b.inputsDeclared {
+		declared = 1
+	}
+	num(uint64(b.inputs) | uint64(b.uniforms)<<32)
+	num(declared)
+	num(uint64(b.maxThreads))
+	num(uint64(b.ShortBlockLimit))
+	num(uint64(len(b.regions)))
+	for _, r := range b.regions {
+		num(uint64(r.Reg))
+		num(uint64(r.Words))
+	}
+	num(uint64(len(b.uranges)))
+	for _, u := range b.uranges {
+		num(uint64(u.Reg))
+		num(uint64(u.Lo))
+		num(uint64(u.Hi))
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// resolve copies the code with every branch label replaced by its target.
+func (b *Builder) resolve() ([]isa.Inst, error) {
 	if len(b.code) == 0 {
 		return nil, fmt.Errorf("program %q: empty", b.name)
 	}
@@ -491,6 +589,12 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		code[pc].Target = target
 	}
+	return code, nil
+}
+
+// build analyses and verifies resolved code into a new Program, which takes
+// ownership of the slice.
+func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	for pc, in := range code {
 		if !in.Op.Valid() {
 			return nil, fmt.Errorf("program %q: invalid opcode at pc %d", b.name, pc)
@@ -594,9 +698,9 @@ func (b *Builder) Build() (*Program, error) {
 	// CostModelFor; the verifier below cross-checks this record.
 	p.cost = p.CostModelFor(CostParams{})
 
-	findings := p.Verify()
+	p.findings = p.Verify()
 	var errs []Finding
-	for _, f := range findings {
+	for _, f := range p.findings {
 		if f.Severity == Err {
 			errs = append(errs, f)
 		}
@@ -666,12 +770,12 @@ func (b *Builder) MustBuild() *Program {
 }
 
 // MustVerify is MustBuild with a zero-findings bar: it panics if the
-// verifier reports anything at all, warnings included. The eight benchmark
+// verifier reported anything at all, warnings included. The eight benchmark
 // kernels are built with this.
 func (b *Builder) MustVerify() *Program {
 	p := b.MustBuild()
-	if fs := p.Verify(); len(fs) > 0 {
-		panic(fmt.Sprintf("program %q: verifier findings:\n%s", p.Name, FormatFindings(fs)))
+	if len(p.findings) > 0 {
+		panic(fmt.Sprintf("program %q: verifier findings:\n%s", p.Name, FormatFindings(p.findings)))
 	}
 	return p
 }

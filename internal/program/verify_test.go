@@ -329,7 +329,18 @@ func TestFormatFindingsStable(t *testing.T) {
 	}
 }
 
-// mustIfElse builds the shared if/else kernel used by the tamper tests.
+// buildFresh is Build without the memo: a Program of the caller's own,
+// which a tamper test may corrupt without poisoning the shared one.
+func (b *Builder) buildFresh() (*Program, error) {
+	code, err := b.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return b.build(code)
+}
+
+// mustIfElse builds a private copy of the if/else kernel used by the tamper
+// tests.
 func mustIfElse(t *testing.T) *Program {
 	t.Helper()
 	b := NewBuilder("ifelse-v")
@@ -341,5 +352,9 @@ func mustIfElse(t *testing.T) *Program {
 	b.Label("join")
 	b.Add(5, 4, 4)
 	b.Halt()
-	return b.MustBuild()
+	p, err := b.buildFresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

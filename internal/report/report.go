@@ -145,12 +145,15 @@ type Session struct {
 	// before the first Run; it is not synchronised.
 	Verify bool
 
-	// OnSystem, when set, observes every freshly built machine immediately
-	// before its run starts — the dwsim -httpobs live-metrics hook. Like
-	// Verify it must be set before the first Run; it is called from the
-	// executor's worker goroutines, so implementations must be safe for
-	// concurrent use.
-	OnSystem func(*sim.System)
+	// OnSystem, when set, observes every machine immediately before its run
+	// starts — the dwsim -httpobs live-metrics hook. The function it returns
+	// (nil for none) is called on the same goroutine once the run has ended,
+	// successfully or not, and is the hook's last chance to look at the
+	// machine: afterwards it is recycled for another run (see machines), so
+	// nothing may hold on to it. Like Verify, OnSystem must be set before
+	// the first Run; it is called from the executor's worker goroutines, so
+	// implementations must be safe for concurrent use.
+	OnSystem func(*sim.System) (finish func())
 }
 
 // inflight is one cache slot: done closes once r/err are final, so
@@ -239,10 +242,11 @@ func (s *Session) RunTraced(bench string, k Knobs, tr *obs.Trace) (Result, error
 
 // RunTracedWith is RunTraced with a per-call machine hook replacing the
 // session-wide OnSystem: the dwsimd streaming path uses it to chain a
-// per-job publisher onto the freshly built System's Tracer without racing
-// other jobs on one shared hook. The hook (like OnSystem) runs on the
-// goroutine that will drive the simulation, immediately before it starts.
-func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func(*sim.System)) (Result, error) {
+// per-job publisher onto the System's Tracer without racing other jobs on
+// one shared hook. The hook obeys OnSystem's contract: it runs on the
+// goroutine that will drive the simulation, immediately before it starts,
+// and must not touch the machine after its finish function has returned.
+func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func(*sim.System) func()) (Result, error) {
 	s.mu.Lock()
 	s.stats.Misses++
 	s.stats.Traced++
@@ -305,22 +309,84 @@ func (s *Session) simulate(bench string, k Knobs, key string) (Result, string, e
 	return r, "simulated", nil
 }
 
-// runLive executes one simulation from scratch. tr, when non-nil, is
-// attached to every component of the machine before the run (sim.Config
-// .Trace), so the returned Result is accompanied by a filled event trace
-// and timeline.
-func runLive(bench string, k Knobs, tr *obs.Trace, verify bool, onSys func(*sim.System)) (Result, error) {
-	scale := k.Scale
-	if scale <= 0 {
-		scale = 1
+// machines is the process-wide free list of simulated machines. Building
+// one costs a few megabytes and thousands of allocations (the 32 768-frame
+// L2 array alone is 1.5 MB) and every exhibit is hundreds of short,
+// independent simulations of nearly the same machine, so runLive recycles:
+// it takes a machine, sim.System.Reset makes it indistinguishable from a new
+// one, and a run that ends cleanly gives it back. The list is process-wide
+// because many callers open a Session per simulation; it holds at most one
+// machine per processor, which is all the concurrent runs that can make
+// progress.
+var machines struct {
+	mu   sync.Mutex
+	idle []*sim.System
+}
+
+// takeMachine returns a machine in the state sim.New(cfg) builds.
+func takeMachine(cfg sim.Config) (*sim.System, error) {
+	machines.mu.Lock()
+	var sys *sim.System
+	if n := len(machines.idle); n > 0 {
+		sys, machines.idle[n-1] = machines.idle[n-1], nil
+		machines.idle = machines.idle[:n-1]
 	}
-	spec, err := workloads.ByNameScaled(bench, scale)
+	machines.mu.Unlock()
+	if sys == nil {
+		return sim.New(cfg)
+	}
+	if err := sys.Reset(cfg); err != nil {
+		return nil, err // cfg is invalid; the machine is dropped
+	}
+	return sys, nil
+}
+
+// releaseMachine gives back a machine whose run ended cleanly. It is reset
+// here, without its trace sink, and not only when next taken: an idle
+// machine must not keep a finished run's event trace or hooks alive.
+// (Resetting a machine that is already clean costs next to nothing, so the
+// Reset in takeMachine does not pay twice.)
+func releaseMachine(sys *sim.System) {
+	cfg := sys.Cfg
+	cfg.Trace = nil
+	if sys.Reset(cfg) != nil {
+		return
+	}
+	machines.mu.Lock()
+	if len(machines.idle) < runtime.GOMAXPROCS(0) {
+		machines.idle = append(machines.idle, sys)
+	}
+	machines.mu.Unlock()
+}
+
+// runLive executes one simulation on a machine in freshly built state. tr,
+// when non-nil, is attached to every component of the machine before the
+// run (sim.Config.Trace), so the returned Result is accompanied by a filled
+// event trace and timeline. The machine goes back to the free list only
+// after a clean run: one that returned an error (deadlock, failed
+// verification) or panicked leaves it for the garbage collector, whatever
+// state it is in.
+func runLive(bench string, k Knobs, tr *obs.Trace, verify bool, onSys func(*sim.System) func()) (Result, error) {
+	cfg := k.Config()
+	cfg.Trace = tr
+	sys, err := takeMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := k.Config()
-	cfg.Trace = tr
-	sys, err := sim.New(cfg)
+	r, err := runOn(sys, bench, k, verify, onSys)
+	if err != nil {
+		return Result{}, err
+	}
+	releaseMachine(sys)
+	return r, nil
+}
+
+// runOn builds, runs and verifies bench on sys, which must be in freshly
+// built state for k's configuration, and collects the Result. Everything
+// that reads the machine happens in here, so the caller is free to recycle
+// it the moment runOn returns.
+func runOn(sys *sim.System, bench string, k Knobs, verify bool, onSys func(*sim.System) func()) (Result, error) {
+	spec, err := workloads.ByNameScaled(bench, max(k.Scale, 1))
 	if err != nil {
 		return Result{}, err
 	}
@@ -328,10 +394,15 @@ func runLive(bench string, k Knobs, tr *obs.Trace, verify bool, onSys func(*sim.
 	if err != nil {
 		return Result{}, err
 	}
+	var finish func()
 	if onSys != nil {
-		onSys(sys)
+		finish = onSys(sys)
 	}
-	if err := inst.Run(sys); err != nil {
+	err = inst.Run(sys)
+	if finish != nil {
+		finish()
+	}
+	if err != nil {
 		return Result{}, fmt.Errorf("%s %s: %w", bench, k.key(bench), err)
 	}
 	if verify {

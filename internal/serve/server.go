@@ -241,9 +241,10 @@ func (s *Server) runTracedJob(j *job) {
 	pub := &publisher{hub: j.hub, tr: tr}
 	streamEvery := s.every
 	s.live.SetMeta(p.bench, string(p.knobs.Scheme))
-	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(sys *sim.System) {
-		s.live.Attach(sys)
+	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(sys *sim.System) func() {
+		finish := s.live.Attach(sys)
 		pub.attach(sys, streamEvery)
+		return finish
 	})
 	if err != nil {
 		pub.finishError(err.Error())

@@ -73,8 +73,11 @@ func (lv *Live) SetMeta(bench, scheme string) {
 }
 
 // Attach hooks the publisher into sys's per-cycle Tracer, chaining any
-// tracer already installed.
-func (lv *Live) Attach(sys *System) {
+// tracer already installed, and returns the function that publishes the
+// run's final state. Call that from the goroutine that drove the
+// simulation, while the machine is still the run's own — it has the shape
+// of report.Session.OnSystem, which calls it before recycling the machine.
+func (lv *Live) Attach(sys *System) (finish func()) {
 	prev := sys.Tracer
 	sys.Tracer = func(cycle uint64) {
 		if prev != nil {
@@ -84,12 +87,7 @@ func (lv *Live) Attach(sys *System) {
 			lv.capture(sys, cycle, false)
 		}
 	}
-}
-
-// Finish publishes the final state of a completed run; call it from the
-// goroutine that drove the simulation (or after it returned).
-func (lv *Live) Finish(sys *System) {
-	lv.capture(sys, sys.Cycles(), true)
+	return func() { lv.capture(sys, sys.Cycles(), true) }
 }
 
 // capture runs on the simulation goroutine. Everything placed in the

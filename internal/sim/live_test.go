@@ -21,7 +21,7 @@ func runLiveKernel(t *testing.T) *Live {
 	}
 	lv := NewLive(1)
 	lv.SetMeta("nop", "Conv")
-	lv.Attach(sys)
+	finish := lv.Attach(sys)
 	b := program.NewBuilder("nop")
 	b.Nop()
 	b.Nop()
@@ -29,7 +29,7 @@ func runLiveKernel(t *testing.T) *Live {
 	if _, err := sys.RunKernel(b.MustBuild(), Threads(16, nil)); err != nil {
 		t.Fatal(err)
 	}
-	lv.Finish(sys)
+	finish()
 	return lv
 }
 
@@ -37,7 +37,7 @@ func TestLiveSnapshotAndInvariant(t *testing.T) {
 	lv := runLiveKernel(t)
 	snap := lv.Snapshot()
 	if !snap.Done {
-		t.Fatal("Finish did not mark the snapshot done")
+		t.Fatal("Attach's finish did not mark the snapshot done")
 	}
 	if snap.Bench != "nop" || snap.Scheme != "Conv" {
 		t.Fatalf("meta = %q/%q", snap.Bench, snap.Scheme)

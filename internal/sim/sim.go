@@ -128,15 +128,41 @@ type System struct {
 	// sample, so each Sample carries interval deltas.
 	obsPrev []wpu.Stats
 
+	// Launch scratch, reused across kernels: the register files StageThreads
+	// hands out, and RunKernel's per-WPU chunks (with the copies an
+	// interleaved distribution needs).
+	staged []isa.RegFile
+	chunks [][]isa.RegFile
+	dealt  []isa.RegFile
+
 	// Tracer, when set, is invoked once per simulated cycle after all WPUs
 	// ticked — the hook behind cmd/dwstrace and custom instrumentation.
+	// Reset clears it: a hook belongs to one run.
 	Tracer func(cycle uint64)
 }
 
-// New builds a machine.
+// New builds a machine: an empty System put through Reset, so there is one
+// construction path and a recycled machine cannot differ from a new one by
+// anything Reset does not cover.
 func New(cfg Config) (*System, error) {
+	s := &System{}
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset returns the machine to the state New(cfg) builds — time zero, empty
+// event queue and functional memory, cold caches and predictors, zero
+// statistics, no Tracer — so the next simulation on it is bit-identical to
+// one on a new machine. Components are kept and emptied where cfg leaves
+// their geometry unchanged and reallocated where it does not. Nothing of the
+// previous run may be used afterwards: not its trace sink's attachment, not
+// pointers into its memory image. On error (cfg invalid) the machine is in
+// no defined state and must be dropped.
+func (s *System) Reset(cfg Config) error {
 	if cfg.WPUs <= 0 {
-		return nil, fmt.Errorf("sim: need at least one WPU")
+		return fmt.Errorf("sim: need at least one WPU")
 	}
 	cfg.Hier.Trace = cfg.Trace
 	// Under interleaved distribution adjacent lanes of a warp hold thread
@@ -145,16 +171,34 @@ func New(cfg Config) (*System, error) {
 	if cfg.Dist == DistInterleave {
 		cfg.WPU.LaneTidStep = cfg.WPUs
 	}
-	s := &System{Cfg: cfg, Q: &engine.Queue{}}
-	s.Hier = mem.NewHierarchy(s.Q, cfg.WPUs, cfg.Hier)
-	for i := 0; i < cfg.WPUs; i++ {
-		w, err := wpu.New(i, s.Q, cfg.WPU, s.Hier.L1s[i], s.Hier.Mem, cfg.Trace)
-		if err != nil {
-			return nil, err
-		}
-		s.WPUs = append(s.WPUs, w)
+	old := *s
+	*s = System{
+		Cfg:    cfg,
+		Q:      old.Q,
+		Hier:   old.Hier,
+		WPUs:   old.WPUs,
+		staged: old.staged,
+		chunks: old.chunks,
+		dealt:  old.dealt,
 	}
-	return s, nil
+	if s.Q == nil {
+		s.Q = &engine.Queue{}
+		s.Hier = mem.NewHierarchy(s.Q, cfg.WPUs, cfg.Hier)
+	} else {
+		s.Q.Reset()
+		s.Hier.Reset(cfg.WPUs, cfg.Hier)
+	}
+	if len(s.WPUs) != cfg.WPUs {
+		var err error
+		s.WPUs, err = wpu.NewBank(s.Q, cfg.WPU, s.Hier.L1s, s.Hier.Mem, cfg.Trace)
+		return err
+	}
+	for i, w := range s.WPUs {
+		if err := w.Reset(cfg.WPU, s.Hier.L1s[i], s.Hier.Mem, cfg.Trace); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Memory exposes the functional memory for workload setup/verification.
@@ -173,13 +217,31 @@ func (s *System) ThreadCapacity() int {
 // and applies setup to each.
 func Threads(n int, setup func(tid int, r *isa.RegFile)) []isa.RegFile {
 	regs := make([]isa.RegFile, n)
+	initThreads(regs, setup)
+	return regs
+}
+
+func initThreads(regs []isa.RegFile, setup func(tid int, r *isa.RegFile)) {
 	for i := range regs {
 		regs[i].Set(1, int64(i))
-		regs[i].Set(2, int64(n))
+		regs[i].Set(2, int64(len(regs)))
 		if setup != nil {
 			setup(i, &regs[i])
 		}
 	}
+}
+
+// StageThreads is Threads into a buffer the machine owns: the register files
+// are valid until the next StageThreads call, which is all RunKernel needs
+// (each WPU copies its chunk into its lane registers at Launch). A launch
+// plan of hundreds of kernels thus costs one buffer, not one per kernel.
+func (s *System) StageThreads(n int, setup func(tid int, r *isa.RegFile)) []isa.RegFile {
+	if cap(s.staged) < n {
+		s.staged = make([]isa.RegFile, n)
+	}
+	regs := s.staged[:n]
+	clear(regs)
+	initThreads(regs, setup)
 	return regs
 }
 
@@ -194,12 +256,25 @@ func (s *System) RunKernel(p *program.Program, threads []isa.RegFile) (uint64, e
 	if len(threads) > s.ThreadCapacity() {
 		return 0, fmt.Errorf("sim: %d threads exceed machine capacity %d", len(threads), s.ThreadCapacity())
 	}
-	chunks := make([][]isa.RegFile, s.Cfg.WPUs)
+	if len(s.chunks) != s.Cfg.WPUs {
+		s.chunks = make([][]isa.RegFile, s.Cfg.WPUs)
+	}
+	chunks := s.chunks
+	clear(chunks)
 	switch s.Cfg.Dist {
 	case DistInterleave:
-		for i := range threads {
-			w := i % s.Cfg.WPUs
-			chunks[w] = append(chunks[w], threads[i])
+		// Deal thread i to WPU i mod n: WPU w's chunk is the w-th run of a
+		// scratch copy laid out WPU-major.
+		if cap(s.dealt) < len(threads) {
+			s.dealt = make([]isa.RegFile, len(threads))
+		}
+		dealt := s.dealt[:0]
+		for w := range chunks {
+			lo := len(dealt)
+			for i := w; i < len(threads); i += s.Cfg.WPUs {
+				dealt = append(dealt, threads[i])
+			}
+			chunks[w] = dealt[lo:len(dealt):len(dealt)]
 		}
 	default: // DistBlock
 		per := (len(threads) + s.Cfg.WPUs - 1) / s.Cfg.WPUs

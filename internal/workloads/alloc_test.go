@@ -9,19 +9,17 @@ import (
 )
 
 // steadyStateAllocBudget is the allowed number of heap objects allocated
-// during the measured 100k-cycle steady-state window of the KMeans run.
-// After the allocation-free event-engine rewrite (pooled events, MSHRs,
-// tokens, and re-convergence stacks) the window measures ~15.5k objects,
-// nearly all of them Split structs — one per subdivision/revive, i.e. per
-// architectural event, not per cycle or per message. Splits are not
-// pooled deliberately: dead splits persist as wait-merge forwarding stubs
-// reachable from in-flight memory tokens and mergedInto chains, so
-// recycling them safely would need reference counting across three edge
-// types for little GC gain. The budget leaves ~60% headroom over the
-// measured value while still failing loudly if a per-event or per-access
-// allocation sneaks back into the hot path — the cheapest such mistake
-// costs >100k objects per window.
-const steadyStateAllocBudget = 25_000
+// during the measured 100k-cycle steady-state window of the KMeans run on a
+// machine sim.New has just built. Events, MSHRs, tokens and re-convergence
+// stacks are pooled, and Splits, sync scopes and slip groups come from
+// per-WPU arenas rewound at Launch, so the window measures ~550 objects
+// (15.5k before the arenas, nearly all of them Splits): arena chunks — one
+// object per 64 Splits — and pool growth on a machine still reaching its
+// high-water marks. A recycled machine allocates none of them. The budget
+// leaves ~80% headroom while still failing loudly if a per-event or
+// per-access allocation sneaks back into the hot path — the cheapest such
+// mistake costs >10k objects per window.
+const steadyStateAllocBudget = 1_000
 
 // TestKMeansSteadyStateAllocBudget measures cumulative heap allocations
 // (MemStats.Mallocs, which GC never decreases) across a mid-run window of

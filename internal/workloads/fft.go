@@ -164,7 +164,7 @@ func buildFFT(sys *sim.System, scale int) (*Instance, error) {
 		m.WriteF(twIm+uint64(j)*8, wi[j])
 	}
 
-	var steps []Step
+	var steps []launchSpec
 	steps = append(steps, launch(fftBitrevKernel(n, threadsFor(sys, n)), threadsFor(sys, n), func(tid int, r *isa.RegFile) {
 		r.Set(4, int64(srcRe))
 		r.Set(5, int64(srcIm))

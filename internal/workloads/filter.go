@@ -119,5 +119,5 @@ func buildFilter(sys *sim.System, scale int) (*Instance, error) {
 		}
 		return nil
 	}
-	return &Instance{name: "Filter", steps: []Step{step}, verify: verify}, nil
+	return &Instance{name: "Filter", steps: []launchSpec{step}, verify: verify}, nil
 }

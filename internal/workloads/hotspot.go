@@ -103,7 +103,7 @@ func buildHotSpot(sys *sim.System, scale int) (*Instance, error) {
 
 	nt := threadsFor(sys, n)
 	p := hotspotKernel(w, h, nt)
-	var steps []Step
+	var steps []launchSpec
 	src, dst := bufA, bufB
 	for it := 0; it < hotspotIters; it++ {
 		s, d := src, dst

@@ -272,7 +272,7 @@ func buildKMeans(sys *sim.System, scale int) (*Instance, error) {
 	uK := kmeansUpdateKernel(p, k, ch, threadsFor(sys, k*ch))
 	rK := kmeansReduceKernel(k, d, ch, threadsFor(sys, k*d))
 	fK := kmeansFinalizeKernel(k, d, threadsFor(sys, k*d))
-	var steps []Step
+	var steps []launchSpec
 	for it := 0; it < kmeansIters; it++ {
 		steps = append(steps,
 			launch(aK, threadsFor(sys, p), func(tid int, r *isa.RegFile) {

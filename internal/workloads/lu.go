@@ -114,7 +114,7 @@ func buildLU(sys *sim.System, scale int) (*Instance, error) {
 	// the kernels' thread bound.
 	scaleK := luScaleKernel(n, threadsFor(sys, n-1))
 	update := luUpdateKernel(n, threadsFor(sys, (n-1)*(n-1)))
-	var steps []Step
+	var steps []launchSpec
 	for k := 0; k < n-1; k++ {
 		kk := k
 		rows := n - k - 1

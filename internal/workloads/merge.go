@@ -80,7 +80,7 @@ func buildMerge(sys *sim.System, scale int) (*Instance, error) {
 
 	nt := threadsFor(sys, n)
 	p := mergeKernel(n, nt)
-	var steps []Step
+	var steps []launchSpec
 	for k := 2; k <= n; k *= 2 {
 		for j := k / 2; j >= 1; j /= 2 {
 			jj, kk := j, k

@@ -99,7 +99,7 @@ func buildShort(sys *sim.System, scale int) (*Instance, error) {
 
 	nt := threadsFor(sys, c)
 	p := shortKernel(c, nt)
-	var steps []Step
+	var steps []launchSpec
 	src, dst := rowA, rowB
 	for s := 0; s < shortSteps; s++ {
 		sp, dp, step := src, dst, s

@@ -126,5 +126,5 @@ func buildSVM(sys *sim.System, scale int) (*Instance, error) {
 		}
 		return nil
 	}
-	return &Instance{name: "SVM", steps: []Step{step}, verify: verify}, nil
+	return &Instance{name: "SVM", steps: []launchSpec{step}, verify: verify}, nil
 }

@@ -24,17 +24,28 @@ type Step struct {
 	Threads []isa.RegFile
 }
 
+// launchSpec is a Step before its register files exist: the thread count
+// and the setup that fills each thread's workload registers. A launch plan
+// runs to hundreds of kernels (LU: two per elimination step), so the plan
+// keeps these recipes and Run stages one launch at a time.
+type launchSpec struct {
+	prog  *program.Program
+	n     int
+	setup func(tid int, r *isa.RegFile)
+}
+
 // Instance is a prepared workload bound to one system's memory.
 type Instance struct {
 	name   string
-	steps  []Step
+	steps  []launchSpec
 	verify func() error
 }
 
-// Run executes every kernel launch in order.
+// Run executes every kernel launch in order, staging each launch's
+// registers in the machine's reusable buffer.
 func (in *Instance) Run(sys *sim.System) error {
 	for i, st := range in.steps {
-		if _, err := sys.RunKernel(st.Prog, st.Threads); err != nil {
+		if _, err := sys.RunKernel(st.prog, sys.StageThreads(st.n, st.setup)); err != nil {
 			return fmt.Errorf("%s step %d: %w", in.name, i, err)
 		}
 	}
@@ -49,8 +60,15 @@ func (in *Instance) Verify() error {
 	return nil
 }
 
-// Steps exposes the launch plan (used by characterisation tooling).
-func (in *Instance) Steps() []Step { return in.steps }
+// Steps materialises the launch plan, register files included (used by
+// characterisation tooling; Run itself never builds it).
+func (in *Instance) Steps() []Step {
+	steps := make([]Step, len(in.steps))
+	for i, st := range in.steps {
+		steps[i] = Step{Prog: st.prog, Threads: sim.Threads(st.n, st.setup)}
+	}
+	return steps
+}
 
 // Spec names a benchmark and knows how to instantiate it on a system.
 type Spec struct {
@@ -131,10 +149,10 @@ func threadsFor(sys *sim.System, items int) int {
 	return cap
 }
 
-// launch builds the per-thread register files with the standard ABI
+// launch records one kernel launch of n threads with the standard ABI
 // (R1 = tid, R2 = nthreads) plus workload registers from setup.
-func launch(p *program.Program, n int, setup func(tid int, r *isa.RegFile)) Step {
-	return Step{Prog: p, Threads: sim.Threads(n, setup)}
+func launch(p *program.Program, n int, setup func(tid int, r *isa.RegFile)) launchSpec {
+	return launchSpec{prog: p, n: n, setup: setup}
 }
 
 func almostEqual(a, b float64) bool {

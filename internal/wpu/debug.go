@@ -11,7 +11,7 @@ func (w *WPU) DebugDump() string {
 		return fmt.Sprintf("WPU %d: done\n", w.ID)
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "WPU %d: %d splits, %d waiting for slots, cur=%v\n", w.ID, w.splitCount, len(w.slotWait), w.cur)
+	fmt.Fprintf(&sb, "WPU %d: %d splits, %d waiting for slots, cur=%v\n", w.ID, w.splitCount, w.SlotWaiters(), w.cur)
 	for i, s := range w.slots {
 		fmt.Fprintf(&sb, "  slot %d: %v\n", i, s)
 	}

@@ -39,28 +39,47 @@ type icache struct {
 	Misses  uint64
 }
 
-func newICache(lines, ways int) *icache {
+// icacheGeometry resolves the configured size (zero values select the
+// Table 3 defaults) into sets × ways.
+func icacheGeometry(lines, ways int) (numSets, numWays int) {
 	if lines <= 0 {
 		lines = icacheDefaultLines
 	}
 	if ways <= 0 || ways > lines {
 		ways = icacheDefaultWays
 	}
-	numSets := lines / ways
-	if numSets == 0 {
-		numSets = 1
-	}
+	return max(lines/ways, 1), ways
+}
+
+func newICache(lines, ways int) *icache {
+	numSets, ways := icacheGeometry(lines, ways)
 	c := &icache{sets: make([][]icacheLine, numSets)}
 	for i := range c.sets {
 		c.sets[i] = make([]icacheLine, ways)
 	}
+	c.reset()
+	return c
+}
+
+// sized reports whether the cache has the geometry newICache(lines, ways)
+// would build.
+func (c *icache) sized(lines, ways int) bool {
+	numSets, ways := icacheGeometry(lines, ways)
+	return len(c.sets) == numSets && len(c.sets[0]) == ways
+}
+
+// reset empties the cache and zeroes its counters.
+func (c *icache) reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.clock, c.Fetches, c.Misses = 0, 0, 0
 	// lastLineNo = -1 never matches a real line number (PCs are ≥ 0), so
 	// the fast path needs no nil or validity test on lastWay: a matching
 	// lastLineNo implies lastWay was hit or filled for that very line, and
 	// frames only ever change tag through a refill (re-checked by tag).
 	c.lastLineNo = -1
 	c.lastWay = &c.sets[0][0]
-	return c
 }
 
 // Fetch looks up the line holding the instruction at pc, filling on miss.

@@ -7,9 +7,14 @@ import (
 )
 
 // loopProgram is a small two-line kernel that loops a few times.
-func loopProgram(t *testing.T) *program.Program {
+func loopProgram(t *testing.T) *program.Program { return namedLoopProgram(t, "loopy") }
+
+// namedLoopProgram builds the loop kernel under a name of the caller's
+// choosing: Build is memoized, so only a different kernel is a different
+// program with a fetch range of its own.
+func namedLoopProgram(t *testing.T, name string) *program.Program {
 	t.Helper()
-	b := program.NewBuilder("loopy")
+	b := program.NewBuilder(name)
 	b.Movi(8, 5)
 	b.Label("head")
 	b.Addi(8, 8, -1)
@@ -77,7 +82,7 @@ func TestKernelsStayICacheResident(t *testing.T) {
 func TestProgramsGetDisjointFetchBases(t *testing.T) {
 	w, q, _ := newBareWPU(t, Config{Warps: 1, Width: 4})
 	p1 := loopProgram(t)
-	p2 := loopProgram(t)
+	p2 := namedLoopProgram(t, "loopy-too")
 	launchSimple(t, w, p1, 4, nil)
 	runToCompletion(t, w, q)
 	base1 := w.fetchBase

@@ -37,7 +37,7 @@ func (w *WPU) trySlip(s *Split, hitMask, missMask Mask) bool {
 	if w.trace != nil {
 		w.emit(obs.EvSlip, s.warp.id, s.pc, hitMask, missMask)
 	}
-	e := &slipEntry{split: s, mask: missMask, pc: s.pc, pending: missMask, scope: s.scope}
+	e := w.slips.put(slipEntry{split: s, mask: missMask, pc: s.pc, pending: missMask, scope: s.scope})
 	s.slipped = append(s.slipped, e)
 	w.assignOwner(e, missMask)
 

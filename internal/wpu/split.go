@@ -220,3 +220,29 @@ type Warp struct {
 
 // liveUnhalted returns lanes still executing.
 func (w *Warp) liveUnhalted() Mask { return w.live &^ w.halted }
+
+// slab is a rewindable arena of T. put stores a value in the next free
+// object of a fixed-size chunk and returns its address, which stays valid
+// however far the arena grows; rewind makes everything handed out so far
+// available again without releasing a chunk.
+type slab[T any] struct {
+	chunks [][]T
+	chunk  int // chunks[chunk] is being carved
+	used   int // objects handed out from it
+}
+
+const slabChunk = 64
+
+func (a *slab[T]) put(v T) *T {
+	if a.chunk == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]T, slabChunk))
+	}
+	p := &a.chunks[a.chunk][a.used]
+	*p = v
+	if a.used++; a.used == slabChunk {
+		a.chunk, a.used = a.chunk+1, 0
+	}
+	return p
+}
+
+func (a *slab[T]) rewind() { a.chunk, a.used = 0, 0 }

@@ -3,6 +3,7 @@ package wpu
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/isa"
@@ -36,8 +37,12 @@ type WPU struct {
 
 	// The bounded scheduler (§5.6/§6.6): slots hold resident SIMD groups;
 	// surplus splits queue in slotWait until a slot frees.
-	slots    []*Split
-	slotWait []*Split
+	slots []*Split
+	// slotWait[slotWaitHead:] is the FIFO of splits waiting for a slot; the
+	// head advances on admission and the backing array is reused once the
+	// queue drains, so a long-lived queue neither leaks capacity nor grows.
+	slotWait     []*Split
+	slotWaitHead int
 	// slotWaitReady counts Ready splits in slotWait, maintained on every
 	// queue edge and state transition so stall attribution never scans the
 	// queue (it can hold dozens of splits in small-slot-count sweeps).
@@ -117,6 +122,20 @@ type WPU struct {
 	// recycled at removeSplit can have no live aliases.
 	stackPool [][]StackEntry
 
+	// Per-run objects come from arenas rewound at Launch and Reset. A
+	// free list would be unsound — a dead split lives on as a wait-merge
+	// forwarding stub, so nothing can tell when it is last used — but a
+	// rewind needs no such knowledge: Launch requires Done, and once every
+	// thread has halted no split, scope, slip group or record of the
+	// finished kernel is reachable from anything that will be read again
+	// (stale token owners are overwritten before a completion can fire).
+	splits  slab[Split]
+	scopes  slab[SyncScope]
+	slips   slab[slipEntry]
+	subRecs slab[subdivRecord]
+	// parkedScratch is ReleaseBarrier's per-warp list of parked splits.
+	parkedScratch []*Split
+
 	// Subdivision predictor (PredictiveSplit, the §8 extension).
 	predictor subdivPredictor
 
@@ -139,38 +158,127 @@ type WPU struct {
 // New builds a WPU bound to its private L1 and the functional memory.
 // trace is the per-System observability sink; nil disables event emission.
 func New(id int, q *engine.Queue, cfg Config, l1 *mem.L1, fmem *mem.Memory, trace *obs.Trace) (*WPU, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	ws, err := NewBank(q, cfg, []*mem.L1{l1}, fmem, trace)
+	if err != nil {
 		return nil, err
 	}
-	w := &WPU{
-		ID:    id,
-		cfg:   cfg,
-		q:     q,
-		l1:    l1,
-		fmem:  fmem,
-		trace: trace,
-		slots: make([]*Split, cfg.SchedSlots),
-		// Always 64 wide (not SchedSlots): pickNextMask reinterprets the
-		// row as *[64]uint64 so its scan loop carries no bounds checks.
-		slotProg: make([]uint64, max(cfg.SchedSlots, 64)),
-		icache:   newICache(cfg.ICacheLines, cfg.ICacheWays),
-		maxSlip:  cfg.Width / 2,
+	ws[0].ID = id
+	return ws[0], nil
+}
+
+// NewBank builds one machine's WPUs, WPU i bound to l1s[i], in a single
+// allocation that no other machine's memory can sit next to.
+//
+// WPU structs are the hottest written memory in the simulator — every issue
+// bumps a dozen counters in one — and machines run concurrently, one per
+// core. Allocated one by one they come from the allocator's 1408-byte size
+// class, and when a collection falls between building two machines (it does
+// at process start: two 1.8 MB machines cross the first GC trigger) the
+// second machine's WPUs are carved from the same span as the first's,
+// interleaved 1.4 KB apart. Measured on the 96-simulation report at -j 2: a
+// process with such a layout runs ~25 % slower for as long as it recycles
+// those machines (2.1 s vs 1.7 s per report, with identical GC and
+// instruction counts; not with one worker, not with two processes — one
+// core's hardware prefetchers pulling its neighbour's lines is the presumed
+// mechanism), and which layout a process gets is decided by a race. A block
+// above the allocator's 32 KB small-object limit gets a span of its own,
+// hence the over-allocation; the unused tail is never touched.
+func NewBank(q *engine.Queue, cfg Config, l1s []*mem.L1, fmem *mem.Memory, trace *obs.Trace) ([]*WPU, error) {
+	const size = int(unsafe.Sizeof(WPU{}))
+	bank := make([]WPU, max(len(l1s), 32<<10/size+1))
+	ws := make([]*WPU, len(l1s))
+	for i := range ws {
+		ws[i] = &bank[i]
+		ws[i].ID, ws[i].q = i, q
+		if err := ws[i].Reset(cfg, l1s[i], fmem, trace); err != nil {
+			return nil, err
+		}
 	}
+	return ws, nil
+}
+
+// Reset returns the WPU to the state New would build for cfg — it is how
+// New builds it. Every field is zeroed by assigning a fresh struct, and only
+// capacity is carried over from the previous life (emptied queues, pools,
+// arenas, and the arrays whose geometry cfg leaves unchanged), so a field
+// added later starts from zero without Reset having to know about it. On
+// error the WPU is untouched.
+func (w *WPU) Reset(cfg Config, l1 *mem.L1, fmem *mem.Memory, trace *obs.Trace) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	old := *w
+	clear(old.slotWait)
+	clear(old.progBases)
+	clear(old.tokens)
+	*w = WPU{
+		ID:      old.ID,
+		cfg:     cfg,
+		q:       old.q,
+		l1:      l1,
+		fmem:    fmem,
+		trace:   trace,
+		maxSlip: cfg.Width / 2,
+
+		slotWait:      old.slotWait[:0],
+		progBases:     old.progBases[:0],
+		memGroups:     old.memGroups[:0],
+		tokens:        old.tokens[:0],
+		freeTok:       old.freeTok[:0],
+		stackPool:     old.stackPool,
+		splits:        old.splits,
+		scopes:        old.scopes,
+		slips:         old.slips,
+		subRecs:       old.subRecs,
+		parkedScratch: old.parkedScratch,
+	}
+	w.rewindArenas()
 	w.maskSched = cfg.SchedSlots <= 64
 	w.refill = wpuRefill{w}
-	w.Stats.ThreadMisses = make([][]uint64, cfg.Warps)
-	for i := range w.Stats.ThreadMisses {
-		w.Stats.ThreadMisses[i] = make([]uint64, cfg.Width)
+
+	if len(old.slots) == cfg.SchedSlots {
+		clear(old.slots)
+		w.slots = old.slots
+	} else {
+		w.slots = make([]*Split, cfg.SchedSlots)
 	}
+	// Always 64 wide (not SchedSlots): pickNextMask reinterprets the row as
+	// *[64]uint64 so its scan loop carries no bounds checks.
+	if n := max(cfg.SchedSlots, 64); len(old.slotProg) == n {
+		clear(old.slotProg)
+		w.slotProg = old.slotProg
+	} else {
+		w.slotProg = make([]uint64, n)
+	}
+	if ic := old.icache; ic != nil && ic.sized(cfg.ICacheLines, cfg.ICacheWays) {
+		ic.reset()
+		w.icache = ic
+	} else {
+		w.icache = newICache(cfg.ICacheLines, cfg.ICacheWays)
+	}
+	if len(old.warps) == cfg.Warps && old.cfg.Width == cfg.Width {
+		w.warps = old.warps
+		w.Stats.ThreadMisses = old.Stats.ThreadMisses
+		for i, warp := range w.warps {
+			warp.live, warp.halted = 0, 0
+			clear(warp.splits)
+			warp.splits = warp.splits[:0]
+			warp.regs.Clear()
+			clear(w.Stats.ThreadMisses[i])
+		}
+		return nil
+	}
+	w.Stats.ThreadMisses = make([][]uint64, cfg.Warps)
 	for i := 0; i < cfg.Warps; i++ {
+		w.Stats.ThreadMisses[i] = make([]uint64, cfg.Width)
 		w.warps = append(w.warps, &Warp{
 			id:   i,
 			wpu:  w,
 			regs: isa.NewLaneRegs(cfg.Width),
 		})
 	}
-	return w, nil
+	return nil
 }
 
 // progBase records the fetch-address range assigned to one program.
@@ -272,7 +380,7 @@ func (w *WPU) ResidentSplits() int {
 }
 
 // SlotWaiters returns how many splits are queued for a scheduler slot.
-func (w *WPU) SlotWaiters() int { return len(w.slotWait) }
+func (w *WPU) SlotWaiters() int { return len(w.slotWait) - w.slotWaitHead }
 
 // Launch starts a kernel: regs[i] is the initial register file of the i-th
 // hardware thread (warp-major layout: warp = i/Width, lane = i%Width).
@@ -342,7 +450,9 @@ func (w *WPU) Launch(prog *program.Program, regs []isa.RegFile) error {
 	w.launched = true
 	w.cur = nil
 	w.rrNext = 0
-	w.slotWait = nil
+	clear(w.slotWait)
+	w.slotWait = w.slotWait[:0]
+	w.slotWaitHead = 0
 	w.slotWaitReady = 0
 	for i := range w.slots {
 		w.slots[i] = nil
@@ -354,10 +464,12 @@ func (w *WPU) Launch(prog *program.Program, regs []isa.RegFile) error {
 	w.memWaitDiv = 0
 	w.wstFullAt = 0
 	w.unhalted = 0
+	w.rewindArenas()
 	for wi, warp := range w.warps {
 		warp.live = 0
 		warp.halted = 0
-		warp.splits = nil
+		clear(warp.splits)
+		warp.splits = warp.splits[:0]
 		if start := wi * w.cfg.Width; start < len(regs) {
 			cnt := len(regs) - start
 			if cnt > w.cfg.Width {
@@ -389,7 +501,7 @@ func (w *WPU) Done() bool {
 // newSplit allocates a split with a fresh base stack.
 func (w *WPU) newSplit(warp *Warp, mask Mask, pc int, scope *SyncScope) *Split {
 	w.nextSplitID++
-	return &Split{
+	return w.splits.put(Split{
 		id:    w.nextSplitID,
 		warp:  warp,
 		mask:  mask,
@@ -398,7 +510,16 @@ func (w *WPU) newSplit(warp *Warp, mask Mask, pc int, scope *SyncScope) *Split {
 		stack: w.newStack(pc, mask),
 		scope: scope,
 		born:  w.q.Now(),
-	}
+	})
+}
+
+// rewindArenas makes every per-run object of the finished kernel available
+// to the next; see the arena fields for why that is safe at Launch.
+func (w *WPU) rewindArenas() {
+	w.splits.rewind()
+	w.scopes.rewind()
+	w.slips.rewind()
+	w.subRecs.rewind()
 }
 
 // newStack returns a single-entry base stack, recycled from the pool when
@@ -472,14 +593,10 @@ func (w *WPU) releaseSlot(s *Split) {
 		return
 	}
 	s.resident = false
-	for i := range w.slots {
-		if w.slots[i] == s {
-			w.slots[i] = nil
-			w.readyMask &^= 1 << uint(i)
-			w.admitWaiter(i)
-			return
-		}
-	}
+	i := s.slotIdx
+	w.slots[i] = nil
+	w.readyMask &^= 1 << uint(i)
+	w.admitWaiter(i)
 }
 
 // removeSplit retires a split, freeing its slot and admitting a waiter.
@@ -522,9 +639,13 @@ func (w *WPU) removeSplit(s *Split) {
 }
 
 func (w *WPU) admitWaiter(slot int) {
-	for len(w.slotWait) > 0 {
-		c := w.slotWait[0]
-		w.slotWait = w.slotWait[1:]
+	for w.slotWaitHead < len(w.slotWait) {
+		c := w.slotWait[w.slotWaitHead]
+		w.slotWait[w.slotWaitHead] = nil
+		if w.slotWaitHead++; w.slotWaitHead == len(w.slotWait) {
+			w.slotWait = w.slotWait[:0]
+			w.slotWaitHead = 0
+		}
 		c.queued = false
 		if c.state == Ready {
 			w.slotWaitReady--
@@ -1028,12 +1149,13 @@ func (w *WPU) AnyAtBarrier() bool { return w.atBarrier > 0 }
 // full SIMD group per warp.
 func (w *WPU) ReleaseBarrier() {
 	for _, warp := range w.warps {
-		var parked []*Split
+		parked := w.parkedScratch[:0]
 		for _, s := range warp.splits {
 			if s.state == AtBarrier {
 				parked = append(parked, s)
 			}
 		}
+		w.parkedScratch = parked
 		if len(parked) == 0 {
 			continue
 		}
@@ -1163,13 +1285,13 @@ func (w *WPU) subdivideBranch(s *Split, taken, notTaken Mask, target int) {
 	scope := s.scope
 	frozen := !s.baseStack()
 	if frozen {
-		scope = &SyncScope{
+		scope = w.scopes.put(SyncScope{
 			warp:     s.warp,
 			reconvPC: s.syncPC(),
 			expected: s.mask,
 			frozen:   s.stack,
 			parent:   s.scope,
-		}
+		})
 	}
 	fallthrough_ := s.pc + 1
 	// The taken path keeps the split object (and its scheduler slot).
@@ -1399,14 +1521,14 @@ func (w *WPU) subdivideMem(s *Split, hitMask, missMask Mask) {
 	scope := s.scope
 	frozen := w.cfg.MemReconv == BranchLimited || !s.baseStack()
 	if frozen {
-		scope = &SyncScope{
+		scope = w.scopes.put(SyncScope{
 			warp:         s.warp,
 			reconvPC:     s.syncPC(),
 			limitControl: w.cfg.MemReconv == BranchLimited,
 			expected:     s.mask,
 			frozen:       s.stack,
 			parent:       s.scope,
-		}
+		})
 	}
 	pc := s.pc
 	if w.trace != nil {
@@ -1419,7 +1541,7 @@ func (w *WPU) subdivideMem(s *Split, hitMask, missMask Mask) {
 	hit.pending = hitMask
 	hit.prog = s.prog
 	if w.cfg.MemScheme == PredictiveSplit {
-		rec := &subdivRecord{pc: pc - 1}
+		rec := w.subRecs.put(subdivRecord{pc: pc - 1})
 		hit.subRec = rec
 		s.subRec = rec
 	}
@@ -1458,14 +1580,14 @@ func (w *WPU) tryRevive() bool {
 		scope := s.scope
 		frozen := w.cfg.MemReconv == BranchLimited || !s.baseStack()
 		if frozen {
-			scope = &SyncScope{
+			scope = w.scopes.put(SyncScope{
 				warp:         s.warp,
 				reconvPC:     s.syncPC(),
 				limitControl: w.cfg.MemReconv == BranchLimited,
 				expected:     s.mask,
 				frozen:       s.stack,
 				parent:       s.scope,
-			}
+			})
 		}
 		if w.trace != nil {
 			w.emit(obs.EvRevive, s.warp.id, s.pc, arrived, s.pending)
@@ -1593,8 +1715,9 @@ func (w *WPU) maybeCompleteScope(sc *SyncScope) {
 	if w.trace != nil {
 		w.emit(obs.EvScopeMerge, sc.warp.id, sc.arrivedPC, sc.expected, 0)
 	}
-	merged := &Split{
-		id:    w.nextSplitIDInc(),
+	w.nextSplitID++
+	merged := w.splits.put(Split{
+		id:    w.nextSplitID,
 		warp:  sc.warp,
 		mask:  sc.expected,
 		pc:    sc.arrivedPC,
@@ -1602,7 +1725,7 @@ func (w *WPU) maybeCompleteScope(sc *SyncScope) {
 		stack: sc.frozen,
 		scope: sc.parent,
 		born:  w.q.Now(),
-	}
+	})
 	if sc.expected.Empty() {
 		merged.pc = sc.reconvPC
 	}
@@ -1612,9 +1735,4 @@ func (w *WPU) maybeCompleteScope(sc *SyncScope) {
 	if merged.state == Ready && w.cfg.PCReconv {
 		w.tryPCMerge(merged)
 	}
-}
-
-func (w *WPU) nextSplitIDInc() int {
-	w.nextSplitID++
-	return w.nextSplitID
 }
