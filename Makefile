@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke loc profile profile-diff report metrics trace update-goldens serve
 
 ci: fmt-check vet lint build race test bench-check claims-smoke
 
@@ -67,6 +67,13 @@ bench-baseline:
 claims-smoke:
 	$(GO) test -C bench -short ./...
 	sh bench/run.sh -smoke
+
+# Non-test Go lines per package and in total, bench/ (a module of its own)
+# excluded: the size figure CHANGES.md reports next to ns/op.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Profile one live simulation (cpu.pprof + mem.pprof); inspect with e.g.
 #   go tool pprof -top cpu.pprof

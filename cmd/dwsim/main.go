@@ -40,7 +40,7 @@ func main() {
 		wpus      = flag.Int("wpus", 4, "number of WPUs")
 		width     = flag.Int("width", 16, "SIMD width")
 		warps     = flag.Int("warps", 4, "warps per WPU")
-		slots     = flag.Int("slots", 0, "scheduler slots (0 = 2x warps)")
+		slots     = flag.Int("slots", 0, "scheduler slots (0 = 2x warps; at most 64)")
 		wst       = flag.Int("wst", 16, "warp-split table entries")
 		l1kb      = flag.Int("l1kb", 32, "L1 D-cache size in KB")
 		l1assoc   = flag.Int("l1assoc", 8, "L1 D-cache associativity (0 = fully associative)")

@@ -37,7 +37,7 @@ func main() {
 		from      = flag.Uint64("from", 0, "first cycle to sample (text format)")
 		until     = flag.Uint64("until", ^uint64(0), "last cycle to sample (text format)")
 		onlyWPU   = flag.Int("wpu", -1, "restrict the text dump to one WPU (-1 = all)")
-		format    = flag.String("format", "text", "output format: text, chrome, json, or csv")
+		format    = flag.String("format", "text", "output format: text, chrome, json, csv, or hist")
 	)
 	flag.Parse()
 

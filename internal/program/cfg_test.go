@@ -5,13 +5,16 @@ import (
 )
 
 // buildIPdomCase assembles a kernel and returns (program, ipdom-by-block
-// from the bitset algorithm, ipdom-by-block from the CHK cross-check).
+// from the bitset algorithm, ipdom-by-block from the CHK cross-check),
+// having asserted that the two algorithms agree on dominators and
+// post-dominators alike.
 func buildIPdomCase(t *testing.T, name string, emit func(b *Builder)) (*Program, []int, []int) {
 	t.Helper()
 	b := NewBuilder(name)
 	emit(b)
 	p := b.MustBuild()
-	return p, postDominators(p.Blocks), verifiedIPdom(p.Blocks)
+	bitset, chk := checkDominance(t, p)
+	return p, bitset, chk
 }
 
 // TestIPdomEdgeCases drives both post-dominator algorithms — the bitset
@@ -130,6 +133,40 @@ func TestIPdomEdgeCases(t *testing.T) {
 			},
 			want: []int{3, 3, 0, -1},
 		},
+		{
+			// Irreducible region: the entry branches into either half of a
+			// two-block cycle, so neither half dominates the other and no
+			// back edge explains the cycle. Every way out leads to B3.
+			//
+			//	B0:    beqz r1, b
+			//	B1 a:  addi ...; beqz r2, out
+			//	B2 b:  addi ...; bnez r3, a
+			//	B3 out: halt
+			name: "irreducible region",
+			emit: func(b *Builder) {
+				b.Beqz(1, "b")
+				b.Label("a")
+				b.Addi(4, 4, 1)
+				b.Beqz(2, "out")
+				b.Label("b")
+				b.Addi(5, 5, 1)
+				b.Bnez(3, "a")
+				b.Label("out")
+				b.Halt()
+			},
+			want: []int{3, 3, 3, -1},
+		},
+		{
+			// Infinite loop: the block cannot reach the exit, so it has no
+			// post-dominator at all (and, being the entry, no dominator).
+			name: "infinite loop",
+			emit: func(b *Builder) {
+				b.Label("spin")
+				b.Addi(4, 4, 1)
+				b.Jmp("spin")
+			},
+			want: []int{-1},
+		},
 	}
 
 	for _, tc := range cases {
@@ -140,7 +177,7 @@ func TestIPdomEdgeCases(t *testing.T) {
 			}
 			for blk, want := range tc.want {
 				if bitset[blk] != want {
-					t.Errorf("postDominators: block %d ipdom = %d, want %d", blk, bitset[blk], want)
+					t.Errorf("bitset dominance: block %d ipdom = %d, want %d", blk, bitset[blk], want)
 				}
 				if chk[blk] != want {
 					t.Errorf("verifiedIPdom: block %d ipdom = %d, want %d", blk, chk[blk], want)
@@ -162,10 +199,5 @@ func TestIPdomAlgorithmsAgreeOnLatchlessLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("infinite loops are legal programs: %v", err)
 	}
-	bitset, chk := postDominators(p.Blocks), verifiedIPdom(p.Blocks)
-	for blk := range p.Blocks {
-		if bitset[blk] != chk[blk] {
-			t.Errorf("block %d: bitset ipdom %d != CHK ipdom %d", blk, bitset[blk], chk[blk])
-		}
-	}
+	checkDominance(t, p)
 }

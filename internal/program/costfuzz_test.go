@@ -44,42 +44,11 @@ func FuzzCostModel(f *testing.F) {
 		minOps := int64(-1)
 		for tid := 0; tid < T; tid++ {
 			visits[tid] = make([]int64, len(p.Code))
-			var rf isa.RegFile
-			rf.Set(1, int64(tid))         // global tid
-			rf.Set(2, T)                  // uniform thread count
-			rf.Set(3, int64((tid*7+3)%5)) // chunk-local index, ⊆ [0, T-1]
-			mem := make(map[uint64]int64)
-			pc := 0
 			ops := int64(0)
-			for steps := 0; steps <= len(p.Code); steps++ {
-				in := p.Code[pc]
+			runThread(p, tid, T, make(map[uint64]int64), func(pc int, _ isa.Inst, _ *isa.RegFile) {
 				visits[tid][pc]++
 				ops++
-				if in.Op == isa.HALT {
-					break
-				}
-				switch {
-				case in.Op.IsMem():
-					addr := uint64(rf.Get(in.SrcA) + in.Imm)
-					if in.Op == isa.ST {
-						mem[addr] = rf.Get(in.SrcB)
-					} else {
-						rf.Set(in.Dst, mem[addr])
-					}
-					pc++
-				case in.Op.IsBranch():
-					if isa.BranchTaken(in, &rf) {
-						pc = in.Target
-					} else {
-						pc++
-					}
-				case in.Op == isa.JMP:
-					pc = in.Target
-				default:
-					isa.ExecALU(in, &rf)
-					pc++
-				}
-			}
+			})
 			if minOps < 0 || ops < minOps {
 				minOps = ops
 			}

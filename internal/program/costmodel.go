@@ -474,67 +474,29 @@ func (p *Program) costEntry(cp CostParams) cstate {
 	return s
 }
 
-// costFixpoint runs the forward worklist fixpoint of the interval-affine
-// domain with widening (after two joins per block) and a sweep cap that
-// force-tops everything as a last-resort termination guarantee.
-func (p *Program) costFixpoint(cp CostParams, reach []bool) ([]cstate, []bool) {
-	n := len(p.Blocks)
+// costFixpoint runs the forward fixpoint of the interval-affine domain,
+// widening once a block's state has been joined into twice (the first
+// arrival is a copy, not a join). Widening makes the chain finite — per
+// register the tid coefficient can drop to 0 once, each endpoint can jump
+// to its rail once, and the value can go to ⊤ once — so the solver
+// terminates without a sweep cap.
+func (p *Program) costFixpoint(g *cfgView, cp CostParams) []cstate {
 	tmax := max(int64(cp.Threads)-1, 0)
-	in := make([]cstate, n)
-	seen := make([]bool, n)
-	joins := make([]int, n)
-	in[0] = p.costEntry(cp)
-	seen[0] = true
-	maxSweeps := 8*n + 32
-	for sweep := 0; ; sweep++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			if !reach[i] || !seen[i] {
-				continue
+	return solve(g, false, p.costEntry(cp),
+		func(b int, s cstate) cstate { return p.costBlockOut(s, g.blocks[b], tmax) },
+		func(_ int, old, nw cstate, visits int) cstate {
+			if visits == 0 {
+				return nw
 			}
-			s := in[i]
-			for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-				costStep(p.Code[pc], &s, tmax)
+			for r := range nw {
+				j := cjoin(old[r], nw[r], tmax)
+				if visits > 2 {
+					j = cwiden(old[r], j)
+				}
+				nw[r] = j
 			}
-			for _, su := range p.Blocks[i].Succ {
-				if !seen[su] {
-					in[su] = s
-					seen[su] = true
-					changed = true
-					continue
-				}
-				updated := in[su]
-				any := false
-				for r := range updated {
-					j := cjoin(updated[r], s[r], tmax)
-					if joins[su] >= 2 {
-						j = cwiden(updated[r], j)
-					}
-					if j != updated[r] {
-						updated[r] = j
-						any = true
-					}
-				}
-				if any {
-					in[su] = updated
-					joins[su]++
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-		if sweep >= maxSweeps {
-			for i := range in {
-				for r := range in[i] {
-					in[i][r] = topVal
-				}
-			}
-			break
-		}
-	}
-	return in, seen
+			return nw
+		})
 }
 
 // costBlockOut runs the transfer function over one block.
@@ -544,261 +506,6 @@ func (p *Program) costBlockOut(in cstate, b Block, tmax int64) cstate {
 		costStep(p.Code[pc], &s, tmax)
 	}
 	return s
-}
-
-// dominators computes forward dominator sets with the same O(n²) bitset
-// fixpoint style as cfg.go's postDominators (deliberately simple; kernels
-// are tens of blocks). dom[v] covers only reachable v; block 0 is entry.
-func dominators(blocks []Block, reach []bool) [][]uint64 {
-	n := len(blocks)
-	words := (n + 63) / 64
-	preds := make([][]int, n)
-	for i := range blocks {
-		if !reach[i] {
-			continue
-		}
-		for _, s := range blocks[i].Succ {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	full := make([]uint64, words)
-	for v := 0; v < n; v++ {
-		if reach[v] {
-			full[v/64] |= 1 << (v % 64)
-		}
-	}
-	dom := make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		dom[v] = make([]uint64, words)
-		if !reach[v] {
-			continue
-		}
-		if v == 0 {
-			dom[0][0] = 1
-		} else {
-			copy(dom[v], full)
-		}
-	}
-	tmp := make([]uint64, words)
-	for changed := true; changed; {
-		changed = false
-		for v := 1; v < n; v++ {
-			if !reach[v] {
-				continue
-			}
-			copy(tmp, full)
-			for _, pd := range preds[v] {
-				if !reach[pd] {
-					continue
-				}
-				for i := range tmp {
-					tmp[i] &= dom[pd][i]
-				}
-			}
-			tmp[v/64] |= 1 << (v % 64)
-			same := true
-			for i := range tmp {
-				if tmp[i] != dom[v][i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				copy(dom[v], tmp)
-				changed = true
-			}
-		}
-	}
-	return dom
-}
-
-func domBit(set []uint64, v int) bool { return set[v/64]&(1<<(v%64)) != 0 }
-
-// postDomSets computes full post-dominator bitsets (the set version of
-// cfg.go's postDominators): pdom[v] holds every block that post-dominates
-// v. Blocks that cannot reach the exit get only themselves — their maximal
-// fixpoint is the vacuous full set, and a terminating run never executes
-// them, so no guarantee may be derived from their sets.
-func postDomSets(blocks []Block, reach []bool) [][]uint64 {
-	n := len(blocks)
-	words := (n + 63) / 64
-	full := make([]uint64, words)
-	for v := 0; v < n; v++ {
-		if reach[v] {
-			full[v/64] |= 1 << (v % 64)
-		}
-	}
-	pdom := make([][]uint64, n)
-	for v := 0; v < n; v++ {
-		pdom[v] = make([]uint64, words)
-		if !reach[v] {
-			continue
-		}
-		if len(blocks[v].Succ) == 0 {
-			pdom[v][v/64] |= 1 << (v % 64)
-		} else {
-			copy(pdom[v], full)
-		}
-	}
-	tmp := make([]uint64, words)
-	for changed := true; changed; {
-		changed = false
-		for v := n - 1; v >= 0; v-- {
-			if !reach[v] || len(blocks[v].Succ) == 0 {
-				continue
-			}
-			copy(tmp, full)
-			for _, s := range blocks[v].Succ {
-				for i := range tmp {
-					tmp[i] &= pdom[s][i]
-				}
-			}
-			tmp[v/64] |= 1 << (v % 64)
-			same := true
-			for i := range tmp {
-				if tmp[i] != pdom[v][i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				copy(pdom[v], tmp)
-				changed = true
-			}
-		}
-	}
-	canExit := make([]bool, n)
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < n; v++ {
-			if canExit[v] || !reach[v] {
-				continue
-			}
-			ok := len(blocks[v].Succ) == 0
-			for _, s := range blocks[v].Succ {
-				if canExit[s] {
-					ok = true
-				}
-			}
-			if ok {
-				canExit[v] = true
-				changed = true
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if reach[v] && !canExit[v] {
-			for i := range pdom[v] {
-				pdom[v][i] = 0
-			}
-			pdom[v][v/64] |= 1 << (v % 64)
-		}
-	}
-	return pdom
-}
-
-// costLoop is one natural loop (back edges grouped by header).
-type costLoop struct {
-	header   int
-	inLoop   []bool
-	backSrcs []int
-}
-
-// naturalLoops finds back edges (u→h with h dominating u) and builds the
-// natural loop of each header, sorted by header ID. It also reports which
-// reachable blocks sit in irreducible cycles: remove the back edges and
-// Kahn-toposort; whatever cannot be ordered is in a cycle no dominating
-// header explains.
-func naturalLoops(blocks []Block, reach []bool, dom [][]uint64) (loops []costLoop, irreducible []bool) {
-	n := len(blocks)
-	preds := make([][]int, n)
-	for i := range blocks {
-		if !reach[i] {
-			continue
-		}
-		for _, s := range blocks[i].Succ {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	byHeader := make(map[int][]int)
-	isBack := make(map[[2]int]bool)
-	for u := 0; u < n; u++ {
-		if !reach[u] {
-			continue
-		}
-		for _, h := range blocks[u].Succ {
-			if domBit(dom[u], h) {
-				byHeader[h] = append(byHeader[h], u)
-				isBack[[2]int{u, h}] = true
-			}
-		}
-	}
-	headers := make([]int, 0, len(byHeader))
-	for h := range byHeader {
-		headers = append(headers, h)
-	}
-	sort.Ints(headers)
-	for _, h := range headers {
-		lp := costLoop{header: h, inLoop: make([]bool, n), backSrcs: byHeader[h]}
-		lp.inLoop[h] = true
-		stack := append([]int(nil), byHeader[h]...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if lp.inLoop[v] {
-				continue
-			}
-			lp.inLoop[v] = true
-			stack = append(stack, preds[v]...)
-		}
-		loops = append(loops, lp)
-	}
-
-	irreducible = make([]bool, n)
-	indeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		if !reach[u] {
-			continue
-		}
-		for _, s := range blocks[u].Succ {
-			if !isBack[[2]int{u, s}] {
-				indeg[s]++
-			}
-		}
-	}
-	var q []int
-	done := 0
-	total := 0
-	for v := 0; v < n; v++ {
-		if reach[v] {
-			total++
-			if indeg[v] == 0 {
-				q = append(q, v)
-			}
-		}
-	}
-	for len(q) > 0 {
-		v := q[len(q)-1]
-		q = q[:len(q)-1]
-		done++
-		for _, s := range blocks[v].Succ {
-			if isBack[[2]int{v, s}] {
-				continue
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				q = append(q, s)
-			}
-		}
-	}
-	if done < total {
-		for v := 0; v < n; v++ {
-			if reach[v] && indeg[v] > 0 {
-				irreducible[v] = true
-			}
-		}
-	}
-	return loops, irreducible
 }
 
 // LoopCost is one natural loop's trip-count verdict.
@@ -846,7 +553,7 @@ func negateRel(r loopRel) loopRel {
 // note. The second result reports whether the Lo bound is also valid as
 // a per-entry guarantee (single unconditional induction step and all
 // exits at the header).
-func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops []costLoop, tmax int64, cp CostParams) (LoopCost, bool) {
+func (p *Program) loopTrips(g *cfgView, lp *natLoop, in []cstate, tmax int64, cp CostParams) (LoopCost, bool) {
 	h := p.Blocks[lp.header]
 	lc := LoopCost{Header: lp.header, HeaderPC: h.Start, Trips: CostInterval{0, CostInf}}
 	fail := func(note string) (LoopCost, bool) {
@@ -858,28 +565,23 @@ func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops 
 	if !term.Op.IsBranch() {
 		return fail("header does not end in a conditional branch")
 	}
-	startToID := make(map[int]int, len(p.Blocks))
-	for _, b := range p.Blocks {
-		startToID[b.Start] = b.ID
-	}
-	takenBlk, ok := startToID[term.Target]
-	if !ok {
+	takenBlk := g.blockOf[term.Target]
+	if p.Blocks[takenBlk].Start != term.Target {
 		return fail("branch target is not a block leader")
 	}
-	fallBlk, ok := startToID[h.End]
-	if !ok {
+	if h.End >= len(p.Code) {
 		return fail("header has no fallthrough block")
 	}
-	var cont, exit int
+	fallBlk := g.blockOf[h.End]
+	var cont int
 	switch {
 	case lp.inLoop[fallBlk] && !lp.inLoop[takenBlk]:
-		cont, exit = fallBlk, takenBlk
+		cont = fallBlk
 	case lp.inLoop[takenBlk] && !lp.inLoop[fallBlk]:
-		cont, exit = takenBlk, fallBlk
+		cont = takenBlk
 	default:
 		return fail("header branch does not exit the loop")
 	}
-	_ = exit
 	contWhileTrue := cont == fallBlk
 	if term.Op == isa.BNEZ {
 		contWhileTrue = cont == takenBlk
@@ -937,7 +639,7 @@ func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops 
 		return pcs
 	}
 	headerIn := in[lp.header]
-	blockOf := p.blockOf()
+	blockOf := g.blockOf
 
 	// indStep checks whether x is an induction register: every in-loop
 	// def advances it by a loop-invariant step, all steps share a sign,
@@ -1116,11 +818,11 @@ func (p *Program) loopTrips(lp *costLoop, in []cstate, dom [][]uint64, allLoops 
 	if loValid {
 		defBlk := blockOf[indDefs[0]]
 		for _, src := range lp.backSrcs {
-			if !domBit(dom[src], defBlk) {
+			if !g.dom[src].has(defBlk) {
 				loValid = false
 			}
 		}
-		for _, other := range allLoops {
+		for _, other := range g.loops {
 			if other.header == lp.header || !lp.inLoop[other.header] {
 				continue
 			}
@@ -1294,19 +996,22 @@ func (p *Program) CostModel() *CostModel { return p.cost }
 // CostModelFor recomputes the model for an arbitrary launch geometry —
 // the MemAccessFor analogue, used by the concordance harness with the
 // per-step thread count.
-func (p *Program) CostModelFor(cp CostParams) *CostModel {
+func (p *Program) CostModelFor(cp CostParams) *CostModel { return p.costModel(p.cfg, cp) }
+
+// costModel is the analysis behind CostModelFor over a given CFG view:
+// Build's own for the recorded model and launch-time recomputation, a fresh
+// one when the verifier cross-checks the record.
+func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 	cp = cp.normalizedFor(p)
 	m := &CostModel{Params: cp}
-	reach := p.reachableBlocks()
-	in, _ := p.costFixpoint(cp, reach)
-	dom := dominators(p.Blocks, reach)
-	loops, irreducible := naturalLoops(p.Blocks, reach, dom)
+	reach, dom, pdom, loops, irreducible := g.reach, g.dom, g.pdom, g.loops, g.irreducible
+	in := p.costFixpoint(g, cp)
 	tmax := max(int64(cp.Threads)-1, 0)
 
 	// Trip counts per loop.
 	loValid := make([]bool, len(loops))
 	for i := range loops {
-		lc, lv := p.loopTrips(&loops[i], in, dom, loops, tmax, cp)
+		lc, lv := p.loopTrips(g, &loops[i], in, tmax, cp)
 		if irreducible[loops[i].header] {
 			lc.Trips = CostInterval{0, CostInf}
 			lc.Note = "irreducible region"
@@ -1352,7 +1057,6 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 	//      outside predecessor p of its header whose only successor is
 	//      the header; per entry the header runs tripsLo+1 times and any
 	//      in-loop block dominating every back edge runs tripsLo times.
-	pdom := postDomSets(p.Blocks, reach)
 	sameLoops := func(a, b int) bool {
 		for _, lp := range loops {
 			if lp.inLoop[a] != lp.inLoop[b] {
@@ -1384,7 +1088,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 				continue
 			}
 			for x := range p.Blocks {
-				if x != bid && reach[x] && domBit(pdom[bid], x) && sameLoops(x, bid) {
+				if x != bid && reach[x] && pdom[bid].has(x) && sameLoops(x, bid) {
 					raise(x, execs[bid].Lo)
 				}
 			}
@@ -1418,7 +1122,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 				}
 				domsAll := true
 				for _, src := range lp.backSrcs {
-					if !domBit(dom[src], bid) {
+					if !dom[src].has(bid) {
 						domsAll = false
 					}
 				}
@@ -1468,33 +1172,14 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 			}
 		}
 	}
-	blockOf := p.blockOf()
-	entryDiv := make([]bool, len(p.Blocks))
-	outDiv := make([]bool, len(p.Blocks))
-	for changed := true; changed; {
-		changed = false
-		for bid, b := range p.Blocks {
-			if !reach[bid] {
-				continue
-			}
-			o := entryDiv[bid]
-			for pc := b.Start; pc < b.End; pc++ {
-				if divSrc[pc] {
-					o = true
-				}
-			}
-			if o && !outDiv[bid] {
-				outDiv[bid] = true
-				changed = true
-			}
-			for _, s := range b.Succ {
-				if outDiv[bid] && !entryDiv[s] {
-					entryDiv[s] = true
-					changed = true
-				}
-			}
+	blockOf := g.blockOf
+	var divSeeds []int
+	for pc, src := range divSrc {
+		if src && reach[blockOf[pc]] {
+			divSeeds = append(divSeeds, p.Blocks[blockOf[pc]].Succ...)
 		}
 	}
+	entryDiv := g.flood(divSeeds, false, -1)
 	diverged := make([]bool, len(p.Code))
 	for bid, b := range p.Blocks {
 		if !reach[bid] {
@@ -1513,14 +1198,14 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 	// warp (≤ totalWarps · execsHi); where splits can exist each issue
 	// still carries ≥ 1 active thread, and each thread executes the pc at
 	// most execsHi times (≤ Threads · execsHi).
-	g := costGeometry(cp)
+	geo := costGeometry(cp)
 	m.Issues = make([]CostInterval, len(p.Code))
 	totalIssuesHi := int64(0)
 	for pc := range p.Code {
 		if !reach[blockOf[pc]] {
 			continue
 		}
-		mult := g.totalWarps
+		mult := geo.totalWarps
 		if diverged[pc] {
 			mult = int64(cp.Threads)
 		}
@@ -1554,10 +1239,10 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 		// A kernel's lines are consecutive, so a program fitting the
 		// total capacity cannot conflict-evict: each line misses at most
 		// once per WPU.
-		icacheBudget = satMul(int64(g.activeWPUs), satMul(progLines, int64(cp.IMissLat)))
+		icacheBudget = satMul(int64(geo.activeWPUs), satMul(progLines, int64(cp.IMissLat)))
 	}
 	elapsedHi := addHi(addHi(addHi(addHi(satMul(2, totalIssuesHi), memTermHi), icacheBudget), barrierTermHi), 4)
-	tickHi := satMul(int64(g.activeWPUs), elapsedHi)
+	tickHi := satMul(int64(geo.activeWPUs), elapsedHi)
 
 	// Lower bounds: every thread executes at least lowerOps instructions
 	// (mandatory blocks times their guaranteed trips), a thread retires
@@ -1570,7 +1255,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 		}
 	}
 	tickLo, busyLo := int64(0), int64(0)
-	for _, tw := range g.perWPU {
+	for _, tw := range geo.perWPU {
 		issueFloor := ceilDivPos(satMul(tw, lowerOps), int64(cp.Width))
 		busyLo = addHi(busyLo, issueFloor)
 		tickLo = addHi(tickLo, max(lowerOps, issueFloor))
@@ -1607,7 +1292,7 @@ func (p *Program) CostModelFor(cp CostParams) *CostModel {
 		m.Buckets[6] = CostInterval{0, tickHi}
 	}
 
-	p.costPredictAndRank(m, execs, blockOf, memTx, g, reach)
+	p.costPredictAndRank(m, execs, blockOf, memTx, geo, reach)
 	return m
 }
 

@@ -261,7 +261,7 @@ func TestBlockExecsNestedLoops(t *testing.T) {
 	inner := -1
 	for pc, in := range p.Code {
 		if in.Op == isa.ADDI && in.Dst == 10 {
-			inner = p.blockOf()[pc]
+			inner = p.cfg.blockOf[pc]
 			break
 		}
 	}

@@ -36,6 +36,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -363,8 +364,7 @@ func forceState(s regState, mask uint32) regState {
 // divResult is the analysis output consumed by Build, Verify, and the
 // divergence report.
 type divResult struct {
-	in          []regState // per-block entry state (valid where seen)
-	seen        []bool
+	in          []regState    // per-block entry state (valid where reachable)
 	branchClass map[int]Class // branch pc -> predicate class
 	accesses    []accessState // pc-ordered
 }
@@ -377,44 +377,24 @@ type accessState struct {
 	imm   int64
 }
 
-// divFixpoint runs the inner forward worklist fixpoint under a fixed set
-// of per-block forcing masks.
-func (p *Program) divFixpoint(reach []bool, forced []uint32) ([]regState, []bool) {
-	n := len(p.Blocks)
-	in := make([]regState, n)
-	seen := make([]bool, n)
-	in[0] = forceState(p.entryState(), forced[0])
-	seen[0] = true
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !reach[i] || !seen[i] {
-				continue
-			}
-			s := in[i]
-			for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
+// divFixpoint runs the inner forward fixpoint under a fixed set of
+// per-block forcing masks.
+func (p *Program) divFixpoint(g *cfgView, forced []uint32) []regState {
+	return solve(g, false, forceState(p.entryState(), forced[0]),
+		func(b int, s regState) regState {
+			for pc := g.blocks[b].Start; pc < g.blocks[b].End; pc++ {
 				stepDiv(p.Code[pc], &s)
 			}
-			for _, su := range p.Blocks[i].Succ {
-				if !seen[su] {
-					in[su] = forceState(s, forced[su])
-					seen[su] = true
-					changed = true
-					continue
-				}
-				joined := in[su]
-				for r := range joined {
-					joined[r] = joinVal(joined[r], s[r])
-				}
-				joined = forceState(joined, forced[su])
-				if joined != in[su] {
-					in[su] = joined
-					changed = true
+			return s
+		},
+		func(t int, old, nw regState, visits int) regState {
+			if visits > 0 {
+				for r := range nw {
+					nw[r] = joinVal(old[r], nw[r])
 				}
 			}
-		}
-	}
-	return in, seen
+			return forceState(nw, forced[t])
+		})
 }
 
 // divForcing derives the per-block forcing masks from the current
@@ -435,238 +415,102 @@ func (p *Program) divFixpoint(reach []bool, forced []uint32) ([]regState, []bool
 // iterations, so every register the loop writes is forced throughout the
 // loop (again, exact-affine values are exempt: they are functions of tid,
 // not of trip count).
-func (p *Program) divForcing(reach []bool, in []regState, seen []bool, ipdom []int, blockOf []int) []uint32 {
-	n := len(p.Blocks)
+func (p *Program) divForcing(g *cfgView, in []regState) []uint32 {
+	n := len(g.blocks)
 	forced := make([]uint32, n)
 
 	written := make([]uint32, n)
-	preds := make([]int, n)
-	for i := range p.Blocks {
-		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
+	for i, blk := range g.blocks {
+		for pc := blk.Start; pc < blk.End; pc++ {
 			if d, ok := instDef(p.Code[pc]); ok {
 				written[i] |= 1 << d
 			}
 		}
-		for _, su := range p.Blocks[i].Succ {
-			preds[su]++
-		}
 	}
-
-	// Classify split sources under the current (pre-forcing) solution.
-	divBranch := make([]bool, len(p.Code))
-	hazard := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if !reach[i] || !seen[i] {
-			continue
-		}
-		s := in[i]
-		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-			inst := p.Code[pc]
-			switch {
-			case inst.Op.IsBranch():
-				if s[inst.SrcA].class() != ClassUniform {
-					divBranch[pc] = true
-					hazard[i] = true
-				}
-			case inst.Op.IsMem():
-				if s[inst.SrcA].class() != ClassUniform {
-					hazard[i] = true
-				}
-			}
-			stepDiv(inst, &s)
-		}
-	}
-
-	// Rule 1: sync-point injection.
-	for pc, inst := range p.Code {
-		if !inst.Op.IsBranch() || !divBranch[pc] {
-			continue
-		}
-		b := blockOf[pc]
-		if len(p.Blocks[b].Succ) < 2 {
-			continue
-		}
-		stop := ipdom[b] // -1 re-converges only at exit: no stop block
-		region := make([]bool, n)
-		stack := append([]int(nil), p.Blocks[b].Succ...)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v == stop || region[v] {
-				continue
-			}
-			region[v] = true
-			stack = append(stack, p.Blocks[v].Succ...)
-		}
+	// Rule 1 at the divergent branch ending block b: sync-point injection.
+	syncPoint := func(b int) {
+		region := g.region(b)
 		var w uint32
-		for j := 0; j < n; j++ {
-			if region[j] {
+		for j, member := range region {
+			if member {
 				w |= written[j]
 			}
 		}
-		for j := 0; j < n; j++ {
-			if region[j] && preds[j] >= 2 {
+		for j, member := range region {
+			if member && len(g.preds[j]) >= 2 {
 				forced[j] |= w
 			}
 		}
-		if stop >= 0 {
+		if stop := g.ipdom[b]; stop >= 0 { // -1 re-converges only at exit
 			forced[stop] |= w
 		}
 	}
 
-	// Rule 2: widen loops tainted by an upstream split source.
-	tainted := make([]bool, n)
-	var stack []int
-	for i := 0; i < n; i++ {
-		if hazard[i] {
-			tainted[i] = true
-			stack = append(stack, i)
+	// Classify split sources under the current (pre-forcing) solution.
+	var hazards []int
+	for i, blk := range g.blocks {
+		if !g.reach[i] {
+			continue
 		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, su := range p.Blocks[v].Succ {
-			if !tainted[su] {
-				tainted[su] = true
-				stack = append(stack, su)
-			}
-		}
-	}
-	for _, scc := range stronglyConnected(p.Blocks) {
-		loop := len(scc) > 1
-		if !loop {
-			for _, su := range p.Blocks[scc[0]].Succ {
-				if su == scc[0] {
-					loop = true
+		s := in[i]
+		hazard := false
+		for pc := blk.Start; pc < blk.End; pc++ {
+			inst := p.Code[pc]
+			if (inst.Op.IsBranch() || inst.Op.IsMem()) && s[inst.SrcA].class() != ClassUniform {
+				hazard = true
+				if inst.Op.IsBranch() && len(blk.Succ) >= 2 {
+					syncPoint(i)
 				}
 			}
+			stepDiv(inst, &s)
 		}
-		if !loop {
-			continue
+		if hazard {
+			hazards = append(hazards, i)
 		}
-		any := false
-		var w uint32
-		for _, v := range scc {
-			if tainted[v] {
-				any = true
+	}
+
+	// Rule 2: widen loops tainted by an upstream split source.
+	tainted := g.flood(hazards, false, -1)
+	for _, scc := range g.cycles {
+		if slices.ContainsFunc(scc, func(v int) bool { return tainted[v] }) {
+			var w uint32
+			for _, v := range scc {
+				w |= written[v]
 			}
-			w |= written[v]
-		}
-		if !any {
-			continue
-		}
-		for _, v := range scc {
-			forced[v] |= w
+			for _, v := range scc {
+				forced[v] |= w
+			}
 		}
 	}
 	return forced
-}
-
-// stronglyConnected returns the strongly connected components of the block
-// graph (iterative Tarjan; deterministic order).
-func stronglyConnected(blocks []Block) [][]int {
-	n := len(blocks)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		sccs    [][]int
-		stack   []int
-		counter int
-	)
-	type frame struct {
-		v, succIdx int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] >= 0 {
-			continue
-		}
-		work := []frame{{root, 0}}
-		index[root], low[root] = counter, counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			if f.succIdx < len(blocks[f.v].Succ) {
-				w := blocks[f.v].Succ[f.succIdx]
-				f.succIdx++
-				if index[w] < 0 {
-					index[w], low[w] = counter, counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				if u := work[len(work)-1].v; low[v] < low[u] {
-					low[u] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	return sccs
 }
 
 // analyzeDivergence runs the outer stabilisation loop: alternate the inner
 // fixpoint with forcing-mask derivation until the masks stop growing. The
 // masks grow monotonically (forcing only demotes values, which can only
 // enlarge the set of non-uniform sources), so this terminates.
-func (p *Program) analyzeDivergence(reach []bool) *divResult {
-	n := len(p.Blocks)
-	ipdom := postDominators(p.Blocks)
-	blockOf := p.blockOf()
-	forced := make([]uint32, n)
-	var (
-		in   []regState
-		seen []bool
-	)
+func (p *Program) analyzeDivergence(g *cfgView) *divResult {
+	forced := make([]uint32, len(g.blocks))
+	var in []regState
 	for {
-		in, seen = p.divFixpoint(reach, forced)
-		next := p.divForcing(reach, in, seen, ipdom, blockOf)
-		same := true
+		in = p.divFixpoint(g, forced)
+		next := p.divForcing(g, in)
 		for i := range next {
 			next[i] |= forced[i]
-			if next[i] != forced[i] {
-				same = false
-			}
 		}
-		if same {
+		if slices.Equal(next, forced) {
 			break
 		}
 		forced = next
 	}
 
-	res := &divResult{in: in, seen: seen, branchClass: make(map[int]Class)}
-	for i := 0; i < n; i++ {
-		if !reach[i] || !seen[i] {
+	res := &divResult{in: in, branchClass: make(map[int]Class)}
+	for i, blk := range g.blocks {
+		if !g.reach[i] {
 			continue
 		}
 		s := in[i]
-		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
+		for pc := blk.Start; pc < blk.End; pc++ {
 			inst := p.Code[pc]
 			switch {
 			case inst.Op.IsBranch():
@@ -731,7 +575,7 @@ func (p *Program) DivergenceReport() string {
 	if limit <= 0 {
 		limit = DefaultShortBlockLimit
 	}
-	blockOf := p.blockOf()
+	blockOf := p.cfg.blockOf
 	ai := 0
 	for pc := 0; pc < len(p.Code); pc++ {
 		if p.Code[pc].Op.IsBranch() {

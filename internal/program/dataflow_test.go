@@ -132,15 +132,15 @@ func TestSyncPointInjection(t *testing.T) {
 	}
 
 	divergentPred := build(func(b *Builder) { b.Mov(5, 1) }) // predicate = tid
-	div := divergentPred.analyzeDivergence(divergentPred.reachableBlocks())
-	joinBlk := divergentPred.blockOf()[5] // pc of the join Add
+	div := divergentPred.analyzeDivergence(divergentPred.cfg)
+	joinBlk := divergentPred.cfg.blockOf[5] // pc of the join Add
 	if got := div.in[joinBlk][6].class(); got != ClassDivergent {
 		t.Errorf("per-arm constant under tid branch: class %s at join, want divergent", got)
 	}
 
 	uniformPred := build(func(b *Builder) { b.Movi(5, 1) }) // constant predicate
-	div = uniformPred.analyzeDivergence(uniformPred.reachableBlocks())
-	joinBlk = uniformPred.blockOf()[5]
+	div = uniformPred.analyzeDivergence(uniformPred.cfg)
+	joinBlk = uniformPred.cfg.blockOf[5]
 	if got := div.in[joinBlk][6].class(); got != ClassUniform {
 		t.Errorf("per-arm constant under uniform branch: class %s at join, want uniform", got)
 	}
@@ -160,8 +160,8 @@ func TestExactSurvivesSyncForcing(t *testing.T) {
 	b.Add(8, 6, 7)
 	b.Halt()
 	p := b.MustBuild()
-	div := p.analyzeDivergence(p.reachableBlocks())
-	joinBlk := p.blockOf()[5] // pc of the join Add
+	div := p.analyzeDivergence(p.cfg)
+	joinBlk := p.cfg.blockOf[5] // pc of the join Add
 	if got := div.in[joinBlk][6]; got != (absVal{kind: vExact, region: -1, ct: 8}) {
 		t.Errorf("8*tid at join = %+v, want exact ct=8", got)
 	}
@@ -336,5 +336,68 @@ func TestDivergenceReportShape(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
+	}
+}
+
+// The verifier's barrier check takes predicate uniformity from this
+// analysis, not from a register taint of its own. The cases are the shapes
+// where a plain "derived from tid or a load" taint would answer differently:
+// an undeclared input may hold a different value in every thread (the ABI
+// promises nothing about it), a loop counter can run desynchronised once an
+// upstream access has split the warp, and tid − tid is the same in every
+// lane.
+func TestBarrierCheckFollowsDivergenceVerdict(t *testing.T) {
+	cases := []struct {
+		name    string
+		emit    func(b *Builder)
+		flagged bool
+	}{
+		{"undeclared input predicate", func(b *Builder) {
+			b.Beqz(4, "skip")
+			b.Barrier()
+			b.Label("skip")
+			b.Halt()
+		}, true},
+		{"declared uniform input predicate", func(b *Builder) {
+			b.DeclareUniformInputs(4)
+			b.Beqz(4, "skip")
+			b.Barrier()
+			b.Label("skip")
+			b.Halt()
+		}, false},
+		{"trip-desynchronised loop counter", func(b *Builder) {
+			b.DeclareUniformInputs(4)
+			b.Movi(5, 0)
+			b.Label("loop")
+			b.Ld(6, 1, 0) // tid-indexed: lanes can miss apart and split
+			b.Addi(5, 5, 1)
+			b.Slt(7, 5, 4)
+			b.Beqz(7, "done")
+			b.Barrier()
+			b.Jmp("loop")
+			b.Label("done")
+			b.Halt()
+		}, true},
+		{"tid cancels out of the predicate", func(b *Builder) {
+			b.Sub(4, 1, 1)
+			b.Beqz(4, "skip")
+			b.Barrier()
+			b.Label("skip")
+			b.Halt()
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder("barrier-verdict")
+			tc.emit(b)
+			p, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := len(findingsWith(p.Verify(), "barrier-divergence")) > 0
+			if got != tc.flagged {
+				t.Fatalf("barrier flagged = %v, want %v\n%s", got, tc.flagged, p.Disassemble())
+			}
+		})
 	}
 }

@@ -76,18 +76,13 @@ func FuzzDivergence(f *testing.F) {
 		if p == nil {
 			return
 		}
-		div := p.analyzeDivergence(p.reachableBlocks())
+		div := p.analyzeDivergence(p.cfg)
 		const T = 6
-		blockOf := p.blockOf()
+		blockOf := p.cfg.blockOf
 		reached := make([][T]bool, len(p.Blocks))
 		vals := make([][T][isa.NumRegs]int64, len(p.Blocks))
 		for tid := 0; tid < T; tid++ {
-			var rf isa.RegFile
-			rf.Set(1, int64(tid))         // global tid
-			rf.Set(2, T)                  // uniform thread count
-			rf.Set(3, int64((tid*7+3)%5)) // divergent ABI register
-			pc := 0
-			for steps := 0; steps <= len(p.Code); steps++ {
+			runThread(p, tid, T, nil, func(pc int, _ isa.Inst, rf *isa.RegFile) {
 				blk := blockOf[pc]
 				if p.Blocks[blk].Start == pc && !reached[blk][tid] {
 					reached[blk][tid] = true
@@ -95,24 +90,7 @@ func FuzzDivergence(f *testing.F) {
 						vals[blk][tid][r] = rf.Get(isa.Reg(r))
 					}
 				}
-				in := p.Code[pc]
-				if in.Op == isa.HALT {
-					break
-				}
-				switch {
-				case in.Op.IsBranch():
-					if isa.BranchTaken(in, &rf) {
-						pc = in.Target
-					} else {
-						pc++
-					}
-				case in.Op == isa.JMP:
-					pc = in.Target
-				default:
-					isa.ExecALU(in, &rf)
-					pc++
-				}
-			}
+			})
 		}
 
 		for blk := range p.Blocks {
@@ -122,7 +100,7 @@ func FuzzDivergence(f *testing.F) {
 					tids = append(tids, tid)
 				}
 			}
-			if len(tids) == 0 || !div.seen[blk] {
+			if len(tids) == 0 || !p.cfg.reach[blk] {
 				continue
 			}
 			for r := 0; r < isa.NumRegs; r++ {

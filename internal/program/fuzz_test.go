@@ -51,7 +51,8 @@ func decodeFuzzProgram(data []byte) []isa.Inst {
 // FuzzVerify feeds random small programs through Build and checks the
 // verifier's contract: it never panics, a successful Build implies a
 // program with zero error-severity findings and no unreachable blocks, and
-// the two independent post-dominator algorithms agree.
+// the two independent dominance algorithms agree, on dominators and on
+// post-dominators.
 func FuzzVerify(f *testing.F) {
 	// Seeds: straight-line, a diamond, a loop, garbage.
 	f.Add([]byte{2, 4, 1, 3, 5, 4})
@@ -78,18 +79,14 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 		// ...every block must be reachable...
-		for i, ok := range p.reachableBlocks() {
+		for i, ok := range p.cfg.reach {
 			if !ok {
 				t.Fatalf("Build accepted unreachable block %d", i)
 			}
 		}
-		// ...the independent post-dominator algorithms must agree...
-		bitset, chk := postDominators(p.Blocks), verifiedIPdom(p.Blocks)
-		for i := range p.Blocks {
-			if bitset[i] != chk[i] {
-				t.Fatalf("block %d: bitset ipdom %d != CHK ipdom %d", i, bitset[i], chk[i])
-			}
-		}
+		// ...the independent dominance algorithms must agree, forward and
+		// backward...
+		checkDominance(t, p)
 		// ...and every branch must have a re-convergence table entry.
 		for pc, in := range p.Code {
 			if !in.Op.IsBranch() {

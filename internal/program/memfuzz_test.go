@@ -83,42 +83,14 @@ func FuzzMemAccess(f *testing.F) {
 		executed := make(map[int]map[int]uint64) // pc -> tid -> address
 		mem := make(map[uint64]int64)
 		for tid := 0; tid < T; tid++ {
-			var rf isa.RegFile
-			rf.Set(1, int64(tid))         // global tid
-			rf.Set(2, T)                  // uniform thread count
-			rf.Set(3, int64((tid*7+3)%5)) // divergent ABI register
-			pc := 0
-			for steps := 0; steps <= len(p.Code); steps++ {
-				in := p.Code[pc]
-				if in.Op == isa.HALT {
-					break
-				}
-				switch {
-				case in.Op.IsMem():
-					addr := uint64(rf.Get(in.SrcA) + in.Imm)
+			runThread(p, tid, T, mem, func(pc int, in isa.Inst, rf *isa.RegFile) {
+				if in.Op.IsMem() {
 					if executed[pc] == nil {
 						executed[pc] = make(map[int]uint64)
 					}
-					executed[pc][tid] = addr
-					if in.Op == isa.ST {
-						mem[addr] = rf.Get(in.SrcB)
-					} else {
-						rf.Set(in.Dst, mem[addr])
-					}
-					pc++
-				case in.Op.IsBranch():
-					if isa.BranchTaken(in, &rf) {
-						pc = in.Target
-					} else {
-						pc++
-					}
-				case in.Op == isa.JMP:
-					pc = in.Target
-				default:
-					isa.ExecALU(in, &rf)
-					pc++
+					executed[pc][tid] = uint64(rf.Get(in.SrcA) + in.Imm)
 				}
-			}
+			})
 		}
 
 		for pc, addrs := range executed {

@@ -77,13 +77,16 @@ type Program struct {
 	Code   []isa.Inst
 	Blocks []Block
 
-	branches map[int]BranchInfo // keyed by instruction index
+	// branches is the per-branch metadata, keyed by instruction index. Its
+	// IPdom is the re-convergence table the WPU consumes: computed from the
+	// view's post-dominator sets and, before Build returns, checked equal to
+	// the verifier's independent Cooper-Harvey-Kennedy recomputation.
+	branches map[int]BranchInfo
 
-	// reconv is the verified re-convergence table the WPU consumes: per
-	// branch pc, the re-convergence pc recomputed by the verifier's
-	// independent post-dominator analysis (NoIPdom when the paths re-join
-	// only at kernel exit). Populated by Build after verification passes.
-	reconv map[int]int
+	// cfg is the CFG view Build derived every analysis from (cfg.go). The
+	// launch-time recomputations (CostModelFor) and the reports reuse it;
+	// Verify never does — it rebuilds a view from Blocks as they are now.
+	cfg *cfgView
 
 	// Static declarations carried over from the Builder; they gate the
 	// def-use and bounds checks.
@@ -119,8 +122,8 @@ type Program struct {
 	// decoded is the dispatch-ready lowering of Code the WPU issue loop
 	// consumes: one isa.Decoded per pc, with the analysis-driven flags
 	// (uniform, subdividable) and the verified re-convergence pc folded in
-	// so an issue never touches the branches/reconv maps. Populated by
-	// Build after verification passes.
+	// so an issue never touches the branches map. Populated by Build after
+	// verification passes.
 	decoded []isa.Decoded
 
 	// findings is what the verifier reported at Build time (warnings only:
@@ -159,8 +162,8 @@ func (p *Program) Verified() bool { return p.verified }
 // the value the WPU's re-convergence stack and warp-split table consume.
 // NoIPdom means the divergent paths re-join only at kernel termination.
 func (p *Program) ReconvPC(pc int) (int, bool) {
-	r, ok := p.reconv[pc]
-	return r, ok
+	bi, ok := p.branches[pc]
+	return bi.IPdom, ok
 }
 
 // Regions returns the declared memory regions (for tooling display).
@@ -610,14 +613,8 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 
 	p := &Program{Name: b.name, Code: code, branches: make(map[int]BranchInfo)}
 	p.Blocks = buildCFG(code)
-	ipdom := postDominators(p.Blocks)
-
-	blockOf := make([]int, len(code))
-	for _, blk := range p.Blocks {
-		for pc := blk.Start; pc < blk.End; pc++ {
-			blockOf[pc] = blk.ID
-		}
-	}
+	g := newCFGView(p.Blocks)
+	p.cfg = g
 	limit := b.ShortBlockLimit
 	if limit <= 0 {
 		limit = DefaultShortBlockLimit
@@ -627,7 +624,7 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 			continue
 		}
 		bi := BranchInfo{IPdom: NoIPdom}
-		if d := ipdom[blockOf[pc]]; d >= 0 {
+		if d := g.ipdom[g.blockOf[pc]]; d >= 0 {
 			dblk := p.Blocks[d]
 			bi.IPdom = dblk.Start
 			// §4.3: subdivide only when the block following the
@@ -667,7 +664,7 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	// warp, so it is excluded from subdivision however short its join
 	// block, and the WPU front end gets to skip its re-convergence
 	// bookkeeping entirely (BranchInfo.Uniform).
-	div := p.analyzeDivergence(p.reachableBlocks())
+	div := p.analyzeDivergence(g)
 	p.uniformBranch = make([]bool, len(code))
 	for pc, in := range code {
 		if !in.Op.IsBranch() {
@@ -710,25 +707,10 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 			b.name, len(errs), FormatFindings(errs))
 	}
 
-	// The verifier's independent post-dominator pass agreed with the
-	// builder's; record its answers as the re-convergence table the WPU
-	// consumes (rather than the builder-side BranchInfo it cross-checked).
-	vip := verifiedIPdom(p.Blocks)
-	p.reconv = make(map[int]int, len(p.branches))
-	for pc, in := range code {
-		if !in.Op.IsBranch() {
-			continue
-		}
-		r := NoIPdom
-		if d := vip[blockOf[pc]]; d >= 0 {
-			r = p.Blocks[d].Start
-		}
-		p.reconv[pc] = r
-	}
-
 	// Lower the verified program into the pre-decoded dispatch stream,
-	// folding in the per-branch analysis verdicts and the verified
-	// re-convergence table so issue-time dispatch never consults a map.
+	// folding in the per-branch analysis verdicts and re-convergence pcs —
+	// which the verifier's independent post-dominator pass just agreed with
+	// — so issue-time dispatch never consults a map.
 	p.decoded = isa.DecodeProgram(code)
 	for pc := range p.decoded {
 		d := &p.decoded[pc]
@@ -742,7 +724,7 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 		if bi.Subdividable {
 			d.Flags |= isa.DFSubdiv
 		}
-		d.Reconv = int32(p.reconv[pc])
+		d.Reconv = int32(bi.IPdom)
 	}
 	// Fold the access classes into the decoded memory instructions: the
 	// 2-bit class feeds the WPU's per-class concordance counters, and the

@@ -98,20 +98,22 @@ func (p *Program) Verify() []Finding {
 			return fs
 		}
 	}
-	reach := p.reachableBlocks()
-	// Recompute the divergence analysis from scratch rather than trusting
-	// the verdicts Build recorded: checkReconvergence cross-checks the
-	// recorded BranchInfo against this fresh run, and checkBounds consumes
-	// its exact-affine component.
-	div := p.analyzeDivergence(reach)
-	fs = append(fs, p.checkReachability(reach)...)
-	fs = append(fs, p.checkReconvergence(div)...)
-	fs = append(fs, p.checkDefUse(reach)...)
-	fs = append(fs, p.checkDeadDefs(reach)...)
-	fs = append(fs, p.checkBarriers(reach)...)
+	// Recompute everything from the program as it stands rather than
+	// trusting what Build recorded: a fresh CFG view (never the one Build
+	// kept) and a fresh divergence run over it. checkReconvergence
+	// cross-checks the recorded BranchInfo against that run and against CHK
+	// post-dominators, checkBarriers takes predicate uniformity from the
+	// run, and checkBounds consumes its exact-affine component.
+	g := newCFGView(p.Blocks)
+	div := p.analyzeDivergence(g)
+	fs = append(fs, p.checkReachability(g)...)
+	fs = append(fs, p.checkReconvergence(g, div)...)
+	fs = append(fs, p.checkDefUse(g)...)
+	fs = append(fs, p.checkDeadDefs(g)...)
+	fs = append(fs, p.checkBarriers(g, div)...)
 	fs = append(fs, p.checkBounds(div)...)
 	fs = append(fs, p.checkMemAccess(div)...)
-	fs = append(fs, p.checkCostModel()...)
+	fs = append(fs, p.checkCostModel(g)...)
 	sortFindings(fs)
 	return fs
 }
@@ -121,12 +123,12 @@ func (p *Program) Verify() []Finding {
 // the fresh run, plus the internal Lo<=Hi invariants every interval must
 // satisfy. Like checkMemAccess, this guards against the recorded table
 // drifting from the analysis that claims to describe it.
-func (p *Program) checkCostModel() []Finding {
+func (p *Program) checkCostModel(g *cfgView) []Finding {
 	if p.cost == nil {
 		return nil
 	}
 	var fs []Finding
-	fresh := p.CostModelFor(p.cost.Params)
+	fresh := p.costModel(g, p.cost.Params)
 	if got, want := p.cost.Report(p.Name), fresh.Report(p.Name); got != want {
 		fs = append(fs, Finding{
 			PC: -1, Block: -1, Severity: Err, Check: "costmodel",
@@ -188,18 +190,6 @@ func sortFindings(fs []Finding) {
 		}
 		return fs[i].Msg < fs[j].Msg
 	})
-}
-
-// blockOf maps every instruction index to its basic-block ID. Callers must
-// have established block tiling (checkShape) first.
-func (p *Program) blockOf() []int {
-	m := make([]int, len(p.Code))
-	for _, blk := range p.Blocks {
-		for pc := blk.Start; pc < blk.End; pc++ {
-			m[pc] = blk.ID
-		}
-	}
-	return m
 }
 
 // checkShape validates the CFG's structural invariants: blocks tile the
@@ -320,30 +310,12 @@ func (p *Program) checkShape() []Finding {
 	return fs
 }
 
-// reachableBlocks marks the blocks reachable from the entry block.
-func (p *Program) reachableBlocks() []bool {
-	reach := make([]bool, len(p.Blocks))
-	stack := []int{0}
-	reach[0] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range p.Blocks[v].Succ {
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return reach
-}
-
 // checkReachability flags unreachable basic blocks — dead code that the
 // post-dominator analysis never exercised and the WPU can never execute.
-func (p *Program) checkReachability(reach []bool) []Finding {
+func (p *Program) checkReachability(g *cfgView) []Finding {
 	var fs []Finding
 	for i, blk := range p.Blocks {
-		if !reach[i] {
+		if !g.reach[i] {
 			fs = append(fs, Finding{
 				Check: "reachability", Severity: Err, PC: blk.Start, Block: i,
 				Msg: fmt.Sprintf("unreachable block (dead code, pcs %d..%d)", blk.Start, blk.End-1),
@@ -362,10 +334,10 @@ func (p *Program) checkReachability(reach []bool) []Finding {
 // cross-checks the recorded divergence verdicts (Class/Uniform) and the
 // refined Subdividable rule (divergence-capable ∧ short-join) against a
 // fresh analysis run, since the WPU's uniform-branch fast path trusts them.
-func (p *Program) checkReconvergence(div *divResult) []Finding {
+func (p *Program) checkReconvergence(g *cfgView, div *divResult) []Finding {
 	var fs []Finding
 	vip := verifiedIPdom(p.Blocks)
-	blockOf := p.blockOf()
+	blockOf := g.blockOf
 	limit := p.shortLimit
 	if limit <= 0 {
 		limit = DefaultShortBlockLimit
@@ -451,34 +423,52 @@ func reconvName(pc int) string {
 func verifiedIPdom(blocks []Block) []int {
 	n := len(blocks)
 	exit := n
-	exitSlice := []int{exit}
-	fsucc := func(v int) []int {
-		if len(blocks[v].Succ) == 0 {
-			return exitSlice
-		}
-		return blocks[v].Succ
-	}
-
 	// Reverse-graph adjacency: an edge s->v here for every forward edge
-	// v->s. The reverse DFS from exit visits exactly the blocks that can
-	// terminate.
+	// v->s, with HALT blocks hanging off the virtual exit. The reverse DFS
+	// from exit visits exactly the blocks that can terminate.
 	radj := make([][]int, n+1)
-	for v := 0; v < n; v++ {
-		for _, s := range fsucc(v) {
+	for v, b := range blocks {
+		if len(b.Succ) == 0 {
+			radj[exit] = append(radj[exit], v)
+		}
+		for _, s := range b.Succ {
 			radj[s] = append(radj[s], v)
 		}
 	}
+	idom := chkIdom(radj, exit)[:n]
+	for v, d := range idom {
+		if d == exit {
+			idom[v] = -1
+		}
+	}
+	return idom
+}
 
-	po := make([]int, n+1)
-	visited := make([]bool, n+1)
-	order := make([]int, 0, n+1) // postorder of the reverse DFS
+// chkIdom is the Cooper-Harvey-Kennedy dominator algorithm over the graph
+// with adjacency lists adj, from root: idom[v] is v's immediate dominator,
+// idom[root] = root, and -1 marks a node the root does not reach. It shares
+// no code with the view's dominance routine: post-dominators are checked
+// against it in Build and Verify (via verifiedIPdom), forward dominators in
+// the tests.
+func chkIdom(adj [][]int, root int) []int {
+	n := len(adj)
+	radj := make([][]int, n)
+	for v, out := range adj {
+		for _, u := range out {
+			radj[u] = append(radj[u], v)
+		}
+	}
+
+	po := make([]int, n)
+	visited := make([]bool, n)
+	order := make([]int, 0, n) // postorder of the DFS from root
 	type frame struct{ v, i int }
-	stack := []frame{{exit, 0}}
-	visited[exit] = true
+	stack := []frame{{root, 0}}
+	visited[root] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.i < len(radj[f.v]) {
-			u := radj[f.v][f.i]
+		if f.i < len(adj[f.v]) {
+			u := adj[f.v][f.i]
 			f.i++
 			if !visited[u] {
 				visited[u] = true
@@ -491,11 +481,11 @@ func verifiedIPdom(blocks []Block) []int {
 		}
 	}
 
-	idom := make([]int, n+1)
+	idom := make([]int, n)
 	for i := range idom {
 		idom[i] = -1
 	}
-	idom[exit] = exit
+	idom[root] = root
 	intersect := func(a, b int) int {
 		for a != b {
 			for po[a] < po[b] {
@@ -509,13 +499,11 @@ func verifiedIPdom(blocks []Block) []int {
 	}
 	for changed := true; changed; {
 		changed = false
-		// Reverse postorder of the reverse graph, skipping the exit root
-		// (last in postorder).
+		// Reverse postorder, skipping the root (last in postorder).
 		for i := len(order) - 2; i >= 0; i-- {
 			v := order[i]
 			newIdom := -1
-			// Predecessors in the reverse graph are forward successors.
-			for _, u := range fsucc(v) {
+			for _, u := range radj[v] {
 				if idom[u] < 0 {
 					continue
 				}
@@ -531,16 +519,7 @@ func verifiedIPdom(blocks []Block) []int {
 			}
 		}
 	}
-
-	out := make([]int, n)
-	for v := 0; v < n; v++ {
-		if !visited[v] || idom[v] < 0 || idom[v] == exit {
-			out[v] = -1
-		} else {
-			out[v] = idom[v]
-		}
-	}
-	return out
+	return idom
 }
 
 // instUses returns the registers an instruction reads.
@@ -570,49 +549,33 @@ func instDef(in isa.Inst) (isa.Reg, bool) {
 // from entry. It only runs when the kernel declared its input registers
 // (DeclareInputs/DeclareRegion): without the declared entry state every ABI
 // input would be a false positive.
-func (p *Program) checkDefUse(reach []bool) []Finding {
+func (p *Program) checkDefUse(g *cfgView) []Finding {
 	if !p.inputsDeclared {
 		return nil
 	}
 	const abiRegs = 0b1111 // r0 hardwired, r1 tid, r2 nthreads, r3 local idx
-	entry := abiRegs | p.inputs
-	n := len(p.Blocks)
-	full := ^uint32(0)
-	in := make([]uint32, n)
-	for i := range in {
-		in[i] = full
-	}
-	in[0] = entry
-	transfer := func(blk Block, s uint32) uint32 {
-		for pc := blk.Start; pc < blk.End; pc++ {
-			if d, ok := instDef(p.Code[pc]); ok {
-				s |= 1 << d
-			}
-		}
-		return s
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !reach[i] {
-				continue
-			}
-			out := transfer(p.Blocks[i], in[i])
-			for _, s := range p.Blocks[i].Succ {
-				if nv := in[s] & out; nv != in[s] {
-					in[s] = nv
-					changed = true
+	in := solve(g, false, abiRegs|p.inputs,
+		func(b int, s uint32) uint32 {
+			for pc := g.blocks[b].Start; pc < g.blocks[b].End; pc++ {
+				if d, ok := instDef(p.Code[pc]); ok {
+					s |= 1 << d
 				}
 			}
-		}
-	}
+			return s
+		},
+		func(_ int, old, nw uint32, visits int) uint32 {
+			if visits == 0 {
+				return nw
+			}
+			return old & nw
+		})
 	var fs []Finding
-	for i := 0; i < n; i++ {
-		if !reach[i] {
+	for i, blk := range g.blocks {
+		if !g.reach[i] {
 			continue
 		}
 		s := in[i]
-		for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
+		for pc := blk.Start; pc < blk.End; pc++ {
 			inst := p.Code[pc]
 			for _, r := range instUses(inst) {
 				if r != 0 && s&(1<<r) == 0 {
@@ -634,16 +597,7 @@ func (p *Program) checkDefUse(reach []bool) []Finding {
 // never be read, plus writes to the hardwired r0. Both are Warn: harmless
 // at runtime, but in a hand-written benchmark they usually mean the kernel
 // does not compute what its author thought.
-func (p *Program) checkDeadDefs(reach []bool) []Finding {
-	n := len(p.Blocks)
-	liveIn := make([]uint32, n)
-	blockLive := func(i int) uint32 {
-		var live uint32
-		for _, s := range p.Blocks[i].Succ {
-			live |= liveIn[s]
-		}
-		return live
-	}
+func (p *Program) checkDeadDefs(g *cfgView) []Finding {
 	stepBack := func(inst isa.Inst, live uint32) uint32 {
 		if d, ok := instDef(inst); ok {
 			live &^= 1 << d
@@ -653,29 +607,21 @@ func (p *Program) checkDeadDefs(reach []bool) []Finding {
 		}
 		return live
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			if !reach[i] {
-				continue
-			}
-			live := blockLive(i)
-			for pc := p.Blocks[i].End - 1; pc >= p.Blocks[i].Start; pc-- {
+	liveOut := solve(g, true, 0,
+		func(b int, live uint32) uint32 {
+			for pc := g.blocks[b].End - 1; pc >= g.blocks[b].Start; pc-- {
 				live = stepBack(p.Code[pc], live)
 			}
-			if live != liveIn[i] {
-				liveIn[i] = live
-				changed = true
-			}
-		}
-	}
+			return live
+		},
+		func(_ int, old, nw uint32, _ int) uint32 { return old | nw })
 	var fs []Finding
-	for i := 0; i < n; i++ {
-		if !reach[i] {
+	for i, blk := range g.blocks {
+		if !g.reach[i] {
 			continue
 		}
-		live := blockLive(i)
-		for pc := p.Blocks[i].End - 1; pc >= p.Blocks[i].Start; pc-- {
+		live := liveOut[i]
+		for pc := blk.End - 1; pc >= blk.Start; pc-- {
 			inst := p.Code[pc]
 			if inst.Op.WritesDst() {
 				switch {
@@ -697,121 +643,45 @@ func (p *Program) checkDeadDefs(reach []bool) []Finding {
 	return fs
 }
 
-// varyingSets computes, per basic block, the set of registers whose value
-// may differ across the threads of a warp at block entry (a forward
-// may-analysis with union joins). The launch ABI makes r1 (global tid) and
-// r3 (local index) varying; loads are conservatively varying because they
-// depend on a possibly-varying address and on memory contents.
-func (p *Program) varyingSets(reach []bool) []uint32 {
-	n := len(p.Blocks)
-	vin := make([]uint32, n)
-	vin[0] = 1<<1 | 1<<3
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !reach[i] {
-				continue
-			}
-			v := vin[i]
-			for pc := p.Blocks[i].Start; pc < p.Blocks[i].End; pc++ {
-				v = stepVarying(p.Code[pc], v)
-			}
-			for _, s := range p.Blocks[i].Succ {
-				if nv := vin[s] | v; nv != vin[s] {
-					vin[s] = nv
-					changed = true
-				}
-			}
-		}
-	}
-	return vin
-}
-
-func stepVarying(in isa.Inst, v uint32) uint32 {
-	if !in.Op.WritesDst() || in.Dst == 0 {
-		return v
-	}
-	varying := in.Op == isa.LD ||
-		(in.Op.ReadsA() && v&(1<<in.SrcA) != 0) ||
-		(in.Op.ReadsB() && v&(1<<in.SrcB) != 0)
-	if varying {
-		return v | 1<<in.Dst
-	}
-	return v &^ (1 << in.Dst)
-}
-
 // checkBarriers flags barriers reachable between a potentially divergent
 // branch and that branch's re-convergence point — the deadlock DWS must
 // never create (§3.4): if the warp splits at the branch, only some lanes
-// arrive at the barrier while the rest wait beyond it. The divergence taint
-// cannot see warp-uniform tid predicates (e.g. a branch every lane of a warp
-// takes the same way), so the finding is Warn, not Err.
-func (p *Program) checkBarriers(reach []bool) []Finding {
-	hasBarrier := false
-	for _, in := range p.Code {
+// arrive at the barrier while the rest wait beyond it. Whether a predicate
+// can diverge is the divergence analysis's verdict (dataflow.go); it is
+// conservative — a predicate it cannot prove uniform may still be uniform in
+// every launch — so the finding is Warn, not Err.
+func (p *Program) checkBarriers(g *cfgView, div *divResult) []Finding {
+	var barriers []int
+	for pc, in := range p.Code {
 		if in.Op == isa.BARRIER {
-			hasBarrier = true
-			break
+			barriers = append(barriers, pc)
 		}
 	}
-	if !hasBarrier {
+	if len(barriers) == 0 {
 		return nil
 	}
-	varying := p.varyingSets(reach)
-	blockOf := p.blockOf()
 	// flagged[barrier pc] -> lowest divergent branch pc that reaches it.
 	flagged := make(map[int]int)
 	for pc, in := range p.Code {
-		if !in.Op.IsBranch() {
+		b := g.blockOf[pc]
+		if !in.Op.IsBranch() || !g.reach[b] || len(g.blocks[b].Succ) < 2 || div.branchClass[pc] == ClassUniform {
 			continue
 		}
-		b := blockOf[pc]
-		if !reach[b] || len(p.Blocks[b].Succ) < 2 {
-			continue
-		}
-		v := varying[b]
-		for q := p.Blocks[b].Start; q < pc; q++ {
-			v = stepVarying(p.Code[q], v)
-		}
-		if v&(1<<in.SrcA) == 0 {
-			continue // warp-uniform predicate
-		}
-		// Blocks reachable from the branch before its re-convergence point.
-		stopBlock := -1
-		if bi, ok := p.branches[pc]; ok && bi.IPdom != NoIPdom {
-			stopBlock = blockOf[bi.IPdom]
-		}
-		region := make([]bool, len(p.Blocks))
-		stack := append([]int(nil), p.Blocks[b].Succ...)
-		for len(stack) > 0 {
-			w := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if w == stopBlock || region[w] {
-				continue
-			}
-			region[w] = true
-			stack = append(stack, p.Blocks[w].Succ...)
-		}
-		for q, in2 := range p.Code {
-			if in2.Op != isa.BARRIER || !region[blockOf[q]] {
-				continue
-			}
-			if _, dup := flagged[q]; !dup {
+		region := g.region(b)
+		for _, q := range barriers {
+			if _, dup := flagged[q]; !dup && region[g.blockOf[q]] {
 				flagged[q] = pc
 			}
 		}
 	}
 	var fs []Finding
-	pcs := make([]int, 0, len(flagged))
-	for q := range flagged {
-		pcs = append(pcs, q)
-	}
-	sort.Ints(pcs)
-	for _, q := range pcs {
-		fs = append(fs, Finding{
-			Check: "barrier-divergence", Severity: Warn, PC: q, Block: blockOf[q],
-			Msg: fmt.Sprintf("barrier reachable under potentially divergent branch @pc %d before re-convergence: a warp whose lanes disagree there deadlocks here", flagged[q]),
-		})
+	for _, q := range barriers {
+		if pc, ok := flagged[q]; ok {
+			fs = append(fs, Finding{
+				Check: "barrier-divergence", Severity: Warn, PC: q, Block: g.blockOf[q],
+				Msg: fmt.Sprintf("barrier reachable under potentially divergent branch @pc %d before re-convergence: a warp whose lanes disagree there deadlocks here", pc),
+			})
+		}
 	}
 	return fs
 }

@@ -217,7 +217,7 @@ func (w WireKnobs) validate() *Error {
 		{"wpus", w.WPUs, 64},
 		{"width", w.Width, 64},
 		{"warps", w.Warps, 64},
-		{"slots", w.Slots, 256},
+		{"slots", w.Slots, 64},
 		{"wst", w.WST, 1024},
 		{"l1kb", w.L1KB, 1024},
 		{"l1assoc", w.L1Assoc, 64},
@@ -229,6 +229,11 @@ func (w WireKnobs) validate() *Error {
 		if b.v < 0 || b.v > b.max {
 			return badRequest("knobs.%s = %d out of range [0, %d]", b.name, b.v, b.max)
 		}
+	}
+	// The slot count the simulator will use, not just the one spelled out:
+	// unset, it is two per warp, and wpu.Config.Validate caps it at 64.
+	if slots := 2 * w.Knobs().Warps; w.Slots == 0 && slots > 64 {
+		return badRequest("knobs.warps = %d defaults knobs.slots to %d, out of range [0, 64]", w.Warps, slots)
 	}
 	switch w.Dist {
 	case "", "block", "interleave":

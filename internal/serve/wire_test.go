@@ -109,6 +109,9 @@ func TestDecodeJobRequest(t *testing.T) {
 		{"trace_every without trace", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"},"trace_every":500}`, http.StatusBadRequest},
 		{"knob out of range", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","wpus":65}}`, http.StatusBadRequest},
 		{"negative knob", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","l1kb":-1}}`, http.StatusBadRequest},
+		{"slots past the ready mask", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","slots":65}}`, http.StatusBadRequest},
+		{"default slots past the ready mask", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","warps":33}}`, http.StatusBadRequest},
+		{"many warps, explicit slots", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","warps":33,"slots":64}}`, 0},
 		{"bad dist", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","dist":"diagonal"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -99,7 +99,8 @@ type Config struct {
 	Width int
 
 	// SchedSlots bounds how many SIMD groups the scheduler tracks at once
-	// (§5.6 doubles a conventional scheduler: 2×Warps). 0 means 2×Warps.
+	// (§5.6 doubles a conventional scheduler: 2×Warps). 0 means 2×Warps;
+	// at most 64 either way (the scheduler's ready mask is one word).
 	SchedSlots int
 	// WSTEntries bounds the total number of scheduling entities (full warps
 	// count as root warp-splits). Subdivision is refused when the table is
@@ -223,6 +224,9 @@ func (c Config) Validate() error {
 	}
 	if c.Width > 64 {
 		return fmt.Errorf("wpu: width %d exceeds the 64-lane mask limit", c.Width)
+	}
+	if slots := c.withDefaults().SchedSlots; slots > 64 {
+		return fmt.Errorf("wpu: %d scheduler slots exceed the 64-slot ready-mask limit", slots)
 	}
 	if c.Slip != SlipOff && c.MemScheme != MemNone {
 		return fmt.Errorf("wpu: adaptive slip and DWS memory subdivision are exclusive")

@@ -61,6 +61,8 @@ func TestConfigValidate(t *testing.T) {
 		{Warps: 0, Width: 16},
 		{Warps: 4, Width: 0},
 		{Warps: 4, Width: 128},
+		{Warps: 4, Width: 16, SchedSlots: 65},
+		{Warps: 33, Width: 16}, // default 2x warps = 66 slots
 		{Warps: 4, Width: 16, Slip: SlipOn, MemScheme: ReviveSplit},
 	}
 	for i, c := range bad {

@@ -51,18 +51,17 @@ type WPU struct {
 	cur           *Split
 	// readyMask mirrors "slots[i] holds a Ready split" per bit, so the
 	// per-cycle scheduler scan only visits ready slots. Maintained by
-	// acquireSlot/releaseSlot/admitWaiter and setState; usable only while
-	// the slot count fits the word (maskSched).
+	// acquireSlot/releaseSlot/admitWaiter and setState. One word suffices:
+	// Config.Validate caps SchedSlots at 64.
 	readyMask uint64
-	maskSched bool
 	// slotProg mirrors slots[i].prog for resident splits, packed as
 	// prog<<6|i: the per-cycle least-progressed scan min-reduces this
 	// dense row (no Split pointer chased, no branch mispredicts) and the
 	// low bits of the winner give the slot back. The packing preserves
 	// ordering within one scan partition because equal progs tie-break to
 	// the lower slot index there anyway. Synced by acquireSlot/admitWaiter
-	// and syncProg at every prog mutation of a resident split; meaningful
-	// only under maskSched (slot indices then fit the 6 low bits).
+	// and syncProg at every prog mutation of a resident split. Slot indices
+	// fit the 6 low bits because SchedSlots <= 64.
 	slotProg []uint64
 
 	splitCount  int // live scheduling entities, bounded by WSTEntries
@@ -234,7 +233,6 @@ func (w *WPU) Reset(cfg Config, l1 *mem.L1, fmem *mem.Memory, trace *obs.Trace) 
 		parkedScratch: old.parkedScratch,
 	}
 	w.rewindArenas()
-	w.maskSched = cfg.SchedSlots <= 64
 	w.refill = wpuRefill{w}
 
 	if len(old.slots) == cfg.SchedSlots {
@@ -243,13 +241,13 @@ func (w *WPU) Reset(cfg Config, l1 *mem.L1, fmem *mem.Memory, trace *obs.Trace) 
 	} else {
 		w.slots = make([]*Split, cfg.SchedSlots)
 	}
-	// Always 64 wide (not SchedSlots): pickNextMask reinterprets the row as
+	// Always 64 wide (not SchedSlots): pickNext reinterprets the row as
 	// *[64]uint64 so its scan loop carries no bounds checks.
-	if n := max(cfg.SchedSlots, 64); len(old.slotProg) == n {
+	if len(old.slotProg) == 64 {
 		clear(old.slotProg)
 		w.slotProg = old.slotProg
 	} else {
-		w.slotProg = make([]uint64, n)
+		w.slotProg = make([]uint64, 64)
 	}
 	if ic := old.icache; ic != nil && ic.sized(cfg.ICacheLines, cfg.ICacheWays) {
 		ic.reset()
@@ -665,7 +663,7 @@ func (w *WPU) admitWaiter(slot int) {
 }
 
 // syncProg mirrors a resident split's progress counter into the dense
-// slotProg row scanned by pickNextMask. Every prog mutation of a split
+// slotProg row scanned by pickNext. Every prog mutation of a split
 // that may hold a slot must be followed by a call here.
 func (w *WPU) syncProg(s *Split) {
 	if s.resident {
@@ -744,13 +742,7 @@ func (w *WPU) Tick() {
 		w.stallCycle()
 		return
 	}
-	// Dispatch straight to the mask scheduler in the common configuration:
-	// going through pickNext would cost a second call per simulated cycle.
-	if w.maskSched {
-		w.cur = w.pickNextMask()
-	} else {
-		w.cur = w.pickNext()
-	}
+	w.cur = w.pickNext()
 	if w.cur == nil && (w.cfg.MemScheme == ReviveSplit || w.cfg.MemScheme == PredictiveSplit) {
 		if w.tryRevive() {
 			w.cur = w.pickNext()
@@ -832,52 +824,11 @@ func (w *WPU) readyWaiterQueued() bool {
 // determinism and cross-warp fairness. Least-progressed-first keeps
 // divergent siblings near-lockstep — the interleaving of Figure 6d — so
 // they re-converge promptly instead of chasing each other through loops.
+// It scans the ready-slot bitmask, visiting only ready slots: round-robin
+// start, least-progressed wins, earlier slot in round-robin order breaks
+// ties. Splitting the mask at rrNext preserves the rotation: bits at or
+// past rrNext scan first.
 func (w *WPU) pickNext() *Split {
-	if w.maskSched {
-		return w.pickNextMask()
-	}
-	n := len(w.slots)
-	var best *Split
-	bestIdx := -1
-	// Wrap by comparison, not modulo: this runs every simulated cycle and
-	// an integer divide per slot dominates the scan.
-	idx := w.rrNext
-	for i := 0; i < n; i++ {
-		if idx >= n {
-			idx = 0
-		}
-		s := w.slots[idx]
-		if s == nil || s.state != Ready {
-			idx++
-			continue
-		}
-		if w.cfg.DisableProgSched {
-			// Ablation: plain round-robin.
-			w.rrNext = idx + 1
-			if w.rrNext >= n {
-				w.rrNext = 0
-			}
-			return s
-		}
-		if best == nil || s.prog < best.prog {
-			best, bestIdx = s, idx
-		}
-		idx++
-	}
-	if best != nil {
-		w.rrNext = bestIdx + 1
-		if w.rrNext >= n {
-			w.rrNext = 0
-		}
-	}
-	return best
-}
-
-// pickNextMask is pickNext over the ready-slot bitmask: identical selection
-// (round-robin start, least-progressed wins, earlier slot in round-robin
-// order breaks ties) visiting only ready slots. Splitting the mask at
-// rrNext preserves the rotation: bits at or past rrNext scan first.
-func (w *WPU) pickNextMask() *Split {
 	m := w.readyMask
 	if m == 0 {
 		return nil
