@@ -1,13 +1,13 @@
 # CI entry points. `make ci` is the gate: formatting, vet, the static
 # verification layer (lint), build, the race detector over the parallel
-# executor, the full test suite, the micro-benchmark gate, and one pass of
-# the claims benchmark.
+# executor, the full test suite, the CLI bad-input smoke, the
+# micro-benchmark gate, and one pass of the claims benchmark.
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke loc profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke cli-smoke loc profile profile-diff report metrics trace update-goldens serve
 
-ci: fmt-check vet lint build race test bench-check claims-smoke
+ci: fmt-check vet lint build race test cli-smoke bench-check claims-smoke
 
 # Static verification layer: the determinism linter over the simulator
 # packages and the ISA program verifier over every benchmark kernel.
@@ -67,6 +67,14 @@ bench-baseline:
 claims-smoke:
 	$(GO) test -C bench -short ./...
 	sh bench/run.sh -smoke
+
+# The command-line programs on bad input: -h exits 0 or 2, and an unknown
+# scheme, a zero cache size or an unknown -param is one line on stderr and
+# exit status 1, never a panic (cmd/smoke_test.go; `make test` runs it too).
+# -count=1 because the test builds and runs the programs as child processes,
+# which the Go test cache cannot see: a cached pass may predate an edit.
+cli-smoke:
+	$(GO) test ./cmd -run TestCLISmoke -count=1
 
 # Non-test Go lines per package and in total, bench/ (a module of its own)
 # excluded: the size figure CHANGES.md reports next to ns/op.

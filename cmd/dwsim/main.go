@@ -23,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -36,24 +35,8 @@ import (
 func main() {
 	var (
 		benchName = flag.String("bench", "Merge", "benchmark: FFT, Filter, HotSpot, LU, Merge, Short, KMeans, SVM, or 'all'")
-		scheme    = flag.String("scheme", "DWS.ReviveSplit", "scheme: "+schemeList())
-		wpus      = flag.Int("wpus", 4, "number of WPUs")
-		width     = flag.Int("width", 16, "SIMD width")
-		warps     = flag.Int("warps", 4, "warps per WPU")
-		slots     = flag.Int("slots", 0, "scheduler slots (0 = 2x warps; at most 64)")
-		wst       = flag.Int("wst", 16, "warp-split table entries")
-		l1kb      = flag.Int("l1kb", 32, "L1 D-cache size in KB")
-		l1assoc   = flag.Int("l1assoc", 8, "L1 D-cache associativity (0 = fully associative)")
-		l2lat     = flag.Int("l2lat", 30, "L2 lookup latency in cycles")
-		l2kb      = flag.Int("l2kb", 4096, "L2 size in KB")
-		dist      = flag.String("dist", "block", "thread-to-WPU mapping: block or interleave")
-		scale     = flag.Int("scale", 1, "input-size multiplier (power of two; see workloads.AllWithScale)")
-		noHints   = flag.Bool("nomemhints", false, "ignore the static memory-divergence hints (control arm; behaviour-identical by construction)")
 		verify    = flag.Bool("verify", true, "verify results against the host reference")
 		showDis   = flag.Bool("disasm", false, "print each kernel's disassembly instead of running")
-		jobs      = flag.Int("j", 0, "max concurrent simulations with -bench all (0 = GOMAXPROCS)")
-		cacheDir  = flag.String("cachedir", "", "on-disk result store directory (default ~/.cache/dwsim)")
-		noCache   = flag.Bool("nocache", false, "disable the on-disk result store")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file ('-' = stdout; single benchmark only)")
 		tlOut     = flag.String("timeline", "", "write the interval timeline CSV to this file ('-' = stdout; single benchmark only)")
 		statsOut  = flag.String("stats", "", "write machine-readable run metrics JSON to this file ('-' = stdout)")
@@ -62,8 +45,15 @@ func main() {
 		obsEvery  = flag.Uint64("obsevery", 1000, "timeline sample interval in cycles for -trace/-timeline")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
+		knobs     = report.KnobFlags(flag.CommandLine, wpu.SchemeRevive)
+		openSess  = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	k := *knobs
+	if err := k.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dwsim:", err)
+		os.Exit(1)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -94,22 +84,6 @@ func main() {
 		}()
 	}
 
-	k := report.Knobs{
-		WPUs: *wpus, Width: *width, Warps: *warps, Slots: *slots, WST: *wst,
-		L1KB: *l1kb, L1Assoc: *l1assoc, L2KB: *l2kb, L2Lat: *l2lat,
-		Scheme: wpu.Scheme(*scheme), Scale: *scale,
-		NoMemHints: *noHints,
-	}
-	switch *dist {
-	case "block":
-		k.Dist = sim.DistBlock
-	case "interleave":
-		k.Dist = sim.DistInterleave
-	default:
-		fmt.Fprintf(os.Stderr, "dwsim: unknown -dist %q (want block or interleave)\n", *dist)
-		os.Exit(1)
-	}
-
 	names := []string{*benchName}
 	if *benchName == "all" {
 		names = names[:0]
@@ -128,16 +102,7 @@ func main() {
 		return
 	}
 
-	opts := []report.Option{report.WithJobs(*jobs)}
-	if !*noCache {
-		st, err := report.OpenStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dwsim: %v (continuing without the on-disk store)\n", err)
-		} else {
-			opts = append(opts, report.WithStore(st))
-		}
-	}
-	s := report.NewSession(opts...)
+	s, _ := openSess("dwsim", report.StoreOptions{})
 	s.Verify = *verify
 
 	var live *sim.Live
@@ -245,18 +210,10 @@ func writeTo(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-func schemeList() string {
-	var names []string
-	for _, s := range wpu.AllSchemes {
-		names = append(names, string(s))
-	}
-	return strings.Join(names, ", ")
-}
-
 // disasm prints each kernel's disassembly; it builds the workload against
 // a throwaway machine instead of simulating it.
 func disasm(name string, k report.Knobs) error {
-	spec, err := workloads.ByNameScaled(name, k.Scale)
+	spec, err := workloads.ByNameScaled(name, max(k.Scale, 1))
 	if err != nil {
 		return err
 	}

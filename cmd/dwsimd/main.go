@@ -32,37 +32,23 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8091", "listen address")
-		jobs        = flag.Int("j", 0, "max concurrently executing jobs (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cachedir", "", "on-disk result store directory (default ~/.cache/dwsim)")
-		noCache     = flag.Bool("nocache", false, "disable the on-disk result store")
 		cacheMB     = flag.Int64("cachemb", 0, "LRU byte cap on the store in MiB (0 = unbounded)")
 		shards      = flag.Int("shards", 0, "store shard count (0 = the default, 16)")
 		streamEvery = flag.Uint64("streamevery", 0, "SSE publish cadence in simulated cycles for traced jobs (0 = a coarse default)")
 		noVerify    = flag.Bool("noverify", false, "skip functional verification of results against the host reference")
+		openSess    = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	opts := []report.Option{report.WithJobs(*jobs)}
-	var st *report.Store
-	if !*noCache {
-		var err error
-		st, err = report.OpenStoreWith(*cacheDir, report.StoreOptions{
-			MaxBytes: *cacheMB << 20,
-			Shards:   *shards,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dwsimd: %v (continuing without the on-disk store)\n", err)
-		} else {
-			opts = append(opts, report.WithStore(st))
-		}
-	}
-	session := report.NewSession(opts...)
+	session, st := openSess("dwsimd", report.StoreOptions{
+		MaxBytes: *cacheMB << 20,
+		Shards:   *shards,
+	})
 	session.Verify = !*noVerify
 
 	srv := serve.New(serve.Config{
 		Session:     session,
 		Store:       st,
-		Workers:     *jobs,
 		StreamEvery: *streamEvery,
 	})
 	srv.Start()

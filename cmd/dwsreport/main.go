@@ -34,23 +34,12 @@ func main() {
 		quick    = flag.Bool("quick", false, "trim the Figure 18 grid")
 		only     = flag.String("only", "", "run a single exhibit")
 		csvDir   = flag.String("csv", "", "directory to write per-exhibit CSV files")
-		jobs     = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cachedir", "", "on-disk result store directory (default ~/.cache/dwsim)")
-		noCache  = flag.Bool("nocache", false, "disable the on-disk result store")
 		statsOut = flag.String("stats", "", "write per-exhibit timing and cache stats JSON to this file ('-' = stdout)")
+		openSess = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	opts := []report.Option{report.WithJobs(*jobs)}
-	if !*noCache {
-		st, err := report.OpenStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dwsreport: %v (continuing without the on-disk store)\n", err)
-		} else {
-			opts = append(opts, report.WithStore(st))
-		}
-	}
-	s := report.NewSession(opts...)
+	s, _ := openSess("dwsreport", report.StoreOptions{})
 	w := os.Stdout
 	csvOut := func(fn func(dir string) error) error {
 		if *csvDir == "" {

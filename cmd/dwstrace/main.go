@@ -51,8 +51,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.WPU = wpu.Scheme(*scheme).Apply(cfg.WPU)
+	k := report.DefaultKnobs(wpu.Scheme(*scheme))
+	if err := k.Validate(); err != nil {
+		fail(err)
+	}
+	cfg := k.Config()
 	var tr *obs.Trace
 	if *format != "text" {
 		tr = obs.New(*every)

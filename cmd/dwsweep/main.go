@@ -22,15 +22,13 @@ import (
 
 func main() {
 	var (
-		param    = flag.String("param", "l2lat", "knob to sweep: width, warps, slots, wst, l1kb, l1assoc, l2kb, l2lat")
+		param    = flag.String("param", "l2lat", "knob to sweep: "+strings.Join(report.KnobNames(), ", "))
 		values   = flag.String("values", "10,30,100,200,300", "comma-separated sweep values")
 		bench    = flag.String("bench", "all", "benchmark name or 'all' (h-mean)")
 		scheme   = flag.String("scheme", "Conv", "baseline scheme")
 		alt      = flag.String("alt", "DWS.ReviveSplit", "comparison scheme ('' to disable)")
-		jobs     = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cachedir", "", "on-disk result store directory (default ~/.cache/dwsim)")
-		noCache  = flag.Bool("nocache", false, "disable the on-disk result store")
 		statsOut = flag.String("stats", "", "write the sweep rows and cache stats as JSON to this file ('-' = stdout)")
+		openSess = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -44,28 +42,20 @@ func main() {
 		vals = append(vals, n)
 	}
 
-	apply := func(k *report.Knobs, v int) {
-		switch *param {
-		case "width":
-			k.Width = v
-		case "warps":
-			k.Warps = v
-		case "slots":
-			k.Slots = v
-		case "wst":
-			k.WST = v
-		case "l1kb":
-			k.L1KB = v
-		case "l1assoc":
-			k.L1Assoc = v
-		case "l2kb":
-			k.L2KB = v
-		case "l2lat":
-			k.L2Lat = v
-		default:
-			fmt.Fprintf(os.Stderr, "dwsweep: unknown param %q\n", *param)
+	// at returns the Table 3 machine under scheme with the swept knob at v.
+	// Every point is built for the grid below before anything runs, so a bad
+	// -param, value or scheme ends the program here.
+	at := func(scheme string, v int) report.Knobs {
+		k := report.DefaultKnobs(wpu.Scheme(scheme))
+		err := k.Set(*param, v)
+		if err == nil {
+			err = k.Validate()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dwsweep:", err)
 			os.Exit(1)
 		}
+		return k
 	}
 
 	benches := []string{*bench}
@@ -73,28 +63,17 @@ func main() {
 		benches = report.BenchNames()
 	}
 
-	opts := []report.Option{report.WithJobs(*jobs)}
-	if !*noCache {
-		st, err := report.OpenStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dwsweep: %v (continuing without the on-disk store)\n", err)
-		} else {
-			opts = append(opts, report.WithStore(st))
-		}
-	}
-	s := report.NewSession(opts...)
+	s, _ := openSess("dwsweep", report.StoreOptions{})
 
 	// Submit the whole sweep grid to the worker pool up front; the print
 	// loop below then renders from the warm cache in deterministic order.
 	var grid []report.Job
 	for _, v := range vals {
-		kb := report.DefaultKnobs(wpu.Scheme(*scheme))
-		apply(&kb, v)
+		kb := at(*scheme, v)
 		for _, b := range benches {
 			grid = append(grid, report.Job{Bench: b, Knobs: kb})
 			if *alt != "" {
-				ka := report.DefaultKnobs(wpu.Scheme(*alt))
-				apply(&ka, v)
+				ka := at(*alt, v)
 				grid = append(grid, report.Job{Bench: b, Knobs: ka})
 			}
 		}
@@ -119,8 +98,7 @@ func main() {
 	}
 	fmt.Println()
 	for _, v := range vals {
-		kb := report.DefaultKnobs(wpu.Scheme(*scheme))
-		apply(&kb, v)
+		kb := at(*scheme, v)
 		var baseCycles, altCycles, speedups []float64
 		for _, b := range benches {
 			rb, err := s.Run(b, kb)
@@ -130,8 +108,7 @@ func main() {
 			}
 			baseCycles = append(baseCycles, float64(rb.Cycles))
 			if *alt != "" {
-				ka := report.DefaultKnobs(wpu.Scheme(*alt))
-				apply(&ka, v)
+				ka := at(*alt, v)
 				ra, err := s.Run(b, ka)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "dwsweep:", err)

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/energy"
-	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -47,79 +46,6 @@ type Result struct {
 	DRAMWritebacks uint64
 	Energy         energy.Breakdown
 }
-
-// Knobs are the architectural parameters the evaluation sweeps.
-//
-// Every field participates in the cache key (see key and
-// TestKnobKeyCoversAllFields): adding a field here automatically extends
-// the key, so distinct configurations can never alias in the run cache or
-// the on-disk store.
-type Knobs struct {
-	WPUs    int // 0 = the Table 3 default (4)
-	Width   int
-	Warps   int
-	Slots   int
-	WST     int
-	L1KB    int
-	L1Assoc int // 0 = fully associative
-	L2KB    int
-	L2Lat   int
-	Scheme  wpu.Scheme
-	Dist    sim.Distribution // thread-to-WPU mapping (default DistBlock)
-	Scale   int              // workload input-size multiplier (0 = 1)
-
-	// Ablation switches (see the Ablation driver).
-	NoWaitMerge  bool
-	NoProgSched  bool
-	NoMemHints   bool // ignore static memory-divergence hints (control arm)
-	BranchThresh int  // 0 = default lazy threshold
-}
-
-// DefaultKnobs returns the Table 3 configuration under a given scheme.
-func DefaultKnobs(s wpu.Scheme) Knobs {
-	return Knobs{
-		WPUs: 4, Width: 16, Warps: 4, Slots: 0, WST: 16,
-		L1KB: 32, L1Assoc: 8, L2KB: 4096, L2Lat: 30,
-		Scheme: s,
-	}
-}
-
-// Config expands the knobs into the full machine configuration they
-// denote (Table 3 defaults plus these overrides).
-func (k Knobs) Config() sim.Config {
-	cfg := sim.DefaultConfig()
-	if k.WPUs > 0 {
-		cfg.WPUs = k.WPUs
-	}
-	cfg.WPU.Width = k.Width
-	cfg.WPU.Warps = k.Warps
-	cfg.WPU.SchedSlots = k.Slots
-	cfg.WPU.WSTEntries = k.WST
-	cfg.Hier.L1.SizeBytes = k.L1KB * 1024
-	cfg.Hier.L1.Ways = k.L1Assoc
-	cfg.Hier.L2.SizeBytes = k.L2KB * 1024
-	cfg.Hier.L2.LookupLat = engine.Cycle(k.L2Lat)
-	cfg.Dist = k.Dist
-	cfg.WPU = k.Scheme.Apply(cfg.WPU)
-	cfg.WPU.DisableWaitMerge = k.NoWaitMerge
-	cfg.WPU.DisableProgSched = k.NoProgSched
-	cfg.WPU.DisableMemHints = k.NoMemHints
-	cfg.WPU.BranchLazyThreshold = k.BranchThresh
-	return cfg
-}
-
-// key derives the cache key from the benchmark name plus every Knobs
-// field. %#v prints all fields by name, so a newly added knob joins the
-// key without further code; TestKnobKeyCoversAllFields enforces that the
-// rendering actually distinguishes each field.
-func (k Knobs) key(bench string) string {
-	return fmt.Sprintf("%s|%#v", bench, k)
-}
-
-// Key exposes the cache key for one point. The serve layer digests it
-// into result keys, so a result computed by any server process for the
-// same (benchmark, Knobs) point gets the same address.
-func (k Knobs) Key(bench string) string { return k.key(bench) }
 
 // CacheStats counts how Session.Run requests were satisfied.
 type CacheStats struct {

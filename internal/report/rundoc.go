@@ -24,13 +24,16 @@ import (
 // traced runs may attach the latency histograms.
 // v3: wpu.Stats gained the static access-class concordance counters
 // (MemClassAccesses/MemClassTransactions/MemDivHintSkips/MemBoundExceeded).
+// v4: the knobs object carries the names a dwsimd job uses ("l1kb", not
+// "L1KB"; "dist" as "block"/"interleave", not 0/1), so it can be posted
+// back as a job's knobs. Nothing else moved.
 const (
 	// SchemaVersion is the integer revision of the run-metrics layout,
 	// carried as its own field in every document so consumers can dispatch
 	// numerically without parsing the schema strings.
-	SchemaVersion  = 3
-	RunDocSchema   = "dwsim-run-v3"
-	StatsDocSchema = "dwsim-stats-v3"
+	SchemaVersion  = 4
+	RunDocSchema   = "dwsim-run-v4"
+	StatsDocSchema = "dwsim-stats-v4"
 )
 
 // RunDerived holds the headline ratios the paper quotes (§5.5), precomputed

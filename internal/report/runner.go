@@ -1,6 +1,11 @@
 package report
 
-import "sync"
+import (
+	"flag"
+	"fmt"
+	"os"
+	"sync"
+)
 
 // Job names one simulation point: a benchmark under a knob setting.
 type Job struct {
@@ -59,4 +64,26 @@ done:
 	close(feed)
 	wg.Wait()
 	return firstErr
+}
+
+// SessionFlags registers the executor flags every CLI shares (-j,
+// -cachedir, -nocache) on fs and returns the function that, once fs has
+// been parsed, opens the session they describe for the program named prog.
+// A store that cannot be opened is a warning on stderr, not an error: the
+// session then runs without one. The *Store is nil in that case and under
+// -nocache.
+func SessionFlags(fs *flag.FlagSet) func(prog string, opt StoreOptions) (*Session, *Store) {
+	jobs := fs.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	cacheDir := fs.String("cachedir", "", "on-disk result store directory (default ~/.cache/dwsim)")
+	noCache := fs.Bool("nocache", false, "disable the on-disk result store")
+	return func(prog string, opt StoreOptions) (*Session, *Store) {
+		var st *Store
+		if !*noCache {
+			var err error
+			if st, err = OpenStoreWith(*cacheDir, opt); err != nil { // st is nil
+				fmt.Fprintf(os.Stderr, "%s: %v (continuing without the on-disk store)\n", prog, err)
+			}
+		}
+		return NewSession(WithJobs(*jobs), WithStore(st)), st
+	}
 }

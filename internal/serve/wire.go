@@ -4,13 +4,12 @@
 // executes them on a bounded worker pool, and streams observability
 // events and timeline samples for in-flight traced runs over SSE.
 //
-// Wire format. Jobs arrive as JobRequest documents whose knob vector
-// (WireKnobs) mirrors report.Knobs field for field — the mirror is
-// reflection-guarded by TestWireKnobsMirrorsKnobs, so a knob added to the
-// simulator cannot silently become unreachable over the wire. Decoding is
-// strict (unknown fields and trailing garbage rejected, schema version
-// pinned) and every failure maps to a 4xx status via *Error; the decoder
-// is fuzzed (FuzzJobDecode) and must never panic.
+// Wire format. Jobs arrive as JobRequest documents whose knob vector is a
+// report.Knobs under the JSON names that type declares — the same names a
+// result document's knobs object carries, so one can be posted back as the
+// other. Decoding is strict (unknown fields and trailing garbage rejected,
+// schema version pinned) and every failure maps to a 4xx status via
+// *Error; the decoder is fuzzed (FuzzJobDecode) and must never panic.
 //
 // Determinism. The server adds no nondeterminism of its own: job IDs are
 // a logical sequence (j001, j002, ...), result keys are content digests
@@ -28,7 +27,6 @@ import (
 	"net/http"
 
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 	"repro/internal/wpu"
 )
@@ -53,91 +51,19 @@ func badRequest(format string, args ...any) *Error {
 	return &Error{Status: http.StatusBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
 
-// WireKnobs is the JSON mirror of report.Knobs. Zero values select the
-// same defaults the CLI flags do (Table 3), so a minimal request like
+// WireKnobs is a knob vector as a job spells it, before defaulting: absent
+// and zero fields stand for the Table 3 values (see
+// report.Knobs.WithDefaults), so a minimal request like
 // {"bench":"Merge","knobs":{"scheme":"DWS.ReviveSplit"}} denotes exactly
-// the configuration `dwsim -bench Merge -scheme DWS.ReviveSplit` runs,
-// and two requests spelling the same point differently dedupe onto one
-// cache key.
-type WireKnobs struct {
-	WPUs    int    `json:"wpus,omitempty"`
-	Width   int    `json:"width,omitempty"`
-	Warps   int    `json:"warps,omitempty"`
-	Slots   int    `json:"slots,omitempty"`
-	WST     int    `json:"wst,omitempty"`
-	L1KB    int    `json:"l1kb,omitempty"`
-	L1Assoc int    `json:"l1assoc,omitempty"`
-	L2KB    int    `json:"l2kb,omitempty"`
-	L2Lat   int    `json:"l2lat,omitempty"`
-	Scheme  string `json:"scheme,omitempty"`
-	Dist    string `json:"dist,omitempty"` // "", "block", or "interleave"
-	Scale   int    `json:"scale,omitempty"`
+// the configuration `dwsim -bench Merge -scheme DWS.ReviveSplit` runs, and
+// two requests spelling the same point differently dedupe onto one cache
+// key. It has no fields of its own; the type only keeps a vector "as
+// received" apart from one with defaults applied, and its name and method
+// are what the claims benchmark (bench/adapter.go) is pinned to.
+type WireKnobs report.Knobs
 
-	NoWaitMerge  bool `json:"no_wait_merge,omitempty"`
-	NoProgSched  bool `json:"no_prog_sched,omitempty"`
-	NoMemHints   bool `json:"no_mem_hints,omitempty"`
-	BranchThresh int  `json:"branch_thresh,omitempty"`
-}
-
-// wireDefaults are the zero-value substitutions Knobs applies, one per
-// field where 0 is not already the Table 3 default in report.Knobs
-// (there, WPUs/Slots/L1Assoc/Scale/BranchThresh treat 0 as the default
-// downstream).
-var wireDefaults = WireKnobs{
-	Width: 16, Warps: 4, WST: 16, L1KB: 32, L1Assoc: 8, L2KB: 4096, L2Lat: 30,
-}
-
-// Knobs expands the wire form into the simulator's knob vector, applying
-// the CLI defaults for zero-valued fields. It does not validate — see
-// (*JobRequest).Validate — so round-tripping arbitrary vectors stays
-// total.
-func (w WireKnobs) Knobs() report.Knobs {
-	pick := func(v, def int) int {
-		if v == 0 {
-			return def
-		}
-		return v
-	}
-	k := report.Knobs{
-		WPUs:    w.WPUs,
-		Width:   pick(w.Width, wireDefaults.Width),
-		Warps:   pick(w.Warps, wireDefaults.Warps),
-		Slots:   w.Slots,
-		WST:     pick(w.WST, wireDefaults.WST),
-		L1KB:    pick(w.L1KB, wireDefaults.L1KB),
-		L1Assoc: pick(w.L1Assoc, wireDefaults.L1Assoc),
-		L2KB:    pick(w.L2KB, wireDefaults.L2KB),
-		L2Lat:   pick(w.L2Lat, wireDefaults.L2Lat),
-		Scheme:  wpu.Scheme(w.Scheme),
-		Scale:   w.Scale,
-
-		NoWaitMerge:  w.NoWaitMerge,
-		NoProgSched:  w.NoProgSched,
-		NoMemHints:   w.NoMemHints,
-		BranchThresh: w.BranchThresh,
-	}
-	if w.Dist == "interleave" {
-		k.Dist = sim.DistInterleave
-	}
-	return k
-}
-
-// FromKnobs is the inverse mirror: it renders a simulator knob vector in
-// wire form such that FromKnobs(k).Knobs() == k for every valid k (the
-// reflection test walks all fields).
-func FromKnobs(k report.Knobs) WireKnobs {
-	w := WireKnobs{
-		WPUs: k.WPUs, Width: k.Width, Warps: k.Warps, Slots: k.Slots, WST: k.WST,
-		L1KB: k.L1KB, L1Assoc: k.L1Assoc, L2KB: k.L2KB, L2Lat: k.L2Lat,
-		Scheme: string(k.Scheme), Scale: k.Scale,
-		NoWaitMerge: k.NoWaitMerge, NoProgSched: k.NoProgSched,
-		NoMemHints: k.NoMemHints, BranchThresh: k.BranchThresh,
-	}
-	if k.Dist == sim.DistInterleave {
-		w.Dist = "interleave"
-	}
-	return w
-}
+// Knobs returns the point the vector denotes.
+func (w WireKnobs) Knobs() report.Knobs { return report.Knobs(w).WithDefaults() }
 
 // JobRequest is the POST /v1/jobs body.
 type JobRequest struct {
@@ -192,53 +118,16 @@ func DecodeJobRequest(r io.Reader) (*JobRequest, *Error) {
 	return &req, nil
 }
 
-// knownScheme reports whether s names one of the 13 named configurations
-// (wpu.Scheme.Apply panics on anything else, so this is a hard gate).
-func knownScheme(s string) bool {
-	for _, sc := range wpu.AllSchemes {
-		if string(sc) == s {
-			return true
-		}
+// checkKnobs answers 400 for a point over the endpoint's caps or one the
+// simulator cannot build. The caps come first: nothing is derived from a
+// vector before it is known to be small.
+func checkKnobs(k report.Knobs) *Error {
+	err := k.CheckCaps()
+	if err == nil {
+		err = k.Validate()
 	}
-	return false
-}
-
-// validateKnobs bounds every numeric knob to the ranges the sweeps
-// exercise, with headroom. The caps are not about simulator correctness —
-// it would happily build a 1 GiB L1 — but about a public endpoint not
-// accepting jobs whose memory or run time is unbounded.
-func (w WireKnobs) validate() *Error {
-	type bound struct {
-		name string
-		v    int
-		max  int
-	}
-	for _, b := range []bound{
-		{"wpus", w.WPUs, 64},
-		{"width", w.Width, 64},
-		{"warps", w.Warps, 64},
-		{"slots", w.Slots, 64},
-		{"wst", w.WST, 1024},
-		{"l1kb", w.L1KB, 1024},
-		{"l1assoc", w.L1Assoc, 64},
-		{"l2kb", w.L2KB, 65536},
-		{"l2lat", w.L2Lat, 10000},
-		{"scale", w.Scale, 8},
-		{"branch_thresh", w.BranchThresh, 64},
-	} {
-		if b.v < 0 || b.v > b.max {
-			return badRequest("knobs.%s = %d out of range [0, %d]", b.name, b.v, b.max)
-		}
-	}
-	// The slot count the simulator will use, not just the one spelled out:
-	// unset, it is two per warp, and wpu.Config.Validate caps it at 64.
-	if slots := 2 * w.Knobs().Warps; w.Slots == 0 && slots > 64 {
-		return badRequest("knobs.warps = %d defaults knobs.slots to %d, out of range [0, 64]", w.Warps, slots)
-	}
-	switch w.Dist {
-	case "", "block", "interleave":
-	default:
-		return badRequest("knobs.dist = %q (want block or interleave)", w.Dist)
+	if err != nil {
+		return badRequest("knobs: %v", err)
 	}
 	return nil
 }
@@ -249,9 +138,7 @@ func (r *JobRequest) Validate() *Error {
 	if r.SchemaVersion != WireSchemaVersion {
 		return badRequest("schema_version = %d, this server speaks %d", r.SchemaVersion, WireSchemaVersion)
 	}
-	if err := r.Knobs.validate(); err != nil {
-		return err
-	}
+	k := r.Knobs.Knobs()
 	switch r.Kind {
 	case "", "run":
 		if r.Bench == "" {
@@ -266,8 +153,8 @@ func (r *JobRequest) Validate() *Error {
 		if r.Knobs.Scheme == "" {
 			return badRequest("run job: knobs.scheme required")
 		}
-		if !knownScheme(r.Knobs.Scheme) {
-			return badRequest("unknown scheme %q", r.Knobs.Scheme)
+		if err := checkKnobs(k); err != nil {
+			return err
 		}
 	case "sweep":
 		if r.Trace {
@@ -291,8 +178,9 @@ func (r *JobRequest) Validate() *Error {
 			}
 		}
 		for _, s := range r.Schemes {
-			if !knownScheme(s) {
-				return badRequest("unknown scheme %q", s)
+			k.Scheme = wpu.Scheme(s)
+			if err := checkKnobs(k); err != nil {
+				return err
 			}
 		}
 	default:
@@ -311,15 +199,15 @@ func (r *JobRequest) Validate() *Error {
 // deterministic order (benches outer, schemes inner — the sweep's
 // presentation order).
 func (r *JobRequest) Points() []report.Job {
+	k := r.Knobs.Knobs()
 	if r.Kind == "" || r.Kind == "run" {
-		return []report.Job{{Bench: r.Bench, Knobs: r.Knobs.Knobs()}}
+		return []report.Job{{Bench: r.Bench, Knobs: k}}
 	}
 	pts := make([]report.Job, 0, len(r.Benches)*len(r.Schemes))
 	for _, b := range r.Benches {
 		for _, s := range r.Schemes {
-			wk := r.Knobs
-			wk.Scheme = s
-			pts = append(pts, report.Job{Bench: b, Knobs: wk.Knobs()})
+			k.Scheme = wpu.Scheme(s)
+			pts = append(pts, report.Job{Bench: b, Knobs: k})
 		}
 	}
 	return pts

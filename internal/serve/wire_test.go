@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -9,72 +10,75 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/wpu"
 )
 
-// TestWireKnobsMirrorsKnobs is the reflection guard promised by the
-// package comment: every field of report.Knobs must survive the wire
-// round trip FromKnobs(k).Knobs() == k. It mutates each field of a base
-// vector in turn, so a knob added to the simulator but forgotten in
-// WireKnobs (or in either conversion) fails here by name instead of
-// silently becoming unreachable over the wire.
-//
-// The mirror identity holds for vectors whose defaulted fields are
-// nonzero (the wire form spells zero as "use the CLI default"); the base
-// is the expansion of an empty WireKnobs, which has exactly that shape.
-func TestWireKnobsMirrorsKnobs(t *testing.T) {
-	base := WireKnobs{}.Knobs()
-	rt := reflect.TypeOf(report.Knobs{})
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		k := base
-		fv := reflect.ValueOf(&k).Elem().Field(i)
-		switch {
-		case f.Type == reflect.TypeOf(sim.Distribution(0)):
-			fv.Set(reflect.ValueOf(sim.DistInterleave))
-		case f.Type.Kind() == reflect.Int:
-			fv.SetInt(fv.Int() + 1)
-		case f.Type.Kind() == reflect.Bool:
-			fv.SetBool(true)
-		case f.Type.Kind() == reflect.String: // wpu.Scheme
-			fv.SetString("DWS.ReviveSplit")
-		default:
-			t.Fatalf("report.Knobs.%s has kind %s: teach the wire mirror (and this test) about it", f.Name, f.Type.Kind())
-		}
-		if got := FromKnobs(k).Knobs(); got != k {
-			t.Errorf("mutating Knobs.%s does not survive the wire round trip:\n  want %#v\n  got  %#v", f.Name, k, got)
-		}
+// TestWireDefaultsMatchTable3: an empty knob vector on the wire is the
+// Table 3 machine DefaultKnobs returns and the CLIs build, field for field.
+func TestWireDefaultsMatchTable3(t *testing.T) {
+	if got, want := (WireKnobs{}).Knobs(), report.DefaultKnobs(""); got != want {
+		t.Errorf("empty WireKnobs expands to %#v, want the Table 3 defaults %#v", got, want)
 	}
 }
 
-// TestWireKnobsJSONRoundTrip checks the JSON rendering itself is lossless.
-func TestWireKnobsJSONRoundTrip(t *testing.T) {
-	w := FromKnobs(report.DefaultKnobs("DWS.ReviveSplit"))
-	w.Dist = "interleave"
-	w.NoWaitMerge = true
-	w.BranchThresh = 3
-	b, err := json.Marshal(w)
+// TestMinimalJobSharesTheCLIKey: a job that names only a scheme is the
+// point DefaultKnobs names, under the same result key, and is served from
+// a store that dwsreport (which runs DefaultKnobs points) wrote.
+func TestMinimalJobSharesTheCLIKey(t *testing.T) {
+	req, derr := DecodeJobRequest(strings.NewReader(
+		`{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.ReviveSplit"}}`))
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	k := report.DefaultKnobs(wpu.SchemeRevive)
+	pt := req.Points()[0]
+	if pt.Knobs != k {
+		t.Fatalf("minimal job decodes to %#v, want DefaultKnobs %#v", pt.Knobs, k)
+	}
+	if got, want := ResultKey(pt.Bench, pt.Knobs), ResultKey("Filter", k); got != want {
+		t.Fatalf("result key %s, want %s", got, want)
+	}
+
+	dir := t.TempDir()
+	st, err := report.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got WireKnobs
-	if err := json.Unmarshal(b, &got); err != nil {
+	if _, err := report.NewSession(report.WithStore(st)).Run("Filter", k); err != nil {
 		t.Fatal(err)
 	}
-	if got != w {
-		t.Errorf("JSON round trip lost knobs:\n  sent %#v\n  got  %#v", w, got)
+	st2, err := report.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := report.NewSession(report.WithStore(st2))
+	if _, err := s.Run(pt.Bench, pt.Knobs); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Stats(); c.Misses != 0 || c.DiskHits != 1 {
+		t.Errorf("job re-simulated a stored point: %+v", c)
 	}
 }
 
-// TestWireDefaultsMatchTable3 pins the zero-value substitutions to the
-// Table 3 defaults DefaultKnobs encodes, so a minimal request denotes the
-// same machine the CLI builds.
-func TestWireDefaultsMatchTable3(t *testing.T) {
-	got := WireKnobs{}.Knobs()
-	want := report.DefaultKnobs("")
-	// The wire form leaves "0 means default downstream" fields at zero.
-	want.WPUs = 0
-	if got != want {
-		t.Errorf("empty WireKnobs expands to %#v, want the Table 3 defaults %#v", got, want)
+// TestResultKnobsPostBack: the knobs object of a result document, posted
+// as a job's knobs, names the point the result is for.
+func TestResultKnobsPostBack(t *testing.T) {
+	k := report.DefaultKnobs(wpu.SchemeRevive)
+	k.Dist, k.Slots, k.L2Lat, k.Scale, k.NoMemHints, k.BranchThresh = sim.DistInterleave, 6, 100, 2, true, 3
+	var doc struct {
+		Bench string          `json:"bench"`
+		Knobs json.RawMessage `json:"knobs"`
+	}
+	if err := json.Unmarshal(RenderResultDoc(report.Result{Bench: "Filter", Scheme: k.Scheme}, k), &doc); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"schema_version":1,"bench":%q,"knobs":%s}`, doc.Bench, doc.Knobs)
+	req, derr := DecodeJobRequest(strings.NewReader(body))
+	if derr != nil {
+		t.Fatalf("%s: %s", body, derr.Msg)
+	}
+	if got := req.Points()[0]; got.Bench != "Filter" || got.Knobs != k {
+		t.Errorf("posted back %s\n got %#v\nwant %#v", doc.Knobs, got.Knobs, k)
 	}
 }
 

@@ -29,6 +29,31 @@ const (
 	DistInterleave
 )
 
+// MarshalText and UnmarshalText give a Distribution one spelling, "block"
+// or "interleave", as a JSON value and as a command-line flag.
+func (d Distribution) MarshalText() ([]byte, error) {
+	switch d {
+	case DistBlock:
+		return []byte("block"), nil
+	case DistInterleave:
+		return []byte("interleave"), nil
+	}
+	return nil, fmt.Errorf("sim: unknown distribution %d", int(d))
+}
+
+// UnmarshalText also reads the empty string as DistBlock, the default.
+func (d *Distribution) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "", "block":
+		*d = DistBlock
+	case "interleave":
+		*d = DistInterleave
+	default:
+		return fmt.Errorf("dist %q (want block or interleave)", b)
+	}
+	return nil
+}
+
 // Config describes the whole machine.
 type Config struct {
 	WPUs int
