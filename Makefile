@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke cli-smoke loc profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke cli-smoke loc oracles profile profile-diff report metrics trace update-goldens serve
 
 ci: fmt-check vet lint build race test cli-smoke bench-check claims-smoke
 
@@ -22,7 +22,7 @@ dwsverify:
 # Regenerate every golden file in one pass (all golden-pinned tests take
 # the same -update flag): obs exports, report run-doc and exhibit
 # goldens, and the workloads analysis reports (divergence, memory access,
-# cost model).
+# cost model) and scheduling-dump digests.
 update-goldens:
 	$(GO) test ./internal/obs/... ./internal/report/... ./internal/workloads/... ./internal/serve/... -update
 
@@ -69,8 +69,9 @@ claims-smoke:
 	sh bench/run.sh -smoke
 
 # The command-line programs on bad input: -h exits 0 or 2, and an unknown
-# scheme, a zero cache size or an unknown -param is one line on stderr and
-# exit status 1, never a panic (cmd/smoke_test.go; `make test` runs it too).
+# scheme, a zero cache size, an unknown -param or an unknown exhibit id is
+# one line on stderr and exit status 1, never a panic (cmd/smoke_test.go;
+# `make test` runs it too).
 # -count=1 because the test builds and runs the programs as child processes,
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:
@@ -82,6 +83,28 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# Everything the simulator prints that a refactor must not move, as one
+# directory: run it at the parent commit and at the change, then
+# `diff -r` the two. Full report stdout at -j 1 (with every CSV) and -j 8,
+# the three static-analysis reports, one run and the disassembly of every
+# benchmark, and a scheduling-state dump every 2000 cycles (split ids, masks, PCs, states)
+# of two divergent kernels under four schemes — the only output that sees
+# the order splits are created and merged in. About two minutes on two
+# cores; stderr (timing lines) is not captured.
+ORACLE_BENCHES = KMeans Merge
+ORACLE_SCHEMES = DWS.ReviveSplit DWS.PredictiveSplit DWS.AggressSplit.BL Slip.BranchBypass
+oracles:
+	@test -n "$(OUT)" || { echo "usage: make oracles OUT=dir"; exit 1; }
+	mkdir -p $(OUT)/csv
+	$(GO) run ./cmd/dwsreport -nocache -j 1 -csv $(OUT)/csv > $(OUT)/report.j1.txt
+	$(GO) run ./cmd/dwsreport -nocache -j 8 > $(OUT)/report.j8.txt
+	$(GO) run ./cmd/dwsim -bench all -nocache > $(OUT)/dwsim.all.txt
+	$(GO) run ./cmd/dwsim -bench all -disasm > $(OUT)/dwsim.disasm.txt
+	$(GO) run ./cmd/dwsverify -divergence -memaccess -costmodel > $(OUT)/dwsverify.txt
+	for b in $(ORACLE_BENCHES); do for s in $(ORACLE_SCHEMES); do \
+		$(GO) run ./cmd/dwstrace -bench $$b -scheme $$s -every 2000 > $(OUT)/dwstrace.$$b.$$s.txt || exit 1; \
+	done; done
 
 # Profile one live simulation (cpu.pprof + mem.pprof); inspect with e.g.
 #   go tool pprof -top cpu.pprof

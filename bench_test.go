@@ -241,31 +241,11 @@ func BenchmarkFullReportShort(b *testing.B) {
 	}
 }
 
-// runFullReport regenerates every exhibit into io.Discard.
+// runFullReport regenerates every exhibit (quick Figure 18 grid) into
+// io.Discard.
 func runFullReport(s *report.Session) error {
-	w := io.Discard
-	steps := []func() error{
-		func() error { _, err := s.Table1(w); return err },
-		func() error { _, err := s.Figure1a(w); return err },
-		func() error { _, err := s.Figure1b(w); return err },
-		func() error { _, err := s.Figure1c(w); return err },
-		func() error { _, err := s.Figure7(w); return err },
-		func() error { _, err := s.Figure11(w); return err },
-		func() error { _, err := s.Figure13(w); return err },
-		func() error { return s.Headline(w) },
-		func() error { _, err := s.Figure14(w); return err },
-		func() error { _, err := s.Figure15(w); return err },
-		func() error { _, err := s.Figure16(w); return err },
-		func() error { _, err := s.Figure17(w); return err },
-		func() error { _, err := s.Figure18(w, true); return err },
-		func() error { _, err := s.Figure19(w); return err },
-		func() error { _, err := s.Figure20(w); return err },
-		func() error { _, err := s.Figure21(w); return err },
-		func() error { _, err := s.StallBreakdown(w); return err },
-		func() error { _, err := s.Ablation(w); return err },
-	}
-	for _, f := range steps {
-		if err := f(); err != nil {
+	for _, e := range report.Exhibits {
+		if err := e.Run(s, io.Discard, "", true); err != nil {
 			return err
 		}
 	}

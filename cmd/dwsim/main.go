@@ -226,12 +226,13 @@ func disasm(name string, k report.Knobs) error {
 		return err
 	}
 	seen := map[string]bool{}
-	for _, st := range inst.Steps() {
-		if seen[st.Prog.Name] {
+	progs, _ := inst.Launches()
+	for _, p := range progs {
+		if seen[p.Name] {
 			continue
 		}
-		seen[st.Prog.Name] = true
-		fmt.Printf("== %s ==\n%s\n", st.Prog.Name, st.Prog.Disassemble())
+		seen[p.Name] = true
+		fmt.Printf("== %s ==\n%s\n", p.Name, p.Disassemble())
 	}
 	return nil
 }

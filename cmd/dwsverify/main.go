@@ -112,8 +112,9 @@ func buildPrograms(spec workloads.Spec) (progs map[string]*program.Program, err 
 		return nil, err
 	}
 	progs = make(map[string]*program.Program)
-	for _, st := range inst.Steps() {
-		progs[st.Prog.Name] = st.Prog
+	launched, _ := inst.Launches()
+	for _, p := range launched {
+		progs[p.Name] = p
 	}
 	return progs, nil
 }

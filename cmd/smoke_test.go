@@ -59,6 +59,7 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsweep", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-alt", "Nope"},
 		{"dwstrace", "-bench", "Filter", "-scheme", "Nope"},
+		{"dwsreport", "-nocache", "-only", "nosuch"},
 	} {
 		t.Run(strings.Join(tc, " "), func(t *testing.T) {
 			code, stderr := run(t, tc[0], tc[1:]...)

@@ -68,11 +68,12 @@ func staticBenchCosts(cfg sim.Config) (map[string]*benchCost, error) {
 		out[spec.Name] = bc
 		var predW [4]float64
 		var wsum float64
-		for _, st := range inst.Steps() {
-			k := mkey{st.Prog, len(st.Threads)}
+		progs, threads := inst.Launches()
+		for i, p := range progs {
+			k := mkey{p, threads[i]}
 			m := models[k]
 			if m == nil {
-				m = st.Prog.CostModelFor(sim.CostParamsFor(cfg, len(st.Threads)))
+				m = p.CostModelFor(sim.CostParamsFor(cfg, threads[i]))
 				models[k] = m
 			}
 			bc.tickLo += m.Ticks.Lo

@@ -48,12 +48,13 @@ func staticClassSites() ([program.NumAccessClasses]int, error) {
 		if err != nil {
 			return sites, fmt.Errorf("%s: %w", spec.Name, err)
 		}
-		for _, st := range inst.Steps() {
-			if seen[st.Prog.Name] {
+		progs, _ := inst.Launches()
+		for _, p := range progs {
+			if seen[p.Name] {
 				continue
 			}
-			seen[st.Prog.Name] = true
-			for _, a := range st.Prog.MemAccesses() {
+			seen[p.Name] = true
+			for _, a := range p.MemAccesses() {
 				sites[a.AClass]++
 			}
 		}

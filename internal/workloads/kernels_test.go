@@ -26,8 +26,9 @@ func kernelPrograms(t *testing.T) map[string]*program.Program {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		for _, st := range inst.Steps() {
-			out[st.Prog.Name] = st.Prog
+		progs, _ := inst.Launches()
+		for _, p := range progs {
+			out[p.Name] = p
 		}
 	}
 	return out

@@ -60,8 +60,18 @@ func (in *Instance) Verify() error {
 	return nil
 }
 
-// Steps materialises the launch plan, register files included (used by
-// characterisation tooling; Run itself never builds it).
+// Launches returns the launch plan without its register files: launch i runs
+// progs[i] on threads[i] threads. It is the one enumerator behind the tools
+// that inspect a workload's kernels instead of running them.
+func (in *Instance) Launches() (progs []*program.Program, threads []int) {
+	for _, st := range in.steps {
+		progs, threads = append(progs, st.prog), append(threads, st.n)
+	}
+	return progs, threads
+}
+
+// Steps materialises the launch plan, register files included (for callers
+// that launch the kernels themselves; Run never builds it).
 func (in *Instance) Steps() []Step {
 	steps := make([]Step, len(in.steps))
 	for i, st := range in.steps {

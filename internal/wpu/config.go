@@ -254,76 +254,48 @@ const (
 	SchemeSlipBranchBypass Scheme = "Slip.BranchBypass"
 )
 
-// AllSchemes lists every named configuration in presentation order.
-var AllSchemes = []Scheme{
-	SchemeConv,
-	SchemeBranchOnlyStack,
-	SchemeBranchOnly,
-	SchemeAggressBL,
-	SchemeLazyBL,
-	SchemeReviveBL,
-	SchemeReviveMemOnly,
-	SchemeAggress,
-	SchemeLazy,
-	SchemeRevive,
-	SchemePredictive,
-	SchemeSlip,
-	SchemeSlipBranchBypass,
+// schemes is the one table of named configurations, in presentation order:
+// each scheme's name and the five policy fields it sets.
+var schemes = []struct {
+	name   Scheme
+	branch bool // SubdivideOnBranch
+	pc     bool // PCReconv
+	mem    MemScheme
+	reconv MemReconv
+	slip   SlipMode
+}{
+	{SchemeConv, false, false, MemNone, BranchBypass, SlipOff},
+	{SchemeBranchOnlyStack, true, false, MemNone, BranchBypass, SlipOff},
+	{SchemeBranchOnly, true, true, MemNone, BranchBypass, SlipOff},
+	{SchemeAggressBL, false, true, AggressSplit, BranchLimited, SlipOff},
+	{SchemeLazyBL, false, true, LazySplit, BranchLimited, SlipOff},
+	{SchemeReviveBL, false, true, ReviveSplit, BranchLimited, SlipOff},
+	{SchemeReviveMemOnly, false, true, ReviveSplit, BranchBypass, SlipOff},
+	{SchemeAggress, true, true, AggressSplit, BranchBypass, SlipOff},
+	{SchemeLazy, true, true, LazySplit, BranchBypass, SlipOff},
+	{SchemeRevive, true, true, ReviveSplit, BranchBypass, SlipOff},
+	{SchemePredictive, true, true, PredictiveSplit, BranchBypass, SlipOff},
+	{SchemeSlip, false, false, MemNone, BranchBypass, SlipOn},
+	{SchemeSlipBranchBypass, true, true, MemNone, BranchBypass, SlipBranchBypass},
 }
+
+// AllSchemes lists every named configuration in presentation order.
+var AllSchemes = func() []Scheme {
+	all := make([]Scheme, len(schemes))
+	for i, row := range schemes {
+		all[i] = row.name
+	}
+	return all
+}()
 
 // Apply overlays the scheme's policy settings onto a base configuration.
 func (s Scheme) Apply(c Config) Config {
-	c.SubdivideOnBranch = false
-	c.PCReconv = false
-	c.MemScheme = MemNone
-	c.MemReconv = BranchBypass
-	c.Slip = SlipOff
-	switch s {
-	case SchemeConv:
-	case SchemeBranchOnlyStack:
-		c.SubdivideOnBranch = true
-	case SchemeBranchOnly:
-		c.SubdivideOnBranch = true
-		c.PCReconv = true
-	case SchemeAggressBL:
-		c.MemScheme = AggressSplit
-		c.MemReconv = BranchLimited
-		c.PCReconv = true
-	case SchemeLazyBL:
-		c.MemScheme = LazySplit
-		c.MemReconv = BranchLimited
-		c.PCReconv = true
-	case SchemeReviveBL:
-		c.MemScheme = ReviveSplit
-		c.MemReconv = BranchLimited
-		c.PCReconv = true
-	case SchemeReviveMemOnly:
-		c.MemScheme = ReviveSplit
-		c.PCReconv = true
-	case SchemeAggress:
-		c.SubdivideOnBranch = true
-		c.PCReconv = true
-		c.MemScheme = AggressSplit
-	case SchemeLazy:
-		c.SubdivideOnBranch = true
-		c.PCReconv = true
-		c.MemScheme = LazySplit
-	case SchemeRevive:
-		c.SubdivideOnBranch = true
-		c.PCReconv = true
-		c.MemScheme = ReviveSplit
-	case SchemePredictive:
-		c.SubdivideOnBranch = true
-		c.PCReconv = true
-		c.MemScheme = PredictiveSplit
-	case SchemeSlip:
-		c.Slip = SlipOn
-	case SchemeSlipBranchBypass:
-		c.Slip = SlipBranchBypass
-		c.SubdivideOnBranch = true
-		c.PCReconv = true
-	default:
-		panic("wpu: unknown scheme " + string(s))
+	for _, row := range schemes {
+		if row.name == s {
+			c.SubdivideOnBranch, c.PCReconv = row.branch, row.pc
+			c.MemScheme, c.MemReconv, c.Slip = row.mem, row.reconv, row.slip
+			return c
+		}
 	}
-	return c
+	panic("wpu: unknown scheme " + string(s))
 }

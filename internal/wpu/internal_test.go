@@ -448,3 +448,73 @@ func TestWSTBoundNeverExceeded(t *testing.T) {
 		t.Fatalf("PeakSplits = %d > bound", w.Stats.PeakSplits)
 	}
 }
+
+// fork is the one subdivision mechanism: every trigger's scope, stack and
+// progress bookkeeping is this function's.
+func TestFork(t *testing.T) {
+	outer := &SyncScope{reconvPC: 17}
+	for _, tc := range []struct {
+		name      string
+		private   bool // s carries a serialised branch on its stack
+		limit     bool
+		wantScope bool // a new scope is created (else the old one is inherited)
+		wantPC    int  // its reconvPC: syncPC() before the narrowing
+	}{
+		{"base stack", false, false, false, 0},
+		{"base stack, limit", false, true, true, 17},
+		{"private stack", true, false, true, 42},
+		{"private stack, limit", true, true, true, 42},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, _, _ := newBareWPU(t, Config{Warps: 1, Width: 4})
+			launchSimple(t, w, haltOnly(t), 4, nil)
+			s := w.warps[0].splits[0]
+			s.scope, s.prog, s.pc = outer, 9, 5
+			if tc.private {
+				s.stack = append(s.stack, StackEntry{ReconvPC: 42, PC: 5, Mask: 0xF})
+			}
+			oldStack, slot, id := s.stack, s.slotIdx, w.nextSplitID
+			if got := s.syncPC(); tc.wantScope && got != tc.wantPC {
+				t.Fatalf("syncPC before fork = %d, want %d", got, tc.wantPC)
+			}
+
+			sib := w.fork(s, tc.limit, 0x3, 7, 0xC, 6)
+
+			if s.mask != 0x3 || s.pc != 7 || !s.baseStack() || s.stack[0] != (StackEntry{ReconvPC: program.NoIPdom, PC: 7, Mask: 0x3}) {
+				t.Errorf("parent not narrowed to 0x3@7 at base stack: %v stack %+v", s, s.stack)
+			}
+			if !s.resident || s.slotIdx != slot || w.slots[slot] != s {
+				t.Errorf("parent lost its scheduler slot")
+			}
+			if sib.mask != 0xC || sib.pc != 6 || !sib.baseStack() || sib.state != Ready || sib.prog != 9 {
+				t.Errorf("sibling = %v prog %d, want ready 0xC@6 with the parent's progress 9", sib, sib.prog)
+			}
+			if sib.id != id+1 || sib.resident || w.splitCount != 1 {
+				t.Errorf("sibling must be the next id and not yet added: id %d (was %d), resident %v, splitCount %d",
+					sib.id, id, sib.resident, w.splitCount)
+			}
+			if sib.scope != s.scope {
+				t.Fatalf("siblings in different scopes")
+			}
+			if !tc.wantScope {
+				if s.scope != outer {
+					t.Errorf("scope not inherited")
+				}
+				if &s.stack[0] != &oldStack[0] {
+					t.Errorf("parent's own stack slice was replaced without a freeze")
+				}
+				return
+			}
+			sc := s.scope
+			if sc == outer || sc.parent != outer || sc.warp != s.warp {
+				t.Fatalf("new scope %+v must nest in the old one", sc)
+			}
+			if sc.reconvPC != tc.wantPC || sc.limitControl != tc.limit || sc.expected != 0xF || sc.arrived != 0 {
+				t.Errorf("scope = %+v, want reconvPC %d limit %v expected 0xF", sc, tc.wantPC, tc.limit)
+			}
+			if len(sc.frozen) != len(oldStack) || &sc.frozen[0] != &oldStack[0] || &s.stack[0] == &oldStack[0] {
+				t.Errorf("the old stack must move into the scope and the parent get another")
+			}
+		})
+	}
+}

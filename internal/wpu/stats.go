@@ -122,13 +122,13 @@ func (s *Stats) CycleBuckets() [8]uint64 {
 }
 
 // MemStallCycles returns the cycles stalled on memory: the sum of the
-// coherent and divergent sub-buckets (the legacy StallMemCycles rollup).
+// coherent and divergent sub-buckets (the timeline sampler's rollup).
 func (s *Stats) MemStallCycles() uint64 {
 	return s.StallMemCoherent + s.StallMemDivergent
 }
 
-// StallOtherCycles returns the non-memory stall cycles (the legacy
-// StallOtherCyc rollup over the finer-grained buckets).
+// StallOtherCycles returns the non-memory stall cycles (the timeline
+// sampler's rollup over the finer-grained buckets).
 func (s *Stats) StallOtherCycles() uint64 {
 	return s.StallBarrier + s.StallICache + s.StallWSTFull + s.StallSlotWait + s.IdleNoLiveWarp
 }

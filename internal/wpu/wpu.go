@@ -548,181 +548,6 @@ func (w *WPU) resetStack(s *Split, frozen bool, pc int, mask Mask) {
 	s.stack[0] = StackEntry{ReconvPC: program.NoIPdom, PC: pc, Mask: mask}
 }
 
-// addSplit registers a split in the warp and gives it a scheduler slot if
-// one is free; otherwise it queues for one.
-func (w *WPU) addSplit(s *Split) {
-	s.warp.splits = append(s.warp.splits, s)
-	w.splitCount++
-	if w.splitCount > w.Stats.PeakSplits {
-		w.Stats.PeakSplits = w.splitCount
-	}
-	w.acquireSlot(s)
-}
-
-// acquireSlot makes s resident when a slot is free, else queues it.
-func (w *WPU) acquireSlot(s *Split) {
-	if s.resident || s.state == Dead {
-		return
-	}
-	for i := range w.slots {
-		if w.slots[i] == nil {
-			w.slots[i] = s
-			s.resident = true
-			s.slotIdx = i
-			w.syncProg(s)
-			if s.state == Ready {
-				w.readyMask |= 1 << uint(i)
-			}
-			return
-		}
-	}
-	w.Stats.SlotWaits++
-	w.slotWait = append(w.slotWait, s)
-	s.queued = true
-	if s.state == Ready {
-		w.slotWaitReady++
-	}
-}
-
-// releaseSlot takes s out of the scheduler (it hit a synchronization
-// point, §6.6) and admits a waiting split.
-func (w *WPU) releaseSlot(s *Split) {
-	if !s.resident {
-		return
-	}
-	s.resident = false
-	i := s.slotIdx
-	w.slots[i] = nil
-	w.readyMask &^= 1 << uint(i)
-	w.admitWaiter(i)
-}
-
-// removeSplit retires a split, freeing its slot and admitting a waiter.
-func (w *WPU) removeSplit(s *Split) {
-	sp := s.warp.splits
-	for i := range sp {
-		if sp[i] == s {
-			s.warp.splits = append(sp[:i], sp[i+1:]...)
-			break
-		}
-	}
-	w.splitCount--
-	if w.cur == s {
-		w.cur = nil
-	}
-	w.releaseSlot(s)
-	if s.state == AtBarrier {
-		w.atBarrier--
-	}
-	if s.state == WaitMem || s.state == WaitSlip {
-		w.memWait--
-		if s.waitDiv {
-			w.memWaitDiv--
-		}
-	}
-	if w.trace != nil {
-		w.trace.Hists.SplitLife.Record(uint64(w.q.Now() - s.born))
-	}
-	if s.queued && s.state == Ready {
-		w.slotWaitReady--
-	}
-	s.state = Dead
-	// Recycle the stack: dead splits may live on as wait-merge forwarding
-	// stubs (mergedInto), but forwarding never touches the stack. Nil it so
-	// any unexpected use fails fast instead of corrupting a reused slice.
-	if s.stack != nil {
-		w.stackPool = append(w.stackPool, s.stack)
-		s.stack = nil
-	}
-}
-
-func (w *WPU) admitWaiter(slot int) {
-	for w.slotWaitHead < len(w.slotWait) {
-		c := w.slotWait[w.slotWaitHead]
-		w.slotWait[w.slotWaitHead] = nil
-		if w.slotWaitHead++; w.slotWaitHead == len(w.slotWait) {
-			w.slotWait = w.slotWait[:0]
-			w.slotWaitHead = 0
-		}
-		c.queued = false
-		if c.state == Ready {
-			w.slotWaitReady--
-		}
-		if c.state == Dead || c.resident {
-			continue
-		}
-		w.slots[slot] = c
-		c.resident = true
-		c.slotIdx = slot
-		w.syncProg(c)
-		if c.state == Ready {
-			w.readyMask |= 1 << uint(slot)
-		}
-		return
-	}
-}
-
-// syncProg mirrors a resident split's progress counter into the dense
-// slotProg row scanned by pickNext. Every prog mutation of a split
-// that may hold a slot must be followed by a call here.
-func (w *WPU) syncProg(s *Split) {
-	if s.resident {
-		w.slotProg[s.slotIdx] = s.prog<<6 | uint64(s.slotIdx&63)
-	}
-}
-
-// setState transitions a split's scheduling state, keeping the ready-slot
-// bitmask in sync for resident splits. Every transition of a split that may
-// hold a slot must go through here.
-func (w *WPU) setState(s *Split, st SplitState) {
-	wasWait := s.state == WaitMem || s.state == WaitSlip
-	isWait := st == WaitMem || st == WaitSlip
-	if wasWait != isWait {
-		if isWait {
-			w.memWait++
-			if s.waitDiv {
-				w.memWaitDiv++
-			}
-			s.waitSince = w.q.Now()
-		} else {
-			w.memWait--
-			if s.waitDiv {
-				w.memWaitDiv--
-				s.waitDiv = false
-			}
-		}
-	}
-	if s.queued {
-		if s.state == Ready {
-			w.slotWaitReady--
-		}
-		if st == Ready {
-			w.slotWaitReady++
-		}
-	}
-	s.state = st
-	if s.resident {
-		if st == Ready {
-			w.readyMask |= 1 << uint(s.slotIdx)
-		} else {
-			w.readyMask &^= 1 << uint(s.slotIdx)
-		}
-	}
-}
-
-// wstRoom reports whether the warp-split table can accept one more entry.
-func (w *WPU) wstRoom() bool {
-	if w.splitCount < w.cfg.WSTEntries {
-		return true
-	}
-	w.Stats.WSTFullRefusals++
-	w.wstFullAt = w.q.Now() + 1
-	if w.trace != nil {
-		w.emit(obs.EvWSTRefusal, -1, -1, 0, 0)
-	}
-	return false
-}
-
 // Tick advances the WPU by one cycle: issue one instruction from the
 // current SIMD group, or pick another ready group, or stall.
 func (w *WPU) Tick() {
@@ -755,137 +580,6 @@ func (w *WPU) Tick() {
 	if !w.issueOne(w.cur) {
 		w.stallCycle()
 	}
-}
-
-// stallCycle attributes one non-issuing cycle to exactly one taxonomy
-// bucket. The ladder is priority-ordered: front-end and scheduler-structure
-// stalls (icache refill, WST full, slot wait) mask the underlying memory
-// wait because removing them would let the cycle do useful work regardless
-// of the outstanding misses; among memory waits, one divergent waiter makes
-// the cycle divergent (the subdivision mechanisms target exactly those).
-func (w *WPU) stallCycle() {
-	// memWait counts WaitMem/WaitSlip splits, so the common classification
-	// is O(1); fall-behind slip groups (possible only in slip modes) still
-	// need the scan when no split is waiting. memBound reproduces the legacy
-	// memory-stall predicate exactly — intervalWait feeds adaptSlip, whose
-	// inputs must not shift.
-	memBound := w.memWait > 0
-	if !memBound && w.cfg.Slip != SlipOff {
-		memBound = w.anySlipped()
-	}
-	if memBound {
-		w.intervalWait++
-	}
-	now := w.q.Now()
-	switch {
-	case now < w.fetchStallUntil:
-		w.Stats.StallICache++
-	case w.wstFullAt == now+1:
-		w.Stats.StallWSTFull++
-	case w.readyWaiterQueued():
-		w.Stats.StallSlotWait++
-	case w.memWaitDiv > 0:
-		w.Stats.StallMemDivergent++
-	case w.memWait > 0:
-		w.Stats.StallMemCoherent++
-	case memBound:
-		// Only slip fall-behind groups are outstanding: threads left behind
-		// by a divergent access.
-		w.Stats.StallMemDivergent++
-	case w.atBarrier > 0:
-		w.Stats.StallBarrier++
-	default:
-		w.Stats.IdleNoLiveWarp++
-	}
-}
-
-// anySlipped reports whether any split carries fall-behind slip groups.
-func (w *WPU) anySlipped() bool {
-	for _, warp := range w.warps {
-		for _, s := range warp.splits {
-			if len(s.slipped) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// readyWaiterQueued reports whether a runnable split is queued for a
-// scheduler slot — the stall would clear with more slots, not faster
-// memory. The slotWaitReady counter makes this O(1); scanning slotWait
-// here cost ~40% of full-report wall time in the small-slot sweeps.
-func (w *WPU) readyWaiterQueued() bool {
-	return w.slotWaitReady > 0
-}
-
-// pickNext selects the ready resident SIMD group whose threads have
-// retired the fewest instructions, starting the scan round-robin for
-// determinism and cross-warp fairness. Least-progressed-first keeps
-// divergent siblings near-lockstep — the interleaving of Figure 6d — so
-// they re-converge promptly instead of chasing each other through loops.
-// It scans the ready-slot bitmask, visiting only ready slots: round-robin
-// start, least-progressed wins, earlier slot in round-robin order breaks
-// ties. Splitting the mask at rrNext preserves the rotation: bits at or
-// past rrNext scan first.
-func (w *WPU) pickNext() *Split {
-	m := w.readyMask
-	if m == 0 {
-		return nil
-	}
-	n := len(w.slots)
-	if m&(m-1) == 0 {
-		// One ready slot: every policy picks it.
-		idx := bits.TrailingZeros64(m)
-		w.rrNext = idx + 1
-		if w.rrNext >= n {
-			w.rrNext = 0
-		}
-		return w.slots[idx]
-	}
-	// rrNext is always wrapped into [0, n) ⊆ [0, 63]; the &63 lets the
-	// compiler drop the oversized-shift guards.
-	r := uint(w.rrNext) & 63
-	hi := m >> r << r
-	lo := m ^ hi
-	if w.cfg.DisableProgSched {
-		// Ablation: plain round-robin — first ready in rotation.
-		part := hi
-		if part == 0 {
-			part = lo
-		}
-		idx := bits.TrailingZeros64(part)
-		w.rrNext = idx + 1
-		if w.rrNext >= n {
-			w.rrNext = 0
-		}
-		return w.slots[idx]
-	}
-	// Least-progressed scan over the dense packed slotProg row: a pure
-	// min-reduction per partition (compiled to CMOV — no data-dependent
-	// branch), with the winning slot index recovered from the low bits.
-	// A lower slot index wins prog ties within a partition, matching the
-	// scan order; across partitions hi wins ties, so lo's winner is taken
-	// only on strictly smaller prog.
-	prog := (*[64]uint64)(w.slotProg)
-	bestHi := ^uint64(0)
-	for b := hi; b != 0; b &= b - 1 {
-		bestHi = min(bestHi, prog[bits.TrailingZeros64(b)&63])
-	}
-	bestLo := ^uint64(0)
-	for b := lo; b != 0; b &= b - 1 {
-		bestLo = min(bestLo, prog[bits.TrailingZeros64(b)&63])
-	}
-	best := bestHi
-	if bestLo>>6 < bestHi>>6 {
-		best = bestLo
-	}
-	idx := int(best & 63)
-	w.rrNext = idx + 1
-	if w.rrNext >= n {
-		w.rrNext = 0
-	}
-	return w.slots[idx]
 }
 
 // issueOne executes one instruction for the split's active mask. It
@@ -1149,9 +843,6 @@ func (w *WPU) execBranch(s *Split, d *isa.Decoded) {
 			s.pc++
 		}
 		w.postPCUpdate(s)
-		if s.state == Ready && w.cfg.PCReconv {
-			w.tryPCMerge(s)
-		}
 		return
 	}
 
@@ -1172,9 +863,6 @@ func (w *WPU) execBranch(s *Split, d *isa.Decoded) {
 			s.pc++
 		}
 		w.postPCUpdate(s)
-		if s.state == Ready && w.cfg.PCReconv {
-			w.tryPCMerge(s)
-		}
 		return
 	}
 
@@ -1222,39 +910,6 @@ func (w *WPU) execBranch(s *Split, d *isa.Decoded) {
 	)
 	s.pc = int(d.Target)
 	s.mask = taken
-	w.postPCUpdate(s)
-}
-
-// subdivideBranch forks s into two concurrently schedulable warp-splits
-// (§4.2). If s carries a private stack it is frozen into a sync scope whose
-// re-convergence PC is the post-dominator on top of the stack (§4.4).
-func (w *WPU) subdivideBranch(s *Split, taken, notTaken Mask, target int) {
-	w.Stats.BranchSubdivisions++
-	if w.trace != nil {
-		w.emit(obs.EvBranchSubdiv, s.warp.id, s.pc, taken, notTaken)
-	}
-	scope := s.scope
-	frozen := !s.baseStack()
-	if frozen {
-		scope = w.scopes.put(SyncScope{
-			warp:     s.warp,
-			reconvPC: s.syncPC(),
-			expected: s.mask,
-			frozen:   s.stack,
-			parent:   s.scope,
-		})
-	}
-	fallthrough_ := s.pc + 1
-	// The taken path keeps the split object (and its scheduler slot).
-	s.mask = taken
-	s.pc = target
-	w.resetStack(s, frozen, target, taken)
-	s.scope = scope
-
-	nt := w.newSplit(s.warp, notTaken, fallthrough_, scope)
-	nt.prog = s.prog
-	w.addSplit(nt)
-	w.postPCUpdate(nt)
 	w.postPCUpdate(s)
 }
 
@@ -1377,191 +1032,6 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 	w.tryWaitMerge(s)
 }
 
-// tryWaitMerge applies PC-based re-convergence to SIMD groups suspended at
-// the same PC (§4.5 compares PCs when memory instructions execute; groups
-// that fell into phase-lock — e.g. a run-ahead and a fall-behind streaming
-// the same loop one miss apart — re-unite here). Freshly subdivided pairs
-// are exempt: their whole point is to wait separately.
-func (w *WPU) tryWaitMerge(s *Split) {
-	if w.cfg.DisableWaitMerge {
-		return
-	}
-	if !w.cfg.PCReconv || s.state != WaitMem || !s.baseStack() || s.memSince == 0 {
-		return
-	}
-	for i := 0; i < len(s.warp.splits); i++ {
-		o := s.warp.splits[i]
-		// Re-unite with siblings suspended at the same PC, and with ready
-		// siblings parked there (they pay the remainder of s's wait — a few
-		// cycles for hits; ReviveSplit re-splits them if it drags on).
-		if o == s || (o.state != WaitMem && o.state != Ready) || o.pc != s.pc ||
-			o.scope != s.scope || !o.baseStack() || o.memSince == 0 {
-			continue
-		}
-		s.mask |= o.mask
-		s.pending |= o.pending
-		s.stack[0].Mask = s.mask
-		if o.state == WaitMem {
-			if o.waitDiv && !s.waitDiv {
-				// The survivor now waits on a divergent access too; o's own
-				// count is released by removeSplit below.
-				s.waitDiv = true
-				w.memWaitDiv++
-			}
-			if w.trace != nil {
-				w.trace.Hists.WaitMergeWait.Record(uint64(w.q.Now() - o.waitSince))
-			}
-		}
-		if o.prog > s.prog {
-			s.prog = o.prog
-			w.syncProg(s)
-		}
-		s.slipped = append(s.slipped, o.slipped...)
-		s.parked = append(s.parked, o.parked...)
-		for _, e := range o.slipped {
-			e.split = s
-		}
-		o.slipped = nil
-		o.parked = nil
-		o.mergedInto = s
-		o.scope = nil
-		w.removeSplit(o)
-		w.Stats.WaitMerges++
-		if w.trace != nil {
-			w.emit(obs.EvWaitMerge, s.warp.id, s.pc, s.mask, o.mask)
-		}
-		i = -1 // the splits slice changed; rescan
-	}
-}
-
-// anyOtherReady reports whether a SIMD group other than s could issue.
-func (w *WPU) anyOtherReady(s *Split) bool { return w.readyOthers(s) > 0 }
-
-// readyOthers counts resident SIMD groups other than s that could issue.
-func (w *WPU) readyOthers(s *Split) int {
-	n := 0
-	for _, o := range w.slots {
-		if o != nil && o != s && o.state == Ready {
-			n++
-		}
-	}
-	return n
-}
-
-// shouldMemSubdivide applies the §5.2 subdivision schemes at access time.
-func (w *WPU) shouldMemSubdivide(s *Split) bool {
-	switch w.cfg.MemScheme {
-	case AggressSplit:
-		return w.wstRoom()
-	case LazySplit, ReviveSplit:
-		// Subdivide only when no other SIMD group can hide the latency.
-		return !w.anyOtherReady(s) && w.wstRoom()
-	case PredictiveSplit:
-		return !w.anyOtherReady(s) && w.predictor.allow(s.pc) && w.wstRoom()
-	}
-	return false
-}
-
-// subdivideMem forks s at a memory divergence (§5.4): threads that hit form
-// a run-ahead split; s remains the fall-behind split (it owns the pending
-// line completions). Under BranchLimited a sync scope always binds the
-// children; under BranchBypass one is needed only to freeze a non-base
-// stack.
-func (w *WPU) subdivideMem(s *Split, hitMask, missMask Mask) {
-	w.Stats.MemSubdivisions++
-	scope := s.scope
-	frozen := w.cfg.MemReconv == BranchLimited || !s.baseStack()
-	if frozen {
-		scope = w.scopes.put(SyncScope{
-			warp:         s.warp,
-			reconvPC:     s.syncPC(),
-			limitControl: w.cfg.MemReconv == BranchLimited,
-			expected:     s.mask,
-			frozen:       s.stack,
-			parent:       s.scope,
-		})
-	}
-	pc := s.pc
-	if w.trace != nil {
-		w.emit(obs.EvMemSubdiv, s.warp.id, pc, hitMask, missMask)
-	}
-
-	hit := w.newSplit(s.warp, hitMask, pc, scope)
-	hit.waitDiv = true
-	w.setState(hit, WaitMem) // completes after the hit latency
-	hit.pending = hitMask
-	hit.prog = s.prog
-	if w.cfg.MemScheme == PredictiveSplit {
-		rec := w.subRecs.put(subdivRecord{pc: pc - 1})
-		hit.subRec = rec
-		s.subRec = rec
-	}
-
-	s.memSince = 0
-	s.mask = missMask
-	w.resetStack(s, frozen, pc, missMask)
-	s.scope = scope
-	s.waitDiv = true
-	w.setState(s, WaitMem)
-	s.pending = missMask
-
-	w.assignOwner(hit, hitMask)
-	w.assignOwner(s, missMask)
-	w.addSplit(hit)
-}
-
-// tryRevive implements ReviveSplit's second trigger (§5.2): when the
-// pipeline stalls, subdivide one suspended SIMD group whose outstanding
-// requests have partially completed, letting the satisfied threads run.
-func (w *WPU) tryRevive() bool {
-	for _, s := range w.slots {
-		if s == nil || s.state != WaitMem {
-			continue
-		}
-		arrived := s.mask &^ s.pending
-		if arrived.Empty() || s.pending.Empty() {
-			continue
-		}
-		if !w.wstRoom() {
-			return false
-		}
-		w.Stats.Revivals++
-		w.Stats.MemSubdivisions++
-		w.progress++
-		scope := s.scope
-		frozen := w.cfg.MemReconv == BranchLimited || !s.baseStack()
-		if frozen {
-			scope = w.scopes.put(SyncScope{
-				warp:         s.warp,
-				reconvPC:     s.syncPC(),
-				limitControl: w.cfg.MemReconv == BranchLimited,
-				expected:     s.mask,
-				frozen:       s.stack,
-				parent:       s.scope,
-			})
-		}
-		if w.trace != nil {
-			w.emit(obs.EvRevive, s.warp.id, s.pc, arrived, s.pending)
-		}
-		ready := w.newSplit(s.warp, arrived, s.pc, scope)
-		ready.state = Ready
-		ready.prog = s.prog
-
-		s.memSince = 0
-		s.mask = s.pending
-		w.resetStack(s, frozen, s.pc, s.mask)
-		s.scope = scope
-
-		w.addSplit(ready)
-		w.postPCUpdate(ready)
-		if ready.state == Ready && w.cfg.PCReconv {
-			w.tryPCMerge(ready)
-		}
-		return true
-	}
-	return false
-}
-
 // onLineDone is the completion target for a split waiting on memory,
 // following wait-merge forwarding so completions reach the surviving group.
 func (s *Split) onLineDone(lanes Mask) {
@@ -1579,111 +1049,5 @@ func (s *Split) onLineDone(lanes Mask) {
 func (w *WPU) becomeReady(s *Split) {
 	w.closeSubdivRecord(s)
 	w.setState(s, Ready)
-	w.postPCUpdate(s)
-	if s.state == Ready && w.cfg.PCReconv {
-		w.tryPCMerge(s)
-	}
-}
-
-// tryPCMerge implements PC-based re-convergence (§4.5): ready sibling
-// splits of the same warp and scope whose PCs met re-unite into one wider
-// SIMD group.
-func (w *WPU) tryPCMerge(s *Split) {
-	if !s.baseStack() {
-		return
-	}
-	for {
-		var other *Split
-		for _, o := range s.warp.splits {
-			if o == s || o.state != Ready || o.pc != s.pc || o.scope != s.scope || !o.baseStack() {
-				continue
-			}
-			other = o
-			break
-		}
-		if other == nil {
-			return
-		}
-		target, victim := s, other
-		if !s.resident && other.resident {
-			target, victim = other, s
-		}
-		target.mask |= victim.mask
-		target.stack[0].Mask = target.mask
-		if victim.prog > target.prog {
-			target.prog = victim.prog
-			w.syncProg(target)
-		}
-		for _, e := range victim.slipped {
-			e.split = target
-		}
-		target.slipped = append(target.slipped, victim.slipped...)
-		target.parked = append(target.parked, victim.parked...)
-		victim.slipped = nil
-		victim.parked = nil
-		victim.scope = nil // do not disturb the scope on removal
-		w.removeSplit(victim)
-		w.Stats.PCMerges++
-		if w.trace != nil {
-			w.emit(obs.EvPCMerge, target.warp.id, target.pc, target.mask, victim.mask)
-		}
-		if target != s {
-			// s was absorbed; continue merging from the survivor.
-			s = target
-		}
-	}
-}
-
-// arriveAtScope parks a split's threads at its sync scope (stack-based
-// re-convergence, §4.4; or the BranchLimited barrier at a branch, §5.3.1).
-func (w *WPU) arriveAtScope(s *Split) {
-	w.progress++
-	w.promoteAllSlip(s)
-	sc := s.scope
-	if !sc.arrived.Empty() && sc.arrivedPC != s.pc {
-		panic(fmt.Sprintf("wpu: %s arrives at scope{reconvPC=%d} at pc %d but earlier arrivals parked at %d",
-			s, sc.reconvPC, s.pc, sc.arrivedPC))
-	}
-	if w.trace != nil {
-		w.emit(obs.EvScopeArrive, s.warp.id, s.pc, s.mask, sc.expected)
-	}
-	sc.arrived |= s.mask
-	sc.arrivedPC = s.pc
-	s.scope = nil
-	w.removeSplit(s)
-	w.maybeCompleteScope(sc)
-}
-
-// maybeCompleteScope re-creates the frozen SIMD group once every expected
-// thread has arrived (or halted), then resumes the conventional stack.
-func (w *WPU) maybeCompleteScope(sc *SyncScope) {
-	sc.expected &^= sc.warp.halted
-	sc.arrived &^= sc.warp.halted
-	if sc.arrived != sc.expected {
-		return
-	}
-	w.Stats.ScopeMerges++
-	if w.trace != nil {
-		w.emit(obs.EvScopeMerge, sc.warp.id, sc.arrivedPC, sc.expected, 0)
-	}
-	w.nextSplitID++
-	merged := w.splits.put(Split{
-		id:    w.nextSplitID,
-		warp:  sc.warp,
-		mask:  sc.expected,
-		pc:    sc.arrivedPC,
-		state: Ready,
-		stack: sc.frozen,
-		scope: sc.parent,
-		born:  w.q.Now(),
-	})
-	if sc.expected.Empty() {
-		merged.pc = sc.reconvPC
-	}
-	merged.tos().Mask = sc.expected
-	w.addSplit(merged)
-	w.postPCUpdate(merged)
-	if merged.state == Ready && w.cfg.PCReconv {
-		w.tryPCMerge(merged)
-	}
+	w.settle(s)
 }
