@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke cli-smoke loc oracles profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench bench-check bench-baseline claims-smoke cli-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve
 
 ci: fmt-check vet lint build race test cli-smoke bench-check claims-smoke
 
@@ -105,6 +105,20 @@ oracles:
 	for b in $(ORACLE_BENCHES); do for s in $(ORACLE_SCHEMES); do \
 		$(GO) run ./cmd/dwstrace -bench $$b -scheme $$s -every 2000 > $(OUT)/dwstrace.$$b.$$s.txt || exit 1; \
 	done; done
+
+# "Byte-identical to REF" as one command: `make oracles` on a copy of REF and
+# on the working tree, then `diff -r`; no output but the last line and exit 0
+# mean the change moved nothing the simulator prints. REF is unpacked with
+# `git archive` into a temporary directory (nothing to register or prune,
+# unlike a worktree) and built with this Makefile, so it may predate the
+# oracles target. About four minutes on two cores.
+oracles-check:
+	@test -n "$(REF)" || { echo "usage: make oracles-check REF=<git ref>"; exit 1; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir $$tmp/src && \
+	git archive -o $$tmp/src.tar $(REF) && tar -xf $$tmp/src.tar -C $$tmp/src && \
+	$(MAKE) -f $(CURDIR)/Makefile -C $$tmp/src oracles OUT=$$tmp/ref && \
+	$(MAKE) oracles OUT=$$tmp/here && \
+	diff -r $$tmp/ref $$tmp/here && echo "oracles identical to $(REF)"
 
 # Profile one live simulation (cpu.pprof + mem.pprof); inspect with e.g.
 #   go tool pprof -top cpu.pprof

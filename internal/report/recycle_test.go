@@ -154,6 +154,51 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 	}
 }
 
+// TestJumpEqualsCrawl runs every benchmark under every scheme twice: once
+// plainly, when stalled WPUs sleep and the clock jumps over the cycles in
+// which all of them do, and once with a Tracer that does nothing, which makes
+// the run loop visit every cycle and bring every WPU's counters up to date in
+// each. The two must leave the same Result — cycles, every Stats field, cache
+// and DRAM counters, energy — and the same memory image. The Tracer is an
+// observable the machine already has; there is no switch that turns the sleep
+// off, so WPUs sleep in both runs and only the jump and the bulk credit
+// differ.
+func TestJumpEqualsCrawl(t *testing.T) {
+	schemes := wpu.AllSchemes
+	if testing.Short() {
+		schemes = []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeSlip}
+	}
+	sys, err := sim.New(cfgFor(DefaultKnobs(wpu.SchemeConv), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range BenchNames() {
+		for _, sc := range schemes {
+			k := DefaultKnobs(sc)
+			run := func(tracer func(uint64)) outcome {
+				if err := sys.Reset(cfgFor(k, nil)); err != nil {
+					t.Fatal(err)
+				}
+				r, err := runOn(sys, bench, k, true, func(sys *sim.System) func() {
+					sys.Tracer = tracer
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s under %s: %v", bench, sc, err)
+				}
+				return outcome{r: r, memHash: sys.Memory().Hash()}
+			}
+			jump, crawl := run(nil), run(func(uint64) {})
+			if !reflect.DeepEqual(jump.r, crawl.r) {
+				t.Fatalf("%s under %s: Result differs between the jumping and the cycle-by-cycle run:\n jump %+v\ncrawl %+v", bench, sc, jump.r, crawl.r)
+			}
+			if jump.memHash != crawl.memHash {
+				t.Fatalf("%s under %s: memory hash %#x jumping, %#x cycle by cycle", bench, sc, jump.memHash, crawl.memHash)
+			}
+		}
+	}
+}
+
 // capacityFields are the fields of a machine that hold capacity, not state:
 // free lists, arenas and scratch buffers that a Reset deliberately keeps.
 // Their contents are unreachable from the simulation until overwritten, so

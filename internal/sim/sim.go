@@ -148,6 +148,8 @@ type System struct {
 	WPUs []*wpu.WPU
 
 	cycle engine.Cycle
+	// skipped counts the cycles skipIdle moved the clock over (tests read it).
+	skipped uint64
 
 	// obsPrev holds the per-WPU counter snapshot at the previous timeline
 	// sample, so each Sample carries interval deltas.
@@ -161,7 +163,8 @@ type System struct {
 	dealt  []isa.RegFile
 
 	// Tracer, when set, is invoked once per simulated cycle after all WPUs
-	// ticked — the hook behind cmd/dwstrace and custom instrumentation.
+	// ticked — the hook behind cmd/dwstrace and custom instrumentation. It
+	// sees exact Stats, and while it is set the clock never skips a cycle.
 	// Reset clears it: a hook belongs to one run.
 	Tracer func(cycle uint64)
 }
@@ -327,29 +330,37 @@ func (s *System) RunKernel(p *program.Program, threads []isa.RegFile) (uint64, e
 	return uint64(s.cycle - start), nil
 }
 
+// run drives the machine until every thread has halted. One iteration is
+// one simulated cycle: deliver the events due, tick every WPU, release the
+// kernel barrier if it filled, serve the observers. A WPU that can do nothing
+// until an event reaches it sleeps through its ticks (wpu.WPU.Tick), and when
+// every running WPU sleeps the clock moves straight to the next cycle in
+// which anything can happen. DESIGN.md "What changes in a cycle in which
+// nothing issues" lists what that rests on.
 func (s *System) run() error {
+	// awake: some WPU's next Tick is not a no-op. Every WPU starts a kernel
+	// awake, and only an event, a release or its own Tick changes that.
+	awake := true
 	for {
-		done := true
-		for _, w := range s.WPUs {
-			if !w.Done() {
-				done = false
-				break
-			}
+		if !awake && s.Tracer == nil {
+			s.skipIdle()
 		}
-		if done {
-			return nil
-		}
-
 		s.Q.RunUntil(s.cycle)
-		progressBefore := s.totalProgress()
 		// Barrier state only changes inside a WPU's own Tick (or the release
 		// below), so folding the at-barrier check into the tick loop sees
 		// exactly what a separate scan after the loop would.
-		atBarrier := false
+		progress, atBarrier, done := false, false, true
+		awake = false
 		for _, w := range s.WPUs {
-			w.Tick()
+			if w.Tick() {
+				progress = true
+			}
 			if w.AnyAtBarrier() {
 				atBarrier = true
+			}
+			if !w.Done() {
+				done = false
+				awake = awake || !w.Asleep()
 			}
 		}
 		released := false
@@ -357,17 +368,19 @@ func (s *System) run() error {
 			for _, w := range s.WPUs {
 				w.ReleaseBarrier()
 			}
-			released = true
+			released, awake = true, true
 		}
 		if s.Tracer != nil {
+			s.syncStats()
 			s.Tracer(uint64(s.cycle))
 		}
 		if t := s.Cfg.Trace; t != nil && t.Interval != 0 && uint64(s.cycle)%t.Interval == 0 {
 			s.sampleTimeline(uint64(s.cycle))
 		}
-		if s.Q.Len() == 0 && s.totalProgress() == progressBefore && !released {
+		if s.Q.Len() == 0 && !progress && !released {
 			// Nothing pending, nothing issued, nothing released: the machine
 			// can never make progress again.
+			s.syncStats()
 			var dump string
 			for _, w := range s.WPUs {
 				dump += w.DebugDump()
@@ -375,15 +388,39 @@ func (s *System) run() error {
 			return fmt.Errorf("sim: deadlock at cycle %d\n%s", s.cycle, dump)
 		}
 		s.cycle++
+		if done {
+			return nil
+		}
 	}
 }
 
-func (s *System) totalProgress() uint64 {
-	var n uint64
-	for _, w := range s.WPUs {
-		n += w.Progress()
+// skipIdle moves the clock, when every running WPU sleeps, to the next cycle
+// that is not a copy of this one: the earliest pending event or, if it comes
+// first, the next timeline sample. The WPUs credit the skipped cycles when
+// they wake. With nothing pending the clock stays, and the cycle about to
+// run reports the deadlock.
+func (s *System) skipIdle() {
+	to, ok := s.Q.NextEventTime()
+	if !ok {
+		return
 	}
-	return n
+	if t := s.Cfg.Trace; t != nil && t.Interval != 0 {
+		iv := engine.Cycle(t.Interval)
+		to = min(to, (s.cycle+iv-1)/iv*iv)
+	}
+	if to > s.cycle {
+		s.skipped += uint64(to - s.cycle)
+		s.cycle = to
+	}
+}
+
+// syncStats makes every WPU's Stats exact through the current cycle, for a
+// reader in mid-run: a sleeping WPU credits its skipped cycles only when it
+// wakes.
+func (s *System) syncStats() {
+	for _, w := range s.WPUs {
+		w.Sync(s.cycle + 1)
+	}
 }
 
 func (s *System) allBarrierReady() bool {
@@ -405,6 +442,7 @@ func (s *System) sampleTimeline(cycle uint64) {
 	}
 	l2 := s.Hier.L2.OutstandingMisses()
 	for i, w := range s.WPUs {
+		w.Sync(engine.Cycle(cycle) + 1)
 		st := w.Stats
 		prev := &s.obsPrev[i]
 		t.AddSample(obs.Sample{

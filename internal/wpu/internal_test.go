@@ -39,11 +39,10 @@ func runToCompletion(t *testing.T, w *WPU, q *engine.Queue) uint64 {
 			t.Fatalf("WPU did not finish:\n%s", w.DebugDump())
 		}
 		q.RunUntil(cycle)
-		before := w.Progress()
-		w.Tick()
+		progress := w.Tick()
 		if w.AnyAtBarrier() && w.BarrierReady() {
 			w.ReleaseBarrier()
-		} else if q.Len() == 0 && w.Progress() == before && !w.Done() {
+		} else if q.Len() == 0 && !progress && !w.Done() {
 			t.Fatalf("deadlock at cycle %d:\n%s", cycle, w.DebugDump())
 		}
 		cycle++

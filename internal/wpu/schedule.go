@@ -250,7 +250,14 @@ func (w *WPU) anyOtherReady(s *Split) bool { return w.readyOthers(s) > 0 }
 // wait because removing them would let the cycle do useful work regardless
 // of the outstanding misses; among memory waits, one divergent waiter makes
 // the cycle divergent (the subdivision mechanisms target exactly those).
-func (w *WPU) stallCycle() {
+//
+// It then decides whether the WPU may sleep. Every input of the ladder is a
+// counter or a timestamp that only an event handler, a barrier release or
+// this WPU's own issue changes, so when nothing can issue the next Tick
+// would land in the same bucket, and so would every Tick after it until one
+// of those happens. progressed says this Tick changed state without issuing;
+// such a Tick may have readied a group, so the WPU stays awake.
+func (w *WPU) stallCycle(progressed bool) {
 	// memWait counts WaitMem/WaitSlip splits, so the common classification
 	// is O(1); fall-behind slip groups (possible only in slip modes) still
 	// need the scan when no split is waiting. memBound is the memory-stall
@@ -264,25 +271,39 @@ func (w *WPU) stallCycle() {
 		w.intervalWait++
 	}
 	now := w.q.Now()
+	var bucket *uint64
 	switch {
 	case now < w.fetchStallUntil:
-		w.Stats.StallICache++
+		bucket = &w.Stats.StallICache
 	case w.wstFullAt == now+1:
-		w.Stats.StallWSTFull++
+		bucket = &w.Stats.StallWSTFull
 	case w.readyWaiterQueued():
-		w.Stats.StallSlotWait++
+		bucket = &w.Stats.StallSlotWait
 	case w.memWaitDiv > 0:
-		w.Stats.StallMemDivergent++
+		bucket = &w.Stats.StallMemDivergent
 	case w.memWait > 0:
-		w.Stats.StallMemCoherent++
+		bucket = &w.Stats.StallMemCoherent
 	case memBound:
 		// Only slip fall-behind groups are outstanding: threads left behind
 		// by a divergent access.
-		w.Stats.StallMemDivergent++
+		bucket = &w.Stats.StallMemDivergent
 	case w.atBarrier > 0:
-		w.Stats.StallBarrier++
+		bucket = &w.Stats.StallBarrier
 	default:
-		w.Stats.IdleNoLiveWarp++
+		bucket = &w.Stats.IdleNoLiveWarp
+	}
+	*bucket++
+
+	// Three things repeat or move per stalled cycle with no event behind
+	// them, and each keeps the WPU awake: the slip modes' adaptSlip interval
+	// and intervalWait (and their WaitSlip swaps, which leave other groups
+	// ready); a revival refused for a full WST, which counts a refusal and
+	// emits EvWSTRefusal every cycle it is retried; and a ready resident
+	// group, which issues next cycle (none is left once pickNext returned nil
+	// or the front end waits for a refill, the only stalls without progress).
+	if !progressed && w.cfg.Slip == SlipOff && w.wstFullAt != now+1 &&
+		(w.readyMask == 0 || now < w.fetchStallUntil) {
+		w.asleep, w.sleepFrom, w.sleepBucket = true, now+1, bucket
 	}
 }
 

@@ -85,9 +85,20 @@ type WPU struct {
 
 	launched bool
 	// progress counts state transitions that advance the machine without
-	// issuing an instruction (scope arrivals, slip swaps, revivals); the
-	// simulation driver uses it to distinguish stalls from deadlock.
+	// issuing an instruction (scope arrivals, slip swaps, revivals); Tick
+	// reports whether it or Stats.Issued moved, which is how the simulation
+	// driver tells a stall from a deadlock.
 	progress uint64
+
+	// Sleep state (DESIGN.md "What changes in a cycle in which nothing
+	// issues"). stallCycle sets asleep when no Tick can do anything but
+	// repeat the same stall until an event reaches this WPU; Tick then
+	// returns at once, and wake or Sync credits the cycles from sleepFrom on
+	// to TickCycles and sleepBucket in one step. slept totals those credits.
+	asleep      bool
+	sleepFrom   engine.Cycle
+	sleepBucket *uint64
+	slept       uint64
 
 	// Per-WPU instruction cache (Table 3); cold fetches stall issue. Each
 	// distinct program gets its own fetch-address range so successive
@@ -289,7 +300,10 @@ type progBase struct {
 // fetch schedules only a pooled event.
 type wpuRefill struct{ w *WPU }
 
-func (r *wpuRefill) HandleEvent(uint64) { r.w.progress++ }
+// The refill changes no state of its own: it ends the sleep of a front end
+// stalled on fetchStallUntil, and as a pending event it tells the driver the
+// machine is not deadlocked.
+func (r *wpuRefill) HandleEvent(uint64) { r.w.wake(r.w.q.Now()) }
 
 // lineGroup is one coalesced cache-line access of a SIMD memory
 // instruction: the line address, the lanes it covers, and the pool index of
@@ -303,7 +317,11 @@ type lineGroup struct {
 // HandleEvent completes one coalesced line access; the argument indexes the
 // token pool. The token is released before the owner's callback runs so the
 // owner's next memory instruction can reuse it.
+//
+// Every completion wakes the WPU, whether or not it readies a split: a line
+// arriving for part of a suspended group changes tryRevive's answer.
 func (w *WPU) HandleEvent(arg uint64) {
+	w.wake(w.q.Now())
 	tok := &w.tokens[arg]
 	owner, lanes := tok.owner, tok.lanes
 	// The stale owner pointer stays in the pool slot — clearing it here
@@ -346,11 +364,6 @@ func (w *WPU) Config() Config { return w.cfg }
 
 // ThreadCapacity returns Warps × Width.
 func (w *WPU) ThreadCapacity() int { return w.cfg.Warps * w.cfg.Width }
-
-// Progress returns a monotonic counter of issues plus non-issue state
-// transitions; when it stops changing with an empty event queue, the
-// machine is deadlocked.
-func (w *WPU) Progress() uint64 { return w.Stats.Issued + w.progress }
 
 // emit records one structured trace event. Callers nil-check w.trace
 // before calling so the disabled path never constructs the Event.
@@ -446,6 +459,7 @@ func (w *WPU) Launch(prog *program.Program, regs []isa.RegFile) error {
 	}
 	w.fetchBase = base
 	w.launched = true
+	w.asleep = false
 	w.cur = nil
 	w.rrNext = 0
 	clear(w.slotWait)
@@ -549,10 +563,14 @@ func (w *WPU) resetStack(s *Split, frozen bool, pc int, mask Mask) {
 }
 
 // Tick advances the WPU by one cycle: issue one instruction from the
-// current SIMD group, or pick another ready group, or stall.
-func (w *WPU) Tick() {
-	if w.Done() {
-		return
+// current SIMD group, or pick another ready group, or stall. It reports
+// whether the machine advanced — an instruction issued, or a state
+// transition that needs no issue slot happened (see progress). The driver
+// calls it once per WPU per cycle, after delivering that cycle's events; a
+// sleeping WPU returns at once (see stallCycle).
+func (w *WPU) Tick() bool {
+	if w.asleep || w.Done() {
+		return false
 	}
 	w.Stats.TickCycles++
 	w.adaptSlip()
@@ -564,23 +582,55 @@ func (w *WPU) Tick() {
 	// A cold instruction fetch stalls the front end until the refill
 	// arrives (rare: kernels are resident after the cold start).
 	if w.q.Now() < w.fetchStallUntil {
-		w.stallCycle()
-		return
+		w.stallCycle(false)
+		return false
 	}
+	before := w.progress
 	w.cur = w.pickNext()
 	if w.cur == nil && (w.cfg.MemScheme == ReviveSplit || w.cfg.MemScheme == PredictiveSplit) {
 		if w.tryRevive() {
 			w.cur = w.pickNext()
 		}
 	}
-	if w.cur == nil {
-		w.stallCycle()
+	if w.cur != nil && w.issueOne(w.cur) {
+		return true
+	}
+	progressed := w.progress != before
+	w.stallCycle(progressed)
+	return progressed
+}
+
+// Sync credits a sleeping WPU the cycles it has skipped, sleepFrom up to but
+// not including upTo, so that Stats are exact for a reader in mid-run; the
+// WPU stays asleep. It does nothing to a WPU that is awake, nor when upTo is
+// not past sleepFrom: an event scheduled with no delay by the very cycle that
+// put the WPU to sleep is delivered with that cycle's timestamp.
+func (w *WPU) Sync(upTo engine.Cycle) {
+	if !w.asleep || upTo <= w.sleepFrom {
 		return
 	}
-	if !w.issueOne(w.cur) {
-		w.stallCycle()
-	}
+	n := uint64(upTo - w.sleepFrom)
+	w.Stats.TickCycles += n
+	*w.sleepBucket += n
+	w.slept += n
+	w.sleepFrom = upTo
 }
+
+// wake ends a sleep: whatever calls it may change what the next Tick does.
+// An event handler passes the current cycle, which Tick has yet to run.
+func (w *WPU) wake(upTo engine.Cycle) {
+	w.Sync(upTo)
+	w.asleep = false
+}
+
+// Asleep reports whether Tick is a no-op until an event, a barrier release
+// or a launch reaches this WPU.
+func (w *WPU) Asleep() bool { return w.asleep }
+
+// SleptCycles returns how many of TickCycles were credited in bulk rather
+// than ticked one by one: what the sleep saved the host, not a property of
+// the simulated machine, hence not in Stats.
+func (w *WPU) SleptCycles() uint64 { return w.slept }
 
 // issueOne executes one instruction for the split's active mask. It
 // returns false when the cycle degenerated into a stall (slip swap wait).
@@ -792,7 +842,11 @@ func (w *WPU) AnyAtBarrier() bool { return w.atBarrier > 0 }
 
 // ReleaseBarrier resumes all parked splits past the barrier, re-forming one
 // full SIMD group per warp.
+//
+// The driver releases after the cycle's ticks, so a WPU asleep at the
+// barrier is credited through the current cycle.
 func (w *WPU) ReleaseBarrier() {
+	w.wake(w.q.Now() + 1)
 	for _, warp := range w.warps {
 		parked := w.parkedScratch[:0]
 		for _, s := range warp.splits {
@@ -816,7 +870,6 @@ func (w *WPU) ReleaseBarrier() {
 		w.atBarrier--
 		root.stack[0] = StackEntry{ReconvPC: program.NoIPdom, PC: root.pc, Mask: root.mask}
 		w.acquireSlot(root)
-		w.progress++
 	}
 }
 
