@@ -19,11 +19,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/report"
 	"repro/internal/serve"
@@ -52,17 +57,41 @@ func main() {
 		StreamEvery: *streamEvery,
 	})
 	srv.Start()
-	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwsimd:", err)
 		os.Exit(1)
 	}
+	// No WriteTimeout: an SSE stream is one long write.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	// SIGINT/SIGTERM: stop accepting, give open requests a moment (a stream
+	// of a running job would otherwise hold the process), then drain the
+	// jobs already accepted, however long they take, and exit 0. A second
+	// signal kills the process the default way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		<-ctx.Done()
+		stop()
+		grace, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		if hs.Shutdown(grace) != nil {
+			hs.Close() //nolint:errcheck // the listener is already closed
+		}
+	}()
+	// Announced only now, so whoever reads the line may signal at once.
 	fmt.Fprintf(os.Stderr, "dwsimd: serving on http://%s/ (POST /v1/jobs, GET /metrics; schema v%d)\n",
 		ln.Addr(), serve.WireSchemaVersion)
-	if err := http.Serve(ln, srv.Handler()); err != nil {
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "dwsimd:", err)
 		os.Exit(1)
 	}
+	<-closed
+	srv.Close()
 }

@@ -4,12 +4,15 @@
 package cmd
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func TestCLISmoke(t *testing.T) {
@@ -51,6 +54,33 @@ func TestCLISmoke(t *testing.T) {
 			}
 		})
 	}
+	t.Run("dwsimd SIGTERM", func(t *testing.T) {
+		cmd := exec.Command(filepath.Join(bin, "dwsimd"), "-addr", "127.0.0.1:0", "-nocache")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer cmd.Process.Kill() //nolint:errcheck // already exited is the good case
+		line, err := bufio.NewReader(stderr).ReadString('\n')
+		if err != nil || !strings.Contains(line, "serving on http://127.0.0.1:") {
+			t.Fatalf("first stderr line %q, %v", line, err)
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		// Wait closes the stderr pipe, so it needs no reader of its own.
+		kill := time.AfterFunc(5*time.Second, func() { cmd.Process.Kill() }) //nolint:errcheck
+		err = cmd.Wait()
+		if !kill.Stop() {
+			t.Fatal("dwsimd still running 5 s after SIGTERM")
+		}
+		if err != nil {
+			t.Errorf("dwsimd after SIGTERM: %v, want exit status 0", err)
+		}
+	})
 	for _, tc := range [][]string{
 		{"dwsim", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-l1kb", "0"},

@@ -220,17 +220,15 @@ func WriteEventsJSON(w io.Writer, t *Trace) error {
 	if _, err := bw.WriteString("{\"schema\":\"dwsim-trace-v1\",\"events\":[\n"); err != nil {
 		return err
 	}
+	var line []byte
 	for i, e := range t.Events {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
 		if i > 0 {
 			if _, err := bw.WriteString(",\n"); err != nil {
 				return err
 			}
 		}
-		if _, err := bw.Write(b); err != nil {
+		line = e.AppendJSON(line[:0])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,10 @@
 // which was process-wide and raced under the concurrent Session executor.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // EventKind enumerates the traced microarchitectural events. The mapping
 // to the paper's mechanisms is documented in DESIGN.md ("Observability").
@@ -100,6 +103,23 @@ type Event struct {
 	Addr  uint64    `json:"addr"`
 }
 
+// AppendJSON appends exactly the bytes json.Marshal(e) produces. Event and
+// Sample are flat integer structs, so the encoding is a fixed key sequence
+// around strconv; the hot emitters (the dwsimd stream publisher, one call
+// per event on the simulation goroutine) use it to skip reflection and the
+// per-event allocation. TestAppendJSONMatchesMarshal pins the equality.
+func (e Event) AppendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"cycle":`...), e.Cycle, 10)
+	b = append(append(b, `,"kind":"`...), e.Kind.String()...)
+	b = strconv.AppendInt(append(b, `","unit":`...), int64(e.Unit), 10)
+	b = strconv.AppendInt(append(b, `,"warp":`...), int64(e.Warp), 10)
+	b = strconv.AppendInt(append(b, `,"pc":`...), int64(e.PC), 10)
+	b = strconv.AppendUint(append(b, `,"mask":`...), e.Mask, 10)
+	b = strconv.AppendUint(append(b, `,"mask2":`...), e.Mask2, 10)
+	b = strconv.AppendUint(append(b, `,"addr":`...), e.Addr, 10)
+	return append(b, '}')
+}
+
 // Sample is one interval-timeline row for one WPU: the busy/stall split
 // and issue counters are deltas over the sampling interval; the occupancy
 // fields are instantaneous at the sample cycle.
@@ -118,6 +138,24 @@ type Sample struct {
 	SlotWaiters int `json:"slot_waiters"`    // splits queued for a slot
 	L1MSHR      int `json:"l1_mshr"`         // outstanding L1 misses
 	L2MSHR      int `json:"l2_mshr"`         // outstanding L2 misses (shared)
+}
+
+// AppendJSON appends exactly the bytes json.Marshal(s) produces (see
+// Event.AppendJSON).
+func (s Sample) AppendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"cycle":`...), s.Cycle, 10)
+	b = strconv.AppendInt(append(b, `,"wpu":`...), int64(s.WPU), 10)
+	b = strconv.AppendUint(append(b, `,"busy":`...), s.Busy, 10)
+	b = strconv.AppendUint(append(b, `,"stall_mem":`...), s.StallMem, 10)
+	b = strconv.AppendUint(append(b, `,"stall_other":`...), s.StallOther, 10)
+	b = strconv.AppendUint(append(b, `,"issued":`...), s.Issued, 10)
+	b = strconv.AppendUint(append(b, `,"width_accum":`...), s.WidthAccum, 10)
+	b = strconv.AppendInt(append(b, `,"wst_occupancy":`...), int64(s.WSTOcc), 10)
+	b = strconv.AppendInt(append(b, `,"resident_splits":`...), int64(s.Resident), 10)
+	b = strconv.AppendInt(append(b, `,"slot_waiters":`...), int64(s.SlotWaiters), 10)
+	b = strconv.AppendInt(append(b, `,"l1_mshr":`...), int64(s.L1MSHR), 10)
+	b = strconv.AppendInt(append(b, `,"l2_mshr":`...), int64(s.L2MSHR), 10)
+	return append(b, '}')
 }
 
 // MeanWidth returns the mean SIMD width over the sample's interval.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -176,6 +178,46 @@ func TestCountByKind(t *testing.T) {
 	for name, n := range counts {
 		if n != 1 {
 			t.Errorf("kind %s counted %d times, want 1", name, n)
+		}
+	}
+}
+
+// TestAppendJSONMatchesMarshal pins the hand-written encoders to
+// encoding/json: every kind (one past the named ones included), the -1 "no
+// warp context" fields, full-width masks, and a seeded random sweep.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	check := func(v any, got []byte) {
+		t.Helper()
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON differs from json.Marshal:\n got %s\nwant %s", got, want)
+		}
+	}
+	for k := EventKind(0); k <= numEventKinds; k++ {
+		e := Event{Cycle: 7, Kind: k, Unit: -1, Warp: -1, PC: -1, Mask: math.MaxUint64, Mask2: math.MaxUint64, Addr: math.MaxUint64}
+		check(e, e.AppendJSON(nil))
+	}
+	check(Event{}, Event{}.AppendJSON(nil))
+	check(Sample{}, Sample{}.AppendJSON(nil))
+	neg := Sample{Cycle: math.MaxUint64, WPU: -1, WSTOcc: -1, Resident: -1, SlotWaiters: -1, L1MSHR: -1, L2MSHR: -1}
+	check(neg, neg.AppendJSON(nil))
+
+	rng := rand.New(rand.NewSource(1))
+	buf := []byte("prefix ") // AppendJSON appends: what is already there stays
+	for i := 0; i < 2000; i++ {
+		e := Event{rng.Uint64(), EventKind(rng.Intn(256)), rng.Intn(64) - 1, rng.Intn(64) - 1,
+			int(rng.Int63()) - 1, rng.Uint64(), rng.Uint64() >> uint(rng.Intn(64)), rng.Uint64()}
+		buf = e.AppendJSON(buf[:7])
+		check(e, buf[7:])
+		s := Sample{rng.Uint64(), rng.Intn(8), rng.Uint64(), rng.Uint64() >> uint(rng.Intn(64)), rng.Uint64(),
+			rng.Uint64(), rng.Uint64(), rng.Intn(64), rng.Intn(64), rng.Intn(64), -rng.Intn(64), int(rng.Int63())}
+		buf = s.AppendJSON(buf[:7])
+		check(s, buf[7:])
+		if string(buf[:7]) != "prefix " {
+			t.Fatal("AppendJSON overwrote the bytes it was handed")
 		}
 	}
 }

@@ -129,7 +129,9 @@ func (s *Session) Stats() CacheStats {
 // Run simulates one benchmark under the given knobs (cached, singleflight
 // deduplicated, safe for concurrent use). Errors are not memoized: a
 // failed run is evicted so a later call may retry, though concurrent
-// callers joined to the failing run all observe its error.
+// callers joined to the failing run all observe its error. A run that
+// panics counts as failed for those joined to it and for the cache, and
+// the panic continues up the goroutine that ran it.
 func (s *Session) Run(bench string, k Knobs) (Result, error) {
 	key := k.key(bench)
 	s.mu.Lock()
@@ -143,13 +145,22 @@ func (s *Session) Run(bench string, k Knobs) (Result, error) {
 	s.cache[key] = c
 	s.mu.Unlock()
 
+	defer func() {
+		r := recover()
+		if r != nil {
+			c.err = fmt.Errorf("panic: %v", r)
+		}
+		close(c.done)
+		if c.err != nil {
+			s.mu.Lock()
+			delete(s.cache, key)
+			s.mu.Unlock()
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
 	c.r, c.source, c.err = s.simulate(bench, k, key)
-	close(c.done)
-	if c.err != nil {
-		s.mu.Lock()
-		delete(s.cache, key)
-		s.mu.Unlock()
-	}
 	return c.r, c.err
 }
 

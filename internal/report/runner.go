@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sync"
 )
 
@@ -21,7 +22,9 @@ type Job struct {
 //
 // On failure the feed stops early and the first error observed is
 // returned; which job fails first under concurrency is unspecified, but
-// any error here would also have surfaced from the serial pass.
+// any error here would also have surfaced from the serial pass. A job
+// that panics stops the feed the same way, and once the workers are done
+// the panic continues on the caller's goroutine, original stack attached.
 func (s *Session) Prefetch(jobs []Job) error {
 	workers := s.Jobs()
 	if workers > len(jobs) {
@@ -37,11 +40,20 @@ func (s *Session) Prefetch(jobs []Job) error {
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
+		panicked any
 	)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errOnce.Do(func() {
+						panicked = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
+						close(stop)
+					})
+				}
+			}()
 			for j := range feed {
 				if _, err := s.Run(j.Bench, j.Knobs); err != nil {
 					errOnce.Do(func() {
@@ -63,6 +75,9 @@ func (s *Session) Prefetch(jobs []Job) error {
 done:
 	close(feed)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	return firstErr
 }
 

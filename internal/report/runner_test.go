@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/wpu"
 )
 
@@ -97,6 +98,33 @@ func TestPrefetchPropagatesError(t *testing.T) {
 	}
 	if err := s.Prefetch(nil); err != nil {
 		t.Fatalf("empty Prefetch: %v", err)
+	}
+}
+
+// TestRunPanicIsNotMemoized panics a run through the machine hook, directly
+// and on a Prefetch worker: the panic reaches the caller's goroutine both
+// times, and the point it was computing is dropped rather than left in
+// flight, so the next Run of it simulates instead of blocking forever.
+func TestRunPanicIsNotMemoized(t *testing.T) {
+	s := NewSession(WithJobs(2))
+	s.OnSystem = func(*sim.System) func() { panic("injected") }
+	k := DefaultKnobs(wpu.SchemeConv)
+	panics := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	if v := panics(func() { s.Run("Filter", k) }); v != "injected" { //nolint:errcheck // it panics
+		t.Errorf("Run recovered %v, want the injected panic", v)
+	}
+	jobs := []Job{{Bench: "Filter", Knobs: k}, {Bench: "Filter", Knobs: DefaultKnobs(wpu.SchemeRevive)}}
+	v := panics(func() { s.Prefetch(jobs) }) //nolint:errcheck // it panics
+	if msg, _ := v.(string); !strings.HasPrefix(msg, "injected\n") || !strings.Contains(msg, "goroutine") {
+		t.Errorf("Prefetch recovered %v, want the injected panic and its stack", v)
+	}
+	s.OnSystem = nil
+	if err := s.Prefetch(jobs); err != nil {
+		t.Fatalf("rerun of the points that panicked: %v", err)
 	}
 }
 

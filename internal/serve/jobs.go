@@ -81,6 +81,7 @@ type registry struct {
 	order   []string          // submission order for GET /v1/jobs
 	results map[string][]byte // result key -> rendered RunDoc JSON
 	pending map[string]int    // result key -> jobs referencing it, not yet done
+	logs    streamLogs        // retention budget shared by every traced job's hub
 }
 
 func newRegistry() *registry {
@@ -88,6 +89,7 @@ func newRegistry() *registry {
 		jobs:    make(map[string]*job),
 		results: make(map[string][]byte),
 		pending: make(map[string]int),
+		logs:    streamLogs{budget: streamLogBudget},
 	}
 }
 
@@ -99,7 +101,7 @@ func (rg *registry) add(req *JobRequest) *job {
 		j.points[i] = point{bench: p.Bench, knobs: p.Knobs, key: ResultKey(p.Bench, p.Knobs), status: "pending"}
 	}
 	if req.Trace {
-		j.hub = newStreamHub()
+		j.hub = newStreamHub(&rg.logs)
 	}
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
@@ -145,7 +147,8 @@ func (rg *registry) completePoint(j *job, i int, doc []byte) {
 }
 
 // finish closes out a job; err == "" means success. Points still pending
-// (after a mid-sweep failure) are marked failed.
+// (after a mid-sweep failure) are marked failed and no longer owed: their
+// keys stop answering "pending" unless another job still references them.
 func (rg *registry) finish(j *job, errMsg string) {
 	rg.mu.Lock()
 	j.errMsg = errMsg
@@ -154,8 +157,16 @@ func (rg *registry) finish(j *job, errMsg string) {
 	} else {
 		j.status = StatusFailed
 		for i := range j.points {
-			if j.points[i].status == "pending" {
-				j.points[i].status = StatusFailed
+			p := &j.points[i]
+			if p.status != "pending" {
+				continue
+			}
+			p.status = StatusFailed
+			// completePoint deletes a key outright, so it may be gone already.
+			if n := rg.pending[p.key]; n > 1 {
+				rg.pending[p.key] = n - 1
+			} else {
+				delete(rg.pending, p.key)
 			}
 		}
 	}
@@ -231,6 +242,22 @@ func (rg *registry) counts() map[string]int {
 		c[rg.jobs[id].status]++
 	}
 	return c
+}
+
+// streamLogStats reports, for /metrics, the wire bytes every traced job's
+// log holds right now (finished or in flight) and how many logs have been
+// compacted to their done frame.
+func (rg *registry) streamLogStats() (bytes, compacted int) {
+	rg.mu.Lock()
+	for _, id := range rg.order {
+		if h := rg.jobs[id].hub; h != nil {
+			bytes += h.bytes()
+		}
+	}
+	rg.mu.Unlock()
+	rg.logs.mu.Lock()
+	defer rg.logs.mu.Unlock()
+	return bytes, rg.logs.compacted
 }
 
 // RenderResultDoc is the canonical rendering of one completed point: the

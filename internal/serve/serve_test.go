@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // testServer assembles a started Server over a fresh Session (optionally
@@ -234,7 +235,8 @@ func TestSweepJob(t *testing.T) {
 
 // TestResultPendingVsUnknown distinguishes the three fetch outcomes using
 // a server whose workers were never started: submitted keys are pending,
-// unnamed keys are unknown.
+// unnamed keys are unknown, and a key stops being pending once every job
+// that named it has failed.
 func TestResultPendingVsUnknown(t *testing.T) {
 	session := report.NewSession()
 	srv := New(Config{Session: session}) // no Start: jobs stay queued
@@ -256,6 +258,98 @@ func TestResultPendingVsUnknown(t *testing.T) {
 	b, status = fetchResult(t, ts, strings.Repeat("0", 32))
 	if status != http.StatusNotFound || bytes.Contains(b, []byte(`"pending"`)) {
 		t.Errorf("unknown key: status %d body %s, want plain 404", status, b)
+	}
+
+	// Two jobs owe the key; it stays pending until both have failed.
+	dup, _ := postJob(t, ts, runFilterBody)
+	for i, id := range []string{doc.ID, dup.ID} {
+		j, _ := srv.reg.get(id)
+		srv.reg.finish(j, "boom")
+		b, status = fetchResult(t, ts, doc.Points[0].ResultKey)
+		if pending := bytes.Contains(b, []byte(`"pending"`)); status != http.StatusNotFound || pending != (i == 0) {
+			t.Errorf("after %d of 2 jobs failed: status %d body %s", i+1, status, b)
+		}
+	}
+	if failed := getJob(t, ts, doc.ID); failed.Status != StatusFailed || failed.Points[0].Status != StatusFailed {
+		t.Errorf("failed job renders as %+v", failed)
+	}
+}
+
+// TestJobPanic injects a panic into the run of an untraced job, of a traced
+// job and of a sweep point (which runs on a Prefetch goroutine) through the
+// session's machine hook: each job fails with the panic's message, a traced
+// job's subscriber still gets its terminal frame, the daemon keeps serving —
+// the very points that panicked included, which a retrying client resubmits
+// — and the machines the panics interrupted never come back from report's
+// free list.
+func TestJobPanic(t *testing.T) {
+	session := report.NewSession(report.WithJobs(1))
+	srv := New(Config{Session: session, Workers: 1})
+	var (
+		mu          sync.Mutex
+		boom        bool
+		interrupted = map[*sim.System]bool{}
+	)
+	inner := session.OnSystem
+	session.OnSystem = func(sys *sim.System) func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if boom {
+			interrupted[sys] = true
+			panic("injected")
+		}
+		if interrupted[sys] {
+			t.Errorf("machine %p ran again after a panic interrupted it", sys)
+		}
+		return inner(sys)
+	}
+	setBoom := func(v bool) { mu.Lock(); boom = v; mu.Unlock() }
+	srv.Start()
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	// A clean run first, so the free list has a machine to hand the next.
+	warm, _ := postJob(t, ts, `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.PredictiveSplit"}}`)
+	waitJob(t, ts, warm.ID)
+
+	setBoom(true)
+	const plainBody = `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"}}`
+	plain, _ := postJob(t, ts, plainBody)
+	if doc := waitJob(t, ts, plain.ID); doc.Status != StatusFailed || doc.Error != "panic: injected" {
+		t.Errorf("untraced job after a panic: %+v", doc)
+	}
+	if b, status := fetchResult(t, ts, plain.Points[0].ResultKey); status != http.StatusNotFound || bytes.Contains(b, []byte(`"pending"`)) {
+		t.Errorf("result of the panicked job: status %d body %s, want plain 404", status, b)
+	}
+	traced, _ := postJob(t, ts, tracedFilterBody)
+	frames := streamJob(t, ts, traced.ID)
+	if len(frames) != 1 || frames[0].Event != "done" || frames[0].Data != `{"error":"panic: injected","status":"failed"}` {
+		t.Errorf("stream of the panicked traced job: %+v", frames)
+	}
+	if doc := waitJob(t, ts, traced.ID); doc.Status != StatusFailed {
+		t.Errorf("traced job after a panic: %+v", doc)
+	}
+	const sweepBody = `{"schema_version":1,"kind":"sweep","benches":["Filter"],"schemes":["Conv","DWS.ReviveSplit"]}`
+	sweep, _ := postJob(t, ts, sweepBody)
+	if doc := waitJob(t, ts, sweep.ID); doc.Status != StatusFailed || doc.Error != "panic: injected" {
+		t.Errorf("sweep job after a panic: %+v", doc)
+	}
+	setBoom(false)
+
+	// The one worker survived all three, reruns the points that panicked
+	// (the session dropped them instead of leaving them in flight), and
+	// runs on other machines.
+	for _, body := range []string{plainBody, sweepBody, tracedFilterBody} {
+		doc, _ := postJob(t, ts, body)
+		if done := waitJob(t, ts, doc.ID); done.Status != StatusDone {
+			t.Errorf("job after the panics: %+v", done)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(interrupted) != 3 {
+		t.Errorf("%d machines were interrupted, want 3 (a panic must not reuse an earlier one's)", len(interrupted))
 	}
 }
 
@@ -336,6 +430,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dwsimd_session_requests_total{source="simulated"} 1`,
 		`dwsimd_store_ops_total{op="save"} 1`,
 		"dwsimd_store_records 1",
+		"dwsimd_stream_log_bytes 0",
+		"dwsimd_stream_logs_compacted_total 0",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)

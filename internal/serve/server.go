@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -194,11 +195,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP dwsimd_store_records Records indexed across %d shards.\n# TYPE dwsimd_store_records gauge\n", ss.Shards)
 		fmt.Fprintf(w, "dwsimd_store_records %d\n", ss.Records)
 	}
+	logBytes, compacted := s.reg.streamLogStats()
+	fmt.Fprintf(w, "# HELP dwsimd_stream_log_bytes SSE wire bytes held by traced jobs' logs, finished or in flight.\n# TYPE dwsimd_stream_log_bytes gauge\n")
+	fmt.Fprintf(w, "dwsimd_stream_log_bytes %d\n", logBytes)
+	fmt.Fprintf(w, "# HELP dwsimd_stream_logs_compacted_total Finished logs cut back to their done frame by the retention budget.\n# TYPE dwsimd_stream_logs_compacted_total counter\n")
+	fmt.Fprintf(w, "dwsimd_stream_logs_compacted_total %d\n", compacted)
 	s.live.WriteMetrics(w)
 }
 
-// runJob executes one job on a pool worker.
+// runJob executes one job on a pool worker. A panic under it (a simulator
+// self-check, say) fails the job instead of the daemon: Session.Run drops
+// the point it was computing, so a resubmission runs afresh, Prefetch hands
+// a sweep point's panic to this goroutine (its first line is the message),
+// and the machine never reaches report's free list, because runLive gives
+// back only machines whose run returned.
 func (s *Server) runJob(j *job) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, _, _ := strings.Cut(fmt.Sprintf("panic: %v", r), "\n")
+			s.reg.finish(j, msg)
+			if j.hub != nil {
+				j.hub.finishError(msg) // subscribers terminate
+			}
+		}
+	}()
 	s.reg.setRunning(j)
 	if j.hub != nil {
 		s.runTracedJob(j)
@@ -242,12 +262,12 @@ func (s *Server) runTracedJob(j *job) {
 	streamEvery := s.every
 	s.live.SetMeta(p.bench, string(p.knobs.Scheme))
 	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(sys *sim.System) func() {
-		finish := s.live.Attach(sys)
+		finish := s.session.OnSystem(sys)
 		pub.attach(sys, streamEvery)
 		return finish
 	})
 	if err != nil {
-		pub.finishError(err.Error())
+		j.hub.finishError(err.Error())
 		s.reg.finish(j, err.Error())
 		return
 	}

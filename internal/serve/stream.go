@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -13,69 +12,229 @@ import (
 )
 
 // Live trace streaming. A traced job gets a streamHub: the simulation
-// goroutine publishes frames into it from inside the System's per-cycle
-// Tracer hook, and any number of SSE clients replay the frame log from
-// the start. The design deliberately has no per-subscriber goroutines and
-// no per-subscriber channels:
+// goroutine publishes into it from inside the System's per-cycle Tracer
+// hook, and any number of SSE clients replay it from the start. The hub's
+// log has one representation, the bytes that go on the wire
+// ("event: obs\ndata: {...}\n\n" and so on), appended into fixed-size
+// chunks: nothing is re-copied as the log grows, there is no per-event heap
+// object, and a subscriber is a byte offset that hands whole chunk slices
+// to its ResponseWriter. There are no per-subscriber goroutines and no
+// per-subscriber channels:
 //
-//   - The publisher appends pre-rendered frames under a mutex and closes
-//     a broadcast channel; it can never block on a slow client, so a
-//     stalled curl cannot stall the machine.
-//   - A subscriber is just the net/http handler goroutine reading the
-//     frame log by index and waiting on the broadcast channel or its own
-//     request context — on disconnect it simply returns, so there is
-//     nothing to leak (TestStreamDisconnect pins the goroutine count).
-//   - Because frames are replayed from index zero, a late subscriber sees
-//     the identical sequence an early one does, which is what makes the
-//     SSE stream comparable byte-for-byte with an offline dwstrace run of
-//     the same point (TestStreamMatchesOfflineTrace).
+//   - The publisher renders new events into a reused buffer, copies it
+//     into the log under a mutex and closes a broadcast channel; it can
+//     never block on a slow client, so a stalled curl cannot stall the
+//     machine.
+//   - A subscriber is just the net/http handler goroutine reading the log
+//     by offset and waiting on the broadcast channel or its own request
+//     context — on disconnect it simply returns, so there is nothing to
+//     leak (TestStreamDisconnect pins the goroutine count).
+//   - Because the log is replayed from offset zero, a late subscriber
+//     receives the identical bytes an early one does, which is what makes
+//     the SSE stream comparable byte-for-byte with an offline dwstrace run
+//     of the same point (TestStreamMatchesOfflineTrace).
 //
-// Frame log growth is bounded by the same thing that bounds an offline
-// obs.Trace of the run: one frame per event/sample.
+// Retention is bounded. While a job runs its log grows by one frame per
+// event and sample, as an offline obs.Trace of the run does. Once the done
+// frame is published the log's size is charged to one budget shared by
+// every job of the registry (streamLogs), and while the budget is exceeded
+// the oldest finished log that no subscriber is attached to is compacted:
+// its chunks are dropped and only the done frame — which carries the whole
+// result document — stays. So a subscriber, live or mid-replay, is never
+// cut short; a subscriber to a log still retained replays it in full; and
+// a subscriber to a compacted log receives exactly the done frame.
 
-// frame is one server-sent event, pre-rendered once for all subscribers.
-type frame struct {
-	event string // SSE event name: "obs", "sample", or "done"
-	data  []byte // one-line JSON payload
-}
+const (
+	// logChunk is the size of one log chunk: a subscriber hands the
+	// connection this much per Write, and a log wastes at most this much in
+	// its last chunk.
+	logChunk = 64 << 10
+	// streamLogBudget bounds the chunk bytes finished logs may hold between
+	// them. The done frames that outlive compaction are not counted: the
+	// budget cannot reclaim them, they go with the job.
+	streamLogBudget = 16 << 20
 
-// streamHub is the per-job frame log plus its broadcast signal.
+	doneHead = "event: done\ndata: "
+)
+
+// streamHub is the per-job wire-byte log plus its broadcast signal.
 type streamHub struct {
+	logs *streamLogs
+
 	mu     sync.Mutex
-	frames []frame
-	done   bool
+	chunks [][]byte      // obs and sample frames; every chunk but the last is full
+	size   int           // bytes in chunks
+	done   []byte        // the terminal frame; non-nil once the log is complete
+	subs   int           // subscribers attached
 	notify chan struct{} // closed and replaced on every publish
 }
 
-func newStreamHub() *streamHub {
-	return &streamHub{notify: make(chan struct{})}
+func newStreamHub(logs *streamLogs) *streamHub {
+	return &streamHub{logs: logs, notify: make(chan struct{})}
 }
 
-// publish appends frames and wakes every waiting subscriber; final
-// publishes mark the log complete.
-func (h *streamHub) publish(fs []frame, final bool) {
-	if len(fs) == 0 && !final {
+// wake signals every waiting subscriber; h.mu is held.
+func (h *streamHub) wake() {
+	close(h.notify)
+	h.notify = make(chan struct{})
+}
+
+// publish appends rendered frames to the log.
+func (h *streamHub) publish(b []byte) {
+	if len(b) == 0 {
 		return
 	}
 	h.mu.Lock()
-	h.frames = append(h.frames, fs...)
-	if final {
-		h.done = true
+	h.size += len(b)
+	for len(b) > 0 {
+		last := len(h.chunks) - 1
+		if last < 0 || len(h.chunks[last]) == logChunk {
+			h.chunks = append(h.chunks, make([]byte, 0, logChunk))
+			last++
+		}
+		c := h.chunks[last]
+		n := copy(c[len(c):logChunk], b)
+		h.chunks[last] = c[:len(c)+n]
+		b = b[n:]
 	}
-	close(h.notify)
-	h.notify = make(chan struct{})
+	h.wake()
 	h.mu.Unlock()
 }
 
-// snapshot returns the frames past `from` plus completion state and the
-// channel that will signal the next publish.
-func (h *streamHub) snapshot(from int) (fs []frame, done bool, notify <-chan struct{}) {
+// finish completes the log with a done frame carrying the one-line JSON
+// payload and charges its chunks to the retention budget. Only the first call
+// has an effect: a job that panics after its done frame stays done.
+func (h *streamHub) finish(payload []byte) {
+	frame := make([]byte, 0, len(doneHead)+len(payload)+2)
+	frame = append(append(append(frame, doneHead...), payload...), "\n\n"...)
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.frames[from:len(h.frames):len(h.frames)], h.done, h.notify
+	if h.done != nil {
+		h.mu.Unlock()
+		return
+	}
+	h.done = frame
+	size := h.size
+	h.wake()
+	h.mu.Unlock()
+	h.logs.retain(h, size)
 }
 
-// publisher incrementally renders a trace into hub frames. It runs
+// finishError completes the log with a terminal error frame.
+func (h *streamHub) finishError(msg string) {
+	h.finish(mustJSON(map[string]string{"status": StatusFailed, "error": msg}))
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("serve: marshal stream frame: %v", err))
+	}
+	return b
+}
+
+// read returns the log bytes at offset off, up to the end of the chunk (or
+// done frame) holding them. When there are none yet, wait is the channel
+// the next publish closes; b and wait both nil mean off is the end of a
+// complete log.
+func (h *streamHub) read(off int) (b []byte, wait <-chan struct{}) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch {
+	case off < h.size:
+		return h.chunks[off/logChunk][off%logChunk:], nil
+	case h.done == nil:
+		return nil, h.notify
+	case off < h.size+len(h.done):
+		return h.done[off-h.size:], nil
+	}
+	return nil, nil
+}
+
+// bytes is the wire bytes the log holds right now.
+func (h *streamHub) bytes() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.size + len(h.done)
+}
+
+// attach registers a subscriber: until it detaches the log cannot be
+// compacted, so the offsets it reads at stay valid.
+func (h *streamHub) attach() {
+	h.mu.Lock()
+	h.subs++
+	h.mu.Unlock()
+}
+
+func (h *streamHub) detach() {
+	h.mu.Lock()
+	h.subs--
+	idle := h.subs == 0 && h.done != nil
+	h.mu.Unlock()
+	if idle {
+		h.logs.trim() // this log may be the one the budget was waiting for
+	}
+}
+
+// compact drops everything but the done frame of a finished log, unless a
+// subscriber is attached, and returns the bytes freed.
+func (h *streamHub) compact() (freed int, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.subs > 0 {
+		return 0, false
+	}
+	freed = h.size
+	h.chunks, h.size = nil, 0
+	return freed, true
+}
+
+// streamLogs is the registry-wide retention budget over finished logs.
+// Lock order: streamLogs.mu, then a hub's mu; a hub never calls in here
+// with its own mutex held.
+type streamLogs struct {
+	mu        sync.Mutex
+	budget    int          // streamLogBudget; tests lower it
+	held      int          // chunk bytes of the logs in full
+	full      []*streamHub // finished and not compacted, oldest first
+	compacted int
+}
+
+// retain charges a log that has just finished with size bytes of chunks.
+func (l *streamLogs) retain(h *streamHub, size int) {
+	if size == 0 { // a failed job's log is its done frame alone
+		return
+	}
+	l.mu.Lock()
+	l.held += size
+	l.full = append(l.full, h)
+	l.trimLocked()
+	l.mu.Unlock()
+}
+
+// trim compacts logs, oldest first, while the budget is exceeded.
+func (l *streamLogs) trim() {
+	l.mu.Lock()
+	l.trimLocked()
+	l.mu.Unlock()
+}
+
+func (l *streamLogs) trimLocked() {
+	keep := l.full[:0]
+	for _, h := range l.full {
+		if l.held > l.budget {
+			if freed, ok := h.compact(); ok {
+				l.held -= freed
+				l.compacted++
+				continue
+			}
+		}
+		keep = append(keep, h)
+	}
+	clear(l.full[len(keep):])
+	l.full = keep
+}
+
+// publisher incrementally renders a trace into its hub's log. It runs
 // entirely on the simulation goroutine (Tracer hook + final flush), so
 // reading the still-filling obs.Trace is race-free by construction.
 type publisher struct {
@@ -83,27 +242,31 @@ type publisher struct {
 	tr     *obs.Trace
 	nextEv int
 	nextSa int
+	buf    []byte // the frames of one flush, reused
 }
 
 // flush renders everything newly appended to the trace. Events and
 // samples are interleaved in cycle order — the same order an offline
 // export walks them — with ties broken events-first (a sample at cycle c
-// summarizes the interval ending at c, after its events).
-func (p *publisher) flush(final bool) {
-	var fs []frame
+// summarizes the interval ending at c, after its events). Payloads are
+// single-line JSON, so one data: line per frame suffices.
+func (p *publisher) flush() {
+	b := p.buf[:0]
 	evs, sas := p.tr.Events[p.nextEv:], p.tr.Samples[p.nextSa:]
 	for len(evs) > 0 || len(sas) > 0 {
 		if len(sas) == 0 || (len(evs) > 0 && evs[0].Cycle <= sas[0].Cycle) {
-			fs = append(fs, frame{event: "obs", data: mustJSON(evs[0])})
+			b = evs[0].AppendJSON(append(b, "event: obs\ndata: "...))
 			evs = evs[1:]
 		} else {
-			fs = append(fs, frame{event: "sample", data: mustJSON(sas[0])})
+			b = sas[0].AppendJSON(append(b, "event: sample\ndata: "...))
 			sas = sas[1:]
 		}
+		b = append(b, "\n\n"...)
 	}
 	p.nextEv = len(p.tr.Events)
 	p.nextSa = len(p.tr.Samples)
-	p.hub.publish(fs, final)
+	p.buf = b
+	p.hub.publish(b)
 }
 
 // attach chains the publisher onto the machine's per-cycle Tracer so
@@ -119,7 +282,7 @@ func (p *publisher) attach(sys *sim.System, every uint64) {
 			prev(cycle)
 		}
 		if cycle%every == 0 {
-			p.flush(false)
+			p.flush()
 		}
 	}
 }
@@ -128,29 +291,16 @@ func (p *publisher) attach(sys *sim.System, every uint64) {
 // carrying the canonical result document. The document renders indented
 // for /v1/results; SSE payloads must be one line, so it is compacted here.
 func (p *publisher) finishSuccess(doc []byte) {
-	p.flush(false)
+	p.flush()
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, doc); err != nil {
 		panic(fmt.Sprintf("serve: compact result doc: %v", err))
 	}
-	p.hub.publish([]frame{{event: "done", data: buf.Bytes()}}, true)
+	p.hub.finish(buf.Bytes())
 }
 
-// finishError publishes a terminal error frame.
-func (p *publisher) finishError(msg string) {
-	p.hub.publish([]frame{{event: "done", data: mustJSON(map[string]string{"status": StatusFailed, "error": msg})}}, true)
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("serve: marshal stream frame: %v", err))
-	}
-	return b
-}
-
-// serveStream writes the job's frame log as Server-Sent Events until the
-// log completes or the client goes away.
+// serveStream writes the job's log as Server-Sent Events until the log
+// completes or the client goes away.
 func serveStream(w http.ResponseWriter, r *http.Request, h *streamHub) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -160,32 +310,26 @@ func serveStream(w http.ResponseWriter, r *http.Request, h *streamHub) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	next := 0
+	h.attach()
+	defer h.detach()
+	off := 0
 	for {
-		fs, done, notify := h.snapshot(next)
-		for _, f := range fs {
-			if err := writeSSE(w, f); err != nil {
+		b, wait := h.read(off)
+		if len(b) > 0 {
+			if _, err := w.Write(b); err != nil {
 				return // client hung up mid-write
 			}
+			off += len(b)
+			continue
 		}
-		if len(fs) > 0 {
-			fl.Flush()
-		}
-		next += len(fs)
-		if done {
+		fl.Flush() // caught up: push what was written before waiting or leaving
+		if wait == nil {
 			return
 		}
 		select {
-		case <-notify:
+		case <-wait:
 		case <-r.Context().Done():
 			return
 		}
 	}
-}
-
-// writeSSE renders one frame in the SSE wire format. Payloads are
-// single-line JSON, so one data: line suffices.
-func writeSSE(w io.Writer, f frame) error {
-	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.event, f.data)
-	return err
 }

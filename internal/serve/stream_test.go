@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -253,5 +255,170 @@ func TestStreamDisconnect(t *testing.T) {
 			t.Fatalf("goroutines leaked after disconnect: %d, baseline %d", runtime.NumGoroutine(), g0)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// streamRaw reads the job's SSE endpoint to the end and returns the body
+// as it came off the wire.
+func streamRaw(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: status %d", resp.StatusCode)
+	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// doneFrameOf cuts the terminal frame off a complete stream.
+func doneFrameOf(t *testing.T, stream []byte) []byte {
+	t.Helper()
+	i := bytes.LastIndex(stream, []byte(doneHead))
+	if i < 0 || !bytes.HasSuffix(stream, []byte("\n\n")) {
+		t.Fatalf("stream of %d bytes does not end in a done frame", len(stream))
+	}
+	return stream[i:]
+}
+
+// waitCompacted waits until n logs have been compacted and returns the
+// chunk bytes finished logs then hold. It has to wait because a job reads "done"
+// just before its done frame is published and its log charged.
+func waitCompacted(t *testing.T, srv *Server, n int) (held int) {
+	t.Helper()
+	l := &srv.reg.logs
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		held, compacted := l.held, l.compacted
+		l.mu.Unlock()
+		if compacted == n {
+			return held
+		}
+		if compacted > n || time.Now().After(deadline) {
+			t.Fatalf("%d logs compacted, want %d", compacted, n)
+		}
+	}
+}
+
+// TestStreamRetention runs more traced jobs than the budget can hold:
+// what finished logs retain stays under the budget, the oldest are cut to
+// their done frame — which is all a late subscriber to them receives, and
+// is the frame the live subscriber saw — and the newest still replays in
+// full, byte for byte.
+func TestStreamRetention(t *testing.T) {
+	srv, _, ts := testServer(t, 1, false)
+
+	first, resp := postJob(t, ts, tracedFilterBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	live := streamRaw(t, ts, first.ID)
+	done := doneFrameOf(t, live)
+	if len(live) < 4*logChunk {
+		t.Fatalf("a Filter log of %d bytes is too small for this test", len(live))
+	}
+
+	// Room for two and a half logs; five will finish.
+	const jobs = 5
+	budget := 5 * len(live) / 2
+	srv.reg.logs.mu.Lock()
+	srv.reg.logs.budget = budget
+	srv.reg.logs.mu.Unlock()
+	last := first
+	for i := 1; i < jobs; i++ {
+		last, _ = postJob(t, ts, tracedFilterBody)
+		if doc := waitJob(t, ts, last.ID); doc.Status != StatusDone {
+			t.Fatalf("job %s: %+v", last.ID, doc)
+		}
+	}
+
+	held := waitCompacted(t, srv, jobs-2)
+	if held > budget {
+		t.Errorf("finished logs hold %d bytes, budget %d", held, budget)
+	}
+	if want := 2 * (len(live) - len(done)); held != want {
+		t.Errorf("finished logs hold %d bytes, want %d (the chunks of two logs)", held, want)
+	}
+	if bytes, _ := srv.reg.streamLogStats(); bytes != held+jobs*len(done) {
+		t.Errorf("dwsimd_stream_log_bytes would read %d with nothing in flight, want the %d the budget holds and %d done frames", bytes, held, jobs)
+	}
+
+	if got := streamRaw(t, ts, first.ID); !bytes.Equal(got, done) {
+		t.Errorf("late subscriber to a compacted log got %d bytes, want exactly the %d-byte done frame the live subscriber saw", len(got), len(done))
+	}
+	// Same point, so the same bytes as the first job's live stream.
+	if got := streamRaw(t, ts, last.ID); !bytes.Equal(got, live) {
+		t.Errorf("the newest log replayed %d bytes, want the full %d", len(got), len(live))
+	}
+}
+
+// TestStreamParkedSubscriber attaches a subscriber that reads one chunk
+// and then waits while later jobs finish over a budget of zero: its log
+// must stay whole under it, and be compacted the moment it leaves. The
+// subscriber is driven by hand through the hub calls serveStream makes, so
+// that where it is parked does not depend on socket buffers.
+func TestStreamParkedSubscriber(t *testing.T) {
+	session := report.NewSession(report.WithJobs(1))
+	srv := New(Config{Session: session, Workers: 1})
+	srv.reg.logs.budget = 0
+	// Hold the first run at its machine hook until the subscriber is
+	// attached, so the job cannot finish (and be compacted) first.
+	attached := make(chan struct{})
+	inner := session.OnSystem
+	session.OnSystem = func(sys *sim.System) func() {
+		<-attached
+		return inner(sys)
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	doc, _ := postJob(t, ts, tracedFilterBody)
+	j, _ := srv.reg.get(doc.ID)
+	j.hub.attach()
+	close(attached)
+
+	// A second subscriber comes and goes; the parked one reads a chunk; two
+	// more jobs finish with no subscriber, which is all that is compacted.
+	full := streamRaw(t, ts, doc.ID)
+	parked, _ := j.hub.read(0)
+	if len(parked) != logChunk {
+		t.Fatalf("first read returned %d bytes, want one %d-byte chunk", len(parked), logChunk)
+	}
+	got := append([]byte(nil), parked...)
+	for i := 0; i < 2; i++ {
+		d, _ := postJob(t, ts, tracedFilterBody)
+		waitJob(t, ts, d.ID)
+	}
+	waitCompacted(t, srv, 2)
+
+	for {
+		b, wait := j.hub.read(len(got))
+		if len(b) == 0 {
+			if wait != nil {
+				t.Fatal("a finished log asked its subscriber to wait")
+			}
+			break
+		}
+		got = append(got, b...)
+	}
+	if !bytes.Equal(got, full) {
+		t.Errorf("parked subscriber read %d bytes, the full stream is %d", len(got), len(full))
+	}
+
+	j.hub.detach()
+	done := doneFrameOf(t, full)
+	if n := j.hub.bytes(); n != len(done) {
+		t.Errorf("log holds %d bytes after its last subscriber left, want the %d-byte done frame", n, len(done))
+	}
+	if replay := streamRaw(t, ts, doc.ID); !bytes.Equal(replay, done) {
+		t.Errorf("replay of the compacted log is %d bytes, want exactly the done frame", len(replay))
 	}
 }
