@@ -21,6 +21,11 @@ import (
 // TestKnobKeyCoversAllFields): adding a field here automatically extends
 // the key, so distinct configurations can never alias in the run cache or
 // the on-disk store. Field order and types are part of the key.
+//
+// Knobs must stay comparable: the session cache is a map keyed by
+// Job{Bench, Knobs}, so a slice-, map- or func-typed knob fails the build.
+// That is the intent — such a knob needs a decision about what "the same
+// point" means before it can be cached at all.
 type Knobs struct {
 	WPUs    int              `json:"wpus"` // 0 = the Table 3 default (4)
 	Width   int              `json:"width"`
@@ -194,12 +199,15 @@ func (k Knobs) Config() sim.Config {
 	return cfg
 }
 
-// key derives the cache key from the benchmark name plus every Knobs
-// field. %#v prints all fields by name, so a newly added knob joins the
-// key without further code; TestKnobKeyCoversAllFields enforces that the
-// rendering actually distinguishes each field. Struct tags and the text
-// form of Dist do not show in %#v; a GoString method on a field type
-// would, and would move every key.
+// key derives the string form of the cache key from the benchmark name
+// plus every Knobs field: what the on-disk store digests into a file name
+// and serve.ResultKey into a result address. (The session cache needs no
+// string; it is keyed by the Job itself.) %#v prints all fields by name, so
+// a newly added knob joins the key without further code;
+// TestKnobKeyCoversAllFields enforces that the rendering actually
+// distinguishes each field. Struct tags and the text form of Dist do not
+// show in %#v; a GoString method on a field type would, and would move
+// every key.
 func (k Knobs) key(bench string) string {
 	return fmt.Sprintf("%s|%#v", bench, k)
 }

@@ -60,7 +60,7 @@ type CacheStats struct {
 // concurrent use; see the package comment.
 type Session struct {
 	mu    sync.Mutex
-	cache map[string]*inflight
+	cache map[Job]*inflight // keyed by the point itself: a memory hit formats nothing
 	stats CacheStats
 
 	jobs  int    // worker-pool width for Prefetch (0 = GOMAXPROCS)
@@ -104,7 +104,7 @@ func WithStore(st *Store) Option { return func(s *Session) { s.store = st } }
 
 // NewSession returns an empty run cache.
 func NewSession(opts ...Option) *Session {
-	s := &Session{cache: make(map[string]*inflight), Verify: true}
+	s := &Session{cache: make(map[Job]*inflight), Verify: true}
 	for _, o := range opts {
 		o(s)
 	}
@@ -133,16 +133,16 @@ func (s *Session) Stats() CacheStats {
 // panics counts as failed for those joined to it and for the cache, and
 // the panic continues up the goroutine that ran it.
 func (s *Session) Run(bench string, k Knobs) (Result, error) {
-	key := k.key(bench)
+	job := Job{bench, k}
 	s.mu.Lock()
-	if c, ok := s.cache[key]; ok {
+	if c, ok := s.cache[job]; ok {
 		s.stats.MemHits++
 		s.mu.Unlock()
 		<-c.done
 		return c.r, c.err
 	}
 	c := &inflight{done: make(chan struct{})}
-	s.cache[key] = c
+	s.cache[job] = c
 	s.mu.Unlock()
 
 	defer func() {
@@ -153,14 +153,14 @@ func (s *Session) Run(bench string, k Knobs) (Result, error) {
 		close(c.done)
 		if c.err != nil {
 			s.mu.Lock()
-			delete(s.cache, key)
+			delete(s.cache, job)
 			s.mu.Unlock()
 		}
 		if r != nil {
 			panic(r)
 		}
 	}()
-	c.r, c.source, c.err = s.simulate(bench, k, key)
+	c.r, c.source, c.err = s.simulate(job)
 	return c.r, c.err
 }
 
@@ -192,16 +192,16 @@ func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func
 	if err != nil {
 		return Result{}, err
 	}
-	key := k.key(bench)
+	job := Job{bench, k}
 	s.mu.Lock()
-	if _, ok := s.cache[key]; !ok {
+	if _, ok := s.cache[job]; !ok {
 		c := &inflight{done: make(chan struct{}), r: r, source: "traced-live"}
 		close(c.done)
-		s.cache[key] = c
+		s.cache[job] = c
 	}
 	s.mu.Unlock()
 	if s.store != nil {
-		s.store.Save(key, r)
+		_ = s.store.Save(k.key(bench), r) // counted in StoreStats.SaveErrors; the run succeeded
 	}
 	return r, nil
 }
@@ -211,7 +211,7 @@ func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func
 // not been run. It blocks if the run is still in flight.
 func (s *Session) Provenance(bench string, k Knobs) string {
 	s.mu.Lock()
-	c, ok := s.cache[k.key(bench)]
+	c, ok := s.cache[Job{bench, k}]
 	s.mu.Unlock()
 	if !ok {
 		return ""
@@ -220,11 +220,15 @@ func (s *Session) Provenance(bench string, k Knobs) string {
 	return c.source
 }
 
-// simulate produces the Result for one key: from the disk store if
+// simulate produces the Result for one point: from the disk store if
 // possible, else by running the simulator (and persisting the outcome).
 // The second return is the provenance string recorded on the cache slot.
-func (s *Session) simulate(bench string, k Knobs, key string) (Result, string, error) {
+// The string form of the key is built here, on the way to the store, and
+// nowhere nearer the cache.
+func (s *Session) simulate(j Job) (Result, string, error) {
+	var key string
 	if s.store != nil {
+		key = j.Knobs.key(j.Bench)
 		if r, ok := s.store.Load(key); ok {
 			s.mu.Lock()
 			s.stats.DiskHits++
@@ -236,12 +240,12 @@ func (s *Session) simulate(bench string, k Knobs, key string) (Result, string, e
 	s.stats.Misses++
 	s.mu.Unlock()
 
-	r, err := runLive(bench, k, nil, s.Verify, s.OnSystem)
+	r, err := runLive(j.Bench, j.Knobs, nil, s.Verify, s.OnSystem)
 	if err != nil {
 		return Result{}, "", err
 	}
 	if s.store != nil {
-		s.store.Save(key, r)
+		_ = s.store.Save(key, r) // counted in StoreStats.SaveErrors; the run succeeded
 	}
 	return r, "simulated", nil
 }

@@ -12,11 +12,12 @@ import (
 	"repro/internal/wpu"
 )
 
-// TestKnobKeyCoversAllFields mutates every Knobs field through reflection
-// and requires the cache key to change: adding a knob that the key does
-// not distinguish fails here. A field of a kind this test cannot mutate
-// also fails, forcing the test (and key) to be taught about it.
-func TestKnobKeyCoversAllFields(t *testing.T) {
+// eachKnobMutation calls fn once per Knobs field with the Table 3 vector
+// and a copy differing in that field alone, found by reflection. A field
+// of a kind it cannot mutate fails the test, forcing it (and the key) to
+// be taught about the new kind.
+func eachKnobMutation(t *testing.T, fn func(field string, base, mutated Knobs)) {
+	t.Helper()
 	base := DefaultKnobs(wpu.SchemeConv)
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
@@ -34,13 +35,49 @@ func TestKnobKeyCoversAllFields(t *testing.T) {
 		case reflect.Float32, reflect.Float64:
 			f.SetFloat(f.Float() + 1)
 		default:
-			t.Fatalf("Knobs.%s has kind %s: teach TestKnobKeyCoversAllFields to mutate it "+
+			t.Fatalf("Knobs.%s has kind %s: teach eachKnobMutation to mutate it "+
 				"and make sure Knobs.key renders it deterministically", rt.Field(i).Name, f.Kind())
 		}
-		if mutated.key("FFT") == base.key("FFT") {
-			t.Errorf("mutating Knobs.%s does not change the cache key", rt.Field(i).Name)
-		}
+		fn(rt.Field(i).Name, base, mutated)
 	}
+}
+
+// TestKnobKeyCoversAllFields mutates every Knobs field through reflection
+// and requires the string key — the store's file name and the daemon's
+// result address — to change: adding a knob that the key does not
+// distinguish fails here.
+func TestKnobKeyCoversAllFields(t *testing.T) {
+	eachKnobMutation(t, func(field string, base, mutated Knobs) {
+		if mutated.key("FFT") == base.key("FFT") {
+			t.Errorf("mutating Knobs.%s does not change the cache key", field)
+		}
+	})
+}
+
+// TestKnobsAreDistinctCachePoints is the same walk for the session cache,
+// which is keyed by the point itself: two vectors differing in any single
+// field occupy two slots, and Provenance finds each under its own.
+func TestKnobsAreDistinctCachePoints(t *testing.T) {
+	eachKnobMutation(t, func(field string, base, mutated Knobs) {
+		s := NewSession()
+		for k, source := range map[Knobs]string{base: "base", mutated: "mutated"} {
+			c := &inflight{done: make(chan struct{}), source: source}
+			close(c.done)
+			s.cache[Job{"FFT", k}] = c
+		}
+		if len(s.cache) != 2 {
+			t.Fatalf("mutating Knobs.%s does not open a second cache slot", field)
+		}
+		if got := s.Provenance("FFT", base); got != "base" {
+			t.Errorf("Knobs.%s: Provenance(base) = %q", field, got)
+		}
+		if got := s.Provenance("FFT", mutated); got != "mutated" {
+			t.Errorf("Knobs.%s: Provenance(mutated) = %q", field, got)
+		}
+		if got := s.Provenance("LU", base); got != "" {
+			t.Errorf("Knobs.%s: another benchmark shares the slot (%q)", field, got)
+		}
+	})
 }
 
 // TestConcurrentSessionSingleflight hammers one Session from many

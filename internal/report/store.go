@@ -4,37 +4,49 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// storeSchema versions the record layout; bump it whenever Result or the
-// key format changes incompatibly so stale records simply miss.
-// v2: Result gained L2 stats and interconnect/DRAM traffic counters.
-// v3: wpu.Stats replaced the three-way cycle split with the top-down
-// stall taxonomy (TickCycles + eight exclusive buckets).
-// v4: wpu.Stats gained the static access-class concordance counters
-// (MemClassAccesses/MemClassTransactions/MemDivHintSkips/MemBoundExceeded).
+// storeSchema versions what the shape of Result cannot show: the codec's
+// own encoding rules, the directory layout, the key format, the meaning of
+// a counter. A field added to, removed from or renamed in Result needs no
+// bump, because versionSalt digests recordShape as well.
+// v2-v4: Result and wpu.Stats grew (by hand, before the salt saw the shape).
 // v5: records moved from a flat directory into per-shard subdirectories
 // (two hex digits of the digest), so a v4 store's files are unreachable.
-const storeSchema = "dwsim-store-v5"
+// v6: a record is the checksummed positional form of codec.go under a new
+// extension, no longer JSON; a v5 store's .json files are never opened.
+const storeSchema = "dwsim-store-v6"
+
+// recordExt names a record file. Anything else in a shard directory
+// (temporary files, an older schema's .json records) is not the store's.
+const recordExt = ".rec"
 
 // DefaultStoreShards is the shard count OpenStore selects: enough that
 // sixteen-odd concurrent clients rarely collide on one lock, few enough
 // that the directory fan-out stays readable.
 const DefaultStoreShards = 16
 
-// Store is a persistent, cross-process result cache: one JSON record per
-// simulated point, named by a digest of the cache key plus a version salt
-// (schema, Go version, and VCS state of the binary). Reads of records
-// written under a different salt miss; writes are atomic (temp file +
-// rename), so concurrent processes sharing a directory are safe.
+// Store is a persistent, cross-process result cache: one record file
+// (codec.go) per simulated point, named by a digest of the cache key plus a
+// version salt (schema, record shape, Go version, and VCS state of the
+// binary). Reads of records written under a different salt miss; writes are
+// atomic (temp file + rename), so concurrent processes sharing a directory
+// are safe. A record is not human-readable: `dwsim -stats` prints the run
+// document of a stored point.
+//
+// The store heals itself: a record that fails its checksum, its decode or
+// its key/salt check — truncated by a full disk, overwritten with garbage,
+// left by something else at that name — is deleted and dropped from the
+// index, Load reports a miss, and the caller's resimulation writes a good
+// one in its place. StoreStats.Corrupt counts them.
 //
 // The directory is sharded by the first byte of the digest, and each
 // shard carries its own lock, in-memory index, and LRU list, so many
@@ -66,7 +78,7 @@ type Store struct {
 	maxBytes int64 // whole-store LRU cap; 0 = unbounded
 	shards   []storeShard
 
-	hits, misses, saves, evictions, evictedBytes atomic.Uint64
+	hits, misses, saves, evictions, evictedBytes, corrupt, saveErrors atomic.Uint64
 }
 
 // StoreOptions configures OpenStoreWith beyond the defaults.
@@ -86,6 +98,8 @@ type StoreStats struct {
 	Hits         uint64 `json:"hits"`
 	Misses       uint64 `json:"misses"`
 	Saves        uint64 `json:"saves"`
+	SaveErrors   uint64 `json:"save_errors"` // Saves that failed; the result was still delivered
+	Corrupt      uint64 `json:"corrupt"`     // unreadable records Load removed
 	Evictions    uint64 `json:"evictions"`
 	EvictedBytes uint64 `json:"evicted_bytes"`
 	BytesInUse   int64  `json:"bytes_in_use"`
@@ -171,14 +185,14 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 		}
 		for _, f := range files { // ReadDir sorts by name: deterministic seed order
 			name := f.Name()
-			if f.IsDir() || filepath.Ext(name) != ".json" {
+			if f.IsDir() || filepath.Ext(name) != recordExt {
 				continue
 			}
 			info, err := f.Info()
 			if err != nil {
 				continue
 			}
-			sh.index(name[:len(name)-len(".json")], info.Size())
+			sh.index(strings.TrimSuffix(name, recordExt), info.Size())
 		}
 	}
 	if st.maxBytes > 0 {
@@ -193,10 +207,12 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 }
 
 // versionSalt digests everything known about the program version so
-// records from a different build of the simulator are not reused.
+// records from a different build of the simulator are not reused, and the
+// shape of a record so one laid out differently is never decoded.
 func versionSalt() string {
 	h := sha256.New()
 	fmt.Fprintln(h, storeSchema)
+	fmt.Fprintln(h, recordShape)
 	fmt.Fprintln(h, runtime.Version())
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		fmt.Fprintln(h, bi.Main.Version)
@@ -210,12 +226,13 @@ func versionSalt() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// record is the on-disk layout. Key and Salt are stored verbatim so Load
-// can reject digest collisions and cross-version reuse outright.
+// record is what a record file carries, in this order (codec.go). Key and
+// Salt are stored verbatim so Load can reject digest collisions and
+// cross-version reuse outright.
 type record struct {
-	Key    string `json:"key"`
-	Salt   string `json:"salt"`
-	Result Result `json:"result"`
+	Key    string
+	Salt   string
+	Result Result
 }
 
 // digest names the record file for a key under the current salt.
@@ -234,7 +251,7 @@ func (st *Store) shardOf(digest string) *storeShard {
 
 // path places a record file inside its two-hex-digit shard directory.
 func (st *Store) path(digest string) string {
-	return filepath.Join(st.dir, digest[:2], digest+".json")
+	return filepath.Join(st.dir, digest[:2], digest+recordExt)
 }
 
 // index adds or refreshes one entry (shard lock must be held, except
@@ -293,7 +310,10 @@ func (st *Store) Load(key string) (Result, bool) {
 		return Result{}, false
 	}
 	var rec record
-	if json.Unmarshal(b, &rec) != nil || rec.Key != key || rec.Salt != st.salt {
+	if decodeRecord(b, &rec) != nil || rec.Key != key || rec.Salt != st.salt {
+		os.Remove(st.path(digest)) // best-effort; the resimulation's Save replaces it anyway
+		sh.drop(digest)
+		st.corrupt.Add(1)
 		st.misses.Add(1)
 		return Result{}, false
 	}
@@ -302,15 +322,21 @@ func (st *Store) Load(key string) (Result, bool) {
 	return rec.Result, true
 }
 
-// Save persists one result and evicts past the size cap. Failures are
-// reported but deliberately non-fatal to callers like Session.simulate: a
+// Save persists one result and evicts past the size cap. A failure is
+// counted in StoreStats.SaveErrors and returned, but is deliberately
+// non-fatal to callers like Session.simulate, which drop the error: a
 // broken cache directory must never fail a simulation that already
 // succeeded.
 func (st *Store) Save(key string, r Result) error {
-	b, err := json.Marshal(record{Key: key, Salt: st.salt, Result: r})
+	err := st.save(key, r)
 	if err != nil {
-		return err
+		st.saveErrors.Add(1)
 	}
+	return err
+}
+
+func (st *Store) save(key string, r Result) error {
+	b := encodeRecord(&record{Key: key, Salt: st.salt, Result: r})
 	digest := st.digest(key)
 	sh := st.shardOf(digest)
 	sh.mu.Lock()
@@ -350,6 +376,8 @@ func (st *Store) Stats() StoreStats {
 		Hits:         st.hits.Load(),
 		Misses:       st.misses.Load(),
 		Saves:        st.saves.Load(),
+		SaveErrors:   st.saveErrors.Load(),
+		Corrupt:      st.corrupt.Load(),
 		Evictions:    st.evictions.Load(),
 		EvictedBytes: st.evictedBytes.Load(),
 		Shards:       len(st.shards),

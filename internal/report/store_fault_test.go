@@ -1,0 +1,230 @@
+package report
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+)
+
+// spineExhibits is the §5 scheme-comparison spine: 8 kernels × 12 schemes
+// at Table 3 defaults, 96 simulations, the same set the claims benchmark's
+// report workloads regenerate.
+var spineExhibits = []string{"t1", "7", "11", "13", "headline", "14", "19", "stalls"}
+
+const spinePoints = 96
+
+// renderSpine renders the spine on a fresh -j 2 session over st and
+// returns the report bytes and the session's counters.
+func renderSpine(t *testing.T, st *Store) (string, CacheStats) {
+	t.Helper()
+	s := NewSession(WithJobs(2), WithStore(st))
+	var buf bytes.Buffer
+	for _, id := range spineExhibits {
+		for _, e := range Exhibits {
+			if e.ID == id {
+				if err := e.Run(s, &buf, "", false); err != nil {
+					t.Fatalf("exhibit %s: %v", id, err)
+				}
+			}
+		}
+	}
+	return buf.String(), s.Stats()
+}
+
+// recordFiles lists the store's record files in path order.
+func recordFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*"+recordExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(files)
+	return files
+}
+
+// faults are the six ways a record file goes bad, each made from the good
+// bytes it replaces.
+var faults = []struct {
+	name string
+	make func(t *testing.T, good []byte) []byte
+}{
+	{"truncated", func(_ *testing.T, good []byte) []byte { return good[:len(good)/2] }},
+	{"empty", func(*testing.T, []byte) []byte { return nil }},
+	{"bit-flipped", func(_ *testing.T, good []byte) []byte {
+		b := bytes.Clone(good)
+		b[len(b)/2] ^= 0x10
+		return b
+	}},
+	{"garbage", func(_ *testing.T, good []byte) []byte {
+		b := make([]byte, len(good))
+		rand.New(rand.NewSource(7)).Read(b)
+		return b
+	}},
+	{"foreign salt", func(t *testing.T, good []byte) []byte { // intact, checksummed, from another build
+		var rec record
+		if err := decodeRecord(good, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.Salt = "0123456789abcdef"
+		return encodeRecord(&rec)
+	}},
+	{"v5 JSON", func(t *testing.T, good []byte) []byte { // what the previous schema kept at such a path
+		var rec record
+		if err := decodeRecord(good, &rec); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(map[string]any{"key": rec.Key, "salt": rec.Salt, "result": rec.Result})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}},
+}
+
+// TestStoreQuarantine: Load answers each kind of bad record with a miss,
+// deletes the file and forgets it — entry and bytes — and counts it.
+func TestStoreQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStoreWith(dir, StoreOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := range faults {
+		if err := st.Save(key(i), fakeResult(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Save("bystander", fakeResult(99)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(st.path(st.digest("bystander")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bystander := info.Size()
+	for i, f := range faults {
+		path := st.path(st.digest(key(i)))
+		good, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f.make(t, good), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Load(key(i)); ok {
+			t.Errorf("%s: Load accepted the record", f.name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: the record file was left in place (%v)", f.name, err)
+		}
+		if got := st.Stats().Corrupt; got != uint64(i+1) {
+			t.Errorf("%s: Corrupt = %d, want %d", f.name, got, i+1)
+		}
+	}
+	stats := st.Stats()
+	if stats.Records != 1 || stats.BytesInUse != bystander {
+		t.Errorf("after six quarantines the index holds %d records / %d bytes, want 1 / %d",
+			stats.Records, stats.BytesInUse, bystander)
+	}
+	if _, ok := st.Load("bystander"); !ok {
+		t.Error("the intact record no longer loads")
+	}
+	if _, ok := st.Load(key(0)); ok || st.Stats().Corrupt != uint64(len(faults)) {
+		t.Error("a quarantined record's second Load is not a plain miss")
+	}
+}
+
+// TestStoreFaultInjection is the store's two failure modes end to end,
+// against one clean run of the spine over an empty store.
+//
+// Self-healing: six of the 96 records are replaced by the six faults, and
+// the next report comes out byte-identical having resimulated exactly those
+// six; the one after that is all disk hits again.
+//
+// Save failures: a store that cannot write costs nothing but the cache.
+// Every shard directory's name is taken by a plain file, so each Save fails
+// creating its directory (a read-only directory would do for an ordinary
+// user, but tests also run as root, whom mode bits do not stop).
+func TestStoreFaultInjection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	open := func(t *testing.T, dir string) *Store {
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	dir := t.TempDir()
+	clean, cold := renderSpine(t, open(t, dir))
+	if cold.Misses != spinePoints || cold.DiskHits != 0 {
+		t.Fatalf("cold run: %+v", cold)
+	}
+
+	t.Run("self-healing", func(t *testing.T) {
+		files := recordFiles(t, dir)
+		if len(files) != spinePoints {
+			t.Fatalf("cold run left %d record files, want %d", len(files), spinePoints)
+		}
+		for i, f := range faults {
+			path := files[i*len(files)/len(faults)] // spread over the shards
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, f.make(t, good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		st := open(t, dir)
+		healed, stats := renderSpine(t, st)
+		if healed != clean {
+			t.Error("the report over the damaged store differs from the clean run's")
+		}
+		if stats.Misses != uint64(len(faults)) || stats.DiskHits != spinePoints-uint64(len(faults)) {
+			t.Errorf("damaged run: %+v, want exactly %d resimulated", stats, len(faults))
+		}
+		ss := st.Stats()
+		if ss.Corrupt != uint64(len(faults)) || ss.Saves != uint64(len(faults)) || ss.Records != spinePoints {
+			t.Errorf("damaged run: store %+v, want %d corrupt, as many saved, %d records", ss, len(faults), spinePoints)
+		}
+
+		st = open(t, dir)
+		again, stats := renderSpine(t, st)
+		if again != clean {
+			t.Error("the report over the healed store differs from the clean run's")
+		}
+		if stats.Misses != 0 || stats.DiskHits != spinePoints || st.Stats().Corrupt != 0 {
+			t.Errorf("second pass: %+v, corrupt %d; want all disk hits", stats, st.Stats().Corrupt)
+		}
+	})
+
+	t.Run("save failures", func(t *testing.T) {
+		dir := t.TempDir()
+		for i := 0; i < 256; i++ {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o444); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := open(t, dir)
+		got, stats := renderSpine(t, st)
+		if got != clean {
+			t.Error("the report over a store that cannot save differs from the clean run's")
+		}
+		if stats.Misses != spinePoints {
+			t.Errorf("simulated %d points, want %d", stats.Misses, spinePoints)
+		}
+		ss := st.Stats()
+		if ss.SaveErrors != spinePoints || ss.Saves != 0 || ss.Records != 0 || ss.Corrupt != 0 {
+			t.Errorf("store %+v, want %d save errors and nothing else", ss, spinePoints)
+		}
+	})
+}

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -173,19 +172,11 @@ func TestStoreTwoInstancesOneDir(t *testing.T) {
 	if _, ok := b.Load(key); !ok {
 		t.Fatal("warm-up load for b failed")
 	}
-	removeStoreRecord(t, dir, key, a)
+	if err := os.Remove(a.path(a.digest(key))); err != nil { // as a's eviction would
+		t.Fatal(err)
+	}
 	if _, ok := b.Load(key); ok {
 		t.Fatal("b returned a record another instance evicted")
-	}
-}
-
-// removeStoreRecord deletes the record file for key as an eviction by
-// another process would.
-func removeStoreRecord(t *testing.T, dir, key string, st *Store) {
-	t.Helper()
-	digest := st.digest(key)
-	if err := os.Remove(filepath.Join(dir, digest[:2], digest+".json")); err != nil {
-		t.Fatal(err)
 	}
 }
 

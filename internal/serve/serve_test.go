@@ -429,6 +429,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dwsimd_jobs{state="done"} 1`,
 		`dwsimd_session_requests_total{source="simulated"} 1`,
 		`dwsimd_store_ops_total{op="save"} 1`,
+		`dwsimd_store_ops_total{op="save_error"} 0`,
+		`dwsimd_store_ops_total{op="corrupt"} 0`,
 		"dwsimd_store_records 1",
 		"dwsimd_stream_log_bytes 0",
 		"dwsimd_stream_logs_compacted_total 0",

@@ -186,6 +186,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"hit\"} %d\n", ss.Hits)
 		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"miss\"} %d\n", ss.Misses)
 		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"save\"} %d\n", ss.Saves)
+		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"save_error\"} %d\n", ss.SaveErrors)
+		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"corrupt\"} %d\n", ss.Corrupt)
 		fmt.Fprintf(w, "# HELP dwsimd_store_evictions_total Records evicted by the LRU byte cap.\n# TYPE dwsimd_store_evictions_total counter\n")
 		fmt.Fprintf(w, "dwsimd_store_evictions_total %d\n", ss.Evictions)
 		fmt.Fprintf(w, "# HELP dwsimd_store_evicted_bytes_total Bytes reclaimed by eviction.\n# TYPE dwsimd_store_evicted_bytes_total counter\n")
