@@ -69,9 +69,10 @@ claims-smoke:
 	sh bench/run.sh -smoke
 
 # The command-line programs on bad input: -h exits 0 or 2, and an unknown
-# scheme, a zero cache size, an unknown -param or an unknown exhibit id is
-# one line on stderr and exit status 1, never a panic (cmd/smoke_test.go;
-# `make test` runs it too).
+# scheme, benchmark, -param or exhibit id, a zero cache size or a -values
+# entry that is not a number is one line on stderr and exit status 1, never a
+# panic; and dwsweep along Figure 16's axis prints Figure 16's DWS/Conv
+# column (cmd/smoke_test.go; `make test` runs it too).
 # -count=1 because the test builds and runs the programs as child processes,
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:
@@ -88,10 +89,12 @@ loc:
 # directory: run it at the parent commit and at the change, then
 # `diff -r` the two. Full report stdout at -j 1 (with every CSV) and -j 8,
 # the three static-analysis reports, one run and the disassembly of every
-# benchmark, and a scheduling-state dump every 2000 cycles (split ids, masks, PCs, states)
-# of two divergent kernels under four schemes — the only output that sees
-# the order splits are created and merged in. About two minutes on two
-# cores; stderr (timing lines) is not captured.
+# benchmark, two dwsweep runs with their -stats documents (the suite against
+# DWS, and one benchmark under one scheme), and a scheduling-state dump
+# every 2000 cycles (split ids, masks, PCs, states) of two divergent kernels
+# under four schemes — the only output that sees the order splits are
+# created and merged in. About two minutes on two cores; stderr (timing
+# lines) is not captured.
 ORACLE_BENCHES = KMeans Merge
 ORACLE_SCHEMES = DWS.ReviveSplit DWS.PredictiveSplit DWS.AggressSplit.BL Slip.BranchBypass
 oracles:
@@ -102,6 +105,8 @@ oracles:
 	$(GO) run ./cmd/dwsim -bench all -nocache > $(OUT)/dwsim.all.txt
 	$(GO) run ./cmd/dwsim -bench all -disasm > $(OUT)/dwsim.disasm.txt
 	$(GO) run ./cmd/dwsverify -divergence -memaccess -costmodel > $(OUT)/dwsverify.txt
+	$(GO) run ./cmd/dwsweep -nocache -param l2lat -values 10,30,300 -stats - > $(OUT)/dwsweep.l2lat.txt
+	$(GO) run ./cmd/dwsweep -nocache -bench Filter -param wst -values 4,16 -alt "" -stats - > $(OUT)/dwsweep.wst.txt
 	for b in $(ORACLE_BENCHES); do for s in $(ORACLE_SCHEMES); do \
 		$(GO) run ./cmd/dwstrace -bench $$b -scheme $$s -every 2000 > $(OUT)/dwstrace.$$b.$$s.txt || exit 1; \
 	done; done

@@ -86,10 +86,7 @@ func main() {
 
 	names := []string{*benchName}
 	if *benchName == "all" {
-		names = names[:0]
-		for _, s := range workloads.All() {
-			names = append(names, s.Name)
-		}
+		names = report.BenchNames()
 	}
 
 	if *showDis {
@@ -129,11 +126,11 @@ func main() {
 	}
 
 	var docs []report.RunDoc
+	if live != nil {
+		live.SetMeta(*benchName, string(k.Scheme))
+	}
 	if traced {
 		tr := obs.New(*obsEvery)
-		if live != nil {
-			live.SetMeta(names[0], string(k.Scheme))
-		}
 		start := time.Now()
 		r, err := s.RunTraced(names[0], k, tr)
 		if err != nil {
@@ -158,30 +155,16 @@ func main() {
 		doc.Hists = &tr.Hists
 		docs = append(docs, doc)
 	} else {
-		// Prefetch only pays off with several points; for a single bench run
-		// it directly so the measured wall time is the simulation itself.
-		if len(names) > 1 {
-			var grid []report.Job
-			for _, name := range names {
-				grid = append(grid, report.Job{Bench: name, Knobs: k})
-			}
-			if err := s.Prefetch(grid); err != nil {
-				fmt.Fprintln(os.Stderr, "dwsim:", err)
-				os.Exit(1)
-			}
+		start := time.Now()
+		res, err := s.Suite(names, k)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dwsim:", err)
+			os.Exit(1)
 		}
-		for _, name := range names {
-			if live != nil {
-				live.SetMeta(name, string(k.Scheme))
-			}
-			start := time.Now()
-			r, err := s.Run(name, k)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dwsim:", err)
-				os.Exit(1)
-			}
-			printRun(name, k, r)
-			docs = append(docs, report.NewRunDoc(r, k, s.Provenance(name, k), time.Since(start).Seconds()))
+		wall := time.Since(start).Seconds()
+		for i, name := range names {
+			printRun(name, k, *res[0][i])
+			docs = append(docs, report.NewRunDoc(*res[0][i], k, s.Provenance(name, k), wall))
 		}
 	}
 
@@ -217,21 +200,11 @@ func disasm(name string, k report.Knobs) error {
 	if err != nil {
 		return err
 	}
-	sys, err := sim.New(k.Config())
+	pl, err := spec.Plan(k.Config())
 	if err != nil {
 		return err
 	}
-	inst, err := spec.Build(sys)
-	if err != nil {
-		return err
-	}
-	seen := map[string]bool{}
-	progs, _ := inst.Launches()
-	for _, p := range progs {
-		if seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
+	for _, p := range pl.Kernels {
 		fmt.Printf("== %s ==\n%s\n", p.Name, p.Disassemble())
 	}
 	return nil

@@ -67,7 +67,7 @@ func main() {
 		}
 		start := time.Now()
 		before := s.Stats()
-		if err := e.Run(s, w, *csvDir, *quick); err != nil {
+		if _, err := e.Run(s, w, *csvDir, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "dwsreport: %s: %v\n", e.Title, err)
 			os.Exit(1)
 		}

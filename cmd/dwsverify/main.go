@@ -50,28 +50,23 @@ func main() {
 	bad := 0
 	kernels := 0
 	for _, spec := range specs {
-		progs, err := buildPrograms(spec)
+		pl, err := spec.Plan(sim.DefaultConfig())
 		if err != nil {
 			fmt.Printf("%-8s BUILD FAILED\n%v\n", spec.Name, err)
 			bad++
 			continue
 		}
-		names := make([]string, 0, len(progs))
-		for name := range progs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			p := progs[name]
+		sort.Slice(pl.Kernels, func(i, j int) bool { return pl.Kernels[i].Name < pl.Kernels[j].Name })
+		for _, p := range pl.Kernels {
 			kernels++
 			findings := p.Verify()
 			if len(findings) == 0 {
 				fmt.Printf("%-8s %-16s ok  (%d insts, %d blocks, %d branches%s)\n",
-					spec.Name, name, len(p.Code), len(p.Blocks), p.NumBranches(), regionSummary(p))
+					spec.Name, p.Name, len(p.Code), len(p.Blocks), p.NumBranches(), regionSummary(p))
 			} else {
 				bad++
 				fmt.Printf("%-8s %-16s %d finding(s):\n%s",
-					spec.Name, name, len(findings), program.FormatFindings(findings))
+					spec.Name, p.Name, len(findings), program.FormatFindings(findings))
 			}
 			if *showDis {
 				fmt.Print(p.Disassemble())
@@ -92,31 +87,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("dwsverify: ok (%d kernels verified clean)\n", kernels)
-}
-
-// buildPrograms instantiates the benchmark on a scratch machine and collects
-// its distinct kernels. Kernels are built with MustVerify, so a regression
-// surfaces as a panic; convert it to an error so every benchmark reports.
-func buildPrograms(spec workloads.Spec) (progs map[string]*program.Program, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	sys, err := sim.New(sim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	inst, err := spec.Build(sys)
-	if err != nil {
-		return nil, err
-	}
-	progs = make(map[string]*program.Program)
-	launched, _ := inst.Launches()
-	for _, p := range launched {
-		progs[p.Name] = p
-	}
-	return progs, nil
 }
 
 func regionSummary(p *program.Program) string {

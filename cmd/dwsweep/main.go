@@ -1,5 +1,8 @@
 // dwsweep runs a one-dimensional parameter sweep for a benchmark (or the
-// whole suite) comparing two schemes, printing one row per sweep point.
+// whole suite) comparing two schemes, printing one row per sweep point. It
+// is a row of report's sweeps table spelled on the command line: the same
+// points, evaluator and mean as Figures 15-17 (`-param l2lat -values
+// 10,30,100,200,300` prints Figure 16's DWS/Conv column).
 //
 // Usage:
 //
@@ -31,56 +34,42 @@ func main() {
 		openSess = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "dwsweep:", err)
+		os.Exit(1)
+	}
 
 	var vals []int
 	for _, v := range strings.Split(*values, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(v))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dwsweep: bad value %q\n", v)
-			os.Exit(1)
+			fail(fmt.Errorf("bad value %q", v))
 		}
 		vals = append(vals, n)
 	}
-
-	// at returns the Table 3 machine under scheme with the swept knob at v.
-	// Every point is built for the grid below before anything runs, so a bad
-	// -param, value or scheme ends the program here.
-	at := func(scheme string, v int) report.Knobs {
-		k := report.DefaultKnobs(wpu.Scheme(scheme))
-		err := k.Set(*param, v)
-		if err == nil {
-			err = k.Validate()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwsweep:", err)
-			os.Exit(1)
-		}
-		return k
+	// Every point is built before anything runs, so a bad -param, value or
+	// scheme ends the program here. Base points first, then -alt's.
+	schemes := []string{*scheme}
+	if *alt != "" {
+		schemes = append(schemes, *alt)
 	}
-
+	var points []report.Knobs
+	for _, sc := range schemes {
+		pts, err := report.SweepPoints(wpu.Scheme(sc), *param, vals)
+		if err != nil {
+			fail(err)
+		}
+		points = append(points, pts...)
+	}
 	benches := []string{*bench}
 	if *bench == "all" {
 		benches = report.BenchNames()
 	}
 
 	s, _ := openSess("dwsweep", report.StoreOptions{})
-
-	// Submit the whole sweep grid to the worker pool up front; the print
-	// loop below then renders from the warm cache in deterministic order.
-	var grid []report.Job
-	for _, v := range vals {
-		kb := at(*scheme, v)
-		for _, b := range benches {
-			grid = append(grid, report.Job{Bench: b, Knobs: kb})
-			if *alt != "" {
-				ka := at(*alt, v)
-				grid = append(grid, report.Job{Bench: b, Knobs: ka})
-			}
-		}
-	}
-	if err := s.Prefetch(grid); err != nil {
-		fmt.Fprintln(os.Stderr, "dwsweep:", err)
-		os.Exit(1)
+	res, err := s.Suite(benches, points...)
+	if err != nil {
+		fail(err)
 	}
 
 	// sweepRow is the machine-readable form of one printed line.
@@ -97,32 +86,12 @@ func main() {
 		fmt.Printf("  %-12s  %s", *alt+" cyc", "speedup")
 	}
 	fmt.Println()
-	for _, v := range vals {
-		kb := at(*scheme, v)
-		var baseCycles, altCycles, speedups []float64
-		for _, b := range benches {
-			rb, err := s.Run(b, kb)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dwsweep:", err)
-				os.Exit(1)
-			}
-			baseCycles = append(baseCycles, float64(rb.Cycles))
-			if *alt != "" {
-				ka := at(*alt, v)
-				ra, err := s.Run(b, ka)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "dwsweep:", err)
-					os.Exit(1)
-				}
-				altCycles = append(altCycles, float64(ra.Cycles))
-				speedups = append(speedups, float64(rb.Cycles)/float64(ra.Cycles))
-			}
-		}
-		row := sweepRow{Value: v, BaseCycles: mean(baseCycles)}
+	for i, v := range vals {
+		row := sweepRow{Value: v, BaseCycles: meanCycles(res[i])}
 		fmt.Printf("%-10d  %-12.0f", v, row.BaseCycles)
 		if *alt != "" {
-			row.AltCycles = mean(altCycles)
-			row.Speedup = report.HarmonicMean(speedups)
+			ra := res[len(vals)+i]
+			row.AltCycles, row.Speedup = meanCycles(ra), report.Speedup(res[i], ra)
 			fmt.Printf("  %-12.0f  %.3f", row.AltCycles, row.Speedup)
 		}
 		fmt.Println()
@@ -143,8 +112,7 @@ func main() {
 		if *statsOut != "-" {
 			f, err := os.Create(*statsOut)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dwsweep:", err)
-				os.Exit(1)
+				fail(err)
 			}
 			defer f.Close()
 			out = f
@@ -152,16 +120,16 @@ func main() {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, "dwsweep:", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 }
 
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
+// meanCycles is the arithmetic mean of a Suite row's cycle counts.
+func meanCycles(rs []*report.Result) float64 {
+	var sum uint64
+	for _, r := range rs {
+		sum += r.Cycles
 	}
-	return s / float64(len(xs))
+	return float64(sum) / float64(len(rs))
 }

@@ -6,9 +6,13 @@ package cmd
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -81,6 +85,49 @@ func TestCLISmoke(t *testing.T) {
 			t.Errorf("dwsimd after SIGTERM: %v, want exit status 0", err)
 		}
 	})
+	// dwsweep is a row of report's sweeps table spelled as flags: with
+	// Figure 16's axis and values it must print Figure 16's DWS/Conv column.
+	// The two share a store, so the second also shows that they name the
+	// same points.
+	t.Run("dwsweep agrees with dwsreport -only 16", func(t *testing.T) {
+		cache, stats := t.TempDir(), filepath.Join(t.TempDir(), "sweep.json")
+		fig, err := exec.Command(filepath.Join(bin, "dwsreport"), "-cachedir", cache, "-only", "16").Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		_, rows, _ := strings.Cut(string(fig), "--\n") // the end of the header rule
+		for _, line := range strings.Split(strings.TrimSpace(rows), "\n") {
+			f := strings.Fields(line)
+			want = append(want, f[len(f)-1])
+		}
+		out, err := exec.Command(filepath.Join(bin, "dwsweep"), "-cachedir", cache, "-stats", stats,
+			"-param", "l2lat", "-values", "10,30,100,200,300").CombinedOutput()
+		if err != nil {
+			t.Fatalf("dwsweep: %v\n%s", err, out)
+		}
+		var doc struct {
+			Rows  []struct{ Speedup float64 }
+			Cache struct{ Misses int }
+		}
+		raw, err := os.ReadFile(stats)
+		if err == nil {
+			err = json.Unmarshal(raw, &doc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range doc.Rows {
+			got = append(got, fmt.Sprintf("%.2f", r.Speedup))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("dwsweep speedups %v, Figure 16 DWS/Conv %v", got, want)
+		}
+		if doc.Cache.Misses != 0 {
+			t.Errorf("dwsweep simulated %d points that dwsreport -only 16 had stored", doc.Cache.Misses)
+		}
+	})
 	for _, tc := range [][]string{
 		{"dwsim", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-l1kb", "0"},
@@ -88,6 +135,8 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsweep", "-bench", "Filter", "-nocache", "-param", "bogus"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-alt", "Nope"},
+		{"dwsweep", "-bench", "Nope", "-nocache"},
+		{"dwsweep", "-bench", "Filter", "-nocache", "-values", "10,x"},
 		{"dwstrace", "-bench", "Filter", "-scheme", "Nope"},
 		{"dwsreport", "-nocache", "-only", "nosuch"},
 	} {

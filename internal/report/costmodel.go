@@ -46,6 +46,11 @@ type benchCost struct {
 	est            map[wpu.Scheme]float64
 }
 
+// holds reports whether a measured cycle count is inside the static claim.
+func (bc *benchCost) holds(cycles uint64) bool {
+	return int64(cycles) >= bc.tickLo && (bc.tickHi >= program.CostInf || int64(cycles) <= bc.tickHi)
+}
+
 // staticBenchCosts computes the static cost models of every benchmark's
 // launches (no simulation) under the given machine configuration.
 func staticBenchCosts(cfg sim.Config) (map[string]*benchCost, error) {
@@ -56,24 +61,19 @@ func staticBenchCosts(cfg sim.Config) (map[string]*benchCost, error) {
 	}
 	models := make(map[mkey]*program.CostModel)
 	for _, spec := range workloads.All() {
-		sys, err := sim.New(cfg)
+		pl, err := spec.Plan(cfg)
 		if err != nil {
 			return nil, err
-		}
-		inst, err := spec.Build(sys)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		bc := &benchCost{est: make(map[wpu.Scheme]float64)}
 		out[spec.Name] = bc
 		var predW [4]float64
 		var wsum float64
-		progs, threads := inst.Launches()
-		for i, p := range progs {
-			k := mkey{p, threads[i]}
+		for i, p := range pl.Progs {
+			k := mkey{p, pl.Threads[i]}
 			m := models[k]
 			if m == nil {
-				m = p.CostModelFor(sim.CostParamsFor(cfg, threads[i]))
+				m = p.CostModelFor(sim.CostParamsFor(cfg, pl.Threads[i]))
 				models[k] = m
 			}
 			bc.tickLo += m.Ticks.Lo
@@ -113,53 +113,28 @@ func (s *Session) CostModel(w io.Writer) ([]CostModelRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var knobs []Knobs
-	for _, sc := range wpu.AllSchemes {
-		knobs = append(knobs, DefaultKnobs(sc))
-	}
-	if err := s.Prefetch(suiteJobs(knobs...)); err != nil {
+	res, err := s.Suite(BenchNames(), defaults(wpu.AllSchemes...)...)
+	if err != nil {
 		return nil, err
 	}
 
-	type meas struct {
-		cycles uint64
-		frac   [4]float64
-	}
-	measured := make(map[string]map[wpu.Scheme]meas)
-	for _, b := range BenchNames() {
-		measured[b] = make(map[wpu.Scheme]meas)
-		for _, sc := range wpu.AllSchemes {
-			r, err := s.Run(b, DefaultKnobs(sc))
-			if err != nil {
-				return nil, err
-			}
-			m := meas{cycles: r.Stats.TickCycles}
-			if total := float64(r.Stats.TickCycles); total > 0 {
-				bk := r.Stats.CycleBuckets()
-				for i := 0; i < 4; i++ {
-					m.frac[i] = float64(bk[i]) / total
-				}
-			}
-			measured[b][sc] = m
-		}
-	}
-
-	boundStr := func(lo, hi int64) string {
-		return program.CostInterval{Lo: lo, Hi: hi}.String()
+	ticks := make(map[wpu.Scheme][]*Result) // scheme -> the suite under it, for Stats.TickCycles
+	for i, sc := range wpu.AllSchemes {
+		ticks[sc] = res[i]
 	}
 
 	fmt.Fprintln(w, "Cost model (static analysis): measured cycles vs static bounds, Conv baseline")
 	fmt.Fprintln(w, "(frac columns: measured/predicted share of busy, coherent-memory, divergent-memory, barrier cycles)")
 	t := newTable(w, "bench", "cycles", "static bound", "in", "busy", "mem_coh", "mem_div", "barrier")
-	for _, b := range BenchNames() {
+	for bi, b := range BenchNames() {
 		bc := static[b]
-		mv := measured[b][wpu.SchemeConv]
-		in := int64(mv.cycles) >= bc.tickLo && (bc.tickHi >= program.CostInf || int64(mv.cycles) <= bc.tickHi)
+		st := &ticks[wpu.SchemeConv][bi].Stats
+		bk := st.CycleBuckets()
 		cell := func(i int) string {
-			return fmt.Sprintf("%.2f/%.2f", mv.frac[i], bc.pred[i])
+			return fmt.Sprintf("%.2f/%.2f", safeFrac(bk[i], st.TickCycles), bc.pred[i])
 		}
-		t.row(b, strconv.FormatUint(mv.cycles, 10), boundStr(bc.tickLo, bc.tickHi),
-			okMark(in), cell(0), cell(1), cell(2), cell(3))
+		t.row(b, strconv.FormatUint(st.TickCycles, 10), program.CostInterval{Lo: bc.tickLo, Hi: bc.tickHi}.String(),
+			okMark(bc.holds(st.TickCycles)), cell(0), cell(1), cell(2), cell(3))
 	}
 	t.flush()
 
@@ -168,24 +143,23 @@ func (s *Session) CostModel(w io.Writer) ([]CostModelRow, error) {
 	fmt.Fprintln(w, "Static scheme ranking vs measured best (agreement: measured best in static top 3)")
 	rt := newTable(w, "bench", "measured best", "static top 3", "rank", "agree")
 	agreed := 0
-	for _, b := range BenchNames() {
+	for bi, b := range BenchNames() {
 		bc := static[b]
 		statOrder := append([]wpu.Scheme(nil), wpu.AllSchemes...)
 		sort.SliceStable(statOrder, func(i, j int) bool { return bc.est[statOrder[i]] < bc.est[statOrder[j]] })
 		measOrder := append([]wpu.Scheme(nil), wpu.AllSchemes...)
 		sort.SliceStable(measOrder, func(i, j int) bool {
-			return measured[b][measOrder[i]].cycles < measured[b][measOrder[j]].cycles
+			return ticks[measOrder[i]][bi].Stats.TickCycles < ticks[measOrder[j]][bi].Stats.TickCycles
 		})
 		statRank := make(map[wpu.Scheme]int)
 		for i, sc := range statOrder {
 			statRank[sc] = i + 1
 		}
 		for i, sc := range measOrder {
-			mv := measured[b][sc]
-			in := int64(mv.cycles) >= bc.tickLo && (bc.tickHi >= program.CostInf || int64(mv.cycles) <= bc.tickHi)
+			cycles := ticks[sc][bi].Stats.TickCycles
 			rows = append(rows, CostModelRow{
-				Bench: b, Scheme: sc, Cycles: mv.cycles,
-				TickLo: bc.tickLo, TickHi: bc.tickHi, InBounds: in,
+				Bench: b, Scheme: sc, Cycles: cycles,
+				TickLo: bc.tickLo, TickHi: bc.tickHi, InBounds: bc.holds(cycles),
 				Est: bc.est[sc], StatRank: statRank[sc], MeasRank: i + 1,
 			})
 		}

@@ -55,21 +55,15 @@ func TimelineCSV(w io.Writer, tr *obs.Trace) error {
 		"mean_simd_width", "wst_occupancy", "resident_splits",
 		"slot_waiters", "l1_mshr", "l2_mshr",
 	}
-	frac := func(part, whole uint64) float64 {
-		if whole == 0 {
-			return 0
-		}
-		return float64(part) / float64(whole)
-	}
 	var rows [][]string
 	for _, s := range tr.Samples {
 		total := s.Busy + s.StallMem + s.StallOther
 		rows = append(rows, []string{
 			strconv.FormatUint(s.Cycle, 10),
 			strconv.Itoa(s.WPU),
-			fs(frac(s.Busy, total)),
-			fs(frac(s.StallMem, total)),
-			fs(frac(s.StallOther, total)),
+			fs(safeFrac(s.Busy, total)),
+			fs(safeFrac(s.StallMem, total)),
+			fs(safeFrac(s.StallOther, total)),
 			fs(s.MeanWidth()),
 			strconv.Itoa(s.WSTOcc),
 			strconv.Itoa(s.Resident),
@@ -107,23 +101,7 @@ func SweepCSV(dir, name string, pts []SweepPoint) error {
 
 // SchemeCSV writes a Figure 7/11/13-style scheme comparison.
 func SchemeCSV(dir, name string, out []SchemeSpeedups) error {
-	header := []string{"benchmark"}
-	for _, o := range out {
-		header = append(header, string(o.Scheme))
-	}
-	var rows [][]string
-	for _, b := range BenchNames() {
-		row := []string{b}
-		for _, o := range out {
-			row = append(row, fs(o.Per[b]))
-		}
-		rows = append(rows, row)
-	}
-	hrow := []string{"h-mean"}
-	for _, o := range out {
-		hrow = append(hrow, fs(o.HMean))
-	}
-	rows = append(rows, hrow)
+	header, rows := schemeRows(out, fs)
 	return writeCSV(dir, name, header, rows)
 }
 
@@ -157,9 +135,11 @@ func EnergyCSV(dir string, rows []EnergyRow) error {
 		[]string{"benchmark", "conv", "dws", "slip_bb"}, out)
 }
 
-// Figure14CSV writes the per-thread miss grids (one row per warp).
+// Figure14CSV writes the per-thread miss grids (one row per warp, one
+// column per lane of the widest grid).
 func Figure14CSV(dir string, grids map[string][][]uint64) error {
 	var rows [][]string
+	lanes := 0
 	for _, b := range BenchNames() {
 		for wi, row := range grids[b] {
 			cells := []string{b, strconv.Itoa(wi)}
@@ -167,10 +147,11 @@ func Figure14CSV(dir string, grids map[string][][]uint64) error {
 				cells = append(cells, strconv.FormatUint(v, 10))
 			}
 			rows = append(rows, cells)
+			lanes = max(lanes, len(row))
 		}
 	}
 	header := []string{"benchmark", "warp"}
-	for l := 0; l < 16; l++ {
+	for l := 0; l < lanes; l++ {
 		header = append(header, fmt.Sprintf("lane%d", l))
 	}
 	return writeCSV(dir, "figure14.csv", header, rows)
@@ -194,14 +175,5 @@ func StallBreakdownCSV(dir string, rows []StallRow) error {
 
 // AblationCSV writes the ablation study.
 func AblationCSV(dir string, rows []AblationRow) error {
-	header := append([]string{"variant", "h_mean"}, BenchNames()...)
-	var out [][]string
-	for _, r := range rows {
-		cells := []string{r.Name, fs(r.HMean)}
-		for _, b := range BenchNames() {
-			cells = append(cells, fs(r.Per[b]))
-		}
-		out = append(out, cells)
-	}
-	return writeCSV(dir, "ablation.csv", header, out)
+	return writeCSV(dir, "ablation.csv", append([]string{"variant", "h_mean"}, BenchNames()...), ablationRows(rows, fs))
 }

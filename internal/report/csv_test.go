@@ -99,6 +99,13 @@ func TestFigure14CSVShape(t *testing.T) {
 	if got[1][2+3] != "7" {
 		t.Fatalf("grid cell lost: %v", got[1])
 	}
+	// The lane columns follow the grid, not Table 3's width.
+	if err := Figure14CSV(dir, map[string][][]uint64{"FFT": {make([]uint64, 4)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := readCSV(t, filepath.Join(dir, "figure14.csv")); len(got[0]) != 2+4 || len(got[1]) != 2+4 {
+		t.Fatalf("4-lane grid written as %v", got)
+	}
 }
 
 func TestEnergyAndAblationCSV(t *testing.T) {

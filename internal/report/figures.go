@@ -7,47 +7,39 @@ import (
 	"repro/internal/wpu"
 )
 
+// Every exhibit is written the same way (DESIGN.md "How an exhibit is
+// written"): name the points, hand them to Session.Suite, reduce the
+// [point][bench] results to rows, print the rows. The rows are returned so
+// the CSV writer, the tests and the benchmarks read the same numbers.
+
 // Table1Row characterises one benchmark's divergence behaviour (Table 1).
 type Table1Row struct {
-	Bench               string
-	InstPerBranch       float64 // avg instructions between branches
-	DivergentBranchPct  float64 // fraction of branches that diverge
-	InstPerMiss         float64 // avg instructions between missing accesses
-	InstPerDivMiss      float64 // avg instructions between divergent misses
-	DivergentAccessPct  float64 // fraction of missing accesses that diverge
-	DivergentOfAccesses float64 // fraction of all accesses that diverge
+	Bench              string
+	InstPerBranch      float64 // avg instructions between branches
+	DivergentBranchPct float64 // fraction of branches that diverge
+	InstPerMiss        float64 // avg instructions between missing accesses
+	InstPerDivMiss     float64 // avg instructions between divergent misses
+	DivergentAccessPct float64 // fraction of missing accesses that diverge
 }
 
 // Table1 reproduces the divergence characterisation under the conventional
 // configuration.
 func (s *Session) Table1(w io.Writer) ([]Table1Row, error) {
-	var rows []Table1Row
-	base := DefaultKnobs(wpu.SchemeConv)
-	if err := s.Prefetch(suiteJobs(base)); err != nil {
+	res, err := s.Suite(BenchNames(), DefaultKnobs(wpu.SchemeConv))
+	if err != nil {
 		return nil, err
 	}
-	for _, b := range BenchNames() {
-		r, err := s.Run(b, base)
-		if err != nil {
-			return nil, err
-		}
-		st := r.Stats
-		row := Table1Row{Bench: b}
-		if st.Branches > 0 {
-			row.InstPerBranch = float64(st.Issued) / float64(st.Branches)
-			row.DivergentBranchPct = float64(st.DivBranch) / float64(st.Branches)
-		}
-		if st.MemWithMiss > 0 {
-			row.InstPerMiss = float64(st.Issued) / float64(st.MemWithMiss)
-			row.DivergentAccessPct = float64(st.MemDivergent) / float64(st.MemWithMiss)
-		}
-		if st.MemDivergent > 0 {
-			row.InstPerDivMiss = float64(st.Issued) / float64(st.MemDivergent)
-		}
-		if st.MemAccesses > 0 {
-			row.DivergentOfAccesses = float64(st.MemDivergent) / float64(st.MemAccesses)
-		}
-		rows = append(rows, row)
+	var rows []Table1Row
+	for _, r := range res[0] {
+		st := &r.Stats
+		rows = append(rows, Table1Row{
+			Bench:              r.Bench,
+			InstPerBranch:      safeFrac(st.Issued, st.Branches),
+			DivergentBranchPct: safeFrac(st.DivBranch, st.Branches),
+			InstPerMiss:        safeFrac(st.Issued, st.MemWithMiss),
+			InstPerDivMiss:     safeFrac(st.Issued, st.MemDivergent),
+			DivergentAccessPct: safeFrac(st.MemDivergent, st.MemWithMiss),
+		})
 	}
 	fmt.Fprintln(w, "Table 1: frequency of branch divergence and SIMD cache misses (Conv, Table 3 config)")
 	t := newTable(w, "benchmark", "inst/branch", "div branches", "inst/miss", "inst/div-miss", "div mem accesses")
@@ -57,68 +49,6 @@ func (s *Session) Table1(w io.Writer) ([]Table1Row, error) {
 	}
 	t.flush()
 	return rows, nil
-}
-
-// SweepPoint is one x-axis point of a time-breakdown sweep (Figure 1).
-type SweepPoint struct {
-	Label        string
-	NormTime     float64 // h-mean execution time normalised to the first point
-	BusyFrac     float64 // h-mean busy fraction
-	MemStallFrac float64
-}
-
-// suiteJobs expands knob settings into one Job per (benchmark, knobs)
-// point, the unit the Prefetch worker pool consumes.
-func suiteJobs(knobs ...Knobs) []Job {
-	benches := BenchNames()
-	jobs := make([]Job, 0, len(knobs)*len(benches))
-	for _, k := range knobs {
-		for _, b := range benches {
-			jobs = append(jobs, Job{b, k})
-		}
-	}
-	return jobs
-}
-
-func (s *Session) breakdownSweep(w io.Writer, title string, knobs []Knobs, labels []string) ([]SweepPoint, error) {
-	if err := s.Prefetch(suiteJobs(knobs...)); err != nil {
-		return nil, err
-	}
-	var pts []SweepPoint
-	var baseCycles map[string]uint64
-	for i, k := range knobs {
-		cycles := make(map[string]uint64)
-		var norms, busies, stalls []float64
-		for _, b := range BenchNames() {
-			r, err := s.Run(b, k)
-			if err != nil {
-				return nil, err
-			}
-			cycles[b] = r.Cycles
-			busies = append(busies, safeFrac(r.Stats.BusyCycles, r.Stats.Cycles()))
-			stalls = append(stalls, r.Stats.MemStallFraction())
-			if baseCycles != nil {
-				norms = append(norms, float64(cycles[b])/float64(baseCycles[b]))
-			}
-		}
-		if baseCycles == nil {
-			baseCycles = cycles
-			norms = []float64{1}
-		}
-		pts = append(pts, SweepPoint{
-			Label:        labels[i],
-			NormTime:     arithMean(norms),
-			BusyFrac:     arithMean(busies),
-			MemStallFrac: arithMean(stalls),
-		})
-	}
-	fmt.Fprintln(w, title)
-	t := newTable(w, "config", "norm. time", "busy", "waiting for memory")
-	for _, p := range pts {
-		t.row(p.Label, f2(p.NormTime), pctS(p.BusyFrac), pctS(p.MemStallFrac))
-	}
-	t.flush()
-	return pts, nil
 }
 
 func safeFrac(a, b uint64) float64 {
@@ -139,54 +69,40 @@ func arithMean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Figure1a: execution-time breakdown vs SIMD width (4 warps, Conv).
-func (s *Session) Figure1a(w io.Writer) ([]SweepPoint, error) {
-	var knobs []Knobs
-	var labels []string
-	for _, width := range []int{1, 2, 4, 8, 16, 32} {
-		k := DefaultKnobs(wpu.SchemeConv)
-		k.Width = width
-		knobs = append(knobs, k)
-		labels = append(labels, fmt.Sprintf("width %2d", width))
+// meanOf is the arithmetic mean of f over xs.
+func meanOf[T any](xs []T, f func(T) float64) float64 {
+	vals := make([]float64, len(xs))
+	for i, x := range xs {
+		vals[i] = f(x)
 	}
-	return s.breakdownSweep(w,
-		"Figure 1a: wider SIMD does not always help — time breakdown vs SIMD width (4 warps, Conv; normalised to width 1)",
-		knobs, labels)
+	return arithMean(vals)
 }
 
-// Figure1b: time breakdown vs D-cache associativity (16-wide, 4 warps).
-func (s *Session) Figure1b(w io.Writer) ([]SweepPoint, error) {
-	var knobs []Knobs
-	var labels []string
-	for _, assoc := range []int{4, 8, 16, 0} {
-		k := DefaultKnobs(wpu.SchemeConv)
-		k.L1Assoc = assoc
-		knobs = append(knobs, k)
-		if assoc == 0 {
-			labels = append(labels, "fully assoc")
-		} else {
-			labels = append(labels, fmt.Sprintf("%2d-way", assoc))
-		}
+// defaults is the Table 3 machine under each of schemes.
+func defaults(schemes ...wpu.Scheme) []Knobs {
+	knobs := make([]Knobs, len(schemes))
+	for i, sc := range schemes {
+		knobs[i] = DefaultKnobs(sc)
 	}
-	return s.breakdownSweep(w,
-		"Figure 1b: memory time persists even with high associativity (16-wide, 4 warps, Conv; normalised to 4-way)",
-		knobs, labels)
+	return knobs
 }
 
-// Figure1c: time breakdown vs warp count (8-wide).
-func (s *Session) Figure1c(w io.Writer) ([]SweepPoint, error) {
-	var knobs []Knobs
-	var labels []string
-	for _, warps := range []int{1, 2, 4, 8, 16, 32} {
-		k := DefaultKnobs(wpu.SchemeConv)
-		k.Width = 8
-		k.Warps = warps
-		knobs = append(knobs, k)
-		labels = append(labels, fmt.Sprintf("%2d warps", warps))
+// Speedup returns the harmonic mean, over two rows of one Suite call, of
+// base cycles / alt cycles per benchmark: the paper's mean speedup (§3.2).
+func Speedup(base, alt []*Result) float64 {
+	hm, _ := speedups(base, alt)
+	return hm
+}
+
+// speedups is Speedup with the per-benchmark ratios by name.
+func speedups(base, alt []*Result) (float64, map[string]float64) {
+	per := make(map[string]float64, len(base))
+	xs := make([]float64, len(base))
+	for i, rb := range base {
+		xs[i] = float64(rb.Cycles) / float64(alt[i].Cycles)
+		per[rb.Bench] = xs[i]
 	}
-	return s.breakdownSweep(w,
-		"Figure 1c: more warps eventually exacerbate contention — time breakdown vs warp count (8-wide, Conv; normalised to 1 warp)",
-		knobs, labels)
+	return HarmonicMean(xs), per
 }
 
 // SchemeSpeedups holds per-benchmark speedups over Conv plus the h-mean.
@@ -196,47 +112,41 @@ type SchemeSpeedups struct {
 	HMean  float64
 }
 
-func (s *Session) schemeComparison(w io.Writer, title string, schemes []wpu.Scheme) ([]SchemeSpeedups, error) {
-	base := DefaultKnobs(wpu.SchemeConv)
-	all := []Knobs{base}
-	for _, sc := range schemes {
-		all = append(all, DefaultKnobs(sc))
-	}
-	if err := s.Prefetch(suiteJobs(all...)); err != nil {
+func (s *Session) schemeComparison(w io.Writer, title string, schemes ...wpu.Scheme) ([]SchemeSpeedups, error) {
+	res, err := s.Suite(BenchNames(), append(defaults(wpu.SchemeConv), defaults(schemes...)...)...)
+	if err != nil {
 		return nil, err
 	}
-	var out []SchemeSpeedups
-	for _, sc := range schemes {
-		alt := DefaultKnobs(sc)
-		per, hm, err := s.Speedups(base, alt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeSpeedups{Scheme: sc, Per: per, HMean: hm})
+	out := make([]SchemeSpeedups, len(schemes))
+	for i, sc := range schemes {
+		hm, per := speedups(res[0], res[1+i])
+		out[i] = SchemeSpeedups{Scheme: sc, Per: per, HMean: hm}
 	}
 	fmt.Fprintln(w, title)
-	header := append([]string{"benchmark"}, func() []string {
-		var hs []string
-		for _, o := range out {
-			hs = append(hs, string(o.Scheme))
-		}
-		return hs
-	}()...)
+	header, rows := schemeRows(out, f2)
 	t := newTable(w, header...)
-	for _, b := range BenchNames() {
-		cells := []string{b}
-		for _, o := range out {
-			cells = append(cells, f2(o.Per[b]))
-		}
-		t.row(cells...)
+	for _, r := range rows {
+		t.row(r...)
 	}
-	cells := []string{"h-mean"}
-	for _, o := range out {
-		cells = append(cells, f2(o.HMean))
-	}
-	t.row(cells...)
 	t.flush()
 	return out, nil
+}
+
+// schemeRows lays a scheme comparison out for the text table and the CSV
+// file alike: a column per scheme, a row per benchmark, then the h-means.
+func schemeRows(out []SchemeSpeedups, format func(float64) string) (header []string, rows [][]string) {
+	header, hmeans := []string{"benchmark"}, []string{"h-mean"}
+	for _, o := range out {
+		header, hmeans = append(header, string(o.Scheme)), append(hmeans, format(o.HMean))
+	}
+	for _, b := range BenchNames() {
+		row := []string{b}
+		for _, o := range out {
+			row = append(row, format(o.Per[b]))
+		}
+		rows = append(rows, row)
+	}
+	return header, append(rows, hmeans)
 }
 
 // Figure7: DWS upon branch divergence with stack-based vs PC-based
@@ -244,7 +154,7 @@ func (s *Session) schemeComparison(w io.Writer, title string, schemes []wpu.Sche
 func (s *Session) Figure7(w io.Writer) ([]SchemeSpeedups, error) {
 	return s.schemeComparison(w,
 		"Figure 7: DWS upon branch divergence — stack-based vs PC-based re-convergence (speedup over Conv)",
-		[]wpu.Scheme{wpu.SchemeBranchOnlyStack, wpu.SchemeBranchOnly})
+		wpu.SchemeBranchOnlyStack, wpu.SchemeBranchOnly)
 }
 
 // Figure11: memory-divergence subdivision schemes under BranchLimited
@@ -252,72 +162,50 @@ func (s *Session) Figure7(w io.Writer) ([]SchemeSpeedups, error) {
 func (s *Session) Figure11(w io.Writer) ([]SchemeSpeedups, error) {
 	return s.schemeComparison(w,
 		"Figure 11: BranchLimited re-convergence yields little gain for all subdivision schemes (speedup over Conv)",
-		[]wpu.Scheme{wpu.SchemeAggressBL, wpu.SchemeLazyBL, wpu.SchemeReviveBL})
+		wpu.SchemeAggressBL, wpu.SchemeLazyBL, wpu.SchemeReviveBL)
 }
 
 // Figure13: the full scheme comparison, including adaptive slip.
 func (s *Session) Figure13(w io.Writer) ([]SchemeSpeedups, error) {
 	return s.schemeComparison(w,
 		"Figure 13: comparing DWS schemes and adaptive slip (speedup over Conv)",
-		[]wpu.Scheme{
-			wpu.SchemeBranchOnly,
-			wpu.SchemeReviveMemOnly,
-			wpu.SchemeAggress,
-			wpu.SchemeLazy,
-			wpu.SchemeRevive,
-			wpu.SchemeSlip,
-			wpu.SchemeSlipBranchBypass,
-		})
+		wpu.SchemeBranchOnly, wpu.SchemeReviveMemOnly, wpu.SchemeAggress, wpu.SchemeLazy,
+		wpu.SchemeRevive, wpu.SchemeSlip, wpu.SchemeSlipBranchBypass)
 }
 
 // Headline prints the §5.5 summary numbers for DWS.ReviveSplit.
 func (s *Session) Headline(w io.Writer) error {
-	base := DefaultKnobs(wpu.SchemeConv)
-	alt := DefaultKnobs(wpu.SchemeRevive)
-	_, hm, err := s.Speedups(base, alt)
+	res, err := s.Suite(BenchNames(), defaults(wpu.SchemeConv, wpu.SchemeRevive)...)
 	if err != nil {
 		return err
 	}
-	var convStall, dwsStall, convWidth, dwsWidth, energyRatio []float64
-	for _, b := range BenchNames() {
-		rc, err := s.Run(b, base)
-		if err != nil {
-			return err
-		}
-		rd, err := s.Run(b, alt)
-		if err != nil {
-			return err
-		}
-		convStall = append(convStall, rc.Stats.MemStallFraction())
-		dwsStall = append(dwsStall, rd.Stats.MemStallFraction())
-		convWidth = append(convWidth, rc.Stats.MeanSIMDWidth())
-		dwsWidth = append(dwsWidth, rd.Stats.MeanSIMDWidth())
-		energyRatio = append(energyRatio, rd.Energy.Total()/rc.Energy.Total())
+	conv, dws := res[0], res[1]
+	stall := func(r *Result) float64 { return r.Stats.MemStallFraction() }
+	width := func(r *Result) float64 { return r.Stats.MeanSIMDWidth() }
+	energy := make([]float64, len(conv))
+	for i, rc := range conv {
+		energy[i] = dws[i].Energy.Total() / rc.Energy.Total()
 	}
 	fmt.Fprintf(w, "Headline (§5.5/§6.5): DWS.ReviveSplit speedup (h-mean) %.2fx; "+
 		"memory-stall fraction %.0f%% -> %.0f%%; mean SIMD width %.1f -> %.1f; energy %.0f%% of Conv\n",
-		hm, 100*arithMean(convStall), 100*arithMean(dwsStall),
-		arithMean(convWidth), arithMean(dwsWidth), 100*arithMean(energyRatio))
+		Speedup(conv, dws), 100*meanOf(conv, stall), 100*meanOf(dws, stall),
+		meanOf(conv, width), meanOf(dws, width), 100*arithMean(energy))
 	return nil
 }
 
 // Figure14 prints the per-thread miss distribution (warps × lanes) for each
 // benchmark as a 0-9 heat grid, normalised per benchmark.
 func (s *Session) Figure14(w io.Writer) (map[string][][]uint64, error) {
-	base := DefaultKnobs(wpu.SchemeConv)
-	if err := s.Prefetch(suiteJobs(base)); err != nil {
+	res, err := s.Suite(BenchNames(), DefaultKnobs(wpu.SchemeConv))
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][][]uint64)
 	fmt.Fprintln(w, "Figure 14: spatial distribution of memory divergence among SIMD threads")
 	fmt.Fprintln(w, "(rows = warps of WPU 0..3 stacked, columns = lanes; digits 0-9 scale to the benchmark's max)")
-	for _, b := range BenchNames() {
-		r, err := s.Run(b, base)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range res[0] {
 		grid := r.Stats.ThreadMisses
-		out[b] = grid
+		out[r.Bench] = grid
 		var max uint64
 		for _, row := range grid {
 			for _, v := range row {
@@ -326,7 +214,7 @@ func (s *Session) Figure14(w io.Writer) (map[string][][]uint64, error) {
 				}
 			}
 		}
-		fmt.Fprintf(w, "%s:\n", b)
+		fmt.Fprintf(w, "%s:\n", r.Bench)
 		for _, row := range grid {
 			line := make([]byte, len(row))
 			for i, v := range row {
@@ -340,94 +228,6 @@ func (s *Session) Figure14(w io.Writer) (map[string][][]uint64, error) {
 		}
 	}
 	return out, nil
-}
-
-// SensitivityPoint is one x-value of a Conv-vs-DWS sensitivity sweep.
-type SensitivityPoint struct {
-	Label   string
-	Conv    float64 // h-mean speedup of Conv at this point vs Conv baseline
-	DWS     float64 // same for DWS.ReviveSplit
-	Speedup float64 // h-mean DWS/Conv at this point
-}
-
-func (s *Session) sensitivity(w io.Writer, title string, vary func(k *Knobs, i int), labels []string) ([]SensitivityPoint, error) {
-	baseline := DefaultKnobs(wpu.SchemeConv)
-	all := []Knobs{baseline}
-	for i := range labels {
-		kc := DefaultKnobs(wpu.SchemeConv)
-		vary(&kc, i)
-		kd := DefaultKnobs(wpu.SchemeRevive)
-		vary(&kd, i)
-		all = append(all, kc, kd)
-	}
-	if err := s.Prefetch(suiteJobs(all...)); err != nil {
-		return nil, err
-	}
-	var pts []SensitivityPoint
-	for i, lab := range labels {
-		kc := DefaultKnobs(wpu.SchemeConv)
-		vary(&kc, i)
-		kd := DefaultKnobs(wpu.SchemeRevive)
-		vary(&kd, i)
-		var convN, dwsN, sp []float64
-		for _, b := range BenchNames() {
-			rb, err := s.Run(b, baseline)
-			if err != nil {
-				return nil, err
-			}
-			rc, err := s.Run(b, kc)
-			if err != nil {
-				return nil, err
-			}
-			rd, err := s.Run(b, kd)
-			if err != nil {
-				return nil, err
-			}
-			convN = append(convN, float64(rb.Cycles)/float64(rc.Cycles))
-			dwsN = append(dwsN, float64(rb.Cycles)/float64(rd.Cycles))
-			sp = append(sp, float64(rc.Cycles)/float64(rd.Cycles))
-		}
-		pts = append(pts, SensitivityPoint{
-			Label:   lab,
-			Conv:    HarmonicMean(convN),
-			DWS:     HarmonicMean(dwsN),
-			Speedup: HarmonicMean(sp),
-		})
-	}
-	fmt.Fprintln(w, title)
-	t := newTable(w, "config", "Conv", "DWS", "DWS/Conv")
-	for _, p := range pts {
-		t.row(p.Label, f2(p.Conv), f2(p.DWS), f2(p.Speedup))
-	}
-	t.flush()
-	return pts, nil
-}
-
-// Figure15: speedup vs D-cache associativity.
-func (s *Session) Figure15(w io.Writer) ([]SensitivityPoint, error) {
-	assocs := []int{4, 8, 16, 0}
-	labels := []string{"4-way", "8-way", "16-way", "fully assoc"}
-	return s.sensitivity(w,
-		"Figure 15: speedup vs D-cache associativity (normalised to Conv 8-way)",
-		func(k *Knobs, i int) { k.L1Assoc = assocs[i] }, labels)
-}
-
-// Figure16: speedup vs L2 lookup latency.
-func (s *Session) Figure16(w io.Writer) ([]SensitivityPoint, error) {
-	lats := []int{10, 30, 100, 200, 300}
-	labels := []string{"10 cyc", "30 cyc", "100 cyc", "200 cyc", "300 cyc"}
-	return s.sensitivity(w,
-		"Figure 16: speedup vs L2 lookup latency (normalised to Conv at 30 cycles)",
-		func(k *Knobs, i int) { k.L2Lat = lats[i] }, labels)
-}
-
-// Figure17: speedup vs D-cache size.
-func (s *Session) Figure17(w io.Writer) ([]SensitivityPoint, error) {
-	sizes := []int{8, 16, 32, 64, 128}
-	labels := []string{"8 KB", "16 KB", "32 KB", "64 KB", "128 KB"}
-	return s.sensitivity(w,
-		"Figure 17: speedup vs D-cache size (normalised to Conv 32 KB)",
-		func(k *Knobs, i int) { k.L1KB = sizes[i] }, labels)
 }
 
 // Figure18Point is one (cache setup, width×warps, scheme) h-mean speedup.
@@ -462,24 +262,23 @@ func (s *Session) Figure18(w io.Writer, quick bool) ([]Figure18Point, error) {
 	}
 	schemes := []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeSlipBranchBypass}
 
-	var all []Knobs
+	// Per setup: its Conv 16x4 baseline, then pairs x schemes. The render
+	// loops below walk res in the same order.
+	var knobs []Knobs
 	for _, su := range setups {
-		base := DefaultKnobs(wpu.SchemeConv)
-		base.L1KB = su.kb
-		base.L1Assoc = su.assoc
-		all = append(all, base)
+		k := DefaultKnobs(wpu.SchemeConv)
+		k.L1KB, k.L1Assoc = su.kb, su.assoc
+		knobs = append(knobs, k)
 		for _, p := range pairs {
+			k.Width, k.Warps = p[0], p[1]
 			for _, sc := range schemes {
-				k := DefaultKnobs(sc)
-				k.L1KB = su.kb
-				k.L1Assoc = su.assoc
-				k.Width = p[0]
-				k.Warps = p[1]
-				all = append(all, k)
+				k.Scheme = sc
+				knobs = append(knobs, k)
 			}
 		}
 	}
-	if err := s.Prefetch(suiteJobs(all...)); err != nil {
+	res, err := s.Suite(BenchNames(), knobs...)
+	if err != nil {
 		return nil, err
 	}
 
@@ -487,36 +286,15 @@ func (s *Session) Figure18(w io.Writer, quick bool) ([]Figure18Point, error) {
 	fmt.Fprintln(w, "Figure 18: speedups across SIMD width x warps under different D-cache setups")
 	fmt.Fprintln(w, "(h-means over the suite, normalised to Conv 16-wide x 4 warps under the same cache setup)")
 	for _, su := range setups {
-		base := DefaultKnobs(wpu.SchemeConv)
-		base.L1KB = su.kb
-		base.L1Assoc = su.assoc
+		base := res[0]
+		res = res[1:]
 		t := newTable(w, su.name, "Conv", "DWS", "Slip.BB")
 		for _, p := range pairs {
 			row := []string{fmt.Sprintf("%2d-wide x %d warps", p[0], p[1])}
 			for _, sc := range schemes {
-				k := DefaultKnobs(sc)
-				k.L1KB = su.kb
-				k.L1Assoc = su.assoc
-				k.Width = p[0]
-				k.Warps = p[1]
-				var sp []float64
-				for _, b := range BenchNames() {
-					rb, err := s.Run(b, base)
-					if err != nil {
-						return nil, err
-					}
-					ra, err := s.Run(b, k)
-					if err != nil {
-						return nil, err
-					}
-					sp = append(sp, float64(rb.Cycles)/float64(ra.Cycles))
-				}
-				hm := HarmonicMean(sp)
-				pts = append(pts, Figure18Point{
-					Setup:  su.name,
-					Config: row[0],
-					Scheme: sc, Speedup: hm,
-				})
+				hm := Speedup(base, res[0])
+				res = res[1:]
+				pts = append(pts, Figure18Point{Setup: su.name, Config: row[0], Scheme: sc, Speedup: hm})
 				row = append(row, f2(hm))
 			}
 			t.row(row...)
@@ -537,63 +315,24 @@ type EnergyRow struct {
 
 // Figure19: energy consumption normalised to Conv.
 func (s *Session) Figure19(w io.Writer) ([]EnergyRow, error) {
-	if err := s.Prefetch(suiteJobs(
-		DefaultKnobs(wpu.SchemeConv),
-		DefaultKnobs(wpu.SchemeRevive),
-		DefaultKnobs(wpu.SchemeSlipBranchBypass),
-	)); err != nil {
+	res, err := s.Suite(BenchNames(), defaults(wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeSlipBranchBypass)...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []EnergyRow
-	for _, b := range BenchNames() {
-		rc, err := s.Run(b, DefaultKnobs(wpu.SchemeConv))
-		if err != nil {
-			return nil, err
-		}
-		rd, err := s.Run(b, DefaultKnobs(wpu.SchemeRevive))
-		if err != nil {
-			return nil, err
-		}
-		rs, err := s.Run(b, DefaultKnobs(wpu.SchemeSlipBranchBypass))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, EnergyRow{
-			Bench:  b,
-			Conv:   1,
-			DWS:    rd.Energy.Total() / rc.Energy.Total(),
-			SlipBB: rs.Energy.Total() / rc.Energy.Total(),
-		})
+	for i, rc := range res[0] {
+		conv := rc.Energy.Total()
+		rows = append(rows, EnergyRow{rc.Bench, 1, res[1][i].Energy.Total() / conv, res[2][i].Energy.Total() / conv})
 	}
 	fmt.Fprintln(w, "Figure 19: energy normalised to Conv (left to right: Conv, DWS, Slip.BranchBypass)")
 	t := newTable(w, "benchmark", "Conv", "DWS", "Slip.BB")
-	var d, sl []float64
 	for _, r := range rows {
 		t.row(r.Bench, f2(r.Conv), f2(r.DWS), f2(r.SlipBB))
-		d = append(d, r.DWS)
-		sl = append(sl, r.SlipBB)
 	}
-	t.row("mean", "1.00", f2(arithMean(d)), f2(arithMean(sl)))
+	t.row("mean", "1.00", f2(meanOf(rows, func(r EnergyRow) float64 { return r.DWS })),
+		f2(meanOf(rows, func(r EnergyRow) float64 { return r.SlipBB })))
 	t.flush()
 	return rows, nil
-}
-
-// Figure20: DWS speedup vs number of scheduler slots.
-func (s *Session) Figure20(w io.Writer) ([]SensitivityPoint, error) {
-	slots := []int{2, 4, 8, 16, 32}
-	labels := []string{"2 slots", "4 slots", "8 slots", "16 slots", "32 slots"}
-	return s.sensitivity(w,
-		"Figure 20: sensitivity to scheduler slots (DWS subdivides; Conv uses its 4 warps)",
-		func(k *Knobs, i int) { k.Slots = slots[i] }, labels)
-}
-
-// Figure21: DWS speedup vs warp-split table size (8 scheduler slots).
-func (s *Session) Figure21(w io.Writer) ([]SensitivityPoint, error) {
-	wsts := []int{4, 8, 16, 32, 64}
-	labels := []string{"WST 4", "WST 8", "WST 16", "WST 32", "WST 64"}
-	return s.sensitivity(w,
-		"Figure 21: sensitivity to warp-split table entries (scheduler has 8 slots)",
-		func(k *Knobs, i int) { k.WST = wsts[i]; k.Slots = 8 }, labels)
 }
 
 // AblationRow quantifies one implementation design choice.
@@ -609,42 +348,53 @@ type AblationRow struct {
 // least-progressed-first scheduling, the laziness threshold on branch
 // subdivision, and the §8 predictive extension.
 func (s *Session) Ablation(w io.Writer) ([]AblationRow, error) {
-	base := DefaultKnobs(wpu.SchemeConv)
+	full := DefaultKnobs(wpu.SchemeRevive)
+	noMerge, noProg, uncond := full, full, full
+	noMerge.NoWaitMerge = true
+	noProg.NoProgSched = true
+	uncond.BranchThresh = 1 << 20
 	variants := []struct {
 		name string
 		k    Knobs
 	}{
-		{"DWS.ReviveSplit (full)", DefaultKnobs(wpu.SchemeRevive)},
-		{"  - wait-merge", func() Knobs { k := DefaultKnobs(wpu.SchemeRevive); k.NoWaitMerge = true; return k }()},
-		{"  - least-progress sched", func() Knobs { k := DefaultKnobs(wpu.SchemeRevive); k.NoProgSched = true; return k }()},
-		{"  unconditional branch split", func() Knobs { k := DefaultKnobs(wpu.SchemeRevive); k.BranchThresh = 1 << 20; return k }()},
+		{"DWS.ReviveSplit (full)", full},
+		{"  - wait-merge", noMerge},
+		{"  - least-progress sched", noProg},
+		{"  unconditional branch split", uncond},
 		{"DWS.PredictiveSplit (§8)", DefaultKnobs(wpu.SchemePredictive)},
 	}
-	all := []Knobs{base}
+	knobs := []Knobs{DefaultKnobs(wpu.SchemeConv)}
 	for _, v := range variants {
-		all = append(all, v.k)
+		knobs = append(knobs, v.k)
 	}
-	if err := s.Prefetch(suiteJobs(all...)); err != nil {
+	res, err := s.Suite(BenchNames(), knobs...)
+	if err != nil {
 		return nil, err
 	}
-	var rows []AblationRow
-	for _, v := range variants {
-		per, hm, err := s.Speedups(base, v.k)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: v.name, HMean: hm, Per: per})
+	rows := make([]AblationRow, len(variants))
+	for i, v := range variants {
+		hm, per := speedups(res[0], res[1+i])
+		rows[i] = AblationRow{Name: v.name, HMean: hm, Per: per}
 	}
 	fmt.Fprintln(w, "Ablation: design choices of this implementation (speedup over Conv, h-mean and per benchmark)")
-	header := append([]string{"variant", "h-mean"}, BenchNames()...)
-	t := newTable(w, header...)
-	for _, r := range rows {
-		cells := []string{r.Name, f2(r.HMean)}
-		for _, b := range BenchNames() {
-			cells = append(cells, f2(r.Per[b]))
-		}
-		t.row(cells...)
+	t := newTable(w, append([]string{"variant", "h-mean"}, BenchNames()...)...)
+	for _, r := range ablationRows(rows, f2) {
+		t.row(r...)
 	}
 	t.flush()
 	return rows, nil
+}
+
+// ablationRows lays the ablation out for the text table and the CSV file
+// alike: a row per variant, its h-mean and a column per benchmark.
+func ablationRows(rows []AblationRow, format func(float64) string) [][]string {
+	var out [][]string
+	for _, r := range rows {
+		cells := []string{r.Name, format(r.HMean)}
+		for _, b := range BenchNames() {
+			cells = append(cells, format(r.Per[b]))
+		}
+		out = append(out, cells)
+	}
+	return out
 }

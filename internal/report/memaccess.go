@@ -34,26 +34,16 @@ type MemClassRow struct {
 	HintSkips    uint64 // subdivide-probe skips under the uniform hint (per scheme, repeated on each class row)
 }
 
-// staticClassSites builds every suite kernel (no simulation) and counts
-// memory instructions per access class, once per distinct kernel.
+// staticClassSites counts memory instructions per access class over the
+// suite's distinct kernels (workloads.Spec.Plan: no simulation).
 func staticClassSites() ([program.NumAccessClasses]int, error) {
 	var sites [program.NumAccessClasses]int
-	seen := make(map[string]bool)
 	for _, spec := range workloads.All() {
-		sys, err := sim.New(sim.DefaultConfig())
+		pl, err := spec.Plan(sim.DefaultConfig())
 		if err != nil {
 			return sites, err
 		}
-		inst, err := spec.Build(sys)
-		if err != nil {
-			return sites, fmt.Errorf("%s: %w", spec.Name, err)
-		}
-		progs, _ := inst.Launches()
-		for _, p := range progs {
-			if seen[p.Name] {
-				continue
-			}
-			seen[p.Name] = true
+		for _, p := range pl.Kernels {
 			for _, a := range p.MemAccesses() {
 				sites[a.AClass]++
 			}
@@ -70,22 +60,14 @@ func (s *Session) MemAccessClasses(w io.Writer) ([]MemClassRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var knobs []Knobs
-	for _, sc := range memClassSchemes {
-		knobs = append(knobs, DefaultKnobs(sc))
-	}
-	if err := s.Prefetch(suiteJobs(knobs...)); err != nil {
+	res, err := s.Suite(BenchNames(), defaults(memClassSchemes...)...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []MemClassRow
-	for _, sc := range memClassSchemes {
-		k := DefaultKnobs(sc)
+	for i, sc := range memClassSchemes {
 		var total wpu.Stats
-		for _, b := range BenchNames() {
-			r, err := s.Run(b, k)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range res[i] {
 			total.Add(&r.Stats)
 		}
 		for c := 0; c < program.NumAccessClasses; c++ {
@@ -121,14 +103,10 @@ func MemAccessCSV(dir string, rows []MemClassRow) error {
 	header := []string{"scheme", "class", "static_sites", "accesses", "transactions", "tx_per_access", "hint_skips"}
 	var out [][]string
 	for _, r := range rows {
-		txPer := 0.0
-		if r.Accesses > 0 {
-			txPer = float64(r.Transactions) / float64(r.Accesses)
-		}
 		out = append(out, []string{
 			string(r.Scheme), r.Class.String(), strconv.Itoa(r.StaticSites),
 			strconv.FormatUint(r.Accesses, 10), strconv.FormatUint(r.Transactions, 10),
-			fs(txPer), strconv.FormatUint(r.HintSkips, 10),
+			fs(safeFrac(r.Transactions, r.Accesses)), strconv.FormatUint(r.HintSkips, 10),
 		})
 	}
 	return writeCSV(dir, "memaccess.csv", header, out)

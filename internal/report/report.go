@@ -133,13 +133,23 @@ func (s *Session) Stats() CacheStats {
 // panics counts as failed for those joined to it and for the cache, and
 // the panic continues up the goroutine that ran it.
 func (s *Session) Run(bench string, k Knobs) (Result, error) {
-	job := Job{bench, k}
+	r, err := s.slot(Job{bench, k})
+	if err != nil {
+		return Result{}, err
+	}
+	return *r, nil
+}
+
+// slot is Run without the copy: the Result it returns is the session's own
+// cache slot, final once slot returns and shared by every caller, so it is
+// read-only.
+func (s *Session) slot(job Job) (*Result, error) {
 	s.mu.Lock()
 	if c, ok := s.cache[job]; ok {
 		s.stats.MemHits++
 		s.mu.Unlock()
 		<-c.done
-		return c.r, c.err
+		return &c.r, c.err
 	}
 	c := &inflight{done: make(chan struct{})}
 	s.cache[job] = c
@@ -161,7 +171,36 @@ func (s *Session) Run(bench string, k Knobs) (Result, error) {
 		}
 	}()
 	c.r, c.source, c.err = s.simulate(job)
-	return c.r, c.err
+	return &c.r, c.err
+}
+
+// Suite is the one way an exhibit or a sweep evaluates its points: every
+// benchmark of benches at every point, simulated on the Prefetch pool, and
+// handed back as [point][bench] in the order given. The Results are the
+// session's cache slots (see slot): read-only, and never copied. On an
+// error nothing is returned, not the points that did run.
+func (s *Session) Suite(benches []string, points ...Knobs) ([][]*Result, error) {
+	jobs := make([]Job, 0, len(points)*len(benches))
+	for _, k := range points {
+		for _, b := range benches {
+			jobs = append(jobs, Job{b, k})
+		}
+	}
+	if err := s.Prefetch(jobs); err != nil {
+		return nil, err
+	}
+	flat := make([]*Result, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if flat[i], err = s.slot(j); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]*Result, len(points))
+	for p := range out {
+		out[p] = flat[p*len(benches) : (p+1)*len(benches)]
+	}
+	return out, nil
 }
 
 // RunTraced simulates one benchmark with the observability sink tr
@@ -389,35 +428,6 @@ func HarmonicMean(xs []float64) float64 {
 		inv += 1 / x
 	}
 	return float64(len(xs)) / inv
-}
-
-// Speedups runs every benchmark under base and alt and returns per-bench
-// speedups (base cycles / alt cycles) plus their harmonic mean.
-func (s *Session) Speedups(base, alt Knobs) (map[string]float64, float64, error) {
-	benches := BenchNames()
-	jobs := make([]Job, 0, 2*len(benches))
-	for _, b := range benches {
-		jobs = append(jobs, Job{b, base}, Job{b, alt})
-	}
-	if err := s.Prefetch(jobs); err != nil {
-		return nil, 0, err
-	}
-	per := make(map[string]float64)
-	var xs []float64
-	for _, b := range benches {
-		rb, err := s.Run(b, base)
-		if err != nil {
-			return nil, 0, err
-		}
-		ra, err := s.Run(b, alt)
-		if err != nil {
-			return nil, 0, err
-		}
-		sp := float64(rb.Cycles) / float64(ra.Cycles)
-		per[b] = sp
-		xs = append(xs, sp)
-	}
-	return per, HarmonicMean(xs), nil
 }
 
 // table is a small fixed-width text table writer.

@@ -249,7 +249,7 @@ func TestSweepDrivers(t *testing.T) {
 	s := NewSession()
 
 	t.Run("Figure1b", func(t *testing.T) {
-		pts, err := s.Figure1b(io.Discard)
+		pts, err := s.breakdown(sweepRow("1b"), io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestSweepDrivers(t *testing.T) {
 	})
 
 	t.Run("Figure15", func(t *testing.T) {
-		pts, err := s.Figure15(io.Discard)
+		pts, err := s.sensitivity(sweepRow("15"), io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,10 @@ type Job struct {
 }
 
 // Prefetch simulates the given jobs on a bounded worker pool (Jobs
-// workers) and fills the session cache, so a subsequent serial render
-// pass over the same points only reads warm results. Duplicate jobs —
-// within the batch or against earlier runs — cost nothing beyond a cache
-// hit, because Run deduplicates singleflight-style.
+// workers) and fills the session cache, so that Suite, its one caller,
+// then only reads warm results. Duplicate jobs — within the batch or
+// against earlier runs — cost nothing beyond a cache hit, because Run
+// deduplicates singleflight-style.
 //
 // On failure the feed stops early and the first error observed is
 // returned; which job fails first under concurrency is unspecified, but
@@ -55,7 +55,7 @@ func (s *Session) Prefetch(jobs []Job) error {
 				}
 			}()
 			for j := range feed {
-				if _, err := s.Run(j.Bench, j.Knobs); err != nil {
+				if _, err := s.slot(j); err != nil {
 					errOnce.Do(func() {
 						firstErr = err
 						close(stop)

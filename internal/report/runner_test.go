@@ -275,8 +275,7 @@ func TestPrefetchOnlyWarmsCache(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSession(WithJobs(4))
-	base := DefaultKnobs(wpu.SchemeConv)
-	if err := s.Prefetch(suiteJobs(base)); err != nil {
+	if _, err := s.Suite(BenchNames(), DefaultKnobs(wpu.SchemeConv)); err != nil {
 		t.Fatal(err)
 	}
 	sims := s.Stats().Misses

@@ -69,38 +69,29 @@ func stallBar(frac [8]float64, width int) string {
 // StallBreakdownCSV. Every run is checked against the accounting
 // invariant StallSum() == Cycles().
 func (s *Session) StallBreakdown(w io.Writer) ([]StallRow, error) {
-	var knobs []Knobs
-	for _, sc := range stallSchemes {
-		knobs = append(knobs, DefaultKnobs(sc))
-	}
-	if err := s.Prefetch(suiteJobs(knobs...)); err != nil {
+	res, err := s.Suite(BenchNames(), defaults(stallSchemes...)...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []StallRow
 	var means []StallRow
-	for _, sc := range stallSchemes {
-		k := DefaultKnobs(sc)
-		var acc [8]float64
-		for _, b := range BenchNames() {
-			r, err := s.Run(b, k)
-			if err != nil {
-				return nil, err
-			}
-			st := r.Stats
+	for i, sc := range stallSchemes {
+		mean := StallRow{Bench: "mean", Scheme: sc}
+		for _, r := range res[i] {
+			st := &r.Stats
 			if st.StallSum() != st.Cycles() {
 				return nil, fmt.Errorf("%s/%s: taxonomy sum %d != cycles %d",
-					b, sc, st.StallSum(), st.Cycles())
+					r.Bench, sc, st.StallSum(), st.Cycles())
 			}
-			row := StallRow{Bench: b, Scheme: sc, Cycles: st.Cycles()}
-			for i, v := range st.CycleBuckets() {
-				row.Frac[i] = safeFrac(v, st.Cycles())
-				acc[i] += row.Frac[i]
+			row := StallRow{Bench: r.Bench, Scheme: sc, Cycles: st.Cycles()}
+			for b, v := range st.CycleBuckets() {
+				row.Frac[b] = safeFrac(v, st.Cycles())
+				mean.Frac[b] += row.Frac[b]
 			}
 			rows = append(rows, row)
 		}
-		mean := StallRow{Bench: "mean", Scheme: sc}
-		for i := range acc {
-			mean.Frac[i] = acc[i] / float64(len(BenchNames()))
+		for b := range mean.Frac {
+			mean.Frac[b] /= float64(len(res[i]))
 		}
 		means = append(means, mean)
 	}

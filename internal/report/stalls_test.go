@@ -19,20 +19,13 @@ func TestStallTaxonomySums(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSession()
-	var knobs []Knobs
-	for _, sc := range wpu.AllSchemes {
-		knobs = append(knobs, DefaultKnobs(sc))
-	}
-	if err := s.Prefetch(suiteJobs(knobs...)); err != nil {
+	res, err := s.Suite(BenchNames(), defaults(wpu.AllSchemes...)...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range wpu.AllSchemes {
-		k := DefaultKnobs(sc)
-		for _, b := range BenchNames() {
-			r, err := s.Run(b, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for i, sc := range wpu.AllSchemes {
+		for _, r := range res[i] {
+			b := r.Bench
 			st := r.Stats
 			if st.Cycles() == 0 {
 				t.Fatalf("%s/%s: no cycles", b, sc)

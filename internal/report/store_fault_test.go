@@ -27,7 +27,7 @@ func renderSpine(t *testing.T, st *Store) (string, CacheStats) {
 	for _, id := range spineExhibits {
 		for _, e := range Exhibits {
 			if e.ID == id {
-				if err := e.Run(s, &buf, "", false); err != nil {
+				if _, err := e.Run(s, &buf, "", false); err != nil {
 					t.Fatalf("exhibit %s: %v", id, err)
 				}
 			}

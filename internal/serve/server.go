@@ -207,7 +207,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // runJob executes one job on a pool worker. A panic under it (a simulator
 // self-check, say) fails the job instead of the daemon: Session.Run drops
-// the point it was computing, so a resubmission runs afresh, Prefetch hands
+// the point it was computing, so a resubmission runs afresh, Suite hands
 // a sweep point's panic to this goroutine (its first line is the message),
 // and the machine never reaches report's free list, because runLive gives
 // back only machines whose run returned.
@@ -226,14 +226,15 @@ func (s *Server) runJob(j *job) {
 		s.runTracedJob(j)
 		return
 	}
-	// Sweeps fan out over the session's Prefetch pool first, so the points
-	// simulate in parallel and the collection loop below reads warm cache.
+	// A sweep is benches x schemes, benches outer (JobRequest.Points), so the
+	// first bench's points carry every scheme's knobs. Suite simulates the
+	// points in parallel and the collection loop below reads warm cache.
 	if len(j.points) > 1 {
-		jobs := make([]report.Job, len(j.points))
-		for i, p := range j.points {
-			jobs[i] = report.Job{Bench: p.bench, Knobs: p.knobs}
+		knobs := make([]report.Knobs, len(j.req.Schemes))
+		for i := range knobs {
+			knobs[i] = j.points[i].knobs
 		}
-		if err := s.session.Prefetch(jobs); err != nil {
+		if _, err := s.session.Suite(j.req.Benches, knobs...); err != nil {
 			s.reg.finish(j, err.Error())
 			return
 		}

@@ -15,19 +15,13 @@ import (
 
 func kernelPrograms(t *testing.T) map[string]*program.Program {
 	t.Helper()
-	cfg := sim.DefaultConfig()
-	sys, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := make(map[string]*program.Program)
 	for _, spec := range All() {
-		inst, err := spec.Build(sys)
+		pl, err := spec.Plan(sim.DefaultConfig())
 		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+			t.Fatal(err)
 		}
-		progs, _ := inst.Launches()
-		for _, p := range progs {
+		for _, p := range pl.Kernels {
 			out[p.Name] = p
 		}
 	}

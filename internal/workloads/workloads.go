@@ -60,14 +60,43 @@ func (in *Instance) Verify() error {
 	return nil
 }
 
-// Launches returns the launch plan without its register files: launch i runs
-// progs[i] on threads[i] threads. It is the one enumerator behind the tools
-// that inspect a workload's kernels instead of running them.
-func (in *Instance) Launches() (progs []*program.Program, threads []int) {
-	for _, st := range in.steps {
-		progs, threads = append(progs, st.prog), append(threads, st.n)
+// Plan is a benchmark's launch plan without a run: launch i runs Progs[i]
+// on Threads[i] threads, and Kernels are the distinct programs by name, in
+// first-launch order.
+type Plan struct {
+	Kernels, Progs []*program.Program
+	Threads        []int
+}
+
+// Plan builds the benchmark on a throwaway machine of configuration cfg and
+// returns its launch plan; nothing is simulated. It is the one enumerator
+// behind the tools that inspect a workload's kernels instead of running
+// them. Kernels are built with MustVerify, so a kernel that stops verifying
+// is a panic under Build; Plan reports it as an error, so that a tool can
+// go on to the next benchmark.
+func (s Spec) Plan(cfg sim.Config) (pl Plan, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pl, err = Plan{}, fmt.Errorf("%s: %v", s.Name, r)
+		}
+	}()
+	sys, err := sim.New(cfg)
+	if err != nil {
+		return Plan{}, err
 	}
-	return progs, threads
+	inst, err := s.Build(sys)
+	if err != nil {
+		return Plan{}, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	seen := make(map[string]bool)
+	for _, st := range inst.steps {
+		pl.Progs, pl.Threads = append(pl.Progs, st.prog), append(pl.Threads, st.n)
+		if !seen[st.prog.Name] {
+			seen[st.prog.Name] = true
+			pl.Kernels = append(pl.Kernels, st.prog)
+		}
+	}
+	return pl, nil
 }
 
 // Steps materialises the launch plan, register files included (for callers
