@@ -69,10 +69,11 @@ claims-smoke:
 	sh bench/run.sh -smoke
 
 # The command-line programs on bad input: -h exits 0 or 2, and an unknown
-# scheme, benchmark, -param or exhibit id, a zero cache size or a -values
-# entry that is not a number is one line on stderr and exit status 1, never a
-# panic; and dwsweep along Figure 16's axis prints Figure 16's DWS/Conv
-# column (cmd/smoke_test.go; `make test` runs it too).
+# scheme, benchmark, -param or exhibit id, a zero cache size, a -scale that is
+# not a power of two or a -values entry that is not a number is one line on
+# stderr and exit status 1, never a panic; and dwsweep along Figure 16's axis
+# prints Figure 16's DWS/Conv column (cmd/smoke_test.go; `make test` runs it
+# too).
 # -count=1 because the test builds and runs the programs as child processes,
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:

@@ -21,9 +21,9 @@ import (
 
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds five binaries")
+		t.Skip("builds six binaries")
 	}
-	progs := []string{"dwsim", "dwsweep", "dwstrace", "dwsreport", "dwsimd"}
+	progs := []string{"dwsim", "dwsweep", "dwstrace", "dwsreport", "dwsimd", "dwsverify"}
 	bin := t.TempDir()
 	build := []string{"build", "-o", bin} // an existing directory: one binary per package
 	for _, p := range progs {
@@ -139,6 +139,9 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsweep", "-bench", "Filter", "-nocache", "-values", "10,x"},
 		{"dwstrace", "-bench", "Filter", "-scheme", "Nope"},
 		{"dwsreport", "-nocache", "-only", "nosuch"},
+		{"dwsverify", "-bench", "Nope"},
+		{"dwsverify", "-scale", "3"},
+		{"dwsim", "-bench", "FFT", "-nocache", "-scale", "3"},
 	} {
 		t.Run(strings.Join(tc, " "), func(t *testing.T) {
 			code, stderr := run(t, tc[0], tc[1:]...)

@@ -29,7 +29,7 @@ func FuzzCostModel(f *testing.F) {
 	f.Add([]byte{1, 4, 7, 2, 5, 4, 3, 6, 5})
 	f.Add([]byte{21, 1, 1, 23, 2, 4, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := buildMemFuzzProgram(data)
+		p := buildFuzzProgram("memfuzz", memFuzzOps, data)
 		if p == nil {
 			return
 		}

@@ -1,8 +1,8 @@
-// Static cost model: trip counts, cycle bounds, and subdivision-benefit
-// scores (the quantitative layer on top of the divergence lattice in
-// dataflow.go and the access-pattern analysis in memaccess.go).
+// Static cost model: trip counts and cycle bounds (the quantitative layer
+// on top of the divergence lattice in dataflow.go and the access-pattern
+// analysis in memaccess.go).
 //
-// Three results per kernel, all computed at Build time against
+// Two results per kernel, both computed at Build time against
 // DefaultCostParams and recomputable for any launch geometry
 // (CostModelFor, mirroring MemAccessFor):
 //
@@ -23,28 +23,20 @@
 //     argument for each term is spelled out inline below and in
 //     DESIGN.md.
 //
-//   - Subdivision-benefit scores: per divergent branch (§4.3) and per
-//     latency-divergent load/store (§4.4), an estimate of the overlap
-//     cycles dynamic warp subdivision could expose at that site, and a
-//     static ranking of the 13 schemes per kernel derived from those
-//     scores (a point-estimate heuristic, not a bound; EXPERIMENTS.md
-//     records its agreement with measured best schemes).
-//
-// Soundness contract for the bounds (not the heuristic estimates): the
-// launch runs cp.Threads threads under block distribution with the ABI of
-// sim.Threads/WPU.Launch (r1 = tid ∈ [0, Threads−1], r2 = Threads,
-// r3 = chunk-local index), registers declared via DeclareUniformRange
-// hold launch values inside their declared interval (checked at Launch),
-// and the machine is the cp geometry. Every interval claim is per
-// thread: control divergence cannot break it because each thread
-// executes its own instruction sequence regardless of how the warp is
-// split, which is also why the trip analysis needs no divergence
-// widening — a divergence-dependent bound simply evaluates to ⊤.
+// Soundness contract for the bounds: the launch runs cp.Threads threads
+// under block distribution with the ABI of sim.Threads/WPU.Launch
+// (r1 = tid ∈ [0, Threads−1], r2 = Threads, r3 = chunk-local index),
+// registers declared via DeclareUniformRange hold launch values inside
+// their declared interval (checked at Launch), and the machine is the cp
+// geometry. Every interval claim is per thread: control divergence cannot
+// break it because each thread executes its own instruction sequence
+// regardless of how the warp is split, which is also why the trip
+// analysis needs no divergence widening — a divergence-dependent bound
+// simply evaluates to ⊤.
 package program
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/isa"
@@ -75,10 +67,10 @@ type CostParams struct {
 	Mem MemParams
 }
 
-// CostInstPerLine is the instructions-per-icache-line packing the icache
-// budget assumes; it must equal the WPU's icacheInstPerLine (pinned by a
-// consistency test in internal/workloads).
-const CostInstPerLine = 16
+// ICacheInstPerLine is the fetch-line packing of the per-WPU instruction
+// cache (128 B line / 8 B encoded instruction): the icache budget below
+// and the WPU's fetch path (which imports this package) both use it.
+const ICacheInstPerLine = 16
 
 // DefaultCostParams is the Table 3 machine. MemTxWorst composes the
 // worst path one transaction can take: L1 probe (3) + crossbar there and
@@ -860,65 +852,10 @@ type BlockCost struct {
 	Execs CostInterval
 }
 
-// SiteBenefit is the §4.3/§4.4 subdivision-benefit estimate for one
-// divergent branch or latency-divergent memory site: roughly the cycles
-// of useful overlap subdividing there could expose across the launch.
-// A heuristic score for ranking sites and schemes, not a bound.
-type SiteBenefit struct {
-	PC      int
-	Kind    string // "branch", "ld", or "st"
-	Class   string
-	Benefit float64
-}
-
-// SchemeScore is one scheme's predicted cycle estimate; lower is better.
-type SchemeScore struct {
-	Scheme string
-	Est    float64
-}
-
-// SchemeTraits names the mechanism flags of one scheme the cost model
-// reasons about. CostSchemes lists all 13 in wpu.AllSchemes order; a
-// consistency test in internal/workloads pins names and flags against
-// wpu.Scheme.Apply.
-type SchemeTraits struct {
-	Name             string
-	SubdivBranch     bool // subdivide on divergent branches
-	PCReconv         bool // PC-based re-convergence
-	MemSplit         bool // subdivide on divergent memory accesses
-	MemLazy          bool
-	MemRevive        bool
-	MemPredictive    bool
-	MemBranchLimited bool
-	Slip             bool
-	SlipBypass       bool
-}
-
-// UsesWST reports whether the scheme can create warp splits at all (and
-// so can ever see wst-full or slot-wait stalls).
-func (t SchemeTraits) UsesWST() bool { return t.SubdivBranch || t.MemSplit || t.Slip }
-
-// CostSchemes are the 13 schemes in wpu.AllSchemes order.
-var CostSchemes = []SchemeTraits{
-	{Name: "Conv"},
-	{Name: "DWS.BranchOnly.Stack", SubdivBranch: true},
-	{Name: "DWS.BranchOnly", SubdivBranch: true, PCReconv: true},
-	{Name: "DWS.AggressSplit.BL", PCReconv: true, MemSplit: true, MemBranchLimited: true},
-	{Name: "DWS.LazySplit.BL", PCReconv: true, MemSplit: true, MemLazy: true, MemBranchLimited: true},
-	{Name: "DWS.ReviveSplit.BL", PCReconv: true, MemSplit: true, MemRevive: true, MemBranchLimited: true},
-	{Name: "DWS.ReviveSplit.MemOnly", PCReconv: true, MemSplit: true, MemRevive: true},
-	{Name: "DWS.AggressSplit", SubdivBranch: true, PCReconv: true, MemSplit: true},
-	{Name: "DWS.LazySplit", SubdivBranch: true, PCReconv: true, MemSplit: true, MemLazy: true},
-	{Name: "DWS.ReviveSplit", SubdivBranch: true, PCReconv: true, MemSplit: true, MemRevive: true},
-	{Name: "DWS.PredictiveSplit", SubdivBranch: true, PCReconv: true, MemSplit: true, MemPredictive: true},
-	{Name: "Slip", Slip: true},
-	{Name: "Slip.BranchBypass", Slip: true, SlipBypass: true, SubdivBranch: true, PCReconv: true},
-}
-
-// CostBucketLabels mirrors wpu.CycleBucketLabels (same strings, same
-// order); the program package cannot import wpu, so a consistency test
-// in internal/workloads pins the two.
-var CostBucketLabels = [8]string{
+// CycleBucketLabels names the eight buckets of the stall taxonomy in
+// canonical order, for CostModel.Buckets and for wpu.Stats.CycleBuckets:
+// wpu.CycleBucketLabels is this array (wpu imports this package).
+var CycleBucketLabels = [8]string{
 	"busy",
 	"mem_coherent",
 	"mem_divergent",
@@ -941,26 +878,17 @@ type CostModel struct {
 	Issues []CostInterval
 	// Ticks bounds the summed per-WPU TickCycles of the launch.
 	Ticks CostInterval
-	// Buckets bounds each taxonomy bucket (CostBucketLabels order) for
-	// the most permissive scheme; BucketBoundsFor tightens per scheme.
+	// Buckets bounds each taxonomy bucket (CycleBucketLabels order) for
+	// the most permissive scheme; BucketBoundsFor tightens per configuration.
 	Buckets [8]CostInterval
-	// Predicted is the heuristic point-estimate split over the first four
-	// buckets (busy, mem_coherent, mem_divergent, barrier), as fractions
-	// summing to 1 (all zero for an empty estimate).
-	Predicted [4]float64
-	// Sites are the per-branch and per-access subdivision benefits, in pc
-	// order.
-	Sites []SiteBenefit
-	// Ranking orders the 13 schemes by predicted cycles, best first.
-	Ranking []SchemeScore
 }
 
-// BucketBoundsFor tightens the bucket bounds for one scheme: a scheme
-// that can never create warp splits can never stall on a full WST or on
-// scheduler slots.
-func (m *CostModel) BucketBoundsFor(t SchemeTraits) [8]CostInterval {
+// BucketBoundsFor tightens the bucket bounds for one configuration: one
+// that can never create warp splits (no subdivision on branches or memory
+// divergence, no slip) can never stall on a full WST or on scheduler slots.
+func (m *CostModel) BucketBoundsFor(canSplit bool) [8]CostInterval {
 	b := m.Buckets
-	if !t.UsesWST() {
+	if !canSplit {
 		b[5] = CostInterval{}
 		b[6] = CostInterval{}
 	}
@@ -1233,7 +1161,7 @@ func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 			barrierTermHi = addHi(barrierTermHi, m.Issues[pc].Hi)
 		}
 	}
-	progLines := int64(len(p.Code)+CostInstPerLine-1) / CostInstPerLine
+	progLines := int64(len(p.Code)+ICacheInstPerLine-1) / ICacheInstPerLine
 	icacheBudget := CostInf
 	if progLines <= int64(cp.ICacheLines) {
 		// A kernel's lines are consecutive, so a program fitting the
@@ -1291,199 +1219,7 @@ func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 		m.Buckets[5] = CostInterval{0, tickHi}
 		m.Buckets[6] = CostInterval{0, tickHi}
 	}
-
-	p.costPredictAndRank(m, execs, blockOf, memTx, geo, reach)
 	return m
-}
-
-// missProb and divShare are the per-access-class heuristics behind the
-// predicted split and the benefit scores: the assumed L1 miss
-// probability and the fraction of memory wait attributable to
-// intra-warp hit/miss divergence. Calibrated against the measured stall
-// taxonomy of the eight benchmarks (EXPERIMENTS.md).
-var (
-	missProb = [NumAccessClasses]float64{0.05, 0.20, 0.35, 0.60}
-	divShare = [NumAccessClasses]float64{0, 0.10, 0.35, 0.60}
-	// benefitDivP scales memory-site benefits by class (a gather exposes
-	// far more overlap than an already-coalesced access).
-	benefitDivP = [NumAccessClasses]float64{0, 0.25, 0.50, 0.80}
-)
-
-// schemeGain maps one scheme's mechanism flags to linear weights over the
-// kernel's static divergence intensities. With bShare and mShare the
-// benefit mass of divergent branches and latency-divergent accesses as
-// fractions of the baseline estimate (each clamped to [0,1]), the
-// predicted recovered fraction is
-//
-//	gain = mM·mShare + mB·bShare − oh
-//
-// and the scheme estimate is total·(1 − gain). The weights are calibrated
-// against the measured 13-scheme × 8-benchmark grid (EXPERIMENTS.md):
-// memory subdivision with revival recovers the most and branch-limited
-// re-convergence only pays where divergent branches are dense (its mem
-// splits retire at the next branch, so high bShare means frequent cheap
-// re-convergence and low bShare means the splits barely run) — hence the
-// large mB on the .BL rows. Subdividing on branches carries a small
-// fragmentation overhead oh that the exposed overlap must beat, largest
-// for the stack-based variant that cannot re-converge early.
-func schemeGain(t SchemeTraits) (mB, mM, oh float64) {
-	switch {
-	case t.Slip:
-		mM, mB = 0.18, 1.0
-		if t.SlipBypass {
-			mB, oh = 1.2, 0.02
-		}
-	case t.MemBranchLimited:
-		mM = 0.15
-		switch {
-		case t.MemRevive:
-			mB = 4.2
-		case t.MemLazy:
-			mB = 3.6
-		default: // aggressive
-			mB = 4.0
-		}
-	case t.MemPredictive:
-		mM, mB, oh = 0.305, 1.5, 0.01
-	case t.MemRevive:
-		mM = 0.30
-		if t.SubdivBranch {
-			mB, oh = 1.5, 0.01
-		}
-	case t.MemLazy:
-		mM, mB, oh = 0.25, 1.5, 0.015
-	case t.MemSplit:
-		mM, mB, oh = 0.22, 1.5, 0.02 // aggressive: overlap minus over-subdivision
-	case t.SubdivBranch:
-		if t.PCReconv {
-			mB, oh = 2.0, 0.01
-		} else {
-			mB, oh = 1.0, 0.06 // stack re-convergence: rigid join points
-		}
-	}
-	return mB, mM, oh
-}
-
-// costPredictAndRank fills the heuristic layers: the predicted
-// stall-taxonomy split, the per-site benefits, and the scheme ranking.
-func (p *Program) costPredictAndRank(m *CostModel, execs []CostInterval, blockOf []int, memTx map[int]int, g costGeom, reach []bool) {
-	cp := m.Params
-	execApprox := func(bid int) float64 {
-		e := execs[bid]
-		if e.Unbounded() {
-			return float64(e.Lo + 1)
-		}
-		return float64(e.Hi)
-	}
-	warps := float64(g.totalWarps)
-
-	var busyEst, memCohEst, memDivEst, barrEst float64
-	for pc, inst := range p.Code {
-		if !reach[blockOf[pc]] {
-			continue
-		}
-		e := execApprox(blockOf[pc]) * warps
-		busyEst += e
-		switch {
-		case inst.Op.IsMem():
-			cls := AccessGather
-			for _, a := range p.memAccess {
-				if a.PC == pc {
-					cls = a.AClass
-					break
-				}
-			}
-			// The /8 de-rates the worst-case transaction cost to an expected
-			// per-access wait: misses overlap across warps and most of
-			// MemTxWorst's terms (writeback, queueing) are rarely all paid.
-			// Calibrated against the measured Conv stall split (EXPERIMENTS.md).
-			wait := e * (float64(cp.HitLat) + missProb[cls]*float64(cp.MemTxWorst)/8)
-			memDivEst += wait * divShare[cls]
-			memCohEst += wait * (1 - divShare[cls])
-		case inst.Op == isa.BARRIER:
-			barrEst += e * float64(cp.Width)
-		}
-	}
-	total := busyEst + memCohEst + memDivEst + barrEst
-	if total > 0 {
-		m.Predicted = [4]float64{busyEst / total, memCohEst / total, memDivEst / total, barrEst / total}
-	}
-
-	// Per-site benefits (§4.3 short-join branches, §4.4 divergent loads).
-	var branchGain, memGain float64
-	for pc, inst := range p.Code {
-		if !reach[blockOf[pc]] {
-			continue
-		}
-		e := execApprox(blockOf[pc]) * warps
-		switch {
-		case inst.Op.IsBranch():
-			bi := p.branches[pc]
-			if bi.Class == ClassUniform {
-				continue
-			}
-			arm := 0.0
-			first := true
-			for _, s := range p.Blocks[blockOf[pc]].Succ {
-				c := float64(p.Blocks[s].Len())
-				for spc := p.Blocks[s].Start; spc < p.Blocks[s].End; spc++ {
-					if p.Code[spc].Op.IsMem() {
-						c += float64(cp.HitLat)
-					}
-				}
-				if first || c < arm {
-					arm, first = c, false
-				}
-			}
-			classW := 0.5
-			if bi.Class == ClassDivergent {
-				classW = 1.0
-			}
-			ben := e * classW * min(arm, float64(cp.MemTxWorst)) * 0.5
-			m.Sites = append(m.Sites, SiteBenefit{PC: pc, Kind: "branch", Class: bi.Class.String(), Benefit: ben})
-			if bi.Subdividable {
-				branchGain += ben
-			}
-		case inst.Op.IsMem():
-			cls := AccessGather
-			for _, a := range p.memAccess {
-				if a.PC == pc {
-					cls = a.AClass
-					break
-				}
-			}
-			if memTx[pc] <= 1 {
-				continue
-			}
-			kind := "ld"
-			scale := 1.0
-			if inst.Op == isa.ST {
-				kind, scale = "st", 0.3
-			}
-			ben := e * benefitDivP[cls] * float64(cp.MemTxWorst-cp.HitLat) * 0.5 * scale
-			m.Sites = append(m.Sites, SiteBenefit{PC: pc, Kind: kind, Class: cls.String(), Benefit: ben})
-			memGain += ben
-		}
-	}
-
-	// Normalise the benefit masses to intensity shares of the baseline:
-	// the raw sums grow with launch size, but what separates schemes is
-	// how much of the kernel's time the subdividable sites account for.
-	bShare, mShare := 0.0, 0.0
-	if total > 0 {
-		bShare = min(branchGain/total, 1)
-		mShare = min(memGain/total, 1)
-	}
-	floorEst := 0.2 * total
-	for _, t := range CostSchemes {
-		mB, mM, oh := schemeGain(t)
-		est := total * (1 - mM*mShare - mB*bShare + oh)
-		if est < floorEst {
-			est = floorEst
-		}
-		m.Ranking = append(m.Ranking, SchemeScore{Scheme: t.Name, Est: est})
-	}
-	sort.SliceStable(m.Ranking, func(i, j int) bool { return m.Ranking[i].Est < m.Ranking[j].Est })
 }
 
 // Report renders the model in a stable, golden-file-friendly format.
@@ -1505,20 +1241,7 @@ func (m *CostModel) Report(name string) string {
 	fmt.Fprintf(&sb, "  ticks=%s\n", m.Ticks)
 	sb.WriteString("  buckets")
 	for i, b := range m.Buckets {
-		fmt.Fprintf(&sb, " %s=%s", CostBucketLabels[i], b)
-	}
-	sb.WriteByte('\n')
-	fmt.Fprintf(&sb, "  predicted busy=%.1f%% mem_coherent=%.1f%% mem_divergent=%.1f%% barrier=%.1f%%\n",
-		100*m.Predicted[0], 100*m.Predicted[1], 100*m.Predicted[2], 100*m.Predicted[3])
-	for _, s := range m.Sites {
-		fmt.Fprintf(&sb, "  site  %-6s @pc %-3d %-9s benefit=%.1f\n", s.Kind, s.PC, s.Class, s.Benefit)
-	}
-	sb.WriteString("  rank ")
-	for i, r := range m.Ranking {
-		if i > 0 {
-			sb.WriteString(" < ")
-		}
-		sb.WriteString(r.Scheme)
+		fmt.Fprintf(&sb, " %s=%s", CycleBucketLabels[i], b)
 	}
 	sb.WriteByte('\n')
 	return sb.String()

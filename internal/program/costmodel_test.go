@@ -339,36 +339,8 @@ func TestCostModelRecordedAtBuild(t *testing.T) {
 	}
 }
 
-// Scheme traits cover all 13 schemes and the ranking orders all of them.
-func TestCostSchemesComplete(t *testing.T) {
-	if len(CostSchemes) != 13 {
-		t.Fatalf("CostSchemes has %d entries, want 13", len(CostSchemes))
-	}
-	seen := map[string]bool{}
-	for _, s := range CostSchemes {
-		if seen[s.Name] {
-			t.Errorf("duplicate scheme %q", s.Name)
-		}
-		seen[s.Name] = true
-	}
-	b := NewBuilder("ranked")
-	b.DeclareThreads(16)
-	b.Movi(5, 1)
-	b.St(5, 1, 0)
-	b.Halt()
-	p := mustBuildProg(t, b)
-	m := p.CostModel()
-	if len(m.Ranking) != len(CostSchemes) {
-		t.Fatalf("ranking has %d entries, want %d", len(m.Ranking), len(CostSchemes))
-	}
-	for i := 1; i < len(m.Ranking); i++ {
-		if m.Ranking[i-1].Est > m.Ranking[i].Est {
-			t.Errorf("ranking not sorted at %d: %+v", i, m.Ranking)
-		}
-	}
-}
-
-// BucketBoundsFor zeroes the WST buckets for schemes without a WST.
+// BucketBoundsFor zeroes the WST buckets for a configuration that cannot
+// split and leaves them alone for one that can.
 func TestBucketBoundsForConv(t *testing.T) {
 	b := NewBuilder("conv-buckets")
 	b.DeclareThreads(16)
@@ -377,27 +349,18 @@ func TestBucketBoundsForConv(t *testing.T) {
 	b.Halt()
 	p := mustBuildProg(t, b)
 	m := p.CostModel()
-	var conv, dws SchemeTraits
-	for _, s := range CostSchemes {
-		switch s.Name {
-		case "Conv":
-			conv = s
-		case "DWS.ReviveSplit":
-			dws = s
-		}
+	if got := m.BucketBoundsFor(true); got != m.Buckets {
+		t.Errorf("splitting configuration: buckets %v, want the model's %v", got, m.Buckets)
 	}
-	if conv.UsesWST() || !dws.UsesWST() {
-		t.Fatalf("UsesWST wrong: conv=%v dws=%v", conv.UsesWST(), dws.UsesWST())
-	}
-	cb := m.BucketBoundsFor(conv)
+	cb := m.BucketBoundsFor(false)
 	for _, i := range []int{5, 6} { // wst_full, slot_wait
 		if cb[i] != (CostInterval{0, 0}) {
-			t.Errorf("conv bucket %s = %s, want [0,0]", CostBucketLabels[i], cb[i])
+			t.Errorf("conv bucket %s = %s, want [0,0]", CycleBucketLabels[i], cb[i])
 		}
 	}
 }
 
-// Disassembly carries the cost annotations.
+// Disassembly carries the cost annotation.
 func TestDisassembleCostAnnotations(t *testing.T) {
 	b := NewBuilder("disasm-cost")
 	b.DeclareThreads(16)
@@ -412,8 +375,5 @@ func TestDisassembleCostAnnotations(t *testing.T) {
 	d := p.Disassemble()
 	if !strings.Contains(d, "execs=[1,1]") {
 		t.Errorf("disassembly missing execs annotation:\n%s", d)
-	}
-	if !strings.Contains(d, "benefit=") {
-		t.Errorf("disassembly missing benefit annotation:\n%s", d)
 	}
 }

@@ -19,12 +19,14 @@ var divFuzzOps = []isa.Op{
 	isa.ITOF, isa.FTOI, isa.BEQZ, isa.BNEZ, isa.JMP,
 }
 
-// buildDivFuzzProgram decodes 3-byte instruction encodings (op, b1, b2)
-// into a loop-free program with a trailing HALT, and builds it. Branch and
-// jump targets are decoded strictly forward: pc+1 + b1 mod (insts-pc).
-// Returns nil when Build rejects the program (fine — the contract under
-// test is the analysis, not the builder).
-func buildDivFuzzProgram(data []byte) *Program {
+// buildFuzzProgram decodes 3-byte instruction encodings (op, b1, b2) over
+// the given opcode menu into a loop-free program with a trailing HALT, and
+// builds it. Branch and jump targets are decoded strictly forward:
+// pc+1 + b1 mod (insts-pc); immediates (and the address offset of loads and
+// stores, on a menu that has them) come from b2. Returns nil when Build
+// rejects the program (fine — the contract under test is the analysis, not
+// the builder).
+func buildFuzzProgram(name string, ops []isa.Op, data []byte) *Program {
 	const maxInsts = 48
 	n := len(data) / 3
 	if n > maxInsts {
@@ -33,10 +35,10 @@ func buildDivFuzzProgram(data []byte) *Program {
 	if n == 0 {
 		return nil
 	}
-	b := NewBuilder("divfuzz")
+	b := NewBuilder(name)
 	for i := 0; i < n; i++ {
 		b0, b1, b2 := data[i*3], data[i*3+1], data[i*3+2]
-		op := divFuzzOps[int(b0)%len(divFuzzOps)]
+		op := ops[int(b0)%len(ops)]
 		in := isa.Inst{
 			Op:   op,
 			Dst:  isa.Reg(b1 % isa.NumRegs),
@@ -46,7 +48,8 @@ func buildDivFuzzProgram(data []byte) *Program {
 		switch op {
 		case isa.BEQZ, isa.BNEZ, isa.JMP:
 			in.Target = i + 1 + int(b1)%(n-i) // forward only: (pc, n]
-		case isa.MOVI, isa.ADDI, isa.MULI, isa.SHLI, isa.ANDI, isa.SLTI:
+		case isa.MOVI, isa.ADDI, isa.MULI, isa.SHLI, isa.ANDI, isa.SLTI,
+			isa.LD, isa.ST:
 			in.Imm = int64(int8(b2))
 		}
 		b.Emit(in)
@@ -72,7 +75,7 @@ func FuzzDivergence(f *testing.F) {
 	f.Add([]byte{14, 4, 1, 13, 5, 4, 20, 0, 5})
 	f.Add([]byte{255, 255, 255, 7, 3, 9, 100, 50, 25})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := buildDivFuzzProgram(data)
+		p := buildFuzzProgram("divfuzz", divFuzzOps, data)
 		if p == nil {
 			return
 		}

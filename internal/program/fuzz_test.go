@@ -17,7 +17,11 @@ var fuzzOps = []isa.Op{
 // decodeFuzzProgram interprets the fuzz input as a sequence of 3-byte
 // instruction encodings. Branch targets are taken mod a window slightly
 // larger than the program so out-of-range targets (which Build must reject
-// cleanly) are also exercised.
+// cleanly) are also exercised. It stays apart from buildFuzzProgram
+// (divfuzz_test.go): FuzzVerify needs what that generator rules out —
+// backward and out-of-range targets, BARRIER and mid-program HALT — and
+// needs the raw instructions, since a rejected Build is one of its cases;
+// and its checked-in corpus pins this byte layout (target from b2, not b1).
 func decodeFuzzProgram(data []byte) []isa.Inst {
 	const maxInsts = 64
 	n := len(data) / 3

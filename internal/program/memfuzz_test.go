@@ -13,44 +13,6 @@ import (
 // interpreter enumerates every (pc, tid) execution exactly once.
 var memFuzzOps = append(append([]isa.Op(nil), divFuzzOps...), isa.LD, isa.ST)
 
-// buildMemFuzzProgram mirrors buildDivFuzzProgram over the extended menu;
-// loads and stores take their address offset from the immediate byte.
-func buildMemFuzzProgram(data []byte) *Program {
-	const maxInsts = 48
-	n := len(data) / 3
-	if n > maxInsts {
-		n = maxInsts
-	}
-	if n == 0 {
-		return nil
-	}
-	b := NewBuilder("memfuzz")
-	for i := 0; i < n; i++ {
-		b0, b1, b2 := data[i*3], data[i*3+1], data[i*3+2]
-		op := memFuzzOps[int(b0)%len(memFuzzOps)]
-		in := isa.Inst{
-			Op:   op,
-			Dst:  isa.Reg(b1 % isa.NumRegs),
-			SrcA: isa.Reg(b2 % isa.NumRegs),
-			SrcB: isa.Reg((b1 >> 3) % isa.NumRegs),
-		}
-		switch op {
-		case isa.BEQZ, isa.BNEZ, isa.JMP:
-			in.Target = i + 1 + int(b1)%(n-i) // forward only: (pc, n]
-		case isa.MOVI, isa.ADDI, isa.MULI, isa.SHLI, isa.ANDI, isa.SLTI,
-			isa.LD, isa.ST:
-			in.Imm = int64(int8(b2))
-		}
-		b.Emit(in)
-	}
-	b.Emit(isa.Inst{Op: isa.HALT})
-	p, err := b.Build()
-	if err != nil {
-		return nil
-	}
-	return p
-}
-
 // FuzzMemAccess cross-checks the static memory-access analysis against
 // concrete multi-tid interpretation on loop-free programs: for every
 // executed load/store, a uniform claim demands one shared address, an
@@ -67,7 +29,7 @@ func FuzzMemAccess(f *testing.F) {
 	f.Add([]byte{2, 4, 64, 23, 5, 4})
 	f.Add([]byte{21, 1, 1, 23, 2, 4, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := buildMemFuzzProgram(data)
+		p := buildFuzzProgram("memfuzz", memFuzzOps, data)
 		if p == nil {
 			return
 		}

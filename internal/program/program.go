@@ -179,17 +179,12 @@ func (p *Program) Disassemble() string {
 	for _, b := range p.Blocks {
 		blockAt[b.Start] = b.ID
 	}
-	// Cost-model annotations (costmodel.go): per-block execution bounds on
-	// block headers and the subdivision-benefit score on each divergence
-	// site, so a disassembly shows where subdividing is predicted to pay.
+	// Cost-model annotation (costmodel.go): per-block execution bounds on
+	// block headers.
 	execAt := make(map[int]CostInterval)
-	benefitAt := make(map[int]float64)
 	if p.cost != nil {
 		for _, bc := range p.cost.Blocks {
 			execAt[bc.ID] = bc.Execs
-		}
-		for _, s := range p.cost.Sites {
-			benefitAt[s.PC] = s.Benefit
 		}
 	}
 	ai := 0
@@ -219,9 +214,6 @@ func (p *Program) Disassemble() string {
 		if ai < len(p.memAccess) && p.memAccess[ai].PC == pc {
 			a := p.memAccess[ai]
 			fmt.Fprintf(&sb, "\t; %s tx<=%d", a.AClass, a.Transactions)
-		}
-		if ben, ok := benefitAt[pc]; ok {
-			fmt.Fprintf(&sb, "\t; benefit=%.1f", ben)
 		}
 		sb.WriteByte('\n')
 	}
@@ -689,10 +681,10 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	// verifier below recomputes and cross-checks this table.
 	p.memAccess = p.buildMemAccess(div, DefaultMemParams)
 
-	// Static cost model (costmodel.go): trip counts, cycle bounds, and
-	// subdivision-benefit scores under the default machine geometry and the
-	// declared thread count. Launch-time geometries recompute via
-	// CostModelFor; the verifier below cross-checks this record.
+	// Static cost model (costmodel.go): trip counts and cycle bounds under
+	// the default machine geometry and the declared thread count.
+	// Launch-time geometries recompute via CostModelFor; the verifier below
+	// cross-checks this record.
 	p.cost = p.CostModelFor(CostParams{})
 
 	p.findings = p.Verify()

@@ -146,7 +146,7 @@ func (p *Program) checkCostModel(g *cfgView) []Finding {
 		if bad(b) {
 			fs = append(fs, Finding{
 				PC: -1, Block: -1, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("bucket %s bound inverted or negative: %s", CostBucketLabels[i], b),
+				Msg: fmt.Sprintf("bucket %s bound inverted or negative: %s", CycleBucketLabels[i], b),
 			})
 		}
 	}

@@ -71,7 +71,7 @@ var knobTable = []knob{
 	{"l1assoc", func(k *Knobs) *int { return &k.L1Assoc }, 8, true, 0, 64, "L1 D-cache associativity (0 = fully associative)"},
 	{"l2kb", func(k *Knobs) *int { return &k.L2KB }, 4096, true, 1, 65536, "L2 size in KB"},
 	{"l2lat", func(k *Knobs) *int { return &k.L2Lat }, 30, true, 0, 10000, "L2 lookup latency in cycles"},
-	{"scale", func(k *Knobs) *int { return &k.Scale }, 0, false, 0, 8, "input-size multiplier, 0 or 1 = unscaled (see workloads.AllWithScale)"},
+	{"scale", func(k *Knobs) *int { return &k.Scale }, 0, false, 0, 8, "input-size multiplier, a power of two; 0 or 1 = unscaled (see workloads.AllWithScale)"},
 	{"branch_thresh", func(k *Knobs) *int { return &k.BranchThresh }, 0, false, 0, 64, ""},
 }
 
@@ -107,15 +107,18 @@ func (k Knobs) WithDefaults() Knobs {
 }
 
 // Validate reports whether the simulator can build and run the point: no
-// knob below its minimum, a named scheme, a known distribution, and a
-// width and scheduler-slot count the WPU accepts. Call it where a point
-// enters the program (flag parsing, JSON decoding); Session.Run assumes it
-// and Config panics on an unknown scheme.
+// knob below its minimum, a power-of-two scale, a named scheme, a known
+// distribution, and a width and scheduler-slot count the WPU accepts. Call
+// it where a point enters the program (flag parsing, JSON decoding);
+// Session.Run assumes it and Config panics on an unknown scheme.
 func (k Knobs) Validate() error {
 	for _, kn := range knobTable {
 		if v := *kn.field(&k); v < kn.min {
 			return fmt.Errorf("%s = %d is below the minimum, %d", kn.name, v, kn.min)
 		}
+	}
+	if k.Scale&(k.Scale-1) != 0 {
+		return fmt.Errorf("scale = %d is not a power of two (FFT and Merge cannot size their inputs by it)", k.Scale)
 	}
 	if !slices.Contains(wpu.AllSchemes, k.Scheme) {
 		return fmt.Errorf("scheme = %q is not one of %v", k.Scheme, wpu.AllSchemes)

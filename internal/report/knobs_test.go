@@ -203,6 +203,7 @@ func TestKnobsValidateFailures(t *testing.T) {
 		failure{"unknown scheme", mod(func(k *Knobs) { k.Scheme = "DWS.Nope" }), Knobs.Validate, `scheme = "DWS.Nope"`},
 		failure{"empty scheme", mod(func(k *Knobs) { k.Scheme = "" }), Knobs.Validate, `scheme = ""`},
 		failure{"bad dist", mod(func(k *Knobs) { k.Dist = 2 }), Knobs.Validate, "dist = 2"},
+		failure{"scale not a power of two", mod(func(k *Knobs) { k.Scale = 3 }), Knobs.Validate, "scale = 3 is not a power of two"},
 		failure{"default slots past the ready mask", mod(func(k *Knobs) { k.Warps = 33 }), Knobs.Validate, "slots"},
 		failure{"explicit slots past the ready mask", mod(func(k *Knobs) { k.Slots = 65 }), Knobs.Validate, "slots"},
 		failure{"width past the lane mask", mod(func(k *Knobs) { k.Width = 65 }), Knobs.Validate, "width"},
@@ -220,5 +221,10 @@ func TestKnobsValidateFailures(t *testing.T) {
 	}
 	if err := mod(func(k *Knobs) { k.Warps, k.Slots = 33, 64 }).Validate(); err != nil {
 		t.Errorf("33 warps on 64 explicit slots rejected: %v", err)
+	}
+	for _, scale := range []int{0, 1, 2, 4, 8} {
+		if err := mod(func(k *Knobs) { k.Scale = scale }).Validate(); err != nil {
+			t.Errorf("scale %d rejected: %v", scale, err)
+		}
 	}
 }

@@ -4,14 +4,9 @@ package workloads
 // whole benchmark suite under every named scheme and confront the
 // measured TickCycles and per-bucket stall cycles of every kernel launch
 // with the static bounds. A measured value outside its interval is a
-// cost-model soundness bug and fails the test. The same replay collects
-// the per-benchmark cycle totals that grade the static scheme ranking
-// (EXPERIMENTS.md); the consistency tests pin the cross-package constants
-// the model mirrors (scheme names and flags, bucket labels, icache line
-// packing), since internal/program cannot import internal/wpu.
+// cost-model soundness bug and fails the test.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,59 +18,6 @@ import (
 	"repro/internal/wpu"
 )
 
-func TestCostSchemesMatchWPU(t *testing.T) {
-	if len(program.CostSchemes) != len(wpu.AllSchemes) {
-		t.Fatalf("program.CostSchemes has %d entries, wpu.AllSchemes %d",
-			len(program.CostSchemes), len(wpu.AllSchemes))
-	}
-	for i, tr := range program.CostSchemes {
-		s := wpu.AllSchemes[i]
-		if tr.Name != string(s) {
-			t.Errorf("CostSchemes[%d] = %q, want %q", i, tr.Name, s)
-			continue
-		}
-		c := s.Apply(wpu.Config{Warps: 4, Width: 16})
-		if tr.SubdivBranch != c.SubdivideOnBranch {
-			t.Errorf("%s: SubdivBranch=%v, wpu SubdivideOnBranch=%v", s, tr.SubdivBranch, c.SubdivideOnBranch)
-		}
-		if tr.PCReconv != c.PCReconv {
-			t.Errorf("%s: PCReconv=%v, wpu PCReconv=%v", s, tr.PCReconv, c.PCReconv)
-		}
-		if tr.MemSplit != (c.MemScheme != wpu.MemNone) {
-			t.Errorf("%s: MemSplit=%v, wpu MemScheme=%v", s, tr.MemSplit, c.MemScheme)
-		}
-		if tr.MemLazy != (c.MemScheme == wpu.LazySplit) {
-			t.Errorf("%s: MemLazy=%v, wpu MemScheme=%v", s, tr.MemLazy, c.MemScheme)
-		}
-		if tr.MemRevive != (c.MemScheme == wpu.ReviveSplit) {
-			t.Errorf("%s: MemRevive=%v, wpu MemScheme=%v", s, tr.MemRevive, c.MemScheme)
-		}
-		if tr.MemPredictive != (c.MemScheme == wpu.PredictiveSplit) {
-			t.Errorf("%s: MemPredictive=%v, wpu MemScheme=%v", s, tr.MemPredictive, c.MemScheme)
-		}
-		if tr.MemBranchLimited != (c.MemScheme != wpu.MemNone && c.MemReconv == wpu.BranchLimited) {
-			t.Errorf("%s: MemBranchLimited=%v, wpu MemReconv=%v", s, tr.MemBranchLimited, c.MemReconv)
-		}
-		if tr.Slip != (c.Slip != wpu.SlipOff) {
-			t.Errorf("%s: Slip=%v, wpu Slip=%v", s, tr.Slip, c.Slip)
-		}
-		if tr.SlipBypass != (c.Slip == wpu.SlipBranchBypass) {
-			t.Errorf("%s: SlipBypass=%v, wpu Slip=%v", s, tr.SlipBypass, c.Slip)
-		}
-	}
-}
-
-func TestCostBucketLabelsMatchWPU(t *testing.T) {
-	if program.CostBucketLabels != wpu.CycleBucketLabels {
-		t.Errorf("program.CostBucketLabels = %v\nwpu.CycleBucketLabels = %v",
-			program.CostBucketLabels, wpu.CycleBucketLabels)
-	}
-	if program.CostInstPerLine != wpu.ICacheInstPerLine {
-		t.Errorf("program.CostInstPerLine = %d, wpu.ICacheInstPerLine = %d",
-			program.CostInstPerLine, wpu.ICacheInstPerLine)
-	}
-}
-
 // costModelKey memoizes CostModelFor per (kernel, thread-count): LU alone
 // launches 142 steps and the model only depends on the program and the
 // launch geometry.
@@ -85,16 +27,15 @@ type costModelKey struct {
 }
 
 // runSuiteForCost replays every benchmark under one scheme, asserting per
-// launch that the measured cycle totals satisfy the static bounds, and
-// returns each benchmark's summed TickCycles.
-func runSuiteForCost(t *testing.T, si int, models map[costModelKey]*program.CostModel) map[string]uint64 {
+// launch that the measured cycle totals satisfy the static bounds.
+func runSuiteForCost(t *testing.T, scheme wpu.Scheme, models map[costModelKey]*program.CostModel) {
 	t.Helper()
-	scheme := wpu.AllSchemes[si]
-	traits := program.CostSchemes[si]
-	totals := make(map[string]uint64)
 	for _, spec := range All() {
 		cfg := sim.DefaultConfig()
 		cfg.WPU = scheme.Apply(cfg.WPU)
+		// A configuration that never creates a warp split must measure
+		// exactly zero wst_full and slot_wait cycles.
+		canSplit := cfg.WPU.SubdivideOnBranch || cfg.WPU.MemScheme != wpu.MemNone || cfg.WPU.Slip != wpu.SlipOff
 		sys, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -117,13 +58,12 @@ func runSuiteForCost(t *testing.T, si int, models map[costModelKey]*program.Cost
 			after := sys.TotalStats()
 
 			ticks := after.TickCycles - before.TickCycles
-			totals[spec.Name] += ticks
 			if !m.Ticks.Contains(int64(ticks)) {
 				t.Errorf("%s/%s step %d (%s, %d threads): measured TickCycles %d outside static bound %s",
 					scheme, spec.Name, i, st.Prog.Name, len(st.Threads), ticks, m.Ticks)
 			}
 			bb, ba := before.CycleBuckets(), after.CycleBuckets()
-			bounds := m.BucketBoundsFor(traits)
+			bounds := m.BucketBoundsFor(canSplit)
 			for b := range bounds {
 				d := ba[b] - bb[b]
 				if !bounds[b].Contains(int64(d)) {
@@ -136,104 +76,18 @@ func runSuiteForCost(t *testing.T, si int, models map[costModelKey]*program.Cost
 			t.Fatal(err)
 		}
 	}
-	return totals
 }
 
 // TestCostModelConcordance checks every kernel launch of every benchmark
-// under all 13 schemes against the static cycle bounds, then grades the
-// static scheme ranking: for each benchmark the measured-best scheme must
-// appear in the static top 3 (of 13) on at least 6 of the 8 benchmarks.
+// under all 13 schemes against the static cycle bounds: TickCycles and each
+// of the eight bucket deltas inside its interval.
 func TestCostModelConcordance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	models := make(map[costModelKey]*program.CostModel)
-	// measured[bench][scheme] = summed TickCycles across the benchmark.
-	measured := make(map[string]map[string]uint64)
-	for si := range wpu.AllSchemes {
-		totals := runSuiteForCost(t, si, models)
-		for bench, ticks := range totals {
-			if measured[bench] == nil {
-				measured[bench] = make(map[string]uint64)
-			}
-			measured[bench][string(wpu.AllSchemes[si])] = ticks
-		}
-	}
-	if t.Failed() {
-		return // bound violations make the ranking grade meaningless
-	}
-
-	// Static per-benchmark estimate: sum each scheme's per-kernel estimate
-	// over the benchmark's launches (the same weighting the measurement
-	// gets from running every step).
-	cfg := sim.DefaultConfig()
-	static := make(map[string]map[string]float64)
-	for _, spec := range All() {
-		sys, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, err := spec.Build(sys)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		static[spec.Name] = make(map[string]float64)
-		for _, st := range inst.Steps() {
-			m := models[costModelKey{st.Prog, len(st.Threads)}]
-			if m == nil {
-				m = st.Prog.CostModelFor(sim.CostParamsFor(cfg, len(st.Threads)))
-			}
-			for _, sc := range m.Ranking {
-				static[spec.Name][sc.Scheme] += sc.Est
-			}
-		}
-	}
-
-	benches := make([]string, 0, len(measured))
-	for b := range measured {
-		benches = append(benches, b)
-	}
-	sort.Strings(benches)
-	if len(benches) != 8 {
-		t.Fatalf("suite has %d benchmarks, want 8", len(benches))
-	}
-
-	agree := 0
-	var table strings.Builder
-	fmt.Fprintf(&table, "%-8s %-24s %-4s %s\n", "bench", "measured best", "rank", "static top 3")
-	for _, bench := range benches {
-		best, bestTicks := "", uint64(0)
-		for _, s := range wpu.AllSchemes { // fixed order: deterministic ties
-			if ticks := measured[bench][string(s)]; best == "" || ticks < bestTicks {
-				best, bestTicks = string(s), ticks
-			}
-		}
-		order := make([]string, 0, len(static[bench]))
-		for sc := range static[bench] {
-			order = append(order, sc)
-		}
-		sort.SliceStable(order, func(i, j int) bool {
-			a, b := static[bench][order[i]], static[bench][order[j]]
-			if a != b {
-				return a < b
-			}
-			return order[i] < order[j]
-		})
-		rank := 0
-		for i, sc := range order {
-			if sc == best {
-				rank = i + 1
-				break
-			}
-		}
-		if rank >= 1 && rank <= 3 {
-			agree++
-		}
-		fmt.Fprintf(&table, "%-8s %-24s %-4d %s\n", bench, best, rank, strings.Join(order[:3], " < "))
-	}
-	t.Logf("static-vs-measured scheme ranking:\n%s", table.String())
-	if agree < 6 {
-		t.Errorf("static ranking places the measured-best scheme in its top 3 on only %d of 8 benchmarks, want >= 6", agree)
+	for _, scheme := range wpu.AllSchemes {
+		runSuiteForCost(t, scheme, models)
 	}
 }
 

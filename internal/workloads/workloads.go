@@ -145,17 +145,6 @@ func AllWithScale(scale int) []Spec {
 	}
 }
 
-// BuildFFT and friends build each benchmark at the default scale (the
-// public per-benchmark entry points).
-func BuildFFT(sys *sim.System) (*Instance, error)     { return buildFFT(sys, 1) }
-func BuildFilter(sys *sim.System) (*Instance, error)  { return buildFilter(sys, 1) }
-func BuildHotSpot(sys *sim.System) (*Instance, error) { return buildHotSpot(sys, 1) }
-func BuildLU(sys *sim.System) (*Instance, error)      { return buildLU(sys, 1) }
-func BuildMerge(sys *sim.System) (*Instance, error)   { return buildMerge(sys, 1) }
-func BuildShort(sys *sim.System) (*Instance, error)   { return buildShort(sys, 1) }
-func BuildKMeans(sys *sim.System) (*Instance, error)  { return buildKMeans(sys, 1) }
-func BuildSVM(sys *sim.System) (*Instance, error)     { return buildSVM(sys, 1) }
-
 // ByName returns the named benchmark spec at the default scale.
 func ByName(name string) (Spec, error) { return ByNameScaled(name, 1) }
 

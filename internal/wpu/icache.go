@@ -8,15 +8,13 @@ package wpu
 // configuration implies — but the model is kept faithful: a cold fetch
 // stalls issue for the refill latency.
 
+import "repro/internal/program"
+
 const (
 	icacheDefaultLines = 128 // 16 KB / 128 B
 	icacheDefaultWays  = 4
-	icacheInstPerLine  = 16 // 128 B line / 8 B encoded instruction
+	icacheInstPerLine  = program.ICacheInstPerLine // the cost model's icache budget counts the same lines
 )
-
-// ICacheInstPerLine exports the fetch-line packing so the static cost
-// model's icache budget (program.CostInstPerLine) can be pinned against it.
-const ICacheInstPerLine = icacheInstPerLine
 
 type icacheLine struct {
 	tag     int
