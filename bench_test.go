@@ -64,9 +64,9 @@ func BenchmarkFullReport(b *testing.B) {
 
 // BenchmarkFullReportShort is the end-to-end half of the `make
 // bench-check` CI gate (cmd/dwsbench): Table 1 regenerated from a cold
-// in-memory session — eight full simulations touching every kernel — so
-// wall-time regressions outside the event engine's micro-benchmarks
-// (scheduler, caches, functional execution) are caught as well.
+// in-memory session — eight full simulations touching every kernel — whose
+// allocation count the gate holds, and the denominator of its
+// ObsOverhead/off ratio.
 func BenchmarkFullReportShort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := report.NewSession().Table1(io.Discard); err != nil {

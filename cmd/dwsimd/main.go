@@ -1,14 +1,14 @@
 // dwsimd is the simulation-as-a-service daemon: a long-running HTTP
 // server that accepts simulation and sweep jobs as validated JSON,
 // deduplicates them through the singleflight report.Session, executes
-// them on a bounded worker pool over the sharded on-disk result store,
+// them on a bounded worker pool over the on-disk result store,
 // and streams observability events for traced runs as Server-Sent
 // Events. See README "Running the server" for the endpoint reference.
 //
 // Usage:
 //
 //	dwsimd -addr :8091
-//	dwsimd -addr :8091 -j 4 -cachemb 256 -shards 16
+//	dwsimd -addr :8091 -j 4 -cachemb 256
 //
 //	curl -s localhost:8091/healthz
 //	curl -s -X POST localhost:8091/v1/jobs -d '{"schema_version":1,"bench":"Merge","knobs":{"scheme":"DWS.ReviveSplit"}}'
@@ -38,17 +38,13 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8091", "listen address")
 		cacheMB     = flag.Int64("cachemb", 0, "LRU byte cap on the store in MiB (0 = unbounded)")
-		shards      = flag.Int("shards", 0, "store shard count (0 = the default, 16)")
 		streamEvery = flag.Uint64("streamevery", 0, "SSE publish cadence in simulated cycles for traced jobs (0 = a coarse default)")
 		noVerify    = flag.Bool("noverify", false, "skip functional verification of results against the host reference")
 		openSess    = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	session, st := openSess("dwsimd", report.StoreOptions{
-		MaxBytes: *cacheMB << 20,
-		Shards:   *shards,
-	})
+	session, st := openSess("dwsimd", report.StoreOptions{MaxBytes: *cacheMB << 20})
 	session.Verify = !*noVerify
 
 	srv := serve.New(serve.Config{

@@ -70,9 +70,9 @@ func main() {
 		fail(err)
 	}
 
-	if *format == "text" {
-		sys.Tracer = func(cycle uint64) {
-			if cycle < *from || cycle > *until || *every == 0 || cycle%*every != 0 {
+	if *format == "text" && *every != 0 {
+		sys.Observe(*every, func(cycle uint64) {
+			if cycle < *from || cycle > *until {
 				return
 			}
 			fmt.Printf("=== cycle %d ===\n", cycle)
@@ -82,7 +82,7 @@ func main() {
 				}
 				fmt.Print(w.DebugDump())
 			}
-		}
+		})
 	}
 
 	if err := inst.Run(sys); err != nil {

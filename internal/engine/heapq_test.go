@@ -5,9 +5,7 @@ import "container/heap"
 // heapQueue is the original container/heap event queue, kept verbatim as
 // the differential-test oracle for the timing wheel: TestQueueDifferential
 // drives both implementations with identical randomized schedules and
-// asserts identical delivery order. It is also the "before" side of
-// BenchmarkEngineSteadyState, so the allocation win is measured against the
-// real predecessor rather than asserted.
+// asserts identical delivery order.
 type heapEvent struct {
 	when Cycle
 	seq  uint64

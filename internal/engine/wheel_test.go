@@ -181,46 +181,23 @@ func TestQueueScheduleDeliverAllocBound(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSteadyState measures the steady-state event cost of both
-// implementations: "wheel" is the production timing wheel driven through
-// pre-bound handlers and "heap" the original container/heap queue
-// (heapq_test.go) driven through closures, as its callers were. ns/op and allocs/op are per delivered event. The CI
-// bench gate (make bench-check) tracks the wheel numbers against
-// BENCH_baseline.json.
+// BenchmarkEngineSteadyState measures the steady-state event cost of the
+// timing wheel driven through pre-bound handlers; ns/op and allocs/op are per
+// delivered event. The CI bench gate (make bench-check) pins its allocs/op
+// at the zero BENCH_baseline.json records.
 func BenchmarkEngineSteadyState(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) {
-		var q Queue
-		count := 0
-		handlers := make([]steadyHandler, 16)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := range handlers {
-			handlers[i] = steadyHandler{q: &q, count: &count, limit: b.N, step: i}
-			q.ScheduleAfter(steadyDelays[i%len(steadyDelays)], &handlers[i], uint64(i))
-		}
-		for count < b.N {
-			q.Drain()
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		var q heapQueue
-		count := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		var step func()
-		step = func() {
-			count++
-			if count < b.N {
-				q.ScheduleAfter(steadyDelays[count%len(steadyDelays)], FuncHandler(step), 0)
-			}
-		}
-		for i := 0; i < 16 && i < b.N; i++ {
-			q.ScheduleAfter(steadyDelays[i%len(steadyDelays)], FuncHandler(step), 0)
-		}
-		for count < b.N {
-			q.Drain()
-		}
-	})
+	var q Queue
+	count := 0
+	handlers := make([]steadyHandler, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range handlers {
+		handlers[i] = steadyHandler{q: &q, count: &count, limit: b.N, step: i}
+		q.ScheduleAfter(steadyDelays[i%len(steadyDelays)], &handlers[i], uint64(i))
+	}
+	for count < b.N {
+		q.Drain()
+	}
 }
 
 // TestQueueResetEqualsFresh abandons a queue mid-run — events parked in

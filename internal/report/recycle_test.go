@@ -44,7 +44,7 @@ func cfgFor(k Knobs, tr *obs.Trace) sim.Config {
 
 // abandonMidRun starts bench on sys and kills the run from inside the cycle
 // loop, the way a panicking kernel would: events in flight, MSHRs busy,
-// splits live, a Tracer installed. (runLive never recycles such a machine;
+// splits live, an observer installed. (runLive never recycles such a machine;
 // the test does, to show that Reset does not depend on a clean ending.)
 func abandonMidRun(t *testing.T, sys *sim.System, bench string, k Knobs, atCycle uint64) {
 	t.Helper()
@@ -57,11 +57,11 @@ func abandonMidRun(t *testing.T, sys *sim.System, bench string, k Knobs, atCycle
 		}
 	}()
 	runOn(sys, bench, k, false, func(sys *sim.System) func() { //nolint:errcheck // it panics
-		sys.Tracer = func(cycle uint64) {
+		sys.Observe(atCycle, func(cycle uint64) {
 			if cycle == atCycle {
 				panic("abandon")
 			}
-		}
+		})
 		return nil
 	})
 }
@@ -156,11 +156,11 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 
 // TestJumpEqualsCrawl runs every benchmark under every scheme twice: once
 // plainly, when stalled WPUs sleep and the clock jumps over the cycles in
-// which all of them do, and once with a Tracer that does nothing, which makes
-// the run loop visit every cycle and bring every WPU's counters up to date in
-// each. The two must leave the same Result — cycles, every Stats field, cache
-// and DRAM counters, energy — and the same memory image. The Tracer is an
-// observable the machine already has; there is no switch that turns the sleep
+// which all of them do, and once with an observer of period 1 that does
+// nothing, which makes the run loop visit every cycle and bring every WPU's
+// counters up to date in each. The two must leave the same Result — cycles, every Stats field, cache
+// and DRAM counters, energy — and the same memory image. The observer is a
+// hook the machine already has; there is no switch that turns the sleep
 // off, so WPUs sleep in both runs and only the jump and the bulk credit
 // differ.
 func TestJumpEqualsCrawl(t *testing.T) {
@@ -175,12 +175,14 @@ func TestJumpEqualsCrawl(t *testing.T) {
 	for _, bench := range BenchNames() {
 		for _, sc := range schemes {
 			k := DefaultKnobs(sc)
-			run := func(tracer func(uint64)) outcome {
+			run := func(crawl bool) outcome {
 				if err := sys.Reset(cfgFor(k, nil)); err != nil {
 					t.Fatal(err)
 				}
 				r, err := runOn(sys, bench, k, true, func(sys *sim.System) func() {
-					sys.Tracer = tracer
+					if crawl {
+						sys.Observe(1, func(uint64) {})
+					}
 					return nil
 				})
 				if err != nil {
@@ -188,7 +190,7 @@ func TestJumpEqualsCrawl(t *testing.T) {
 				}
 				return outcome{r: r, memHash: sys.Memory().Hash()}
 			}
-			jump, crawl := run(nil), run(func(uint64) {})
+			jump, crawl := run(false), run(true)
 			if !reflect.DeepEqual(jump.r, crawl.r) {
 				t.Fatalf("%s under %s: Result differs between the jumping and the cycle-by-cycle run:\n jump %+v\ncrawl %+v", bench, sc, jump.r, crawl.r)
 			}
@@ -316,7 +318,7 @@ func machineDiff(a, b reflect.Value, path string, seen map[[2]uintptr]bool) stri
 }
 
 // TestResetRestoresEveryField dirties a machine — a full DWS run, then a run
-// abandoned mid-flight with a Tracer installed and a trace attached — and
+// abandoned mid-flight with an observer installed and a trace attached — and
 // checks that Reset leaves no field of any component different from a
 // machine New has just built, for the same configuration and for one with a
 // different geometry. The walk is by reflection over every field reachable
@@ -354,7 +356,7 @@ func TestResetRestoresEveryField(t *testing.T) {
 
 // TestIdleMachinesHoldNoRunState checks the free list's side of the
 // contract: a released machine carries neither the finished run's trace sink
-// nor its Tracer hook, a failed run's machine is not released at all, and
+// nor its observers, a failed run's machine is not released at all, and
 // the list never outgrows its bound.
 func TestIdleMachinesHoldNoRunState(t *testing.T) {
 	drain := func() []*sim.System {
@@ -370,7 +372,7 @@ func TestIdleMachinesHoldNoRunState(t *testing.T) {
 	k := DefaultKnobs(wpu.SchemeRevive)
 	finished := false
 	hook := func(sys *sim.System) func() {
-		sys.Tracer = func(uint64) {}
+		sys.Observe(1, func(uint64) {})
 		return func() {
 			if sys.Cycles() == 0 {
 				t.Error("finish ran before the simulation")
@@ -388,8 +390,9 @@ func TestIdleMachinesHoldNoRunState(t *testing.T) {
 	if len(idle) != 1 {
 		t.Fatalf("%d idle machines after one clean run, want 1", len(idle))
 	}
-	if m := idle[0]; m.Tracer != nil || m.Cfg.Trace != nil || m.Cycles() != 0 {
-		t.Fatalf("idle machine still carries run state: Tracer set=%v trace=%v cycle=%d", m.Tracer != nil, m.Cfg.Trace, m.Cycles())
+	m := idle[0]
+	if n := reflect.ValueOf(m).Elem().FieldByName("observers").Len(); n != 0 || m.Cfg.Trace != nil || m.Cycles() != 0 {
+		t.Fatalf("idle machine still carries run state: %d observers trace=%v cycle=%d", n, m.Cfg.Trace, m.Cycles())
 	}
 
 	if _, err := runLive("NoSuchBench", k, nil, true, nil); err == nil {

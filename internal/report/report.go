@@ -217,8 +217,8 @@ func (s *Session) RunTraced(bench string, k Knobs, tr *obs.Trace) (Result, error
 }
 
 // RunTracedWith is RunTraced with a per-call machine hook replacing the
-// session-wide OnSystem: the dwsimd streaming path uses it to chain a
-// per-job publisher onto the System's Tracer without racing other jobs on
+// session-wide OnSystem: the dwsimd streaming path uses it to add a
+// per-job publisher to the System's observers without racing other jobs on
 // one shared hook. The hook obeys OnSystem's contract: it runs on the
 // goroutine that will drive the simulation, immediately before it starts,
 // and must not touch the machine after its finish function has returned.
@@ -404,14 +404,19 @@ func runOn(sys *sim.System, bench string, k Knobs, verify bool, onSys func(*sim.
 	}, nil
 }
 
-// BenchNames lists the suite in presentation order.
-func BenchNames() []string {
-	var names []string
+// benchNames is the suite in presentation order, listed once: every exhibit
+// asks for it, and workloads.All builds eight Specs to answer. The capacity
+// is clipped, so a caller's append copies.
+var benchNames = func() (names []string) {
 	for _, s := range workloads.All() {
 		names = append(names, s.Name)
 	}
-	return names
-}
+	return names[:len(names):len(names)]
+}()
+
+// BenchNames lists the suite in presentation order; the slice is shared and
+// read-only.
+func BenchNames() []string { return benchNames }
 
 // HarmonicMean returns the harmonic mean (the paper reports all means as
 // harmonic means, §3.2). Zero or negative values are rejected by panic:

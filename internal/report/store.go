@@ -19,20 +19,15 @@ import (
 // a counter. A field added to, removed from or renamed in Result needs no
 // bump, because versionSalt digests recordShape as well.
 // v2-v4: Result and wpu.Stats grew (by hand, before the salt saw the shape).
-// v5: records moved from a flat directory into per-shard subdirectories
-// (two hex digits of the digest), so a v4 store's files are unreachable.
+// v5: records moved from a flat directory into subdirectories named by two
+// hex digits of the digest, so a v4 store's files are unreachable.
 // v6: a record is the checksummed positional form of codec.go under a new
 // extension, no longer JSON; a v5 store's .json files are never opened.
 const storeSchema = "dwsim-store-v6"
 
-// recordExt names a record file. Anything else in a shard directory
+// recordExt names a record file. Anything else in a record directory
 // (temporary files, an older schema's .json records) is not the store's.
 const recordExt = ".rec"
-
-// DefaultStoreShards is the shard count OpenStore selects: enough that
-// sixteen-odd concurrent clients rarely collide on one lock, few enough
-// that the directory fan-out stays readable.
-const DefaultStoreShards = 16
 
 // Store is a persistent, cross-process result cache: one record file
 // (codec.go) per simulated point, named by a digest of the cache key plus a
@@ -48,20 +43,26 @@ const DefaultStoreShards = 16
 // index, Load reports a miss, and the caller's resimulation writes a good
 // one in its place. StoreStats.Corrupt counts them.
 //
-// The directory is sharded by the first byte of the digest, and each
-// shard carries its own lock, in-memory index, and LRU list, so many
-// concurrent clients (the dwsimd server pools dozens) contend on a
-// sixteenth of a lock each instead of serializing on one mutex. With a
-// byte-size cap set (OpenStoreWith), each shard evicts
-// least-recently-used records past its share of the cap; recency is a
-// logical clock (the LRU list order), never wall time, so eviction
-// decisions are reproducible for a given operation sequence.
+// Records fan out over subdirectories named by the first byte of the
+// digest. One mutex guards one in-memory index and one LRU list, and it is
+// held only while those are updated: reading, decoding and verifying a
+// record, and encoding, writing and renaming one, all run outside it, so
+// concurrent clients overlap their file I/O and serialize on a few map and
+// list operations (DESIGN.md "Result store" has the measurement that
+// retired sixteen per-shard locks). With a byte-size cap set
+// (OpenStoreWith), a Save evicts least-recently-used records past the cap;
+// recency is a logical clock (the LRU list order), never wall time, so
+// eviction decisions are reproducible for a given operation sequence.
 //
 // The in-memory index is a cache of the directory, not the truth: a Load
 // for a key the index has not seen still goes to the filesystem, and an
-// indexed file deleted by another process (its eviction) degrades to a
-// miss. That keeps multiple Store instances — separate processes — safe
-// on one cache dir.
+// indexed file deleted since — by another process's eviction, or by a
+// concurrent Save's in this one — degrades to a miss. That keeps multiple
+// Store instances — separate processes — safe on one cache dir, and it is
+// what lets file operations run unlocked: whichever of two racing
+// operations updates the index last may leave an entry for a file that is
+// gone or a size one Save out of date, and the next Load of that key
+// corrects it.
 //
 // The salt cannot see uncommitted source edits when the binary carries no
 // VCS stamp (as with `go run` or test binaries): after changing simulator
@@ -76,24 +77,23 @@ type Store struct {
 	dir      string
 	salt     string
 	maxBytes int64 // whole-store LRU cap; 0 = unbounded
-	shards   []storeShard
+
+	mu      sync.Mutex               // guards entries, lru and bytes, and nothing else
+	entries map[string]*list.Element // digest -> *storeEntry element
+	lru     *list.List               // front = most recently used
+	bytes   int64
 
 	hits, misses, saves, evictions, evictedBytes, corrupt, saveErrors atomic.Uint64
 }
 
 // StoreOptions configures OpenStoreWith beyond the defaults.
 type StoreOptions struct {
-	// MaxBytes caps the store's on-disk footprint; past it, each shard
-	// evicts its least-recently-used records. 0 means unbounded.
+	// MaxBytes caps the store's on-disk footprint; past it, a Save evicts
+	// the least-recently-used records. 0 means unbounded.
 	MaxBytes int64
-	// Shards is the lock/directory fan-out (0 = DefaultStoreShards; 1
-	// degenerates to a single-mutex store, kept selectable for the
-	// BenchmarkStoreShardedParallel comparison).
-	Shards int
 }
 
-// StoreStats is a snapshot of the store's counters, aggregated across
-// shards.
+// StoreStats is a snapshot of the store's counters.
 type StoreStats struct {
 	Hits         uint64 `json:"hits"`
 	Misses       uint64 `json:"misses"`
@@ -104,18 +104,7 @@ type StoreStats struct {
 	EvictedBytes uint64 `json:"evicted_bytes"`
 	BytesInUse   int64  `json:"bytes_in_use"`
 	Records      int    `json:"records"`
-	Shards       int    `json:"shards"`
 	MaxBytes     int64  `json:"max_bytes"`
-}
-
-// storeShard is one lock domain: a subdirectory of the store plus the
-// index and LRU order of the records inside it.
-type storeShard struct {
-	mu      sync.Mutex
-	dir     string
-	entries map[string]*list.Element // digest -> *storeEntry element
-	lru     *list.List               // front = most recently used
-	bytes   int64
 }
 
 // storeEntry is one indexed record file.
@@ -133,39 +122,25 @@ func DefaultCacheDir() string {
 	return filepath.Join(os.TempDir(), "dwsim-cache")
 }
 
-// OpenStore opens (creating if needed) a result store rooted at dir with
-// the default shard count and no size cap; dir == "" means
-// DefaultCacheDir().
+// OpenStore opens (creating if needed) a result store rooted at dir with no
+// size cap; dir == "" means DefaultCacheDir().
 func OpenStore(dir string) (*Store, error) {
 	return OpenStoreWith(dir, StoreOptions{})
 }
 
-// OpenStoreWith opens a result store with explicit sharding and LRU
-// options. Existing records in the shard directories are indexed up
-// front (in file-name order, a deterministic stand-in for their unknown
-// access history) so the size cap covers records from earlier processes.
+// OpenStoreWith opens a result store with an LRU size cap. Existing records
+// are indexed up front (in file-name order, a deterministic stand-in for
+// their unknown access history) so the cap covers records from earlier
+// processes.
 func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 	if dir == "" {
 		dir = DefaultCacheDir()
-	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = DefaultStoreShards
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("report: open store: %w", err)
 	}
 	st := &Store{dir: dir, salt: versionSalt(), maxBytes: opt.MaxBytes,
-		shards: make([]storeShard, shards)}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.dir = dir
-		sh.entries = make(map[string]*list.Element)
-		sh.lru = list.New()
-	}
-	// Index whatever is already on disk. Shard subdirectories are named by
-	// the first digest byte, so every record's shard is recoverable from
-	// its path regardless of the shard count that wrote it.
+		entries: make(map[string]*list.Element), lru: list.New()}
 	subdirs, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("report: open store: %w", err)
@@ -174,11 +149,9 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 		if !sd.IsDir() || len(sd.Name()) != 2 {
 			continue
 		}
-		prefix, err := hex.DecodeString(sd.Name())
-		if err != nil {
+		if _, err := hex.DecodeString(sd.Name()); err != nil {
 			continue
 		}
-		sh := &st.shards[int(prefix[0])%shards]
 		files, err := os.ReadDir(filepath.Join(dir, sd.Name()))
 		if err != nil {
 			continue
@@ -192,17 +165,10 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 			if err != nil {
 				continue
 			}
-			sh.index(strings.TrimSuffix(name, recordExt), info.Size())
+			st.index(strings.TrimSuffix(name, recordExt), info.Size())
 		}
 	}
-	if st.maxBytes > 0 {
-		for i := range st.shards {
-			sh := &st.shards[i]
-			sh.mu.Lock()
-			st.evictLocked(sh)
-			sh.mu.Unlock()
-		}
-	}
+	st.evictLocked() // nobody else has the store yet
 	return st, nil
 }
 
@@ -241,83 +207,72 @@ func (st *Store) digest(key string) string {
 	return hex.EncodeToString(d[:16])
 }
 
-// shardOf routes a digest to its lock domain: the first digest byte mod
-// the shard count, so the on-disk layout (two hex digits) is independent
-// of how many locks this process runs with.
-func (st *Store) shardOf(digest string) *storeShard {
-	b, _ := hex.DecodeString(digest[:2])
-	return &st.shards[int(b[0])%len(st.shards)]
-}
-
-// path places a record file inside its two-hex-digit shard directory.
+// path places a record file inside its two-hex-digit directory.
 func (st *Store) path(digest string) string {
 	return filepath.Join(st.dir, digest[:2], digest+recordExt)
 }
 
-// index adds or refreshes one entry (shard lock must be held, except
-// during single-threaded Open).
-func (sh *storeShard) index(digest string, size int64) {
-	if el, ok := sh.entries[digest]; ok {
-		sh.bytes += size - el.Value.(*storeEntry).size
+// index adds or refreshes one entry (st.mu must be held, except during
+// single-threaded Open).
+func (st *Store) index(digest string, size int64) {
+	if el, ok := st.entries[digest]; ok {
+		st.bytes += size - el.Value.(*storeEntry).size
 		el.Value.(*storeEntry).size = size
-		sh.lru.MoveToFront(el)
+		st.lru.MoveToFront(el)
 		return
 	}
-	sh.entries[digest] = sh.lru.PushFront(&storeEntry{digest: digest, size: size})
-	sh.bytes += size
+	st.entries[digest] = st.lru.PushFront(&storeEntry{digest: digest, size: size})
+	st.bytes += size
 }
 
-// drop removes one entry from the index (shard lock held).
-func (sh *storeShard) drop(digest string) {
-	if el, ok := sh.entries[digest]; ok {
-		sh.bytes -= el.Value.(*storeEntry).size
-		sh.lru.Remove(el)
-		delete(sh.entries, digest)
+// drop removes one entry from the index (st.mu held).
+func (st *Store) drop(digest string) {
+	if el, ok := st.entries[digest]; ok {
+		st.bytes -= el.Value.(*storeEntry).size
+		st.lru.Remove(el)
+		delete(st.entries, digest)
 	}
 }
 
-// evictLocked deletes least-recently-used records until the shard is back
-// under its share of the byte cap (shard lock held).
-func (st *Store) evictLocked(sh *storeShard) {
+// evictLocked deletes least-recently-used records until the store is back
+// under its byte cap (st.mu held).
+func (st *Store) evictLocked() {
 	if st.maxBytes <= 0 {
 		return
 	}
-	perShard := st.maxBytes / int64(len(st.shards))
-	for sh.bytes > perShard && sh.lru.Len() > 0 {
-		el := sh.lru.Back()
-		e := el.Value.(*storeEntry)
+	for st.bytes > st.maxBytes && st.lru.Len() > 0 {
+		e := st.lru.Back().Value.(*storeEntry)
 		os.Remove(st.path(e.digest)) // best-effort; another process may have won
-		sh.bytes -= e.size
-		sh.lru.Remove(el)
-		delete(sh.entries, e.digest)
+		st.drop(e.digest)
 		st.evictions.Add(1)
 		st.evictedBytes.Add(uint64(e.size))
 	}
 }
 
-// Load returns the stored Result for key, if a matching record exists.
-// The read happens under the shard lock, so index recency and the bytes
-// accounting stay consistent with the filesystem operations they mirror.
+// Load returns the stored Result for key, if a matching record exists. The
+// file is read and verified before the lock is taken; only the index update
+// that mirrors the outcome runs under it.
 func (st *Store) Load(key string) (Result, bool) {
 	digest := st.digest(key)
-	sh := st.shardOf(digest)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b, err := os.ReadFile(st.path(digest))
-	if err != nil {
-		sh.drop(digest) // evicted or removed by another process
-		st.misses.Add(1)
-		return Result{}, false
-	}
 	var rec record
-	if decodeRecord(b, &rec) != nil || rec.Key != key || rec.Salt != st.salt {
+	b, err := os.ReadFile(st.path(digest))
+	ok := err == nil
+	if ok && (decodeRecord(b, &rec) != nil || rec.Key != key || rec.Salt != st.salt) {
 		os.Remove(st.path(digest)) // best-effort; the resimulation's Save replaces it anyway
-		sh.drop(digest)
 		st.corrupt.Add(1)
+		ok = false
+	}
+	st.mu.Lock()
+	if ok {
+		st.index(digest, int64(len(b))) // refresh recency; adopt foreign writes
+	} else {
+		st.drop(digest) // evicted, removed by another process, or unreadable and removed above
+	}
+	st.mu.Unlock()
+	if !ok {
 		st.misses.Add(1)
 		return Result{}, false
 	}
-	sh.index(digest, int64(len(b))) // refresh recency; adopt foreign writes
 	st.hits.Add(1)
 	return rec.Result, true
 }
@@ -338,14 +293,11 @@ func (st *Store) Save(key string, r Result) error {
 func (st *Store) save(key string, r Result) error {
 	b := encodeRecord(&record{Key: key, Salt: st.salt, Result: r})
 	digest := st.digest(key)
-	sh := st.shardOf(digest)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	shardDir := filepath.Join(st.dir, digest[:2])
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
+	recDir := filepath.Join(st.dir, digest[:2])
+	if err := os.MkdirAll(recDir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(shardDir, ".tmp-*")
+	tmp, err := os.CreateTemp(recDir, ".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -362,15 +314,15 @@ func (st *Store) save(key string, r Result) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	sh.index(digest, int64(len(b)))
+	st.mu.Lock()
+	st.index(digest, int64(len(b)))
+	st.evictLocked()
+	st.mu.Unlock()
 	st.saves.Add(1)
-	st.evictLocked(sh)
 	return nil
 }
 
-// Stats aggregates the counters across shards. The per-shard walk takes
-// each lock briefly, so the byte/record totals are a consistent-per-shard
-// snapshot, not a global one — fine for monitoring.
+// Stats returns the counters and, under the lock, the index totals.
 func (st *Store) Stats() StoreStats {
 	s := StoreStats{
 		Hits:         st.hits.Load(),
@@ -380,15 +332,11 @@ func (st *Store) Stats() StoreStats {
 		Corrupt:      st.corrupt.Load(),
 		Evictions:    st.evictions.Load(),
 		EvictedBytes: st.evictedBytes.Load(),
-		Shards:       len(st.shards),
 		MaxBytes:     st.maxBytes,
 	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		s.BytesInUse += sh.bytes
-		s.Records += sh.lru.Len()
-		sh.mu.Unlock()
-	}
+	st.mu.Lock()
+	s.BytesInUse = st.bytes
+	s.Records = st.lru.Len()
+	st.mu.Unlock()
 	return s
 }

@@ -90,7 +90,7 @@ var faults = []struct {
 // deletes the file and forgets it — entry and bytes — and counts it.
 func TestStoreQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStoreWith(dir, StoreOptions{Shards: 2})
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStoreQuarantine(t *testing.T) {
 // six; the one after that is all disk hits again.
 //
 // Save failures: a store that cannot write costs nothing but the cache.
-// Every shard directory's name is taken by a plain file, so each Save fails
+// Every record directory's name is taken by a plain file, so each Save fails
 // creating its directory (a read-only directory would do for an ordinary
 // user, but tests also run as root, whom mode bits do not stop).
 func TestStoreFaultInjection(t *testing.T) {
@@ -174,7 +174,7 @@ func TestStoreFaultInjection(t *testing.T) {
 			t.Fatalf("cold run left %d record files, want %d", len(files), spinePoints)
 		}
 		for i, f := range faults {
-			path := files[i*len(files)/len(faults)] // spread over the shards
+			path := files[i*len(files)/len(faults)] // spread over the directories
 			good, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

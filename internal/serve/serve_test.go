@@ -410,7 +410,7 @@ func TestJobList(t *testing.T) {
 }
 
 // TestMetricsEndpoint checks the daemon counters surface after a run,
-// including the sharded-store series.
+// including the store series.
 func TestMetricsEndpoint(t *testing.T) {
 	_, _, ts := testServer(t, 1, true)
 	doc, _ := postJob(t, ts, runFilterBody)

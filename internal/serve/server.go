@@ -17,8 +17,8 @@ type Config struct {
 	// Session executes and deduplicates runs; required. The server takes
 	// over its OnSystem hook (for the live /metrics snapshot).
 	Session *report.Session
-	// Store is the session's sharded on-disk store, if any; the server
-	// only reads its Stats for /metrics.
+	// Store is the session's on-disk store, if any; the server only reads
+	// its Stats for /metrics.
 	Store *report.Store
 	// Workers bounds concurrent jobs (0 = Session.Jobs()).
 	Workers int
@@ -56,8 +56,11 @@ func New(cfg Config) *Server {
 	if s.workers == 0 {
 		s.workers = cfg.Session.Jobs()
 	}
-	// Untraced runs publish into the shared live snapshot; traced runs get
-	// a per-job hook chained in runJob.
+	if s.every == 0 {
+		s.every = 2048
+	}
+	// Every run publishes into the shared live snapshot; a traced run's
+	// machine also flushes its job's publisher (runTracedJob).
 	s.session.OnSystem = s.live.Attach
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -166,7 +169,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics is GET /metrics: daemon counters (jobs, session cache,
-// store shards) followed by the live snapshot of whatever the simulator
+// store) followed by the live snapshot of whatever the simulator
 // is doing right now.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -182,7 +185,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "dwsimd_session_requests_total{source=\"simulated\"} %d\n", cs.Misses)
 	if s.store != nil {
 		ss := s.store.Stats()
-		fmt.Fprintf(w, "# HELP dwsimd_store_ops_total Sharded result-store operations.\n# TYPE dwsimd_store_ops_total counter\n")
+		fmt.Fprintf(w, "# HELP dwsimd_store_ops_total Result-store operations.\n# TYPE dwsimd_store_ops_total counter\n")
 		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"hit\"} %d\n", ss.Hits)
 		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"miss\"} %d\n", ss.Misses)
 		fmt.Fprintf(w, "dwsimd_store_ops_total{op=\"save\"} %d\n", ss.Saves)
@@ -194,7 +197,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "dwsimd_store_evicted_bytes_total %d\n", ss.EvictedBytes)
 		fmt.Fprintf(w, "# HELP dwsimd_store_bytes_in_use On-disk footprint of the store.\n# TYPE dwsimd_store_bytes_in_use gauge\n")
 		fmt.Fprintf(w, "dwsimd_store_bytes_in_use %d\n", ss.BytesInUse)
-		fmt.Fprintf(w, "# HELP dwsimd_store_records Records indexed across %d shards.\n# TYPE dwsimd_store_records gauge\n", ss.Shards)
+		fmt.Fprintf(w, "# HELP dwsimd_store_records Records in the store's index.\n# TYPE dwsimd_store_records gauge\n")
 		fmt.Fprintf(w, "dwsimd_store_records %d\n", ss.Records)
 	}
 	logBytes, compacted := s.reg.streamLogStats()
@@ -262,12 +265,11 @@ func (s *Server) runTracedJob(j *job) {
 	}
 	tr := obs.New(every)
 	pub := &publisher{hub: j.hub, tr: tr}
-	streamEvery := s.every
 	s.live.SetMeta(p.bench, string(p.knobs.Scheme))
 	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(sys *sim.System) func() {
-		finish := s.session.OnSystem(sys)
-		pub.attach(sys, streamEvery)
-		return finish
+		// Frames flow while the run is in flight, not only at the end.
+		sys.Observe(s.every, func(uint64) { pub.flush() })
+		return s.session.OnSystem(sys)
 	})
 	if err != nil {
 		j.hub.finishError(err.Error())

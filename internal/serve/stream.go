@@ -8,12 +8,11 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Live trace streaming. A traced job gets a streamHub: the simulation
-// goroutine publishes into it from inside the System's per-cycle Tracer
-// hook, and any number of SSE clients replay it from the start. The hub's
+// goroutine publishes into it from inside a System observer, and any
+// number of SSE clients replay it from the start. The hub's
 // log has one representation, the bytes that go on the wire
 // ("event: obs\ndata: {...}\n\n" and so on), appended into fixed-size
 // chunks: nothing is re-copied as the log grows, there is no per-event heap
@@ -235,7 +234,7 @@ func (l *streamLogs) trimLocked() {
 }
 
 // publisher incrementally renders a trace into its hub's log. It runs
-// entirely on the simulation goroutine (Tracer hook + final flush), so
+// entirely on the simulation goroutine (observer + final flush), so
 // reading the still-filling obs.Trace is race-free by construction.
 type publisher struct {
 	hub    *streamHub
@@ -267,24 +266,6 @@ func (p *publisher) flush() {
 	p.nextSa = len(p.tr.Samples)
 	p.buf = b
 	p.hub.publish(b)
-}
-
-// attach chains the publisher onto the machine's per-cycle Tracer so
-// frames flow while the run is in flight, not only at the end. every is
-// the publish cadence in cycles.
-func (p *publisher) attach(sys *sim.System, every uint64) {
-	if every == 0 {
-		every = 2048
-	}
-	prev := sys.Tracer
-	sys.Tracer = func(cycle uint64) {
-		if prev != nil {
-			prev(cycle)
-		}
-		if cycle%every == 0 {
-			p.flush()
-		}
-	}
 }
 
 // finishSuccess publishes the trace tail and the terminal done frame

@@ -13,9 +13,9 @@ import (
 
 // Live publishes a periodically refreshed snapshot of a running System
 // over HTTP — the engine behind `dwsim -httpobs`. The simulation
-// goroutine refreshes the snapshot every `every` cycles from inside the
-// System's Tracer hook; HTTP handlers only ever read the last published
-// copy under the mutex, so the endpoint never blocks the machine.
+// goroutine refreshes the snapshot every `every` cycles from a System
+// observer; HTTP handlers only ever read the last published copy under the
+// mutex, so the endpoint never blocks the machine.
 //
 // Endpoints:
 //
@@ -72,21 +72,13 @@ func (lv *Live) SetMeta(bench, scheme string) {
 	lv.mu.Unlock()
 }
 
-// Attach hooks the publisher into sys's per-cycle Tracer, chaining any
-// tracer already installed, and returns the function that publishes the
-// run's final state. Call that from the goroutine that drove the
-// simulation, while the machine is still the run's own — it has the shape
-// of report.Session.OnSystem, which calls it before recycling the machine.
+// Attach has sys refresh the snapshot every lv.every cycles and returns the
+// function that publishes the run's final state. Call that from the
+// goroutine that drove the simulation, while the machine is still the run's
+// own — it has the shape of report.Session.OnSystem, which calls it before
+// recycling the machine.
 func (lv *Live) Attach(sys *System) (finish func()) {
-	prev := sys.Tracer
-	sys.Tracer = func(cycle uint64) {
-		if prev != nil {
-			prev(cycle)
-		}
-		if cycle%lv.every == 0 {
-			lv.capture(sys, cycle, false)
-		}
-	}
+	sys.Observe(lv.every, func(cycle uint64) { lv.capture(sys, cycle, false) })
 	return func() { lv.capture(sys, sys.Cycles(), true) }
 }
 

@@ -162,11 +162,24 @@ type System struct {
 	chunks [][]isa.RegFile
 	dealt  []isa.RegFile
 
-	// Tracer, when set, is invoked once per simulated cycle after all WPUs
-	// ticked — the hook behind cmd/dwstrace and custom instrumentation. It
-	// sees exact Stats, and while it is set the clock never skips a cycle.
-	// Reset clears it: a hook belongs to one run.
-	Tracer func(cycle uint64)
+	// observers are the periodic hooks (Observe), the timeline sampler first.
+	observers []observer
+}
+
+// observer is one hook and the period it asked for.
+type observer struct {
+	every uint64
+	fn    func(cycle uint64)
+}
+
+// Observe has fn called in every cycle that is a multiple of every (at least
+// 1), after all WPUs ticked — the hook behind cmd/dwstrace, the live metrics
+// and custom instrumentation. It sees exact Stats. The clock still jumps over
+// idle cycles, but never over one an observer is due in, so a period of 1
+// visits every cycle. Several observers run in the order they were added;
+// Reset drops them all: a hook belongs to one run.
+func (s *System) Observe(every uint64, fn func(cycle uint64)) {
+	s.observers = append(s.observers, observer{every, fn})
 }
 
 // New builds a machine: an empty System put through Reset, so there is one
@@ -182,12 +195,12 @@ func New(cfg Config) (*System, error) {
 
 // Reset returns the machine to the state New(cfg) builds — time zero, empty
 // event queue and functional memory, cold caches and predictors, zero
-// statistics, no Tracer — so the next simulation on it is bit-identical to
-// one on a new machine. Components are kept and emptied where cfg leaves
-// their geometry unchanged and reallocated where it does not. Nothing of the
-// previous run may be used afterwards: not its trace sink's attachment, not
-// pointers into its memory image. On error (cfg invalid) the machine is in
-// no defined state and must be dropped.
+// statistics, no observers but the timeline sampler — so the next simulation
+// on it is bit-identical to one on a new machine. Components are kept and
+// emptied where cfg leaves their geometry unchanged and reallocated where it
+// does not. Nothing of the previous run may be used afterwards: not its trace
+// sink's attachment, not pointers into its memory image. On error (cfg
+// invalid) the machine is in no defined state and must be dropped.
 func (s *System) Reset(cfg Config) error {
 	if cfg.WPUs <= 0 {
 		return fmt.Errorf("sim: need at least one WPU")
@@ -208,6 +221,9 @@ func (s *System) Reset(cfg Config) error {
 		staged: old.staged,
 		chunks: old.chunks,
 		dealt:  old.dealt,
+	}
+	if t := cfg.Trace; t != nil && t.Interval != 0 {
+		s.Observe(t.Interval, s.sampleTimeline)
 	}
 	if s.Q == nil {
 		s.Q = &engine.Queue{}
@@ -342,7 +358,7 @@ func (s *System) run() error {
 	// awake, and only an event, a release or its own Tick changes that.
 	awake := true
 	for {
-		if !awake && s.Tracer == nil {
+		if !awake {
 			s.skipIdle()
 		}
 		s.Q.RunUntil(s.cycle)
@@ -370,12 +386,11 @@ func (s *System) run() error {
 			}
 			released, awake = true, true
 		}
-		if s.Tracer != nil {
-			s.syncStats()
-			s.Tracer(uint64(s.cycle))
-		}
-		if t := s.Cfg.Trace; t != nil && t.Interval != 0 && uint64(s.cycle)%t.Interval == 0 {
-			s.sampleTimeline(uint64(s.cycle))
+		for _, o := range s.observers {
+			if uint64(s.cycle)%o.every == 0 {
+				s.syncStats() // a no-op once synced
+				o.fn(uint64(s.cycle))
+			}
 		}
 		if s.Q.Len() == 0 && !progress && !released {
 			// Nothing pending, nothing issued, nothing released: the machine
@@ -396,16 +411,16 @@ func (s *System) run() error {
 
 // skipIdle moves the clock, when every running WPU sleeps, to the next cycle
 // that is not a copy of this one: the earliest pending event or, if it comes
-// first, the next timeline sample. The WPUs credit the skipped cycles when
-// they wake. With nothing pending the clock stays, and the cycle about to
-// run reports the deadlock.
+// first, the next cycle an observer is due in. The WPUs credit the skipped
+// cycles when they wake. With nothing pending the clock stays, and the cycle
+// about to run reports the deadlock.
 func (s *System) skipIdle() {
 	to, ok := s.Q.NextEventTime()
 	if !ok {
 		return
 	}
-	if t := s.Cfg.Trace; t != nil && t.Interval != 0 {
-		iv := engine.Cycle(t.Interval)
+	for _, o := range s.observers {
+		iv := engine.Cycle(o.every)
 		to = min(to, (s.cycle+iv-1)/iv*iv)
 	}
 	if to > s.cycle {
@@ -432,9 +447,10 @@ func (s *System) allBarrierReady() bool {
 	return true
 }
 
-// sampleTimeline appends one timeline row per WPU to the observability
-// sink: interval deltas of the cycle/issue accounting plus instantaneous
-// WST, scheduler and MSHR occupancies.
+// sampleTimeline, the observer Reset adds for a trace with an interval,
+// appends one timeline row per WPU to the observability sink: interval deltas
+// of the cycle/issue accounting plus instantaneous WST, scheduler and MSHR
+// occupancies.
 func (s *System) sampleTimeline(cycle uint64) {
 	t := s.Cfg.Trace
 	if s.obsPrev == nil {
@@ -442,7 +458,6 @@ func (s *System) sampleTimeline(cycle uint64) {
 	}
 	l2 := s.Hier.L2.OutstandingMisses()
 	for i, w := range s.WPUs {
-		w.Sync(engine.Cycle(cycle) + 1)
 		st := w.Stats
 		prev := &s.obsPrev[i]
 		t.AddSample(obs.Sample{

@@ -121,18 +121,18 @@ func runKernels(t *testing.T, sys *sim.System, bench string, before func(kernel)
 
 var exactSchemes = []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeAggressBL}
 
-// TestStatsExactAtEveryTracerCall: a Tracer sees, every cycle, each WPU's
-// taxonomy summing to its TickCycles, and a running WPU's TickCycles equal to
-// the cycles since its launch — although most of those WPUs are asleep and
-// have credited nothing since they fell asleep. A missing Sync, or one off by
-// a cycle, fails here.
+// TestStatsExactAtEveryTracerCall: an observer of period 1 sees, every cycle,
+// each WPU's taxonomy summing to its TickCycles, and a running WPU's
+// TickCycles equal to the cycles since its launch — although most of those
+// WPUs are asleep and have credited nothing since they fell asleep. A missing
+// Sync, or one off by a cycle, fails here.
 func TestStatsExactAtEveryTracerCall(t *testing.T) {
 	for _, bench := range exactBenches {
 		for _, scheme := range exactSchemes {
 			sys := newMachine(t, scheme, nil)
 			var cur kernel
 			calls := 0
-			sys.Tracer = func(cycle uint64) {
+			sys.Observe(1, func(cycle uint64) {
 				calls++
 				for i, w := range sys.WPUs {
 					st := &w.Stats
@@ -143,20 +143,20 @@ func TestStatsExactAtEveryTracerCall(t *testing.T) {
 						t.Fatalf("%s/%s cycle %d WPU %d (asleep=%v): TickCycles %d, want %d", bench, scheme, cycle, i, w.Asleep(), st.TickCycles, want)
 					}
 				}
-			}
+			})
 			runKernels(t, sys, bench, func(k kernel) { cur = k }, nil)
 			if uint64(calls) != sys.Cycles() {
-				t.Fatalf("%s/%s: Tracer ran %d times in %d cycles", bench, scheme, calls, sys.Cycles())
+				t.Fatalf("%s/%s: the observer ran %d times in %d cycles", bench, scheme, calls, sys.Cycles())
 			}
 		}
 	}
 }
 
-// TestTimelineSamplesExact: with no Tracer the clock jumps, and the timeline
-// sampler must still fire on every interval boundary and see exact counters.
-// Samples carry deltas, so their running sum per WPU is that WPU's TickCycles
-// at the sample cycle, which the kernel's start, the WPU's final count and
-// one-tick-per-cycle determine.
+// TestTimelineSamplesExact: with no observer of period 1 the clock jumps, and
+// the timeline sampler must still fire on every interval boundary and see
+// exact counters. Samples carry deltas, so their running sum per WPU is that
+// WPU's TickCycles at the sample cycle, which the kernel's start, the WPU's
+// final count and one-tick-per-cycle determine.
 func TestTimelineSamplesExact(t *testing.T) {
 	for _, bench := range exactBenches {
 		for _, scheme := range exactSchemes {
@@ -194,11 +194,15 @@ func TestTimelineSamplesExact(t *testing.T) {
 	}
 }
 
-// sleptShare runs bench under scheme and returns the share of WPU-cycles
-// credited in bulk and the share of machine cycles jumped over.
-func sleptShare(t *testing.T, bench string, scheme wpu.Scheme) (slept, skipped float64) {
+// sleptShare runs bench under scheme, on a machine attach (if any) has seen
+// first, and returns the share of WPU-cycles credited in bulk and the share
+// of machine cycles jumped over.
+func sleptShare(t *testing.T, bench string, scheme wpu.Scheme, attach func(*sim.System) func()) (slept, skipped float64) {
 	t.Helper()
 	sys := newMachine(t, scheme, nil)
+	if attach != nil {
+		defer attach(sys)()
+	}
 	if err := build(t, bench, sys).Run(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -213,18 +217,22 @@ func sleptShare(t *testing.T, bench string, scheme wpu.Scheme) (slept, skipped f
 // TestSleepEngages: on a memory-bound kernel under the conventional WPU most
 // WPU-cycles are slept through and the clock jumps; under a slip scheme,
 // whose stalled cycles differ from one another, neither ever happens. The
-// log is the table in EXPERIMENTS.md "Idle-cycle skipping" (go test -v).
+// live-metrics observer, which every dwsimd job runs under, costs the jump
+// only the cycles it is due in. The log is the table in EXPERIMENTS.md "Idle-cycle skipping" (go test -v).
 func TestSleepEngages(t *testing.T) {
-	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeConv); slept < 0.40 || skipped == 0 {
+	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeConv, nil); slept < 0.40 || skipped == 0 {
 		t.Errorf("FFT under Conv: %.1f%% of WPU-cycles slept (want >= 40%%), %.1f%% of machine cycles skipped (want > 0)", 100*slept, 100*skipped)
 	}
-	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeSlip); slept != 0 || skipped != 0 {
+	if _, skipped := sleptShare(t, "FFT", wpu.SchemeConv, sim.NewLive(0).Attach); skipped == 0 {
+		t.Error("FFT under Conv with sim.Live attached: the clock never jumped")
+	}
+	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeSlip, nil); slept != 0 || skipped != 0 {
 		t.Errorf("FFT under Slip: %.1f%% slept, %.1f%% skipped; a slip scheme must never sleep", 100*slept, 100*skipped)
 	}
 	if testing.Verbose() {
 		for _, spec := range workloads.All() {
 			for _, scheme := range []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive} {
-				slept, skipped := sleptShare(t, spec.Name, scheme)
+				slept, skipped := sleptShare(t, spec.Name, scheme, nil)
 				t.Logf("%-8s %-16s slept %5.1f%% of WPU-cycles, skipped %5.1f%% of machine cycles", spec.Name, scheme, 100*slept, 100*skipped)
 			}
 		}
@@ -235,8 +243,8 @@ func TestSleepEngages(t *testing.T) {
 // cycle the one-cycle-at-a-time loop reported it in. Verified kernels cannot
 // deadlock on their own (barriers ignore halted threads and are rejected
 // under divergence), so the test discards every event in flight at cycle
-// 2500 of Merge — line fills that splits wait for — from a Tracer that then
-// removes itself, leaving sleep and jump free to act. The machine runs on for
+// 2500 of Merge — line fills that splits wait for — from an observer of that
+// period, which leaves sleep and jump free to act. The machine runs on for
 // thousands of cycles, until all it has left waits for a lost fill.
 func TestDeadlockCycleUnchanged(t *testing.T) {
 	// What the parent commit (PR 15), which ticks every WPU every cycle,
@@ -245,15 +253,14 @@ func TestDeadlockCycleUnchanged(t *testing.T) {
 		wpu.SchemeConv: 20586, wpu.SchemeRevive: 13653, wpu.SchemeAggressBL: 20586,
 	} {
 		sys := newMachine(t, scheme, nil)
-		sys.Tracer = func(cycle uint64) {
+		sys.Observe(2500, func(cycle uint64) {
 			if cycle == 2500 {
 				if sys.Q.Len() == 0 {
 					t.Fatal("nothing in flight at cycle 2500")
 				}
 				sys.Q.Reset()
-				sys.Tracer = nil
 			}
-		}
+		})
 		err := build(t, "Merge", sys).Run(sys)
 		if err == nil {
 			t.Fatalf("%s: the run finished although its line fills were dropped", scheme)

@@ -44,7 +44,7 @@ func TestKMeansSteadyStateAllocBudget(t *testing.T) {
 	const startCycle, endCycle = 50_000, 150_000
 	var m0, m1 runtime.MemStats
 	sampled := 0
-	sys.Tracer = func(cycle uint64) {
+	sys.Observe(startCycle, func(cycle uint64) {
 		switch cycle {
 		case startCycle:
 			runtime.ReadMemStats(&m0)
@@ -53,7 +53,7 @@ func TestKMeansSteadyStateAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			sampled++
 		}
-	}
+	})
 	if err := inst.Run(sys); err != nil {
 		t.Fatal(err)
 	}

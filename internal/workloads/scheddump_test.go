@@ -44,16 +44,13 @@ func TestSchedulingDumpGolden(t *testing.T) {
 			}
 			h := sha256.New()
 			dumps := 0
-			sys.Tracer = func(cycle uint64) {
-				if cycle%2000 != 0 {
-					return
-				}
+			sys.Observe(2000, func(cycle uint64) {
 				dumps++
 				fmt.Fprintf(h, "=== cycle %d ===\n", cycle)
 				for _, w := range sys.WPUs {
 					io.WriteString(h, w.DebugDump())
 				}
-			}
+			})
 			if err := inst.Run(sys); err != nil {
 				t.Fatalf("%s/%s: %v", bench, scheme, err)
 			}
