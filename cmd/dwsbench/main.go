@@ -129,6 +129,11 @@ var suites = []suite{
 	// and the map-free memory paths (tiered page lookup, MSHR table) with
 	// their zero allocs/op pins.
 	{pkg: "./internal/wpu", bench: "^BenchmarkIssueALU$", benchtime: "200x", rounds: 1},
+	// The ALU lane loops alone, under a partial mask: every arm of
+	// ExecALULanes ranges over an iterator, and a yield closure that starts
+	// escaping allocates per instruction. One leg pins it: the arms share
+	// the iterator whatever the mask.
+	{pkg: "./internal/isa", bench: "^BenchmarkExecALULanes$/^4$", benchtime: "300000x", rounds: 1},
 	{pkg: "./internal/mem", bench: "^BenchmarkFuncMemReadWrite$|^BenchmarkMSHRLookup$", benchtime: "2000000x", rounds: 1},
 	// End-to-end — Table 1 cold (eight full simulations, every kernel, on
 	// machines built for them: each round is a new process) — and the obs

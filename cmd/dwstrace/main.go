@@ -56,6 +56,9 @@ func main() {
 		fail(err)
 	}
 	cfg := k.Config()
+	if *onlyWPU < -1 || *onlyWPU >= cfg.WPUs {
+		fail(fmt.Errorf("-wpu %d: the machine has WPUs 0 to %d (-1 = all)", *onlyWPU, cfg.WPUs-1))
+	}
 	var tr *obs.Trace
 	if *format != "text" {
 		tr = obs.New(*every)

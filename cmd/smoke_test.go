@@ -138,6 +138,7 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsweep", "-bench", "Nope", "-nocache"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-values", "10,x"},
 		{"dwstrace", "-bench", "Filter", "-scheme", "Nope"},
+		{"dwstrace", "-bench", "Filter", "-wpu", "9"},
 		{"dwsreport", "-nocache", "-only", "nosuch"},
 		{"dwsverify", "-bench", "Nope"},
 		{"dwsverify", "-scale", "3"},

@@ -76,7 +76,8 @@ func (d *Decoded) SetMemClass(c uint8) {
 // Decoded is one dispatch-ready instruction. Operand registers are plain
 // row indices into the SoA register file; a discarded destination (the
 // hardwired zero register) is redirected to DiscardReg at decode time so
-// the execution arms never test for it.
+// the execution arms never test for it, and an operand the opcode does not
+// use is row 0.
 type Decoded struct {
 	Op    Op
 	Kind  Kind
@@ -131,15 +132,28 @@ func Decode(in Inst) Decoded {
 	if in.Op == FMOVI {
 		d.Imm = int64(math.Float64bits(in.FImm))
 	}
-	if in.Op.WritesDst() && in.Dst == 0 {
+	// ExecALULanes slices all three operand rows before it looks at the
+	// opcode, and the verifier bounds only the registers an opcode uses:
+	// the others decode to row 0.
+	switch {
+	case !in.Op.WritesDst():
+		d.Dst = 0
+	case in.Dst == 0:
 		d.Dst = DiscardReg
+	}
+	if !in.Op.ReadsA() {
+		d.SrcA = 0
+	}
+	if !in.Op.ReadsB() {
+		d.SrcB = 0
 	}
 	return d
 }
 
-// Reassemble reconstructs the architectural instruction, inverting Decode.
-// The differential tests use it to prove the decoded stream carries exactly
-// the information of the Inst it came from.
+// Reassemble reconstructs the architectural instruction, inverting Decode
+// (up to the register fields the opcode does not use, which come back zero,
+// as the builder leaves them). The differential tests use it to prove the
+// decoded stream carries exactly the information of the Inst it came from.
 func (d Decoded) Reassemble() Inst {
 	in := Inst{
 		Op:     d.Op,

@@ -1,6 +1,15 @@
+// The build line is what lets this file range over a function (lanes, below):
+// that needs language version 1.23, a go1.N build constraint sets the
+// language version of the one file that carries it, and go.mod stays at
+// go 1.22, which bench/go.mod (a module that imports this one and that a
+// change here may not edit) requires it not to exceed.
+
+//go:build go1.23
+
 package isa
 
 import (
+	"iter"
 	"math"
 	"math/bits"
 )
@@ -103,10 +112,11 @@ func (lr *LaneRegs) Thread(lane int) RegFile {
 	return rf
 }
 
-// rows3 returns the destination and both source rows, resliced to the
-// destination's length so the compiler can hoist the bounds checks out of
-// the per-lane loops.
-func (lr *LaneRegs) rows3(d *Decoded) (dst, a, b []int64) {
+// rows returns the destination and both source rows, resliced to one length
+// so the compiler can hoist the bounds checks out of the full-width loops.
+// Decode leaves an operand the opcode does not read at row 0, so all three
+// are valid rows whatever the opcode.
+func (lr *LaneRegs) rows(d *Decoded) (dst, a, b []int64) {
 	w := lr.width
 	s := lr.slab
 	dst = s[int(d.Dst)*w:][:w]
@@ -115,67 +125,59 @@ func (lr *LaneRegs) rows3(d *Decoded) (dst, a, b []int64) {
 	return
 }
 
-// rows2 returns the destination and the SrcA row.
-func (lr *LaneRegs) rows2(d *Decoded) (dst, a []int64) {
-	dst = lr.Row(d.Dst)
-	a = lr.Row(d.SrcA)[:len(dst)]
-	return
-}
-
 func f(v int64) float64  { return math.Float64frombits(uint64(v)) }
 func fb(v float64) int64 { return int64(math.Float64bits(v)) }
 
+// lanes yields the lanes an instruction executes on: 0..n-1 in a straight
+// counted loop when every lane is active (the common case), the set bits of
+// mask by bit scan otherwise. Inlined with its loop body into each arm of
+// ExecALULanes, it leaves there the two loops the arm would otherwise spell
+// by hand; TestLanesInline checks that every call site is.
+func lanes(mask uint64, full bool, n int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if full {
+			for i := 0; i < n; i++ {
+				if !yield(i) {
+					return
+				}
+			}
+			return
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			if !yield(bits.TrailingZeros64(m)) {
+				return
+			}
+		}
+	}
+}
+
 // ExecALULanes executes one decoded KindALU instruction across the active
 // lanes. This is the inverted hot loop of the execution core: the opcode
-// switch runs once per instruction, and each arm is a branch-free pass over
-// the lanes — a straight full-width loop when every lane is active (the
-// common case), a bit-scan loop otherwise. Behaviour is bit-for-bit the
-// per-lane ExecALU oracle's; soa_test.go differential-checks every opcode.
+// switch runs once per instruction, and each arm is one pass of the opcode's
+// expression over lanes. Behaviour is bit-for-bit the per-lane ExecALU
+// oracle's; TestExecALULanesDifferential (decode_test.go) checks every
+// opcode against it.
 func ExecALULanes(d *Decoded, lr *LaneRegs, mask uint64) {
-	full := mask == lr.full
+	dst, a, b := lr.rows(d)
+	n, full, imm := len(dst), mask == lr.full, d.Imm
+	sh := uint(imm & 63) // SHLI, SHRI
 	switch d.Op {
 	case NOP, BARRIER, HALT:
 		// No register effects.
 	case ADD:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] + b[i]
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] + b[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] + b[i]
 		}
 	case SUB:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] - b[i]
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] - b[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] - b[i]
 		}
 	case MUL:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] * b[i]
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] * b[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] * b[i]
 		}
 	case DIV:
-		dst, a, b := lr.rows3(d)
-		for m := mask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
+		for i := range lanes(mask, full, n) {
 			if b[i] != 0 {
 				dst[i] = a[i] / b[i]
 			} else {
@@ -183,9 +185,7 @@ func ExecALULanes(d *Decoded, lr *LaneRegs, mask uint64) {
 			}
 		}
 	case REM:
-		dst, a, b := lr.rows3(d)
-		for m := mask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
+		for i := range lanes(mask, full, n) {
 			if b[i] != 0 {
 				dst[i] = a[i] % b[i]
 			} else {
@@ -193,381 +193,129 @@ func ExecALULanes(d *Decoded, lr *LaneRegs, mask uint64) {
 			}
 		}
 	case AND:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] & b[i]
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] & b[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] & b[i]
 		}
 	case OR:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] | b[i]
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] | b[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] | b[i]
 		}
 	case XOR:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] ^ b[i]
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] ^ b[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] ^ b[i]
 		}
 	case SHL:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] << uint(b[i]&63)
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] << uint(b[i]&63)
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] << uint(b[i]&63)
 		}
 	case SHR:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = int64(uint64(a[i]) >> uint(b[i]&63))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = int64(uint64(a[i]) >> uint(b[i]&63))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = int64(uint64(a[i]) >> uint(b[i]&63))
 		}
 	case SLT:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = b2i(a[i] < b[i])
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(a[i] < b[i])
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(a[i] < b[i])
 		}
 	case SLE:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = b2i(a[i] <= b[i])
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(a[i] <= b[i])
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(a[i] <= b[i])
 		}
 	case SEQ:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = b2i(a[i] == b[i])
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(a[i] == b[i])
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(a[i] == b[i])
 		}
 	case SNE:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = b2i(a[i] != b[i])
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(a[i] != b[i])
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(a[i] != b[i])
 		}
 	case MIN:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = min(a[i], b[i])
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = min(a[i], b[i])
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = min(a[i], b[i])
 		}
 	case MAX:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = max(a[i], b[i])
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = max(a[i], b[i])
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = max(a[i], b[i])
 		}
 	case ADDI:
-		dst, a := lr.rows2(d)
-		imm := d.Imm
-		if full {
-			for i := range dst {
-				dst[i] = a[i] + imm
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] + imm
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] + imm
 		}
 	case MULI:
-		dst, a := lr.rows2(d)
-		imm := d.Imm
-		if full {
-			for i := range dst {
-				dst[i] = a[i] * imm
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] * imm
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] * imm
 		}
 	case ANDI:
-		dst, a := lr.rows2(d)
-		imm := d.Imm
-		if full {
-			for i := range dst {
-				dst[i] = a[i] & imm
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] & imm
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] & imm
 		}
 	case SHLI:
-		dst, a := lr.rows2(d)
-		sh := uint(d.Imm & 63)
-		if full {
-			for i := range dst {
-				dst[i] = a[i] << sh
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i] << sh
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i] << sh
 		}
 	case SHRI:
-		dst, a := lr.rows2(d)
-		sh := uint(d.Imm & 63)
-		if full {
-			for i := range dst {
-				dst[i] = int64(uint64(a[i]) >> sh)
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = int64(uint64(a[i]) >> sh)
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = int64(uint64(a[i]) >> sh)
 		}
 	case SLTI:
-		dst, a := lr.rows2(d)
-		imm := d.Imm
-		if full {
-			for i := range dst {
-				dst[i] = b2i(a[i] < imm)
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(a[i] < imm)
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(a[i] < imm)
 		}
-	case MOVI:
-		dst := lr.Row(d.Dst)
-		imm := d.Imm
-		if full {
-			for i := range dst {
-				dst[i] = imm
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				dst[bits.TrailingZeros64(m)] = imm
-			}
+	case MOVI, FMOVI:
+		// FMOVI: Imm already holds the float bits (decode-time conversion).
+		for i := range lanes(mask, full, n) {
+			dst[i] = imm
 		}
 	case MOV:
-		dst, a := lr.rows2(d)
-		if full {
-			copy(dst, a)
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = a[i]
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = a[i]
 		}
 	case FADD:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(f(a[i]) + f(b[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(f(a[i]) + f(b[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(f(a[i]) + f(b[i]))
 		}
 	case FSUB:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(f(a[i]) - f(b[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(f(a[i]) - f(b[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(f(a[i]) - f(b[i]))
 		}
 	case FMUL:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(f(a[i]) * f(b[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(f(a[i]) * f(b[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(f(a[i]) * f(b[i]))
 		}
 	case FDIV:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(f(a[i]) / f(b[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(f(a[i]) / f(b[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(f(a[i]) / f(b[i]))
 		}
 	case FNEG:
-		dst, a := lr.rows2(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(-f(a[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(-f(a[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(-f(a[i]))
 		}
 	case FABS:
-		dst, a := lr.rows2(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(math.Abs(f(a[i])))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(math.Abs(f(a[i])))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(math.Abs(f(a[i])))
 		}
 	case FMIN:
-		dst, a, b := lr.rows3(d)
-		for m := mask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
+		for i := range lanes(mask, full, n) {
 			dst[i] = fb(math.Min(f(a[i]), f(b[i])))
 		}
 	case FMAX:
-		dst, a, b := lr.rows3(d)
-		for m := mask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
+		for i := range lanes(mask, full, n) {
 			dst[i] = fb(math.Max(f(a[i]), f(b[i])))
 		}
 	case FSLT:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = b2i(f(a[i]) < f(b[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(f(a[i]) < f(b[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(f(a[i]) < f(b[i]))
 		}
 	case FSLE:
-		dst, a, b := lr.rows3(d)
-		if full {
-			for i := range dst {
-				dst[i] = b2i(f(a[i]) <= f(b[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = b2i(f(a[i]) <= f(b[i]))
-			}
-		}
-	case FMOVI:
-		// Imm already holds the float bits (decode-time conversion).
-		dst := lr.Row(d.Dst)
-		imm := d.Imm
-		if full {
-			for i := range dst {
-				dst[i] = imm
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				dst[bits.TrailingZeros64(m)] = imm
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = b2i(f(a[i]) <= f(b[i]))
 		}
 	case ITOF:
-		dst, a := lr.rows2(d)
-		if full {
-			for i := range dst {
-				dst[i] = fb(float64(a[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = fb(float64(a[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = fb(float64(a[i]))
 		}
 	case FTOI:
-		dst, a := lr.rows2(d)
-		if full {
-			for i := range dst {
-				dst[i] = int64(f(a[i]))
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				dst[i] = int64(f(a[i]))
-			}
+		for i := range lanes(mask, full, n) {
+			dst[i] = int64(f(a[i]))
 		}
 	default:
 		panic("isa: ExecALULanes on " + d.Op.String())

@@ -58,19 +58,19 @@ type CostParams struct {
 	// MemTxWorst bounds the end-to-end cycles one line transaction can
 	// occupy the memory system, misses, queueing and writebacks included.
 	MemTxWorst int
-	// IMissLat and ICacheLines describe the per-WPU instruction cache
-	// (cold-fetch latency and total line capacity).
-	IMissLat    int
-	ICacheLines int
 	// Mem is the data-side geometry per-access transaction bounds are
 	// recomputed against (memaccess.go).
 	Mem MemParams
 }
 
-// ICacheInstPerLine is the fetch-line packing of the per-WPU instruction
-// cache (128 B line / 8 B encoded instruction): the icache budget below
-// and the WPU's fetch path (which imports this package) both use it.
-const ICacheInstPerLine = 16
+// The per-WPU instruction cache of Table 3, as far as the icache budget
+// below needs it; the WPU's fetch path (which imports this package) uses the
+// same three.
+const (
+	ICacheInstPerLine = 16  // 128 B line / 8 B encoded instruction
+	ICacheLines       = 128 // 16 KB / 128 B
+	IMissLat          = 42  // cold-fetch refill: crossbar round trip + L2 lookup
+)
 
 // DefaultCostParams is the Table 3 machine. MemTxWorst composes the
 // worst path one transaction can take: L1 probe (3) + crossbar there and
@@ -80,7 +80,6 @@ const ICacheInstPerLine = 16
 var DefaultCostParams = CostParams{
 	WPUs: 4, Warps: 4, Width: 16,
 	HitLat: 3, MemTxWorst: 277,
-	IMissLat: 42, ICacheLines: 128,
 	Mem: DefaultMemParams,
 }
 
@@ -102,12 +101,6 @@ func (cp CostParams) normalizedFor(p *Program) CostParams {
 	}
 	if cp.MemTxWorst <= 0 {
 		cp.MemTxWorst = d.MemTxWorst
-	}
-	if cp.IMissLat <= 0 {
-		cp.IMissLat = d.IMissLat
-	}
-	if cp.ICacheLines <= 0 {
-		cp.ICacheLines = d.ICacheLines
 	}
 	if cp.Threads <= 0 {
 		if p != nil && p.maxThreads > 0 {
@@ -1163,11 +1156,11 @@ func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 	}
 	progLines := int64(len(p.Code)+ICacheInstPerLine-1) / ICacheInstPerLine
 	icacheBudget := CostInf
-	if progLines <= int64(cp.ICacheLines) {
+	if progLines <= ICacheLines {
 		// A kernel's lines are consecutive, so a program fitting the
 		// total capacity cannot conflict-evict: each line misses at most
 		// once per WPU.
-		icacheBudget = satMul(int64(geo.activeWPUs), satMul(progLines, int64(cp.IMissLat)))
+		icacheBudget = satMul(int64(geo.activeWPUs), satMul(progLines, IMissLat))
 	}
 	elapsedHi := addHi(addHi(addHi(addHi(satMul(2, totalIssuesHi), memTermHi), icacheBudget), barrierTermHi), 4)
 	tickHi := satMul(int64(geo.activeWPUs), elapsedHi)

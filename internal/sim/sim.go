@@ -112,7 +112,7 @@ func DefaultConfig() Config {
 // lookup + L2 probe + memory bus both ways + two DRAM accesses (the
 // second covering a dirty-line writeback or queueing behind one).
 func CostParamsFor(cfg Config, threads int) program.CostParams {
-	w := cfg.WPU.Normalized()
+	w := cfg.WPU
 	if cfg.Dist == DistInterleave {
 		w.LaneTidStep = cfg.WPUs
 	}
@@ -122,14 +122,12 @@ func CostParamsFor(cfg Config, threads int) program.CostParams {
 	h := cfg.Hier
 	memTx := h.L1.HitLat + 2*(h.XbarLat+h.XbarOcc) + h.L2.LookupLat + h.L2.ProbeLat + 2*h.MemBusOcc + 2*h.DRAMLat
 	return program.CostParams{
-		WPUs:        cfg.WPUs,
-		Warps:       w.Warps,
-		Width:       w.Width,
-		Threads:     threads,
-		HitLat:      int(h.L1.HitLat),
-		MemTxWorst:  int(memTx),
-		IMissLat:    w.IMissLat,
-		ICacheLines: w.ICacheLines,
+		WPUs:       cfg.WPUs,
+		Warps:      w.Warps,
+		Width:      w.Width,
+		Threads:    threads,
+		HitLat:     int(h.L1.HitLat),
+		MemTxWorst: int(memTx),
 		Mem: program.MemParams{
 			Lanes:     w.Width,
 			LineBytes: int64(h.L1.LineSize),

@@ -107,14 +107,6 @@ type Config struct {
 	// full. 0 means 16 (§5.6).
 	WSTEntries int
 
-	// ICacheLines and ICacheWays size the per-WPU instruction cache
-	// (Table 3: 16 KB 4-way with 128 B lines = 128 lines). IMissLat is the
-	// refill penalty charged to issue on a cold fetch (crossbar + L2).
-	// Zero values select the Table 3 defaults.
-	ICacheLines int
-	ICacheWays  int
-	IMissLat    int
-
 	// SubdivideOnBranch enables DWS upon branch divergence (§4) at branches
 	// the compiler marked subdividable.
 	SubdivideOnBranch bool
@@ -168,21 +160,11 @@ type Config struct {
 	// scaled by it so the trace-backed concordance check stays sound for
 	// any distribution.
 	LaneTidStep int
-
-	// SlipInterval, SlipRaise and SlipLower are the adaptive-slip profiling
-	// parameters from §5.7: every SlipInterval cycles the maximum allowed
-	// thread divergence is incremented when the WPU waited for memory more
-	// than SlipRaise of the time and decremented when it actively executed
-	// more than SlipLower of the time. Zero values select the paper's
-	// 100000 cycles / 0.70 / 0.50.
-	SlipInterval uint64
-	SlipRaise    float64
-	SlipLower    float64
 }
 
 // Normalized returns the configuration with every derived default filled
-// in, exactly as New applies it — for callers (sim.CostParamsFor) that
-// need the effective values without building a WPU.
+// in, exactly as New applies it — for callers that need the effective
+// values without building a WPU.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
 // withDefaults fills derived defaults.
@@ -195,24 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BranchLazyThreshold <= 0 {
 		c.BranchLazyThreshold = 2
-	}
-	if c.ICacheLines <= 0 {
-		c.ICacheLines = icacheDefaultLines
-	}
-	if c.ICacheWays <= 0 {
-		c.ICacheWays = icacheDefaultWays
-	}
-	if c.IMissLat <= 0 {
-		c.IMissLat = 42 // crossbar round trip + L2 lookup
-	}
-	if c.SlipInterval == 0 {
-		c.SlipInterval = 100000
-	}
-	if c.SlipRaise == 0 {
-		c.SlipRaise = 0.70
-	}
-	if c.SlipLower == 0 {
-		c.SlipLower = 0.50
 	}
 	return c
 }

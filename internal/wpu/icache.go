@@ -10,10 +10,14 @@ package wpu
 
 import "repro/internal/program"
 
+// The geometry is Table 3's and nothing varies it; the cost model's icache
+// budget counts the same lines at the same refill latency, so the three it
+// needs are declared there.
 const (
-	icacheDefaultLines = 128 // 16 KB / 128 B
-	icacheDefaultWays  = 4
-	icacheInstPerLine  = program.ICacheInstPerLine // the cost model's icache budget counts the same lines
+	icacheLines       = program.ICacheLines
+	icacheWays        = 4
+	icacheInstPerLine = program.ICacheInstPerLine
+	icacheMissLat     = program.IMissLat // charged to issue on a cold fetch
 )
 
 type icacheLine struct {
@@ -37,33 +41,15 @@ type icache struct {
 	Misses  uint64
 }
 
-// icacheGeometry resolves the configured size (zero values select the
-// Table 3 defaults) into sets × ways.
-func icacheGeometry(lines, ways int) (numSets, numWays int) {
-	if lines <= 0 {
-		lines = icacheDefaultLines
-	}
-	if ways <= 0 || ways > lines {
-		ways = icacheDefaultWays
-	}
-	return max(lines/ways, 1), ways
-}
-
+// newICache builds an empty cache of lines/ways sets (the WPU's is
+// icacheLines × icacheWays; the unit tests build smaller ones).
 func newICache(lines, ways int) *icache {
-	numSets, ways := icacheGeometry(lines, ways)
-	c := &icache{sets: make([][]icacheLine, numSets)}
+	c := &icache{sets: make([][]icacheLine, lines/ways)}
 	for i := range c.sets {
 		c.sets[i] = make([]icacheLine, ways)
 	}
 	c.reset()
 	return c
-}
-
-// sized reports whether the cache has the geometry newICache(lines, ways)
-// would build.
-func (c *icache) sized(lines, ways int) bool {
-	numSets, ways := icacheGeometry(lines, ways)
-	return len(c.sets) == numSets && len(c.sets[0]) == ways
 }
 
 // reset empties the cache and zeroes its counters.

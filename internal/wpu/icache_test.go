@@ -57,12 +57,10 @@ func TestICacheLRUWithinSet(t *testing.T) {
 }
 
 func TestICacheDefaultGeometry(t *testing.T) {
-	c := newICache(0, 0)
-	if len(c.sets) != icacheDefaultLines/icacheDefaultWays {
-		t.Fatalf("sets = %d", len(c.sets))
-	}
-	if len(c.sets[0]) != icacheDefaultWays {
-		t.Fatalf("ways = %d", len(c.sets[0]))
+	w, _, _ := newBareWPU(t, Config{Warps: 2, Width: 4})
+	// Table 3: 16 KB, 4-way, 128 B lines.
+	if sets, ways := len(w.icache.sets), len(w.icache.sets[0]); sets != 32 || ways != 4 {
+		t.Fatalf("icache is %d sets x %d ways, want 32 x 4", sets, ways)
 	}
 }
 

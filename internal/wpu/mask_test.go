@@ -80,8 +80,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.WSTEntries != 16 {
 		t.Fatalf("WSTEntries = %d, want 16", c.WSTEntries)
 	}
-	if c.SlipInterval != 100000 || c.SlipRaise != 0.70 || c.SlipLower != 0.50 {
-		t.Fatal("slip defaults wrong")
+	if slipInterval != 100000 || slipRaise != 0.70 || slipLower != 0.50 {
+		t.Fatal("slip constants are not the paper's (§5.7)")
 	}
 }
 

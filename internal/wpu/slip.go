@@ -172,24 +172,31 @@ func (w *WPU) promoteAllSlip(s *Split) {
 	}
 }
 
-// adaptSlip applies the paper's dynamic profiling: every SlipInterval
-// cycles, raise the divergence cap when the WPU spent more than SlipRaise
+// The adaptive-slip profiling parameters of §5.7.
+const (
+	slipInterval = 100000 // cycles
+	slipRaise    = 0.70
+	slipLower    = 0.50
+)
+
+// adaptSlip applies the paper's dynamic profiling: every slipInterval
+// cycles, raise the divergence cap when the WPU spent more than slipRaise
 // of the time waiting for memory, lower it when the pipeline was actively
-// executing more than SlipLower of the time.
+// executing more than slipLower of the time.
 func (w *WPU) adaptSlip() {
 	if w.cfg.Slip == SlipOff {
 		return
 	}
 	elapsed := w.Stats.Cycles() - w.intervalStart
-	if elapsed < w.cfg.SlipInterval {
+	if elapsed < slipInterval {
 		return
 	}
 	waitFrac := float64(w.intervalWait) / float64(elapsed)
 	busyFrac := float64(w.intervalBusy) / float64(elapsed)
 	switch {
-	case waitFrac > w.cfg.SlipRaise && w.maxSlip < w.cfg.Width:
+	case waitFrac > slipRaise && w.maxSlip < w.cfg.Width:
 		w.maxSlip++
-	case busyFrac > w.cfg.SlipLower && w.maxSlip > 0:
+	case busyFrac > slipLower && w.maxSlip > 0:
 		w.maxSlip--
 	}
 	w.intervalStart = w.Stats.Cycles()

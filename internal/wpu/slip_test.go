@@ -196,21 +196,21 @@ func TestSlipEntryForwardsAfterPromotion(t *testing.T) {
 }
 
 func TestAdaptSlipAdjustsCap(t *testing.T) {
-	w, _, _ := newBareWPU(t, SchemeSlip.Apply(Config{Warps: 1, Width: 8, SlipInterval: 100}))
+	w, _, _ := newBareWPU(t, SchemeSlip.Apply(Config{Warps: 1, Width: 8}))
 	launchSimple(t, w, haltOnly(t), 8, nil)
 	start := w.maxSlip
 	// Memory-bound interval: raise.
-	w.Stats.TickCycles = 100
-	w.intervalBusy = 10
-	w.intervalWait = 90
+	w.Stats.TickCycles = slipInterval
+	w.intervalBusy = slipInterval / 10
+	w.intervalWait = slipInterval * 9 / 10
 	w.adaptSlip()
 	if w.maxSlip != start+1 {
 		t.Fatalf("cap = %d after memory-bound interval, want %d", w.maxSlip, start+1)
 	}
 	// Busy interval: lower.
-	w.Stats.TickCycles = 290
-	w.intervalBusy = 150
-	w.intervalWait = 5
+	w.Stats.TickCycles = 3 * slipInterval
+	w.intervalBusy = slipInterval * 3 / 2
+	w.intervalWait = slipInterval / 20
 	w.adaptSlip()
 	if w.maxSlip != start {
 		t.Fatalf("cap = %d after busy interval, want %d", w.maxSlip, start)

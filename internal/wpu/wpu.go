@@ -260,11 +260,10 @@ func (w *WPU) Reset(cfg Config, l1 *mem.L1, fmem *mem.Memory, trace *obs.Trace) 
 	} else {
 		w.slotProg = make([]uint64, 64)
 	}
-	if ic := old.icache; ic != nil && ic.sized(cfg.ICacheLines, cfg.ICacheWays) {
-		ic.reset()
-		w.icache = ic
+	if w.icache = old.icache; w.icache != nil {
+		w.icache.reset()
 	} else {
-		w.icache = newICache(cfg.ICacheLines, cfg.ICacheWays)
+		w.icache = newICache(icacheLines, icacheWays)
 	}
 	if len(old.warps) == cfg.Warps && old.cfg.Width == cfg.Width {
 		w.warps = old.warps
@@ -647,7 +646,7 @@ func (w *WPU) issueOne(s *Split) bool {
 		lw.lastUse = ic.clock
 	} else if !ic.fetchWalk(lineNo) {
 		w.Stats.IFetchMisses++
-		w.fetchStallUntil = w.q.Now() + engine.Cycle(w.cfg.IMissLat)
+		w.fetchStallUntil = w.q.Now() + icacheMissLat
 		// The refill is an event: it keeps the machine's clock honest (the
 		// deadlock detector knows something is still in flight).
 		w.q.ScheduleAt(w.fetchStallUntil, &w.refill, 0)
