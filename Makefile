@@ -54,7 +54,7 @@ race:
 bench:
 	$(GO) test -bench FullReport -benchtime 1x -run '^$$' .
 
-# CI benchmark gate (cmd/dwsbench): allocs/op of the twelve gated benchmarks
+# CI benchmark gate (cmd/dwsbench): allocs/op of the thirteen gated benchmarks
 # (a zero baseline fails on any allocation, a nonzero one on growth past 10%)
 # and two ratios of benchmarks timed in interleaved rounds of the same run
 # (ObsOverhead/off ÷ FullReportShort, ObsOverhead/on ÷ off), against
@@ -64,7 +64,7 @@ bench-check:
 	$(GO) run ./cmd/dwsbench
 
 # Re-measure and rewrite BENCH_baseline.json: an allocation count per
-# benchmark (12) and a value per ratio (2).
+# benchmark (13) and a value per ratio (2).
 bench-baseline:
 	$(GO) run ./cmd/dwsbench -update
 
@@ -78,9 +78,10 @@ claims-smoke:
 
 # The command-line programs on bad input: -h exits 0 or 2, and an unknown
 # scheme, benchmark, -param or exhibit id, a zero cache size, a -scale that is
-# not a power of two, a -values entry that is not a number or a dwstrace -wpu
-# the machine does not have is one line on stderr and exit status 1, never a
-# panic; and dwsweep along Figure 16's axis
+# not a power of two, a -values entry that is not a number, a dwstrace -wpu
+# the machine does not have or a timeline with a zero interval (dwsim
+# -timeline with -obsevery 0, dwstrace -format csv -every 0) is one line on
+# stderr and exit status 1, never a panic; and dwsweep along Figure 16's axis
 # prints Figure 16's DWS/Conv column (cmd/smoke_test.go; `make test` runs it
 # too).
 # -count=1 because the test builds and runs the programs as child processes,

@@ -125,10 +125,11 @@ type suite struct {
 var suites = []suite{
 	// The event engine's allocation-free steady state.
 	{pkg: "./internal/engine", bench: "^BenchmarkEngineSteadyState$", benchtime: "1000000x", rounds: 1},
-	// Execution-core fast paths: pre-decoded issue + SoA ALU lane loops,
-	// and the map-free memory paths (tiered page lookup, MSHR table) with
-	// their zero allocs/op pins.
-	{pkg: "./internal/wpu", bench: "^BenchmarkIssueALU$", benchtime: "200x", rounds: 1},
+	// Execution-core fast paths: pre-decoded issue + SoA ALU lane loops, a
+	// gather loop whose hits share completion events, and the map-free
+	// memory paths (tiered page lookup, MSHR table) with their zero
+	// allocs/op pins.
+	{pkg: "./internal/wpu", bench: "^BenchmarkIssueALU$|^BenchmarkIssueMem$", benchtime: "200x", rounds: 1},
 	// The ALU lane loops alone, under a partial mask: every arm of
 	// ExecALULanes ranges over an iterator, and a yield closure that starts
 	// escaping allocates per instruction. One leg pins it: the arms share

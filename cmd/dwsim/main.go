@@ -54,6 +54,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dwsim:", err)
 		os.Exit(1)
 	}
+	// A zero interval records events but no samples: legal for -trace, an
+	// empty file for -timeline.
+	if *tlOut != "" && *obsEvery == 0 {
+		fmt.Fprintln(os.Stderr, "dwsim: -timeline needs an -obsevery of at least 1 cycle")
+		os.Exit(1)
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

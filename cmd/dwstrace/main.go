@@ -46,6 +46,11 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown -format %q (want text, chrome, json, csv, or hist)", *format))
 	}
+	// The csv timeline is nothing but samples; the other formats are
+	// complete at -every 0 (events only, or no dumps before the summary).
+	if *format == "csv" && *every == 0 {
+		fail(fmt.Errorf("-format csv needs an -every of at least 1 cycle"))
+	}
 
 	spec, err := workloads.ByName(*benchName)
 	if err != nil {

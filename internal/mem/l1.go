@@ -107,7 +107,7 @@ type L1 struct {
 	mshrPool []*l1MSHR  // free list; retired MSHRs keep their dones capacity
 	waiting  []l1Waiter // overflow when all MSHRs are busy
 	bankFree []engine.Cycle
-	// bankShift/bankMask replace scheduleHit's divide+modulo bank selection;
+	// bankShift/bankMask replace hitReady's divide+modulo bank selection;
 	// bankMask < 0 keeps the modulo path for non-power-of-two bank counts.
 	bankShift uint
 	bankMask  int64
@@ -179,7 +179,7 @@ func (c *L1) Config() L1Config { return c.cfg }
 
 // Access issues a load (write=false) or store (write=true) covering one
 // cache line, completing through a plain closure. It is the
-// convenience/test entry; the WPU's hot path is AccessEvent.
+// convenience/test entry; the WPU's hot path is AccessReady.
 func (c *L1) Access(addr uint64, write bool, done func()) (hit bool) {
 	var h engine.Handler
 	if done != nil {
@@ -195,6 +195,19 @@ func (c *L1) Access(addr uint64, write bool, done func()) (hit bool) {
 // (after the hit latency for hits, or when the fill returns for misses).
 // h may be nil when no one waits for the data.
 func (c *L1) AccessEvent(addr uint64, write bool, h engine.Handler, arg uint64) (hit bool) {
+	ready, hit := c.AccessReady(addr, write, h, arg)
+	if hit {
+		c.scheduleHit(ready, h, arg)
+	}
+	return hit
+}
+
+// AccessReady is AccessEvent except that a hit schedules nothing: it
+// returns the cycle the hit's data is ready (the hit latency after bank
+// queuing) and the caller delivers the completion — the WPU folds the hits
+// of one SIMD access that are ready in the same cycle into one event. A
+// miss subscribes h to the fill exactly as AccessEvent does.
+func (c *L1) AccessReady(addr uint64, write bool, h engine.Handler, arg uint64) (ready engine.Cycle, hit bool) {
 	c.Stats.Accesses++
 	if !write {
 		c.Stats.ReadAccesses++
@@ -212,7 +225,7 @@ func (c *L1) AccessEvent(addr uint64, write bool, h engine.Handler, arg uint64) 
 		if write && !m.write {
 			m.upgradeWanted = true
 		}
-		return false
+		return 0, false
 	}
 
 	if w := c.store.lookup(lineAddr); w != nil {
@@ -224,18 +237,19 @@ func (c *L1) AccessEvent(addr uint64, write bool, h engine.Handler, arg uint64) 
 				w.dirty = true
 			}
 			c.store.touch(w)
-			c.scheduleHit(lineAddr, h, arg)
-			return true
+			return c.hitReady(lineAddr), true
 		}
 		// Store hitting a Shared line: the data is here but exclusivity is
 		// not — an upgrade miss.
 		c.Stats.Upgrades++
 	}
 	c.missPath(lineAddr, write, h, arg)
-	return false
+	return 0, false
 }
 
-func (c *L1) scheduleHit(lineAddr uint64, h engine.Handler, arg uint64) {
+// hitReady claims the line's bank for one cycle, queuing behind earlier
+// accesses to it, and returns the cycle the hit's data is ready.
+func (c *L1) hitReady(lineAddr uint64) engine.Cycle {
 	bank := int((lineAddr >> c.bankShift) & uint64(c.bankMask))
 	if c.bankMask < 0 {
 		bank = int((lineAddr >> c.bankShift) % uint64(c.cfg.Banks))
@@ -250,8 +264,14 @@ func (c *L1) scheduleHit(lineAddr uint64, h engine.Handler, arg uint64) {
 	if c.trace != nil {
 		c.trace.Hists.L1Hit.Record(uint64(start + c.cfg.HitLat - c.q.Now()))
 	}
+	return start + c.cfg.HitLat
+}
+
+// scheduleHit delivers a hit's completion at ready, the cycle hitReady
+// returned; it is the one place the L1 schedules a hit.
+func (c *L1) scheduleHit(ready engine.Cycle, h engine.Handler, arg uint64) {
 	if h != nil {
-		c.q.ScheduleAt(start+c.cfg.HitLat, h, arg)
+		c.q.ScheduleAt(ready, h, arg)
 	}
 }
 
@@ -429,7 +449,7 @@ func (c *L1) drainWaiting() {
 				w.state = Modified
 				w.dirty = true
 			}
-			c.scheduleHit(wt.lineAddr, wt.h, wt.arg)
+			c.scheduleHit(c.hitReady(wt.lineAddr), wt.h, wt.arg)
 			continue
 		}
 		c.allocMSHR(wt.lineAddr, wt.write, wt.h, wt.arg)

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -526,5 +527,82 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %d vs %d", a, b)
+	}
+}
+
+// deliveryLog is a completion handler that records what it was called with
+// and when.
+type deliveryLog struct {
+	q   *engine.Queue
+	got [][2]uint64 // arg, cycle
+}
+
+func (d *deliveryLog) HandleEvent(arg uint64) {
+	d.got = append(d.got, [2]uint64{arg, uint64(d.q.Now())})
+}
+
+// AccessEvent is AccessReady plus the hit's ScheduleAt: over one random
+// stream with bank conflicts, store upgrades, MSHR merges and MSHR-full
+// waiters, the two entries give the same hit answers, completion cycles,
+// delivery order and statistics.
+func TestAccessReadyDifferential(t *testing.T) {
+	type side struct {
+		q    *engine.Queue
+		h    *Hierarchy
+		log  *deliveryLog
+		hits []bool
+	}
+	newSide := func() *side {
+		q, h := newTestHier(t, 2)
+		return &side{q: q, h: h, log: &deliveryLog{q: q}}
+	}
+	event, ready := newSide(), newSide()
+	rng := rand.New(rand.NewSource(25))
+	for step := uint64(0); step < 4000; step++ {
+		l1 := rng.Intn(2)
+		// 24 lines over 4 banks: sets overflow, banks queue, lines move
+		// between the two caches.
+		addr := uint64(0x10000 + rng.Intn(24)*128 + rng.Intn(16)*8)
+		write := rng.Intn(3) == 0
+		var he, hr engine.Handler // nil: nobody waits for the data
+		if rng.Intn(8) != 0 {
+			he, hr = event.log, ready.log
+		}
+		event.hits = append(event.hits, event.h.L1s[l1].AccessEvent(addr, write, he, step))
+		at, hit := ready.h.L1s[l1].AccessReady(addr, write, hr, step)
+		if hit && hr != nil {
+			ready.q.ScheduleAt(at, hr, step)
+		}
+		ready.hits = append(ready.hits, hit)
+		if rng.Intn(6) == 0 { // several accesses per cycle, else bursts of misses
+			until := event.q.Now() + engine.Cycle(rng.Intn(30))
+			event.q.RunUntil(until)
+			ready.q.RunUntil(until)
+		}
+	}
+	event.q.Drain()
+	ready.q.Drain()
+
+	if !slices.Equal(event.hits, ready.hits) {
+		t.Error("the two entries answered hit/miss differently")
+	}
+	if !slices.Equal(event.log.got, ready.log.got) {
+		t.Errorf("deliveries differ: %d via AccessEvent, %d via AccessReady", len(event.log.got), len(ready.log.got))
+	}
+	var sum L1Stats
+	for i := range event.h.L1s {
+		a, b := event.h.L1s[i].Stats, ready.h.L1s[i].Stats
+		if a != b {
+			t.Errorf("L1 %d stats differ:\n AccessEvent %+v\n AccessReady %+v", i, a, b)
+		}
+		sum.Hits += a.Hits
+		sum.BankConflicts += a.BankConflicts
+		sum.Upgrades += a.Upgrades
+		sum.Merges += a.Merges
+		sum.MSHRStalls += a.MSHRStalls
+	}
+	t.Logf("paths covered: %d hits, %d bank conflicts, %d upgrades, %d MSHR merges, %d MSHR-full waits; %d deliveries", sum.Hits, sum.BankConflicts, sum.Upgrades, sum.Merges, sum.MSHRStalls, len(event.log.got))
+	if sum.Hits == 0 || sum.BankConflicts == 0 || sum.Upgrades == 0 || sum.Merges == 0 || sum.MSHRStalls == 0 {
+		t.Errorf("the stream does not cover every path: %+v", sum)
 	}
 }

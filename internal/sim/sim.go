@@ -175,9 +175,10 @@ type observer struct {
 // and custom instrumentation. It sees exact Stats. The clock still jumps over
 // idle cycles, but never over one an observer is due in, so a period of 1
 // visits every cycle. Several observers run in the order they were added;
-// Reset drops them all: a hook belongs to one run.
+// Reset drops them all: a hook belongs to one run. A period of 0 is taken
+// as 1.
 func (s *System) Observe(every uint64, fn func(cycle uint64)) {
-	s.observers = append(s.observers, observer{every, fn})
+	s.observers = append(s.observers, observer{max(every, 1), fn})
 }
 
 // New builds a machine: an empty System put through Reset, so there is one

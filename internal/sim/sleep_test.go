@@ -152,6 +152,31 @@ func TestStatsExactAtEveryTracerCall(t *testing.T) {
 	}
 }
 
+// TestObservePeriodZero: Observe documents its period as at least 1, and a 0
+// (it used to divide by zero in run and skipIdle) is taken as 1 — the hook
+// runs in every cycle, and the simulation is the one an unobserved machine
+// runs.
+func TestObservePeriodZero(t *testing.T) {
+	plain := newMachine(t, wpu.SchemeConv, nil)
+	if err := build(t, "Filter", plain).Run(plain); err != nil {
+		t.Fatal(err)
+	}
+	sys := newMachine(t, wpu.SchemeConv, nil)
+	calls := uint64(0)
+	sys.Observe(0, func(cycle uint64) {
+		if cycle != calls {
+			t.Fatalf("observer called at cycle %d, want %d", cycle, calls)
+		}
+		calls++
+	})
+	if err := build(t, "Filter", sys).Run(sys); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Cycles() != plain.Cycles() || calls != sys.Cycles() {
+		t.Errorf("period 0: %d cycles (unobserved %d), observer ran %d times", sys.Cycles(), plain.Cycles(), calls)
+	}
+}
+
 // TestTimelineSamplesExact: with no observer of period 1 the clock jumps, and
 // the timeline sampler must still fire on every interval boundary and see
 // exact counters. Samples carry deltas, so their running sum per WPU is that

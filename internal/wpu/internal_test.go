@@ -517,3 +517,52 @@ func TestFork(t *testing.T) {
 		})
 	}
 }
+
+// TestHitCompletionsShareAnEvent: the hits of one SIMD access that are ready
+// in the same cycle, with no miss between them, complete as one event
+// (execMem), and the access's split still becomes Ready in the cycle it did
+// when every line had an event of its own. Four lanes per line; the L1 has
+// four banks, so lines 0 and 4 queue on one.
+func TestHitCompletionsShareAnEvent(t *testing.T) {
+	b := program.NewBuilder("gather")
+	b.Ld(11, 4, 0)
+	b.Halt()
+	p := b.MustBuild()
+	for _, tc := range []struct {
+		name     string
+		lines    [4]uint64 // the line lanes 4i..4i+3 read
+		resident []uint64  // the lines in the L1 beforehand
+		events   int       // pending once the load has issued
+		ready    uint64    // cycles from issue until the split is Ready
+	}{
+		{"four resident lines on four banks", [4]uint64{0, 1, 2, 3}, []uint64{0, 1, 2, 3}, 1, 3},
+		{"two of them on one bank", [4]uint64{0, 1, 2, 4}, []uint64{0, 1, 2, 4}, 2, 4},
+		{"hit, miss, hit", [4]uint64{0, 1, 2, 2}, []uint64{0, 2}, 3, 64},
+	} {
+		w, q, h := newBareWPU(t, SchemeConv.Apply(Config{Warps: 1, Width: 16}))
+		base := h.Mem.AllocWords(1024)
+		for _, l := range tc.resident {
+			h.L1s[0].Access(base+l*128, false, nil)
+		}
+		q.Drain()
+		launchSimple(t, w, p, 16, func(tid int, r *isa.RegFile) {
+			r.Set(4, int64(base+tc.lines[tid/4]*128+uint64(tid%4)*8))
+		})
+		s := w.warps[0].splits[0]
+		cycle := q.Now()
+		for ; w.Stats.MemInsts == 0; cycle++ {
+			q.RunUntil(cycle)
+			w.Tick()
+		}
+		issued := cycle - 1
+		if got := q.Len(); got != tc.events {
+			t.Errorf("%s: %d events pending after the load issued, want %d", tc.name, got, tc.events)
+		}
+		for ; s.state != Ready; cycle++ {
+			q.RunUntil(cycle)
+		}
+		if got := uint64(cycle - 1 - issued); got != tc.ready {
+			t.Errorf("%s: split Ready %d cycles after the load issued, want %d", tc.name, got, tc.ready)
+		}
+	}
+}

@@ -2,8 +2,9 @@ package wpu
 
 // BenchmarkIssueALU pins the cost of the issue loop on ALU-dense code: the
 // pre-decoded dispatch in issueOne, the mask scheduler, and the SoA lane
-// loops in isa.ExecALULanes. It is one of the cmd/dwsbench gate's suites,
-// so regressions on the per-instruction fast path fail CI.
+// loops in isa.ExecALULanes. BenchmarkIssueMem pins the memory instruction's
+// path on hits: coalescing, the L1 access and the completion events. Both
+// are cmd/dwsbench gate suites, so allocation regressions on either fail CI.
 
 import (
 	"testing"
@@ -35,9 +36,43 @@ func aluKernel() *program.Program {
 	return pb.MustBuild()
 }
 
-func BenchmarkIssueALU(b *testing.B) {
-	p := aluKernel()
-	cfg := SchemeBranchOnly.Apply(Config{Warps: 4, Width: 8})
+// memKernel is SVM's dot-product loop over a resident working set: lane i
+// reads row i of a 4-word-wide matrix and row i+16, so each 16-lane load
+// gathers four consecutive lines (one per bank) and, once the eight lines
+// are in the L1, every access hits. 256 iterations of two loads and a
+// multiply-add.
+func memKernel() *program.Program {
+	pb := program.NewBuilder("issue-mem")
+	pb.DeclareRegion(4, 128)
+	pb.Andi(5, 1, 15)
+	pb.Shli(5, 5, 5)
+	pb.Add(5, 5, 4) // &x[lane][0]
+	pb.Movi(6, 0)
+	pb.Fmovi(8, 0)
+	pb.Label("head")
+	pb.Andi(7, 6, 3)
+	pb.Shli(7, 7, 3)
+	pb.Add(9, 5, 7) // &x[lane][d]
+	pb.Ld(10, 9, 0)
+	pb.Ld(11, 9, 512) // &x[lane+16][d]
+	pb.Fmul(12, 10, 11)
+	pb.Fadd(8, 8, 12)
+	pb.Addi(6, 6, 1)
+	pb.Slti(13, 6, 256)
+	pb.Bnez(13, "head")
+	pb.Halt()
+	return pb.MustBuild()
+}
+
+func BenchmarkIssueALU(b *testing.B) { benchmarkIssue(b, aluKernel(), Config{Warps: 4, Width: 8}) }
+
+func BenchmarkIssueMem(b *testing.B) { benchmarkIssue(b, memKernel(), Config{Warps: 4, Width: 16}) }
+
+// benchmarkIssue runs p to completion on a new WPU per iteration, ticking
+// every cycle. R4 holds memKernel's matrix: never written, so it reads as
+// zeros and costs no functional-memory page.
+func benchmarkIssue(b *testing.B, p *program.Program, cfg Config) {
+	cfg = SchemeBranchOnly.Apply(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,6 +80,7 @@ func BenchmarkIssueALU(b *testing.B) {
 		regs := make([]isa.RegFile, cfg.Warps*cfg.Width)
 		for tid := range regs {
 			regs[tid].Set(1, int64(tid))
+			regs[tid].Set(4, 1<<20)
 		}
 		if err := w.Launch(p, regs); err != nil {
 			b.Fatal(err)

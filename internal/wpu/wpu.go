@@ -306,16 +306,16 @@ func (r *wpuRefill) HandleEvent(uint64) { r.w.wake(r.w.q.Now()) }
 
 // lineGroup is one coalesced cache-line access of a SIMD memory
 // instruction: the line address, the lanes it covers, and the pool index of
-// the token routing its completion.
+// the token routing its completion (hits that complete together share one).
 type lineGroup struct {
 	addr  uint64
 	lanes Mask
 	tok   int32
 }
 
-// HandleEvent completes one coalesced line access; the argument indexes the
-// token pool. The token is released before the owner's callback runs so the
-// owner's next memory instruction can reuse it.
+// HandleEvent completes the coalesced line accesses of one token; the
+// argument indexes the token pool. The token is released before the owner's
+// callback runs so the owner's next memory instruction can reuse it.
 //
 // Every completion wakes the WPU, whether or not it readies a split: a line
 // arriving for part of a suspended group changes tryRevive's answer.
@@ -1026,15 +1026,31 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 		}
 	}
 
+	// A hit ready in the same cycle as the hit before it, with no miss in
+	// between, joins that hit's completion token instead of scheduling an
+	// event of its own: the two events would have been adjacent in one
+	// bucket FIFO, and every caller of assignOwner gives all of an access's
+	// hits one owner (DESIGN.md "One completion per access per cycle").
 	var hitMask, missMask Mask
+	lastTok, lastReady := int32(-1), engine.Cycle(0)
 	for i := range groups {
 		g := &groups[i]
 		g.tok = w.allocToken(g.lanes)
-		if w.l1.AccessEvent(g.addr, write, w, uint64(g.tok)) {
-			hitMask |= g.lanes
-		} else {
+		ready, hit := w.l1.AccessReady(g.addr, write, w, uint64(g.tok))
+		if !hit {
 			missMask |= g.lanes
+			lastTok = -1
+			continue
 		}
+		hitMask |= g.lanes
+		if lastTok >= 0 && ready == lastReady {
+			w.tokens[lastTok].lanes |= g.lanes
+			w.freeTok = append(w.freeTok, g.tok)
+			g.tok = lastTok
+			continue
+		}
+		w.q.ScheduleAt(ready, w, uint64(g.tok))
+		lastTok, lastReady = g.tok, ready
 	}
 
 	if missMask != 0 {
