@@ -2,6 +2,7 @@ package repro
 
 import (
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -33,8 +34,7 @@ func BenchmarkExhibit(b *testing.B) {
 }
 
 // BenchmarkFullReport times the complete exhibit set (the whole dwsreport
-// run, quick Figure 18 grid) through the parallel executor — the baseline
-// perf snapshot future PRs compare against (see EXPERIMENTS.md). Run as:
+// run, quick Figure 18 grid) through the parallel executor. Run as:
 //
 //	go test -bench FullReport -benchtime 1x -run '^$' .
 //
@@ -62,19 +62,6 @@ func BenchmarkFullReport(b *testing.B) {
 	}
 }
 
-// BenchmarkFullReportShort is the end-to-end half of the `make
-// bench-check` CI gate (cmd/dwsbench): Table 1 regenerated from a cold
-// in-memory session — eight full simulations touching every kernel — whose
-// allocation count the gate holds, and the denominator of its
-// ObsOverhead/off ratio.
-func BenchmarkFullReportShort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := report.NewSession().Table1(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // runFullReport regenerates every exhibit (quick Figure 18 grid) into
 // io.Discard.
 func runFullReport(s *report.Session) error {
@@ -86,37 +73,78 @@ func runFullReport(s *report.Session) error {
 	return nil
 }
 
-// BenchmarkObsOverhead measures the cost of the internal/obs hooks on a
-// KMeans run (the heaviest single benchmark): "off" is the production
-// path (nil sink — every emission site reduces to one nil check), "on"
-// attaches a full event trace plus timeline sampler. The acceptance bar
-// is that "off" stays within 2% of the pre-instrumentation baseline
-// recorded in EXPERIMENTS.md; timing is asserted there, not here, because
-// wall-clock asserts in tests are flaky. Run as:
+// kmeansRun runs KMeans under DWS.ReviveSplit (the heaviest single
+// benchmark) on a cold session and returns the events it recorded. Untraced
+// is the production path: nil sink, every emission site one nil check.
+// Traced attaches a full event trace plus a 1000-cycle timeline sampler.
+func kmeansRun(tb testing.TB, traced bool) int {
+	s, k := report.NewSession(), report.DefaultKnobs(wpu.SchemeRevive)
+	if !traced {
+		if _, err := s.Run("KMeans", k); err != nil {
+			tb.Fatal(err)
+		}
+		return 0
+	}
+	tr := obs.New(1000)
+	if _, err := s.RunTraced("KMeans", k, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return len(tr.Events)
+}
+
+// BenchmarkObsOverhead times kmeansRun untraced ("off") and traced ("on").
+// What tracing costs end to end, a traced daemon job against an untraced
+// one, is the claims benchmark's serve.traced_over_untraced (bench/). Run as:
 //
 //	go test -bench ObsOverhead -benchtime 20x -run '^$' .
 func BenchmarkObsOverhead(b *testing.B) {
-	k := report.DefaultKnobs(wpu.SchemeRevive)
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := report.NewSession()
-			if _, err := s.Run("KMeans", k); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		traced bool
+	}{{"off", false}, {"on", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var events int
+			for i := 0; i < b.N; i++ {
+				events = kmeansRun(b, c.traced)
 			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		var events int
-		for i := 0; i < b.N; i++ {
-			s := report.NewSession()
-			tr := obs.New(1000)
-			if _, err := s.RunTraced("KMeans", k, tr); err != nil {
-				b.Fatal(err)
+			if c.traced {
+				b.ReportMetric(float64(events), "events")
 			}
-			events = len(tr.Events)
+		})
+	}
+}
+
+// TestEndToEndAllocs holds three whole simulations to at most 10 % over the
+// allocation counts written here: Table 1 from a cold session (eight
+// simulations, every kernel) and kmeansRun untraced and traced. Each count
+// is the minimum of five one-shot measurements, each after a warm-up run of
+// its own: a GC cycle that empties a pool makes a run allocate again, so a
+// single reading can be high, while a regression raises the floor. After a
+// warm-up in the same process the counts are far below those of a run in a
+// fresh one (11 179, 607 and 297).
+func TestEndToEndAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pin  float64
+		op   func()
+	}{
+		{"Table1", 1238, func() {
+			if _, err := report.NewSession().Table1(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"KMeans untraced", 173, func() { kmeansRun(t, false) }},
+		{"KMeans traced", 281, func() { kmeansRun(t, true) }},
+	} {
+		allocs := math.Inf(1)
+		for range 5 {
+			allocs = min(allocs, testing.AllocsPerRun(1, c.op))
 		}
-		b.ReportMetric(float64(events), "events")
-	})
+		t.Logf("%s: %.0f allocs", c.name, allocs)
+		if allocs > 1.1*c.pin {
+			t.Errorf("%s: %.0f allocs, pinned at %.0f (+10 %% allowed)", c.name, allocs, c.pin)
+		}
+	}
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (simulated

@@ -43,6 +43,12 @@ func main() {
 		openSess    = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	// Past 2^43 - 1 MiB the byte count overflows; either bad value would
+	// otherwise reach the store as "unbounded".
+	if *cacheMB < 0 || *cacheMB >= 1<<43 {
+		fmt.Fprintf(os.Stderr, "dwsimd: -cachemb %d: want 0 (unbounded) to %d MiB\n", *cacheMB, int64(1<<43-1))
+		os.Exit(1)
+	}
 
 	session, st := openSess("dwsimd", report.StoreOptions{MaxBytes: *cacheMB << 20})
 	session.Verify = !*noVerify

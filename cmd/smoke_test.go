@@ -145,6 +145,9 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsverify", "-bench", "Nope"},
 		{"dwsverify", "-scale", "3"},
 		{"dwsim", "-bench", "FFT", "-nocache", "-scale", "3"},
+		{"dwsimd", "-addr", "127.0.0.1:0", "-nocache", "-cachemb", "-1"},
+		{"dwsimd", "-addr", "127.0.0.1:0", "-nocache", "-cachemb", "8796093022208"},
+		{"dwsreport", "-nocache", "-only", "t1", "-j", "-1"},
 	} {
 		t.Run(strings.Join(tc, " "), func(t *testing.T) {
 			code, stderr := run(t, tc[0], tc[1:]...)

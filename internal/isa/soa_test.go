@@ -58,26 +58,51 @@ var aluMix = DecodeProgram([]Inst{
 	{Op: MOV, Dst: 6, SrcA: 8},
 })
 
+// aluMixWidth is the warp aluMix runs over.
+const aluMixWidth = 16
+
+// aluMixRegs returns an aluMixWidth-lane register file with a distinct value
+// in every register the mix reads.
+func aluMixRegs() *LaneRegs {
+	lr := NewLaneRegs(aluMixWidth)
+	for lane := 0; lane < aluMixWidth; lane++ {
+		for r := Reg(1); r < 16; r++ {
+			lr.Set(lane, r, int64(lane)*7+int64(r))
+		}
+	}
+	return lr
+}
+
+// execALUMix runs one pass of aluMix over the lanes in mask.
+func execALUMix(lr *LaneRegs, mask uint64) {
+	for j := range aluMix {
+		ExecALULanes(&aluMix[j], lr, mask)
+	}
+}
+
 // BenchmarkExecALULanes times one pass of aluMix over a 16-lane warp with 1,
-// 4 and all 16 lanes active. cmd/dwsbench pins it at 0 allocs/op: a yield
-// closure that starts escaping allocates on every instruction.
+// 4 and all 16 lanes active. TestExecALULanesAllocFree holds the 4-lane leg
+// at 0 allocs/op.
 func BenchmarkExecALULanes(b *testing.B) {
-	const width = 16
-	for _, mask := range []uint64{0x0100, 0x8421, 1<<width - 1} {
+	for _, mask := range []uint64{0x0100, 0x8421, 1<<aluMixWidth - 1} {
 		b.Run(strconv.Itoa(bits.OnesCount64(mask)), func(b *testing.B) {
-			lr := NewLaneRegs(width)
-			for lane := 0; lane < width; lane++ {
-				for r := Reg(1); r < 16; r++ {
-					lr.Set(lane, r, int64(lane)*7+int64(r))
-				}
-			}
+			lr := aluMixRegs()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range aluMix {
-					ExecALULanes(&aluMix[j], lr, mask)
-				}
+				execALUMix(lr, mask)
 			}
 		})
+	}
+}
+
+// TestExecALULanesAllocFree pins BenchmarkExecALULanes/4 at zero allocations:
+// every arm of ExecALULanes ranges over an iterator, and a yield closure that
+// starts escaping allocates on every instruction. One partial mask is
+// enough, since the arms share the iterator whatever the mask.
+func TestExecALULanesAllocFree(t *testing.T) {
+	lr := aluMixRegs()
+	if allocs := testing.AllocsPerRun(1000, func() { execALUMix(lr, 0x8421) }); allocs != 0 {
+		t.Fatalf("one pass of aluMix over 4 of 16 lanes allocated %.1f times, want 0", allocs)
 	}
 }

@@ -26,8 +26,8 @@ type Hist struct {
 	MaxV    uint64     `json:"max"`   // largest recorded value
 }
 
-// Record adds one value. It must stay allocation-free: the dwsbench gate
-// pins BenchmarkHistRecord at 0 allocs/op.
+// Record adds one value. It must stay allocation-free:
+// TestHistRecordAllocFree pins it at 0 allocations per call.
 func (h *Hist) Record(v uint64) {
 	i := bits.Len64(v)
 	if i > 63 {

@@ -122,9 +122,18 @@ func TestWriteHistCSVSkipsEmpty(t *testing.T) {
 	}
 }
 
-// BenchmarkHistRecord pins the record path at 0 allocs/op — the property
-// that lets the memory system record every request under tracing. The
-// dwsbench gate fails if an allocation sneaks in.
+// TestHistRecordAllocFree pins the record path at 0 allocations — the
+// property that lets the memory system record every request under tracing.
+func TestHistRecordAllocFree(t *testing.T) {
+	var h Hist
+	v := uint64(0)
+	if allocs := testing.AllocsPerRun(10000, func() { h.Record(v & 1023); v++ }); allocs != 0 {
+		t.Fatalf("Hist.Record allocated %.2f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkHistRecord times the record path; TestHistRecordAllocFree holds
+// it at 0 allocs/op.
 func BenchmarkHistRecord(b *testing.B) {
 	var h Hist
 	b.ReportAllocs()

@@ -156,7 +156,7 @@ func TestDisassembleMemAnnotations(t *testing.T) {
 // loop, branch diamond, prologue and in-loop memory traffic) from scratch:
 // the full Build pipeline — CFG, dominators, divergence dataflow, memory
 // classification, verification, decode — is the unit under test.
-func benchKernel() (*Program, error) {
+func buildBenchKernel(tb testing.TB) {
 	b := NewBuilder("build-bench")
 	b.DeclareRegion(4, 4096)
 	b.DeclareRegion(5, 4096)
@@ -194,23 +194,33 @@ func benchKernel() (*Program, error) {
 	b.Label("done")
 	b.Barrier()
 	b.Halt()
-	return b.buildFresh() // past the memo: the benchmark times the analyses
+	p, err := b.buildFresh() // past the memo: the analyses are what is measured
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(p.MemAccesses()) == 0 {
+		tb.Fatal("kernel lost its memory accesses")
+	}
 }
 
-// BenchmarkProgramBuild is the build-time budget gate (cmd/dwsbench): the
-// static analyses added over time — divergence dataflow, memory-access
-// classification, verification — all run inside Build's first encounter
-// with a kernel, and their summed cost per kernel must not creep past the
-// baseline.
+// BenchmarkProgramBuild times the build of one kernel: the static analyses
+// added over time — divergence dataflow, memory-access classification,
+// verification — all run inside Build's first encounter with a kernel.
 func BenchmarkProgramBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := benchKernel()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(p.MemAccesses()) == 0 {
-			b.Fatal("kernel lost its memory accesses")
-		}
+		buildBenchKernel(b)
+	}
+}
+
+// TestProgramBuildAllocs holds BenchmarkProgramBuild's op to at most 10 %
+// over the allocation count written here: an analysis added to Build shows
+// here first.
+func TestProgramBuildAllocs(t *testing.T) {
+	const pin = 572
+	allocs := testing.AllocsPerRun(20, func() { buildBenchKernel(t) })
+	t.Logf("ProgramBuild: %.0f allocs/op", allocs)
+	if allocs > 1.1*pin {
+		t.Errorf("ProgramBuild: %.0f allocs/op, pinned at %d (+10 %% allowed)", allocs, pin)
 	}
 }

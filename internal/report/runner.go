@@ -84,14 +84,18 @@ done:
 // SessionFlags registers the executor flags every CLI shares (-j,
 // -cachedir, -nocache) on fs and returns the function that, once fs has
 // been parsed, opens the session they describe for the program named prog.
-// A store that cannot be opened is a warning on stderr, not an error: the
-// session then runs without one. The *Store is nil in that case and under
-// -nocache.
+// A negative -j is one line on stderr and exit status 1. A store that cannot
+// be opened is a warning on stderr, not an error: the session then runs
+// without one. The *Store is nil in that case and under -nocache.
 func SessionFlags(fs *flag.FlagSet) func(prog string, opt StoreOptions) (*Session, *Store) {
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cachedir", "", "on-disk result store directory (default ~/.cache/dwsim)")
 	noCache := fs.Bool("nocache", false, "disable the on-disk result store")
 	return func(prog string, opt StoreOptions) (*Session, *Store) {
+		if *jobs < 0 {
+			fmt.Fprintf(os.Stderr, "%s: -j %d: want 0 (GOMAXPROCS) or more\n", prog, *jobs)
+			os.Exit(1)
+		}
 		var st *Store
 		if !*noCache {
 			var err error

@@ -284,42 +284,66 @@ func TestStoreNarrowLockRace(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreParallel is the dwsbench gate's store benchmark: a mixed
-// load/save workload (one save per seven loads) over 64 keys from 8
-// concurrent clients on one store. GOMAXPROCS is raised for the measurement
-// so the clients contend for the lock even on a small box. Its allocation
-// count is what the gate pins; its time was what decided that one lock held
-// only around the index is enough (DESIGN.md "Result store").
-func BenchmarkStoreParallel(b *testing.B) {
+// storeMix is a store seeded with 64 keys and the op of a mixed load/save
+// workload over them: op i saves key i%64 when i%8 == 0 and loads it
+// otherwise, one save per seven loads.
+func storeMix(tb testing.TB) func(i int) {
 	const nkeys = 64
-	st, err := OpenStore(b.TempDir())
+	st, err := OpenStore(tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	keys := make([]string, nkeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bench-key-%d", i)
 		if err := st.Save(keys[i], fakeResult(i)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return func(i int) {
+		key := keys[i%nkeys]
+		if i%8 == 0 {
+			if err := st.Save(key, fakeResult(i)); err != nil {
+				tb.Error(err)
+			}
+		} else if _, ok := st.Load(key); !ok {
+			tb.Error("load missed a pre-seeded key")
+		}
+	}
+}
+
+// BenchmarkStoreParallel runs storeMix's ops from 8 concurrent clients on
+// one store. GOMAXPROCS is raised for the measurement so the clients contend
+// for the lock even on a small box. Its time was what decided that one lock
+// held only around the index is enough (DESIGN.md "Result store");
+// TestStoreMixAllocs holds its allocation count.
+func BenchmarkStoreParallel(b *testing.B) {
+	op := storeMix(b)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	b.SetParallelism(1) // 8 Ps × 1 = 8 concurrent clients
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			key := keys[i%nkeys]
-			if i%8 == 0 {
-				if err := st.Save(key, fakeResult(i)); err != nil {
-					b.Error(err)
-					return
-				}
-			} else if _, ok := st.Load(key); !ok {
-				b.Error("benchmark load missed a pre-seeded key")
-				return
-			}
-			i++
+		for i := 0; pb.Next(); i++ {
+			op(i)
 		}
 	})
+}
+
+// TestStoreMixAllocs holds eight of storeMix's ops, one save and seven
+// loads, to at most 10 % over the allocation count written here: 14.75 an
+// op, which BenchmarkStoreParallel's eight contending clients report as the
+// same truncated 14, so one client measures what eight would.
+func TestStoreMixAllocs(t *testing.T) {
+	const pin = 118
+	op := storeMix(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			op(i)
+		}
+	})
+	t.Logf("StoreParallel: %.0f allocs per save and seven loads", allocs)
+	if allocs > 1.1*pin {
+		t.Errorf("StoreParallel: %.0f allocs per save and seven loads, pinned at %d (+10 %% allowed)", allocs, pin)
+	}
 }

@@ -134,15 +134,36 @@ func TestCostModelReportGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkCostModel times the full static analysis on the suite's
-// largest kernel (guarded by the dwsbench regression gate).
-func BenchmarkCostModel(b *testing.B) {
+// costModelOp returns one op of BenchmarkCostModel: the full cost analysis
+// of the suite's largest kernel, KMeans assign at 256 threads.
+func costModelOp(tb testing.TB) func() {
 	p := kmeansAssignKernel(kmeansP, kmeansK, kmeansD, 256)
 	cp := sim.CostParamsFor(sim.DefaultConfig(), 256)
+	return func() {
+		if m := p.CostModelFor(cp); m == nil {
+			tb.Fatal("nil cost model")
+		}
+	}
+}
+
+// BenchmarkCostModel times the full static analysis on the suite's
+// largest kernel.
+func BenchmarkCostModel(b *testing.B) {
+	op := costModelOp(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m := p.CostModelFor(cp); m == nil {
-			b.Fatal("nil cost model")
-		}
+		op()
+	}
+}
+
+// TestCostModelAllocs holds BenchmarkCostModel's op to at most 10 % over the
+// allocation count written here.
+func TestCostModelAllocs(t *testing.T) {
+	const pin = 31
+	allocs := testing.AllocsPerRun(20, costModelOp(t))
+	t.Logf("CostModel: %.0f allocs/op", allocs)
+	if allocs > 1.1*pin {
+		t.Errorf("CostModel: %.0f allocs/op, pinned at %d (+10 %% allowed)", allocs, pin)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"repro/internal/program"
 )
 
-func newBareWPU(t *testing.T, cfg Config) (*WPU, *engine.Queue, *mem.Hierarchy) {
+func newBareWPU(t testing.TB, cfg Config) (*WPU, *engine.Queue, *mem.Hierarchy) {
 	t.Helper()
 	q := &engine.Queue{}
 	h := mem.NewHierarchy(q, 1, mem.HierarchyConfig{

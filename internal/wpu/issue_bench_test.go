@@ -3,8 +3,8 @@ package wpu
 // BenchmarkIssueALU pins the cost of the issue loop on ALU-dense code: the
 // pre-decoded dispatch in issueOne, the mask scheduler, and the SoA lane
 // loops in isa.ExecALULanes. BenchmarkIssueMem pins the memory instruction's
-// path on hits: coalescing, the L1 access and the completion events. Both
-// are cmd/dwsbench gate suites, so allocation regressions on either fail CI.
+// path on hits: coalescing, the L1 access and the completion events.
+// TestIssueAllocs holds the allocation count of both.
 
 import (
 	"testing"
@@ -64,32 +64,60 @@ func memKernel() *program.Program {
 	return pb.MustBuild()
 }
 
-func BenchmarkIssueALU(b *testing.B) { benchmarkIssue(b, aluKernel(), Config{Warps: 4, Width: 8}) }
+var (
+	aluMachine = Config{Warps: 4, Width: 8}
+	memMachine = Config{Warps: 4, Width: 16}
+)
 
-func BenchmarkIssueMem(b *testing.B) { benchmarkIssue(b, memKernel(), Config{Warps: 4, Width: 16}) }
+func BenchmarkIssueALU(b *testing.B) { benchmarkIssue(b, aluKernel(), aluMachine) }
 
-// benchmarkIssue runs p to completion on a new WPU per iteration, ticking
-// every cycle. R4 holds memKernel's matrix: never written, so it reads as
-// zeros and costs no functional-memory page.
+func BenchmarkIssueMem(b *testing.B) { benchmarkIssue(b, memKernel(), memMachine) }
+
 func benchmarkIssue(b *testing.B, p *program.Program, cfg Config) {
-	cfg = SchemeBranchOnly.Apply(cfg)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, q := benchWPU(b, cfg)
-		regs := make([]isa.RegFile, cfg.Warps*cfg.Width)
-		for tid := range regs {
-			regs[tid].Set(1, int64(tid))
-			regs[tid].Set(4, 1<<20)
-		}
-		if err := w.Launch(p, regs); err != nil {
-			b.Fatal(err)
-		}
-		var cycle engine.Cycle
-		for !w.Done() {
-			q.RunUntil(cycle)
-			w.Tick()
-			cycle++
+		runIssue(b, p, cfg)
+	}
+}
+
+// runIssue runs p to completion on a new BranchOnly WPU, ticking every
+// cycle. R4 holds memKernel's matrix: never written, so it reads as zeros
+// and costs no functional-memory page.
+func runIssue(tb testing.TB, p *program.Program, cfg Config) {
+	cfg = SchemeBranchOnly.Apply(cfg)
+	w, q, _ := newBareWPU(tb, cfg)
+	regs := make([]isa.RegFile, cfg.Warps*cfg.Width)
+	for tid := range regs {
+		regs[tid].Set(1, int64(tid))
+		regs[tid].Set(4, 1<<20)
+	}
+	if err := w.Launch(p, regs); err != nil {
+		tb.Fatal(err)
+	}
+	var cycle engine.Cycle
+	for !w.Done() {
+		q.RunUntil(cycle)
+		w.Tick()
+		cycle++
+	}
+}
+
+// TestIssueAllocs holds one op of BenchmarkIssueALU and BenchmarkIssueMem
+// to at most 10 % over the allocation count written here.
+func TestIssueAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *program.Program
+		cfg  Config
+		pin  float64
+	}{
+		{"ALU", aluKernel(), aluMachine, 95},
+		{"Mem", memKernel(), memMachine, 149},
+	} {
+		allocs := testing.AllocsPerRun(20, func() { runIssue(t, c.p, c.cfg) })
+		t.Logf("Issue%s: %.0f allocs/op", c.name, allocs)
+		if allocs > 1.1*c.pin {
+			t.Errorf("Issue%s: %.0f allocs/op, pinned at %.0f (+10 %% allowed)", c.name, allocs, c.pin)
 		}
 	}
 }

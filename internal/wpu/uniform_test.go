@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/program"
 )
 
@@ -117,28 +116,13 @@ func TestUniformFastPathPreservesSemantics(t *testing.T) {
 	}
 }
 
-// benchWPU is newBareWPU without the *testing.T plumbing.
-func benchWPU(b *testing.B, cfg Config) (*WPU, *engine.Queue) {
-	q := &engine.Queue{}
-	h := mem.NewHierarchy(q, 1, mem.HierarchyConfig{
-		L1:      mem.L1Config{SizeBytes: 2048, Ways: 2, LineSize: 128, HitLat: 3, Banks: 4, MSHRs: 8},
-		L2:      mem.L2Config{SizeBytes: 64 * 1024, Ways: 8, LineSize: 128, LookupLat: 10, ProbeLat: 4, MSHRs: 16},
-		XbarLat: 2, XbarOcc: 1, MemBusOcc: 4, DRAMLat: 50,
-	})
-	w, err := New(0, q, cfg, h.L1s[0], h.Mem, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w, q
-}
-
 func benchmarkUniformLoop(b *testing.B, disable bool) {
 	p := uniformLoopProgram(b)
 	cfg := SchemeBranchOnly.Apply(Config{Warps: 2, Width: 4})
 	cfg.DisableUniformFast = disable
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w, q := benchWPU(b, cfg)
+		w, q, _ := newBareWPU(b, cfg)
 		regs := make([]isa.RegFile, 8)
 		for tid := range regs {
 			regs[tid].Set(1, int64(tid))
