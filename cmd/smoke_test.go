@@ -128,6 +128,21 @@ func TestCLISmoke(t *testing.T) {
 			t.Errorf("dwsweep simulated %d points that dwsreport -only 16 had stored", doc.Cache.Misses)
 		}
 	})
+	// A -cachedir that cannot be a directory is refused when the store is
+	// opened, once, and the run goes on without it.
+	t.Run("dwsim -cachedir a regular file", func(t *testing.T) {
+		file := filepath.Join(t.TempDir(), "file")
+		if err := os.WriteFile(file, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stderr := run(t, "dwsim", "-bench", "Filter", "-cachedir", file)
+		if code != 0 {
+			t.Errorf("exit status %d, want 0", code)
+		}
+		if n := strings.Count(stderr, "\n"); n != 1 || !strings.Contains(stderr, "continuing without the on-disk store") {
+			t.Errorf("want one line saying the run continues without the store on stderr, got:\n%s", stderr)
+		}
+	})
 	for _, tc := range [][]string{
 		{"dwsim", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-l1kb", "0"},

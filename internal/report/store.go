@@ -54,6 +54,10 @@ const recordExt = ".rec"
 // recency is a logical clock (the LRU list order), never wall time, so
 // eviction decisions are reproducible for a given operation sequence.
 //
+// A capped store indexes the directory at open, so the cap covers records
+// from earlier processes; an uncapped one on its first Stats, so opening it
+// does not grow with the records other builds' salts left behind.
+//
 // The in-memory index is a cache of the directory, not the truth: a Load
 // for a key the index has not seen still goes to the filesystem, and an
 // indexed file deleted since — by another process's eviction, or by a
@@ -77,6 +81,8 @@ type Store struct {
 	dir      string
 	salt     string
 	maxBytes int64 // whole-store LRU cap; 0 = unbounded
+
+	walked sync.Once // reindex has run: at open when capped, else on the first Stats
 
 	mu      sync.Mutex               // guards entries, lru and bytes, and nothing else
 	entries map[string]*list.Element // digest -> *storeEntry element
@@ -128,10 +134,12 @@ func OpenStore(dir string) (*Store, error) {
 	return OpenStoreWith(dir, StoreOptions{})
 }
 
-// OpenStoreWith opens a result store with an LRU size cap. Existing records
-// are indexed up front (in file-name order, a deterministic stand-in for
-// their unknown access history) so the cap covers records from earlier
-// processes.
+// OpenStoreWith opens a result store with an LRU size cap. A capped store
+// indexes the records already there at open (in file-name order, a
+// deterministic stand-in for their unknown access history) and evicts past
+// the cap, so the cap covers records from earlier processes. An uncapped
+// store only makes sure dir is a directory, and indexes it on the first
+// Stats.
 func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 	if dir == "" {
 		dir = DefaultCacheDir()
@@ -141,10 +149,30 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 	}
 	st := &Store{dir: dir, salt: versionSalt(), maxBytes: opt.MaxBytes,
 		entries: make(map[string]*list.Element), lru: list.New()}
-	subdirs, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("report: open store: %w", err)
+	if st.maxBytes > 0 {
+		var err error
+		st.walked.Do(func() { err = st.reindex() })
+		if err != nil {
+			return nil, fmt.Errorf("report: open store: %w", err)
+		}
 	}
+	return st, nil
+}
+
+// reindex walks the directory outside st.mu, then indexes every record
+// file the index does not hold yet and evicts past the cap. At a capped
+// open the index is empty, so the files enter the LRU list in file-name
+// order (ReadDir sorts). On an uncapped store's first Stats, entries Load
+// and Save made meanwhile are fresher than the walk and are kept, and the
+// order the rest take cannot matter: without a cap nothing is evicted. A
+// file a racing Load removed after the walk saw it is a stale entry like
+// any other, dropped by the next Load of its key.
+func (st *Store) reindex() error {
+	subdirs, err := os.ReadDir(st.dir)
+	if err != nil {
+		return err
+	}
+	var found []storeEntry
 	for _, sd := range subdirs {
 		if !sd.IsDir() || len(sd.Name()) != 2 {
 			continue
@@ -152,11 +180,11 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 		if _, err := hex.DecodeString(sd.Name()); err != nil {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(dir, sd.Name()))
+		files, err := os.ReadDir(filepath.Join(st.dir, sd.Name()))
 		if err != nil {
 			continue
 		}
-		for _, f := range files { // ReadDir sorts by name: deterministic seed order
+		for _, f := range files {
 			name := f.Name()
 			if f.IsDir() || filepath.Ext(name) != recordExt {
 				continue
@@ -165,11 +193,18 @@ func OpenStoreWith(dir string, opt StoreOptions) (*Store, error) {
 			if err != nil {
 				continue
 			}
-			st.index(strings.TrimSuffix(name, recordExt), info.Size())
+			found = append(found, storeEntry{strings.TrimSuffix(name, recordExt), info.Size()})
 		}
 	}
-	st.evictLocked() // nobody else has the store yet
-	return st, nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, e := range found {
+		if _, ok := st.entries[e.digest]; !ok {
+			st.index(e.digest, e.size)
+		}
+	}
+	st.evictLocked()
+	return nil
 }
 
 // versionSalt digests everything known about the program version so
@@ -212,8 +247,7 @@ func (st *Store) path(digest string) string {
 	return filepath.Join(st.dir, digest[:2], digest+recordExt)
 }
 
-// index adds or refreshes one entry (st.mu must be held, except during
-// single-threaded Open).
+// index adds or refreshes one entry (st.mu held).
 func (st *Store) index(digest string, size int64) {
 	if el, ok := st.entries[digest]; ok {
 		st.bytes += size - el.Value.(*storeEntry).size
@@ -322,8 +356,11 @@ func (st *Store) save(key string, r Result) error {
 	return nil
 }
 
-// Stats returns the counters and, under the lock, the index totals.
+// Stats returns the counters and, under the lock, the index totals. On an
+// uncapped store the first call walks the directory (reindex) before it
+// reads them, and a concurrent call waits for that walk.
 func (st *Store) Stats() StoreStats {
+	st.walked.Do(func() { _ = st.reindex() }) // unreadable directory: the index stays what Load and Save made
 	s := StoreStats{
 		Hits:         st.hits.Load(),
 		Misses:       st.misses.Load(),

@@ -181,8 +181,26 @@ func TestStoreTwoInstancesOneDir(t *testing.T) {
 	}
 }
 
+// dirTotals counts the files under dir and their bytes.
+func dirTotals(t *testing.T, dir string) (records int, bytes int64) {
+	t.Helper()
+	err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			records++
+			bytes += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records, bytes
+}
+
 // TestStoreReindexesExistingFiles proves a freshly opened store sees (and
-// caps) records a previous process left behind.
+// caps) records a previous process left behind. Uncapped, it indexes them
+// on the first Stats, after loads and a foreign save have indexed some:
+// each record is counted once.
 func TestStoreReindexesExistingFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -199,10 +217,18 @@ func TestStoreReindexesExistingFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := re.Stats()
-	if rs.Records != 6 || rs.BytesInUse != bytesInUse {
-		t.Fatalf("reopened store indexed %d records / %d bytes, want 6 / %d",
-			rs.Records, rs.BytesInUse, bytesInUse)
+	for _, key := range []string{"k0", "k1"} {
+		if _, ok := re.Load(key); !ok {
+			t.Fatalf("reopened store cannot load %s", key)
+		}
+	}
+	if err := st.Save("k6", fakeResult(6)); err != nil { // a second instance, after re's open
+		t.Fatal(err)
+	}
+	records, bytes := dirTotals(t, dir)
+	if rs := re.Stats(); records != 7 || rs.Records != records || rs.BytesInUse != bytes {
+		t.Fatalf("reopened store indexed %d records / %d bytes, the directory holds %d / %d, want 7 records",
+			rs.Records, rs.BytesInUse, records, bytes)
 	}
 	// Re-open with a cap below the existing footprint: Open itself evicts.
 	capped, err := OpenStoreWith(dir, StoreOptions{MaxBytes: bytesInUse / 2})
@@ -220,67 +246,75 @@ func TestStoreReindexesExistingFiles(t *testing.T) {
 // same few records interleave freely (run under -race in CI). Whatever the
 // interleaving, a Load returns its own key's Result or a miss, the byte count
 // never goes negative, and once the writers have stopped one Load per key
-// brings the index back to exactly what the directory holds.
+// brings the index back to exactly what the directory holds. It runs on two
+// stores: one capped at a few records, so evictions race the Loads, and one
+// uncapped over a directory another instance filled, whose first Stats walks
+// the directory while the other workers Save and Load.
 func TestStoreNarrowLockRace(t *testing.T) {
 	const nkeys, workers, rounds = 64, 8, 400
-	dir := t.TempDir()
-	probe, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.Save("probe", fakeResult(0)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStoreWith(dir, StoreOptions{MaxBytes: 5 * probe.Stats().BytesInUse}) // a few records
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := func(i int) string { return fmt.Sprintf("key-%d", i) }
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for n := 0; n < rounds; n++ {
-				i := (n*7 + w*13) % nkeys
-				if (n+w)%3 == 0 {
-					if err := st.Save(key(i), fakeResult(i)); err != nil {
-						t.Errorf("save %s: %v", key(i), err)
-						return
+	for _, capped := range []bool{true, false} {
+		t.Run(fmt.Sprintf("capped=%v", capped), func(t *testing.T) {
+			dir := t.TempDir()
+			other, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := other.Save("probe", fakeResult(0)); err != nil {
+				t.Fatal(err)
+			}
+			var opt StoreOptions
+			if capped {
+				opt.MaxBytes = 5 * other.Stats().BytesInUse // a few records
+			} else {
+				for i := 0; i < nkeys; i += 2 { // half the workers' keys, and records no worker touches
+					for _, k := range []string{key(i), fmt.Sprintf("stale-%d", i)} {
+						if err := other.Save(k, fakeResult(i)); err != nil {
+							t.Fatal(err)
+						}
 					}
-				} else if r, ok := st.Load(key(i)); ok && !reflect.DeepEqual(r, fakeResult(i)) {
-					t.Errorf("load %s returned %+v", key(i), r)
-					return
-				}
-				if b := st.Stats().BytesInUse; b < 0 {
-					t.Errorf("BytesInUse = %d", b)
-					return
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if st.Stats().Evictions == 0 {
-		t.Fatal("the cap never evicted; the test did not cover eviction racing Load")
-	}
-	st.Load("probe")
-	for i := 0; i < nkeys; i++ {
-		st.Load(key(i))
-	}
-	var records int
-	var bytes int64
-	err = filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			records++
-			bytes += info.Size()
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := st.Stats(); s.Records != records || s.BytesInUse != bytes {
-		t.Fatalf("index holds %d records / %d bytes, the directory %d / %d", s.Records, s.BytesInUse, records, bytes)
+			st, err := OpenStoreWith(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for n := 0; n < rounds; n++ {
+						i := (n*7 + w*13) % nkeys
+						if (n+w)%3 == 0 {
+							if err := st.Save(key(i), fakeResult(i)); err != nil {
+								t.Errorf("save %s: %v", key(i), err)
+								return
+							}
+						} else if r, ok := st.Load(key(i)); ok && !reflect.DeepEqual(r, fakeResult(i)) {
+							t.Errorf("load %s returned %+v", key(i), r)
+							return
+						}
+						if b := st.Stats().BytesInUse; b < 0 {
+							t.Errorf("BytesInUse = %d", b)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if capped && st.Stats().Evictions == 0 {
+				t.Fatal("the cap never evicted; the test did not cover eviction racing Load")
+			}
+			st.Load("probe")
+			for i := 0; i < nkeys; i++ {
+				st.Load(key(i))
+			}
+			records, bytes := dirTotals(t, dir)
+			if s := st.Stats(); s.Records != records || s.BytesInUse != bytes {
+				t.Fatalf("index holds %d records / %d bytes, the directory %d / %d", s.Records, s.BytesInUse, records, bytes)
+			}
+		})
 	}
 }
 
@@ -345,5 +379,33 @@ func TestStoreMixAllocs(t *testing.T) {
 	t.Logf("StoreParallel: %.0f allocs per save and seven loads", allocs)
 	if allocs > 1.1*pin {
 		t.Errorf("StoreParallel: %.0f allocs per save and seven loads, pinned at %d (+10 %% allowed)", allocs, pin)
+	}
+}
+
+// TestStoreOpenAllocs holds an uncapped open to the same allocation count
+// over the spine's 96 records as over an empty directory: opening must not
+// read the directory (a walk of 96 records costs ~1 440 allocations).
+func TestStoreOpenAllocs(t *testing.T) {
+	empty, full := t.TempDir(), t.TempDir()
+	st, err := OpenStore(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < spinePoints; i++ {
+		if err := st.Save(fmt.Sprintf("k%d", i), fakeResult(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(dir string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := OpenStore(dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	e, f := open(empty), open(full)
+	t.Logf("OpenStore: %.0f allocs over an empty directory, %.0f over %d records", e, f, spinePoints)
+	if f != e {
+		t.Errorf("OpenStore allocated %.0f times over %d records and %.0f over none, want equal", f, spinePoints, e)
 	}
 }
