@@ -1,13 +1,14 @@
 # CI entry points. `make ci` is the gate: formatting, vet, the static
 # verification layer (lint), build, the race detector over the parallel
 # executor, the full test suite (allocation pins included), the CLI
-# bad-input smoke, and one pass of the claims benchmark.
+# bad-input smoke, a short fuzz of the store's record decoder, and one pass
+# of the claims benchmark.
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench claims-smoke cli-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench claims-smoke cli-smoke fuzz-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve
 
-ci: fmt-check vet lint build race test cli-smoke claims-smoke
+ci: fmt-check vet lint build race test cli-smoke fuzz-smoke claims-smoke
 
 # Static verification layer: the determinism linter over the simulator
 # packages and the ISA program verifier over every benchmark kernel.
@@ -75,6 +76,14 @@ claims-smoke:
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:
 	$(GO) test ./cmd -run TestCLISmoke -count=1
+
+# Fuzz the result store's record decoder for 15 s: it writes through unsafe
+# pointers on bytes read from disk. FuzzDecodeRecord drives both entry
+# points, decodeRecord and the in-place key check plus Result decode of
+# Store.Load. The corpus stays in the Go build cache; a failing input is
+# written under internal/report/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test ./internal/report -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 15s
 
 # Non-test Go lines per package and in total, bench/ (a module of its own)
 # excluded: the size figure CHANGES.md reports next to ns/op.

@@ -8,6 +8,8 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
 // The store's record format. A record file is
@@ -23,10 +25,13 @@ import (
 // allocates no more than a small multiple of its input whatever the input
 // claims.
 //
-// The layout is read off the Go types by reflection, so a field added to
+// The layout is read off the Go types once, when the package is
+// initialised, not per value: one walk over record's type renders its
+// fingerprint and compiles its plan, a flat list of steps that each encode
+// or decode one value through a pointer at its offset. A field added to
 // Result (or to wpu.Stats, mem.L1Stats, ... beneath it) joins the record
 // without further code. Nothing in a record says which layout wrote it:
-// shapeOf digests the layout into the store's version salt instead, so a
+// the fingerprint is digested into the store's version salt instead, so a
 // record written under any other layout has a different file name and is
 // never read at all.
 
@@ -34,34 +39,88 @@ import (
 // which, it removes the file.
 var errRecord = errors.New("report: corrupt store record")
 
-// recordShape is the layout fingerprint of record. It is computed when the
-// package is initialised, so a field the codec cannot carry stops every
-// program that links the store at start-up instead of at its first Save.
-var recordShape = shapeOf(reflect.TypeOf(record{}))
+// recordShape is the layout fingerprint of record and recordPlan its codec.
+// Both come from the walk when the package is initialised, so a field the
+// codec cannot carry stops every program that links the store at start-up
+// instead of at its first Save.
+var recordShape, recordPlan = compile(reflect.TypeOf(record{}))
 
-// shapeOf renders everything about t the codec depends on — kinds, array
-// lengths, field names and order, recursively — and panics on a type it
-// cannot carry (maps, pointers, interfaces, unexported fields). Type names
-// are left out: renaming a type moves no byte of its records.
-func shapeOf(t reflect.Type) string {
-	var sb strings.Builder
-	writeShape(&sb, t)
-	return sb.String()
+// resultPlan is recordPlan without its first two steps, Key's and Salt's,
+// which Load compares in place instead of decoding.
+var resultPlan = func() []step {
+	if recordPlan[0].off != unsafe.Offsetof(record{}.Key) || recordPlan[1].off != unsafe.Offsetof(record{}.Salt) {
+		panic("report: record must begin with Key and Salt")
+	}
+	return recordPlan[2:]
+}()
+
+// A codec encodes or decodes the value p points to; dec reports false on
+// bytes that are not one.
+type codec struct {
+	enc func(b []byte, p unsafe.Pointer) []byte
+	dec func(b []byte, p unsafe.Pointer) ([]byte, bool)
 }
 
-func writeShape(sb *strings.Builder, t reflect.Type) {
-	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
+// A step is the codec of the value off bytes into the one its plan
+// describes. Arrays and structs have no step of their own, only their
+// elements' and fields', so a plan is flat and a record one loop.
+type step struct {
+	off uintptr
+	codec
+}
+
+// scalars holds the codecs of every kind that is one value on the wire.
+var scalars = map[reflect.Kind]scalar{
+	reflect.Bool:    boolScalar,
+	reflect.String:  stringScalar,
+	reflect.Int:     signed[int](),
+	reflect.Int8:    signed[int8](),
+	reflect.Int16:   signed[int16](),
+	reflect.Int32:   signed[int32](),
+	reflect.Int64:   signed[int64](),
+	reflect.Uint:    unsigned[uint](),
+	reflect.Uint8:   unsigned[uint8](),
+	reflect.Uint16:  unsigned[uint16](),
+	reflect.Uint32:  unsigned[uint32](),
+	reflect.Uint64:  unsigned[uint64](),
+	reflect.Float32: float[float32](),
+	reflect.Float64: float[float64](),
+}
+
+// compile walks t once. shape renders everything about t the codec depends
+// on — kinds, array lengths, field names and order, recursively — and plan
+// is its codec. It panics on a type the codec cannot carry (maps,
+// pointers, interfaces, unexported fields). Type names are left out:
+// renaming a type moves no byte of its records.
+func compile(t reflect.Type) (shape string, plan []step) {
+	var sb strings.Builder
+	plan = compileAt(&sb, t, 0, nil)
+	return sb.String(), plan
+}
+
+// compileAt appends to plan the steps of a t at offset off.
+func compileAt(sb *strings.Builder, t reflect.Type, off uintptr, plan []step) []step {
+	if s, ok := scalars[t.Kind()]; ok {
 		sb.WriteString(t.Kind().String())
+		return append(plan, step{off, s.one})
+	}
+	switch t.Kind() {
 	case reflect.Slice:
 		sb.WriteString("[]")
-		writeShape(sb, t.Elem())
+		elem := compileAt(sb, t.Elem(), 0, nil)
+		if s, ok := scalars[t.Elem().Kind()]; ok {
+			return append(plan, step{off, s.slice})
+		}
+		return append(plan, step{off, sliceOf(t, elem)})
 	case reflect.Array:
 		fmt.Fprintf(sb, "[%d]", t.Len())
-		writeShape(sb, t.Elem())
+		elem := compileAt(sb, t.Elem(), 0, nil)
+		for i := 0; i < t.Len(); i++ {
+			for _, s := range elem {
+				plan = append(plan, step{off + uintptr(i)*t.Elem().Size() + s.off, s.codec})
+			}
+		}
+		return plan
 	case reflect.Struct:
 		sb.WriteString("struct{")
 		for i := 0; i < t.NumField(); i++ {
@@ -71,18 +130,38 @@ func writeShape(sb *strings.Builder, t reflect.Type) {
 			}
 			sb.WriteString(f.Name)
 			sb.WriteByte(' ')
-			writeShape(sb, f.Type)
+			plan = compileAt(sb, f.Type, off+f.Offset, plan)
 			sb.WriteByte(';')
 		}
 		sb.WriteByte('}')
-	default:
-		panic(fmt.Sprintf("report: store codec cannot carry %s (kind %s)", t, t.Kind()))
+		return plan
 	}
+	panic(fmt.Sprintf("report: store codec cannot carry %s (kind %s)", t, t.Kind()))
+}
+
+// encode appends the value p points to, laid out by plan.
+func encode(b []byte, p unsafe.Pointer, plan []step) []byte {
+	for i := range plan {
+		b = plan[i].enc(b, unsafe.Add(p, plan[i].off))
+	}
+	return b
+}
+
+// decode fills the value p points to from the front of b and returns what
+// is left; false if b does not begin with one.
+func decode(b []byte, p unsafe.Pointer, plan []step) ([]byte, bool) {
+	ok := true
+	for i := range plan {
+		if b, ok = plan[i].dec(b, unsafe.Add(p, plan[i].off)); !ok {
+			return nil, false
+		}
+	}
+	return b, true
 }
 
 // encodeRecord renders rec as a record file: checksum, then payload.
 func encodeRecord(rec *record) []byte {
-	b := appendValue(make([]byte, 4, 1024), reflect.ValueOf(rec).Elem())
+	b := encode(make([]byte, 4, 1024), unsafe.Pointer(rec), recordPlan)
 	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[4:]))
 	return b
 }
@@ -90,125 +169,232 @@ func encodeRecord(rec *record) []byte {
 // decodeRecord is the inverse of encodeRecord. It fails on a short file, a
 // checksum mismatch, any value that does not decode and trailing bytes.
 func decodeRecord(b []byte, rec *record) error {
-	if len(b) < 4 || crc32.ChecksumIEEE(b[4:]) != binary.LittleEndian.Uint32(b) {
+	if !checksummed(b) {
 		return errRecord
 	}
-	rest, err := decodeValue(b[4:], reflect.ValueOf(rec).Elem())
-	if err != nil || len(rest) != 0 {
+	if rest, ok := decode(b[4:], unsafe.Pointer(rec), recordPlan); !ok || len(rest) != 0 {
 		return errRecord
 	}
 	return nil
 }
 
-// appendValue appends v in the positional form. The kinds are the ones
-// writeShape admits; recordShape has already vetted the type.
-func appendValue(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			return append(b, 1)
-		}
-		return append(b, 0)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.AppendVarint(b, v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return binary.AppendUvarint(b, v.Uint())
-	case reflect.Float32, reflect.Float64:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
-	case reflect.String:
-		s := v.String()
-		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-	case reflect.Slice:
-		b = binary.AppendUvarint(b, uint64(v.Len()))
-		fallthrough
-	case reflect.Array:
-		for i, n := 0, v.Len(); i < n; i++ {
-			b = appendValue(b, v.Index(i))
-		}
-		return b
-	case reflect.Struct:
-		for i, n := 0, v.NumField(); i < n; i++ {
-			b = appendValue(b, v.Field(i))
-		}
-		return b
-	}
-	panic("report: store codec: " + v.Kind().String())
+// scratch holds the records encodeResult and decodeResult work on. A record
+// passes through the plan's closures, so a local one would escape: an
+// allocation the size of a record on every Save and Load.
+var scratch = sync.Pool{New: func() any { return new(record) }}
+
+// encodeResult is encodeRecord of record{key, salt, *r} for a Save.
+func encodeResult(key, salt string, r *Result) []byte {
+	rec := scratch.Get().(*record)
+	*rec = record{key, salt, *r}
+	b := encodeRecord(rec)
+	*rec = record{} // the pool keeps no caller's strings or slices alive
+	scratch.Put(rec)
+	return b
 }
 
-// decodeValue fills v from the front of b and returns what is left.
-func decodeValue(b []byte, v reflect.Value) ([]byte, error) {
-	switch v.Kind() {
-	case reflect.Bool:
-		if len(b) == 0 || b[0] > 1 {
-			return nil, errRecord
-		}
-		v.SetBool(b[0] == 1)
-		return b[1:], nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		x, n := binary.Varint(b)
-		if n <= 0 || v.OverflowInt(x) {
-			return nil, errRecord
-		}
-		v.SetInt(x)
-		return b[n:], nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		x, n := binary.Uvarint(b)
-		if n <= 0 || v.OverflowUint(x) {
-			return nil, errRecord
-		}
-		v.SetUint(x)
-		return b[n:], nil
-	case reflect.Float32, reflect.Float64:
-		if len(b) < 8 {
-			return nil, errRecord
-		}
-		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-		return b[8:], nil
-	case reflect.String:
-		b, n, err := decodeLen(b)
-		if err != nil {
-			return nil, err
-		}
-		v.SetString(string(b[:n]))
-		return b[n:], nil
-	case reflect.Slice:
-		b, n, err := decodeLen(b)
-		if err != nil {
-			return nil, err
-		}
-		v.Grow(n) // allocates the elements only; an empty slice stays nil
-		v.SetLen(n)
-		return decodeElems(b, v)
-	case reflect.Array:
-		return decodeElems(b, v)
-	case reflect.Struct:
-		var err error
-		for i, n := 0, v.NumField(); i < n; i++ {
-			if b, err = decodeValue(b, v.Field(i)); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+// decodeResult is decodeRecord for a Load of key under salt: it compares
+// the record's Key and Salt with them inside b, without building strings,
+// and decodes only the Result, into *r. It accepts exactly the records
+// decodeRecord does whose Key and Salt are key and salt.
+func decodeResult(b []byte, key, salt string, r *Result) bool {
+	if !checksummed(b) {
+		return false
 	}
-	panic("report: store codec: " + v.Kind().String())
+	b, ok := matchString(b[4:], key)
+	if ok {
+		b, ok = matchString(b, salt)
+	}
+	if !ok {
+		return false
+	}
+	rec := scratch.Get().(*record)
+	b, ok = decode(b, unsafe.Pointer(rec), resultPlan)
+	if ok = ok && len(b) == 0; ok {
+		*r = rec.Result
+	}
+	rec.Result = Result{} // the pool keeps no caller's strings or slices alive
+	scratch.Put(rec)
+	return ok
+}
+
+func checksummed(b []byte) bool {
+	return len(b) >= 4 && crc32.ChecksumIEEE(b[4:]) == binary.LittleEndian.Uint32(b)
+}
+
+// matchString reads a string off the front of b and reports whether it is s.
+func matchString(b []byte, s string) ([]byte, bool) {
+	b, n, ok := decodeLen(b)
+	if !ok || string(b[:n]) != s {
+		return nil, false
+	}
+	return b[n:], true
 }
 
 // decodeLen reads a length prefix and refuses one the rest of the input
 // could not back with at least a byte per element.
-func decodeLen(b []byte) ([]byte, int, error) {
+func decodeLen(b []byte) ([]byte, int, bool) {
 	x, n := binary.Uvarint(b)
 	if n <= 0 || x > uint64(len(b)-n) {
-		return nil, 0, errRecord
+		return nil, 0, false
 	}
-	return b[n:], int(x), nil
+	return b[n:], int(x), true
 }
 
-func decodeElems(b []byte, v reflect.Value) ([]byte, error) {
-	var err error
-	for i, n := 0, v.Len(); i < n; i++ {
-		if b, err = decodeValue(b, v.Index(i)); err != nil {
-			return nil, err
-		}
+// A scalar is the codecs of one kind that is one value on the wire: of a
+// value, and of a slice of them. The slice codec loops over the elements
+// itself, so the rows of Stats.ThreadMisses, most of a record, decode
+// without a trip through the plan per element and allocate as make does.
+type scalar struct{ one, slice codec }
+
+// scalarOf builds a scalar from how to append one T and how to read one:
+// read returns the value and the bytes it took, 0 if b does not begin with
+// one.
+func scalarOf[T any](app func([]byte, T) []byte, read func([]byte) (T, int)) scalar {
+	return scalar{
+		one: codec{
+			func(b []byte, p unsafe.Pointer) []byte { return app(b, *(*T)(p)) },
+			func(b []byte, p unsafe.Pointer) ([]byte, bool) {
+				v, n := read(b)
+				if n == 0 {
+					return nil, false
+				}
+				*(*T)(p) = v
+				return b[n:], true
+			},
+		},
+		slice: codec{
+			func(b []byte, p unsafe.Pointer) []byte {
+				s := *(*[]T)(p)
+				b = binary.AppendUvarint(b, uint64(len(s)))
+				for _, v := range s {
+					b = app(b, v)
+				}
+				return b
+			},
+			func(b []byte, p unsafe.Pointer) ([]byte, bool) {
+				b, n, ok := decodeLen(b)
+				if !ok {
+					return nil, false
+				}
+				var s []T // an empty slice decodes nil
+				if n > 0 {
+					s = make([]T, n)
+				}
+				for i := range s {
+					v, m := read(b)
+					if m == 0 {
+						return nil, false
+					}
+					s[i], b = v, b[m:]
+				}
+				*(*[]T)(p) = s
+				return b, true
+			},
+		},
 	}
-	return b, nil
+}
+
+var boolScalar = scalarOf(
+	func(b []byte, v bool) []byte {
+		if v {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	},
+	func(b []byte) (bool, int) {
+		if len(b) == 0 || b[0] > 1 {
+			return false, 0
+		}
+		return b[0] == 1, 1
+	})
+
+var stringScalar = scalarOf(
+	func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) },
+	func(b []byte) (string, int) {
+		rest, n, ok := decodeLen(b)
+		if !ok {
+			return "", 0
+		}
+		return string(rest[:n]), len(b) - len(rest) + n // a copy: Load's buffer is reused
+	})
+
+// signed is the scalar of one signed integer kind; a value that overflows
+// T does not decode.
+func signed[T int | int8 | int16 | int32 | int64]() scalar {
+	return scalarOf(
+		func(b []byte, v T) []byte { return binary.AppendVarint(b, int64(v)) },
+		func(b []byte) (T, int) {
+			x, n := binary.Varint(b)
+			if n <= 0 || int64(T(x)) != x {
+				return 0, 0
+			}
+			return T(x), n
+		})
+}
+
+// unsigned is signed for the unsigned kinds.
+func unsigned[T uint | uint8 | uint16 | uint32 | uint64]() scalar {
+	return scalarOf(
+		func(b []byte, v T) []byte { return binary.AppendUvarint(b, uint64(v)) },
+		func(b []byte) (T, int) {
+			x, n := binary.Uvarint(b)
+			if n <= 0 || uint64(T(x)) != x {
+				return 0, 0
+			}
+			return T(x), n
+		})
+}
+
+// float is the scalar of one float kind, carried as a float64.
+func float[T float32 | float64]() scalar {
+	return scalarOf(
+		func(b []byte, v T) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(v))) },
+		func(b []byte) (T, int) {
+			if len(b) < 8 {
+				return 0, 0
+			}
+			return T(math.Float64frombits(binary.LittleEndian.Uint64(b))), 8
+		})
+}
+
+// sliceHeader is the layout of every Go slice.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
+}
+
+// sliceOf is the codec of slice type t whose elements elem lays out.
+func sliceOf(t reflect.Type, elem []step) codec {
+	size := t.Elem().Size()
+	return codec{
+		func(b []byte, p unsafe.Pointer) []byte {
+			s := (*sliceHeader)(p)
+			b = binary.AppendUvarint(b, uint64(s.len))
+			for i := 0; i < s.len; i++ {
+				b = encode(b, unsafe.Add(s.data, uintptr(i)*size), elem)
+			}
+			return b
+		},
+		func(b []byte, p unsafe.Pointer) ([]byte, bool) {
+			b, n, ok := decodeLen(b)
+			if !ok {
+				return nil, false
+			}
+			s := (*sliceHeader)(p)
+			*s = sliceHeader{} // an empty slice decodes nil, and no target's old elements are reused
+			if n > 0 {
+				// Allocates the elements only. Go has no other way to
+				// allocate a type known only at run time.
+				reflect.NewAt(t, p).Elem().Grow(n)
+				s.len = n
+			}
+			for i := 0; i < n; i++ {
+				if b, ok = decode(b, unsafe.Add(s.data, uintptr(i)*size), elem); !ok {
+					return nil, false
+				}
+			}
+			return b, true
+		},
+	}
 }

@@ -3,12 +3,21 @@ package report
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/wpu"
 )
 
 // fillRandom sets every value under v to something drawn from rng, edge
@@ -119,17 +128,127 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenRecords builds the two records testdata/record.golden holds: a
+// random one (every kind, edge values, nil, empty and ragged slices) and a
+// real KMeans DWS.ReviveSplit Result under its cache key. The second
+// simulates, so it is built only under -update.
+func goldenRecords(t *testing.T) []record {
+	random := randRecord(rand.New(rand.NewSource(1234)))
+	if !*updateGolden {
+		return []record{random}
+	}
+	k := DefaultKnobs(wpu.SchemeRevive)
+	r, err := NewSession().Run("KMeans", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []record{random, {Key: k.key("KMeans"), Salt: "record-golden", Result: r}}
+}
+
+// TestRecordGolden holds the codec to the bytes the reflective encoder it
+// replaced wrote into testdata/record.golden, one record per hex line. Both
+// records must encode to their line, decode from it — through decodeRecord
+// and through a Store's Load — and the random one must decode to the value
+// it was made from. A change to Result's layout moves recordShape, and with
+// it the salt, so the old bytes are never read; re-take the file then with
+// `go test ./internal/report -run RecordGolden -update`.
+func TestRecordGolden(t *testing.T) {
+	path := filepath.Join("testdata", "record.golden")
+	recs := goldenRecords(t)
+	if *updateGolden {
+		var buf bytes.Buffer
+		for i := range recs {
+			fmt.Fprintf(&buf, "%x\n", encodeRecord(&recs[i]))
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	lines := strings.Fields(string(text))
+	if len(lines) != 2 {
+		t.Fatalf("%s holds %d records, want 2", path, len(lines))
+	}
+	for i, line := range lines {
+		golden, err := hex.DecodeString(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got record
+		if err := decodeRecord(golden, &got); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if i < len(recs) {
+			want := recs[i]
+			if b := encodeRecord(&want); !bytes.Equal(b, golden) {
+				t.Errorf("record %d encodes to bytes other than the golden's", i)
+			}
+			nilEmptySlices(reflect.ValueOf(&want).Elem())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("record %d decodes to a value other than the one it was made from", i)
+			}
+		} else if k := DefaultKnobs(wpu.SchemeRevive); got.Key != k.key("KMeans") ||
+			got.Result.Bench != "KMeans" || got.Result.Scheme != wpu.SchemeRevive || got.Result.Cycles == 0 {
+			t.Errorf("record %d is not the KMeans record: key %q, %s/%s, %d cycles",
+				i, got.Key, got.Result.Bench, got.Result.Scheme, got.Result.Cycles)
+		} else if b := encodeRecord(&got); !bytes.Equal(b, golden) {
+			t.Errorf("record %d re-encodes to bytes other than the golden's", i)
+		}
+
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.salt = got.Salt
+		file := st.path(st.digest(got.Key))
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := st.Load(got.Key); !ok || !reflect.DeepEqual(r, got.Result) {
+			t.Errorf("record %d: Load hit %v, and its Result differs from decodeRecord's", i, ok)
+		}
+	}
+}
+
 // sealed puts the checksum decodeRecord wants in front of a payload.
 func sealed(payload []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)), payload...)
 }
 
-// FuzzDecodeRecord feeds decodeRecord arbitrary bytes twice: as a record
-// file, where almost every mutation dies at the checksum as it should, and
-// as a payload under a correct checksum, where it reaches the walker. A
-// decode must never panic, must not allocate more than a small multiple of
-// its input whatever lengths the input claims, and whatever it accepts must
-// survive its own round trip.
+// leadingStrings reads the two strings a record file begins with, its Key
+// and Salt if it is one: the key and salt that take decodeResult furthest
+// into b. What is not there reads as "".
+func leadingStrings(b []byte) (key, salt string) {
+	if len(b) < 4 {
+		return "", ""
+	}
+	rest, n, ok := decodeLen(b[4:])
+	if !ok {
+		return "", ""
+	}
+	key, rest = string(rest[:n]), rest[n:]
+	if rest, n, ok = decodeLen(rest); ok {
+		salt = string(rest[:n])
+	}
+	return key, salt
+}
+
+// FuzzDecodeRecord feeds both decode entry points arbitrary bytes twice: as
+// a record file, where almost every mutation dies at the checksum as it
+// should, and as a payload under a correct checksum, where it reaches the
+// plan. A decode must never panic, must not allocate more than a small
+// multiple of its input whatever lengths the input claims, and whatever it
+// accepts must survive its own round trip. Load's decodeResult must agree
+// with decodeRecord: on a record decodeRecord accepts, it accepts that
+// record's Key and Salt, refuses any other key, and decodes the same
+// Result; on one decodeRecord refuses, it refuses every key.
 func FuzzDecodeRecord(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 4; i++ {
@@ -137,6 +256,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		b := encodeRecord(&rec)
 		f.Add(b)
 		f.Add(b[4:])
+		f.Add(append(bytes.Clone(b[4:]), 0)) // a whole record and a byte more
 		for _, n := range []int{0, 3, 4, 5, len(b) / 3, len(b) / 2, len(b) - 1} {
 			f.Add(b[:n])
 			f.Add(b[4:][:max(n-4, 0)])
@@ -146,19 +266,44 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(append([]byte{0, 0}, bytes.Repeat([]byte{0xff}, 64)...)) // a length that overflows a varint
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, b := range [][]byte{in, sealed(in)} {
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			var rec record
-			err := decodeRecord(b, &rec)
-			runtime.ReadMemStats(&ms1)
 			// 24 bytes of slice header per input byte is the worst the format
 			// allows; the constant covers the record itself and the runtime's
 			// own noise. A length taken at its word would be orders beyond.
-			if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, uint64(32*len(b)+64<<10); got > limit {
-				t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(b), got, limit)
+			limit := uint64(32*len(b) + 64<<10)
+			allocated := func(decode func()) uint64 {
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				decode()
+				runtime.ReadMemStats(&ms1)
+				return ms1.TotalAlloc - ms0.TotalAlloc
+			}
+			var rec record
+			var err error
+			if got := allocated(func() { err = decodeRecord(b, &rec) }); got > limit {
+				t.Fatalf("decodeRecord of %d bytes allocated %d (limit %d)", len(b), got, limit)
+			}
+			key, salt := leadingStrings(b)
+			if err == nil && (key != rec.Key || salt != rec.Salt) {
+				t.Fatalf("a record's leading strings are %q, %q, its Key and Salt %q, %q", key, salt, rec.Key, rec.Salt)
+			}
+			var r Result
+			var ok bool
+			if got := allocated(func() { ok = decodeResult(b, key, salt, &r) }); got > limit {
+				t.Fatalf("decodeResult of %d bytes allocated %d (limit %d)", len(b), got, limit)
+			}
+			if ok != (err == nil) {
+				t.Fatalf("decodeRecord says %v, decodeResult of its key and salt says %v", err, ok)
 			}
 			if err != nil {
 				continue
+			}
+			// Compared by their bytes: a fuzzed float may be NaN, which
+			// DeepEqual never finds equal.
+			if !bytes.Equal(encodeRecord(&record{key, salt, r}), encodeRecord(&rec)) {
+				t.Fatal("decodeResult and decodeRecord decode different Results")
+			}
+			if decodeResult(b, key+"x", salt, &r) || decodeResult(b, key, salt+"x", &r) {
+				t.Fatal("decodeResult accepts a record under another key or salt")
 			}
 			enc := encodeRecord(&rec)
 			var again record
@@ -170,6 +315,50 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPlanNarrowKinds: Result holds no bool and no integer narrower than 64
+// bits, so no record reaches those checks; a plan of such a type must still
+// refuse a bool byte other than 0 or 1 and a varint its kind cannot hold,
+// and carry each kind's extremes, alone and in a slice.
+func TestPlanNarrowKinds(t *testing.T) {
+	type narrow struct {
+		B bool
+		I int8
+		U uint16
+		F float32
+		S []int32
+	}
+	_, plan := compile(reflect.TypeOf(narrow{}))
+	decodes := func(b []byte) (narrow, bool) {
+		var v narrow
+		rest, ok := decode(b, unsafe.Pointer(&v), plan)
+		return v, ok && len(rest) == 0
+	}
+	want := narrow{true, math.MinInt8, math.MaxUint16, -math.MaxFloat32, []int32{math.MinInt32, math.MaxInt32}}
+	good := encode(nil, unsafe.Pointer(&want), plan)
+	if got, ok := decodes(good); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("extremes: decoded %+v, %v; want %+v", got, ok, want)
+	}
+	float := binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
+	for name, b := range map[string][]byte{
+		"bool 2":        slices.Concat([]byte{2}, binary.AppendVarint(nil, 0), binary.AppendUvarint(nil, 0), float, []byte{0}),
+		"int8 128":      slices.Concat([]byte{1}, binary.AppendVarint(nil, 128), binary.AppendUvarint(nil, 0), float, []byte{0}),
+		"uint16 65536":  slices.Concat([]byte{1}, binary.AppendVarint(nil, 0), binary.AppendUvarint(nil, 65536), float, []byte{0}),
+		"short float":   slices.Concat([]byte{1}, binary.AppendVarint(nil, 0), binary.AppendUvarint(nil, 0), float[:7]),
+		"int32 2^31":    slices.Concat([]byte{1}, binary.AppendVarint(nil, 0), binary.AppendUvarint(nil, 0), float, []byte{1}, binary.AppendVarint(nil, math.MaxInt32+1)),
+		"trailing byte": append(slices.Clone(good), 0),
+	} {
+		if _, ok := decodes(b); ok {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// shapeOf is compile's fingerprint of t alone.
+func shapeOf(t reflect.Type) string {
+	shape, _ := compile(t)
+	return shape
 }
 
 // TestShapeFingerprint: the fingerprint moves with one field name, one kind

@@ -3,8 +3,11 @@ package report
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -205,14 +208,92 @@ func (k Knobs) Config() sim.Config {
 // key derives the string form of the cache key from the benchmark name
 // plus every Knobs field: what the on-disk store digests into a file name
 // and serve.ResultKey into a result address. (The session cache needs no
-// string; it is keyed by the Job itself.) %#v prints all fields by name, so
-// a newly added knob joins the key without further code;
+// string; it is keyed by the Job itself.) It is fmt.Sprintf("%s|%#v"),
+// appended by knobsSyntax instead of formatted: every field by name, so a
+// newly added knob joins the key without further code;
 // TestKnobKeyCoversAllFields enforces that the rendering actually
 // distinguishes each field. Struct tags and the text form of Dist do not
-// show in %#v; a GoString method on a field type would, and would move
-// every key.
+// show in %#v. A GoString or Format method on a field type would, and
+// would move every key: the renderer refuses such a type at start-up, and
+// TestKnobKeyMatchesGoSyntax holds it equal to %#v.
 func (k Knobs) key(bench string) string {
-	return fmt.Sprintf("%s|%#v", bench, k)
+	var buf [256]byte // a default key is ~210 bytes; the string is the one allocation
+	b := append(append(buf[:0], bench...), '|')
+	return string(knobsSyntax.append(b, unsafe.Pointer(&k)))
+}
+
+// knobsSyntax renders a Knobs as %#v does, its fields read off the type
+// once.
+var knobsSyntax = goSyntaxOf(reflect.TypeOf(Knobs{}))
+
+// goSyntax appends a struct of bool, string and int fields the way fmt's
+// %#v prints it: the type's name, then Name:value for each field.
+type goSyntax struct {
+	open   string // "report.Knobs{"
+	fields []goField
+}
+
+type goField struct {
+	label string // "Name:", after ", " from the second field on
+	off   uintptr
+	kind  reflect.Kind
+}
+
+var goStringer, formatter = reflect.TypeFor[fmt.GoStringer](), reflect.TypeFor[fmt.Formatter]()
+
+// goSyntaxOf lays out t for goSyntax.append. It panics on a type it does
+// not render exactly as %#v does: anything but a struct of bool, string
+// and int fields (%#v prints unsigned integers in hex and floats by rules
+// of their own), and a type with a GoString or Format method, which %#v
+// would call instead.
+func goSyntaxOf(t reflect.Type) goSyntax {
+	if t.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("report: key renderer needs a struct, not %s", t))
+	}
+	mustPrintPlainly(t)
+	gs := goSyntax{open: t.String() + "{"}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.String, reflect.Int:
+		default:
+			panic(fmt.Sprintf("report: key renderer renders bool, string and int fields, not %s.%s (kind %s)", t, f.Name, f.Type.Kind()))
+		}
+		mustPrintPlainly(f.Type)
+		label := f.Name + ":"
+		if i > 0 {
+			label = ", " + label
+		}
+		gs.fields = append(gs.fields, goField{label, f.Offset, f.Type.Kind()})
+	}
+	return gs
+}
+
+// mustPrintPlainly panics if %#v would call a method of t instead of
+// printing its value.
+func mustPrintPlainly(t reflect.Type) {
+	if p := reflect.PointerTo(t); p.Implements(goStringer) || p.Implements(formatter) {
+		panic(fmt.Sprintf("report: key renderer cannot render %s: %%#v would call its GoString or Format method", t))
+	}
+}
+
+// append appends the struct p points to; p must point to a value of the
+// type gs was laid out for.
+func (gs *goSyntax) append(b []byte, p unsafe.Pointer) []byte {
+	b = append(b, gs.open...)
+	for _, f := range gs.fields {
+		b = append(b, f.label...)
+		q := unsafe.Add(p, f.off)
+		switch f.kind {
+		case reflect.Bool:
+			b = strconv.AppendBool(b, *(*bool)(q))
+		case reflect.String:
+			b = strconv.AppendQuote(b, *(*string)(q))
+		case reflect.Int:
+			b = strconv.AppendInt(b, int64(*(*int)(q)), 10)
+		}
+	}
+	return append(b, '}')
 }
 
 // Key exposes the cache key for one point. The serve layer digests it

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -21,6 +22,55 @@ func TestDefaultKnobsKeyPinned(t *testing.T) {
 	const want = `Filter|report.Knobs{WPUs:4, Width:16, Warps:4, Slots:0, WST:16, L1KB:32, L1Assoc:8, L2KB:4096, L2Lat:30, Scheme:"DWS.ReviveSplit", Dist:0, Scale:0, NoWaitMerge:false, NoProgSched:false, NoMemHints:false, BranchThresh:0}`
 	if got := DefaultKnobs(wpu.SchemeRevive).Key("Filter"); got != want {
 		t.Errorf("default key moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestKnobKeyMatchesGoSyntax holds the appended key to what fmt's %#v
+// prints, over random vectors: integer extremes, negative values and
+// strings that need quoting (a NUL, a newline, non-ASCII).
+func TestKnobKeyMatchesGoSyntax(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		var k Knobs
+		fillRandom(rng, reflect.ValueOf(&k).Elem())
+		bench := []string{"KMeans", "", "a|b", "\"q\""}[i%4]
+		if got, want := k.key(bench), fmt.Sprintf("%s|%#v", bench, k); got != want {
+			t.Fatalf("key differs from %%#v:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// goStringKnob has a GoString method, which %#v would call.
+type goStringKnob int
+
+func (goStringKnob) GoString() string { return "knob" }
+
+// formatKnob has a Format method, which %#v would call.
+type formatKnob bool
+
+func (formatKnob) Format(fmt.State, rune) {}
+
+// TestKnobKeyRefusesWhatGoSyntaxRendersOtherwise: the key renderer panics
+// on a field it does not render exactly as %#v does, as the record codec
+// does on one it cannot carry, so for Knobs that is at process start.
+func TestKnobKeyRefusesWhatGoSyntaxRendersOtherwise(t *testing.T) {
+	for name, typ := range map[string]any{
+		"float":        struct{ F float64 }{},
+		"unsigned":     struct{ U uint }{},
+		"int8":         struct{ I int8 }{},
+		"struct":       struct{ S struct{ A int } }{},
+		"GoString":     struct{ G goStringKnob }{},
+		"Format":       struct{ F formatKnob }{},
+		"not a struct": 0,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("goSyntaxOf accepted a %s", name)
+				}
+			}()
+			goSyntaxOf(reflect.TypeOf(typ))
+		}()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -238,8 +239,11 @@ type record struct {
 
 // digest names the record file for a key under the current salt.
 func (st *Store) digest(key string) string {
-	d := sha256.Sum256([]byte(st.salt + "\n" + key))
-	return hex.EncodeToString(d[:16])
+	var buf [256]byte // salt, newline and a default key fit; the string is the one allocation
+	d := sha256.Sum256(append(append(append(buf[:0], st.salt...), '\n'), key...))
+	var h [32]byte
+	hex.Encode(h[:], d[:16])
+	return string(h[:])
 }
 
 // path places a record file inside its two-hex-digit directory.
@@ -288,17 +292,27 @@ func (st *Store) evictLocked() {
 // that mirrors the outcome runs under it.
 func (st *Store) Load(key string) (Result, bool) {
 	digest := st.digest(key)
-	var rec record
-	b, err := os.ReadFile(st.path(digest))
-	ok := err == nil
-	if ok && (decodeRecord(b, &rec) != nil || rec.Key != key || rec.Salt != st.salt) {
-		os.Remove(st.path(digest)) // best-effort; the resimulation's Save replaces it anyway
-		st.corrupt.Add(1)
-		ok = false
+	var r Result
+	var size int64
+	ok := false
+	if f, err := os.Open(st.path(digest)); err == nil { // a miss takes no buffer
+		buf := readBufs.Get().(*[]byte)
+		b, err := readAll(f, (*buf)[:0])
+		f.Close()
+		size, ok = int64(len(b)), err == nil
+		if ok && !decodeResult(b, key, st.salt, &r) {
+			os.Remove(st.path(digest)) // best-effort; the resimulation's Save replaces it anyway
+			st.corrupt.Add(1)
+			ok = false
+		}
+		if cap(b) <= maxPooledRead {
+			*buf = b
+			readBufs.Put(buf)
+		}
 	}
 	st.mu.Lock()
 	if ok {
-		st.index(digest, int64(len(b))) // refresh recency; adopt foreign writes
+		st.index(digest, size) // refresh recency; adopt foreign writes
 	} else {
 		st.drop(digest) // evicted, removed by another process, or unreadable and removed above
 	}
@@ -308,7 +322,35 @@ func (st *Store) Load(key string) (Result, bool) {
 		return Result{}, false
 	}
 	st.hits.Add(1)
-	return rec.Result, true
+	return r, true
+}
+
+// readBufs holds Load's read buffers, so a warm Load allocates none. A
+// new one holds a spine record (~0.8 KB) with room to spare.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2<<10); return &b }}
+
+// maxPooledRead is the largest buffer Load returns to readBufs. A record is
+// about a kilobyte; a bigger buffer was grown by a file that was not one,
+// and the pool should not keep it alive.
+const maxPooledRead = 64 << 10
+
+// readAll appends the rest of f to b. Unlike os.ReadFile it does not Stat
+// the file to size a fresh buffer: it reads into b until EOF, growing b
+// only if the file does not fit.
+func readAll(f *os.File, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // Save persists one result and evicts past the size cap. A failure is
@@ -325,7 +367,7 @@ func (st *Store) Save(key string, r Result) error {
 }
 
 func (st *Store) save(key string, r Result) error {
-	b := encodeRecord(&record{Key: key, Salt: st.salt, Result: r})
+	b := encodeResult(key, st.salt, &r)
 	digest := st.digest(key)
 	recDir := filepath.Join(st.dir, digest[:2])
 	if err := os.MkdirAll(recDir, 0o755); err != nil {

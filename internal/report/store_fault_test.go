@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -137,6 +138,45 @@ func TestStoreQuarantine(t *testing.T) {
 	}
 	if _, ok := st.Load(key(0)); ok || st.Stats().Corrupt != uint64(len(faults)) {
 		t.Error("a quarantined record's second Load is not a plain miss")
+	}
+}
+
+// TestStoreOversizedRecord: a 1 MiB file of garbage at a record's name is
+// quarantined like any bad record — removed, counted, a miss — the buffer
+// Load grew to read it is not kept for the next Load, and the next Load of
+// a good record still hits.
+func TestStoreOversizedRecord(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range []string{"good", "big"} {
+		if err := st.Save(key, fakeResult(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := st.path(st.digest("big"))
+	garbage := make([]byte, 1<<20)
+	rand.New(rand.NewSource(8)).Read(garbage)
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Load("big"); ok {
+		t.Fatal("Load accepted 1 MiB of garbage")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the garbage was left in place (%v)", err)
+	}
+	if s := st.Stats(); s.Corrupt != 1 || s.Misses != 1 || s.Records != 1 {
+		t.Errorf("store %+v, want 1 corrupt, 1 miss, 1 record", s)
+	}
+	for i := 0; i < 4; i++ { // the pool hands a goroutine back what it last put
+		if b := readBufs.Get().(*[]byte); cap(*b) > maxPooledRead {
+			t.Fatalf("Load kept its %d-byte read buffer for reuse", cap(*b))
+		}
+	}
+	if r, ok := st.Load("good"); !ok || !reflect.DeepEqual(r, fakeResult(0)) {
+		t.Errorf("the good record after the garbage: hit %v, %+v", ok, r)
 	}
 }
 

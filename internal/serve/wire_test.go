@@ -160,9 +160,20 @@ func TestSweepPointOrder(t *testing.T) {
 }
 
 // TestResultKeyStable pins the result-key derivation: content-addressed,
-// stable across processes, and sensitive to every knob (via the session
-// cache key it digests).
+// stable across processes and builds, and sensitive to every knob (via the
+// session cache key it digests). A result key is a wire address clients may
+// keep across daemon restarts, so two are pinned as literals.
 func TestResultKeyStable(t *testing.T) {
+	for _, c := range []struct {
+		bench, scheme, want string
+	}{
+		{"Filter", "Conv", "e870ad1d7cd2b56703b45bf62f25ca56"},
+		{"KMeans", "DWS.ReviveSplit", "8c45aefc481460946de65f4bc9841c06"},
+	} {
+		if got := ResultKey(c.bench, report.DefaultKnobs(wpu.Scheme(c.scheme))); got != c.want {
+			t.Errorf("ResultKey(%s, %s) = %s, want %s", c.bench, c.scheme, got, c.want)
+		}
+	}
 	k := report.DefaultKnobs("Conv")
 	a, b := ResultKey("Filter", k), ResultKey("Filter", k)
 	if a != b {
