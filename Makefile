@@ -44,10 +44,19 @@ test:
 # pool, disk store), the observability exports
 # (golden/determinism tests), and the daemon's end-to-end paths
 # (concurrent submissions, SSE subscribers racing the publisher).
-# internal/report alone takes 9 to 11 minutes under the detector on this box
-# (635 s in PR 22), hence the timeout above go test's ten minutes.
+# TestJumpEqualsCrawl and TestRecycledMachineEqualsFresh are skipped: each
+# drives one machine on the test goroutine (no Session, no Prefetch, no
+# goroutine), so the detector has nothing to report in them, yet together
+# they were over half of internal/report's time under it. The allocation
+# pins (Test*Allocs, Test*AllocFree) are skipped too: they run on the test
+# goroutine, and under -race AllocsPerRun also counts the detector's own
+# allocations, which vary from run to run (TestStoreOpenAllocs read 21-23
+# where it reads 19 without it). `make test` runs all of them in full. See
+# EXPERIMENTS.md "make race without the single-goroutine tests" for the
+# wall time; the timeout stays above go test's ten minutes.
+RACE_SKIP = ^(TestJumpEqualsCrawl|TestRecycledMachineEqualsFresh|Test\w+Allocs|Test\w+AllocFree)$$
 race:
-	$(GO) test -race -timeout 30m ./internal/report/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race -timeout 30m -skip '$(RACE_SKIP)' ./internal/report/... ./internal/obs/... ./internal/serve/...
 
 # The full exhibit set at -j 1 vs -j GOMAXPROCS, one run each: the
 # executor's wall-clock speedup on this host. Timing claims are judged with

@@ -147,6 +147,7 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsim", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-l1kb", "0"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-l2kb", "0"},
+		{"dwsim", "-bench", "Filter", "-nocache", "-wpus", "0"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-param", "bogus"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsweep", "-bench", "Filter", "-nocache", "-alt", "Nope"},

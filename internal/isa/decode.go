@@ -41,7 +41,7 @@ const (
 	// unset means taken-on-zero (BEQZ).
 	DFBranchNZ
 	// DFUniform: the divergence analysis proved the branch predicate
-	// warp-uniform (program layer; mirrors BranchInfo.Uniform).
+	// warp-uniform (program layer; BranchInfo.Class == ClassUniform).
 	DFUniform
 	// DFSubdiv: static analysis allows dynamic warp subdivision at this
 	// branch (program layer; mirrors BranchInfo.Subdividable).

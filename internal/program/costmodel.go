@@ -2,9 +2,9 @@
 // on top of the divergence lattice in dataflow.go and the access-pattern
 // analysis in memaccess.go).
 //
-// Two results per kernel, both computed at Build time against
-// DefaultCostParams and recomputable for any launch geometry
-// (CostModelFor, mirroring MemAccessFor):
+// Two results per kernel, computed on demand against DefaultCostParams
+// (CostModel) or any launch geometry (CostModelFor, mirroring
+// MemAccessFor); Build runs the analysis once, inside the verifier:
 //
 //   - Affine trip-count analysis: for every natural loop, a [lo,hi] bound
 //     on the per-thread, per-entry iteration count. Grid-stride loops
@@ -424,7 +424,8 @@ type UniformRange struct {
 }
 
 // DeclareUniformRange declares reg as a warp-uniform scalar input whose
-// launch value lies in [lo, hi] (inclusive).
+// launch value lies in [lo, hi] (inclusive). Build rejects r0, a register
+// past the file, and lo > hi.
 func (b *Builder) DeclareUniformRange(reg isa.Reg, lo, hi int64) {
 	b.DeclareUniformInputs(reg)
 	b.uranges = append(b.uranges, UniformRange{Reg: reg, Lo: lo, Hi: hi})
@@ -451,10 +452,8 @@ func (p *Program) costEntry(cp CostParams) cstate {
 	s[2] = cconst(T)
 	per := (T + int64(cp.WPUs) - 1) / int64(cp.WPUs)
 	s[3] = cval{c0: ival{0, max(per-1, 0)}}
-	for _, u := range p.uranges {
-		if u.Reg > 0 && u.Reg < isa.NumRegs {
-			s[u.Reg] = cval{c0: ival{clampCost(u.Lo), clampCost(u.Hi)}}
-		}
+	for _, u := range p.uranges { // Build rejected r0 and registers past the file
+		s[u.Reg] = cval{c0: ival{clampCost(u.Lo), clampCost(u.Hi)}}
 	}
 	return s
 }
@@ -910,18 +909,18 @@ func costGeometry(cp CostParams) costGeom {
 	return g
 }
 
-// CostModel returns the model recorded at Build time (DefaultCostParams
-// geometry, declared thread count).
-func (p *Program) CostModel() *CostModel { return p.cost }
+// CostModel computes the model under DefaultCostParams and the declared
+// thread count.
+func (p *Program) CostModel() *CostModel { return p.CostModelFor(CostParams{}) }
 
-// CostModelFor recomputes the model for an arbitrary launch geometry —
-// the MemAccessFor analogue, used by the concordance harness with the
-// per-step thread count.
+// CostModelFor computes the model for an arbitrary launch geometry — the
+// MemAccessFor analogue, used by the concordance harness with the per-step
+// thread count.
 func (p *Program) CostModelFor(cp CostParams) *CostModel { return p.costModel(p.cfg, cp) }
 
 // costModel is the analysis behind CostModelFor over a given CFG view:
-// Build's own for the recorded model and launch-time recomputation, a fresh
-// one when the verifier cross-checks the record.
+// Build's own for the reports and launch-time computation, a fresh one when
+// the verifier checks the model's invariants.
 func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 	cp = cp.normalizedFor(p)
 	m := &CostModel{Params: cp}
@@ -1240,12 +1239,5 @@ func (m *CostModel) Report(name string) string {
 	return sb.String()
 }
 
-// CostModelReport renders the Build-time model (computing one on demand
-// for programs built before the model was wired in).
-func (p *Program) CostModelReport() string {
-	m := p.cost
-	if m == nil {
-		m = p.CostModelFor(CostParams{})
-	}
-	return m.Report(p.Name)
-}
+// CostModelReport renders CostModel's model.
+func (p *Program) CostModelReport() string { return p.CostModel().Report(p.Name) }

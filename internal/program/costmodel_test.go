@@ -305,8 +305,8 @@ func TestCostModelStraightLine(t *testing.T) {
 	}
 }
 
-// The model recorded at Build matches a fresh analysis run and survives
-// the verifier's costmodel cross-check.
+// CostModel is CostModelFor at its own (default) parameters, and the
+// model passes the verifier's costmodel invariant checks.
 func TestCostModelRecordedAtBuild(t *testing.T) {
 	b := NewBuilder("recorded")
 	b.DeclareThreads(16)
@@ -323,11 +323,11 @@ func TestCostModelRecordedAtBuild(t *testing.T) {
 	p := mustBuildProg(t, b)
 	m := p.CostModel()
 	if m == nil {
-		t.Fatal("no cost model recorded at Build")
+		t.Fatal("no cost model")
 	}
 	fresh := p.CostModelFor(m.Params)
 	if got, want := m.Report(p.Name), fresh.Report(p.Name); got != want {
-		t.Errorf("recorded model drifted:\n%s\nvs fresh:\n%s", got, want)
+		t.Errorf("default model drifted:\n%s\nvs CostModelFor its params:\n%s", got, want)
 	}
 	for _, f := range p.Verify() {
 		if f.Check == "costmodel" {

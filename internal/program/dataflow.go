@@ -71,16 +71,6 @@ func (c Class) String() string {
 	}
 }
 
-// AccessInfo is the per-memory-instruction verdict of the divergence
-// analysis: how the effective address varies across the lanes of a warp.
-// Only affine and divergent addresses can produce intra-warp memory
-// divergence (§3.2); a uniform address hits or misses as one.
-type AccessInfo struct {
-	PC    int
-	Store bool
-	Class Class
-}
-
 // The abstract value domain. Three kinds, ordered vExact ⊑ vStride ⊑ vDiv:
 //
 //   - vExact: value = (region base) + c0 + ct·tid, with exact non-wrapping
@@ -527,12 +517,6 @@ func (p *Program) analyzeDivergence(g *cfgView) *divResult {
 	return res
 }
 
-// Accesses returns the per-load/store divergence classification recorded
-// at Build time, in pc order.
-func (p *Program) Accesses() []AccessInfo {
-	return append([]AccessInfo(nil), p.accesses...)
-}
-
 // DivergenceReport renders the per-kernel divergence analysis verdicts in
 // a stable, golden-file-friendly format: every conditional branch with its
 // predicate class and subdivide decision (flagging where the analysis
@@ -558,7 +542,7 @@ func (p *Program) DivergenceReport() string {
 		}
 	}
 	var au, aa, ad int
-	for _, a := range p.accesses {
+	for _, a := range p.memAccess {
 		switch a.Class {
 		case ClassUniform:
 			au++
@@ -569,7 +553,7 @@ func (p *Program) DivergenceReport() string {
 		}
 	}
 	fmt.Fprintf(&sb, "kernel %s: %d branches (%d uniform, %d affine, %d divergent), %d accesses (%d uniform, %d affine, %d divergent)\n",
-		p.Name, len(pcs), nu, na, nd, len(p.accesses), au, aa, ad)
+		p.Name, len(pcs), nu, na, nd, len(p.memAccess), au, aa, ad)
 
 	limit := p.shortLimit
 	if limit <= 0 {
@@ -591,8 +575,8 @@ func (p *Program) DivergenceReport() string {
 			}
 			sb.WriteByte('\n')
 		}
-		for ai < len(p.accesses) && p.accesses[ai].PC == pc {
-			a := p.accesses[ai]
+		for ai < len(p.memAccess) && p.memAccess[ai].PC == pc {
+			a := p.memAccess[ai]
 			op := "ld"
 			if a.Store {
 				op = "st"

@@ -261,8 +261,8 @@ func TestLoopWidening(t *testing.T) {
 	})
 }
 
-// TestBranchInfoWiring checks the Build-level consumers: Class/Uniform
-// recording and the refined Subdividable rule.
+// TestBranchInfoWiring checks the Build-level consumers: Class recording
+// and the refined Subdividable rule.
 func TestBranchInfoWiring(t *testing.T) {
 	// Uniform short-join branch: heuristically subdividable, analytically
 	// not (it can never split a warp).
@@ -274,8 +274,8 @@ func TestBranchInfoWiring(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 	bi, _ := p.Branch(1)
-	if !bi.Uniform || bi.Class != ClassUniform {
-		t.Fatalf("constant predicate: got class %s uniform=%v", bi.Class, bi.Uniform)
+	if bi.Class != ClassUniform {
+		t.Fatalf("constant predicate: got class %s", bi.Class)
 	}
 	if bi.Subdividable {
 		t.Fatal("statically-uniform branch must not be subdividable")
@@ -289,8 +289,8 @@ func TestBranchInfoWiring(t *testing.T) {
 	b.Halt()
 	p = b.MustBuild()
 	bi, _ = p.Branch(0)
-	if bi.Uniform || bi.Class != ClassAffine {
-		t.Fatalf("tid predicate: got class %s uniform=%v", bi.Class, bi.Uniform)
+	if bi.Class != ClassAffine {
+		t.Fatalf("tid predicate: got class %s", bi.Class)
 	}
 	if !bi.Subdividable {
 		t.Fatal("affine short-join branch should stay subdividable")
@@ -309,18 +309,22 @@ func TestAccessClassification(t *testing.T) {
 	b.St(12, 12, 0) // divergent address (loaded value)
 	b.Halt()
 	p := b.MustBuild()
-	got := p.Accesses()
-	want := []AccessInfo{
-		{PC: 0, Store: false, Class: ClassUniform},
-		{PC: 3, Store: false, Class: ClassAffine},
-		{PC: 4, Store: true, Class: ClassDivergent},
+	got := p.MemAccesses()
+	want := []struct {
+		pc    int
+		store bool
+		class Class
+	}{
+		{0, false, ClassUniform},
+		{3, false, ClassAffine},
+		{4, true, ClassDivergent},
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Accesses = %+v, want %+v", got, want)
+		t.Fatalf("MemAccesses = %+v, want %+v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("access %d = %+v, want %+v", i, got[i], want[i])
+	for i, w := range want {
+		if g := got[i]; g.PC != w.pc || g.Store != w.store || g.Class != w.class {
+			t.Errorf("access %d = %+v, want %+v", i, g, w)
 		}
 	}
 }

@@ -58,11 +58,8 @@ func TestDecodedStreamMatchesTables(t *testing.T) {
 		if !ok {
 			t.Fatalf("pc %d: branch missing from table", pc)
 		}
-		if got, want := d.Flags&isa.DFUniform != 0, bi.Uniform; got != want {
-			t.Errorf("pc %d: DFUniform = %v, want %v", pc, got, want)
-		}
-		if got, want := d.Flags&isa.DFUniform != 0, p.UniformBranch(pc); got != want {
-			t.Errorf("pc %d: DFUniform = %v, UniformBranch = %v", pc, got, want)
+		if got, want := d.Flags&isa.DFUniform != 0, bi.Class == ClassUniform; got != want {
+			t.Errorf("pc %d: DFUniform = %v, want %v (class %s)", pc, got, want, bi.Class)
 		}
 		if got, want := d.Flags&isa.DFSubdiv != 0, bi.Subdividable; got != want {
 			t.Errorf("pc %d: DFSubdiv = %v, want %v", pc, got, want)

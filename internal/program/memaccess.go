@@ -133,7 +133,9 @@ type MemAccessInfo struct {
 	PC    int
 	Store bool
 	// Class is the divergence-lattice verdict on the address (uniform /
-	// affine / divergent), identical to AccessInfo.Class.
+	// affine / divergent). Only affine and divergent addresses can produce
+	// intra-warp memory divergence (§3.2); a uniform address hits or misses
+	// as one.
 	Class Class
 	// AClass is the coalescing classification under the MemParams the
 	// table was computed with.

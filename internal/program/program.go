@@ -40,12 +40,11 @@ type BranchInfo struct {
 	// (Class != ClassUniform) and the join block short (§4.3).
 	Subdividable bool
 	// Class is the divergence analysis verdict on the branch predicate
-	// (see dataflow.go).
+	// (see dataflow.go). ClassUniform is a statically proven warp-uniform
+	// predicate: every co-executing lane takes the branch the same way, so
+	// the WPU front end may evaluate one lane and skip re-convergence
+	// bookkeeping (isa.DFUniform on the decoded branch).
 	Class Class
-	// Uniform reports a statically proven warp-uniform predicate: every
-	// co-executing lane takes the branch the same way, so the WPU front
-	// end may evaluate one lane and skip re-convergence bookkeeping.
-	Uniform bool
 }
 
 // NoIPdom marks a branch whose divergent paths re-converge only at kernel
@@ -98,26 +97,12 @@ type Program struct {
 	maxThreads     int
 	shortLimit     int
 
-	// accesses is the divergence analysis verdict per load/store, in pc
-	// order (see dataflow.go).
-	accesses []AccessInfo
-
 	// memAccess is the static access-pattern table per load/store under
-	// DefaultMemParams, in pc order (see memaccess.go). The verifier
+	// DefaultMemParams, in pc order (see memaccess.go): the one home of the
+	// divergence analysis verdict on each address (Class). The verifier
 	// cross-checks it against a fresh analysis run; the WPU derives
 	// machine-specific transaction bounds from it via MemAccessFor.
 	memAccess []MemAccessInfo
-
-	// cost is the static cost model recorded at Build time under
-	// DefaultCostParams and the declared thread count (costmodel.go). The
-	// verifier cross-checks it against a fresh run; launch-specific
-	// geometries recompute via CostModelFor.
-	cost *CostModel
-
-	// uniformBranch[pc] mirrors BranchInfo.Uniform as a dense slice: the
-	// WPU queries it on every executed branch, so the fast-path test must
-	// not cost a map lookup.
-	uniformBranch []bool
 
 	// decoded is the dispatch-ready lowering of Code the WPU issue loop
 	// consumes: one isa.Decoded per pc, with the analysis-driven flags
@@ -138,12 +123,6 @@ type Program struct {
 // with Code. The slice is shared, not copied: it is the WPU's hot-path
 // view of the program and must not be mutated.
 func (p *Program) Decoded() []isa.Decoded { return p.decoded }
-
-// UniformBranch reports whether the branch at pc was proved uniform by
-// the divergence analysis (constant time; hot path of the WPU front end).
-func (p *Program) UniformBranch(pc int) bool {
-	return pc >= 0 && pc < len(p.uniformBranch) && p.uniformBranch[pc]
-}
 
 // Branch returns the metadata for the conditional branch at pc.
 func (p *Program) Branch(pc int) (BranchInfo, bool) {
@@ -182,10 +161,8 @@ func (p *Program) Disassemble() string {
 	// Cost-model annotation (costmodel.go): per-block execution bounds on
 	// block headers.
 	execAt := make(map[int]CostInterval)
-	if p.cost != nil {
-		for _, bc := range p.cost.Blocks {
-			execAt[bc.ID] = bc.Execs
-		}
+	for _, bc := range p.CostModel().Blocks {
+		execAt[bc.ID] = bc.Execs
 	}
 	ai := 0
 	for pc, in := range p.Code {
@@ -643,6 +620,14 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 		}
 		seenRegion[r.Reg] = true
 	}
+	for _, u := range b.uranges {
+		if u.Reg == 0 || u.Reg >= isa.NumRegs {
+			return nil, fmt.Errorf("program %q: uniform range on r%d invalid", b.name, u.Reg)
+		}
+		if u.Lo > u.Hi {
+			return nil, fmt.Errorf("program %q: uniform range at r%d is empty [%d,%d]", b.name, u.Reg, u.Lo, u.Hi)
+		}
+	}
 	p.inputs = b.inputs
 	p.uniforms = b.uniforms
 	p.inputsDeclared = b.inputsDeclared
@@ -655,9 +640,8 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	// branch whose predicate is provably warp-uniform can never split a
 	// warp, so it is excluded from subdivision however short its join
 	// block, and the WPU front end gets to skip its re-convergence
-	// bookkeeping entirely (BranchInfo.Uniform).
+	// bookkeeping entirely (Class == ClassUniform).
 	div := p.analyzeDivergence(g)
-	p.uniformBranch = make([]bool, len(code))
 	for pc, in := range code {
 		if !in.Op.IsBranch() {
 			continue
@@ -667,25 +651,13 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 		if c, ok := div.branchClass[pc]; ok {
 			bi.Class = c
 		}
-		bi.Uniform = bi.Class == ClassUniform
-		bi.Subdividable = bi.Subdividable && !bi.Uniform
+		bi.Subdividable = bi.Subdividable && bi.Class != ClassUniform
 		p.branches[pc] = bi
-		p.uniformBranch[pc] = bi.Uniform
-	}
-	p.accesses = make([]AccessInfo, 0, len(div.accesses))
-	for _, a := range div.accesses {
-		p.accesses = append(p.accesses, AccessInfo{PC: a.pc, Store: a.store, Class: a.val.class()})
 	}
 	// The memory-side analysis (memaccess.go): classify every load/store's
 	// warp access pattern and bound its worst-case line transactions. The
 	// verifier below recomputes and cross-checks this table.
 	p.memAccess = p.buildMemAccess(div, DefaultMemParams)
-
-	// Static cost model (costmodel.go): trip counts and cycle bounds under
-	// the default machine geometry and the declared thread count.
-	// Launch-time geometries recompute via CostModelFor; the verifier below
-	// cross-checks this record.
-	p.cost = p.CostModelFor(CostParams{})
 
 	p.findings = p.Verify()
 	var errs []Finding
@@ -710,7 +682,7 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 			continue
 		}
 		bi := p.branches[pc]
-		if bi.Uniform {
+		if bi.Class == ClassUniform {
 			d.Flags |= isa.DFUniform
 		}
 		if bi.Subdividable {

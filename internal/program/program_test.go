@@ -346,6 +346,39 @@ func TestInvalidBranchTargetRejected(t *testing.T) {
 	}
 }
 
+// TestUniformRangeRejected: a declared uniform range the launch cannot
+// honour — on r0, on a register the machine does not have, or empty — fails
+// Build naming the register, instead of building and failing (or meaning
+// nothing) at every launch. A valid range still builds.
+func TestUniformRangeRejected(t *testing.T) {
+	kernel := func(reg isa.Reg, lo, hi int64) *Builder {
+		b := NewBuilder("urange")
+		b.DeclareThreads(16)
+		b.DeclareUniformRange(reg, lo, hi)
+		b.Halt()
+		return b
+	}
+	for _, c := range []struct {
+		name   string
+		b      *Builder
+		reason string
+	}{
+		{"r0", kernel(0, 1, 8), "uniform range on r0 invalid"},
+		{"out of the register file", kernel(isa.NumRegs+8, 1, 8), "uniform range on r40 invalid"},
+		{"lo > hi", kernel(5, 10, 1), "uniform range at r5 is empty [10,1]"},
+	} {
+		_, err := c.b.Build()
+		if err == nil {
+			t.Errorf("%s: Build accepted the range", c.name)
+		} else if !strings.Contains(err.Error(), c.reason) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.reason)
+		}
+	}
+	if _, err := kernel(5, 1, 1).Build(); err != nil {
+		t.Errorf("one-value range on r5: %v", err)
+	}
+}
+
 // memoKernel is a small kernel whose every Builder input a test can vary.
 func memoKernel(name string, imm int64, threads int, limit int) *Builder {
 	b := NewBuilder(name)

@@ -30,7 +30,7 @@ import (
 // That is the intent — such a knob needs a decision about what "the same
 // point" means before it can be cached at all.
 type Knobs struct {
-	WPUs    int              `json:"wpus"` // 0 = the Table 3 default (4)
+	WPUs    int              `json:"wpus"` // a job's 0 = the Table 3 default (4)
 	Width   int              `json:"width"`
 	Warps   int              `json:"warps"`
 	Slots   int              `json:"slots"` // 0 = two per warp
@@ -65,11 +65,11 @@ type knob struct {
 // knobTable declares every integer knob once. DefaultKnobs, WithDefaults,
 // Validate, CheckCaps, KnobFlags and Set are all derived from it.
 var knobTable = []knob{
-	{"wpus", func(k *Knobs) *int { return &k.WPUs }, 4, true, 0, 64, "number of WPUs"},
+	{"wpus", func(k *Knobs) *int { return &k.WPUs }, 4, true, 1, 64, "number of WPUs"},
 	{"width", func(k *Knobs) *int { return &k.Width }, 16, true, 1, 64, "SIMD width"},
 	{"warps", func(k *Knobs) *int { return &k.Warps }, 4, true, 1, 64, "warps per WPU"},
 	{"slots", func(k *Knobs) *int { return &k.Slots }, 0, false, 0, 64, "scheduler slots (0 = 2x warps; at most 64)"},
-	{"wst", func(k *Knobs) *int { return &k.WST }, 16, true, 0, 1024, "warp-split table entries"},
+	{"wst", func(k *Knobs) *int { return &k.WST }, 16, true, 1, 1024, "warp-split table entries"},
 	{"l1kb", func(k *Knobs) *int { return &k.L1KB }, 32, true, 1, 1024, "L1 D-cache size in KB"},
 	{"l1assoc", func(k *Knobs) *int { return &k.L1Assoc }, 8, true, 0, 64, "L1 D-cache associativity (0 = fully associative)"},
 	{"l2kb", func(k *Knobs) *int { return &k.L2KB }, 4096, true, 1, 65536, "L2 size in KB"},

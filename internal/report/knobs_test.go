@@ -74,8 +74,9 @@ func TestKnobKeyRefusesWhatGoSyntaxRendersOtherwise(t *testing.T) {
 	}
 }
 
-// TestDefaultKnobsAreTable3 ties the two places Table 3 is written down:
-// the knob table's defaults expand to sim.DefaultConfig. (DefaultConfig
+// TestDefaultKnobsAreTable3 ties two of the places Table 3 is written down:
+// the knob table's defaults expand to sim.DefaultConfig (the third,
+// program.DefaultCostParams, is tied in internal/sim). (DefaultConfig
 // leaves the WST size to the WPU's own default, so compare the machines
 // with the WPU's defaults filled in.)
 func TestDefaultKnobsAreTable3(t *testing.T) {

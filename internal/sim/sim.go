@@ -106,7 +106,8 @@ func DefaultConfig() Config {
 
 // CostParamsFor translates a machine configuration plus a launch thread
 // count into the static cost model's parameter block (the Launch-time
-// mirror of program.CostModelFor's Build-time defaults). MemTxWorst
+// mirror of program.DefaultCostParams, which it equals on DefaultConfig —
+// TestDefaultCostParamsMatchDefaultConfig). MemTxWorst
 // composes the worst path one line transaction can take through this
 // hierarchy: L1 probe + crossbar there and back with occupancy + L2
 // lookup + L2 probe + memory bus both ways + two DRAM accesses (the

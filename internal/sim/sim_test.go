@@ -30,6 +30,17 @@ func TestDefaultConfigMatchesTable3(t *testing.T) {
 	}
 }
 
+// TestDefaultCostParamsMatchDefaultConfig ties the static analyses' copy of
+// Table 3 (program.DefaultCostParams and, inside it, DefaultMemParams: the
+// geometry and the hand-summed MemTxWorst dwsverify -costmodel reports
+// against) to the machine DefaultConfig builds, so a latency or
+// geometry change here cannot leave the reports on a stale worst path.
+func TestDefaultCostParamsMatchDefaultConfig(t *testing.T) {
+	if got, want := CostParamsFor(DefaultConfig(), 0), program.DefaultCostParams; got != want {
+		t.Fatalf("CostParamsFor(DefaultConfig(), 0) = %+v\nprogram.DefaultCostParams = %+v", got, want)
+	}
+}
+
 func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WPUs = 0

@@ -110,7 +110,7 @@ func TestDivergenceConcordance(t *testing.T) {
 			bi, _ := p.Branch(pc)
 			branches++
 			dyn := diverged[branchKey{name, pc}]
-			if bi.Uniform {
+			if bi.Class == program.ClassUniform {
 				uniform++
 				if dyn {
 					t.Errorf("%s: branch @pc %d is statically uniform but dynamically diverged (class %s)",

@@ -136,7 +136,7 @@ type Config struct {
 	DisableWaitMerge bool
 	// DisableUniformFast turns off the statically-uniform branch fast path
 	// (single-lane predicate evaluation for branches the divergence
-	// analysis proved uniform, see program.BranchInfo.Uniform); every
+	// analysis proved uniform, see program.ClassUniform); every
 	// branch is then evaluated lane by lane. The trace-backed concordance
 	// test uses this so that any divergence the analysis failed to predict
 	// is observed rather than assumed away.

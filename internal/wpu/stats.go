@@ -37,7 +37,7 @@ type Stats struct {
 	DivBranch    uint64 // ... that diverged
 	// UniformBranchFast counts branches steered by the statically-uniform
 	// fast path: one-lane predicate evaluation, no re-convergence
-	// bookkeeping (see BranchInfo.Uniform).
+	// bookkeeping (see isa.DFUniform).
 	UniformBranchFast uint64
 	WidthAccum        uint64 // sum of active widths, for mean SIMD width
 

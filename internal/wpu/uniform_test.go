@@ -31,7 +31,7 @@ func uniformLoopProgram(t testing.TB) *program.Program {
 			continue
 		}
 		bi, _ := p.Branch(pc)
-		if !bi.Uniform {
+		if bi.Class != program.ClassUniform {
 			t.Fatalf("test premise broken: branch @pc %d not statically uniform\n%s", pc, p.Disassemble())
 		}
 	}
