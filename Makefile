@@ -1,14 +1,14 @@
 # CI entry points. `make ci` is the gate: formatting, vet, the static
-# verification layer (lint), build, the race detector over the parallel
-# executor, the full test suite (allocation pins included), the CLI
-# bad-input smoke, a short fuzz of the store's record decoder, and one pass
-# of the claims benchmark.
+# verification layer (lint), build, a build for Windows and macOS, the race
+# detector over the parallel executor, the full test suite (allocation pins
+# included), the CLI bad-input smoke, a short fuzz of the store's record
+# decoder, and one pass of the claims benchmark.
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build test race bench claims-smoke cli-smoke fuzz-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build cross test race bench claims-smoke cli-smoke fuzz-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve
 
-ci: fmt-check vet lint build race test cli-smoke fuzz-smoke claims-smoke
+ci: fmt-check vet lint build cross race test cli-smoke fuzz-smoke claims-smoke
 
 # Static verification layer: the determinism linter over the simulator
 # packages and the ISA program verifier over every benchmark kernel.
@@ -37,6 +37,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# The tree builds on the other platforms it names a system-call constant for
+# (Store.Load opens with syscall.O_NONBLOCK). Nothing else builds for them.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
+
 test:
 	$(GO) test ./...
 
@@ -51,9 +57,10 @@ test:
 # pins (Test*Allocs, Test*AllocFree) are skipped too: they run on the test
 # goroutine, and under -race AllocsPerRun also counts the detector's own
 # allocations, which vary from run to run (TestStoreOpenAllocs read 21-23
-# where it reads 19 without it). `make test` runs all of them in full. See
-# EXPERIMENTS.md "make race without the single-goroutine tests" for the
-# wall time; the timeout stays above go test's ten minutes.
+# where it reads 19 without it); TestSuiteMemHitAllocs, which pins the
+# Prefetch pool's per-call cost, is one of them. `make test` runs all of
+# them in full. See EXPERIMENTS.md "make race without the single-goroutine
+# tests" for the wall time; the timeout stays above go test's ten minutes.
 RACE_SKIP = ^(TestJumpEqualsCrawl|TestRecycledMachineEqualsFresh|Test\w+Allocs|Test\w+AllocFree)$$
 race:
 	$(GO) test -race -timeout 30m -skip '$(RACE_SKIP)' ./internal/report/... ./internal/obs/... ./internal/serve/...

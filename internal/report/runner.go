@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Job names one simulation point: a benchmark under a knob setting.
@@ -20,65 +21,67 @@ type Job struct {
 // against earlier runs — cost nothing beyond a cache hit, because Run
 // deduplicates singleflight-style.
 //
-// On failure the feed stops early and the first error observed is
+// Each worker claims the next job from a shared cursor, and the caller is
+// one of them: Jobs()-1 goroutines start, none at -j 1, and a job of a few
+// microseconds (a memory hit, a disk load) costs no hand-off.
+//
+// On failure the workers stop claiming and the first error observed is
 // returned; which job fails first under concurrency is unspecified, but
 // any error here would also have surfaced from the serial pass. A job
-// that panics stops the feed the same way, and once the workers are done
-// the panic continues on the caller's goroutine, original stack attached.
+// that panics, on the caller or on another worker, stops the claims the
+// same way, and once the workers are done the panic continues on the
+// caller's goroutine, original stack attached.
 func (s *Session) Prefetch(jobs []Job) error {
-	workers := s.Jobs()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(s.Jobs(), len(jobs))
 	if workers == 0 {
 		return nil
 	}
-
-	feed := make(chan Job)
-	stop := make(chan struct{})
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		panicked any
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errOnce.Do(func() {
-						panicked = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
-						close(stop)
-					})
-				}
-			}()
-			for j := range feed {
-				if _, err := s.slot(j); err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						close(stop)
-					})
-					return
-				}
-			}
-		}()
+	p := &prefetch{s: s, jobs: jobs}
+	p.wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() { defer p.wg.Done(); p.work() }()
 	}
-	for _, j := range jobs {
-		select {
-		case feed <- j:
-		case <-stop:
-			goto done
+	p.work()
+	p.wg.Wait()
+	if p.panicked != nil {
+		panic(p.panicked)
+	}
+	return p.firstErr
+}
+
+// prefetch is one Prefetch call's shared state.
+type prefetch struct {
+	s    *Session
+	jobs []Job
+	next atomic.Int64 // index of the next unclaimed job
+	stop atomic.Bool  // set with the first error or panic: claim nothing more
+	wg   sync.WaitGroup
+
+	errOnce  sync.Once // the first error or panic wins
+	firstErr error
+	panicked any
+}
+
+// work claims and runs jobs until none is left or one has failed. A panic
+// is recorded, with the stack it unwound, for Prefetch to re-raise.
+func (p *prefetch) work() {
+	defer func() {
+		if r := recover(); r != nil {
+			p.errOnce.Do(func() { p.panicked = fmt.Sprintf("%v\n\n%s", r, debug.Stack()) })
+			p.stop.Store(true)
+		}
+	}()
+	for !p.stop.Load() {
+		i := p.next.Add(1) - 1
+		if i >= int64(len(p.jobs)) {
+			return
+		}
+		if _, err := p.s.slot(p.jobs[i]); err != nil {
+			p.errOnce.Do(func() { p.firstErr = err })
+			p.stop.Store(true)
+			return
 		}
 	}
-done:
-	close(feed)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return firstErr
 }
 
 // SessionFlags registers the executor flags every CLI shares (-j,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -135,6 +137,85 @@ func TestPrefetchPropagatesError(t *testing.T) {
 	}
 	if err := s.Prefetch(nil); err != nil {
 		t.Fatalf("empty Prefetch: %v", err)
+	}
+}
+
+// TestPrefetchClaimsOnce counts simulations in flight through the machine
+// hook. At WithJobs(n) no more than n run at once, and each distinct point
+// of a batch that lists every point twice simulates exactly once. At
+// WithJobs(1) the caller is the only worker: the hook sees no goroutine the
+// call did not start with. After an error nothing more is claimed.
+func TestPrefetchClaimsOnce(t *testing.T) {
+	var jobs []Job
+	for _, scheme := range []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeBranchOnly, wpu.SchemeReviveMemOnly} {
+		j := Job{Bench: "Filter", Knobs: DefaultKnobs(scheme)}
+		jobs = append(jobs, j, j)
+	}
+	for _, n := range []int{1, 3} {
+		s := NewSession(WithJobs(n))
+		var inFlight, peak, calls atomic.Int64
+		before := runtime.NumGoroutine()
+		s.OnSystem = func(*sim.System) func() {
+			calls.Add(1)
+			now := inFlight.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			if n == 1 && runtime.NumGoroutine() != before {
+				t.Errorf("WithJobs(1): %d goroutines inside the run, %d before Prefetch", runtime.NumGoroutine(), before)
+			}
+			return func() { inFlight.Add(-1) }
+		}
+		if err := s.Prefetch(jobs); err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int64(n) {
+			t.Errorf("WithJobs(%d): %d simulations at once", n, p)
+		}
+		if got, want := s.Stats().Misses, uint64(len(jobs)/2); got != want || calls.Load() != int64(want) {
+			t.Errorf("WithJobs(%d): %d misses and %d runs for %d distinct points", n, got, calls.Load(), want)
+		}
+	}
+
+	s := NewSession(WithJobs(1))
+	var calls atomic.Int64
+	s.OnSystem = func(*sim.System) func() { calls.Add(1); return nil }
+	bad := append([]Job{{Bench: "NoSuchBench", Knobs: DefaultKnobs(wpu.SchemeConv)}}, jobs...)
+	if err := s.Prefetch(bad); err == nil {
+		t.Fatal("Prefetch ignored an unknown benchmark")
+	}
+	if calls.Load() != 0 || s.Provenance("Filter", DefaultKnobs(wpu.SchemeConv)) != "" {
+		t.Errorf("after the first job failed, %d more were simulated", calls.Load())
+	}
+}
+
+// TestSuiteMemHitAllocs holds a Suite call whose every point is already in
+// the session cache to the allocations written here, at one worker and at
+// two: the jobs, the pool's state, the results and their rows, plus one
+// goroutine's closure at two. A channel or a goroutine per call or per job
+// that came back would show here.
+func TestSuiteMemHitAllocs(t *testing.T) {
+	points := []Knobs{DefaultKnobs(wpu.SchemeConv), DefaultKnobs(wpu.SchemeRevive), DefaultKnobs(wpu.SchemeReviveMemOnly)}
+	for _, c := range []struct{ jobs, pin int }{{1, 4}, {2, 5}} {
+		s := NewSession(WithJobs(c.jobs))
+		for _, k := range points {
+			for _, b := range BenchNames() {
+				slot := &inflight{done: make(chan struct{})}
+				close(slot.done)
+				s.cache[Job{b, k}] = slot
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.Suite(BenchNames(), points...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Suite of %d memory hits at WithJobs(%d): %.0f allocs", len(points)*len(BenchNames()), c.jobs, allocs)
+		if allocs > float64(c.pin) {
+			t.Errorf("Suite of memory hits at WithJobs(%d): %.0f allocs, pinned at %d", c.jobs, allocs, c.pin)
+		}
+		if st := s.Stats(); st.Misses != 0 {
+			t.Fatalf("a memory hit simulated: %+v", st)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // storeSchema versions what the shape of Result cannot show: the codec's
@@ -290,20 +291,27 @@ func (st *Store) evictLocked() {
 // Load returns the stored Result for key, if a matching record exists. The
 // file is read and verified before the lock is taken; only the index update
 // that mirrors the outcome runs under it.
+//
+// A warm Load is one open, one read and one close. O_NONBLOCK spares the
+// open the two fcntl calls os otherwise wraps around its attempt to register
+// the descriptor with the poller (a regular file ignores the flag), and the
+// read that leaves room in the buffer is taken as the whole file. A rejected
+// record is deleted, so before it is, a short read is read on to EOF and
+// decoded once more.
 func (st *Store) Load(key string) (Result, bool) {
 	digest := st.digest(key)
 	var r Result
 	var size int64
 	ok := false
-	if f, err := os.Open(st.path(digest)); err == nil { // a miss takes no buffer
+	if f, err := os.OpenFile(st.path(digest), os.O_RDONLY|syscall.O_NONBLOCK, 0); err == nil { // a miss takes no buffer
 		buf := readBufs.Get().(*[]byte)
-		b, err := readAll(f, (*buf)[:0])
+		var b []byte
+		b, ok, err = readRecord(f, (*buf)[:0], key, st.salt, &r)
 		f.Close()
-		size, ok = int64(len(b)), err == nil
-		if ok && !decodeResult(b, key, st.salt, &r) {
+		size = int64(len(b))
+		if !ok && err == nil {
 			os.Remove(st.path(digest)) // best-effort; the resimulation's Save replaces it anyway
 			st.corrupt.Add(1)
-			ok = false
 		}
 		if cap(b) <= maxPooledRead {
 			*buf = b
@@ -334,17 +342,30 @@ var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2<<10); return &
 // and the pool should not keep it alive.
 const maxPooledRead = 64 << 10
 
+// readRecord reads the record in f into b and decodes it into *r for key
+// under salt. It reads once, and on to EOF only if those bytes are refused,
+// so a false ok with a nil error means the whole file was refused.
+func readRecord(f io.Reader, b []byte, key, salt string, r *Result) (_ []byte, ok bool, err error) {
+	b, err = readAll(f, b, false)
+	if ok = err == nil && decodeResult(b, key, salt, r); !ok && err == nil {
+		b, err = readAll(f, b, true) // the read may have stopped short of EOF
+		ok = err == nil && decodeResult(b, key, salt, r)
+	}
+	return b, ok, err
+}
+
 // readAll appends the rest of f to b. Unlike os.ReadFile it does not Stat
-// the file to size a fresh buffer: it reads into b until EOF, growing b
-// only if the file does not fit.
-func readAll(f *os.File, b []byte) ([]byte, error) {
+// the file to size a fresh buffer: it reads into b, growing b only if the
+// file does not fit, until EOF or, unless toEOF, until a read leaves room
+// in b — which for a regular file is EOF without the read that says so.
+func readAll(f io.Reader, b []byte, toEOF bool) ([]byte, error) {
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
 		n, err := f.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
-		if err == io.EOF {
+		if err == io.EOF || err == nil && !toEOF && len(b) < cap(b) {
 			return b, nil
 		}
 		if err != nil {

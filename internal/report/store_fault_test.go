@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // spineExhibits is the §5 scheme-comparison spine: 8 kernels × 12 schemes
@@ -177,6 +180,68 @@ func TestStoreOversizedRecord(t *testing.T) {
 	}
 	if r, ok := st.Load("good"); !ok || !reflect.DeepEqual(r, fakeResult(0)) {
 		t.Errorf("the good record after the garbage: hit %v, %+v", ok, r)
+	}
+}
+
+// TestStoreLoadBoundaries: Load takes a read that leaves room in its buffer
+// as the whole file. Records of exactly a new pooled buffer's room, of one
+// byte more, and of one byte past maxPooledRead each fill, overflow or
+// outgrow the buffer at the edge, and each must load intact and count as
+// nothing but a hit.
+func TestStoreLoadBoundaries(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := cap(*readBufs.New().(*[]byte))
+	for _, size := range []int{room, room + 1, maxPooledRead + 1} {
+		key := fmt.Sprintf("size-%d", size)
+		r := fakeResult(size)
+		for pad := 0; ; { // Bench pads the record to size bytes
+			n := len(encodeResult(key, st.salt, &r))
+			if n == size {
+				break
+			}
+			pad += size - n
+			r.Bench = strings.Repeat("x", pad)
+		}
+		if err := st.Save(key, r); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := os.Stat(st.path(st.digest(key))); err != nil || info.Size() != int64(size) {
+			t.Fatalf("record for %d bytes: %v, %v", size, info, err)
+		}
+		for i := 0; i < 2; i++ { // a fresh buffer, then whatever the first Load left in the pool
+			if got, ok := st.Load(key); !ok || !reflect.DeepEqual(got, r) {
+				t.Errorf("%d-byte record, load %d: hit %v, round trip intact %v", size, i, ok, reflect.DeepEqual(got, r))
+			}
+		}
+	}
+	if s := st.Stats(); s.Corrupt != 0 || s.Misses != 0 || s.Hits != 6 {
+		t.Errorf("store %+v, want 6 hits and nothing else", s)
+	}
+}
+
+// TestReadRecordShortReads: a read that stops short of EOF is taken as the
+// whole file only if it decodes. A record arriving a byte at a time still
+// loads, a bad one is refused only once all of it has been read, and a read
+// error is an error, not a refusal (which Load would delete).
+func TestReadRecordShortReads(t *testing.T) {
+	const key, salt = "k", "salt"
+	want := fakeResult(3)
+	good := encodeResult(key, salt, &want)
+	bad := bytes.Clone(good)
+	bad[len(bad)-1] ^= 1
+	var r Result
+	if b, ok, err := readRecord(iotest.OneByteReader(bytes.NewReader(good)), nil, key, salt, &r); !ok || err != nil || len(b) != len(good) || !reflect.DeepEqual(r, want) {
+		t.Errorf("a record a byte at a time: ok %v, err %v, %d of %d bytes", ok, err, len(b), len(good))
+	}
+	if b, ok, err := readRecord(iotest.OneByteReader(bytes.NewReader(bad)), nil, key, salt, &r); ok || err != nil || len(b) != len(bad) {
+		t.Errorf("a bad record a byte at a time: ok %v, err %v, %d of %d bytes read", ok, err, len(b), len(bad))
+	}
+	broken := io.MultiReader(bytes.NewReader(good[:len(good)/2]), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if _, ok, err := readRecord(broken, nil, key, salt, &r); ok || err == nil {
+		t.Errorf("a read error half way: ok %v, err %v", ok, err)
 	}
 }
 

@@ -395,6 +395,13 @@ func TestJobList(t *testing.T) {
 	waitJob(t, ts, a.ID)
 	waitJob(t, ts, b.ID)
 
+	if docs := listJobs(t, ts); len(docs) != 2 || docs[0].ID != a.ID || docs[1].ID != b.ID {
+		t.Errorf("job list %+v, want [%s %s] in submission order", docs, a.ID, b.ID)
+	}
+}
+
+func listJobs(t *testing.T, ts *httptest.Server) []JobDoc {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -404,8 +411,117 @@ func TestJobList(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&docs); err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 2 || docs[0].ID != a.ID || docs[1].ID != b.ID {
-		t.Errorf("job list %+v, want [%s %s] in submission order", docs, a.ID, b.ID)
+	return docs
+}
+
+// TestSubmitBackpressure holds a one-worker server's worker inside its first
+// job's machine hook and fills the backlog behind it: the next submission is
+// refused with 429 and Retry-After, without blocking and without a trace in
+// the job list. Released, the worker finishes every accepted job, and the
+// backlog admits again.
+func TestSubmitBackpressure(t *testing.T) {
+	session := report.NewSession(report.WithJobs(1))
+	srv := New(Config{Session: session, Workers: 1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold, unhold sync.Once
+	inner := session.OnSystem
+	session.OnSystem = func(sys *sim.System) func() {
+		hold.Do(func() { close(entered); <-release })
+		return inner(sys)
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { unhold.Do(func() { close(release) }) }) // the first cleanup, should the test stop early
+
+	postJob(t, ts, runFilterBody)
+	<-entered
+	for i := 0; i < backlog; i++ {
+		if _, resp := postJob(t, ts, runFilterBody); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d of a backlog of %d: status %d", i+1, backlog, resp.StatusCode)
+		}
+	}
+	impatient := &http.Client{Timeout: 10 * time.Second} // a submission that blocks fails here, not at the test timeout
+	resp, err := impatient.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(runFilterBody))
+	if err != nil {
+		t.Fatalf("submission past the backlog: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("submission past the backlog: status %d, Retry-After %q; want 429, 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	docs := listJobs(t, ts)
+	if len(docs) != backlog+1 {
+		t.Fatalf("%d jobs listed, want %d: the refused one was registered", len(docs), backlog+1)
+	}
+
+	unhold.Do(func() { close(release) })
+	for _, d := range docs {
+		if done := waitJob(t, ts, d.ID); done.Status != StatusDone {
+			t.Errorf("accepted job %s ended %+v", d.ID, done)
+		}
+	}
+	if _, resp := postJob(t, ts, runFilterBody); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("submission after the backlog drained: status %d", resp.StatusCode)
+	}
+}
+
+// TestCloseRacesSubmissions fires a burst of submissions straight at the
+// handler (where a panic fails the test, unlike behind net/http's recovery)
+// while Close runs: every submission is answered 202, 429 or 503, and once
+// Close has returned every job it accepted has finished and none is left
+// queued. A submission after Close is 503.
+func TestCloseRacesSubmissions(t *testing.T) {
+	srv := New(Config{Session: report.NewSession(report.WithJobs(1)), Workers: 2})
+	srv.Start()
+	submit := func() int {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(runFilterBody)))
+		return rec.Code
+	}
+	const burst = 200
+	codes := make([]int, burst)
+	var wg sync.WaitGroup
+	for i := range codes {
+		if i == burst/4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				srv.Close()
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = submit()
+		}()
+	}
+	wg.Wait()
+	srv.Close() // a second Close only waits, like the first
+
+	accepted := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Errorf("submission %d: status %d", i, code)
+		}
+	}
+	docs := srv.reg.list()
+	if len(docs) != accepted {
+		t.Errorf("%d jobs registered, %d accepted", len(docs), accepted)
+	}
+	for _, d := range docs {
+		if d.Status != StatusDone {
+			t.Errorf("job %s is %s after Close", d.ID, d.Status)
+		}
+	}
+	if code := submit(); code != http.StatusServiceUnavailable {
+		t.Errorf("submission after Close: status %d, want 503", code)
 	}
 }
 

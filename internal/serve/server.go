@@ -80,7 +80,8 @@ func New(cfg Config) *Server {
 // against a cold registry.
 func (s *Server) Start() { s.pool = startPool(s.workers, s.runJob) }
 
-// Close drains the job feed and waits for in-flight simulations.
+// Close drains the job feed and waits for in-flight simulations; a
+// submission from then on is answered 503.
 func (s *Server) Close() {
 	if s.pool != nil {
 		s.pool.close()
@@ -104,7 +105,9 @@ func writeError(w http.ResponseWriter, e *Error) {
 	writeJSON(w, e.Status, map[string]string{"error": e.Msg})
 }
 
-// handleSubmit is POST /v1/jobs: decode, validate, register, enqueue.
+// handleSubmit is POST /v1/jobs: decode, validate, then register and
+// enqueue in one step. A full backlog is 429 with Retry-After and a
+// shutting-down server 503; neither registers the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxJobBody)
 	req, derr := DecodeJobRequest(body)
@@ -113,11 +116,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	io.Copy(io.Discard, body) //nolint:errcheck // drain for keep-alive
-	j := s.reg.add(req)
-	if s.pool != nil { // before Start the job just sits queued
-		s.pool.submit(j)
+	add := func() *job { return s.reg.add(req) }
+	if s.pool == nil { // before Start the job just sits queued
+		writeJSON(w, http.StatusAccepted, s.reg.doc(add()))
+		return
 	}
-	writeJSON(w, http.StatusAccepted, s.reg.doc(j))
+	j, err := s.pool.submit(add)
+	switch err {
+	case nil:
+		writeJSON(w, http.StatusAccepted, s.reg.doc(j))
+	case errBacklogFull:
+		w.Header().Set("Retry-After", "1")
+		writeError(w, &Error{Status: http.StatusTooManyRequests, Msg: err.Error()})
+	default:
+		writeError(w, &Error{Status: http.StatusServiceUnavailable, Msg: err.Error()})
+	}
 }
 
 // handleList is GET /v1/jobs.

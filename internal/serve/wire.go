@@ -41,7 +41,7 @@ const WireSchemaVersion = 1
 // Every path out of DecodeJobRequest returns one, so handlers can blindly
 // write e.Status without classifying error strings.
 type Error struct {
-	Status int // 4xx
+	Status int // 4xx; 503 for a submission to a server shutting down
 	Msg    string
 }
 
