@@ -148,11 +148,13 @@ oracles-check:
 	$(MAKE) oracles OUT=$$tmp/here && \
 	diff -r $$tmp/ref $$tmp/here && echo "oracles identical to $(REF)"
 
-# Profile one live simulation (cpu.pprof + mem.pprof); inspect with e.g.
+# Profile one live simulation (cpu.pprof + mem.pprof) of BENCH at input scale
+# SCALE (e.g. `make profile BENCH=LU SCALE=16`); inspect with e.g.
 #   go tool pprof -top cpu.pprof
 #   go tool pprof -top -sample_index=alloc_objects mem.pprof
+SCALE ?= 1
 profile:
-	$(GO) run ./cmd/dwsim -bench $(BENCH) -scheme DWS.ReviveSplit -nocache \
+	$(GO) run ./cmd/dwsim -bench $(BENCH) -scheme DWS.ReviveSplit -scale $(SCALE) -nocache \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 
 # Compare two CPU profiles (before/after an optimisation): every sample in

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/isa"
@@ -148,6 +149,11 @@ type System struct {
 	cycle engine.Cycle
 	// skipped counts the cycles skipIdle moved the clock over (tests read it).
 	skipped uint64
+	// roster is the WPUs' own account of which of them are awake, running
+	// and at the barrier: run reads it instead of asking each WPU. Reset
+	// empties it and keeps its storage; run takes the account at every
+	// kernel.
+	roster wpu.Roster
 
 	// obsPrev holds the per-WPU counter snapshot at the previous timeline
 	// sample, so each Sample carries interval deltas.
@@ -212,10 +218,12 @@ func (s *System) Reset(cfg Config) error {
 		Q:      old.Q,
 		Hier:   old.Hier,
 		WPUs:   old.WPUs,
+		roster: old.roster,
 		staged: old.staged,
 		chunks: old.chunks,
 		dealt:  old.dealt,
 	}
+	s.roster.Start(nil) // empty: no WPU bound, nothing counted
 	if t := cfg.Trace; t != nil && t.Interval != 0 {
 		s.Observe(t.Interval, s.sampleTimeline)
 	}
@@ -341,44 +349,40 @@ func (s *System) RunKernel(p *program.Program, threads []isa.RegFile) (uint64, e
 }
 
 // run drives the machine until every thread has halted. One iteration is
-// one simulated cycle: deliver the events due, tick every WPU, release the
-// kernel barrier if it filled, serve the observers. A WPU that can do nothing
-// until an event reaches it sleeps through its ticks (wpu.WPU.Tick), and when
-// every running WPU sleeps the clock moves straight to the next cycle in
+// one simulated cycle: deliver the events due, tick every awake WPU in
+// ascending index, release the kernel barrier if it filled, serve the
+// observers. A WPU that can do nothing until an event reaches it sleeps and
+// leaves the roster's awake set (wpu.Roster), so the loop does not visit it,
+// and when the set is empty the clock moves straight to the next cycle in
 // which anything can happen. DESIGN.md "What changes in a cycle in which
 // nothing issues" lists what that rests on.
 func (s *System) run() error {
-	// awake: some WPU's next Tick is not a no-op. Every WPU starts a kernel
-	// awake, and only an event, a release or its own Tick changes that.
-	awake := true
+	r := &s.roster
+	r.Start(s.WPUs)
+	awake := r.Awake()
 	for {
-		if !awake {
+		if !anySet(awake) {
 			s.skipIdle()
 		}
 		s.Q.RunUntil(s.cycle)
-		// Barrier state only changes inside a WPU's own Tick (or the release
-		// below), so folding the at-barrier check into the tick loop sees
-		// exactly what a separate scan after the loop would.
-		progress, atBarrier, done := false, false, true
-		awake = false
-		for _, w := range s.WPUs {
-			if w.Tick() {
-				progress = true
-			}
-			if w.AnyAtBarrier() {
-				atBarrier = true
-			}
-			if !w.Done() {
-				done = false
-				awake = awake || !w.Asleep()
+		// A WPU joins the set only when an event or a release wakes it, so
+		// re-reading its word after each Tick sees any WPU the tick woke.
+		progress := false
+		for i := range awake {
+			for m := awake[i]; m != 0; {
+				b := bits.TrailingZeros64(m)
+				if s.WPUs[i<<6|b].Tick() {
+					progress = true
+				}
+				m = awake[i] &^ (2<<b - 1)
 			}
 		}
 		released := false
-		if atBarrier && s.allBarrierReady() {
+		if r.AtBarrier() > 0 && s.allBarrierReady() {
 			for _, w := range s.WPUs {
 				w.ReleaseBarrier()
 			}
-			released, awake = true, true
+			released = true
 		}
 		for _, o := range s.observers {
 			if uint64(s.cycle)%o.every == 0 {
@@ -397,10 +401,20 @@ func (s *System) run() error {
 			return fmt.Errorf("sim: deadlock at cycle %d\n%s", s.cycle, dump)
 		}
 		s.cycle++
-		if done {
+		if r.Running() == 0 {
 			return nil
 		}
 	}
+}
+
+// anySet reports whether any bit of the set is set.
+func anySet(set []uint64) bool {
+	for _, m := range set {
+		if m != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // skipIdle moves the clock, when every running WPU sleeps, to the next cycle

@@ -88,6 +88,13 @@ func barrierKernel(sys *sim.System) []workloads.Step {
 	})}}
 }
 
+// testKernels are the kernels runKernels knows by name besides the
+// benchmarks.
+var testKernels = map[string]func(*sim.System) []workloads.Step{
+	"barriers":   barrierKernel,
+	"halt-split": haltSplitKernel,
+}
+
 // exactBenches are what the exactness tests run: two multi-kernel memory-bound
 // benchmarks and barrierKernel.
 var exactBenches = []string{"FFT", "LU", "barriers"}
@@ -97,8 +104,8 @@ var exactBenches = []string{"FFT", "LU", "barriers"}
 func runKernels(t *testing.T, sys *sim.System, bench string, before func(kernel), after func(kernel)) {
 	t.Helper()
 	var steps []workloads.Step
-	if bench == "barriers" {
-		steps = barrierKernel(sys)
+	if k, ok := testKernels[bench]; ok {
+		steps = k(sys)
 	} else {
 		steps = build(t, bench, sys).Steps()
 	}

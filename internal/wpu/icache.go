@@ -13,24 +13,29 @@ package wpu
 import "repro/internal/program"
 
 type icacheLine struct {
-	tag     int
-	valid   bool
+	tag   int
+	valid bool
+	// lastUse is the clock at the start of the line's latest run of
+	// consecutive fetches. Stamping the first fetch of a run rather than
+	// every fetch leaves the LRU order unchanged: runs of different lines
+	// never overlap, so the line whose run started later is also the one
+	// fetched last.
 	lastUse uint64
 }
 
 // icache is a tiny set-associative tag store over instruction indices.
 type icache struct {
-	sets  [][]icacheLine
+	sets [][]icacheLine
+	// clock counts runs: it moves only when the fetched line changes.
 	clock uint64
 	// MRU shortcut: sequential fetches hit the same line ~instPerLine times
-	// in a row; revalidating a cached way pointer skips the set walk. The
-	// pointer aims into sets' backing arrays (never reallocated), and the
-	// tag check makes a stale pointer merely miss the shortcut.
+	// in a row, and a fetch of the line the last one found skips the set
+	// walk and writes nothing. Only fetchWalk writes a tag, and it records
+	// in lastLineNo the line it hit or filled, so that line is resident for
+	// as long as lastLineNo names it.
 	lastLineNo int
-	lastWay    *icacheLine
 
-	Fetches uint64
-	Misses  uint64
+	Misses uint64
 }
 
 // newICache builds an empty cache of lines/ways sets (the WPU's is
@@ -49,39 +54,32 @@ func (c *icache) reset() {
 	for _, set := range c.sets {
 		clear(set)
 	}
-	c.clock, c.Fetches, c.Misses = 0, 0, 0
-	// lastLineNo = -1 never matches a real line number (PCs are ≥ 0), so
-	// the fast path needs no nil or validity test on lastWay: a matching
-	// lastLineNo implies lastWay was hit or filled for that very line, and
-	// frames only ever change tag through a refill (re-checked by tag).
-	c.lastLineNo = -1
-	c.lastWay = &c.sets[0][0]
+	c.clock, c.Misses = 0, 0
+	c.lastLineNo = -1 // never a real line number: PCs are ≥ 0
 }
 
 // Fetch looks up the line holding the instruction at pc, filling on miss.
 // It reports whether the fetch hit. The body is only the MRU fast path so
 // it inlines into issueOne; the set walk lives in fetchWalk.
 func (c *icache) Fetch(pc int) bool {
-	c.Fetches++
-	c.clock++
 	lineNo := pc / program.ICacheInstPerLine
-	if w := c.lastWay; lineNo == c.lastLineNo && w.tag == lineNo {
-		w.lastUse = c.clock
+	if lineNo == c.lastLineNo {
 		return true
 	}
 	return c.fetchWalk(lineNo)
 }
 
-// fetchWalk is Fetch's slow path: the set-associative walk and, on miss,
-// the LRU fill.
+// fetchWalk is Fetch's slow path, the first fetch of a run: the
+// set-associative walk and, on miss, the LRU fill.
 func (c *icache) fetchWalk(lineNo int) bool {
+	c.clock++
 	set := c.sets[lineNo%len(c.sets)]
 	victim := &set[0]
 	for i := range set {
 		w := &set[i]
 		if w.valid && w.tag == lineNo {
 			w.lastUse = c.clock
-			c.lastLineNo, c.lastWay = lineNo, w
+			c.lastLineNo = lineNo
 			return true
 		}
 		switch {
@@ -95,6 +93,6 @@ func (c *icache) fetchWalk(lineNo int) bool {
 	victim.valid = true
 	victim.tag = lineNo
 	victim.lastUse = c.clock
-	c.lastLineNo, c.lastWay = lineNo, victim
+	c.lastLineNo = lineNo
 	return false
 }

@@ -9,6 +9,9 @@ import "math/bits"
 // one is free; otherwise it queues for one.
 func (w *WPU) addSplit(s *Split) {
 	s.warp.splits = append(s.warp.splits, s)
+	if w.splitCount == 0 && w.unhalted == 0 {
+		w.doneChanged(false)
+	}
 	w.splitCount++
 	if w.splitCount > w.Stats.PeakSplits {
 		w.Stats.PeakSplits = w.splitCount
@@ -64,12 +67,15 @@ func (w *WPU) removeSplit(s *Split) {
 		}
 	}
 	w.splitCount--
+	if w.splitCount == 0 && w.unhalted == 0 {
+		w.doneChanged(true)
+	}
 	if w.cur == s {
 		w.cur = nil
 	}
 	w.releaseSlot(s)
 	if s.state == AtBarrier {
-		w.atBarrier--
+		w.moveBarrier(-1)
 	}
 	if s.state == WaitMem || s.state == WaitSlip {
 		w.memWait--
@@ -304,6 +310,9 @@ func (w *WPU) stallCycle(progressed bool) {
 	if !progressed && w.cfg.Slip == SlipOff && w.wstFullAt != now+1 &&
 		(w.readyMask == 0 || now < w.fetchStallUntil) {
 		w.asleep, w.sleepFrom, w.sleepBucket = true, now+1, bucket
+		if w.roster != nil {
+			w.roster.remove(w.ID)
+		}
 	}
 }
 

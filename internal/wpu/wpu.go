@@ -67,8 +67,9 @@ type WPU struct {
 	splitCount  int // live scheduling entities, bounded by WSTEntries
 	nextSplitID int
 	// atBarrier counts splits parked at the kernel barrier and unhalted
-	// counts live not-yet-halted threads; both make the per-cycle driver
-	// queries (AnyAtBarrier, Done) O(1) instead of warp×split scans.
+	// counts live not-yet-halted threads, so AnyAtBarrier and Done are O(1)
+	// instead of warp×split scans, and the roster hears of each change of
+	// either answer where it happens (moveBarrier, addSplit, removeSplit).
 	atBarrier int
 	// memWait counts splits in WaitMem/WaitSlip so stallCycle classifies
 	// most stalls without scanning. Maintained by setState/removeSplit.
@@ -99,6 +100,9 @@ type WPU struct {
 	sleepFrom   engine.Cycle
 	sleepBucket *uint64
 	slept       uint64
+	// roster is the run loop's account this WPU keeps current (Roster.Start
+	// binds it; nil on a WPU no run loop drives).
+	roster *Roster
 
 	// Per-WPU instruction cache (Table 3); cold fetches stall issue. Each
 	// distinct program gets its own fetch-address range so successive
@@ -572,8 +576,10 @@ func (w *WPU) resetStack(s *Split, frozen bool, pc int, mask Mask) {
 // current SIMD group, or pick another ready group, or stall. It reports
 // whether the machine advanced — an instruction issued, or a state
 // transition that needs no issue slot happened (see progress). The driver
-// calls it once per WPU per cycle, after delivering that cycle's events; a
-// sleeping WPU returns at once (see stallCycle).
+// calls it once per cycle on each WPU its roster holds awake, after
+// delivering that cycle's events. A caller that ticks a WPU every cycle, as
+// the package's tests do, finds it returning at once while the WPU sleeps
+// (see stallCycle) or is done.
 func (w *WPU) Tick() bool {
 	if w.asleep || w.Done() {
 		return false
@@ -623,10 +629,18 @@ func (w *WPU) Sync(upTo engine.Cycle) {
 }
 
 // wake ends a sleep: whatever calls it may change what the next Tick does.
-// An event handler passes the current cycle, which Tick has yet to run.
+// An event handler passes the current cycle, which Tick has yet to run. The
+// WPU rejoins the roster's awake set; it cannot be done while asleep (see
+// DESIGN.md), so it belongs there.
 func (w *WPU) wake(upTo engine.Cycle) {
+	if !w.asleep {
+		return
+	}
 	w.Sync(upTo)
 	w.asleep = false
+	if w.roster != nil {
+		w.roster.add(w.ID)
+	}
 }
 
 // Asleep reports whether Tick is a no-op until an event, a barrier release
@@ -643,15 +657,7 @@ func (w *WPU) SleptCycles() uint64 { return w.slept }
 // The instruction comes from the pre-decoded dispatch stream: one index,
 // one switch on the dense Kind, and per-op lane loops inside the arms.
 func (w *WPU) issueOne(s *Split) bool {
-	// Hand-inlined icache.Fetch MRU fast path — the function is over the
-	// inlining budget and this runs once per issued instruction.
-	ic := w.icache
-	ic.Fetches++
-	ic.clock++
-	lineNo := (w.fetchBase + s.pc) / program.ICacheInstPerLine
-	if lw := ic.lastWay; lineNo == ic.lastLineNo && lw.tag == lineNo {
-		lw.lastUse = ic.clock
-	} else if !ic.fetchWalk(lineNo) {
+	if !w.icache.Fetch(w.fetchBase + s.pc) {
 		w.Stats.IFetchMisses++
 		w.fetchStallUntil = w.q.Now() + program.IMissLat
 		// The refill is an event: it keeps the machine's clock honest (the
@@ -819,7 +825,7 @@ func (w *WPU) enterBarrier(s *Split) {
 		}
 	}
 	w.setState(s, AtBarrier)
-	w.atBarrier++
+	w.moveBarrier(1)
 	w.releaseSlot(s)
 }
 
@@ -873,7 +879,7 @@ func (w *WPU) ReleaseBarrier() {
 		root.scope = nil
 		root.pc++
 		root.state = Ready
-		w.atBarrier--
+		w.moveBarrier(-1)
 		root.stack[0] = StackEntry{ReconvPC: program.NoIPdom, PC: root.pc, Mask: root.mask}
 		w.acquireSlot(root)
 	}
