@@ -119,7 +119,7 @@ loc:
 # created and merged in. About two minutes on two cores; stderr (timing
 # lines) is not captured.
 ORACLE_BENCHES = KMeans Merge
-ORACLE_SCHEMES = DWS.ReviveSplit DWS.PredictiveSplit DWS.AggressSplit.BL Slip.BranchBypass
+ORACLE_SCHEMES = DWS.ReviveSplit DWS.AggressSplit.BL Slip.BranchBypass
 oracles:
 	@test -n "$(OUT)" || { echo "usage: make oracles OUT=dir"; exit 1; }
 	mkdir -p $(OUT)/csv

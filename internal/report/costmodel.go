@@ -17,7 +17,7 @@ import (
 // every scheme, measured TickCycles inside the static [lo, hi] claim (what
 // TestCostModelConcordance in internal/workloads proves per launch and per
 // bucket). The table shows the Conv baseline; the rows and the CSV carry
-// all 13 schemes.
+// every scheme.
 
 // CostModelRow is one (benchmark, scheme) point: measured cycles against
 // the static claim, which is summed over the benchmark's kernel launches.
@@ -67,7 +67,7 @@ func staticTickBounds(cfg sim.Config) (map[string]program.CostInterval, error) {
 	return out, nil
 }
 
-// CostModel runs the suite under all 13 schemes and prints the
+// CostModel runs the suite under every scheme and prints the
 // bounds-vs-measured table; the returned rows (per benchmark, fastest
 // scheme first) feed CostModelCSV.
 func (s *Session) CostModel(w io.Writer) ([]CostModelRow, error) {

@@ -47,7 +47,7 @@ var Exhibits = []Exhibit{
 	sweepExhibit("20"),
 	sweepExhibit("21"),
 	exhibit("stalls", "Stall breakdown (§5.5)", (*Session).StallBreakdown, StallBreakdownCSV, "", nil),
-	exhibit("ablation", "Ablation (beyond paper)", (*Session).Ablation, AblationCSV, "predictive-hmean", func(rows []AblationRow) float64 {
+	exhibit("ablation", "Ablation (beyond paper)", (*Session).Ablation, AblationCSV, "uncond-branch-hmean", func(rows []AblationRow) float64 {
 		return rows[len(rows)-1].HMean
 	}),
 	exhibit("access", "Access classes (static analysis)", (*Session).MemAccessClasses, MemAccessCSV, "", nil),

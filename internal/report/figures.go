@@ -345,8 +345,8 @@ type AblationRow struct {
 // Ablation evaluates this implementation's design choices around
 // DWS.ReviveSplit (beyond the paper: the paper fixes these implicitly):
 // re-convergence of suspended groups at matching PCs (wait-merge),
-// least-progressed-first scheduling, the laziness threshold on branch
-// subdivision, and the §8 predictive extension.
+// least-progressed-first scheduling and the laziness threshold on branch
+// subdivision.
 func (s *Session) Ablation(w io.Writer) ([]AblationRow, error) {
 	full := DefaultKnobs(wpu.SchemeRevive)
 	noMerge, noProg, uncond := full, full, full
@@ -361,7 +361,6 @@ func (s *Session) Ablation(w io.Writer) ([]AblationRow, error) {
 		{"  - wait-merge", noMerge},
 		{"  - least-progress sched", noProg},
 		{"  unconditional branch split", uncond},
-		{"DWS.PredictiveSplit (§8)", DefaultKnobs(wpu.SchemePredictive)},
 	}
 	knobs := []Knobs{DefaultKnobs(wpu.SchemeConv)}
 	for _, v := range variants {

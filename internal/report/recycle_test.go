@@ -216,7 +216,6 @@ var capacityFields = map[string]bool{
 	"wpu.WPU.splits":        true, // arenas, rewound
 	"wpu.WPU.scopes":        true,
 	"wpu.WPU.slips":         true,
-	"wpu.WPU.subRecs":       true,
 	"wpu.WPU.parkedScratch": true,
 	"sim.System.staged":     true, // launch staging
 	"sim.System.chunks":     true,
@@ -330,7 +329,7 @@ func TestResetRestoresEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	simulate(t, dirty, "KMeans", k, nil)
-	k = DefaultKnobs(wpu.SchemePredictive)
+	k = DefaultKnobs(wpu.SchemeAggressBL)
 	if err := dirty.Reset(cfgFor(k, obs.New(100))); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +337,7 @@ func TestResetRestoresEveryField(t *testing.T) {
 
 	small := DefaultKnobs(wpu.SchemeConv)
 	small.WPUs, small.Warps, small.Width, small.Slots, small.L1KB, small.L1Assoc, small.L2KB = 2, 2, 8, 3, 16, 0, 1024
-	for _, k := range []Knobs{DefaultKnobs(wpu.SchemePredictive), small, DefaultKnobs(wpu.SchemeRevive)} {
+	for _, k := range []Knobs{DefaultKnobs(wpu.SchemeAggressBL), small, DefaultKnobs(wpu.SchemeRevive)} {
 		if err := dirty.Reset(k.Config()); err != nil {
 			t.Fatal(err)
 		}

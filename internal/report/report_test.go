@@ -297,7 +297,7 @@ func TestSweepDrivers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != 5 {
+		if len(rows) != 4 {
 			t.Fatalf("%d ablation rows", len(rows))
 		}
 		full, uncond := rows[0], rows[3]

@@ -310,7 +310,7 @@ func TestJobPanic(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// A clean run first, so the free list has a machine to hand the next.
-	warm, _ := postJob(t, ts, `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.PredictiveSplit"}}`)
+	warm, _ := postJob(t, ts, `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.LazySplit"}}`)
 	waitJob(t, ts, warm.ID)
 
 	setBoom(true)

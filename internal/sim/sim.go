@@ -199,7 +199,7 @@ func New(cfg Config) (*System, error) {
 }
 
 // Reset returns the machine to the state New(cfg) builds — time zero, empty
-// event queue and functional memory, cold caches and predictors, zero
+// event queue and functional memory, cold caches, zero
 // statistics, no observers but the timeline sampler — so the next simulation
 // on it is bit-identical to one on a new machine. Components are kept and
 // emptied where cfg leaves their geometry unchanged and reallocated where it

@@ -6,6 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/wpu"
 )
 
 // Timing microkernels. Every other timing oracle in the repository is
@@ -24,11 +25,12 @@ import (
 // 2·XbarLat + L2.LookupLat (a crossbar round trip and one L2 lookup).
 
 // microMachine is the Table 3 machine cut down to the one WPU the kernel
-// runs on; no latency or geometry differs from DefaultConfig.
-func microMachine(t *testing.T) (*System, Config) {
+// runs on, under scheme; no latency or geometry differs from DefaultConfig.
+func microMachine(t *testing.T, scheme wpu.Scheme) (*System, Config) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.WPUs = 1
+	cfg.WPU = scheme.Apply(cfg.WPU)
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,7 @@ func microMachine(t *testing.T) (*System, Config) {
 // consecutive words of one freshly allocated, line-aligned buffer: the load
 // is one line transaction.
 func loadOneLine(sys *System) (*program.Program, []isa.RegFile) {
-	return laneLoad(sys, oneLine(sys.Memory().AllocWords(sys.Cfg.WPU.Width)))
+	return laneLoad(sys, oneLine(freshLine(sys)))
 }
 
 // laneLoad builds the same kernel with lane i of the one warp loading
@@ -68,6 +70,10 @@ func oneLine(line uint64) func(lane int) uint64 {
 	return func(lane int) uint64 { return line + uint64(lane)*isa.WordSize }
 }
 
+// freshLine allocates one line no launch has touched: cold in the L1 and the
+// L2 (AllocWords is line-aligned).
+func freshLine(sys *System) uint64 { return sys.Memory().AllocWords(sys.Cfg.WPU.Width) }
+
 func runCycles(t *testing.T, sys *System, p *program.Program, threads []isa.RegFile) uint64 {
 	t.Helper()
 	cycles, err := sys.RunKernel(p, threads)
@@ -81,11 +87,18 @@ func iMiss(cfg Config) uint64 {
 	return uint64(2*cfg.Hier.XbarLat + cfg.Hier.L2.LookupLat)
 }
 
+// dramMiss is a one-line load's wait when it misses in the L1 and the L2
+// and finds the memory bus idle: 2·XbarLat + L2.LookupLat + DRAMLat.
+func dramMiss(cfg Config) uint64 {
+	h := cfg.Hier
+	return uint64(2*h.XbarLat + h.L2.LookupLat + h.DRAMLat)
+}
+
 // TestMicroICacheColdMiss: ICacheInstPerLine nops and a halt span two icache
 // lines, so the kernel pays two cold refills and issues one instruction per
 // cycle otherwise.
 func TestMicroICacheColdMiss(t *testing.T) {
-	sys, cfg := microMachine(t)
+	sys, cfg := microMachine(t, wpu.SchemeConv)
 	b := program.NewBuilder("two-icache-lines")
 	for i := 0; i < program.ICacheInstPerLine; i++ {
 		b.Nop()
@@ -110,11 +123,10 @@ func TestMicroICacheColdMiss(t *testing.T) {
 // pays the DRAM latency, and the fill crosses the crossbar back; the halt
 // issues in the cycle the data arrives.
 func TestMicroDRAMMiss(t *testing.T) {
-	sys, cfg := microMachine(t)
+	sys, cfg := microMachine(t, wpu.SchemeConv)
 	p, threads := loadOneLine(sys)
 	got := runCycles(t, sys, p, threads)
-	h := cfg.Hier
-	miss := uint64(2*h.XbarLat + h.L2.LookupLat + h.DRAMLat)
+	miss := dramMiss(cfg)
 	want := iMiss(cfg) + 1 + miss
 	if got != want {
 		t.Errorf("L1+L2 miss to DRAM: %d cycles, want icache refill %d + ld 1 + (2·XbarLat+L2.LookupLat+DRAMLat) %d = %d",
@@ -132,7 +144,7 @@ func TestMicroDRAMMiss(t *testing.T) {
 // its line and its instructions resident: it waits the L1 hit latency and the
 // halt issues in the cycle the data is ready.
 func TestMicroAllHitLoad(t *testing.T) {
-	sys, cfg := microMachine(t)
+	sys, cfg := microMachine(t, wpu.SchemeConv)
 	p, threads := loadOneLine(sys)
 	runCycles(t, sys, p, threads) // warm the L1 and the icache
 	before := sys.L1Stats()
@@ -212,7 +224,7 @@ func microBanks(t *testing.T, name string, stride int, want func(Config, int) (c
 		stride = banks
 	}
 	for k := 1; k <= banks; k *= 2 {
-		sys, cfg := microMachine(t)
+		sys, cfg := microMachine(t, wpu.SchemeConv)
 		step := uint64(stride) * cfg.Hier.L1.LineSize
 		buf := sys.Memory().AllocWords(k * int(step) / isa.WordSize)
 		addr := func(lane int) uint64 { return buf + uint64(lane%k)*step + uint64(lane/k)*isa.WordSize }
@@ -228,5 +240,203 @@ func microBanks(t *testing.T, name string, stride int, want func(Config, int) (c
 			t.Errorf("%s, %d lines: %d hits, %d misses and %d bank conflicts, want %d, 0 and %d", name, k,
 				st.Hits-before.Hits, st.Misses-before.Misses, st.BankConflicts-before.BankConflicts, k, conflicts)
 		}
+	}
+}
+
+// launchDelta runs p and returns its cycles and the WPU statistics it added.
+func launchDelta(t *testing.T, sys *System, p *program.Program, threads []isa.RegFile) (uint64, wpu.Stats) {
+	t.Helper()
+	before := sys.TotalStats()
+	cycles := runCycles(t, sys, p, threads)
+	after := sys.TotalStats()
+	return cycles, wpu.Stats{
+		Issued:             after.Issued - before.Issued,
+		BranchSubdivisions: after.BranchSubdivisions - before.BranchSubdivisions,
+		MemSubdivisions:    after.MemSubdivisions - before.MemSubdivisions,
+		Revivals:           after.Revivals - before.Revivals,
+		WaitMerges:         after.WaitMerges - before.WaitMerges,
+	}
+}
+
+// TestMicroFigure8: the paper's Figure 8. `ld r5, 0(r4); ld r6, 0(r7); halt`
+// with lane 0's first load missing to DRAM while lanes 1–15 hit, and the
+// second load the other way round: lanes 1–15 miss to DRAM, lane 0 hits.
+// The second load is what the run-ahead split gains by running ahead: with
+// only a halt left to issue it saves nothing (TestMicroFigure10). A first
+// launch with every lane on line A makes A and the instructions resident.
+// Write M = dramMiss and ld1 issuing in cycle 0.
+//
+// Conv: the warp waits for its slowest lane twice. ld2 issues at M, its
+// miss returns at 2M, the halt issues then: 1 + 2M cycles.
+//
+// ReviveSplit: no other SIMD group is ready, so ld1 subdivides at access
+// time (§5.2). The run-ahead split (lanes 1–15) is ready at L1.HitLat and
+// issues ld2, whose miss starts HitLat after the fall-behind's: it reaches
+// the memory bus XbarLat + L2.LookupLat + HitLat, while the first line holds
+// the bus until XbarLat + L2.LookupLat + MemBusOcc, so it returns at
+// M + max(HitLat, MemBusOcc). The fall-behind (lane 0) is ready at M,
+// issues ld2 (a hit, ready at M + HitLat) and wait-merges with the run-ahead
+// suspended at the same PC. Lane 0's hit returns first and the stalled
+// pipeline revives it (lane 0 halts at M + HitLat); lanes 1–15 issue the
+// halt when their miss is back: 1 + M + max(HitLat, MemBusOcc) cycles.
+// DWS's saving is the overlapped miss, M − max(HitLat, MemBusOcc).
+func TestMicroFigure8(t *testing.T) {
+	run := func(scheme wpu.Scheme) (Config, uint64, wpu.Stats) {
+		sys, cfg := microMachine(t, scheme)
+		a := freshLine(sys)
+		b := program.NewBuilder("figure-8")
+		b.Ld(5, 4, 0)
+		b.Ld(6, 7, 0)
+		b.Halt()
+		p := b.MustBuild()
+		runCycles(t, sys, p, Threads(cfg.WPU.Width, func(tid int, r *isa.RegFile) {
+			r.Set(4, int64(oneLine(a)(tid)))
+			r.Set(7, int64(oneLine(a)(tid)))
+		}))
+		first, second := freshLine(sys), freshLine(sys)
+		cycles, st := launchDelta(t, sys, p, Threads(cfg.WPU.Width, func(tid int, r *isa.RegFile) {
+			if tid == 0 {
+				r.Set(4, int64(first))
+				r.Set(7, int64(a))
+				return
+			}
+			r.Set(4, int64(oneLine(a)(tid)))
+			r.Set(7, int64(oneLine(second)(tid)))
+		}))
+		return cfg, cycles, st
+	}
+	cfg, conv, _ := run(wpu.SchemeConv)
+	m := dramMiss(cfg)
+	if want := 1 + 2*m; conv != want {
+		t.Errorf("Conv: %d cycles, want 1 + 2·M = %d", conv, want)
+	}
+	cfg, dws, st := run(wpu.SchemeRevive)
+	h := cfg.Hier
+	queued := uint64(max(h.L1.HitLat, h.MemBusOcc))
+	if want := 1 + m + queued; dws != want {
+		t.Errorf("ReviveSplit: %d cycles, want 1 + M + max(L1.HitLat, MemBusOcc) = %d", dws, want)
+	}
+	if st.MemSubdivisions != 2 || st.Revivals != 1 || st.WaitMerges != 1 {
+		t.Errorf("ReviveSplit: %d subdivisions, %d revivals and %d wait-merges, want 2, 1 and 1",
+			st.MemSubdivisions, st.Revivals, st.WaitMerges)
+	}
+	if saving := conv - dws; saving != m-queued {
+		t.Errorf("DWS saves %d cycles, want M − max(L1.HitLat, MemBusOcc) = %d", saving, m-queued)
+	}
+}
+
+// TestMicroFigure10: the paper's Figure 10, the run-ahead that achieves
+// nothing. `ld r5, 0(r4)`, n independent adds and a halt; lane 0's load
+// misses to DRAM and lanes 1–15 hit, after a launch that made the line and
+// the instructions resident. The run-ahead split issues no further miss: it
+// is ready at L1.HitLat and issues its n adds and halt before the
+// fall-behind's data returns at M (HitLat + n < M), so the fall-behind then
+// issues the same n adds and halt the whole warp issues under Conv. Both
+// take 1 + M + n cycles; DWS only spends n + 1 more issue slots
+// (2n + 3 instructions issued against n + 2).
+func TestMicroFigure10(t *testing.T) {
+	const n = 8
+	run := func(scheme wpu.Scheme) (Config, uint64, wpu.Stats) {
+		sys, cfg := microMachine(t, scheme)
+		a := freshLine(sys)
+		b := program.NewBuilder("figure-10")
+		b.Ld(5, 4, 0)
+		for i := 0; i < n; i++ {
+			b.Addi(6, 6, 1)
+		}
+		b.Halt()
+		p := b.MustBuild()
+		runCycles(t, sys, p, Threads(cfg.WPU.Width, func(tid int, r *isa.RegFile) { r.Set(4, int64(oneLine(a)(tid))) }))
+		miss := freshLine(sys)
+		cycles, st := launchDelta(t, sys, p, Threads(cfg.WPU.Width, func(tid int, r *isa.RegFile) {
+			if tid == 0 {
+				r.Set(4, int64(miss))
+				return
+			}
+			r.Set(4, int64(oneLine(a)(tid)))
+		}))
+		return cfg, cycles, st
+	}
+	for _, tc := range []struct {
+		scheme        wpu.Scheme
+		issued, subdv uint64
+	}{
+		{wpu.SchemeConv, n + 2, 0},
+		{wpu.SchemeRevive, 2*n + 3, 1},
+	} {
+		cfg, cycles, st := run(tc.scheme)
+		m := dramMiss(cfg)
+		if uint64(cfg.Hier.L1.HitLat)+n >= m {
+			t.Fatalf("the run-ahead must finish before the miss returns: HitLat + %d ≥ M = %d", n, m)
+		}
+		if want := 1 + m + n; cycles != want {
+			t.Errorf("%s: %d cycles, want 1 + M + %d = %d", tc.scheme, cycles, n, want)
+		}
+		if st.Issued != tc.issued || st.MemSubdivisions != tc.subdv {
+			t.Errorf("%s: %d instructions issued and %d subdivisions, want %d and %d",
+				tc.scheme, st.Issued, st.MemSubdivisions, tc.issued, tc.subdv)
+		}
+	}
+}
+
+// TestMicroShortJoin: a §4.3 short-join divergent branch. Lanes 0–7 take
+// the branch to a load that misses to DRAM; lanes 8–15 fall through to n
+// adds and a jump to the join, where the halt is. Both arms are short, so
+// the branch may subdivide. The slti issues in cycle 0 and the branch in
+// cycle 1; the first launch made the instructions resident, and each launch
+// loads a line no launch has touched.
+//
+// Conv: the re-convergence stack runs the taken arm first. Its load issues in
+// cycle 2 and returns at 2 + M, when the stack pops to the other arm: n adds,
+// the jump, then the halt of the re-joined warp, 4 + M + n cycles.
+//
+// BranchOnly: no other SIMD group is ready, so the branch subdivides (§4.2).
+// Both splits carry the branch's progress count, and the scheduler's
+// rotation starts past the slot that issued the branch, at the not-taken
+// split's: it issues one add in cycle 2, and least-progressed-first then
+// picks the taken split, whose load issues in cycle 3. The not-taken split
+// issues the rest of its arm and its halt during the miss; the taken split
+// issues its halt when the data returns: 4 + M cycles. The arms overlap:
+// the saving is the not-taken arm, n cycles.
+func TestMicroShortJoin(t *testing.T) {
+	const n = 8
+	run := func(scheme wpu.Scheme) (Config, uint64, wpu.Stats) {
+		sys, cfg := microMachine(t, scheme)
+		b := program.NewBuilder("short-join")
+		b.Slti(3, 1, int64(cfg.WPU.Width/2))
+		b.Bnez(3, "miss")
+		for i := 0; i < n; i++ {
+			b.Addi(6, 6, 1)
+		}
+		b.Jmp("join")
+		b.Label("miss")
+		b.Ld(5, 4, 0)
+		b.Label("join")
+		b.Halt()
+		p := b.MustBuild()
+		threads := func(line uint64) []isa.RegFile {
+			return Threads(cfg.WPU.Width, func(tid int, r *isa.RegFile) { r.Set(4, int64(oneLine(line)(tid))) })
+		}
+		runCycles(t, sys, p, threads(freshLine(sys)))
+		cycles, st := launchDelta(t, sys, p, threads(freshLine(sys)))
+		return cfg, cycles, st
+	}
+	cfg, conv, st := run(wpu.SchemeConv)
+	m := dramMiss(cfg)
+	if want := 4 + m + n; conv != want {
+		t.Errorf("Conv: %d cycles, want 4 + M + %d = %d", conv, n, want)
+	}
+	if st.BranchSubdivisions != 0 {
+		t.Errorf("Conv subdivided %d branches", st.BranchSubdivisions)
+	}
+	cfg, dws, st := run(wpu.SchemeBranchOnly)
+	if want := 4 + m; dws != want {
+		t.Errorf("BranchOnly: %d cycles, want 4 + M = %d", dws, want)
+	}
+	if st.BranchSubdivisions != 1 {
+		t.Errorf("BranchOnly subdivided %d branches, want 1", st.BranchSubdivisions)
+	}
+	if saving := conv - dws; saving != n {
+		t.Errorf("DWS saves %d cycles, want n = %d", saving, n)
 	}
 }

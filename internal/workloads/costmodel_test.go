@@ -79,7 +79,7 @@ func runSuiteForCost(t *testing.T, scheme wpu.Scheme, models map[costModelKey]*p
 }
 
 // TestCostModelConcordance checks every kernel launch of every benchmark
-// under all 13 schemes against the static cycle bounds: TickCycles and each
+// under every scheme against the static cycle bounds: TickCycles and each
 // of the eight bucket deltas inside its interval.
 func TestCostModelConcordance(t *testing.T) {
 	if testing.Short() {

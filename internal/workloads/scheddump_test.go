@@ -18,15 +18,15 @@ import (
 // under a different id or merged into the other sibling; the scheduling
 // dump (split ids, masks, PCs, states, scopes, slip groups) can. The test
 // hashes DebugDump of every WPU every 2000 cycles for two divergent kernels
-// under one scheme per subdivision trigger — revive, the predictor,
-// BranchLimited scopes and slip promotion — and compares the digests with
+// under one scheme per subdivision trigger — revive, BranchLimited scopes
+// and slip promotion — and compares the digests with
 // testdata/scheduling_dump.golden. Regenerate with -update (or make
 // update-goldens) only when the scheduling order is meant to change.
 func TestSchedulingDumpGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, bench := range []string{"KMeans", "Merge"} {
 		for _, scheme := range []wpu.Scheme{
-			wpu.SchemeRevive, wpu.SchemePredictive, wpu.SchemeAggressBL, wpu.SchemeSlipBranchBypass,
+			wpu.SchemeRevive, wpu.SchemeAggressBL, wpu.SchemeSlipBranchBypass,
 		} {
 			cfg := sim.DefaultConfig()
 			cfg.WPU = scheme.Apply(cfg.WPU)

@@ -22,12 +22,6 @@ const (
 	// suspended SIMD group whose outstanding requests have partially
 	// completed is subdivided so the satisfied threads can run ahead.
 	ReviveSplit
-	// PredictiveSplit extends ReviveSplit with the paper's §8 future-work
-	// idea: a per-PC miss-history predictor estimates whether a run-ahead
-	// split will issue another long-latency request before its fall-behind
-	// sibling resumes (the Figure 10 failure case), and vetoes subdivision
-	// when past run-aheads at this PC achieved nothing.
-	PredictiveSplit
 )
 
 func (s MemScheme) String() string {
@@ -40,8 +34,6 @@ func (s MemScheme) String() string {
 		return "lazy"
 	case ReviveSplit:
 		return "revive"
-	case PredictiveSplit:
-		return "predictive"
 	}
 	return "?"
 }
@@ -203,7 +195,6 @@ type Scheme string
 // The named configurations evaluated in the paper (Figures 7, 11 and 13).
 const (
 	SchemeConv             Scheme = "Conv"
-	SchemePredictive       Scheme = "DWS.PredictiveSplit"
 	SchemeBranchOnlyStack  Scheme = "DWS.BranchOnly.Stack"
 	SchemeBranchOnly       Scheme = "DWS.BranchOnly"
 	SchemeAggressBL        Scheme = "DWS.AggressSplit.BL"
@@ -237,7 +228,6 @@ var schemes = []struct {
 	{SchemeAggress, true, true, AggressSplit, BranchBypass, SlipOff},
 	{SchemeLazy, true, true, LazySplit, BranchBypass, SlipOff},
 	{SchemeRevive, true, true, ReviveSplit, BranchBypass, SlipOff},
-	{SchemePredictive, true, true, PredictiveSplit, BranchBypass, SlipOff},
 	{SchemeSlip, false, false, MemNone, BranchBypass, SlipOn},
 	{SchemeSlipBranchBypass, true, true, MemNone, BranchBypass, SlipBranchBypass},
 }

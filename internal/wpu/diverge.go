@@ -103,8 +103,6 @@ func (w *WPU) shouldMemSubdivide(s *Split) bool {
 	case LazySplit, ReviveSplit:
 		// Subdivide only when no other SIMD group can hide the latency.
 		return !w.anyOtherReady(s) && w.wstRoom()
-	case PredictiveSplit:
-		return !w.anyOtherReady(s) && w.predictor.allow(s.pc) && w.wstRoom()
 	}
 	return false
 }
@@ -123,11 +121,6 @@ func (w *WPU) subdivideMem(s *Split, hitMask, missMask Mask) {
 	hit.waitDiv = true
 	w.setState(hit, WaitMem) // completes after the hit latency
 	hit.pending = hitMask
-	if w.cfg.MemScheme == PredictiveSplit {
-		rec := w.subRecs.put(subdivRecord{pc: s.pc - 1})
-		hit.subRec = rec
-		s.subRec = rec
-	}
 
 	s.memSince = 0
 	s.waitDiv = true

@@ -1,9 +1,9 @@
 package wpu
 
 // White-box tests of the split machinery: slot bookkeeping, re-convergence
-// stack pops, sync-scope lifecycle, PC/wait merges, the WST bound and the
-// subdivision predictor. These drive a real WPU over a tiny memory
-// hierarchy and inspect package-private state directly.
+// stack pops, sync-scope lifecycle, PC/wait merges and the WST bound. These
+// drive a real WPU over a tiny memory hierarchy and inspect package-private
+// state directly.
 
 import (
 	"testing"
@@ -294,47 +294,6 @@ func TestTryPCMergeRequiresSameContext(t *testing.T) {
 	}
 	if w.Stats.PCMerges != 1 {
 		t.Fatalf("PCMerges = %d", w.Stats.PCMerges)
-	}
-}
-
-func TestPredictorTrainsAndVetoes(t *testing.T) {
-	var p subdivPredictor
-	pc := 12
-	if !p.allow(pc) {
-		t.Fatal("fresh predictor must be weakly taken")
-	}
-	p.train(pc, false)
-	p.train(pc, false)
-	if p.allow(pc) {
-		t.Fatal("predictor did not learn failures")
-	}
-	if p.Vetoes == 0 {
-		t.Fatal("veto not counted")
-	}
-	p.train(pc, true)
-	p.train(pc, true)
-	if !p.allow(pc) {
-		t.Fatal("predictor did not recover on successes")
-	}
-	if p.Successes != 2 || p.Failures != 2 {
-		t.Fatalf("train counters: %d/%d", p.Successes, p.Failures)
-	}
-}
-
-func TestPredictorSaturates(t *testing.T) {
-	var p subdivPredictor
-	pc := 5
-	for i := 0; i < 10; i++ {
-		p.train(pc, true)
-	}
-	if p.table[p.idx(pc)] != predictorMax {
-		t.Fatal("counter exceeded max")
-	}
-	for i := 0; i < 10; i++ {
-		p.train(pc, false)
-	}
-	if p.table[p.idx(pc)] != 0 {
-		t.Fatal("counter went negative")
 	}
 }
 

@@ -105,7 +105,6 @@ func TestSchemesApply(t *testing.T) {
 		{SchemeAggress, true, true, AggressSplit, BranchBypass, SlipOff},
 		{SchemeLazy, true, true, LazySplit, BranchBypass, SlipOff},
 		{SchemeRevive, true, true, ReviveSplit, BranchBypass, SlipOff},
-		{SchemePredictive, true, true, PredictiveSplit, BranchBypass, SlipOff},
 		{SchemeSlip, false, false, MemNone, BranchBypass, SlipOn},
 		{SchemeSlipBranchBypass, true, true, MemNone, BranchBypass, SlipBranchBypass},
 	}
@@ -122,8 +121,8 @@ func TestSchemesApply(t *testing.T) {
 }
 
 func TestAllSchemesListed(t *testing.T) {
-	if len(AllSchemes) != 13 {
-		t.Fatalf("AllSchemes has %d entries, want 13", len(AllSchemes))
+	if len(AllSchemes) != 12 {
+		t.Fatalf("AllSchemes has %d entries, want 12", len(AllSchemes))
 	}
 }
 

@@ -133,9 +133,6 @@ type Split struct {
 	memSince uint64
 	// mergedInto forwards in-flight line completions after a wait-merge.
 	mergedInto *Split
-	// subRec observes this split's subdivision outcome for the
-	// PredictiveSplit miss-history predictor.
-	subRec *subdivRecord
 	// prog counts instructions this split's threads have retired; the
 	// scheduler favours the least-progressed ready group so siblings stay
 	// near-lockstep (Figure 6d) and PC-based re-convergence can catch them.

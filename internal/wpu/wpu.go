@@ -140,18 +140,14 @@ type WPU struct {
 	// free list would be unsound — a dead split lives on as a wait-merge
 	// forwarding stub, so nothing can tell when it is last used — but a
 	// rewind needs no such knowledge: Launch requires Done, and once every
-	// thread has halted no split, scope, slip group or record of the
-	// finished kernel is reachable from anything that will be read again
+	// thread has halted no split, scope or slip group of the finished
+	// kernel is reachable from anything that will be read again
 	// (stale token owners are overwritten before a completion can fire).
-	splits  slab[Split]
-	scopes  slab[SyncScope]
-	slips   slab[slipEntry]
-	subRecs slab[subdivRecord]
+	splits slab[Split]
+	scopes slab[SyncScope]
+	slips  slab[slipEntry]
 	// parkedScratch is ReleaseBarrier's per-warp list of parked splits.
 	parkedScratch []*Split
-
-	// Subdivision predictor (PredictiveSplit, the §8 extension).
-	predictor subdivPredictor
 
 	// memBound holds the static worst-case line-transaction bound per pc
 	// (-1 = no bound: non-memory or divergent-gather), recomputed at Launch
@@ -244,7 +240,6 @@ func (w *WPU) Reset(cfg Config, l1 *mem.L1, fmem *mem.Memory, trace *obs.Trace) 
 		splits:        old.splits,
 		scopes:        old.scopes,
 		slips:         old.slips,
-		subRecs:       old.subRecs,
 		parkedScratch: old.parkedScratch,
 	}
 	w.rewindArenas()
@@ -541,7 +536,6 @@ func (w *WPU) rewindArenas() {
 	w.splits.rewind()
 	w.scopes.rewind()
 	w.slips.rewind()
-	w.subRecs.rewind()
 }
 
 // newStack returns a single-entry base stack, recycled from the pool when
@@ -599,7 +593,7 @@ func (w *WPU) Tick() bool {
 	}
 	before := w.progress
 	w.cur = w.pickNext()
-	if w.cur == nil && (w.cfg.MemScheme == ReviveSplit || w.cfg.MemScheme == PredictiveSplit) {
+	if w.cur == nil && w.cfg.MemScheme == ReviveSplit {
 		if w.tryRevive() {
 			w.cur = w.pickNext()
 		}
@@ -1067,7 +1061,6 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 	}
 
 	if missMask != 0 {
-		w.observeRunAheadMiss(s)
 		w.Stats.MemWithMiss++
 		missMask.Lanes(func(lane int) {
 			w.Stats.ThreadMisses[warp.id][lane]++
@@ -1128,7 +1121,6 @@ func (s *Split) onLineDone(lanes Mask) {
 
 // becomeReady transitions a split out of WaitMem, applying re-convergence.
 func (w *WPU) becomeReady(s *Split) {
-	w.closeSubdivRecord(s)
 	w.setState(s, Ready)
 	w.settle(s)
 }
