@@ -152,6 +152,10 @@ oracles-check:
 # SCALE (e.g. `make profile BENCH=LU SCALE=16`); inspect with e.g.
 #   go tool pprof -top cpu.pprof
 #   go tool pprof -top -sample_index=alloc_objects mem.pprof
+# and, for what a run keeps rather than what it churns, the in-use view
+# (it exposed a split arena that grew with run length):
+#   make profile BENCH=KMeans SCALE=16
+#   go tool pprof -top -sample_index=inuse_space mem.pprof
 SCALE ?= 1
 profile:
 	$(GO) run ./cmd/dwsim -bench $(BENCH) -scheme DWS.ReviveSplit -scale $(SCALE) -nocache \

@@ -39,7 +39,7 @@ func (w *WPU) fork(s *Split, limit bool, keep Mask, keepPC int, mask Mask, pc in
 			expected:     s.mask,
 			frozen:       s.stack,
 			parent:       s.scope,
-		})
+		}, w.epoch)
 	}
 	sib := w.newSplit(s.warp, mask, pc, scope)
 	sib.prog = s.prog
@@ -230,7 +230,7 @@ func (w *WPU) tryWaitMerge(s *Split) {
 				w.trace.Hists.WaitMergeWait.Record(uint64(w.q.Now() - o.waitSince))
 			}
 		}
-		o.mergedInto = s
+		w.handOff(o, s, o.pending)
 		w.absorb(s, o)
 		w.Stats.WaitMerges++
 		if w.trace != nil {
@@ -282,11 +282,12 @@ func (w *WPU) maybeCompleteScope(sc *SyncScope) {
 		stack: sc.frozen,
 		scope: sc.parent,
 		born:  w.q.Now(),
-	})
+	}, w.epoch)
 	if sc.expected.Empty() {
 		merged.pc = sc.reconvPC
 	}
 	merged.tos().Mask = sc.expected
+	w.scopes.release(sc, w.epoch)
 	w.addSplit(merged)
 	w.settle(merged)
 }

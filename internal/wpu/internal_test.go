@@ -525,3 +525,43 @@ func TestHitCompletionsShareAnEvent(t *testing.T) {
 		}
 	}
 }
+
+// pendingAccess stands in for execMem's issue of one access with two lines
+// in flight: it takes a completion token for each lane set and makes them
+// the current instruction's groups, so that the caller's assignOwner or
+// trySlip routes them. It returns the two token indexes.
+func pendingAccess(w *WPU, a, b Mask) (int32, int32) {
+	ta, tb := w.allocToken(a), w.allocToken(b)
+	w.memGroups = append(w.memGroups[:0], lineGroup{lanes: a, tok: ta}, lineGroup{lanes: b, tok: tb})
+	return ta, tb
+}
+
+// TestWaitMergeHandsOffCompletions: after two groups suspended at one PC
+// wait-merge, a line completion for lanes of the absorbed group readies
+// the survivor.
+func TestWaitMergeHandsOffCompletions(t *testing.T) {
+	w, _, _ := newBareWPU(t, SchemeRevive.Apply(Config{Warps: 1, Width: 8}))
+	launchSimple(t, w, haltOnly(t), 8, nil)
+	s := w.warps[0].splits[0]
+	o := w.fork(s, false, 0x0F, 5, 0xF0, 5)
+	w.addSplit(o)
+	mine, theirs := pendingAccess(w, 0x0F, 0xF0)
+	for _, g := range []struct {
+		s     *Split
+		lanes Mask
+	}{{s, 0x0F}, {o, 0xF0}} {
+		w.setState(g.s, WaitMem)
+		g.s.pending, g.s.memSince = g.lanes, 1
+		w.assignOwner(g.s, g.lanes)
+	}
+
+	w.tryWaitMerge(s)
+	if o.state != Dead || s.mask != 0xFF || s.pending != 0xFF {
+		t.Fatalf("no wait-merge: survivor %v pending=%#x, absorbed %v", s, uint64(s.pending), o)
+	}
+	w.HandleEvent(uint64(mine))
+	w.HandleEvent(uint64(theirs))
+	if !s.pending.Empty() || s.state != Ready {
+		t.Fatalf("the absorbed group's completion did not reach the survivor: %v pending=%#x", s, uint64(s.pending))
+	}
+}

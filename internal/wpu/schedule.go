@@ -37,6 +37,7 @@ func (w *WPU) acquireSlot(s *Split) {
 		}
 	}
 	w.Stats.SlotWaits++
+	s.slotIdx = len(w.slotWait)
 	w.slotWait = append(w.slotWait, s)
 	s.queued = true
 	if s.state == Ready {
@@ -90,13 +91,18 @@ func (w *WPU) removeSplit(s *Split) {
 		w.slotWaitReady--
 	}
 	s.state = Dead
-	// Recycle the stack: dead splits may live on as wait-merge forwarding
-	// stubs (mergedInto), but forwarding never touches the stack. Nil it so
-	// any unexpected use fails fast instead of corrupting a reused slice.
+	// Recycle the stack, and nil it so a use of the dead split fails fast
+	// instead of corrupting a reused slice.
 	if s.stack != nil {
 		w.stackPool = append(w.stackPool, s.stack)
 		s.stack = nil
 	}
+	// A split that dies queued for a slot leaves a hole in the queue, which
+	// admitWaiter skips, so that nothing names the object it releases.
+	if s.queued {
+		w.slotWait[s.slotIdx] = nil
+	}
+	w.splits.release(s, w.epoch)
 }
 
 func (w *WPU) admitWaiter(slot int) {
@@ -107,11 +113,14 @@ func (w *WPU) admitWaiter(slot int) {
 			w.slotWait = w.slotWait[:0]
 			w.slotWaitHead = 0
 		}
+		if c == nil {
+			continue
+		}
 		c.queued = false
 		if c.state == Ready {
 			w.slotWaitReady--
 		}
-		if c.state == Dead || c.resident {
+		if c.resident {
 			continue
 		}
 		w.slots[slot] = c

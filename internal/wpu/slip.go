@@ -37,7 +37,7 @@ func (w *WPU) trySlip(s *Split, hitMask, missMask Mask) bool {
 	if w.trace != nil {
 		w.emit(obs.EvSlip, s.warp.id, s.pc, hitMask, missMask)
 	}
-	e := w.slips.put(slipEntry{split: s, mask: missMask, pc: s.pc, pending: missMask, scope: s.scope})
+	e := w.slips.put(slipEntry{split: s, mask: missMask, pc: s.pc, pending: missMask, scope: s.scope}, w.epoch)
 	s.slipped = append(s.slipped, e)
 	w.assignOwner(e, missMask)
 
@@ -52,12 +52,8 @@ func (w *WPU) trySlip(s *Split, hitMask, missMask Mask) bool {
 
 // onLineDone completes a fall-behind group's outstanding lines; if its
 // split is stalled waiting to swap (WaitSlip), the group takes over the
-// pipeline immediately. Promoted groups forward to their split.
+// pipeline immediately.
 func (e *slipEntry) onLineDone(lanes Mask) {
-	if e.asSplit != nil {
-		e.asSplit.onLineDone(lanes)
-		return
-	}
 	e.pending &^= lanes
 	s := e.split
 	if e.pending.Empty() && s.state == WaitSlip {
@@ -76,6 +72,7 @@ func (w *WPU) slipAbsorb(s *Split) {
 			s.mask |= e.mask
 			s.stack[0].Mask = s.mask
 			s.slipped = append(s.slipped[:i], s.slipped[i+1:]...)
+			w.slips.release(e, w.epoch)
 			w.Stats.SlipMerges++
 			if w.trace != nil {
 				w.emit(obs.EvSlipMerge, s.warp.id, s.pc, s.mask, e.mask)
@@ -117,6 +114,7 @@ func (w *WPU) slipSwapIn(s *Split) bool {
 		s.stack[0].Mask = s.mask
 		s.pc = e.pc
 		s.slipped = append(s.slipped[:i], s.slipped[i+1:]...)
+		w.slips.release(e, w.epoch)
 		w.progress++
 		return true
 	}
@@ -124,15 +122,17 @@ func (w *WPU) slipSwapIn(s *Split) bool {
 }
 
 // promoteSlipEntry turns a fall-behind group into an independent split in
-// its recorded scope context.
+// its recorded scope context, which takes over the group's in-flight
+// completions.
 func (w *WPU) promoteSlipEntry(s *Split, e *slipEntry) {
 	ns := w.newSplit(s.warp, e.mask, e.pc, e.scope)
 	if !e.pending.Empty() {
 		ns.waitDiv = true       // fall-behind threads of a divergent access
 		w.setState(ns, WaitMem) // via setState: the memWait count must see it
 		ns.pending = e.pending
-		e.asSplit = ns // in-flight completions now target the split
+		w.handOff(e, ns, e.pending)
 	}
+	w.slips.release(e, w.epoch)
 	w.addSplit(ns)
 	w.progress++
 	if ns.state == Ready {

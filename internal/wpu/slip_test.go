@@ -174,24 +174,34 @@ func TestPromoteAllSlipCreatesSplits(t *testing.T) {
 	}
 }
 
+// TestSlipEntryForwardsAfterPromotion: a line completion the fall-behind
+// group was waiting for when it was promoted reaches the promoted split.
 func TestSlipEntryForwardsAfterPromotion(t *testing.T) {
 	w := slipWPU(t)
 	s := w.warps[0].splits[0]
 	s.pc = 5
+	hit, miss := pendingAccess(w, 0x0F, 0xF0)
 	w.trySlip(s, 0x0F, 0xF0)
 	e := s.slipped[0]
 	w.promoteAllSlip(s)
-	if e.asSplit == nil {
-		t.Fatal("promotion did not link the entry to its split")
+	var ns *Split
+	for _, o := range w.warps[0].splits {
+		if o != s {
+			ns = o
+		}
 	}
-	ns := e.asSplit
-	if ns.pending != 0xF0 {
-		t.Fatalf("promoted pending = %#x", uint64(ns.pending))
+	if ns == nil || ns.pending != 0xF0 || ns.state != WaitMem {
+		t.Fatalf("promoted split = %v", ns)
 	}
-	// A line completion through the old entry must reach the new split.
-	e.onLineDone(0xF0)
+	if w.tokens[miss].owner != ns || w.tokens[hit].owner != s {
+		t.Fatalf("token owners after promotion: miss %v, hit %v", w.tokens[miss].owner, w.tokens[hit].owner)
+	}
+	w.HandleEvent(uint64(miss))
 	if !ns.pending.Empty() || ns.state != Ready {
-		t.Fatalf("forwarded completion lost: %v pending=%#x", ns, uint64(ns.pending))
+		t.Fatalf("completion lost: %v pending=%#x", ns, uint64(ns.pending))
+	}
+	if e.pending != 0xF0 {
+		t.Fatalf("the retired group heard the completion: pending=%#x", uint64(e.pending))
 	}
 }
 

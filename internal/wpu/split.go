@@ -21,7 +21,7 @@ const (
 	WaitSlip
 	// AtBarrier: parked at a kernel-wide barrier.
 	AtBarrier
-	// Dead: removed (merged away or retired); kept for debugging asserts.
+	// Dead: removed (merged away or retired); the object returns to its slab.
 	Dead
 )
 
@@ -83,9 +83,6 @@ type slipEntry struct {
 	// only re-join a split in the same context (mask bookkeeping of frozen
 	// stacks and scopes would corrupt otherwise).
 	scope *SyncScope
-	// asSplit is set when the group was promoted to an independent split
-	// (its owner retired or arrived at a scope); completions forward there.
-	asSplit *Split
 }
 
 // parkedEntry is the run-ahead portion of a slip warp parked at a branch
@@ -131,19 +128,18 @@ type Split struct {
 	// suspended at the same PC) is only legal once both have moved past
 	// their own subdivision point.
 	memSince uint64
-	// mergedInto forwards in-flight line completions after a wait-merge.
-	mergedInto *Split
 	// prog counts instructions this split's threads have retired; the
 	// scheduler favours the least-progressed ready group so siblings stay
 	// near-lockstep (Figure 6d) and PC-based re-convergence can catch them.
 	prog uint64
 
 	// resident: holds one of the scheduler's bounded slots (§6.6);
-	// slotIdx is the held slot's index (meaningful only while resident),
-	// kept so state transitions can update the scheduler's ready bitmask
-	// without searching the slot array. queued mirrors membership in the
-	// WPU's slotWait queue so transitions can maintain slotWaitReady
-	// without rescanning the queue every stalled cycle.
+	// slotIdx is the held slot's index while resident, kept so state
+	// transitions can update the scheduler's ready bitmask without searching
+	// the slot array. queued mirrors membership in the WPU's slotWait queue
+	// so transitions can maintain slotWaitReady without rescanning the queue
+	// every stalled cycle; while queued, slotIdx is the split's index in
+	// slotWait, so a split that dies there can leave without a search.
 	resident bool
 	queued   bool
 	slotIdx  int
@@ -192,7 +188,9 @@ func (s *Split) slipCount() int {
 // affected threads by then (the issuing split, a subdivided child, or a
 // slip entry). Ownership is assigned after the subdivision decision, which
 // happens in the same cycle the accesses are issued — before any completion
-// can fire.
+// can fire — and moves only when its owner is absorbed with the completion
+// still in flight (a wait-merge, or a slip group's promotion): handOff gives
+// the token to the survivor, so no token outlives its owner.
 type memToken struct {
 	lanes Mask
 	owner completionTarget
@@ -218,19 +216,32 @@ type Warp struct {
 // liveUnhalted returns lanes still executing.
 func (w *Warp) liveUnhalted() Mask { return w.live &^ w.halted }
 
-// slab is a rewindable arena of T. put stores a value in the next free
-// object of a fixed-size chunk and returns its address, which stays valid
-// however far the arena grows; rewind makes everything handed out so far
-// available again without releasing a chunk.
+// slab is a per-launch arena of T. put stores a value in a free object and
+// returns its address, which stays valid however far the arena grows: objects
+// sit in fixed-size chunks. release retires an object; it becomes free to
+// hand out again in a later epoch than the one it was released in, which is
+// the owner's promise that no caller can still name it. rewind makes
+// everything handed out so far free again without releasing a chunk.
 type slab[T any] struct {
 	chunks [][]T
 	chunk  int // chunks[chunk] is being carved
 	used   int // objects handed out from it
+	free   []*T
+	// retired holds the objects released in epoch.
+	retired []*T
+	epoch   uint64
 }
 
 const slabChunk = 64
 
-func (a *slab[T]) put(v T) *T {
+func (a *slab[T]) put(v T, epoch uint64) *T {
+	a.age(epoch)
+	if n := len(a.free); n > 0 {
+		p := a.free[n-1]
+		a.free = a.free[:n-1]
+		*p = v
+		return p
+	}
 	if a.chunk == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]T, slabChunk))
 	}
@@ -242,4 +253,21 @@ func (a *slab[T]) put(v T) *T {
 	return p
 }
 
-func (a *slab[T]) rewind() { a.chunk, a.used = 0, 0 }
+func (a *slab[T]) release(p *T, epoch uint64) {
+	a.age(epoch)
+	a.retired = append(a.retired, p)
+}
+
+// age frees the objects retired in an earlier epoch than this one.
+func (a *slab[T]) age(epoch uint64) {
+	if epoch != a.epoch {
+		a.free = append(a.free, a.retired...)
+		a.retired = a.retired[:0]
+		a.epoch = epoch
+	}
+}
+
+func (a *slab[T]) rewind() {
+	a.chunk, a.used = 0, 0
+	a.free, a.retired = a.free[:0], a.retired[:0]
+}

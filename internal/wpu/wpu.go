@@ -40,7 +40,10 @@ type WPU struct {
 	slots []*Split
 	// slotWait[slotWaitHead:] is the FIFO of splits waiting for a slot; the
 	// head advances on admission and the backing array is reused once the
-	// queue drains, so a long-lived queue neither leaks capacity nor grows.
+	// queue drains. A split that dies queued leaves a nil entry there, which
+	// admission skips (and SlotWaiters still counts, as it counted the dead
+	// split). So a queue that never drains grows with the splits queued
+	// through it, not with the splits waiting.
 	slotWait     []*Split
 	slotWaitHead int
 	// slotWaitReady counts Ready splits in slotWait, maintained on every
@@ -136,16 +139,21 @@ type WPU struct {
 	// recycled at removeSplit can have no live aliases.
 	stackPool [][]StackEntry
 
-	// Per-run objects come from arenas rewound at Launch and Reset. A
-	// free list would be unsound — a dead split lives on as a wait-merge
-	// forwarding stub, so nothing can tell when it is last used — but a
-	// rewind needs no such knowledge: Launch requires Done, and once every
-	// thread has halted no split, scope or slip group of the finished
-	// kernel is reachable from anything that will be read again
-	// (stale token owners are overwritten before a completion can fire).
+	// Per-run objects come from arenas that hold the live ones and those
+	// that died since the last Tick, so their size is bounded by the WST and
+	// not by run length. A split, a scope or a slip group is released where
+	// it dies (removeSplit, which also empties its slot-wait entry;
+	// maybeCompleteScope; a slip group absorbed, swapped in or promoted), and
+	// nothing reads it after that: no token outlives its owner (see
+	// memToken). It is handed out again only once epoch has moved on, that
+	// is from the next Tick, since until the Tick or event that released it
+	// returns, a caller up the stack may still name it. Launch and Reset
+	// rewind the arenas whole; stale token owners are overwritten before a
+	// completion can fire.
 	splits slab[Split]
 	scopes slab[SyncScope]
 	slips  slab[slipEntry]
+	epoch  uint64 // counts Ticks
 	// parkedScratch is ReleaseBarrier's per-warp list of parked splits.
 	parkedScratch []*Split
 
@@ -324,7 +332,9 @@ func (w *WPU) HandleEvent(arg uint64) {
 	owner, lanes := tok.owner, tok.lanes
 	// The stale owner pointer stays in the pool slot — clearing it here
 	// would cost a write barrier per completion, and allocToken overwrites
-	// the slot before the token can be read again.
+	// the slot before the token can be read again. A free slot has no lanes
+	// (handOff relies on it).
+	tok.lanes = 0
 	w.freeTok = append(w.freeTok, int32(arg))
 	owner.onLineDone(lanes)
 }
@@ -344,6 +354,21 @@ func (w *WPU) allocToken(lanes Mask) int32 {
 	}
 	w.tokens = append(w.tokens, memToken{lanes: lanes})
 	return int32(len(w.tokens) - 1)
+}
+
+// handOff gives the in-flight completions of from's pending lanes to heir,
+// the group absorbing from's threads. Those tokens' lanes add up to pending
+// exactly and a free slot has none, so the scan stops once they are found.
+func (w *WPU) handOff(from, heir completionTarget, pending Mask) {
+	for i := range w.tokens {
+		if pending == 0 {
+			return
+		}
+		if t := &w.tokens[i]; t.lanes&pending != 0 && t.owner == from {
+			t.owner = heir
+			pending &^= t.lanes
+		}
+	}
 }
 
 // assignOwner routes the current instruction's tokens whose lanes overlap
@@ -527,7 +552,7 @@ func (w *WPU) newSplit(warp *Warp, mask Mask, pc int, scope *SyncScope) *Split {
 		stack: w.newStack(pc, mask),
 		scope: scope,
 		born:  w.q.Now(),
-	})
+	}, w.epoch)
 }
 
 // rewindArenas makes every per-run object of the finished kernel available
@@ -579,6 +604,7 @@ func (w *WPU) Tick() bool {
 		return false
 	}
 	w.Stats.TickCycles++
+	w.epoch++
 	w.adaptSlip()
 
 	// Fine-grained round-robin: pick a ready SIMD group each cycle (switching
@@ -1052,6 +1078,7 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 		hitMask |= g.lanes
 		if lastTok >= 0 && ready == lastReady {
 			w.tokens[lastTok].lanes |= g.lanes
+			w.tokens[g.tok].lanes = 0
 			w.freeTok = append(w.freeTok, g.tok)
 			g.tok = lastTok
 			continue
@@ -1106,16 +1133,11 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 	w.tryWaitMerge(s)
 }
 
-// onLineDone is the completion target for a split waiting on memory,
-// following wait-merge forwarding so completions reach the surviving group.
+// onLineDone is the completion target for a split waiting on memory.
 func (s *Split) onLineDone(lanes Mask) {
-	t := s
-	for t.mergedInto != nil {
-		t = t.mergedInto
-	}
-	t.pending &^= lanes
-	if t.pending.Empty() && t.state == WaitMem {
-		t.warp.wpu.becomeReady(t)
+	s.pending &^= lanes
+	if s.pending.Empty() && s.state == WaitMem {
+		s.warp.wpu.becomeReady(s)
 	}
 }
 
