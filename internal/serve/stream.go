@@ -15,10 +15,10 @@ import (
 // number of SSE clients replay it from the start. The hub's
 // log has one representation, the bytes that go on the wire
 // ("event: obs\ndata: {...}\n\n" and so on), appended into fixed-size
-// chunks: nothing is re-copied as the log grows, there is no per-event heap
-// object, and a subscriber is a byte offset that hands whole chunk slices
-// to its ResponseWriter. There are no per-subscriber goroutines and no
-// per-subscriber channels:
+// chunks: nothing is re-copied as the log grows, the job's obs.Trace holds
+// one publish period, not the run, and a subscriber is a byte offset that
+// hands whole chunk slices to its ResponseWriter. There are no
+// per-subscriber goroutines and no per-subscriber channels:
 //
 //   - The publisher renders new events into a reused buffer, copies it
 //     into the log under a mutex and closes a broadcast channel; it can
@@ -233,25 +233,24 @@ func (l *streamLogs) trimLocked() {
 	l.full = keep
 }
 
-// publisher incrementally renders a trace into its hub's log. It runs
-// entirely on the simulation goroutine (observer + final flush), so
-// reading the still-filling obs.Trace is race-free by construction.
+// publisher incrementally renders a trace into its hub's log and empties
+// it. It runs entirely on the simulation goroutine (observer + final
+// flush), and nothing else reads the trace (the sampler keeps its own
+// snapshot), so consuming the still-filling obs.Trace is race-free.
 type publisher struct {
-	hub    *streamHub
-	tr     *obs.Trace
-	nextEv int
-	nextSa int
-	buf    []byte // the frames of one flush, reused
+	hub *streamHub
+	tr  *obs.Trace
+	buf []byte // the frames of one flush, reused
 }
 
-// flush renders everything newly appended to the trace. Events and
-// samples are interleaved in cycle order — the same order an offline
-// export walks them — with ties broken events-first (a sample at cycle c
-// summarizes the interval ending at c, after its events). Payloads are
-// single-line JSON, so one data: line per frame suffices.
+// flush renders what the run appended since the last flush and truncates
+// the trace, keeping its capacity. Events and samples interleave in cycle
+// order, as an offline export walks them, ties events-first (a sample at
+// cycle c summarizes the interval ending at c). Payloads are single-line
+// JSON, so one data: line per frame suffices.
 func (p *publisher) flush() {
 	b := p.buf[:0]
-	evs, sas := p.tr.Events[p.nextEv:], p.tr.Samples[p.nextSa:]
+	evs, sas := p.tr.Events, p.tr.Samples
 	for len(evs) > 0 || len(sas) > 0 {
 		if len(sas) == 0 || (len(evs) > 0 && evs[0].Cycle <= sas[0].Cycle) {
 			b = evs[0].AppendJSON(append(b, "event: obs\ndata: "...))
@@ -262,8 +261,7 @@ func (p *publisher) flush() {
 		}
 		b = append(b, "\n\n"...)
 	}
-	p.nextEv = len(p.tr.Events)
-	p.nextSa = len(p.tr.Samples)
+	p.tr.Events, p.tr.Samples = p.tr.Events[:0], p.tr.Samples[:0]
 	p.buf = b
 	p.hub.publish(b)
 }

@@ -187,6 +187,59 @@ func TestStreamMatchesOfflineTrace(t *testing.T) {
 	}
 }
 
+// TestPublisherHoldsOnePeriod fills a trace in three bursts of events and
+// samples with a flush after each, as the publish observer does. Every
+// flush must leave the trace empty, its capacity no larger than the largest
+// burst's, and the hub holding exactly the wire rendering of the bursts so
+// far in cycle order, events first on a tie. Burst sizes are powers of two,
+// so append's growth lands exactly on them.
+func TestPublisherHoldsOnePeriod(t *testing.T) {
+	tr := obs.New(0)
+	hub := newStreamHub(&streamLogs{budget: streamLogBudget})
+	pub := &publisher{hub: hub, tr: tr}
+	bursts := []struct{ events, samples int }{{64, 4}, {256, 16}, {32, 2}}
+	var want []byte
+	for b, burst := range bursts {
+		// Every per-th event shares its cycle with the sample after it.
+		per := burst.events / burst.samples
+		for i := 0; i < burst.events; i++ {
+			e := obs.Event{
+				Cycle: uint64(b*10000 + 3*i), Kind: obs.EvBranchSubdiv + obs.EventKind(i%5),
+				Unit: i%4 - 1, Warp: i % 3, PC: i, Mask: uint64(i) << 7, Mask2: ^uint64(i), Addr: uint64(b) << 40,
+			}
+			tr.Emit(e)
+			want = append(e.AppendJSON(append(want, "event: obs\ndata: "...)), "\n\n"...)
+			if (i+1)%per == 0 {
+				s := obs.Sample{Cycle: e.Cycle, WPU: i % 4, Busy: uint64(i), Issued: uint64(b), SlotWaiters: i / per}
+				tr.AddSample(s)
+				want = append(s.AppendJSON(append(want, "event: sample\ndata: "...)), "\n\n"...)
+			}
+		}
+		pub.flush()
+
+		if len(tr.Events) != 0 || len(tr.Samples) != 0 {
+			t.Fatalf("after flush %d the trace holds %d events and %d samples, want none", b, len(tr.Events), len(tr.Samples))
+		}
+		if c := cap(tr.Events); c > 256 {
+			t.Errorf("after flush %d cap(tr.Events) = %d, larger than the largest burst (256)", b, c)
+		}
+		if c := cap(tr.Samples); c > 16 {
+			t.Errorf("after flush %d cap(tr.Samples) = %d, larger than the largest burst (16)", b, c)
+		}
+		var got []byte
+		for {
+			chunk, _ := hub.read(len(got))
+			if len(chunk) == 0 {
+				break
+			}
+			got = append(got, chunk...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after flush %d the hub holds %d bytes, want the %d-byte rendering of bursts 0..%d", b, len(got), len(want), b)
+		}
+	}
+}
+
 // TestStreamDisconnect hangs up mid-stream and checks the two promised
 // non-effects: no goroutine outlives the subscriber, and the job's cached
 // result is exactly what an undisturbed run produces.
