@@ -115,9 +115,10 @@ loc:
 # benchmark, two dwsweep runs with their -stats documents (the suite against
 # DWS, and one benchmark under one scheme), and a scheduling-state dump
 # every 2000 cycles (split ids, masks, PCs, states) of two divergent kernels
-# under four schemes — the only output that sees the order splits are
-# created and merged in. About two minutes on two cores; stderr (timing
-# lines) is not captured.
+# under three schemes — the only output that sees the order splits are
+# created and merged in — and the sampler's per-WPU timeline of one of them
+# (occupancy, residency, slot waiters, MSHRs). About two minutes on two
+# cores; stderr (timing lines) is not captured.
 ORACLE_BENCHES = KMeans Merge
 ORACLE_SCHEMES = DWS.ReviveSplit DWS.AggressSplit.BL Slip.BranchBypass
 oracles:
@@ -133,6 +134,7 @@ oracles:
 	for b in $(ORACLE_BENCHES); do for s in $(ORACLE_SCHEMES); do \
 		$(GO) run ./cmd/dwstrace -bench $$b -scheme $$s -every 2000 > $(OUT)/dwstrace.$$b.$$s.txt || exit 1; \
 	done; done
+	$(GO) run ./cmd/dwstrace -bench KMeans -scheme DWS.ReviveSplit -format csv -every 2000 > $(OUT)/timeline.KMeans.csv
 
 # "Byte-identical to REF" as one command: `make oracles` on a copy of REF and
 # on the working tree, then `diff -r`; no output but the last line and exit 0

@@ -46,12 +46,6 @@ const (
 	// DFSubdiv: static analysis allows dynamic warp subdivision at this
 	// branch (program layer; mirrors BranchInfo.Subdividable).
 	DFSubdiv
-	// DFMemHint: the static access analysis proved this memory
-	// instruction's address warp-uniform — every co-executing lane
-	// touches the same cache line, so intra-warp hit/miss divergence is
-	// impossible and the WPU may skip the memory-divergence subdivision
-	// probe outright (program layer; see program.AccessUniform).
-	DFMemHint
 	// DFMemClassLo/DFMemClassHi hold the 2-bit static access class of a
 	// memory instruction (program layer; numerically program.AccessClass:
 	// 0 uniform, 1 coalesced, 2 strided, 3 divergent-gather).
@@ -60,7 +54,7 @@ const (
 )
 
 // memClassShift is the bit position of DFMemClassLo.
-const memClassShift = 6
+const memClassShift = 5
 
 // MemClass returns the 2-bit static access class the program layer
 // encoded for a memory instruction (program.AccessClass numbering).

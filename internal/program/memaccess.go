@@ -26,11 +26,11 @@
 // (a warp split) touches a subset of those lines, so the bound is monotone
 // under subdivision.
 //
-// The WPU consumes two projections: the 2-bit access class and a
-// single-transaction hint (isa.DFMemHint) folded into the decoded stream
-// at Build time, and a per-pc transaction bound recomputed for its own
-// width and line size at Launch (MemAccessFor) that the trace-backed
-// concordance harness checks against observed coalescing.
+// The WPU consumes two projections, both diagnostic: the 2-bit access
+// class folded into the decoded stream at Build time, and a per-pc
+// transaction bound recomputed for its own width and line size at Launch
+// (MemAccessFor) that the trace-backed concordance harness checks against
+// observed coalescing.
 
 package program
 

@@ -125,19 +125,15 @@ func TestWorstAffineBankConflict(t *testing.T) {
 	}
 }
 
-// TestMemHintFlagFoldIn verifies the decoded-stream fold-in: exactly the
-// statically-uniform accesses carry isa.DFMemHint, and every memory op's
-// 2-bit MemClass mirrors the table.
-func TestMemHintFlagFoldIn(t *testing.T) {
+// TestMemClassFoldIn verifies the decoded-stream fold-in: every memory
+// op's 2-bit MemClass mirrors the table.
+func TestMemClassFoldIn(t *testing.T) {
 	p := buildAccessKernel(t)
 	dec := p.Decoded()
 	for _, a := range p.MemAccesses() {
 		d := dec[a.PC]
 		if got := AccessClass(d.MemClass()); got != a.AClass {
 			t.Errorf("pc %d: decoded class %s, table %s", a.PC, got, a.AClass)
-		}
-		if hinted := d.Flags&isa.DFMemHint != 0; hinted != (a.AClass == AccessUniform) {
-			t.Errorf("pc %d (%s): DFMemHint=%v", a.PC, a.AClass, hinted)
 		}
 	}
 }

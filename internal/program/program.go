@@ -691,16 +691,9 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 		d.Reconv = int32(bi.IPdom)
 	}
 	// Fold the access classes into the decoded memory instructions: the
-	// 2-bit class feeds the WPU's per-class concordance counters, and the
-	// single-transaction hint (uniform address ⇒ one line group for any
-	// width, so the access can never hit/miss-diverge) lets the WPU skip
-	// the subdivide-on-miss probe without changing behaviour.
+	// 2-bit class feeds the WPU's per-class concordance counters.
 	for _, a := range p.memAccess {
-		d := &p.decoded[a.PC]
-		d.SetMemClass(uint8(a.AClass))
-		if a.AClass == AccessUniform {
-			d.Flags |= isa.DFMemHint
-		}
+		p.decoded[a.PC].SetMemClass(uint8(a.AClass))
 	}
 	p.verified = true
 	return p, nil

@@ -47,7 +47,6 @@ type Knobs struct {
 	// Ablation switches (see the Ablation driver).
 	NoWaitMerge  bool `json:"no_wait_merge"`
 	NoProgSched  bool `json:"no_prog_sched"`
-	NoMemHints   bool `json:"no_mem_hints"`  // ignore static memory-divergence hints (control arm)
 	BranchThresh int  `json:"branch_thresh"` // 0 = default lazy threshold
 }
 
@@ -178,7 +177,6 @@ func KnobFlags(fs *flag.FlagSet, scheme wpu.Scheme) *Knobs {
 		}
 	}
 	fs.TextVar(&k.Dist, "dist", k.Dist, "thread-to-WPU mapping: block or interleave")
-	fs.BoolVar(&k.NoMemHints, "nomemhints", false, "ignore the static memory-divergence hints (control arm; behaviour-identical by construction)")
 	return &k
 }
 
@@ -201,7 +199,6 @@ func (k Knobs) Config() sim.Config {
 	cfg.WPU = k.Scheme.Apply(cfg.WPU)
 	cfg.WPU.DisableWaitMerge = k.NoWaitMerge
 	cfg.WPU.DisableProgSched = k.NoProgSched
-	cfg.WPU.DisableMemHints = k.NoMemHints
 	cfg.WPU.BranchLazyThreshold = k.BranchThresh
 	return cfg
 }

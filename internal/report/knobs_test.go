@@ -19,7 +19,7 @@ import (
 // the knob table and the text form of Dist must not move the keys existing
 // stores were written under.
 func TestDefaultKnobsKeyPinned(t *testing.T) {
-	const want = `Filter|report.Knobs{WPUs:4, Width:16, Warps:4, Slots:0, WST:16, L1KB:32, L1Assoc:8, L2KB:4096, L2Lat:30, Scheme:"DWS.ReviveSplit", Dist:0, Scale:0, NoWaitMerge:false, NoProgSched:false, NoMemHints:false, BranchThresh:0}`
+	const want = `Filter|report.Knobs{WPUs:4, Width:16, Warps:4, Slots:0, WST:16, L1KB:32, L1Assoc:8, L2KB:4096, L2Lat:30, Scheme:"DWS.ReviveSplit", Dist:0, Scale:0, NoWaitMerge:false, NoProgSched:false, BranchThresh:0}`
 	if got := DefaultKnobs(wpu.SchemeRevive).Key("Filter"); got != want {
 		t.Errorf("default key moved:\n got %s\nwant %s", got, want)
 	}
@@ -113,8 +113,7 @@ func TestKnobTableCoversKnobs(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	flagged := KnobFlags(fs, wpu.SchemeConv)
 	// The fields that are not integers with a row, and the flag each has.
-	byName := map[string]string{"Scheme": "scheme", "Dist": "dist", "NoMemHints": "nomemhints",
-		"NoWaitMerge": "", "NoProgSched": ""}
+	byName := map[string]string{"Scheme": "scheme", "Dist": "dist", "NoWaitMerge": "", "NoProgSched": ""}
 
 	var k Knobs
 	rt := reflect.TypeOf(k)
@@ -183,7 +182,6 @@ func randomKnobs(rng *rand.Rand) Knobs {
 			Dist:        sim.Distribution(rng.Intn(2)),
 			NoWaitMerge: rng.Intn(2) == 0,
 			NoProgSched: rng.Intn(2) == 0,
-			NoMemHints:  rng.Intn(2) == 0,
 		}
 		for _, kn := range knobTable {
 			*kn.field(&k) = kn.min + rng.Intn(kn.cap-kn.min+1)

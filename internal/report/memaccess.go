@@ -31,7 +31,6 @@ type MemClassRow struct {
 	StaticSites  int    // static memory instructions of this class across the suite's kernels
 	Accesses     uint64 // dynamic SIMD accesses issued from those sites
 	Transactions uint64 // line transactions those accesses generated
-	HintSkips    uint64 // subdivide-probe skips under the uniform hint (per scheme, repeated on each class row)
 }
 
 // staticClassSites counts memory instructions per access class over the
@@ -77,14 +76,13 @@ func (s *Session) MemAccessClasses(w io.Writer) ([]MemClassRow, error) {
 				StaticSites:  sites[c],
 				Accesses:     total.MemClassAccesses[c],
 				Transactions: total.MemClassTransactions[c],
-				HintSkips:    total.MemDivHintSkips,
 			})
 		}
 	}
 
 	fmt.Fprintln(w, "Access classes (static analysis): classifier verdicts vs dynamic line transactions (suite totals)")
 	fmt.Fprintln(w, "(sites: static memory instructions per class; tx/access: mean line transactions per SIMD access)")
-	t := newTable(w, "scheme", "class", "sites", "accesses", "transactions", "tx/access", "hint-skips")
+	t := newTable(w, "scheme", "class", "sites", "accesses", "transactions", "tx/access")
 	for _, r := range rows {
 		txPer := "-"
 		if r.Accesses > 0 {
@@ -92,7 +90,7 @@ func (s *Session) MemAccessClasses(w io.Writer) ([]MemClassRow, error) {
 		}
 		t.row(string(r.Scheme), r.Class.String(), strconv.Itoa(r.StaticSites),
 			strconv.FormatUint(r.Accesses, 10), strconv.FormatUint(r.Transactions, 10),
-			txPer, strconv.FormatUint(r.HintSkips, 10))
+			txPer)
 	}
 	t.flush()
 	return rows, nil
@@ -100,13 +98,13 @@ func (s *Session) MemAccessClasses(w io.Writer) ([]MemClassRow, error) {
 
 // MemAccessCSV writes the access-class exhibit rows.
 func MemAccessCSV(dir string, rows []MemClassRow) error {
-	header := []string{"scheme", "class", "static_sites", "accesses", "transactions", "tx_per_access", "hint_skips"}
+	header := []string{"scheme", "class", "static_sites", "accesses", "transactions", "tx_per_access"}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
 			string(r.Scheme), r.Class.String(), strconv.Itoa(r.StaticSites),
 			strconv.FormatUint(r.Accesses, 10), strconv.FormatUint(r.Transactions, 10),
-			fs(safeFrac(r.Transactions, r.Accesses)), strconv.FormatUint(r.HintSkips, 10),
+			fs(safeFrac(r.Transactions, r.Accesses)),
 		})
 	}
 	return writeCSV(dir, "memaccess.csv", header, out)

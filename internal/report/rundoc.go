@@ -23,17 +23,21 @@ import (
 // three-way cycle split, documents carry an explicit SchemaVersion, and
 // traced runs may attach the latency histograms.
 // v3: wpu.Stats gained the static access-class concordance counters
-// (MemClassAccesses/MemClassTransactions/MemDivHintSkips/MemBoundExceeded).
+// (MemClassAccesses/MemClassTransactions/MemBoundExceeded; v5 dropped a fourth).
 // v4: the knobs object carries the names a dwsimd job uses ("l1kb", not
 // "L1KB"; "dist" as "block"/"interleave", not 0/1), so it can be posted
 // back as a job's knobs. Nothing else moved.
+// v5: the static memory hint is gone, and with it the knobs' no_mem_hints
+// and wpu.Stats' hint-skip counter: a warp-uniform access touches one
+// line, so it can never hit/miss-diverge, and the probe the hint pruned
+// already runs only on a divergent access. Nothing else moved.
 const (
 	// SchemaVersion is the integer revision of the run-metrics layout,
 	// carried as its own field in every document so consumers can dispatch
 	// numerically without parsing the schema strings.
-	SchemaVersion  = 4
-	RunDocSchema   = "dwsim-run-v4"
-	StatsDocSchema = "dwsim-stats-v4"
+	SchemaVersion  = 5
+	RunDocSchema   = "dwsim-run-v5"
+	StatsDocSchema = "dwsim-stats-v5"
 )
 
 // RunDerived holds the headline ratios the paper quotes (§5.5), precomputed

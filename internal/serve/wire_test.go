@@ -64,7 +64,7 @@ func TestMinimalJobSharesTheCLIKey(t *testing.T) {
 // as a job's knobs, names the point the result is for.
 func TestResultKnobsPostBack(t *testing.T) {
 	k := report.DefaultKnobs(wpu.SchemeRevive)
-	k.Dist, k.Slots, k.L2Lat, k.Scale, k.NoMemHints, k.BranchThresh = sim.DistInterleave, 6, 100, 2, true, 3
+	k.Dist, k.Slots, k.L2Lat, k.Scale, k.BranchThresh = sim.DistInterleave, 6, 100, 2, 3
 	var doc struct {
 		Bench string          `json:"bench"`
 		Knobs json.RawMessage `json:"knobs"`
@@ -98,6 +98,7 @@ func TestDecodeJobRequest(t *testing.T) {
 		{"not json", `{"schema_version":`, http.StatusBadRequest},
 		{"wrong type", `[1,2,3]`, http.StatusBadRequest},
 		{"unknown field", `{"schema_version":1,"bench":"Filter","nobs":{}}`, http.StatusBadRequest},
+		{"removed knob no_mem_hints", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv","no_mem_hints":true}}`, http.StatusBadRequest},
 		{"trailing data", valid + `{"again":true}`, http.StatusBadRequest},
 		{"missing schema version", `{"bench":"Filter","knobs":{"scheme":"Conv"}}`, http.StatusBadRequest},
 		{"future schema version", `{"schema_version":2,"bench":"Filter","knobs":{"scheme":"Conv"}}`, http.StatusBadRequest},
@@ -167,8 +168,8 @@ func TestResultKeyStable(t *testing.T) {
 	for _, c := range []struct {
 		bench, scheme, want string
 	}{
-		{"Filter", "Conv", "e870ad1d7cd2b56703b45bf62f25ca56"},
-		{"KMeans", "DWS.ReviveSplit", "8c45aefc481460946de65f4bc9841c06"},
+		{"Filter", "Conv", "8aa627867723f804d1e683173c418dfe"},
+		{"KMeans", "DWS.ReviveSplit", "a029cb7902b8995097fb2fb1c98d98a6"},
 	} {
 		if got := ResultKey(c.bench, report.DefaultKnobs(wpu.Scheme(c.scheme))); got != c.want {
 			t.Errorf("ResultKey(%s, %s) = %s, want %s", c.bench, c.scheme, got, c.want)

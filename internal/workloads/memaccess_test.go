@@ -4,8 +4,7 @@ package workloads
 // (program.MemAccessInfo): replay the whole benchmark suite with tracing
 // on and assert that no access ever exceeds its static worst-case
 // transaction bound (the WPU emits obs.EvMemBoundExceeded and counts
-// Stats.MemBoundExceeded when one does), and that the single-transaction
-// hint (isa.DFMemHint) is behaviour-neutral. The per-class dynamic
+// Stats.MemBoundExceeded when one does). The per-class dynamic
 // transaction averages logged here are the precision table in
 // EXPERIMENTS.md.
 
@@ -93,57 +92,6 @@ func TestMemAccessConcordance(t *testing.T) {
 			t.Logf("%s %-10s %9d accesses, %10d transactions, %.2f tx/access",
 				scheme, program.AccessClass(c), n, tx, float64(tx)/float64(n))
 		}
-		t.Logf("%s: %d accesses total, %d probe skips under the uniform hint", scheme, total.MemAccesses, total.MemDivHintSkips)
-	}
-}
-
-// TestMemHintEquivalence pins the hint-soundness argument dynamically: the
-// static single-transaction hint prunes the subdivide-on-miss probe, and
-// by construction that probe could never have fired — so cycle counts and
-// the architectural memory image must be bit-identical with hints on and
-// off, under the scheme where the probe matters most.
-func TestMemHintEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	for _, spec := range All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			var cycles [2]uint64
-			var hash [2]uint64
-			var skips [2]uint64
-			for i, disable := range []bool{false, true} {
-				cfg := sim.DefaultConfig()
-				cfg.WPU = wpu.SchemeRevive.Apply(cfg.WPU)
-				cfg.WPU.DisableMemHints = disable
-				sys, err := sim.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inst, err := spec.Build(sys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := inst.Run(sys); err != nil {
-					t.Fatal(err)
-				}
-				if err := inst.Verify(); err != nil {
-					t.Fatal(err)
-				}
-				cycles[i] = sys.Cycles()
-				hash[i] = sys.Memory().Hash()
-				skips[i] = sys.TotalStats().MemDivHintSkips
-			}
-			if cycles[0] != cycles[1] {
-				t.Errorf("cycles differ with hints on (%d) vs off (%d)", cycles[0], cycles[1])
-			}
-			if hash[0] != hash[1] {
-				t.Errorf("memory image differs with hints on (%#x) vs off (%#x)", hash[0], hash[1])
-			}
-			if skips[1] != 0 {
-				t.Errorf("DisableMemHints still skipped %d probes", skips[1])
-			}
-		})
 	}
 }
 

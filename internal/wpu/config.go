@@ -140,14 +140,6 @@ type Config struct {
 	// DisableProgSched replaces least-progressed-first issue with plain
 	// round-robin over the scheduler slots.
 	DisableProgSched bool
-	// DisableMemHints ignores the static access-class hints
-	// (isa.DFMemHint): every memory access keeps the full
-	// subdivide-on-miss probe path even where the analysis proved the
-	// probe fruitless. Behaviour-neutral by construction — a hinted
-	// (warp-uniform) access occupies one line group and can never
-	// hit/miss-diverge, so the probe it skips would never fire — this
-	// knob exists to measure the pruned probe work (Stats.MemDivHintSkips).
-	DisableMemHints bool
 
 	// LaneTidStep is the global-thread-id distance between adjacent lanes
 	// of a warp: 1 under block thread distribution (the default; 0 means

@@ -8,3 +8,16 @@ func (w *WPU) ArenaObjects() (splits, scopes, slips int) {
 }
 
 func (a *slab[T]) carved() int { return a.chunk*slabChunk + a.used }
+
+// QueuedSplits recounts the live splits whose queued flag is set.
+func (w *WPU) QueuedSplits() int {
+	n := 0
+	for _, warp := range w.warps {
+		for _, s := range warp.splits {
+			if s.queued {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -55,11 +55,6 @@ type Stats struct {
 	// confronts with the static worst-case bound.
 	MemClassAccesses     [4]uint64
 	MemClassTransactions [4]uint64
-	// MemDivHintSkips counts memory instructions issued under the static
-	// single-transaction hint (isa.DFMemHint): their subdivide-on-miss
-	// probe was pruned as provably fruitless. Zero when
-	// Config.DisableMemHints is set.
-	MemDivHintSkips uint64
 	// MemBoundExceeded counts accesses whose observed line transactions
 	// exceeded the static worst-case bound — an analysis soundness
 	// violation. Counted only on traced runs (the bounds are derived at
@@ -181,7 +176,6 @@ func (s *Stats) Add(o *Stats) {
 		s.MemClassAccesses[i] += o.MemClassAccesses[i]
 		s.MemClassTransactions[i] += o.MemClassTransactions[i]
 	}
-	s.MemDivHintSkips += o.MemDivHintSkips
 	s.MemBoundExceeded += o.MemBoundExceeded
 	s.BranchSubdivisions += o.BranchSubdivisions
 	s.MemSubdivisions += o.MemSubdivisions

@@ -41,9 +41,8 @@ type WPU struct {
 	// slotWait[slotWaitHead:] is the FIFO of splits waiting for a slot; the
 	// head advances on admission and the backing array is reused once the
 	// queue drains. A split that dies queued leaves a nil entry there, which
-	// admission skips (and SlotWaiters still counts, as it counted the dead
-	// split). So a queue that never drains grows with the splits queued
-	// through it, not with the splits waiting.
+	// admission and SlotWaiters skip. So a queue that never drains grows
+	// with the splits queued through it, not with the splits waiting.
 	slotWait     []*Split
 	slotWaitHead int
 	// slotWaitReady counts Ready splits in slotWait, maintained on every
@@ -413,8 +412,17 @@ func (w *WPU) ResidentSplits() int {
 	return n
 }
 
-// SlotWaiters returns how many splits are queued for a scheduler slot.
-func (w *WPU) SlotWaiters() int { return len(w.slotWait) - w.slotWaitHead }
+// SlotWaiters returns how many live splits are queued for a scheduler slot:
+// the queue's entries less the holes dead splits left in it.
+func (w *WPU) SlotWaiters() int {
+	n := 0
+	for _, s := range w.slotWait[w.slotWaitHead:] {
+		if s != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // MemParams is the geometry the static per-access transaction bounds of a
 // WPU configured by c, on an L1 configured by l1, are computed against: the
@@ -1098,27 +1106,13 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 		w.Stats.MemDivergent++
 	}
 
-	// Static single-transaction hint (isa.DFMemHint): the divergence
-	// analysis proved this access warp-uniform, so it occupies exactly one
-	// line group and can never hit/miss-diverge — the subdivide/slip probe
-	// below is provably fruitless and is pruned. Behaviour-identical by
-	// construction; the panic is the runtime self-check of that proof.
-	hinted := d.Flags&isa.DFMemHint != 0 && !w.cfg.DisableMemHints
-	if hinted {
-		w.Stats.MemDivHintSkips++
-		if divergent {
-			panic(fmt.Sprintf("wpu %d: access @pc %d hinted single-transaction but diverged (hit %x miss %x)",
-				w.ID, s.pc, uint64(hitMask), uint64(missMask)))
-		}
-	}
-
 	s.pc++ // the instruction is architecturally complete; data is pending
 
-	if !hinted && divergent && w.cfg.Slip != SlipOff {
+	if divergent && w.cfg.Slip != SlipOff {
 		if w.trySlip(s, hitMask, missMask) {
 			return
 		}
-	} else if !hinted && divergent && w.cfg.MemScheme != MemNone {
+	} else if divergent && w.cfg.MemScheme != MemNone {
 		if w.shouldMemSubdivide(s) {
 			w.subdivideMem(s, hitMask, missMask)
 			return
