@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build cross test race bench claims-smoke cli-smoke fuzz-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve
+.PHONY: ci lint fmt-check vet dwslint dwsverify build cross test race bench claims-smoke cli-smoke fuzz-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve stream-probe
 
 ci: fmt-check vet lint build cross race test cli-smoke fuzz-smoke claims-smoke
 
@@ -180,6 +180,26 @@ profile-diff:
 ADDR ?= :8091
 serve:
 	$(GO) run ./cmd/dwsimd -addr $(ADDR)
+
+# The traced-job memory probe (not part of ci, a few seconds): a fresh `dwsimd
+# -nocache` on PROBE_ADDR runs one traced KMeans job at the daemon's largest
+# scale, its SSE stream is read to the end, and the stream's bytes and
+# frames, the daemon's VmHWM (Linux /proc) and dwsimd_stream_log_bytes are
+# printed before the daemon is stopped. OUT=file keeps the stream, e.g. to
+# `cmp` it against another commit's.
+PROBE_ADDR ?= 127.0.0.1:18092
+PROBE_JOB = {"schema_version":1,"bench":"KMeans","knobs":{"scheme":"DWS.ReviveSplit","scale":8},"trace":true}
+stream-probe:
+	@tmp=$$(mktemp -d) && pid= && trap '[ -n "$$pid" ] && kill $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/dwsimd ./cmd/dwsimd && \
+	{ $$tmp/dwsimd -addr $(PROBE_ADDR) -nocache 2>$$tmp/err & pid=$$!; } && \
+	for i in $$(seq 100); do curl -sf http://$(PROBE_ADDR)/healthz >/dev/null && break; sleep 0.1; done && \
+	id=$$(curl -sf -d '$(PROBE_JOB)' http://$(PROBE_ADDR)/v1/jobs | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p') && \
+	test -n "$$id" && curl -sfN http://$(PROBE_ADDR)/v1/jobs/$$id/stream > $$tmp/s.sse && \
+	echo "stream: $$(wc -c < $$tmp/s.sse) bytes, $$(grep -c '^event: ' $$tmp/s.sse) frames" && \
+	grep VmHWM /proc/$$pid/status && \
+	curl -sf http://$(PROBE_ADDR)/metrics | grep '^dwsimd_stream_log_bytes' && \
+	if [ -n "$(OUT)" ]; then cp $$tmp/s.sse $(OUT); fi
 
 # Regenerate the paper's exhibits with the parallel executor.
 report:

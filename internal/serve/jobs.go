@@ -244,9 +244,9 @@ func (rg *registry) counts() map[string]int {
 	return c
 }
 
-// streamLogStats reports, for /metrics, the wire bytes every traced job's
-// log holds right now (finished or in flight) and how many logs have been
-// compacted to their done frame.
+// streamLogStats reports, for /metrics, the bytes every traced job's log
+// holds right now, finished or in flight (records, plus done frames), and
+// how many logs have been compacted to their done frame.
 func (rg *registry) streamLogStats() (bytes, compacted int) {
 	rg.mu.Lock()
 	for _, id := range rg.order {

@@ -214,7 +214,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "dwsimd_store_records %d\n", ss.Records)
 	}
 	logBytes, compacted := s.reg.streamLogStats()
-	fmt.Fprintf(w, "# HELP dwsimd_stream_log_bytes SSE wire bytes held by traced jobs' logs, finished or in flight.\n# TYPE dwsimd_stream_log_bytes gauge\n")
+	fmt.Fprintf(w, "# HELP dwsimd_stream_log_bytes Bytes held by traced jobs' logs, finished or in flight (records, plus done frames).\n# TYPE dwsimd_stream_log_bytes gauge\n")
 	fmt.Fprintf(w, "dwsimd_stream_log_bytes %d\n", logBytes)
 	fmt.Fprintf(w, "# HELP dwsimd_stream_logs_compacted_total Finished logs cut back to their done frame by the retention budget.\n# TYPE dwsimd_stream_logs_compacted_total counter\n")
 	fmt.Fprintf(w, "dwsimd_stream_logs_compacted_total %d\n", compacted)

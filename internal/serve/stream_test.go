@@ -6,7 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -190,9 +193,9 @@ func TestStreamMatchesOfflineTrace(t *testing.T) {
 // TestPublisherHoldsOnePeriod fills a trace in three bursts of events and
 // samples with a flush after each, as the publish observer does. Every
 // flush must leave the trace empty, its capacity no larger than the largest
-// burst's, and the hub holding exactly the wire rendering of the bursts so
-// far in cycle order, events first on a tie. Burst sizes are powers of two,
-// so append's growth lands exactly on them.
+// burst's, and the hub holding records that render to exactly the wire
+// rendering of the bursts so far in cycle order, events first on a tie.
+// Burst sizes are powers of two, so append's growth lands exactly on them.
 func TestPublisherHoldsOnePeriod(t *testing.T) {
 	tr := obs.New(0)
 	hub := newStreamHub(&streamLogs{budget: streamLogBudget})
@@ -226,17 +229,147 @@ func TestPublisherHoldsOnePeriod(t *testing.T) {
 		if c := cap(tr.Samples); c > 16 {
 			t.Errorf("after flush %d cap(tr.Samples) = %d, larger than the largest burst (16)", b, c)
 		}
-		var got []byte
-		for {
-			chunk, _ := hub.read(len(got))
-			if len(chunk) == 0 {
-				break
+		if got := renderLog(hub); !bytes.Equal(got, want) {
+			t.Fatalf("after flush %d the hub's records render to %d bytes, want the %d-byte rendering of bursts 0..%d", b, len(got), len(want), b)
+		}
+	}
+}
+
+// renderLog renders what the hub holds from offset zero, as a subscriber
+// that is never made to wait receives it.
+func renderLog(h *streamHub) []byte {
+	rd := reader{h: h}
+	var got []byte
+	for {
+		b, _ := rd.next(logChunk)
+		if len(b) == 0 {
+			return got
+		}
+		got = append(got, b...)
+	}
+}
+
+// writeSizes records the length of every Write on a ResponseRecorder.
+type writeSizes struct {
+	*httptest.ResponseRecorder
+	sizes []int
+}
+
+func (w *writeSizes) Write(b []byte) (int, error) {
+	w.sizes = append(w.sizes, len(b))
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestStreamRecordRoundTrip drives events and samples through the
+// publisher's records and serveStream's renderer: the stream must be their
+// AppendJSON framing, byte for byte, written at most logChunk bytes at a
+// time and at most firstWrite the first time. The inputs are a seeded
+// random sweep plus the extremes: full-width masks, addresses and cycles,
+// -1 unit, warp, pc and MSHR fields, the widest ints, every kind byte, and
+// cycles that go backwards between records (a negative delta). Each flush
+// holds only events or only samples, so the publisher keeps the order they
+// were emitted in.
+func TestStreamRecordRoundTrip(t *testing.T) {
+	tr := obs.New(0)
+	hub := newStreamHub(&streamLogs{budget: streamLogBudget})
+	pub := &publisher{hub: hub, tr: tr}
+	var want []byte
+	event := func(e obs.Event) {
+		tr.Emit(e)
+		want = append(e.AppendJSON(append(want, "event: obs\ndata: "...)), "\n\n"...)
+	}
+	sample := func(s obs.Sample) {
+		tr.AddSample(s)
+		want = append(s.AppendJSON(append(want, "event: sample\ndata: "...)), "\n\n"...)
+	}
+
+	for k := 0; k < 256; k++ { // the cycle steps back by one each time
+		event(obs.Event{Cycle: math.MaxUint64 - uint64(k), Kind: obs.EventKind(k), Unit: -1, Warp: -1, PC: -1,
+			Mask: math.MaxUint64, Mask2: math.MaxUint64, Addr: math.MaxUint64})
+	}
+	event(obs.Event{})
+	event(obs.Event{Cycle: math.MaxUint64, Kind: 255, Unit: math.MinInt, Warp: math.MaxInt, PC: math.MinInt})
+	pub.flush()
+	sample(obs.Sample{WPU: -1, WSTOcc: -1, Resident: -1, SlotWaiters: -1, L1MSHR: -1, L2MSHR: -1})
+	sample(obs.Sample{Cycle: math.MaxUint64, WPU: math.MinInt, Busy: math.MaxUint64, StallMem: math.MaxUint64,
+		StallOther: math.MaxUint64, Issued: math.MaxUint64, WidthAccum: math.MaxUint64, WSTOcc: math.MaxInt,
+		Resident: math.MinInt, SlotWaiters: math.MaxInt, L1MSHR: math.MinInt, L2MSHR: math.MaxInt})
+	sample(obs.Sample{Cycle: 1})
+	pub.flush()
+
+	// 2000 random records in flushes of 1 to 32 of one kind.
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 2000; pub.flush() {
+		events := rng.Intn(2) == 0
+		for i := rng.Intn(32); i >= 0 && n < 2000; i, n = i-1, n+1 {
+			if events {
+				event(obs.Event{Cycle: rng.Uint64(), Kind: obs.EventKind(rng.Intn(256)), Unit: rng.Intn(64) - 1,
+					Warp: rng.Intn(64) - 1, PC: int(rng.Int63()) - 1, Mask: rng.Uint64(),
+					Mask2: rng.Uint64() >> uint(rng.Intn(64)), Addr: rng.Uint64()})
+			} else {
+				sample(obs.Sample{Cycle: rng.Uint64(), WPU: rng.Intn(8) - 1, Busy: rng.Uint64(),
+					StallMem: rng.Uint64() >> uint(rng.Intn(64)), StallOther: rng.Uint64(), Issued: rng.Uint64(),
+					WidthAccum: rng.Uint64(), WSTOcc: rng.Intn(64) - 1, Resident: rng.Intn(64),
+					SlotWaiters: rng.Intn(64), L1MSHR: -rng.Intn(64), L2MSHR: int(rng.Int63())})
 			}
-			got = append(got, chunk...)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("after flush %d the hub holds %d bytes, want the %d-byte rendering of bursts 0..%d", b, len(got), len(want), b)
+	}
+	const payload = `{"status":"done"}`
+	hub.finish([]byte(payload))
+	want = append(want, doneHead+payload+"\n\n"...)
+
+	w := &writeSizes{ResponseRecorder: httptest.NewRecorder()}
+	serveStream(w, httptest.NewRequest("GET", "/", nil), hub)
+	if got := w.Body.Bytes(); !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
 		}
+		lo := max(i-80, 0)
+		t.Fatalf("stream of %d bytes differs from the %d-byte framing at byte %d:\n got  ...%q\n want ...%q",
+			len(got), len(want), i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+	}
+	if len(hub.chunks) < 2 || len(w.sizes) < 4 {
+		t.Errorf("%d chunks and %d writes: the test does not cross a chunk", len(hub.chunks), len(w.sizes))
+	}
+	if w.sizes[0] > firstWrite {
+		t.Errorf("the first write is %d bytes, more than firstWrite", w.sizes[0])
+	}
+	for i, n := range w.sizes {
+		if n > logChunk {
+			t.Errorf("write %d is %d bytes, more than logChunk", i, n)
+		}
+	}
+}
+
+// TestStreamLogHeldBytes runs one traced job: its log must hold at most a
+// fifth of the bytes its subscriber read, not counting the done frame, and
+// /metrics must report what the log holds.
+func TestStreamLogHeldBytes(t *testing.T) {
+	srv, _, ts := testServer(t, 1, false)
+	doc, resp := postJob(t, ts, tracedFilterBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	wire := streamRaw(t, ts, doc.ID)
+	done := doneFrameOf(t, wire)
+	j, _ := srv.reg.get(doc.ID)
+	held := j.hub.bytes()
+	if recs := held - len(done); recs*5 > len(wire) {
+		t.Errorf("the log holds %d bytes of records for a %d-byte stream, want at most a fifth", recs, len(wire))
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	body, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\ndwsimd_stream_log_bytes %d\n", held); !strings.Contains(string(body), want) {
+		t.Errorf("metrics do not report the %d bytes the log holds:\n%s", held, body)
 	}
 }
 
@@ -341,7 +474,7 @@ func doneFrameOf(t *testing.T, stream []byte) []byte {
 }
 
 // waitCompacted waits until n logs have been compacted and returns the
-// chunk bytes finished logs then hold. It has to wait because a job reads "done"
+// record bytes finished logs then hold. It has to wait because a job reads "done"
 // just before its done frame is published and its log charged.
 func waitCompacted(t *testing.T, srv *Server, n int) (held int) {
 	t.Helper()
@@ -373,13 +506,15 @@ func TestStreamRetention(t *testing.T) {
 	}
 	live := streamRaw(t, ts, first.ID)
 	done := doneFrameOf(t, live)
-	if len(live) < 4*logChunk {
-		t.Fatalf("a Filter log of %d bytes is too small for this test", len(live))
+	j, _ := srv.reg.get(first.ID)
+	size := j.hub.bytes() - len(done) // the record bytes one log holds
+	if size < 2*logChunk {
+		t.Fatalf("a Filter log of %d bytes is too small for this test", size)
 	}
 
 	// Room for two and a half logs; five will finish.
 	const jobs = 5
-	budget := 5 * len(live) / 2
+	budget := 5 * size / 2
 	srv.reg.logs.mu.Lock()
 	srv.reg.logs.budget = budget
 	srv.reg.logs.mu.Unlock()
@@ -395,8 +530,8 @@ func TestStreamRetention(t *testing.T) {
 	if held > budget {
 		t.Errorf("finished logs hold %d bytes, budget %d", held, budget)
 	}
-	if want := 2 * (len(live) - len(done)); held != want {
-		t.Errorf("finished logs hold %d bytes, want %d (the chunks of two logs)", held, want)
+	if want := 2 * size; held != want {
+		t.Errorf("finished logs hold %d bytes, want %d (the records of two logs)", held, want)
 	}
 	if bytes, _ := srv.reg.streamLogStats(); bytes != held+jobs*len(done) {
 		t.Errorf("dwsimd_stream_log_bytes would read %d with nothing in flight, want the %d the budget holds and %d done frames", bytes, held, jobs)
@@ -411,10 +546,10 @@ func TestStreamRetention(t *testing.T) {
 	}
 }
 
-// TestStreamParkedSubscriber attaches a subscriber that reads one chunk
-// and then waits while later jobs finish over a budget of zero: its log
-// must stay whole under it, and be compacted the moment it leaves. The
-// subscriber is driven by hand through the hub calls serveStream makes, so
+// TestStreamParkedSubscriber attaches a subscriber that reads one chunk's
+// worth and then waits while later jobs finish over a budget of zero: its
+// log must stay whole under it, and be compacted the moment it leaves. The
+// subscriber is driven by hand through the reader serveStream uses, so
 // that where it is parked does not depend on socket buffers.
 func TestStreamParkedSubscriber(t *testing.T) {
 	session := report.NewSession(report.WithJobs(1))
@@ -441,10 +576,14 @@ func TestStreamParkedSubscriber(t *testing.T) {
 	// A second subscriber comes and goes; the parked one reads a chunk; two
 	// more jobs finish with no subscriber, which is all that is compacted.
 	full := streamRaw(t, ts, doc.ID)
-	parked, _ := j.hub.read(0)
-	if len(parked) != logChunk {
-		t.Fatalf("first read returned %d bytes, want one %d-byte chunk", len(parked), logChunk)
+	// The first chunk is complete, so a read returns all of it: as many
+	// records as fit in logChunk bytes, which leaves less than one record
+	// unused.
+	if recs, _, _ := j.hub.read(0); len(recs) > logChunk || len(recs) <= logChunk-maxRecord {
+		t.Fatalf("first read returned %d bytes of records, want one whole chunk of at most %d", len(recs), logChunk)
 	}
+	rd := reader{h: j.hub}
+	parked, _ := rd.next(logChunk)
 	got := append([]byte(nil), parked...)
 	for i := 0; i < 2; i++ {
 		d, _ := postJob(t, ts, tracedFilterBody)
@@ -453,7 +592,7 @@ func TestStreamParkedSubscriber(t *testing.T) {
 	waitCompacted(t, srv, 2)
 
 	for {
-		b, wait := j.hub.read(len(got))
+		b, wait := rd.next(logChunk)
 		if len(b) == 0 {
 			if wait != nil {
 				t.Fatal("a finished log asked its subscriber to wait")
