@@ -184,9 +184,12 @@ serve:
 # The traced-job memory probe (not part of ci, a few seconds): a fresh `dwsimd
 # -nocache` on PROBE_ADDR runs one traced KMeans job at the daemon's largest
 # scale, its SSE stream is read to the end, and the stream's bytes and
-# frames, the daemon's VmHWM (Linux /proc) and dwsimd_stream_log_bytes are
-# printed before the daemon is stopped. OUT=file keeps the stream, e.g. to
-# `cmp` it against another commit's.
+# frames are printed. The finished job's stream is then read a second time,
+# which is a replay, and must `cmp` identical to the first; each read prints
+# the seconds it took. Last come the daemon's VmHWM (Linux /proc),
+# dwsimd_stream_log_bytes and dwsimd_stream_replays_total (1), before the
+# daemon is stopped. OUT=file keeps the stream, e.g. to `cmp` it against
+# another commit's.
 PROBE_ADDR ?= 127.0.0.1:18092
 PROBE_JOB = {"schema_version":1,"bench":"KMeans","knobs":{"scheme":"DWS.ReviveSplit","scale":8},"trace":true}
 stream-probe:
@@ -195,10 +198,14 @@ stream-probe:
 	{ $$tmp/dwsimd -addr $(PROBE_ADDR) -nocache 2>$$tmp/err & pid=$$!; } && \
 	for i in $$(seq 100); do curl -sf http://$(PROBE_ADDR)/healthz >/dev/null && break; sleep 0.1; done && \
 	id=$$(curl -sf -d '$(PROBE_JOB)' http://$(PROBE_ADDR)/v1/jobs | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p') && \
-	test -n "$$id" && curl -sfN http://$(PROBE_ADDR)/v1/jobs/$$id/stream > $$tmp/s.sse && \
+	test -n "$$id" && curl -sfN -o $$tmp/s.sse -w 'live read: %{time_total} s\n' \
+		http://$(PROBE_ADDR)/v1/jobs/$$id/stream && \
 	echo "stream: $$(wc -c < $$tmp/s.sse) bytes, $$(grep -c '^event: ' $$tmp/s.sse) frames" && \
+	curl -sfN -o $$tmp/r.sse -w 'replay read: %{time_total} s\n' \
+		http://$(PROBE_ADDR)/v1/jobs/$$id/stream && \
+	cmp $$tmp/s.sse $$tmp/r.sse && echo "replayed stream: identical" && \
 	grep VmHWM /proc/$$pid/status && \
-	curl -sf http://$(PROBE_ADDR)/metrics | grep '^dwsimd_stream_log_bytes' && \
+	curl -sf http://$(PROBE_ADDR)/metrics | grep -E '^dwsimd_stream_(log_bytes|replays_total) ' && \
 	if [ -n "$(OUT)" ]; then cp $$tmp/s.sse $(OUT); fi
 
 # Regenerate the paper's exhibits with the parallel executor.

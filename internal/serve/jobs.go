@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/report"
@@ -45,6 +46,9 @@ type job struct {
 	status string
 	errMsg string
 	hub    *streamHub // non-nil iff req.Trace
+	// replays are the hubs of the job's replays, newest last, until each is
+	// done with no subscriber left; under registry.mu.
+	replays []*streamHub
 }
 
 // PointDoc is the wire rendering of one point's lifecycle.
@@ -81,7 +85,7 @@ type registry struct {
 	order   []string          // submission order for GET /v1/jobs
 	results map[string][]byte // result key -> rendered RunDoc JSON
 	pending map[string]int    // result key -> jobs referencing it, not yet done
-	logs    streamLogs        // retention budget shared by every traced job's hub
+	replays int               // replays admitted for subscribers who found a log's start gone
 }
 
 func newRegistry() *registry {
@@ -89,7 +93,6 @@ func newRegistry() *registry {
 		jobs:    make(map[string]*job),
 		results: make(map[string][]byte),
 		pending: make(map[string]int),
-		logs:    streamLogs{budget: streamLogBudget},
 	}
 }
 
@@ -101,7 +104,7 @@ func (rg *registry) add(req *JobRequest) *job {
 		j.points[i] = point{bench: p.Bench, knobs: p.Knobs, key: ResultKey(p.Bench, p.Knobs), status: "pending"}
 	}
 	if req.Trace {
-		j.hub = newStreamHub(&rg.logs)
+		j.hub = newStreamHub()
 	}
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
@@ -244,20 +247,54 @@ func (rg *registry) counts() map[string]int {
 	return c
 }
 
-// streamLogStats reports, for /metrics, the bytes every traced job's log
-// holds right now, finished or in flight (records, plus done frames), and
-// how many logs have been compacted to their done frame.
-func (rg *registry) streamLogStats() (bytes, compacted int) {
+// replaysOf forgets j's replays that are done with no subscriber left and
+// returns the rest, newest last; rg.mu is held.
+func (rg *registry) replaysOf(j *job) []*streamHub {
+	j.replays = slices.DeleteFunc(j.replays, (*streamHub).idle)
+	return j.replays
+}
+
+// replayOf returns the hub of j's newest replay still read, or nil.
+func (rg *registry) replayOf(j *job) *streamHub {
 	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	if rs := rg.replaysOf(j); len(rs) > 0 {
+		return rs[len(rs)-1]
+	}
+	return nil
+}
+
+// replaying records h as the hub of j's newest replay and counts it.
+func (rg *registry) replaying(j *job, h *streamHub) {
+	rg.mu.Lock()
+	j.replays = append(rg.replaysOf(j), h)
+	rg.replays++
+	rg.mu.Unlock()
+}
+
+// streamLogStats reports, for /metrics, the bytes every traced job's log
+// and its replays still read hold right now, finished or in flight
+// (records, plus done frames), how many jobs' finished logs have been cut
+// back to their done frame, and how many replays have been admitted.
+func (rg *registry) streamLogStats() (bytes, compacted, replays int) {
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
 	for _, id := range rg.order {
-		if h := rg.jobs[id].hub; h != nil {
-			bytes += h.bytes()
+		j := rg.jobs[id]
+		if j.hub == nil {
+			continue
+		}
+		n, cut := j.hub.held()
+		bytes += n
+		if cut {
+			compacted++
+		}
+		for _, h := range rg.replaysOf(j) {
+			n, _ := h.held()
+			bytes += n
 		}
 	}
-	rg.mu.Unlock()
-	rg.logs.mu.Lock()
-	defer rg.logs.mu.Unlock()
-	return bytes, rg.logs.compacted
+	return bytes, compacted, rg.replays
 }
 
 // RenderResultDoc is the canonical rendering of one completed point: the

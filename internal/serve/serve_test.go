@@ -550,6 +550,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dwsimd_store_records 1",
 		"dwsimd_stream_log_bytes 0",
 		"dwsimd_stream_logs_compacted_total 0",
+		"dwsimd_stream_replays_total 0",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -40,6 +41,9 @@ type Server struct {
 	workers int
 	every   uint64
 	mux     *http.ServeMux
+	// replayMu makes finding a job's replay and enqueueing a new one a
+	// single step, so a job has at most one replay filling at a time.
+	replayMu sync.Mutex
 }
 
 // New assembles a Server (not yet executing jobs; call Start).
@@ -122,15 +126,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, err := s.pool.submit(add)
-	switch err {
-	case nil:
-		writeJSON(w, http.StatusAccepted, s.reg.doc(j))
-	case errBacklogFull:
+	if err != nil {
+		refuse(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, s.reg.doc(j))
+}
+
+// refuse answers a submission the pool turned away: 429 with Retry-After
+// when the backlog is full, 503 after Close.
+func refuse(w http.ResponseWriter, err error) {
+	if err == errBacklogFull {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, &Error{Status: http.StatusTooManyRequests, Msg: err.Error()})
-	default:
-		writeError(w, &Error{Status: http.StatusServiceUnavailable, Msg: err.Error()})
+		return
 	}
+	writeError(w, &Error{Status: http.StatusServiceUnavailable, Msg: err.Error()})
 }
 
 // handleList is GET /v1/jobs.
@@ -148,8 +159,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.doc(j))
 }
 
-// handleStream is GET /v1/jobs/{id}/stream: SSE replay of a traced job's
-// obs events and timeline samples.
+// handleStream is GET /v1/jobs/{id}/stream: a traced job's obs events and
+// timeline samples as SSE, from the first. A subscriber that finds the
+// log's start gone gets a replay (see replay).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
@@ -161,7 +173,39 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			Msg: "job " + j.id + " was not submitted with \"trace\": true"})
 		return
 	}
-	serveStream(w, r, j.hub)
+	rd := j.hub.attach()
+	if rd == nil {
+		var err error
+		if rd, err = s.replay(j); err != nil {
+			refuse(w, err)
+			return
+		}
+	}
+	serveStream(w, r, rd)
+}
+
+// replay attaches a subscriber that found the start of j's log gone to j's
+// replay, the job's point re-run, traced, into a hub of its own. It joins
+// the newest replay while that still holds its start, so reconnects cost
+// one run; otherwise it enqueues a new one, admitted like a submission and
+// registered nowhere.
+func (s *Server) replay(j *job) (*reader, error) {
+	s.replayMu.Lock()
+	defer s.replayMu.Unlock()
+	if h := s.reg.replayOf(j); h != nil {
+		if rd := h.attach(); rd != nil {
+			return rd, nil
+		}
+	}
+	p := &j.points[0] // its status may be changing; the rest is fixed
+	rj := &job{req: j.req, hub: newStreamHub(), points: []point{{bench: p.bench, knobs: p.knobs, key: p.key}}}
+	rd := rj.hub.attach() // before the run can finish unwatched
+	// The add function runs under the pool's lock, as handleSubmit's does.
+	_, err := s.pool.submit(func() *job {
+		s.reg.replaying(j, rj.hub)
+		return rj
+	})
+	return rd, err
 }
 
 // handleResult is GET /v1/results/{key}: the canonical RunDoc bytes for a
@@ -213,11 +257,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP dwsimd_store_records Records in the store's index.\n# TYPE dwsimd_store_records gauge\n")
 		fmt.Fprintf(w, "dwsimd_store_records %d\n", ss.Records)
 	}
-	logBytes, compacted := s.reg.streamLogStats()
+	logBytes, compacted, replays := s.reg.streamLogStats()
 	fmt.Fprintf(w, "# HELP dwsimd_stream_log_bytes Bytes held by traced jobs' logs, finished or in flight (records, plus done frames).\n# TYPE dwsimd_stream_log_bytes gauge\n")
 	fmt.Fprintf(w, "dwsimd_stream_log_bytes %d\n", logBytes)
-	fmt.Fprintf(w, "# HELP dwsimd_stream_logs_compacted_total Finished logs cut back to their done frame by the retention budget.\n# TYPE dwsimd_stream_logs_compacted_total counter\n")
+	fmt.Fprintf(w, "# HELP dwsimd_stream_logs_compacted_total Finished logs cut back to their done frame because no subscriber remained.\n# TYPE dwsimd_stream_logs_compacted_total counter\n")
 	fmt.Fprintf(w, "dwsimd_stream_logs_compacted_total %d\n", compacted)
+	fmt.Fprintf(w, "# HELP dwsimd_stream_replays_total Traced re-runs for subscribers that found the start of a log gone.\n# TYPE dwsimd_stream_replays_total counter\n")
+	fmt.Fprintf(w, "dwsimd_stream_replays_total %d\n", replays)
 	s.live.WriteMetrics(w)
 }
 
@@ -269,7 +315,11 @@ func (s *Server) runJob(j *job) {
 }
 
 // runTracedJob executes a single-point traced job, streaming the trace
-// through the job's hub while the machine runs.
+// through the job's hub while the machine runs; its registry record is
+// complete before its done frame is published. A replay's registry calls
+// touch only its own record, except that a replay overtaking its job on a
+// second worker records the point's (identical) result first, as a second
+// submission of the point would.
 func (s *Server) runTracedJob(j *job) {
 	p := &j.points[0]
 	every := j.req.TraceEvery

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,7 +15,7 @@ import (
 
 // Live trace streaming. A traced job gets a streamHub: the simulation
 // goroutine publishes into it from inside a System observer, and any
-// number of SSE clients replay it from the start. The hub's log holds
+// number of SSE clients read it from the start. The hub's log holds
 // compact binary records, not wire text: one per event or sample, a tag
 // byte and varints, the cycle a delta from the record before. That is about
 // a tenth of the bytes the frames take on the wire ("event: obs\ndata:
@@ -37,28 +38,32 @@ import (
 //     at most firstWrite bytes, flushed at once, and while the job runs
 //     the backlog behind it waits for the next publish: the client reads
 //     its first frame while the subscriber is idle, not while it renders.
-//   - Because the log is replayed from offset zero, a late subscriber
-//     receives the identical bytes an early one does, which is what makes
-//     the SSE stream comparable byte-for-byte with an offline dwstrace run
-//     of the same point (TestStreamMatchesOfflineTrace). The renderer is
-//     obs's AppendJSON, the records round-trip every field
-//     (TestStreamRecordRoundTrip), so the wire bytes are those of a log
-//     that held the text.
+//   - Because every subscriber reads from offset zero, of the log or of a
+//     replay's, a late subscriber receives the identical bytes an early
+//     one does, which is what makes the SSE stream comparable
+//     byte-for-byte with an offline dwstrace run of the same point
+//     (TestStreamMatchesOfflineTrace). The renderer is obs's AppendJSON,
+//     the records round-trip every field (TestStreamRecordRoundTrip), so
+//     the wire bytes are those of a log that held the text.
 //
-// The price of the small log is that N subscribers render N times, and a
-// replay costs a render instead of a memcpy. In exchange the JSON is
-// rendered on the subscriber's goroutine, not the simulation's.
+// The price of the small log is that N subscribers render N times. In
+// exchange the JSON is rendered on the subscriber's goroutine, not the
+// simulation's.
 //
-// Retention is bounded. While a job runs its log grows by one record per
-// event and sample, as an offline obs.Trace of the run does. Once the done
-// frame (wire text, since it is rendered once) is published, the log's
-// record bytes are charged to one budget shared by every job of the
-// registry (streamLogs), and while the budget is exceeded the oldest
-// finished log that no subscriber is attached to is compacted: its chunks
-// are dropped and only the done frame — which carries the whole result
-// document — stays. So a subscriber, live or mid-replay, is never cut
-// short; a subscriber to a log still retained replays it in full; and a
-// subscriber to a compacted log receives exactly the done frame.
+// A log holds only what its subscribers have yet to read. While the job
+// runs it keeps every record until the first subscriber attaches; from
+// then on every publish, read and detach drops the chunks before the
+// slowest attached reader's (while the job runs the last chunk stays, for
+// the records still to come), so a job's memory is bounded by how far its
+// slowest subscriber lags, not by the length of its run. A finished log
+// with no subscriber attached keeps only its done frame, which carries the
+// whole result document, whether or not anyone ever read it. A subscriber
+// that finds the start of the log gone — it attached after a trim, or
+// after the job finished — gets a replay: the point is re-run, traced,
+// into a hub of its own through the job pool. Simulation is deterministic,
+// so the replay's bytes are the ones the log held. The trade: a second
+// viewer of a running job whose first chunk is gone does not join the
+// live tail; its replay waits for a worker like any submission.
 
 const (
 	// logChunk is the size of one log chunk, and the most wire bytes a
@@ -66,10 +71,6 @@ const (
 	// records, so a log wastes less than a record at the end of each chunk
 	// and at most this much in its last.
 	logChunk = 64 << 10
-	// streamLogBudget bounds the record bytes finished logs may hold between
-	// them. The done frames that outlive compaction are not counted: the
-	// budget cannot reclaim them, they go with the job.
-	streamLogBudget = 16 << 20
 	// firstWrite bounds a subscriber's first Write, which is flushed at
 	// once, so that the first frame reaches the client after a few frames'
 	// rendering instead of a whole logChunk's. It is the size of net/http's
@@ -92,19 +93,18 @@ const (
 
 // streamHub is the per-job record log plus its broadcast signal.
 type streamHub struct {
-	logs *streamLogs
-
-	mu     sync.Mutex
-	chunks [][]byte      // event and sample records, each whole in one chunk
-	starts []int         // the log offset of each chunk's first byte
-	size   int           // record bytes in chunks
-	done   []byte        // the terminal frame; non-nil once the log is complete
-	subs   int           // subscribers attached
-	notify chan struct{} // closed and replaced on every publish
+	mu      sync.Mutex
+	chunks  [][]byte      // the records from offset starts[0] on, each whole in one chunk
+	starts  []int         // the log offset of each chunk's first byte
+	size    int           // record bytes published: the log's end offset
+	done    []byte        // the terminal frame; non-nil once the log is complete
+	readers []*reader     // the subscribers attached
+	opened  bool          // a subscriber has attached, so trimming has begun
+	notify  chan struct{} // closed and replaced on every publish
 }
 
-func newStreamHub(logs *streamLogs) *streamHub {
-	return &streamHub{logs: logs, notify: make(chan struct{})}
+func newStreamHub() *streamHub {
+	return &streamHub{notify: make(chan struct{})}
 }
 
 // wake signals every waiting subscriber; h.mu is held.
@@ -126,22 +126,43 @@ func (h *streamHub) appendRecord(rec []byte) {
 	h.size += len(rec)
 }
 
+// trim drops the chunks no subscriber can still read; h.mu is held. A
+// finished log with no subscriber keeps only its done frame. Otherwise,
+// until the first subscriber attaches that is none, and after that it is
+// every chunk before the one holding the slowest attached reader's offset,
+// the end of the log standing in for a reader, so a running job keeps its
+// last chunk for the records still to come.
+func (h *streamHub) trim() {
+	if h.done != nil && len(h.readers) == 0 {
+		h.chunks, h.starts = nil, nil
+		return
+	}
+	if !h.opened {
+		return
+	}
+	lo := h.size
+	for _, r := range h.readers {
+		lo = min(lo, r.pin)
+	}
+	if i := sort.SearchInts(h.starts, lo+1) - 1; i > 0 {
+		h.chunks, h.starts = slices.Delete(h.chunks, 0, i), slices.Delete(h.starts, 0, i)
+	}
+}
+
 // finish completes the log with a done frame carrying the one-line JSON
-// payload and charges its chunks to the retention budget. Only the first call
-// has an effect: a job that panics after its done frame stays done.
+// payload. Only the first call has an effect: a job that panics after its
+// done frame stays done.
 func (h *streamHub) finish(payload []byte) {
 	frame := make([]byte, 0, len(doneHead)+len(payload)+2)
 	frame = append(append(append(frame, doneHead...), payload...), "\n\n"...)
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.done != nil {
-		h.mu.Unlock()
 		return
 	}
 	h.done = frame
-	size := h.size
+	h.trim()
 	h.wake()
-	h.mu.Unlock()
-	h.logs.retain(h, size)
 }
 
 // finishError completes the log with a terminal error frame.
@@ -157,107 +178,74 @@ func mustJSON(v any) []byte {
 	return b
 }
 
-// read returns the records at offset off, up to the end of the chunk
+// read returns the records at r's offset, up to the end of the chunk
 // holding them, and, while the job runs, the channel the next publish
 // closes. Past the records of a complete log it returns the done frame.
-func (h *streamHub) read(off int) (recs, done []byte, wait <-chan struct{}) {
+// The offset pins its chunk until the next read.
+func (h *streamHub) read(r *reader) (recs, done []byte, wait <-chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	r.pin = r.off
+	h.trim()
 	if h.done == nil {
 		wait = h.notify
 	}
 	switch {
-	case off < h.size:
-		i := sort.SearchInts(h.starts, off+1) - 1
-		return h.chunks[i][off-h.starts[i]:], nil, wait
+	case r.off < h.size:
+		i := sort.SearchInts(h.starts, r.off+1) - 1
+		return h.chunks[i][r.off-h.starts[i]:], nil, wait
 	case wait == nil:
 		return nil, h.done, nil
 	}
 	return nil, nil, wait
 }
 
-// bytes is what the log holds right now: its records, plus the done frame.
-func (h *streamHub) bytes() int {
+// held is what the log holds right now, its chunks' records plus the done
+// frame, and whether it has been cut back to the done frame. A log with
+// records keeps at least one chunk until it is.
+func (h *streamHub) held() (bytes int, compacted bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.size + len(h.done)
-}
-
-// attach registers a subscriber: until it detaches the log cannot be
-// compacted, so the offsets it reads at stay valid.
-func (h *streamHub) attach() {
-	h.mu.Lock()
-	h.subs++
-	h.mu.Unlock()
-}
-
-func (h *streamHub) detach() {
-	h.mu.Lock()
-	h.subs--
-	idle := h.subs == 0 && h.done != nil
-	h.mu.Unlock()
-	if idle {
-		h.logs.trim() // this log may be the one the budget was waiting for
+	bytes = len(h.done)
+	for _, c := range h.chunks {
+		bytes += len(c)
 	}
+	return bytes, h.size > 0 && len(h.chunks) == 0
 }
 
-// compact drops everything but the done frame of a finished log, unless a
-// subscriber is attached, and returns the bytes freed.
-func (h *streamHub) compact() (freed int, ok bool) {
+// idle reports whether the log is complete and no subscriber is left to
+// read it.
+func (h *streamHub) idle() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.subs > 0 {
-		return 0, false
+	return h.done != nil && len(h.readers) == 0
+}
+
+// attach registers a subscriber at the start of the log and returns its
+// reader, or nil when records at the start are gone and the subscriber
+// needs a replay.
+func (h *streamHub) attach() *reader {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	base := h.size // the offset of the first record held
+	if len(h.starts) > 0 {
+		base = h.starts[0]
 	}
-	freed = h.size
-	h.chunks, h.starts, h.size = nil, nil, 0
-	return freed, true
-}
-
-// streamLogs is the registry-wide retention budget over finished logs.
-// Lock order: streamLogs.mu, then a hub's mu; a hub never calls in here
-// with its own mutex held.
-type streamLogs struct {
-	mu        sync.Mutex
-	budget    int          // streamLogBudget; tests lower it
-	held      int          // record bytes of the logs in full
-	full      []*streamHub // finished and not compacted, oldest first
-	compacted int
-}
-
-// retain charges a log that has just finished with size bytes of records.
-func (l *streamLogs) retain(h *streamHub, size int) {
-	if size == 0 { // a failed job's log is its done frame alone
-		return
+	if base > 0 {
+		return nil
 	}
-	l.mu.Lock()
-	l.held += size
-	l.full = append(l.full, h)
-	l.trimLocked()
-	l.mu.Unlock()
+	r := &reader{h: h}
+	h.readers = append(h.readers, r)
+	h.opened = true
+	return r
 }
 
-// trim compacts logs, oldest first, while the budget is exceeded.
-func (l *streamLogs) trim() {
-	l.mu.Lock()
-	l.trimLocked()
-	l.mu.Unlock()
-}
-
-func (l *streamLogs) trimLocked() {
-	keep := l.full[:0]
-	for _, h := range l.full {
-		if l.held > l.budget {
-			if freed, ok := h.compact(); ok {
-				l.held -= freed
-				l.compacted++
-				continue
-			}
-		}
-		keep = append(keep, h)
-	}
-	clear(l.full[len(keep):])
-	l.full = keep
+// detach unregisters r and releases what only it was reading.
+func (h *streamHub) detach(r *reader) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.readers = slices.DeleteFunc(h.readers, func(x *reader) bool { return x == r })
+	h.trim()
 }
 
 // publisher incrementally encodes a trace into its hub's log and empties
@@ -291,6 +279,7 @@ func (p *publisher) flush() {
 			p.cycle, sas = sas[0].Cycle, sas[1:]
 		}
 	}
+	h.trim()
 	h.wake()
 	h.mu.Unlock()
 	p.tr.Events, p.tr.Samples = p.tr.Events[:0], p.tr.Samples[:0]
@@ -344,6 +333,7 @@ func appendSampleRecord(b []byte, s obs.Sample, prev uint64) []byte {
 type reader struct {
 	h     *streamHub
 	off   int
+	pin   int // off as of the last read, under h.mu: the hub keeps its chunk
 	cycle uint64
 	buf   []byte
 	ended bool // the done frame has been returned
@@ -358,7 +348,7 @@ func (r *reader) next(limit int) (b []byte, wait <-chan struct{}) {
 	if r.ended {
 		return nil, nil
 	}
-	recs, done, wait := r.h.read(r.off)
+	recs, done, wait := r.h.read(r)
 	if len(recs) == 0 {
 		r.ended = done != nil
 		return done, wait
@@ -416,9 +406,10 @@ func (v *varints) varint() int64 {
 	return x
 }
 
-// serveStream writes the job's log as Server-Sent Events until the log
-// completes or the client goes away.
-func serveStream(w http.ResponseWriter, r *http.Request, h *streamHub) {
+// serveStream writes the log rd is attached to as Server-Sent Events until
+// the log completes or the client goes away, and then detaches rd.
+func serveStream(w http.ResponseWriter, r *http.Request, rd *reader) {
+	defer rd.h.detach(rd)
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported by this connection", http.StatusInternalServerError)
@@ -427,9 +418,6 @@ func serveStream(w http.ResponseWriter, r *http.Request, h *streamHub) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
-	h.attach()
-	defer h.detach()
-	rd := reader{h: h}
 	limit := firstWrite
 	for {
 		b, wait := rd.next(limit)

@@ -16,6 +16,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,7 +200,7 @@ func TestStreamMatchesOfflineTrace(t *testing.T) {
 // Burst sizes are powers of two, so append's growth lands exactly on them.
 func TestPublisherHoldsOnePeriod(t *testing.T) {
 	tr := obs.New(0)
-	hub := newStreamHub(&streamLogs{budget: streamLogBudget})
+	hub := newStreamHub()
 	pub := &publisher{hub: hub, tr: tr}
 	bursts := []struct{ events, samples int }{{64, 4}, {256, 16}, {32, 2}}
 	var want []byte
@@ -271,7 +273,8 @@ func (w *writeSizes) Write(b []byte) (int, error) {
 // were emitted in.
 func TestStreamRecordRoundTrip(t *testing.T) {
 	tr := obs.New(0)
-	hub := newStreamHub(&streamLogs{budget: streamLogBudget})
+	hub := newStreamHub()
+	rd := hub.attach() // before the finish, which would cut an unwatched log
 	pub := &publisher{hub: hub, tr: tr}
 	var want []byte
 	event := func(e obs.Event) {
@@ -318,8 +321,9 @@ func TestStreamRecordRoundTrip(t *testing.T) {
 	hub.finish([]byte(payload))
 	want = append(want, doneHead+payload+"\n\n"...)
 
+	chunks := len(hub.chunks)
 	w := &writeSizes{ResponseRecorder: httptest.NewRecorder()}
-	serveStream(w, httptest.NewRequest("GET", "/", nil), hub)
+	serveStream(w, httptest.NewRequest("GET", "/", nil), rd)
 	if got := w.Body.Bytes(); !bytes.Equal(got, want) {
 		i := 0
 		for i < len(got) && i < len(want) && got[i] == want[i] {
@@ -329,8 +333,8 @@ func TestStreamRecordRoundTrip(t *testing.T) {
 		t.Fatalf("stream of %d bytes differs from the %d-byte framing at byte %d:\n got  ...%q\n want ...%q",
 			len(got), len(want), i, got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
 	}
-	if len(hub.chunks) < 2 || len(w.sizes) < 4 {
-		t.Errorf("%d chunks and %d writes: the test does not cross a chunk", len(hub.chunks), len(w.sizes))
+	if chunks < 2 || len(w.sizes) < 4 {
+		t.Errorf("%d chunks and %d writes: the test does not cross a chunk", chunks, len(w.sizes))
 	}
 	if w.sizes[0] > firstWrite {
 		t.Errorf("the first write is %d bytes, more than firstWrite", w.sizes[0])
@@ -342,35 +346,39 @@ func TestStreamRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamLogHeldBytes runs one traced job: its log must hold at most a
-// fifth of the bytes its subscriber read, not counting the done frame, and
-// /metrics must report what the log holds.
+// TestStreamLogHeldBytes runs one traced job with one subscriber: once the
+// subscriber has read the stream and left, the log holds only its done
+// frame, and /metrics reports what the log holds.
 func TestStreamLogHeldBytes(t *testing.T) {
 	srv, _, ts := testServer(t, 1, false)
 	doc, resp := postJob(t, ts, tracedFilterBody)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	wire := streamRaw(t, ts, doc.ID)
-	done := doneFrameOf(t, wire)
+	done := doneFrameOf(t, streamRaw(t, ts, doc.ID))
 	j, _ := srv.reg.get(doc.ID)
-	held := j.hub.bytes()
-	if recs := held - len(done); recs*5 > len(wire) {
-		t.Errorf("the log holds %d bytes of records for a %d-byte stream, want at most a fifth", recs, len(wire))
+	held, _ := j.hub.held()
+	if held != len(done) {
+		t.Errorf("the log holds %d bytes after its subscriber left, want the %d-byte done frame", held, len(done))
 	}
+	if want := fmt.Sprintf("\ndwsimd_stream_log_bytes %d\n", held); !strings.Contains(metricsBody(t, ts), want) {
+		t.Errorf("metrics do not report the %d bytes the log holds:\n%s", held, metricsBody(t, ts))
+	}
+}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
+// metricsBody fetches /metrics.
+func metricsBody(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mresp.Body.Close()
-	body, err := io.ReadAll(mresp.Body)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("\ndwsimd_stream_log_bytes %d\n", held); !strings.Contains(string(body), want) {
-		t.Errorf("metrics do not report the %d bytes the log holds:\n%s", held, body)
-	}
+	return string(body)
 }
 
 // TestStreamDisconnect hangs up mid-stream and checks the two promised
@@ -473,144 +481,410 @@ func doneFrameOf(t *testing.T, stream []byte) []byte {
 	return stream[i:]
 }
 
-// waitCompacted waits until n logs have been compacted and returns the
-// record bytes finished logs then hold. It has to wait because a job reads "done"
-// just before its done frame is published and its log charged.
-func waitCompacted(t *testing.T, srv *Server, n int) (held int) {
+// heldServer assembles a one-worker server whose every run waits at its
+// machine hook for a token on release, so that a test can attach a
+// subscriber before the job it watches publishes or finishes.
+func heldServer(t *testing.T) (*Server, *httptest.Server, chan<- struct{}) {
 	t.Helper()
-	l := &srv.reg.logs
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		l.mu.Lock()
-		held, compacted := l.held, l.compacted
-		l.mu.Unlock()
-		if compacted == n {
-			return held
-		}
-		if compacted > n || time.Now().After(deadline) {
-			t.Fatalf("%d logs compacted, want %d", compacted, n)
-		}
-	}
-}
-
-// TestStreamRetention runs more traced jobs than the budget can hold:
-// what finished logs retain stays under the budget, the oldest are cut to
-// their done frame — which is all a late subscriber to them receives, and
-// is the frame the live subscriber saw — and the newest still replays in
-// full, byte for byte.
-func TestStreamRetention(t *testing.T) {
-	srv, _, ts := testServer(t, 1, false)
-
-	first, resp := postJob(t, ts, tracedFilterBody)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d", resp.StatusCode)
-	}
-	live := streamRaw(t, ts, first.ID)
-	done := doneFrameOf(t, live)
-	j, _ := srv.reg.get(first.ID)
-	size := j.hub.bytes() - len(done) // the record bytes one log holds
-	if size < 2*logChunk {
-		t.Fatalf("a Filter log of %d bytes is too small for this test", size)
-	}
-
-	// Room for two and a half logs; five will finish.
-	const jobs = 5
-	budget := 5 * size / 2
-	srv.reg.logs.mu.Lock()
-	srv.reg.logs.budget = budget
-	srv.reg.logs.mu.Unlock()
-	last := first
-	for i := 1; i < jobs; i++ {
-		last, _ = postJob(t, ts, tracedFilterBody)
-		if doc := waitJob(t, ts, last.ID); doc.Status != StatusDone {
-			t.Fatalf("job %s: %+v", last.ID, doc)
-		}
-	}
-
-	held := waitCompacted(t, srv, jobs-2)
-	if held > budget {
-		t.Errorf("finished logs hold %d bytes, budget %d", held, budget)
-	}
-	if want := 2 * size; held != want {
-		t.Errorf("finished logs hold %d bytes, want %d (the records of two logs)", held, want)
-	}
-	if bytes, _ := srv.reg.streamLogStats(); bytes != held+jobs*len(done) {
-		t.Errorf("dwsimd_stream_log_bytes would read %d with nothing in flight, want the %d the budget holds and %d done frames", bytes, held, jobs)
-	}
-
-	if got := streamRaw(t, ts, first.ID); !bytes.Equal(got, done) {
-		t.Errorf("late subscriber to a compacted log got %d bytes, want exactly the %d-byte done frame the live subscriber saw", len(got), len(done))
-	}
-	// Same point, so the same bytes as the first job's live stream.
-	if got := streamRaw(t, ts, last.ID); !bytes.Equal(got, live) {
-		t.Errorf("the newest log replayed %d bytes, want the full %d", len(got), len(live))
-	}
-}
-
-// TestStreamParkedSubscriber attaches a subscriber that reads one chunk's
-// worth and then waits while later jobs finish over a budget of zero: its
-// log must stay whole under it, and be compacted the moment it leaves. The
-// subscriber is driven by hand through the reader serveStream uses, so
-// that where it is parked does not depend on socket buffers.
-func TestStreamParkedSubscriber(t *testing.T) {
 	session := report.NewSession(report.WithJobs(1))
 	srv := New(Config{Session: session, Workers: 1})
-	srv.reg.logs.budget = 0
-	// Hold the first run at its machine hook until the subscriber is
-	// attached, so the job cannot finish (and be compacted) first.
-	attached := make(chan struct{})
+	release := make(chan struct{}, 1)
 	inner := session.OnSystem
 	session.OnSystem = func(sys *sim.System) func() {
-		<-attached
+		<-release
 		return inner(sys)
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(release) }) // the first cleanup: no run waits for ever
+	return srv, ts, release
+}
 
+// drain reads the rest of rd's log as serveStream does, waiting for each
+// publish, and returns its wire bytes.
+func drain(t *testing.T, rd *reader) []byte {
+	t.Helper()
+	var got []byte
+	for {
+		b, wait := rd.next(logChunk)
+		got = append(got, b...)
+		switch {
+		case len(b) > 0:
+		case wait == nil:
+			return got
+		default:
+			select {
+			case <-wait:
+			case <-time.After(time.Minute):
+				t.Fatalf("no publish for a minute after %d bytes", len(got))
+			}
+		}
+	}
+}
+
+// TestStreamRetention runs five traced jobs, each read live by one
+// subscriber attached before the run starts. Once that subscriber has
+// left, each finished log holds only its done frame, and a late subscriber
+// gets a replay that is the live stream byte for byte. /metrics then
+// reports log bytes of the five done frames (a finished replay nobody reads
+// is forgotten), five compacted logs and five replays.
+func TestStreamRetention(t *testing.T) {
+	srv, ts, release := heldServer(t)
+	const jobs = 5
+	var first []byte
+	doneBytes := 0
+	for i := 0; i < jobs; i++ {
+		doc, resp := postJob(t, ts, tracedFilterBody)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d", resp.StatusCode)
+		}
+		j, _ := srv.reg.get(doc.ID)
+		rd := j.hub.attach()
+		if rd == nil {
+			t.Fatalf("job %s: the first subscriber found the log's start gone", doc.ID)
+		}
+		release <- struct{}{}
+		live := drain(t, rd)
+		j.hub.detach(rd)
+		if first == nil {
+			first = live
+		} else if !bytes.Equal(live, first) { // same point, same bytes
+			t.Fatalf("job %s streamed %d bytes live, the first job %d", doc.ID, len(live), len(first))
+		}
+		done := doneFrameOf(t, live)
+		if held, cut := j.hub.held(); held != len(done) || !cut {
+			t.Errorf("job %s: the finished log holds %d bytes (compacted %v), want only its %d-byte done frame", doc.ID, held, cut, len(done))
+		}
+		doneBytes += len(done)
+
+		release <- struct{}{} // for the replay's run
+		if late := streamRaw(t, ts, doc.ID); !bytes.Equal(late, live) {
+			t.Errorf("job %s: the late subscriber's replay is %d bytes, the live stream %d", doc.ID, len(late), len(live))
+		}
+	}
+
+	body := metricsBody(t, ts)
+	for _, want := range []string{
+		fmt.Sprintf("\ndwsimd_stream_log_bytes %d\n", doneBytes),
+		fmt.Sprintf("\ndwsimd_stream_logs_compacted_total %d\n", jobs),
+		fmt.Sprintf("\ndwsimd_stream_replays_total %d\n", jobs),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), body)
+		}
+	}
+}
+
+// TestStreamParkedSubscriber attaches a subscriber before its job runs and
+// parks it in the second chunk of the finished log. While it pinned the
+// start, the log held every record, at most a fifth of the wire bytes, in
+// chunks packed to within a record of logChunk; parked, it pins its own
+// chunk and the chunks before it are released; it still reads the whole
+// stream; and once it leaves, the log holds only its done frame. The subscriber is driven by hand through the reader
+// serveStream uses, so that where it parks does not depend on socket
+// buffers.
+func TestStreamParkedSubscriber(t *testing.T) {
+	srv, ts, release := heldServer(t)
 	doc, _ := postJob(t, ts, tracedFilterBody)
 	j, _ := srv.reg.get(doc.ID)
-	j.hub.attach()
-	close(attached)
+	rd := j.hub.attach()
+	release <- struct{}{}
 
-	// A second subscriber comes and goes; the parked one reads a chunk; two
-	// more jobs finish with no subscriber, which is all that is compacted.
+	// A second subscriber reads the whole stream while the first pins its
+	// start.
 	full := streamRaw(t, ts, doc.ID)
+	done := doneFrameOf(t, full)
+	held, _ := j.hub.held()
+	if recs := held - len(done); recs*5 > len(full) {
+		t.Errorf("the log holds %d bytes of records for a %d-byte stream, want at most a fifth", recs, len(full))
+	}
+	if n := len(j.hub.chunks); n < 3 {
+		t.Fatalf("a Filter log of %d chunks is too small for this test", n)
+	}
+
 	// The first chunk is complete, so a read returns all of it: as many
 	// records as fit in logChunk bytes, which leaves less than one record
 	// unused.
-	if recs, _, _ := j.hub.read(0); len(recs) > logChunk || len(recs) <= logChunk-maxRecord {
+	if recs, _, _ := j.hub.read(rd); len(recs) > logChunk || len(recs) <= logChunk-maxRecord {
 		t.Fatalf("first read returned %d bytes of records, want one whole chunk of at most %d", len(recs), logChunk)
 	}
-	rd := reader{h: j.hub}
-	parked, _ := rd.next(logChunk)
-	got := append([]byte(nil), parked...)
-	for i := 0; i < 2; i++ {
-		d, _ := postJob(t, ts, tracedFilterBody)
-		waitJob(t, ts, d.ID)
-	}
-	waitCompacted(t, srv, 2)
-
-	for {
-		b, wait := rd.next(logChunk)
-		if len(b) == 0 {
-			if wait != nil {
-				t.Fatal("a finished log asked its subscriber to wait")
-			}
-			break
-		}
+	var got []byte
+	for rd.pin < logChunk {
+		b, _ := rd.next(logChunk)
 		got = append(got, b...)
 	}
-	if !bytes.Equal(got, full) {
-		t.Errorf("parked subscriber read %d bytes, the full stream is %d", len(got), len(full))
+	j.hub.mu.Lock()
+	chunks, base := len(j.hub.chunks), j.hub.starts[0]
+	j.hub.mu.Unlock()
+	if chunks > 2 || base == 0 || base > rd.pin {
+		t.Errorf("parked at offset %d the log holds %d chunks from offset %d, want at most 2 from the parked reader's", rd.pin, chunks, base)
 	}
 
-	j.hub.detach()
-	done := doneFrameOf(t, full)
-	if n := j.hub.bytes(); n != len(done) {
-		t.Errorf("log holds %d bytes after its last subscriber left, want the %d-byte done frame", n, len(done))
+	if got = append(got, drain(t, rd)...); !bytes.Equal(got, full) {
+		t.Errorf("parked subscriber read %d bytes, the full stream is %d", len(got), len(full))
 	}
-	if replay := streamRaw(t, ts, doc.ID); !bytes.Equal(replay, done) {
-		t.Errorf("replay of the compacted log is %d bytes, want exactly the done frame", len(replay))
+	j.hub.detach(rd)
+	if held, _ := j.hub.held(); held != len(done) {
+		t.Errorf("log holds %d bytes after its last subscriber left, want the %d-byte done frame", held, len(done))
+	}
+}
+
+// TestStreamReplayAdmission asks for the stream of a finished, unwatched
+// traced job, which needs a replay, while a held worker's backlog is full:
+// it is refused like a submission, 429 with Retry-After, and registers
+// nothing. After Close the same request is 503.
+func TestStreamReplayAdmission(t *testing.T) {
+	srv, ts, release := heldServer(t)
+	traced, _ := postJob(t, ts, tracedFilterBody)
+	release <- struct{}{}
+	waitJob(t, ts, traced.ID)
+
+	// Hold the worker in a job of a point not yet run, then fill the
+	// backlog behind it.
+	const convBody = `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"}}`
+	held, _ := postJob(t, ts, convBody)
+	for deadline := time.Now().Add(time.Minute); getJob(t, ts, held.ID).Status != StatusRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started", held.ID)
+		}
+	}
+	for i := 0; i < backlog; i++ {
+		if _, resp := postJob(t, ts, convBody); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d of a backlog of %d: status %d", i+1, backlog, resp.StatusCode)
+		}
+	}
+	before := listJobs(t, ts)
+	impatient := &http.Client{Timeout: 10 * time.Second} // a request that blocks fails here, not at the test timeout
+	resp, err := impatient.Get(ts.URL + "/v1/jobs/" + traced.ID + "/stream")
+	if err != nil {
+		t.Fatalf("stream past the backlog: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("stream past the backlog: status %d, Retry-After %q; want 429, 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if after := listJobs(t, ts); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("the refused replay changed the job list:\n%+v\nvs\n%+v", after, before)
+	}
+	if _, _, replays := srv.reg.streamLogStats(); replays != 0 {
+		t.Errorf("%d replays counted, want 0: the one asked for was refused", replays)
+	}
+
+	release <- struct{}{} // the backlog's jobs are memory hits of the held one
+	srv.Close()
+	for _, d := range srv.reg.list() {
+		if d.Status != StatusDone {
+			t.Errorf("job %s is %s after Close", d.ID, d.Status)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + traced.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("stream needing a replay after Close: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestStreamReplayShared asks twice for the stream of a finished, unwatched
+// traced job while the replay the first request admitted waits for the
+// worker: the second subscriber joins that replay, so the two cost one run,
+// and both read the live stream. Once both have left, a third subscriber
+// gets a new replay; once it has left too, the job keeps no replay and its
+// log holds only the done frame.
+func TestStreamReplayShared(t *testing.T) {
+	srv, ts, release := heldServer(t)
+	doc, _ := postJob(t, ts, tracedFilterBody)
+	release <- struct{}{}
+	live := streamRaw(t, ts, doc.ID)
+
+	// The response's headers are flushed before the subscriber first waits,
+	// so each Get returns while the replay is held.
+	var bodies [2]io.ReadCloser
+	for i := range bodies {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("subscriber %d: status %d", i+1, resp.StatusCode)
+		}
+		bodies[i] = resp.Body
+	}
+	if _, _, n := srv.reg.streamLogStats(); n != 1 {
+		t.Fatalf("%d replays admitted for two subscribers of a held replay, want 1", n)
+	}
+	release <- struct{}{}
+	for i, b := range bodies {
+		if got, err := io.ReadAll(b); err != nil || !bytes.Equal(got, live) {
+			t.Errorf("subscriber %d read %d bytes (%v) of the shared replay, the live stream is %d", i+1, len(got), err, len(live))
+		}
+	}
+
+	release <- struct{}{}
+	if late := streamRaw(t, ts, doc.ID); !bytes.Equal(late, live) {
+		t.Errorf("the third subscriber's replay is %d bytes, the live stream %d", len(late), len(live))
+	}
+	held, _, n := srv.reg.streamLogStats()
+	if n != 2 {
+		t.Errorf("%d replays admitted after the shared one finished, want 2", n)
+	}
+	if j, _ := srv.reg.get(doc.ID); len(j.replays) != 0 {
+		t.Errorf("the job keeps %d finished replays nobody reads", len(j.replays))
+	}
+	if done := doneFrameOf(t, live); held != len(done) {
+		t.Errorf("the logs hold %d bytes, want only the job's %d-byte done frame", held, len(done))
+	}
+}
+
+// TestStreamReplayDisconnect hangs up in the middle of a replay, in the
+// shape of TestStreamDisconnect: once the replay has run out, no goroutine
+// outlives the subscriber, and the session's cached result for the point
+// is the one it held before.
+func TestStreamReplayDisconnect(t *testing.T) {
+	srv, session, ts := testServer(t, 1, false)
+	g0 := runtime.NumGoroutine()
+
+	doc, resp := postJob(t, ts, tracedFilterBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	streamRaw(t, ts, doc.ID) // once it has been read, the log is its done frame
+	knobs := WireKnobs{Scheme: "DWS.ReviveSplit"}.Knobs()
+	cached, err := session.Run("Filter", knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, replays := srv.reg.streamLogStats()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+doc.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	sresp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 256)
+	sresp.Body.Read(buf) //nolint:errcheck // any bytes (or none) will do
+	cancel()
+	sresp.Body.Close()
+	tr.CloseIdleConnections()
+	if _, _, n := srv.reg.streamLogStats(); n != replays+1 {
+		t.Fatalf("%d replays counted after the late subscriber, want %d", n, replays+1)
+	}
+
+	// One worker runs jobs in order, so once a later job is done the
+	// replay has run out.
+	after, _ := postJob(t, ts, runFilterBody)
+	waitJob(t, ts, after.ID)
+
+	r, err := session.Run("Filter", knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := RenderResultDoc(r, knobs), RenderResultDoc(cached, knobs); !bytes.Equal(got, want) {
+		t.Errorf("the replay changed the session's cached result:\n--- after ---\n%s\n--- before ---\n%s", got, want)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		tr.CloseIdleConnections()
+		if runtime.NumGoroutine() <= g0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after a disconnect mid-replay: %d, baseline %d", runtime.NumGoroutine(), g0)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStreamReplayMidRun asks for the stream of a running job whose log
+// has already lost its start, to a subscriber that attached and left: the
+// request gets a replay, queued behind the job, and its bytes are the
+// stream a later replay of the finished job reads. The job is held inside
+// its run, by an observer, from the moment its first chunk is dropped
+// until the replay has been admitted.
+func TestStreamReplayMidRun(t *testing.T) {
+	session := report.NewSession(report.WithJobs(1))
+	srv := New(Config{Session: session, Workers: 1})
+	srv.every = 256 // publish often enough that chunks fill mid-run
+	var (
+		watched         atomic.Pointer[streamHub]
+		trimmed, resume = make(chan struct{}), make(chan struct{})
+		hold, unhold    sync.Once
+	)
+	release := make(chan struct{}, 1)
+	inner := session.OnSystem
+	session.OnSystem = func(sys *sim.System) func() {
+		<-release
+		sys.Observe(256, func(uint64) {
+			if h := watched.Load(); h != nil {
+				h.mu.Lock()
+				gone := len(h.starts) > 0 && h.starts[0] > 0
+				h.mu.Unlock()
+				if gone {
+					hold.Do(func() { close(trimmed); <-resume })
+				}
+			}
+		})
+		return inner(sys)
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	resumeOnce := func() { unhold.Do(func() { close(resume) }) }
+	t.Cleanup(func() { close(release); resumeOnce() }) // the first cleanup: no run waits for ever
+
+	doc, _ := postJob(t, ts, tracedFilterBody)
+	j, _ := srv.reg.get(doc.ID)
+	j.hub.detach(j.hub.attach()) // a subscriber came and went: trimming has begun
+	watched.Store(j.hub)
+	release <- struct{}{}
+	select {
+	case <-trimmed:
+	case <-time.After(time.Minute):
+		t.Fatal("the running job's log never lost its start")
+	}
+
+	// The response's headers are flushed before the subscriber first waits,
+	// so Get returns while the job is still held.
+	release <- struct{}{} // for the replay's run
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream of the running job: status %d", resp.StatusCode)
+	}
+	if _, _, replays := srv.reg.streamLogStats(); replays != 1 {
+		t.Fatalf("%d replays counted while the job runs, want 1", replays)
+	}
+	resumeOnce()
+	mid, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if done := waitJob(t, ts, doc.ID); done.Status != StatusDone {
+		t.Fatalf("job after a mid-run replay: %+v", done)
+	}
+	release <- struct{}{}
+	if late := streamRaw(t, ts, doc.ID); !bytes.Equal(mid, late) {
+		t.Errorf("the mid-run replay read %d bytes, a replay of the finished job %d", len(mid), len(late))
 	}
 }
