@@ -29,7 +29,7 @@ const (
 
 // DFlags are properties pre-classified at decode time. The low bits are
 // fixed by the opcode; the program layer ors in the analysis-driven bits
-// (DFUniform, DFSubdiv) after verification.
+// (DFSubdiv, the memory class) after verification.
 type DFlags uint8
 
 const (
@@ -40,9 +40,6 @@ const (
 	// DFBranchNZ: branch taken when the predicate is non-zero (BNEZ);
 	// unset means taken-on-zero (BEQZ).
 	DFBranchNZ
-	// DFUniform: the divergence analysis proved the branch predicate
-	// warp-uniform (program layer; BranchInfo.Class == ClassUniform).
-	DFUniform
 	// DFSubdiv: static analysis allows dynamic warp subdivision at this
 	// branch (program layer; mirrors BranchInfo.Subdividable).
 	DFSubdiv
@@ -54,7 +51,7 @@ const (
 )
 
 // memClassShift is the bit position of DFMemClassLo.
-const memClassShift = 5
+const memClassShift = 4
 
 // MemClass returns the 2-bit static access class the program layer
 // encoded for a memory instruction (program.AccessClass numbering).

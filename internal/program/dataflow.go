@@ -9,10 +9,9 @@
 // PAPERS.md), adapted to the DWS execution model. The results drive three
 // consumers: the §4.3 subdivide-branch selection (a branch whose predicate
 // is provably warp-uniform can never split a warp, so Subdividable demands
-// *divergence-capable ∧ short-join* rather than short-join alone, and the
-// WPU front end steers statically-uniform branches with a single-lane fast
-// path), the verifier's memory-bounds check (the exact-affine component
-// below subsumes its previous ad-hoc pattern-matching), and per-access
+// *divergence-capable ∧ short-join* rather than short-join alone), the
+// verifier's memory-bounds check (the exact-affine component below
+// subsumes its previous ad-hoc pattern-matching), and per-access
 // classification of which loads/stores can produce intra-warp memory
 // divergence (a warp-uniform address touches one line: every lane hits or
 // misses together).

@@ -41,9 +41,8 @@ type BranchInfo struct {
 	Subdividable bool
 	// Class is the divergence analysis verdict on the branch predicate
 	// (see dataflow.go). ClassUniform is a statically proven warp-uniform
-	// predicate: every co-executing lane takes the branch the same way, so
-	// the WPU front end may evaluate one lane and skip re-convergence
-	// bookkeeping (isa.DFUniform on the decoded branch).
+	// predicate: every co-executing lane takes the branch the same way.
+	// The verdict reaches the WPU only through Subdividable.
 	Class Class
 }
 
@@ -639,8 +638,7 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	// Divergence analysis (dataflow.go) refines the §4.3 selection: a
 	// branch whose predicate is provably warp-uniform can never split a
 	// warp, so it is excluded from subdivision however short its join
-	// block, and the WPU front end gets to skip its re-convergence
-	// bookkeeping entirely (Class == ClassUniform).
+	// block.
 	div := p.analyzeDivergence(g)
 	for pc, in := range code {
 		if !in.Op.IsBranch() {
@@ -682,9 +680,6 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 			continue
 		}
 		bi := p.branches[pc]
-		if bi.Class == ClassUniform {
-			d.Flags |= isa.DFUniform
-		}
 		if bi.Subdividable {
 			d.Flags |= isa.DFSubdiv
 		}

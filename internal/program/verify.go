@@ -322,7 +322,7 @@ func (p *Program) checkReachability(g *cfgView) []Finding {
 // wrong place and makes DWS splits merge at PCs that never match. It also
 // cross-checks the recorded divergence verdict (Class) and the
 // refined Subdividable rule (divergence-capable ∧ short-join) against a
-// fresh analysis run, since the WPU's uniform-branch fast path trusts them.
+// fresh analysis run, since the WPU's subdivide-on-branch test trusts them.
 func (p *Program) checkReconvergence(g *cfgView, div *divResult) []Finding {
 	var fs []Finding
 	vip := verifiedIPdom(p.Blocks)

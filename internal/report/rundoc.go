@@ -31,13 +31,17 @@ import (
 // and wpu.Stats' hint-skip counter: a warp-uniform access touches one
 // line, so it can never hit/miss-diverge, and the probe the hint pruned
 // already runs only on a divergent access. Nothing else moved.
+// v6: wpu.Stats' counter of the uniform-branch fast path is gone with the
+// path: every branch is steered by the lane loop, which already leaves a
+// non-divergent branch's stack alone, and no benchmark ever took the path.
+// Nothing else moved.
 const (
 	// SchemaVersion is the integer revision of the run-metrics layout,
 	// carried as its own field in every document so consumers can dispatch
 	// numerically without parsing the schema strings.
-	SchemaVersion  = 5
-	RunDocSchema   = "dwsim-run-v5"
-	StatsDocSchema = "dwsim-stats-v5"
+	SchemaVersion  = 6
+	RunDocSchema   = "dwsim-run-v6"
+	StatsDocSchema = "dwsim-stats-v6"
 )
 
 // RunDerived holds the headline ratios the paper quotes (§5.5), precomputed

@@ -1,12 +1,12 @@
 package workloads
 
 // Trace-backed soundness checks for the static divergence analysis: replay
-// the whole benchmark suite with the uniform-branch fast path disabled and
-// event tracing on, and confront every dynamically-observed divergent
-// branch with the analysis verdict. A statically-uniform branch that
-// diverges at runtime is an analysis soundness bug and fails the test; the
-// converse (divergence-capable branches that never diverge on these
-// inputs) is the measured precision gap reported in EXPERIMENTS.md.
+// the whole benchmark suite with event tracing on, and confront every
+// dynamically-observed divergent branch with the analysis verdict. A
+// statically-uniform branch that diverges at runtime is an analysis
+// soundness bug and fails the test; the converse (divergence-capable
+// branches that never diverge on these inputs) is the measured precision
+// gap reported in EXPERIMENTS.md.
 
 import (
 	"flag"
@@ -33,7 +33,9 @@ type branchKey struct {
 
 // replaySuite runs every benchmark under one scheme with tracing enabled
 // and returns the set of branch sites that dynamically diverged, plus the
-// kernel programs seen.
+// kernel programs seen. Under Conv, the one scheme that cannot split, it
+// also checks that no benchmark spent a cycle or an event on a full
+// warp-split table or a scheduler-slot wait.
 func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[string]*program.Program) {
 	t.Helper()
 	diverged := make(map[branchKey]bool)
@@ -42,9 +44,6 @@ func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[strin
 		trace := obs.New(0)
 		cfg := sim.DefaultConfig()
 		cfg.WPU = scheme.Apply(cfg.WPU)
-		// Evaluate every branch lane by lane so a divergence the analysis
-		// failed to predict is observed, not steered away by the fast path.
-		cfg.WPU.DisableUniformFast = true
 		cfg.Trace = trace
 		sys, err := sim.New(cfg)
 		if err != nil {
@@ -68,6 +67,13 @@ func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[strin
 		}
 		if err := inst.Verify(); err != nil {
 			t.Fatal(err)
+		}
+		if scheme == wpu.SchemeConv {
+			st := sys.TotalStats()
+			if st.StallWSTFull != 0 || st.StallSlotWait != 0 || st.WSTFullRefusals != 0 || st.SlotWaits != 0 {
+				t.Errorf("%s under Conv: wst_full %d, slot_wait %d cycles, %d WST refusals, %d slot waits; a scheme that cannot split has none",
+					spec.Name, st.StallWSTFull, st.StallSlotWait, st.WSTFullRefusals, st.SlotWaits)
+			}
 		}
 	}
 	return diverged, progs

@@ -130,13 +130,6 @@ type Config struct {
 	// DisableWaitMerge turns off re-convergence of SIMD groups suspended
 	// at the same PC, leaving only ready-ready PC merges.
 	DisableWaitMerge bool
-	// DisableUniformFast turns off the statically-uniform branch fast path
-	// (single-lane predicate evaluation for branches the divergence
-	// analysis proved uniform, see program.ClassUniform); every
-	// branch is then evaluated lane by lane. The trace-backed concordance
-	// test uses this so that any divergence the analysis failed to predict
-	// is observed rather than assumed away.
-	DisableUniformFast bool
 	// DisableProgSched replaces least-progressed-first issue with plain
 	// round-robin over the scheduler slots.
 	DisableProgSched bool

@@ -31,9 +31,6 @@ func (m Mask) Has(lane int) bool { return m&LaneMask(lane) != 0 }
 // Empty reports whether no lanes are set.
 func (m Mask) Empty() bool { return m == 0 }
 
-// First returns the lowest set lane. Undefined on an empty mask (64).
-func (m Mask) First() int { return bits.TrailingZeros64(uint64(m)) }
-
 // Lanes iterates the set lanes in ascending order.
 func (m Mask) Lanes(fn func(lane int)) {
 	for v := uint64(m); v != 0; v &= v - 1 {

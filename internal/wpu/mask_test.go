@@ -1,6 +1,7 @@
 package wpu
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,63 @@ func TestStatsAdd(t *testing.T) {
 	}
 	if a.StallSum() != 23 {
 		t.Fatalf("StallSum = %d, want 23", a.StallSum())
+	}
+}
+
+// TestStatsAddCoversAllFields adds, for each field of Stats in turn, a
+// Stats holding only that field into an aggregate holding only that field,
+// and requires the whole aggregate to come out as the field's kind says:
+// uint64 counters sum, the [4]uint64 class arrays sum element by element,
+// the int high-water mark (PeakSplits) takes the max, and ThreadMisses rows
+// are appended as copies. A field Add forgets, adds into the wrong place,
+// or of a kind this test does not know fails here.
+func TestStatsAddCoversAllFields(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var agg, o, want Stats
+		av := reflect.ValueOf(&agg).Elem().Field(i)
+		ov := reflect.ValueOf(&o).Elem().Field(i)
+		wv := reflect.ValueOf(&want).Elem().Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Uint64:
+			av.SetUint(5)
+			ov.SetUint(7)
+			wv.SetUint(12)
+		case f.Type == reflect.TypeOf([4]uint64{}):
+			for j := 0; j < 4; j++ {
+				av.Index(j).SetUint(uint64(j + 1))
+				ov.Index(j).SetUint(uint64(10 * (j + 1)))
+				wv.Index(j).SetUint(uint64(11 * (j + 1)))
+			}
+		case f.Type.Kind() == reflect.Int:
+			av.SetInt(3)
+			ov.SetInt(5)
+			wv.SetInt(5)
+		case f.Type == reflect.TypeOf([][]uint64{}):
+			av.Set(reflect.ValueOf([][]uint64{{1}}))
+			ov.Set(reflect.ValueOf([][]uint64{{2, 3}, {4}}))
+			wv.Set(reflect.ValueOf([][]uint64{{1}, {2, 3}, {4}}))
+		default:
+			t.Fatalf("field %s has type %s, which Add does not aggregate", f.Name, f.Type)
+		}
+		agg.Add(&o)
+		if !reflect.DeepEqual(agg, want) {
+			t.Errorf("Add on field %s:\n got  %+v\n want %+v", f.Name, agg, want)
+		}
+	}
+
+	// A high-water mark never falls, and appended rows do not alias the
+	// addend's.
+	agg := Stats{PeakSplits: 9}
+	o := Stats{PeakSplits: 4, ThreadMisses: [][]uint64{{2, 3}}}
+	agg.Add(&o)
+	if agg.PeakSplits != 9 {
+		t.Errorf("PeakSplits = %d after adding a smaller peak, want 9", agg.PeakSplits)
+	}
+	o.ThreadMisses[0][0] = 99
+	if agg.ThreadMisses[0][0] != 2 {
+		t.Errorf("ThreadMisses row aliases the addend's: %v", agg.ThreadMisses)
 	}
 }
 

@@ -35,11 +35,7 @@ type Stats struct {
 	IFetchMisses uint64 // cold instruction-cache fetches (stall the front end)
 	Branches     uint64 // conditional branches executed
 	DivBranch    uint64 // ... that diverged
-	// UniformBranchFast counts branches steered by the statically-uniform
-	// fast path: one-lane predicate evaluation, no re-convergence
-	// bookkeeping (see isa.DFUniform).
-	UniformBranchFast uint64
-	WidthAccum        uint64 // sum of active widths, for mean SIMD width
+	WidthAccum   uint64 // sum of active widths, for mean SIMD width
 
 	// Memory divergence (per SIMD memory instruction).
 	MemAccesses  uint64 // SIMD memory instructions touching the D-cache
@@ -166,7 +162,6 @@ func (s *Stats) Add(o *Stats) {
 	s.IFetchMisses += o.IFetchMisses
 	s.Branches += o.Branches
 	s.DivBranch += o.DivBranch
-	s.UniformBranchFast += o.UniformBranchFast
 	s.WidthAccum += o.WidthAccum
 	s.MemAccesses += o.MemAccesses
 	s.MemWithMiss += o.MemWithMiss

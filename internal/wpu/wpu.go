@@ -913,31 +913,15 @@ func (w *WPU) ReleaseBarrier() {
 	}
 }
 
-// execBranch evaluates a conditional branch, handling uniform outcomes,
-// dynamic warp subdivision (§4), and conventional stack push serialisation.
+// execBranch evaluates a conditional branch lane by lane: an outcome every
+// active lane agrees on just steers the split (no stack push); a divergent
+// one takes dynamic warp subdivision (§4) or conventional stack push
+// serialisation.
 func (w *WPU) execBranch(s *Split, d *isa.Decoded) {
 	// The predicate register across all lanes is one contiguous SoA row;
 	// taken-on-nonzero vs taken-on-zero is a pre-decoded flag.
 	pred := s.warp.regs.Row(d.SrcA)
 	nz := d.Flags&isa.DFBranchNZ != 0
-
-	// Statically-uniform branch fast path: the divergence analysis proved
-	// every lane agrees on this predicate, so evaluate one representative
-	// lane and steer the whole split — no per-lane evaluation and no
-	// re-convergence bookkeeping. The concordance test (internal/workloads)
-	// runs with this disabled and asserts the analysis never mislabels a
-	// dynamically divergent branch as uniform.
-	if !w.cfg.DisableUniformFast && d.Flags&isa.DFUniform != 0 {
-		w.Stats.Branches++
-		w.Stats.UniformBranchFast++
-		if (pred[s.mask.First()] != 0) == nz {
-			s.pc = int(d.Target)
-		} else {
-			s.pc++
-		}
-		w.postPCUpdate(s)
-		return
-	}
 
 	var taken Mask
 	for m := uint64(s.mask); m != 0; m &= m - 1 {
