@@ -112,7 +112,9 @@ loc:
 # directory: run it at the parent commit and at the change, then
 # `diff -r` the two. Full report stdout at -j 1 (with every CSV) and -j 8,
 # the three static-analysis reports, one run and the disassembly of every
-# benchmark, two dwsweep runs with their -stats documents (the suite against
+# benchmark, the run documents of that run (-stats: every wpu.Stats field
+# and the RunDoc layout, with the host-dependent wall_seconds written as
+# 0), two dwsweep runs with their -stats documents (the suite against
 # DWS, and one benchmark under one scheme), and a scheduling-state dump
 # every 2000 cycles (split ids, masks, PCs, states) of two divergent kernels
 # under three schemes — the only output that sees the order splits are
@@ -126,7 +128,9 @@ oracles:
 	mkdir -p $(OUT)/csv
 	$(GO) run ./cmd/dwsreport -nocache -j 1 -csv $(OUT)/csv > $(OUT)/report.j1.txt
 	$(GO) run ./cmd/dwsreport -nocache -j 8 > $(OUT)/report.j8.txt
-	$(GO) run ./cmd/dwsim -bench all -nocache > $(OUT)/dwsim.all.txt
+	$(GO) run ./cmd/dwsim -bench all -nocache -stats $(OUT)/dwsim.stats.raw > $(OUT)/dwsim.all.txt
+	sed 's/"wall_seconds": [^,]*/"wall_seconds": 0/' $(OUT)/dwsim.stats.raw > $(OUT)/dwsim.stats.json
+	rm $(OUT)/dwsim.stats.raw
 	$(GO) run ./cmd/dwsim -bench all -disasm > $(OUT)/dwsim.disasm.txt
 	$(GO) run ./cmd/dwsverify -divergence -memaccess -costmodel > $(OUT)/dwsverify.txt
 	$(GO) run ./cmd/dwsweep -nocache -param l2lat -values 10,30,300 -stats - > $(OUT)/dwsweep.l2lat.txt

@@ -11,7 +11,7 @@
 //	dwsverify -disasm         # also print each kernel's disassembly
 //	dwsverify -divergence     # also print each kernel's divergence report
 //	dwsverify -memaccess      # also print each kernel's memory-access report
-//	dwsverify -costmodel      # also print each kernel's static cost model
+//	dwsverify -costmodel      # also print each kernel's trip counts and block executions
 //
 // Exit status 1 when any kernel fails to build or has verifier findings.
 package main
@@ -36,7 +36,7 @@ func main() {
 		showDis   = flag.Bool("disasm", false, "print each kernel's disassembly with block and branch metadata")
 		showDiv   = flag.Bool("divergence", false, "print each kernel's divergence-analysis report (branch and access classes)")
 		showMem   = flag.Bool("memaccess", false, "print each kernel's memory-access report (access classes, transaction and bank-conflict bounds)")
-		showCost  = flag.Bool("costmodel", false, "print each kernel's static cost model (trip counts, cycle bounds)")
+		showCost  = flag.Bool("costmodel", false, "print each kernel's static cost model (trip counts, block executions)")
 	)
 	flag.Parse()
 

@@ -15,12 +15,10 @@ import (
 //   - each thread's execution count of every basic block lies inside the
 //     block's static Execs interval (this is the claim the post-dominator
 //     lower-bound fixpoint and the loop-trip upper bounds compose into);
-//   - no thread executes a pc more often than the pc's static issue
-//     bound (one SIMD issue covers at least that thread's one slot, so
-//     per-thread executions can never exceed total issues);
-//   - the summed guaranteed work Σ_blocks Execs.Lo·len — the lower
-//     bound Ticks.Lo is built from — never exceeds the cheapest thread's
-//     executed instruction count.
+//   - every loop's Trips and every block's Execs is a well-formed
+//     interval, 0 ≤ Lo ≤ Hi;
+//   - the summed guaranteed work Σ_blocks Execs.Lo·len never exceeds the
+//     cheapest thread's executed instruction count.
 func FuzzCostModel(f *testing.F) {
 	// Seeds: a tid-dependent branch over an ALU diamond, a strided
 	// store/load pair, a straight-line program, garbage.
@@ -34,11 +32,17 @@ func FuzzCostModel(f *testing.F) {
 			return
 		}
 		const T = 6
-		cp := CostParams{
-			WPUs: 1, Warps: 1, Width: T, Threads: T,
-			Mem: MemParams{Lanes: T, LineBytes: 32, Banks: 4, TidStep: 1},
+		m := p.CostModelFor(CostParams{WPUs: 1, Threads: T})
+		for _, l := range m.Loops {
+			if l.Trips.Lo < 0 || l.Trips.Lo > l.Trips.Hi {
+				t.Fatalf("loop B%d trip bound %s inverted or negative\n%s", l.Header, l.Trips, p.Disassemble())
+			}
 		}
-		m := p.CostModelFor(cp)
+		for _, b := range m.Blocks {
+			if b.Execs.Lo < 0 || b.Execs.Lo > b.Execs.Hi {
+				t.Fatalf("block B%d execution bound %s inverted or negative\n%s", b.ID, b.Execs, p.Disassemble())
+			}
+		}
 
 		visits := make([][]int64, T) // visits[tid][pc]
 		minOps := int64(-1)
@@ -60,13 +64,6 @@ func FuzzCostModel(f *testing.F) {
 				if !b.Execs.Contains(got) {
 					t.Fatalf("tid %d executed block B%d %d times, static bound %s\n%s",
 						tid, b.ID, got, b.Execs, p.Disassemble())
-				}
-			}
-			for pc := range p.Code {
-				iv := CostInterval{0, m.Issues[pc].Hi}
-				if v := visits[tid][pc]; v > 0 && !iv.Contains(v) {
-					t.Fatalf("tid %d executed pc %d %d times, static issue bound %s\n%s",
-						tid, pc, v, m.Issues[pc], p.Disassemble())
 				}
 			}
 		}

@@ -1,10 +1,8 @@
-// Static cost model: trip counts and cycle bounds (the quantitative layer
-// on top of the divergence lattice in dataflow.go and the access-pattern
-// analysis in memaccess.go).
+// Static cost model: trip counts and block execution bounds (the
+// quantitative layer on top of the CFG analyses in cfg.go).
 //
-// Two results per kernel, computed on demand against DefaultCostParams
-// (CostModel) or any launch geometry (CostModelFor, mirroring
-// MemAccessFor); Build runs the analysis once, inside the verifier:
+// One result per kernel, computed on demand against DefaultCostParams
+// (CostModel) or any launch geometry (CostModelFor); Build does not run it:
 //
 //   - Affine trip-count analysis: for every natural loop, a [lo,hi] bound
 //     on the per-thread, per-entry iteration count. Grid-stride loops
@@ -14,25 +12,19 @@
 //     bound or step the interval-affine domain cannot pin get ⊤
 //     (hi = CostInf) with a note saying why.
 //
-//   - Static cycle bounds: per-block execution-count intervals, per-pc
-//     issue-count upper bounds, and a kernel-level [lo,hi] on the summed
-//     per-WPU TickCycles plus per-bucket intervals for the eight-bucket
-//     stall taxonomy (wpu.Stats.CycleBuckets order). The bounds are
-//     claims checked by the trace-backed concordance test in
-//     internal/workloads over all kernels × all schemes; the soundness
-//     argument for each term is spelled out inline below and in
-//     DESIGN.md.
+//   - Per-block execution-count intervals composed from the trip bounds,
+//     which Disassemble prints as each block's execs= annotation.
+//     FuzzCostModel checks both against a concrete interpreter.
 //
-// Soundness contract for the bounds: the launch runs cp.Threads threads
-// under block distribution with the ABI of sim.Threads/WPU.Launch
-// (r1 = tid ∈ [0, Threads−1], r2 = Threads, r3 = chunk-local index),
+// Soundness contract: the launch runs cp.Threads threads under block
+// distribution with the ABI of sim.Threads/WPU.Launch (r1 = tid ∈ [0,
+// Threads−1], r2 = Threads, r3 = chunk-local index over cp.WPUs), and
 // registers declared via DeclareUniformRange hold launch values inside
-// their declared interval (checked at Launch), and the machine is the cp
-// geometry. Every interval claim is per thread: control divergence cannot
-// break it because each thread executes its own instruction sequence
-// regardless of how the warp is split, which is also why the trip
-// analysis needs no divergence widening — a divergence-dependent bound
-// simply evaluates to ⊤.
+// their declared interval (checked at Launch). Every interval claim is per
+// thread: control divergence cannot break it because each thread executes
+// its own instruction sequence regardless of how the warp is split, which
+// is also why the trip analysis needs no divergence widening — a
+// divergence-dependent bound simply evaluates to ⊤.
 package program
 
 import (
@@ -42,71 +34,38 @@ import (
 	"repro/internal/isa"
 )
 
-// CostParams is the machine geometry the cycle bounds are computed
-// against. Zero fields are filled from DefaultCostParams (and Threads
-// from the kernel's DeclareThreads) — the MemParams convention.
+// CostParams is the launch geometry the trip and execution bounds are
+// computed against. A zero WPUs is filled from DefaultCostParams and a
+// zero Threads from the kernel's DeclareThreads.
 type CostParams struct {
-	// WPUs, Warps, Width give the machine shape (Table 3: 4 × 4 × 16).
-	WPUs  int
-	Warps int
-	Width int
+	// WPUs is the number of WPUs the block distribution spreads threads
+	// over (Table 3: 4); it bounds r3, the chunk-local index.
+	WPUs int
 	// Threads is the launch thread count the bounds hold for; 0 means the
-	// kernel's declared maximum (DeclareThreads), else one warp's width.
+	// kernel's declared maximum (DeclareThreads), else one Table 3 warp.
 	Threads int
-	// HitLat is the L1 hit latency (cycles a group waits on a hit).
-	HitLat int
-	// MemTxWorst bounds the end-to-end cycles one line transaction can
-	// occupy the memory system, misses, queueing and writebacks included.
-	MemTxWorst int
-	// Mem is the data-side geometry per-access transaction bounds are
-	// recomputed against (memaccess.go).
+	// Mem is the data-side geometry of the launch. The analysis does not
+	// read it; probeProgram in bench/adapter.go, the claims benchmark,
+	// hands sim.CostParamsFor(...).Mem to MemAccessFor.
 	Mem MemParams
 }
 
 // DefaultCostParams is the Table 3 machine (table3.go).
-var DefaultCostParams = CostParams{
-	WPUs: WPUs, Warps: Warps, Width: Width,
-	HitLat:     L1HitLat,
-	MemTxWorst: MemTxWorst(L1HitLat, XbarLat, XbarOcc, L2LookupLat, L2ProbeLat, MemBusOcc, DRAMLat),
-	Mem:        DefaultMemParams,
-}
-
-// MemTxWorst composes the worst path one line transaction can take through
-// a hierarchy with these latencies and occupancies: the L1 probe, the
-// crossbar there and back with its occupancy, the L2 lookup, a directory
-// probe, the memory bus both ways and two DRAM accesses (the second covering
-// a dirty-line writeback or queueing behind one). Table 3 gives 277 cycles.
-func MemTxWorst(l1Hit, xbarLat, xbarOcc, l2Lookup, l2Probe, busOcc, dramLat int) int {
-	return l1Hit + 2*(xbarLat+xbarOcc) + l2Lookup + l2Probe + 2*busOcc + 2*dramLat
-}
+var DefaultCostParams = CostParams{WPUs: WPUs, Mem: DefaultMemParams}
 
 // normalizedFor fills zero fields with defaults; Threads falls back to
 // the kernel's declared maximum, then to one warp.
 func (cp CostParams) normalizedFor(p *Program) CostParams {
-	d := DefaultCostParams
 	if cp.WPUs <= 0 {
-		cp.WPUs = d.WPUs
-	}
-	if cp.Warps <= 0 {
-		cp.Warps = d.Warps
-	}
-	if cp.Width <= 0 {
-		cp.Width = d.Width
-	}
-	if cp.HitLat <= 0 {
-		cp.HitLat = d.HitLat
-	}
-	if cp.MemTxWorst <= 0 {
-		cp.MemTxWorst = d.MemTxWorst
+		cp.WPUs = DefaultCostParams.WPUs
 	}
 	if cp.Threads <= 0 {
 		if p != nil && p.maxThreads > 0 {
 			cp.Threads = p.maxThreads
 		} else {
-			cp.Threads = cp.Width
+			cp.Threads = Width
 		}
 	}
-	cp.Mem = cp.Mem.normalized()
 	return cp
 }
 
@@ -841,84 +800,23 @@ type BlockCost struct {
 	Execs CostInterval
 }
 
-// CycleBucketLabels names the eight buckets of the stall taxonomy in
-// canonical order, for CostModel.Buckets and for wpu.Stats.CycleBuckets:
-// wpu.CycleBucketLabels is this array (wpu imports this package).
-var CycleBucketLabels = [8]string{
-	"busy",
-	"mem_coherent",
-	"mem_divergent",
-	"barrier",
-	"icache",
-	"wst_full",
-	"slot_wait",
-	"idle",
-}
-
-// CostModel is the full static verdict for one (kernel, geometry) pair.
+// CostModel is the static verdict for one (kernel, geometry) pair.
 type CostModel struct {
 	Params CostParams
 	// Loops has one entry per natural loop, by header block ID.
 	Loops []LoopCost
 	// Blocks has one entry per basic block: per-thread execution bounds.
 	Blocks []BlockCost
-	// Issues bounds, per pc, the SIMD issues of that instruction summed
-	// over the whole launch (all WPUs, all warps, all splits).
-	Issues []CostInterval
-	// Ticks bounds the summed per-WPU TickCycles of the launch.
-	Ticks CostInterval
-	// Buckets bounds each taxonomy bucket (CycleBucketLabels order) for
-	// the most permissive scheme; BucketBoundsFor tightens per configuration.
-	Buckets [8]CostInterval
-}
-
-// BucketBoundsFor tightens the bucket bounds for one configuration: one
-// that can never create warp splits (no subdivision on branches or memory
-// divergence, no slip) can never stall on a full WST or on scheduler slots.
-func (m *CostModel) BucketBoundsFor(canSplit bool) [8]CostInterval {
-	b := m.Buckets
-	if !canSplit {
-		b[5] = CostInterval{}
-		b[6] = CostInterval{}
-	}
-	return b
-}
-
-// costGeometry is the block-distribution launch shape.
-type costGeom struct {
-	activeWPUs int
-	perWPU     []int64 // threads per active WPU
-	totalWarps int64
-}
-
-func costGeometry(cp CostParams) costGeom {
-	var g costGeom
-	T := int64(cp.Threads)
-	per := (T + int64(cp.WPUs) - 1) / int64(cp.WPUs)
-	rem := T
-	for w := 0; w < cp.WPUs && rem > 0; w++ {
-		c := min(per, rem)
-		rem -= c
-		g.perWPU = append(g.perWPU, c)
-		g.totalWarps += (c + int64(cp.Width) - 1) / int64(cp.Width)
-		g.activeWPUs++
-	}
-	return g
 }
 
 // CostModel computes the model under DefaultCostParams and the declared
 // thread count.
 func (p *Program) CostModel() *CostModel { return p.CostModelFor(CostParams{}) }
 
-// CostModelFor computes the model for an arbitrary launch geometry — the
-// MemAccessFor analogue, used by the concordance harness with the per-step
-// thread count.
-func (p *Program) CostModelFor(cp CostParams) *CostModel { return p.costModel(p.cfg, cp) }
-
-// costModel is the analysis behind CostModelFor over a given CFG view:
-// Build's own for the reports and launch-time computation, a fresh one when
-// the verifier checks the model's invariants.
-func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
+// CostModelFor computes the model for an arbitrary launch geometry over
+// the CFG view Build kept.
+func (p *Program) CostModelFor(cp CostParams) *CostModel {
+	g := p.cfg
 	cp = cp.normalizedFor(p)
 	m := &CostModel{Params: cp}
 	reach, dom, pdom, loops, irreducible := g.reach, g.dom, g.pdom, g.loops, g.irreducible
@@ -963,9 +861,9 @@ func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 		execs[bid] = CostInterval{0, hi}
 	}
 
-	// Per-block execution lower bounds, valid for terminated runs (the
-	// only ones whose cycle totals we ever compare against). A monotone
-	// fixpoint over two guaranteed-execution rules:
+	// Per-block execution lower bounds, valid for threads that halt (one
+	// that never does has no final count to bound). A monotone fixpoint
+	// over two guaranteed-execution rules:
 	//
 	//  (A) if x post-dominates b and both sit in exactly the same set of
 	//      loops, every execution of b is followed by one of x before the
@@ -1060,163 +958,14 @@ func (p *Program) costModel(g *cfgView, cp CostParams) *CostModel {
 	for bid := range p.Blocks {
 		m.Blocks = append(m.Blocks, BlockCost{ID: bid, Execs: execs[bid]})
 	}
-
-	// Divergence reachability per pc: warp splits only originate at
-	// statically non-uniform branches and at memory sites whose
-	// transaction bound exceeds one (a single-line access cannot
-	// hit/miss-diverge, and Slip only triggers on divergent misses), and
-	// splits only run code reachable from such a source.
-	memTx := make(map[int]int)
-	anyDivMem := false
-	for _, a := range p.MemAccessFor(cp.Mem) {
-		memTx[a.PC] = a.Transactions
-		if a.Transactions > 1 {
-			anyDivMem = true
-		}
-	}
-	divSrc := make([]bool, len(p.Code))
-	anyDivBranch := false
-	for pc, inst := range p.Code {
-		switch {
-		case inst.Op.IsBranch():
-			if bi, ok := p.branches[pc]; ok && bi.Class != ClassUniform {
-				divSrc[pc] = true
-				anyDivBranch = true
-			}
-		case inst.Op.IsMem():
-			if memTx[pc] > 1 {
-				divSrc[pc] = true
-			}
-		}
-	}
-	blockOf := g.blockOf
-	var divSeeds []int
-	for pc, src := range divSrc {
-		if src && reach[blockOf[pc]] {
-			divSeeds = append(divSeeds, p.Blocks[blockOf[pc]].Succ...)
-		}
-	}
-	entryDiv := g.flood(divSeeds, false, -1)
-	diverged := make([]bool, len(p.Code))
-	for bid, b := range p.Blocks {
-		if !reach[bid] {
-			continue
-		}
-		f := entryDiv[bid]
-		for pc := b.Start; pc < b.End; pc++ {
-			diverged[pc] = f
-			if divSrc[pc] {
-				f = true
-			}
-		}
-	}
-
-	// Per-pc issue bounds. Where no split can exist every issue is a full
-	// warp (≤ totalWarps · execsHi); where splits can exist each issue
-	// still carries ≥ 1 active thread, and each thread executes the pc at
-	// most execsHi times (≤ Threads · execsHi).
-	geo := costGeometry(cp)
-	m.Issues = make([]CostInterval, len(p.Code))
-	totalIssuesHi := int64(0)
-	for pc := range p.Code {
-		if !reach[blockOf[pc]] {
-			continue
-		}
-		mult := geo.totalWarps
-		if diverged[pc] {
-			mult = int64(cp.Threads)
-		}
-		m.Issues[pc] = CostInterval{0, satMul(execs[blockOf[pc]].Hi, mult)}
-		totalIssuesHi = addHi(totalIssuesHi, m.Issues[pc].Hi)
-	}
-
-	// Upper bounds on the launch's summed TickCycles. Every cycle of a
-	// run that completes (the simulator's deadlock detector guarantees
-	// this) either issues somewhere (≤ totalIssuesHi such cycles), has a
-	// memory or icache transaction in flight (the union of their
-	// lifetimes spans ≤ memTermHi + icacheBudget cycles), releases a
-	// barrier (≤ barrierTermHi), or makes split-merge progress without an
-	// issue — and merges consume splits, of which at most one is created
-	// per issued divergent instruction, giving a second totalIssuesHi.
-	// TickCycles sums per-WPU live cycles, each ≤ the launch's elapsed
-	// cycles, so the total is ≤ activeWPUs · elapsed.
-	memTermHi := int64(0)
-	barrierTermHi := int64(0)
-	for pc, inst := range p.Code {
-		switch {
-		case inst.Op.IsMem():
-			memTermHi = addHi(memTermHi, satMul(m.Issues[pc].Hi, satMul(int64(memTx[pc]), int64(cp.MemTxWorst))))
-		case inst.Op == isa.BARRIER:
-			barrierTermHi = addHi(barrierTermHi, m.Issues[pc].Hi)
-		}
-	}
-	progLines := int64(len(p.Code)+ICacheInstPerLine-1) / ICacheInstPerLine
-	icacheBudget := CostInf
-	if progLines <= ICacheLines {
-		// A kernel's lines are consecutive, so a program fitting the
-		// total capacity cannot conflict-evict: each line misses at most
-		// once per WPU.
-		icacheBudget = satMul(int64(geo.activeWPUs), satMul(progLines, IMissLat))
-	}
-	elapsedHi := addHi(addHi(addHi(addHi(satMul(2, totalIssuesHi), memTermHi), icacheBudget), barrierTermHi), 4)
-	tickHi := satMul(int64(geo.activeWPUs), elapsedHi)
-
-	// Lower bounds: every thread executes at least lowerOps instructions
-	// (mandatory blocks times their guaranteed trips), a thread retires
-	// at most one instruction per cycle, and a WPU issues at most Width
-	// thread-ops per cycle.
-	lowerOps := int64(0)
-	for bid, b := range p.Blocks {
-		if reach[bid] {
-			lowerOps = addHi(lowerOps, satMul(execs[bid].Lo, int64(b.Len())))
-		}
-	}
-	tickLo, busyLo := int64(0), int64(0)
-	for _, tw := range geo.perWPU {
-		issueFloor := ceilDivPos(satMul(tw, lowerOps), int64(cp.Width))
-		busyLo = addHi(busyLo, issueFloor)
-		tickLo = addHi(tickLo, max(lowerOps, issueFloor))
-	}
-	if tickLo >= CostInf {
-		tickLo = 0 // a lower bound must stay finite to be a claim
-	}
-	if busyLo >= CostInf {
-		busyLo = 0
-	}
-	m.Ticks = CostInterval{tickLo, tickHi}
-
-	capHi := func(v int64) int64 { return min(v, tickHi) }
-	hasBarrier := barrierTermHi > 0
-	anyHazard := anyDivMem || anyDivBranch
-	m.Buckets = [8]CostInterval{
-		{busyLo, capHi(totalIssuesHi)},
-		{0, capHi(memTermHi)},
-		{0, 0},
-		{0, 0},
-		{0, capHi(icacheBudget)},
-		{0, 0},
-		{0, 0},
-		{0, tickHi},
-	}
-	if anyDivMem {
-		m.Buckets[2] = CostInterval{0, capHi(memTermHi)}
-	}
-	if hasBarrier {
-		m.Buckets[3] = CostInterval{0, tickHi}
-	}
-	if anyHazard {
-		m.Buckets[5] = CostInterval{0, tickHi}
-		m.Buckets[6] = CostInterval{0, tickHi}
-	}
 	return m
 }
 
 // Report renders the model in a stable, golden-file-friendly format.
 func (m *CostModel) Report(name string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "kernel %s: threads=%d geometry=%dx%dx%d warps=%d loops=%d\n",
-		name, m.Params.Threads, m.Params.WPUs, m.Params.Warps, m.Params.Width,
-		costGeometry(m.Params).totalWarps, len(m.Loops))
+	fmt.Fprintf(&sb, "kernel %s: threads=%d wpus=%d loops=%d\n",
+		name, m.Params.Threads, m.Params.WPUs, len(m.Loops))
 	for _, l := range m.Loops {
 		fmt.Fprintf(&sb, "  loop  B%-3d @pc %-3d ind=r%-2d trips=%s", l.Header, l.HeaderPC, l.Induction, l.Trips)
 		if l.Note != "" {
@@ -1227,12 +976,6 @@ func (m *CostModel) Report(name string) string {
 	for _, b := range m.Blocks {
 		fmt.Fprintf(&sb, "  block B%-3d execs=%s\n", b.ID, b.Execs)
 	}
-	fmt.Fprintf(&sb, "  ticks=%s\n", m.Ticks)
-	sb.WriteString("  buckets")
-	for i, b := range m.Buckets {
-		fmt.Fprintf(&sb, " %s=%s", CycleBucketLabels[i], b)
-	}
-	sb.WriteByte('\n')
 	return sb.String()
 }
 

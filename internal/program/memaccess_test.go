@@ -213,7 +213,7 @@ func BenchmarkProgramBuild(b *testing.B) {
 // over the allocation count written here: an analysis added to Build shows
 // here first.
 func TestProgramBuildAllocs(t *testing.T) {
-	const pin = 431
+	const pin = 402
 	allocs := testing.AllocsPerRun(20, func() { buildBenchKernel(t) })
 	t.Logf("ProgramBuild: %.0f allocs/op", allocs)
 	if allocs > 1.1*pin {

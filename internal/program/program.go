@@ -82,8 +82,8 @@ type Program struct {
 	branches map[int]BranchInfo
 
 	// cfg is the CFG view Build derived every analysis from (cfg.go). The
-	// launch-time recomputations (CostModelFor) and the reports reuse it;
-	// Verify never does — it rebuilds a view from Blocks as they are now.
+	// on-demand cost model (CostModelFor) and the reports reuse it; Verify
+	// never does — it rebuilds a view from Blocks as they are now.
 	cfg *cfgView
 
 	// Static declarations carried over from the Builder; they gate the

@@ -5,8 +5,8 @@ package program
 // builds the machine from them, the report knob table's default column and
 // DefaultCostParams/DefaultMemParams name them, and the WPU takes its
 // instruction cache and warp-split table sizes from them. They live here
-// because this is the lowest package that needs every one: the cost model
-// composes the whole miss path (MemTxWorst).
+// because this is the lowest package that names them: the WPU and sim
+// packages both import it.
 //
 // Latencies and occupancies are cycles of the 1 GHz WPU clock. The source in
 // each comment is "Table 3" for a value the table states, "from Table 3" for

@@ -113,56 +113,7 @@ func (p *Program) Verify() []Finding {
 	fs = append(fs, p.checkBarriers(g, div)...)
 	fs = append(fs, p.checkBounds(div)...)
 	fs = append(fs, p.checkMemAccess(div)...)
-	fs = append(fs, p.checkCostModel(g)...)
 	sortFindings(fs)
-	return fs
-}
-
-// checkCostModel runs the static cost analysis (costmodel.go) over the
-// fresh view under DefaultCostParams and the declared thread count, and
-// checks the Lo<=Hi, non-negative invariants every interval must satisfy.
-func (p *Program) checkCostModel(g *cfgView) []Finding {
-	var fs []Finding
-	fresh := p.costModel(g, CostParams{})
-	bad := func(iv CostInterval) bool { return iv.Lo > iv.Hi || iv.Lo < 0 }
-	if bad(fresh.Ticks) {
-		fs = append(fs, Finding{
-			PC: -1, Block: -1, Severity: Err, Check: "costmodel",
-			Msg: fmt.Sprintf("tick bound inverted or negative: %s", fresh.Ticks),
-		})
-	}
-	for i, b := range fresh.Buckets {
-		if bad(b) {
-			fs = append(fs, Finding{
-				PC: -1, Block: -1, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("bucket %s bound inverted or negative: %s", CycleBucketLabels[i], b),
-			})
-		}
-	}
-	for _, bc := range fresh.Blocks {
-		if bad(bc.Execs) {
-			fs = append(fs, Finding{
-				PC: -1, Block: bc.ID, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("block execution bound inverted or negative: %s", bc.Execs),
-			})
-		}
-	}
-	for _, lc := range fresh.Loops {
-		if bad(lc.Trips) {
-			fs = append(fs, Finding{
-				PC: lc.HeaderPC, Block: lc.Header, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("trip bound inverted or negative: %s", lc.Trips),
-			})
-		}
-	}
-	for pc, iv := range fresh.Issues {
-		if bad(iv) {
-			fs = append(fs, Finding{
-				PC: pc, Block: -1, Severity: Err, Check: "costmodel",
-				Msg: fmt.Sprintf("issue bound inverted or negative: %s", iv),
-			})
-		}
-	}
 	return fs
 }
 

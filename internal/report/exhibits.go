@@ -51,7 +51,6 @@ var Exhibits = []Exhibit{
 		return rows[len(rows)-1].HMean
 	}),
 	exhibit("access", "Access classes (static analysis)", (*Session).MemAccessClasses, MemAccessCSV, "", nil),
-	exhibit("costmodel", "Cost model (static analysis)", (*Session).CostModel, CostModelCSV, "", nil),
 }
 
 // exhibit pairs a Session method that prints an exhibit and returns its

@@ -125,16 +125,10 @@ func (cfg Config) wpuConfig() wpu.Config {
 // counterpart of program.DefaultCostParams, which it equals on DefaultConfig
 // (TestCostParamsForMapsDefaultConfig).
 func CostParamsFor(cfg Config, threads int) program.CostParams {
-	w, h := cfg.wpuConfig(), cfg.Hier
 	return program.CostParams{
 		WPUs:    cfg.WPUs,
-		Warps:   w.Warps,
-		Width:   w.Width,
 		Threads: threads,
-		HitLat:  int(h.L1.HitLat),
-		MemTxWorst: program.MemTxWorst(int(h.L1.HitLat), int(h.XbarLat), int(h.XbarOcc),
-			int(h.L2.LookupLat), int(h.L2.ProbeLat), int(h.MemBusOcc), int(h.DRAMLat)),
-		Mem: wpu.MemParams(w, h.L1),
+		Mem:     wpu.MemParams(cfg.wpuConfig(), cfg.Hier.L1),
 	}
 }
 

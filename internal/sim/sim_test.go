@@ -60,9 +60,6 @@ func TestDefaultConfigMatchesTable3(t *testing.T) {
 			}
 		}
 	}
-	if got := program.DefaultCostParams.MemTxWorst; got != 277 {
-		t.Errorf("program.DefaultCostParams.MemTxWorst = %d, want 3 + 2·(6+2) + 30 + 12 + 2·8 + 2·100 = 277", got)
-	}
 }
 
 // TestTable3ConstantsAreAllChecked keeps TestDefaultConfigMatchesTable3
@@ -89,8 +86,8 @@ func TestTable3ConstantsAreAllChecked(t *testing.T) {
 
 // TestCostParamsForMapsDefaultConfig: DefaultCostParams and DefaultConfig
 // name the same Table 3 constants, so what this checks is CostParamsFor,
-// which must hand each machine field to the cost model in its place (the
-// MemTxWorst composition dwsverify -costmodel reports against among them).
+// which must hand the WPU count and the data-side geometry to the cost
+// model's parameter block in their places.
 func TestCostParamsForMapsDefaultConfig(t *testing.T) {
 	if got, want := CostParamsFor(DefaultConfig(), 0), program.DefaultCostParams; got != want {
 		t.Fatalf("CostParamsFor(DefaultConfig(), 0) = %+v\nprogram.DefaultCostParams = %+v", got, want)

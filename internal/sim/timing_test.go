@@ -10,13 +10,13 @@ import (
 )
 
 // Timing microkernels. Every other timing oracle in the repository is
-// relative (digests equal to a parent's, schemes computing the same memory,
-// cycles inside sound static bounds), so a change that made every miss ten
-// cycles cheaper would only move digests and goldens, with nothing to say
-// whether the new numbers are right. These kernels pin the absolute cost of
-// one component each: one warp of Width threads on one WPU of the Table 3
-// machine, and the exact cycle count RunKernel returns written as a formula
-// over DefaultConfig's fields, the way CostParamsFor composes MemTxWorst.
+// relative (digests equal to a parent's, schemes computing the same memory),
+// so a change that made every miss ten cycles cheaper would only move
+// digests and goldens, with nothing to say whether the new numbers are
+// right. These kernels pin the absolute cost of one component each: one
+// warp of Width threads on one WPU of the Table 3 machine, and the exact
+// cycle count RunKernel returns written as a formula over DefaultConfig's
+// fields.
 //
 // The terms every formula shares: a WPU issues one instruction per cycle, the
 // kernel's last instruction (halt) issues in its last cycle, and a fresh

@@ -33,8 +33,9 @@ type branchKey struct {
 
 // replaySuite runs every benchmark under one scheme with tracing enabled
 // and returns the set of branch sites that dynamically diverged, plus the
-// kernel programs seen. Under Conv, the one scheme that cannot split, it
-// also checks that no benchmark spent a cycle or an event on a full
+// kernel programs seen. No suite kernel issues BARRIER, so it checks that
+// no benchmark spent a cycle at one; under Conv, the one scheme that cannot
+// split, it also checks that none spent a cycle or an event on a full
 // warp-split table or a scheduler-slot wait.
 func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[string]*program.Program) {
 	t.Helper()
@@ -68,8 +69,11 @@ func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[strin
 		if err := inst.Verify(); err != nil {
 			t.Fatal(err)
 		}
+		st := sys.TotalStats()
+		if st.StallBarrier != 0 {
+			t.Errorf("%s under %s: %d barrier cycles; no suite kernel issues BARRIER", spec.Name, scheme, st.StallBarrier)
+		}
 		if scheme == wpu.SchemeConv {
-			st := sys.TotalStats()
 			if st.StallWSTFull != 0 || st.StallSlotWait != 0 || st.WSTFullRefusals != 0 || st.SlotWaits != 0 {
 				t.Errorf("%s under Conv: wst_full %d, slot_wait %d cycles, %d WST refusals, %d slot waits; a scheme that cannot split has none",
 					spec.Name, st.StallWSTFull, st.StallSlotWait, st.WSTFullRefusals, st.SlotWaits)

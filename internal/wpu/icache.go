@@ -7,8 +7,7 @@ package wpu
 // cold start every fetch hits — exactly the regime the paper's
 // configuration implies — but the model is kept faithful: a cold fetch
 // stalls issue for the refill latency. The geometry and the refill latency
-// are program's Table 3 constants and nothing varies them; the cost model's
-// icache budget counts the same lines at the same latency.
+// are program's Table 3 constants and nothing varies them.
 
 import "repro/internal/program"
 

@@ -1,7 +1,5 @@
 package wpu
 
-import "repro/internal/program"
-
 // Stats aggregates everything one WPU observes during a kernel; the
 // experiment harness derives the paper's tables and figures from these
 // counters plus the cache statistics.
@@ -87,9 +85,17 @@ func (s *Stats) Cycles() uint64 {
 // CycleBucketLabels names the eight taxonomy buckets in canonical
 // presentation order. Every consumer of the breakdown — the Prometheus
 // exposition, the stall exhibit, CSV headers — renders the buckets in
-// this order so the outputs line up column for column. (Spelled in
-// internal/program, whose static bucket bounds use the same names.)
-var CycleBucketLabels = program.CycleBucketLabels
+// this order so the outputs line up column for column.
+var CycleBucketLabels = [8]string{
+	"busy",
+	"mem_coherent",
+	"mem_divergent",
+	"barrier",
+	"icache",
+	"wst_full",
+	"slot_wait",
+	"idle",
+}
 
 // CycleBuckets returns the taxonomy counters in CycleBucketLabels
 // order; their sum equals Cycles() by the accounting invariant.
