@@ -2,7 +2,8 @@
 # verification layer (lint), build, a build for Windows and macOS, the race
 # detector over the parallel executor, the full test suite (allocation pins
 # included), the CLI bad-input smoke, a short fuzz of the store's record
-# decoder, and one pass of the claims benchmark.
+# decoder and of the cache coherence protocol, and one pass of the claims
+# benchmark.
 
 GO ?= go
 
@@ -97,9 +98,12 @@ cli-smoke:
 # pointers on bytes read from disk. FuzzDecodeRecord drives both entry
 # points, decodeRecord and the in-place key check plus Result decode of
 # Store.Load. The corpus stays in the Go build cache; a failing input is
-# written under internal/report/testdata/fuzz.
+# written under internal/report/testdata/fuzz. Then 15 s of FuzzCoherence:
+# the memory hierarchy's MESI invariants over a random L1 count and L2 MSHR
+# budget (failing inputs go under internal/mem/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/report -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 15s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCoherence -fuzztime 15s
 
 # Non-test Go lines per package and in total, bench/ (a module of its own)
 # excluded: the size figure CHANGES.md reports next to ns/op.

@@ -16,10 +16,9 @@ func TestCheckCoherenceDeterministicReport(t *testing.T) {
 		// map-ordered walk could report either one first.
 		install := func(l1 int, addr uint64) {
 			st := h.L1s[l1].store
-			w := st.victim(addr)
-			w.valid = true
-			st.setLine(w, addr)
-			w.state = Shared
+			i := st.victim(addr)
+			st.fill(i, addr)
+			st.setState(i, Shared)
 		}
 		install(2, 0x81000)
 		install(1, 0x42000)

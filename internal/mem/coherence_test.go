@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/engine"
+)
 
 // falseSharingStep drives one access of the high-false-sharing stress
 // pattern: every L1 hammers word-granularity offsets inside the same small
@@ -23,10 +27,14 @@ func falseSharingStep(h *Hierarchy, state *uint64, lines int) {
 // checkpointedRun interleaves the stress pattern with partial event
 // delivery, validating the MESI invariants at every interval — not only
 // after the traffic drains — so a violation that a later transaction would
-// repair is still caught in the window where it existed.
-func checkpointedRun(t *testing.T, seed uint64, steps, lines, interval int) {
+// repair is still caught in the window where it existed. The machine is
+// testConfig's with numL1 L1s and l2MSHRs L2 MSHRs.
+func checkpointedRun(t *testing.T, seed uint64, steps, lines, interval, numL1, l2MSHRs int) {
 	t.Helper()
-	q, h := newTestHier(t, 4)
+	cfg := testConfig()
+	cfg.L2.MSHRs = l2MSHRs
+	q := &engine.Queue{}
+	h := NewHierarchy(q, numL1, cfg)
 	state := seed
 	for step := 1; step <= steps; step++ {
 		falseSharingStep(h, &state, lines)
@@ -49,7 +57,7 @@ func checkpointedRun(t *testing.T, seed uint64, steps, lines, interval int) {
 // disjoint words of the same few lines, maximising ownership migration.
 func TestCoherenceUnderFalseSharingStress(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		checkpointedRun(t, seed, 600, 8, 16)
+		checkpointedRun(t, seed, 600, 8, 16, 4, 16)
 	}
 }
 
@@ -58,19 +66,22 @@ func TestCoherenceUnderFalseSharingStress(t *testing.T) {
 // writebacks and directory puts) to the protocol traffic mix.
 func TestCoherenceStressEvictionPressure(t *testing.T) {
 	for seed := uint64(100); seed < 106; seed++ {
-		checkpointedRun(t, seed, 600, 48, 16)
+		checkpointedRun(t, seed, 600, 48, 16, 4, 16)
 	}
 }
 
-// FuzzCoherence lets the fuzzer explore seeds of the stress pattern; the
-// property is interval-checked coherence, as above. The seed corpus covers
-// the deterministic regression seeds.
+// FuzzCoherence lets the fuzzer explore seeds of the stress pattern, the
+// number of L1s (1–70, so the directory's sharer sets may pass 64 bits)
+// and the L2's MSHR budget (1–32, so the L1s' 4 misses each can find every
+// L2 MSHR busy); the property is interval-checked coherence, as above. The
+// seed corpus covers the deterministic regression seeds at 4 L1s and 16
+// MSHRs; testdata/fuzz holds inputs that found violations.
 func FuzzCoherence(f *testing.F) {
-	f.Add(uint64(1))
-	f.Add(uint64(7))
-	f.Add(uint64(0xdeadbeef))
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		checkpointedRun(t, seed, 300, 8, 16)
+	f.Add(uint64(1), uint8(3), uint8(15))
+	f.Add(uint64(7), uint8(3), uint8(15))
+	f.Add(uint64(0xdeadbeef), uint8(3), uint8(15))
+	f.Fuzz(func(t *testing.T, seed uint64, l1s, l2MSHRs uint8) {
+		checkpointedRun(t, seed, 300, 8, 16, 1+int(l1s)%70, 1+int(l2MSHRs)%32)
 	})
 }
 
@@ -81,11 +92,12 @@ func TestStaleDataInvariantDetects(t *testing.T) {
 	q, h := newTestHier(t, 2)
 	h.L1s[0].Access(0x40000, true, nil)
 	q.Drain()
-	w := h.L1s[0].store.lookup(h.L1s[0].Line(0x40000))
-	if w == nil || w.state != Modified || !w.dirty {
-		t.Fatalf("setup: expected a dirty Modified line, got %+v", w)
+	st := h.L1s[0].store
+	i := st.lookup(h.L1s[0].Line(0x40000))
+	if i < 0 || st.state(i) != Modified || !st.dirty(i) {
+		t.Fatalf("setup: expected a dirty Modified line, got frame %d", i)
 	}
-	w.state = Shared // corrupt: dirty data outside M
+	st.setState(i, Shared) // corrupt: dirty data outside M
 	if msg := h.CheckCoherence(); msg == "" {
 		t.Fatal("checker missed dirty data in Shared state")
 	}

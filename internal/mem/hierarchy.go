@@ -43,7 +43,7 @@ func NewHierarchy(q *engine.Queue, numL1 int, cfg HierarchyConfig) *Hierarchy {
 		Bus:  NewChannel(q, 0, cfg.MemBusOcc),
 	}
 	h.DRAM = NewDRAM(q, h.Bus, cfg.DRAMLat)
-	h.L2 = NewL2(q, cfg.L2, h.DRAM, cfg.Trace)
+	h.L2 = NewL2(q, cfg.L2, numL1, h.DRAM, cfg.Trace)
 	h.Reset(numL1, cfg)
 	return h
 }
@@ -58,7 +58,7 @@ func (h *Hierarchy) Reset(numL1 int, cfg HierarchyConfig) {
 	h.Xbar.reset(cfg.XbarLat, cfg.XbarOcc)
 	h.Bus.reset(0, cfg.MemBusOcc)
 	h.DRAM.reset(cfg.DRAMLat)
-	h.L2.reset(cfg.L2, cfg.Trace)
+	h.L2.reset(cfg.L2, numL1, cfg.Trace)
 	keep := min(numL1, len(h.L1s))
 	clear(h.L1s[keep:])
 	h.L1s = h.L1s[:keep]
@@ -102,17 +102,19 @@ func (h *Hierarchy) CheckCoherence() string {
 	for _, c := range h.L1s {
 		id := c.ID
 		var bad string
-		c.store.forEachValid(func(w *way) {
-			if w.dirty && w.state != Modified && bad == "" {
-				bad = sprintf("stale data: L1 %d holds dirty line %#x in state %v", id, w.lineAddr, w.state)
+		st := c.store
+		st.forEachValid(func(i int) {
+			lineAddr, state := st.lineOf(i), st.state(i)
+			if st.dirty(i) && state != Modified && bad == "" {
+				bad = sprintf("stale data: L1 %d holds dirty line %#x in state %v", id, lineAddr, state)
 			}
-			li, ok := index[w.lineAddr]
+			li, ok := index[lineAddr]
 			if !ok {
 				li = len(lines)
-				index[w.lineAddr] = li
-				lines = append(lines, lineHolders{lineAddr: w.lineAddr})
+				index[lineAddr] = li
+				lines = append(lines, lineHolders{lineAddr: lineAddr})
 			}
-			lines[li].hs = append(lines[li].hs, holder{id, w.state})
+			lines[li].hs = append(lines[li].hs, holder{id, state})
 		})
 		if bad != "" {
 			return bad
@@ -120,8 +122,8 @@ func (h *Hierarchy) CheckCoherence() string {
 	}
 	for _, lh := range lines {
 		lineAddr, hs := lh.lineAddr, lh.hs
-		l2w := h.L2.st.lookup(lineAddr)
-		if l2w == nil {
+		l2i := h.L2.st.lookup(lineAddr)
+		if l2i < 0 {
 			return sprintf("inclusion violated: line %#x in L1 but not L2", lineAddr)
 		}
 		exclusive := -1
@@ -134,13 +136,13 @@ func (h *Hierarchy) CheckCoherence() string {
 			if len(hs) > 1 {
 				return sprintf("single-writer violated: line %#x held by %d L1s with an M/E copy", lineAddr, len(hs))
 			}
-			if int(l2w.owner) != exclusive {
-				return sprintf("directory owner for %#x is %d, want %d", lineAddr, l2w.owner, exclusive)
+			if owner := h.L2.ownerOf(l2i); owner != exclusive {
+				return sprintf("directory owner for %#x is %d, want %d", lineAddr, owner, exclusive)
 			}
 			continue
 		}
 		for _, x := range hs {
-			if l2w.sharers&(1<<uint(x.id)) == 0 {
+			if !h.L2.isSharer(l2i, x.id) {
 				return sprintf("directory sharers for %#x miss L1 %d", lineAddr, x.id)
 			}
 		}

@@ -228,15 +228,13 @@ func (c *L1) AccessReady(addr uint64, write bool, h engine.Handler, arg uint64) 
 		return 0, false
 	}
 
-	if w := c.store.lookup(lineAddr); w != nil {
-		permOK := !write || w.state == Modified || w.state == Exclusive
-		if permOK {
+	if i := c.store.lookup(lineAddr); i >= 0 {
+		if !write || c.writable(i) {
 			c.Stats.Hits++
 			if write {
-				w.state = Modified
-				w.dirty = true
+				c.store.write(i)
 			}
-			c.store.touch(w)
+			c.store.touch(i)
 			return c.hitReady(lineAddr), true
 		}
 		// Store hitting a Shared line: the data is here but exclusivity is
@@ -356,20 +354,23 @@ func (c *L1) grantReply(lineAddr uint64, granted Coherence, penalty engine.Cycle
 
 // install places the granted line in the array at directory-grant time.
 func (c *L1) install(m *l1MSHR, granted Coherence) {
-	w := c.store.lookup(m.lineAddr)
-	if w == nil {
-		w = c.store.victim(m.lineAddr)
-		c.evict(w)
-		w.valid = true
-		c.store.setLine(w, m.lineAddr)
-		w.dirty = false
+	i := c.store.lookup(m.lineAddr)
+	if i < 0 {
+		i = c.store.victim(m.lineAddr)
+		c.evict(i)
+		c.store.fill(i, m.lineAddr)
 	}
-	w.state = granted
+	c.store.setState(i, granted)
 	if m.write {
-		w.state = Modified
-		w.dirty = true
+		c.store.write(i)
 	}
-	c.store.touch(w)
+	c.store.touch(i)
+}
+
+// writable reports whether frame i grants write permission (M or E).
+func (c *L1) writable(i int) bool {
+	st := c.store.state(i)
+	return st == Modified || st == Exclusive
 }
 
 // complete fires the MSHR's callbacks once the fill data has crossed the
@@ -391,8 +392,8 @@ func (c *L1) complete(m *l1MSHR, granted Coherence) {
 		m.viaDRAM = false
 	}
 	if m.upgradeWanted {
-		w := c.store.lookup(m.lineAddr)
-		if w == nil || (w.state != Modified && w.state != Exclusive) {
+		i := c.store.lookup(m.lineAddr)
+		if i < 0 || !c.writable(i) {
 			n := 0
 			for _, d := range m.dones {
 				if d.write {
@@ -413,8 +414,7 @@ func (c *L1) complete(m *l1MSHR, granted Coherence) {
 			return
 		}
 		// The copy is still exclusive-capable; promote in place.
-		w.state = Modified
-		w.dirty = true
+		c.store.write(i)
 	}
 	for _, d := range m.dones {
 		c.q.ScheduleAfter(0, d.h, d.arg)
@@ -443,11 +443,9 @@ func (c *L1) drainWaiting() {
 			continue
 		}
 		// Re-check the cache: an earlier fill may already cover this line.
-		if w := c.store.lookup(wt.lineAddr); w != nil &&
-			(!wt.write || w.state == Modified || w.state == Exclusive) {
+		if i := c.store.lookup(wt.lineAddr); i >= 0 && (!wt.write || c.writable(i)) {
 			if wt.write {
-				w.state = Modified
-				w.dirty = true
+				c.store.write(i)
 			}
 			c.scheduleHit(c.hitReady(wt.lineAddr), wt.h, wt.arg)
 			continue
@@ -458,48 +456,44 @@ func (c *L1) drainWaiting() {
 
 // evict releases a frame, writing back dirty data and informing the
 // directory so its sharer state stays precise.
-func (c *L1) evict(w *way) {
-	if !w.valid {
+func (c *L1) evict(i int) {
+	if !c.store.valid(i) {
 		return
 	}
 	c.Stats.Evictions++
-	if w.dirty {
+	dirty := c.store.dirty(i)
+	if dirty {
 		c.Stats.Writebacks++
 		c.xbar.Occupy() // dirty data occupies the crossbar
 	}
-	c.l2.put(c.ID, w.lineAddr, w.dirty)
-	c.store.invalidate(w)
-	w.state = Invalid
-	w.dirty = false
+	c.l2.put(c.ID, c.store.lineOf(i), dirty)
+	c.store.invalidate(i)
 }
 
 // invalidateLine services a directory probe that revokes this cache's copy.
 // It reports whether the line held dirty data.
 func (c *L1) invalidateLine(lineAddr uint64) (wasDirty bool) {
-	w := c.store.lookup(lineAddr)
-	if w == nil {
+	i := c.store.lookup(lineAddr)
+	if i < 0 {
 		return false
 	}
 	c.Stats.Invalidates++
-	wasDirty = w.dirty
-	c.store.invalidate(w)
-	w.state = Invalid
-	w.dirty = false
+	wasDirty = c.store.dirty(i)
+	c.store.invalidate(i)
 	return wasDirty
 }
 
 // downgradeLine services a directory probe demoting M/E to S, returning
 // whether dirty data was flushed to the L2.
 func (c *L1) downgradeLine(lineAddr uint64) (wasDirty bool) {
-	w := c.store.lookup(lineAddr)
-	if w == nil {
+	i := c.store.lookup(lineAddr)
+	if i < 0 {
 		return false
 	}
-	if w.state == Modified || w.state == Exclusive {
+	if c.writable(i) {
 		c.Stats.Downgrades++
-		wasDirty = w.dirty
-		w.state = Shared
-		w.dirty = false
+		wasDirty = c.store.dirty(i)
+		c.store.setClean(i, Shared)
 	}
 	return wasDirty
 }

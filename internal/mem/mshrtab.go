@@ -6,10 +6,6 @@ package mem
 // ≤25% load factor) and never rehashes; lookups on the access fast path are
 // one multiplicative hash plus a short linear probe, with no per-entry heap
 // boxes the way a map bucket chain has.
-//
-// Iteration order (scan, used by the L2's MSHR-full fallback) is the slot
-// order, which is a pure function of the insertion/deletion sequence —
-// deterministic across runs, unlike ranging over a Go map.
 type mshrTable[V any] struct {
 	slots []mshrSlot[V]
 	mask  uint64
@@ -121,13 +117,3 @@ func (t *mshrTable[V]) del(key uint64) {
 
 // len returns the number of live entries.
 func (t *mshrTable[V]) len() int { return t.n }
-
-// scan calls fn for each live entry in slot order until fn returns false.
-// Slot order is deterministic (see type comment).
-func (t *mshrTable[V]) scan(fn func(key uint64, val V) bool) {
-	for i := range t.slots {
-		if t.slots[i].used && !fn(t.slots[i].key, t.slots[i].val) {
-			return
-		}
-	}
-}

@@ -60,33 +60,3 @@ func TestMSHRTableDelAbsent(t *testing.T) {
 		t.Fatalf("len = %d, want 1", tab.len())
 	}
 }
-
-// TestMSHRTableScanDeterministic: scan order must be a pure function of the
-// operation sequence — the L2's MSHR-full fallback picks its victim this
-// way, and simulation determinism depends on it.
-func TestMSHRTableScanDeterministic(t *testing.T) {
-	build := func() []uint64 {
-		tab := newMSHRTable[*l2MSHR](16)
-		for i := 0; i < 16; i++ {
-			tab.put(0x200000+uint64(i)*128, &l2MSHR{})
-		}
-		for i := 0; i < 16; i += 2 {
-			tab.del(0x200000 + uint64(i)*128)
-		}
-		var order []uint64
-		tab.scan(func(k uint64, _ *l2MSHR) bool {
-			order = append(order, k)
-			return true
-		})
-		return order
-	}
-	a, b := build(), build()
-	if len(a) != 8 {
-		t.Fatalf("scan visited %d entries, want 8", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scan order differs between identical runs: %v vs %v", a, b)
-		}
-	}
-}

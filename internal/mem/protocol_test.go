@@ -70,11 +70,10 @@ func TestProbePenaltyDelaysRequester(t *testing.T) {
 func TestVictimPrefersInvalidFrames(t *testing.T) {
 	s := newStore(512, 2, 128) // 4 lines, 2 ways, 2 sets
 	w1 := s.victim(0)
-	w1.valid = true
-	s.setLine(w1, 0)
+	s.fill(w1, 0)
 	s.touch(w1)
 	v := s.victim(2 * 128 * 2) // same set (stride = numSets*lineSize = 256)
-	if v.valid {
+	if s.valid(v) {
 		t.Fatal("victim chose a valid frame while an invalid one existed")
 	}
 }
@@ -82,12 +81,10 @@ func TestVictimPrefersInvalidFrames(t *testing.T) {
 func TestVictimLRUAmongValid(t *testing.T) {
 	s := newStore(512, 2, 128)
 	a := s.victim(0)
-	a.valid = true
-	s.setLine(a, 0)
+	s.fill(a, 0)
 	s.touch(a)
 	b := s.victim(256)
-	b.valid = true
-	s.setLine(b, 256)
+	s.fill(b, 256)
 	s.touch(b)
 	s.touch(a) // b is now LRU
 	if v := s.victim(512); v != b {

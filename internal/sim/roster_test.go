@@ -103,9 +103,9 @@ func TestRosterEqualsRecount(t *testing.T) {
 }
 
 // TestManyWPUs: the awake set spans more than one 64-bit word, and it still
-// equals a recount in every cycle. The cycle
-// counts are what the run loop that ticked every WPU in every cycle reported
-// (dwsim -wpus 65 and -wpus 128).
+// equals a recount in every cycle; the directory's sharer sets span more
+// than 64 L1s, and the hierarchy stays coherent. The cycle counts are
+// dwsim -wpus 65 and -wpus 128.
 func TestManyWPUs(t *testing.T) {
 	for _, c := range []struct {
 		bench  string
@@ -114,7 +114,7 @@ func TestManyWPUs(t *testing.T) {
 		cycles uint64
 	}{
 		{"Filter", wpu.SchemeRevive, 65, 11424},
-		{"FFT", wpu.SchemeConv, 128, 71802},
+		{"FFT", wpu.SchemeConv, 128, 72410},
 	} {
 		cfg := sim.DefaultConfig()
 		cfg.WPUs = c.wpus
@@ -125,6 +125,7 @@ func TestManyWPUs(t *testing.T) {
 		}
 		name := c.bench + "/" + string(c.scheme)
 		sys.Observe(1, func(cycle uint64) { checkRoster(t, name, cycle, sys) })
+		checkCoherenceEvery(t, name, sys, 500)
 		if err := build(t, c.bench, sys).Run(sys); err != nil {
 			t.Fatal(err)
 		}

@@ -204,6 +204,9 @@ func (s *System) Reset(cfg Config) error {
 	if cfg.WPUs <= 0 {
 		return fmt.Errorf("sim: need at least one WPU")
 	}
+	if cfg.WPUs > mem.MaxL1s {
+		return fmt.Errorf("sim: %d WPUs exceed the L2 directory's %d", cfg.WPUs, mem.MaxL1s)
+	}
 	cfg.Hier.Trace = cfg.Trace
 	cfg.WPU = cfg.wpuConfig()
 	old := *s

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/wpu"
 )
@@ -99,6 +100,10 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg.WPUs = 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("0 WPUs accepted")
+	}
+	cfg.WPUs = mem.MaxL1s + 1
+	if _, err := New(cfg); err == nil {
+		t.Fatalf("%d WPUs accepted", cfg.WPUs)
 	}
 	cfg = DefaultConfig()
 	cfg.WPU.Width = 128

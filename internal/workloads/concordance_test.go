@@ -33,10 +33,12 @@ type branchKey struct {
 
 // replaySuite runs every benchmark under one scheme with tracing enabled
 // and returns the set of branch sites that dynamically diverged, plus the
-// kernel programs seen. No suite kernel issues BARRIER, so it checks that
-// no benchmark spent a cycle at one; under Conv, the one scheme that cannot
-// split, it also checks that none spent a cycle or an event on a full
-// warp-split table or a scheduler-slot wait.
+// kernel programs seen. Every 1 000 cycles it checks the memory
+// hierarchy's MESI invariants (mem.Hierarchy.CheckCoherence). No suite
+// kernel issues BARRIER, so it checks that no benchmark spent a cycle at
+// one; under Conv, the one scheme that cannot split, it also checks that
+// none spent a cycle or an event on a full warp-split table or a
+// scheduler-slot wait.
 func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[string]*program.Program) {
 	t.Helper()
 	diverged := make(map[branchKey]bool)
@@ -50,6 +52,11 @@ func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[strin
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.Observe(1000, func(cycle uint64) {
+			if msg := sys.Hier.CheckCoherence(); msg != "" {
+				t.Fatalf("%s under %s: cycle %d: %s", spec.Name, scheme, cycle, msg)
+			}
+		})
 		inst, err := spec.Build(sys)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
