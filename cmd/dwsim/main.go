@@ -35,13 +35,11 @@ import (
 func main() {
 	var (
 		benchName = flag.String("bench", "Merge", "benchmark: FFT, Filter, HotSpot, LU, Merge, Short, KMeans, SVM, or 'all'")
-		verify    = flag.Bool("verify", true, "verify results against the host reference")
 		showDis   = flag.Bool("disasm", false, "print each kernel's disassembly instead of running")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file ('-' = stdout; single benchmark only)")
 		tlOut     = flag.String("timeline", "", "write the interval timeline CSV to this file ('-' = stdout; single benchmark only)")
 		statsOut  = flag.String("stats", "", "write machine-readable run metrics JSON to this file ('-' = stdout)")
 		httpObs   = flag.String("httpobs", "", "serve live run metrics over HTTP at this address (e.g. :8080) while the process runs: '/' returns a JSON snapshot, '/metrics' the Prometheus text format")
-		obsRate   = flag.Uint64("httpobsevery", 0, "live snapshot refresh period in cycles for -httpobs (0 = a coarse default)")
 		obsEvery  = flag.Uint64("obsevery", 1000, "timeline sample interval in cycles for -trace/-timeline")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
@@ -106,11 +104,10 @@ func main() {
 	}
 
 	s, _ := openSess("dwsim", report.StoreOptions{})
-	s.Verify = *verify
 
 	var live *sim.Live
 	if *httpObs != "" {
-		live = sim.NewLive(*obsRate)
+		live = sim.NewLive()
 		// Attach's finish function publishes each run's final snapshot from
 		// inside the run; by the time Session.Run returns the machine may
 		// already be simulating something else.

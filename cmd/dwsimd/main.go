@@ -36,11 +36,9 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8091", "listen address")
-		cacheMB     = flag.Int64("cachemb", 0, "LRU byte cap on the store in MiB (0 = unbounded)")
-		streamEvery = flag.Uint64("streamevery", 0, "SSE publish cadence in simulated cycles for traced jobs (0 = a coarse default)")
-		noVerify    = flag.Bool("noverify", false, "skip functional verification of results against the host reference")
-		openSess    = report.SessionFlags(flag.CommandLine)
+		addr     = flag.String("addr", ":8091", "listen address")
+		cacheMB  = flag.Int64("cachemb", 0, "LRU byte cap on the store in MiB (0 = unbounded)")
+		openSess = report.SessionFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	// Past 2^43 - 1 MiB the byte count overflows; either bad value would
@@ -51,13 +49,8 @@ func main() {
 	}
 
 	session, st := openSess("dwsimd", report.StoreOptions{MaxBytes: *cacheMB << 20})
-	session.Verify = !*noVerify
 
-	srv := serve.New(serve.Config{
-		Session:     session,
-		Store:       st,
-		StreamEvery: *streamEvery,
-	})
+	srv := serve.New(serve.Config{Session: session, Store: st})
 	srv.Start()
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -100,5 +101,29 @@ func TestStaleDataInvariantDetects(t *testing.T) {
 	st.setState(i, Shared) // corrupt: dirty data outside M
 	if msg := h.CheckCoherence(); msg == "" {
 		t.Fatal("checker missed dirty data in Shared state")
+	}
+}
+
+// TestStaleSharerDetects plants a sharer bit for an L1 that neither holds
+// the line nor fetches it, in an otherwise coherent hierarchy, and requires
+// the checker to flag it: the directory must not name a cache that would
+// never answer its probe.
+func TestStaleSharerDetects(t *testing.T) {
+	q, h := newTestHier(t, 2)
+	h.L1s[0].Access(0x40000, false, nil)
+	h.L1s[1].Access(0x40000, false, nil)
+	q.Drain()
+	h.L1s[1].Access(0x48000, false, nil)
+	q.Drain()
+	if msg := h.CheckCoherence(); msg != "" {
+		t.Fatalf("setup: %s", msg)
+	}
+	i := h.L2.st.lookup(h.L1s[0].Line(0x48000))
+	if i < 0 || h.L2.shared(i) {
+		t.Fatalf("setup: line 0x48000 at L2 frame %d, shared=%v", i, i >= 0 && h.L2.shared(i))
+	}
+	h.L2.addSharer(i, 0) // corrupt: L1 0 never read 0x48000
+	if msg := h.CheckCoherence(); !strings.Contains(msg, "sharer L1 0 of 0x48000") {
+		t.Fatalf("checker missed the stale sharer bit: %q", msg)
 	}
 }

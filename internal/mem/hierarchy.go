@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -82,6 +83,8 @@ func (h *Hierarchy) Reset(numL1 int, cfg HierarchyConfig) {
 //   - directory precision: an L1 holding a line S appears in the sharer
 //     set, and an L1 holding M/E is the registered owner;
 //   - inclusion: every line in an L1 is present in the L2;
+//   - directory soundness: every sharer and owner the L2 records holds the
+//     line or has a miss in flight for it;
 //   - no stale data: dirty L1 data only exists under Modified — a dirty
 //     line in any other state would be dropped without writeback on
 //     invalidation or silently diverge from the L2 copy.
@@ -144,6 +147,25 @@ func (h *Hierarchy) CheckCoherence() string {
 		for _, x := range hs {
 			if !h.L2.isSharer(l2i, x.id) {
 				return sprintf("directory sharers for %#x miss L1 %d", lineAddr, x.id)
+			}
+		}
+	}
+	// The converse, in L2 frame order: every L1 the directory names holds
+	// the line or has a miss in flight for it.
+	l2 := h.L2
+	for i := range l2.st.frames() {
+		if !l2.st.valid(i) {
+			continue
+		}
+		lineAddr := l2.st.lineOf(i)
+		if o := l2.ownerOf(i); o >= 0 && !h.L1s[o].holdsOrFetches(lineAddr) {
+			return sprintf("directory owner L1 %d of %#x neither holds nor fetches it", o, lineAddr)
+		}
+		for b, set := range l2.sharers[i*l2.sharerBytes : (i+1)*l2.sharerBytes] {
+			for ; set != 0; set &= set - 1 {
+				if id := b*8 + bits.TrailingZeros8(set); !h.L1s[id].holdsOrFetches(lineAddr) {
+					return sprintf("directory sharer L1 %d of %#x neither holds nor fetches it", id, lineAddr)
+				}
 			}
 		}
 	}

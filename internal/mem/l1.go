@@ -104,8 +104,8 @@ type L1 struct {
 	l2    *L2
 
 	mshrs    mshrTable[*l1MSHR]
-	mshrPool []*l1MSHR  // free list; retired MSHRs keep their dones capacity
-	waiting  []l1Waiter // overflow when all MSHRs are busy
+	mshrPool []*l1MSHR      // free list; retired MSHRs keep their dones capacity
+	waiting  fifo[l1Waiter] // overflow when all MSHRs are busy
 	bankFree []engine.Cycle
 	// bankShift/bankMask replace hitReady's divide+modulo bank selection;
 	// bankMask < 0 keeps the modulo path for non-power-of-two bank counts.
@@ -150,8 +150,7 @@ func (c *L1) reset(cfg L1Config, trace *obs.Trace) {
 	}
 	c.store.reset(cfg.SizeBytes, cfg.Ways, cfg.LineSize)
 	c.mshrs.reset(cfg.MSHRs)
-	clear(c.waiting)
-	c.waiting = c.waiting[:0]
+	c.waiting.reset()
 	if len(c.bankFree) != cfg.Banks {
 		c.bankFree = make([]engine.Cycle, cfg.Banks)
 	} else {
@@ -280,7 +279,7 @@ func (c *L1) missPath(lineAddr uint64, write bool, h engine.Handler, arg uint64)
 			c.trace.Emit(obs.Event{Cycle: uint64(c.q.Now()), Kind: obs.EvL1MSHRFull,
 				Unit: c.ID, Warp: -1, PC: -1, Addr: lineAddr})
 		}
-		c.waiting = append(c.waiting, l1Waiter{lineAddr: lineAddr, write: write, h: h, arg: arg})
+		c.waiting.push(l1Waiter{lineAddr: lineAddr, write: write, h: h, arg: arg})
 		return
 	}
 	c.allocMSHR(lineAddr, write, h, arg)
@@ -428,11 +427,8 @@ func (c *L1) complete(m *l1MSHR, granted Coherence) {
 }
 
 func (c *L1) drainWaiting() {
-	for len(c.waiting) > 0 && c.mshrs.len() < c.cfg.MSHRs {
-		wt := c.waiting[0]
-		copy(c.waiting, c.waiting[1:])
-		c.waiting[len(c.waiting)-1] = l1Waiter{}
-		c.waiting = c.waiting[:len(c.waiting)-1]
+	for c.waiting.len() > 0 && c.mshrs.len() < c.cfg.MSHRs {
+		wt := c.waiting.pop()
 		if m, ok := c.mshrs.get(wt.lineAddr); ok {
 			if wt.h != nil {
 				m.dones = append(m.dones, l1Done{h: wt.h, arg: wt.arg, write: wt.write})
@@ -496,6 +492,13 @@ func (c *L1) downgradeLine(lineAddr uint64) (wasDirty bool) {
 		c.store.setClean(i, Shared)
 	}
 	return wasDirty
+}
+
+// holdsOrFetches reports whether the cache holds lineAddr or has a miss in
+// flight for it.
+func (c *L1) holdsOrFetches(lineAddr uint64) bool {
+	_, fetching := c.mshrs.get(lineAddr)
+	return fetching || c.store.lookup(lineAddr) >= 0
 }
 
 // OutstandingMisses reports the number of busy MSHRs (used by tests and the

@@ -89,16 +89,14 @@ type L2 struct {
 	// waiting is the FIFO of requests that missed while every MSHR was
 	// busy. As MSHRs free, drainWaiting reruns each one's lookup in
 	// arrival order, as the L1 does with its own waiting list.
-	waiting     []l2Req
-	waitingHead int
+	waiting fifo[l2Req]
 
 	// lookups is the tag-pipeline FIFO: LookupLat is constant, so requests
 	// finish the lookup in issue order and the pre-bound lookupHop handler
 	// just pops the front — no per-request closure.
-	lookups    []l2Req
-	lookupHead int
-	lookupHop  l2LookupHop
-	fillHop    l2FillHop
+	lookups   fifo[l2Req]
+	lookupHop l2LookupHop
+	fillHop   l2FillHop
 
 	trace *obs.Trace // per-System observability sink (nil = disabled)
 
@@ -109,15 +107,7 @@ type l2LookupHop struct{ l *L2 }
 type l2FillHop struct{ l *L2 }
 
 func (hp *l2LookupHop) HandleEvent(uint64) {
-	l := hp.l
-	r := l.lookups[l.lookupHead]
-	l.lookups[l.lookupHead] = l2Req{}
-	l.lookupHead++
-	if l.lookupHead == len(l.lookups) {
-		l.lookups = l.lookups[:0]
-		l.lookupHead = 0
-	}
-	l.lookup(r)
+	hp.l.lookup(hp.l.lookups.pop())
 }
 
 func (hp *l2FillHop) HandleEvent(lineAddr uint64) {
@@ -161,10 +151,8 @@ func (l *L2) reset(cfg L2Config, numL1 int, trace *obs.Trace) {
 	l.mshrs.reset(cfg.MSHRs)
 	clear(l.l1s)
 	l.l1s = l.l1s[:0]
-	l.waiting = l.waiting[:0]
-	l.waitingHead = 0
-	l.lookups = l.lookups[:0]
-	l.lookupHead = 0
+	l.waiting.reset()
+	l.lookups.reset()
 	l.cfg = cfg
 	l.trace = trace
 	l.Stats = L2Stats{}
@@ -183,7 +171,7 @@ func (l *L2) attach(c *L1) {
 // hop.
 func (l *L2) Request(from int, lineAddr uint64, write bool) {
 	l.Stats.Requests++
-	l.lookups = append(l.lookups, l2Req{from: from, lineAddr: lineAddr, write: write})
+	l.lookups.push(l2Req{from: from, lineAddr: lineAddr, write: write})
 	l.q.ScheduleAfter(l.cfg.LookupLat, &l.lookupHop, 0)
 }
 
@@ -314,7 +302,7 @@ func (l *L2) missPath(r l2Req) {
 	m, ok := l.mshrs.get(r.lineAddr)
 	if !ok && l.mshrs.len() >= l.cfg.MSHRs {
 		l.Stats.MSHRFull++
-		l.waiting = append(l.waiting, r)
+		l.waiting.push(r)
 		return
 	}
 	if l.trace != nil {
@@ -372,14 +360,8 @@ func (l *L2) fill(m *l2MSHR) {
 // an MSHR is free: each may now hit (an earlier fill brought its line),
 // merge into a fetch a previous waiter started, or start its own.
 func (l *L2) drainWaiting() {
-	for l.waitingHead < len(l.waiting) && l.mshrs.len() < l.cfg.MSHRs {
-		r := l.waiting[l.waitingHead]
-		l.waitingHead++
-		if l.waitingHead == len(l.waiting) {
-			l.waiting = l.waiting[:0]
-			l.waitingHead = 0
-		}
-		l.lookup(r)
+	for l.waiting.len() > 0 && l.mshrs.len() < l.cfg.MSHRs {
+		l.lookup(l.waiting.pop())
 	}
 }
 
@@ -450,8 +432,7 @@ type DRAM struct {
 	// pending is the FIFO of in-flight fetches: the bus is FIFO (departure
 	// order equals call order), so the pre-bound busHop handler pops the
 	// front when each transfer arrives.
-	pending []dramReq
-	head    int
+	pending fifo[dramReq]
 	busHop  dramBusHop
 
 	Accesses   uint64
@@ -462,13 +443,7 @@ type dramBusHop struct{ d *DRAM }
 
 func (hp *dramBusHop) HandleEvent(uint64) {
 	d := hp.d
-	r := d.pending[d.head]
-	d.pending[d.head] = dramReq{}
-	d.head++
-	if d.head == len(d.pending) {
-		d.pending = d.pending[:0]
-		d.head = 0
-	}
+	r := d.pending.pop()
 	d.q.ScheduleAfter(d.Latency, r.h, r.arg)
 }
 
@@ -483,9 +458,7 @@ func NewDRAM(q *engine.Queue, bus *Channel, latency engine.Cycle) *DRAM {
 // reset forgets every fetch in flight and zeroes the counters.
 func (d *DRAM) reset(latency engine.Cycle) {
 	d.Latency = latency
-	clear(d.pending)
-	d.pending = d.pending[:0]
-	d.head = 0
+	d.pending.reset()
 	d.Accesses, d.WritebackN = 0, 0
 }
 
@@ -493,7 +466,7 @@ func (d *DRAM) reset(latency engine.Cycle) {
 // latency — the allocation-free path.
 func (d *DRAM) FetchEvent(h engine.Handler, arg uint64) {
 	d.Accesses++
-	d.pending = append(d.pending, dramReq{h: h, arg: arg})
+	d.pending.push(dramReq{h: h, arg: arg})
 	d.bus.SendEvent(&d.busHop, 0)
 }
 

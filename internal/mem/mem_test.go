@@ -319,6 +319,34 @@ func TestMSHRLimitStallsAndDrains(t *testing.T) {
 	}
 }
 
+// TestL2LookupFIFOBounded: a long stretch in which the L2's tag pipeline
+// never empties must not grow its FIFO with the stretch. Four L1s stream
+// reads over 32 lines each (too many for the L1, few enough for the L2), all
+// issued at once, so 10 000 requests reach the L2 back to back. The crossbar
+// delivers one every XbarOcc cycles, so at most LookupLat/XbarOcc+1 are in
+// the lookup at once.
+func TestL2LookupFIFOBounded(t *testing.T) {
+	q, h := newTestHier(t, 4)
+	cfg := testConfig()
+	const perL1 = 3000
+	for i := 0; i < perL1; i++ {
+		for id, c := range h.L1s {
+			c.Access(uint64(0x10000+id*32*128+i%32*128), false, nil)
+		}
+	}
+	q.Drain()
+	if n := h.L2.Stats.Requests; n < 10000 {
+		t.Fatalf("%d L2 requests, want at least 10000", n)
+	}
+	live := int(cfg.L2.LookupLat/cfg.XbarOcc) + 1
+	if c := cap(h.L2.lookups.buf); c > 4*live {
+		t.Fatalf("lookup FIFO capacity %d after the stretch; at most %d requests are ever in the lookup", c, live)
+	}
+	if msg := h.CheckCoherence(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
 func TestBankConflictQueuing(t *testing.T) {
 	q, h := newTestHier(t, 1)
 	c := h.L1s[0]

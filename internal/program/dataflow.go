@@ -554,10 +554,6 @@ func (p *Program) DivergenceReport() string {
 	fmt.Fprintf(&sb, "kernel %s: %d branches (%d uniform, %d affine, %d divergent), %d accesses (%d uniform, %d affine, %d divergent)\n",
 		p.Name, len(pcs), nu, na, nd, len(p.memAccess), au, aa, ad)
 
-	limit := p.shortLimit
-	if limit <= 0 {
-		limit = DefaultShortBlockLimit
-	}
 	blockOf := p.cfg.blockOf
 	ai := 0
 	for pc := 0; pc < len(p.Code); pc++ {
@@ -565,7 +561,7 @@ func (p *Program) DivergenceReport() string {
 			bi := p.branches[pc]
 			heuristic := false
 			if bi.IPdom != NoIPdom {
-				heuristic = p.Blocks[blockOf[bi.IPdom]].Len() <= limit
+				heuristic = p.Blocks[blockOf[bi.IPdom]].Len() <= ShortBlockLimit
 			}
 			fmt.Fprintf(&sb, "  branch @pc %-3d %-9s reconv=%s subdividable=%v",
 				pc, bi.Class.String(), reconvName(bi.IPdom), bi.Subdividable)

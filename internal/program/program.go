@@ -24,10 +24,10 @@ import (
 	"repro/internal/isa"
 )
 
-// DefaultShortBlockLimit is the paper's threshold (§4.3) on the length of
-// the basic block following a branch's post-dominator, below which the
-// branch is allowed to subdivide warps.
-const DefaultShortBlockLimit = 50
+// ShortBlockLimit is the paper's threshold (§4.3) on the length of the
+// basic block following a branch's post-dominator, below which the branch
+// is allowed to subdivide warps.
+const ShortBlockLimit = 50
 
 // BranchInfo is the per-branch metadata the WPU front end consumes.
 type BranchInfo struct {
@@ -94,7 +94,6 @@ type Program struct {
 	regions        []RegionDecl
 	uranges        []UniformRange // declared value ranges of uniform inputs
 	maxThreads     int
-	shortLimit     int
 
 	// memAccess is the static access-pattern table per load/store under
 	// DefaultMemParams, in pc order (see memaccess.go): the one home of the
@@ -210,10 +209,6 @@ type Builder struct {
 	regions        []RegionDecl
 	uranges        []UniformRange
 	maxThreads     int
-
-	// ShortBlockLimit overrides the subdivide-branch heuristic threshold;
-	// zero means DefaultShortBlockLimit.
-	ShortBlockLimit int
 }
 
 // NewBuilder returns a Builder for a kernel with the given name.
@@ -521,7 +516,6 @@ func (b *Builder) digest(code []isa.Inst) [sha256.Size]byte {
 	num(uint64(b.inputs) | uint64(b.uniforms)<<32)
 	num(declared)
 	num(uint64(b.maxThreads))
-	num(uint64(b.ShortBlockLimit))
 	num(uint64(len(b.regions)))
 	for _, r := range b.regions {
 		num(uint64(r.Reg))
@@ -583,10 +577,6 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	p.Blocks = buildCFG(code)
 	g := newCFGView(p.Blocks)
 	p.cfg = g
-	limit := b.ShortBlockLimit
-	if limit <= 0 {
-		limit = DefaultShortBlockLimit
-	}
 	for pc, in := range code {
 		if !in.Op.IsBranch() {
 			continue
@@ -599,7 +589,7 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 			// post-dominator is short. The paper's phrasing refers to the
 			// code executed from the re-convergence point; we measure the
 			// post-dominator block itself.
-			bi.Subdividable = dblk.Len() <= limit
+			bi.Subdividable = dblk.Len() <= ShortBlockLimit
 		}
 		p.branches[pc] = bi
 	}
@@ -633,7 +623,6 @@ func (b *Builder) build(code []isa.Inst) (*Program, error) {
 	p.regions = append([]RegionDecl(nil), b.regions...)
 	p.uranges = append([]UniformRange(nil), b.uranges...)
 	p.maxThreads = b.maxThreads
-	p.shortLimit = limit
 
 	// Divergence analysis (dataflow.go) refines the §4.3 selection: a
 	// branch whose predicate is provably warp-uniform can never split a

@@ -141,31 +141,13 @@ func TestShortBlockHeuristic(t *testing.T) {
 		return b.MustBuild()
 	}
 	// Join block has padding+1 instructions (pads + halt).
-	p := build(DefaultShortBlockLimit - 1) // exactly at the limit
+	p := build(ShortBlockLimit - 1) // exactly at the limit
 	if bi, _ := p.Branch(0); !bi.Subdividable {
 		t.Fatal("block at limit should be subdividable")
 	}
-	p = build(DefaultShortBlockLimit) // one over
+	p = build(ShortBlockLimit) // one over
 	if bi, _ := p.Branch(0); bi.Subdividable {
 		t.Fatal("block over limit should not be subdividable")
-	}
-}
-
-func TestShortBlockLimitOverride(t *testing.T) {
-	b := NewBuilder("custom")
-	b.ShortBlockLimit = 2
-	b.Bnez(1, "then")
-	b.Nop()
-	b.Jmp("join")
-	b.Label("then")
-	b.Nop()
-	b.Label("join")
-	b.Nop()
-	b.Nop() // join block: nop, nop, halt = 3 instructions > limit 2
-	b.Halt()
-	p := b.MustBuild()
-	if bi, _ := p.Branch(0); bi.Subdividable {
-		t.Fatal("override limit not honoured")
 	}
 }
 
@@ -380,9 +362,8 @@ func TestUniformRangeRejected(t *testing.T) {
 }
 
 // memoKernel is a small kernel whose every Builder input a test can vary.
-func memoKernel(name string, imm int64, threads int, limit int) *Builder {
+func memoKernel(name string, imm int64, threads int) *Builder {
 	b := NewBuilder(name)
-	b.ShortBlockLimit = limit
 	b.DeclareRegion(4, 64)
 	b.DeclareUniformRange(5, 1, 8)
 	b.DeclareThreads(threads)
@@ -401,23 +382,22 @@ func memoKernel(name string, imm int64, threads int, limit int) *Builder {
 // TestBuildMemoized: two Builders holding the same kernel get the same
 // *Program (so a WPU gives the kernel one fetch range however often a
 // workload is instantiated), while a difference in anything Build reads —
-// name, code, a declaration, the heuristic threshold — gives another.
+// name, code, a declaration — gives another.
 func TestBuildMemoized(t *testing.T) {
-	base := memoKernel("memo", 3, 8, 0).MustBuild()
-	if again := memoKernel("memo", 3, 8, 0).MustBuild(); again != base {
+	base := memoKernel("memo", 3, 8).MustBuild()
+	if again := memoKernel("memo", 3, 8).MustBuild(); again != base {
 		t.Fatal("identical kernels built twice are two programs")
 	}
 	for what, b := range map[string]*Builder{
-		"name":        memoKernel("memo2", 3, 8, 0),
-		"code":        memoKernel("memo", 4, 8, 0),
-		"threads":     memoKernel("memo", 3, 6, 0),
-		"short limit": memoKernel("memo", 3, 8, 1),
+		"name":    memoKernel("memo2", 3, 8),
+		"code":    memoKernel("memo", 4, 8),
+		"threads": memoKernel("memo", 3, 6),
 	} {
 		if b.MustBuild() == base {
 			t.Fatalf("kernels differing in %s share a program", what)
 		}
 	}
-	extra := memoKernel("memo", 3, 8, 0)
+	extra := memoKernel("memo", 3, 8)
 	extra.DeclareUniformInputs(9)
 	if extra.MustBuild() == base {
 		t.Fatal("kernels differing in declared inputs share a program")
@@ -427,7 +407,7 @@ func TestBuildMemoized(t *testing.T) {
 	const n = 8
 	got := make(chan *Program, n)
 	for i := 0; i < n; i++ {
-		go func() { got <- memoKernel("memo-concurrent", 3, 8, 0).MustBuild() }()
+		go func() { got <- memoKernel("memo-concurrent", 3, 8).MustBuild() }()
 	}
 	first := <-got
 	for i := 1; i < n; i++ {
@@ -441,7 +421,7 @@ func TestBuildMemoized(t *testing.T) {
 // past its bound.
 func TestBuildMemoBounded(t *testing.T) {
 	for i := 0; i < maxBuilds+10; i++ {
-		memoKernel("memo-many", int64(i+100), 8, 0).MustBuild()
+		memoKernel("memo-many", int64(i+100), 8).MustBuild()
 	}
 	builds.mu.Lock()
 	n := len(builds.byDigest)

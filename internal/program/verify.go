@@ -278,10 +278,6 @@ func (p *Program) checkReconvergence(g *cfgView, div *divResult) []Finding {
 	var fs []Finding
 	vip := verifiedIPdom(p.Blocks)
 	blockOf := g.blockOf
-	limit := p.shortLimit
-	if limit <= 0 {
-		limit = DefaultShortBlockLimit
-	}
 	seen := 0
 	for pc, in := range p.Code {
 		if !in.Op.IsBranch() {
@@ -303,7 +299,7 @@ func (p *Program) checkReconvergence(g *cfgView, div *divResult) []Finding {
 		want, wantSub := NoIPdom, false
 		if d := vip[blockOf[pc]]; d >= 0 {
 			want = p.Blocks[d].Start
-			wantSub = p.Blocks[d].Len() <= limit && wantClass != ClassUniform
+			wantSub = p.Blocks[d].Len() <= ShortBlockLimit && wantClass != ClassUniform
 		}
 		if bi.IPdom != want {
 			fs = append(fs, Finding{
@@ -325,7 +321,7 @@ func (p *Program) checkReconvergence(g *cfgView, div *divResult) []Finding {
 			fs = append(fs, Finding{
 				Check: "reconvergence", Severity: Err, PC: pc, Block: blockOf[pc],
 				Msg: fmt.Sprintf("subdividable=%v disagrees with the divergence-capable ∧ short-join rule (limit %d)",
-					bi.Subdividable, limit),
+					bi.Subdividable, ShortBlockLimit),
 			})
 		}
 	}

@@ -25,7 +25,7 @@ type outcome struct {
 // for cfgFor(k, tr).
 func simulate(t *testing.T, sys *sim.System, bench string, k Knobs, tr *obs.Trace) outcome {
 	t.Helper()
-	r, err := runOn(sys, bench, k, true, nil)
+	r, err := runOn(sys, bench, k, nil)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", bench, k.Scheme, err)
 	}
@@ -56,7 +56,7 @@ func abandonMidRun(t *testing.T, sys *sim.System, bench string, k Knobs, atCycle
 			t.Fatal("abandoned run left no event in flight; pick an earlier cycle")
 		}
 	}()
-	runOn(sys, bench, k, false, func(sys *sim.System) func() { //nolint:errcheck // it panics
+	runOn(sys, bench, k, func(sys *sim.System) func() { //nolint:errcheck // it panics
 		sys.Observe(atCycle, func(cycle uint64) {
 			if cycle == atCycle {
 				panic("abandon")
@@ -179,7 +179,7 @@ func TestJumpEqualsCrawl(t *testing.T) {
 				if err := sys.Reset(cfgFor(k, nil)); err != nil {
 					t.Fatal(err)
 				}
-				r, err := runOn(sys, bench, k, true, func(sys *sim.System) func() {
+				r, err := runOn(sys, bench, k, func(sys *sim.System) func() {
 					if crawl {
 						sys.Observe(1, func(uint64) {})
 					}
@@ -379,7 +379,7 @@ func TestIdleMachinesHoldNoRunState(t *testing.T) {
 			finished = true
 		}
 	}
-	if _, err := runLive("Filter", k, obs.New(1000), true, hook); err != nil {
+	if _, err := runLive("Filter", k, obs.New(1000), hook); err != nil {
 		t.Fatal(err)
 	}
 	if !finished {
@@ -394,7 +394,7 @@ func TestIdleMachinesHoldNoRunState(t *testing.T) {
 		t.Fatalf("idle machine still carries run state: %d observers trace=%v cycle=%d", n, m.Cfg.Trace, m.Cycles())
 	}
 
-	if _, err := runLive("NoSuchBench", k, nil, true, nil); err == nil {
+	if _, err := runLive("NoSuchBench", k, nil, nil); err == nil {
 		t.Fatal("unknown benchmark ran")
 	}
 	if idle := drain(); len(idle) != 0 {

@@ -12,8 +12,7 @@
 // The exhibit drivers exploit this through Prefetch (see runner.go),
 // which fans a figure's full job set out over a bounded worker pool and
 // then renders from the warm cache, so output bytes are identical at any
-// parallelism level. Only Verify is excluded from the guarantee: set it
-// before the first Run and leave it alone.
+// parallelism level.
 package report
 
 import (
@@ -66,18 +65,13 @@ type Session struct {
 	jobs  int    // worker-pool width for Prefetch (0 = GOMAXPROCS)
 	store *Store // optional cross-process result store
 
-	// Verify controls whether every run checks functional results against
-	// the host reference (on by default; the cost is negligible). Set it
-	// before the first Run; it is not synchronised.
-	Verify bool
-
 	// OnSystem, when set, observes every machine immediately before its run
 	// starts — the dwsim -httpobs live-metrics hook. The function it returns
 	// (nil for none) is called on the same goroutine once the run has ended,
 	// successfully or not, and is the hook's last chance to look at the
 	// machine: afterwards it is recycled for another run (see machines), so
-	// nothing may hold on to it. Like Verify, OnSystem must be set before
-	// the first Run; it is called from the executor's worker goroutines, so
+	// nothing may hold on to it. OnSystem must be set before the first
+	// Run; it is called from the executor's worker goroutines, so
 	// implementations must be safe for concurrent use.
 	OnSystem func(*sim.System) (finish func())
 }
@@ -104,7 +98,7 @@ func WithStore(st *Store) Option { return func(s *Session) { s.store = st } }
 
 // NewSession returns an empty run cache.
 func NewSession(opts ...Option) *Session {
-	s := &Session{cache: make(map[Job]*inflight), Verify: true}
+	s := &Session{cache: make(map[Job]*inflight)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -227,7 +221,7 @@ func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func
 	s.stats.Misses++
 	s.stats.Traced++
 	s.mu.Unlock()
-	r, err := runLive(bench, k, tr, s.Verify, onSys)
+	r, err := runLive(bench, k, tr, onSys)
 	if err != nil {
 		return Result{}, err
 	}
@@ -279,7 +273,7 @@ func (s *Session) simulate(j Job) (Result, string, error) {
 	s.stats.Misses++
 	s.mu.Unlock()
 
-	r, err := runLive(j.Bench, j.Knobs, nil, s.Verify, s.OnSystem)
+	r, err := runLive(j.Bench, j.Knobs, nil, s.OnSystem)
 	if err != nil {
 		return Result{}, "", err
 	}
@@ -346,14 +340,14 @@ func releaseMachine(sys *sim.System) {
 // after a clean run: one that returned an error (deadlock, failed
 // verification) or panicked leaves it for the garbage collector, whatever
 // state it is in.
-func runLive(bench string, k Knobs, tr *obs.Trace, verify bool, onSys func(*sim.System) func()) (Result, error) {
+func runLive(bench string, k Knobs, tr *obs.Trace, onSys func(*sim.System) func()) (Result, error) {
 	cfg := k.Config()
 	cfg.Trace = tr
 	sys, err := takeMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := runOn(sys, bench, k, verify, onSys)
+	r, err := runOn(sys, bench, k, onSys)
 	if err != nil {
 		return Result{}, err
 	}
@@ -365,7 +359,7 @@ func runLive(bench string, k Knobs, tr *obs.Trace, verify bool, onSys func(*sim.
 // built state for k's configuration, and collects the Result. Everything
 // that reads the machine happens in here, so the caller is free to recycle
 // it the moment runOn returns.
-func runOn(sys *sim.System, bench string, k Knobs, verify bool, onSys func(*sim.System) func()) (Result, error) {
+func runOn(sys *sim.System, bench string, k Knobs, onSys func(*sim.System) func()) (Result, error) {
 	spec, err := workloads.ByNameScaled(bench, max(k.Scale, 1))
 	if err != nil {
 		return Result{}, err
@@ -385,10 +379,8 @@ func runOn(sys *sim.System, bench string, k Knobs, verify bool, onSys func(*sim.
 	if err != nil {
 		return Result{}, fmt.Errorf("%s %s: %w", bench, k.key(bench), err)
 	}
-	if verify {
-		if err := inst.Verify(); err != nil {
-			return Result{}, fmt.Errorf("%s under %s: %w", bench, k.Scheme, err)
-		}
+	if err := inst.Verify(); err != nil {
+		return Result{}, fmt.Errorf("%s under %s: %w", bench, k.Scheme, err)
 	}
 	return Result{
 		Bench:          bench,

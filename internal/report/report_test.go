@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/wpu"
@@ -101,13 +102,19 @@ func TestSessionCaches(t *testing.T) {
 	}
 }
 
-// The shape assertions below encode the paper's qualitative claims; they
-// share one session so the Conv baseline is simulated once.
+// suiteSession is the one Session of the simulation-heavy exhibit tests
+// (TestExhibitShapes, TestSweepDrivers, TestStallTaxonomySums,
+// TestStallBreakdownExhibit): a point several of them ask for, the Conv
+// baseline above all, is simulated once per test binary. Each exhibit still
+// prefetches its points over the session's worker pool.
+var suiteSession = sync.OnceValue(func() *Session { return NewSession() })
+
+// The shape assertions below encode the paper's qualitative claims.
 func TestExhibitShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession()
+	s := suiteSession()
 
 	t.Run("Table1", func(t *testing.T) {
 		rows, err := s.Table1(io.Discard)
@@ -246,7 +253,7 @@ func TestSweepDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession()
+	s := suiteSession()
 
 	t.Run("Figure1b", func(t *testing.T) {
 		pts, err := s.breakdown(sweepRow("1b"), io.Discard)

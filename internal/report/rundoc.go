@@ -35,13 +35,16 @@ import (
 // path: every branch is steered by the lane loop, which already leaves a
 // non-divergent branch's stack alone, and no benchmark ever took the path.
 // Nothing else moved.
+// v7: wpu.Stats counts each event once. WidthAccum (always ThreadOps),
+// MemInsts (always MemAccesses) and LineAccesses (always the sum of
+// MemClassTransactions) are gone. Nothing else moved.
 const (
 	// SchemaVersion is the integer revision of the run-metrics layout,
 	// carried as its own field in every document so consumers can dispatch
 	// numerically without parsing the schema strings.
-	SchemaVersion  = 6
-	RunDocSchema   = "dwsim-run-v6"
-	StatsDocSchema = "dwsim-stats-v6"
+	SchemaVersion  = 7
+	RunDocSchema   = "dwsim-run-v7"
+	StatsDocSchema = "dwsim-stats-v7"
 )
 
 // RunDerived holds the headline ratios the paper quotes (§5.5), precomputed

@@ -47,7 +47,7 @@ func goldenRunDoc() RunDoc {
 			StallSlotWait:     10,
 			IdleNoLiveWarp:    20,
 			Issued:            480,
-			WidthAccum:        6000,
+			ThreadOps:         6000,
 		},
 		L1:             mem.L1Stats{Accesses: 4000, Misses: 200},
 		L2:             mem.L2Stats{Requests: 200, Hits: 150, Misses: 50},

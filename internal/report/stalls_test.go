@@ -18,7 +18,7 @@ func TestStallTaxonomySums(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession()
+	s := suiteSession()
 	res, err := s.Suite(BenchNames(), defaults(wpu.AllSchemes...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestStallBreakdownExhibit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := NewSession()
+	s := suiteSession()
 	rows, err := s.StallBreakdown(io.Discard)
 	if err != nil {
 		t.Fatal(err)

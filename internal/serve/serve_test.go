@@ -31,7 +31,7 @@ func testServer(t *testing.T, workers int, withStore bool) (*Server, *report.Ses
 		opts = append(opts, report.WithStore(st))
 	}
 	session := report.NewSession(opts...)
-	srv := New(Config{Session: session, Store: st, Workers: workers})
+	srv := New(Config{Session: session, Store: st})
 	srv.Start()
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
@@ -284,7 +284,7 @@ func TestResultPendingVsUnknown(t *testing.T) {
 // free list.
 func TestJobPanic(t *testing.T) {
 	session := report.NewSession(report.WithJobs(1))
-	srv := New(Config{Session: session, Workers: 1})
+	srv := New(Config{Session: session})
 	var (
 		mu          sync.Mutex
 		boom        bool
@@ -421,7 +421,7 @@ func listJobs(t *testing.T, ts *httptest.Server) []JobDoc {
 // backlog admits again.
 func TestSubmitBackpressure(t *testing.T) {
 	session := report.NewSession(report.WithJobs(1))
-	srv := New(Config{Session: session, Workers: 1})
+	srv := New(Config{Session: session})
 	entered, release := make(chan struct{}), make(chan struct{})
 	var hold, unhold sync.Once
 	inner := session.OnSystem
@@ -474,7 +474,7 @@ func TestSubmitBackpressure(t *testing.T) {
 // Close has returned every job it accepted has finished and none is left
 // queued. A submission after Close is 503.
 func TestCloseRacesSubmissions(t *testing.T) {
-	srv := New(Config{Session: report.NewSession(report.WithJobs(1)), Workers: 2})
+	srv := New(Config{Session: report.NewSession(report.WithJobs(2))})
 	srv.Start()
 	submit := func() int {
 		rec := httptest.NewRecorder()

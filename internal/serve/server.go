@@ -21,25 +21,19 @@ type Config struct {
 	// Store is the session's on-disk store, if any; the server only reads
 	// its Stats for /metrics.
 	Store *report.Store
-	// Workers bounds concurrent jobs (0 = Session.Jobs()).
-	Workers int
-	// StreamEvery is the default SSE publish cadence in simulated cycles
-	// for traced jobs (0 = 2048).
-	StreamEvery uint64
 }
 
 // Server is the simulation-as-a-service daemon: job submission, job
 // lifecycle, result fetch, live trace streaming, and Prometheus metrics,
 // all on one http.Handler. Construct with New, start the workers with
-// Start, and Close to drain.
+// Start, and Close to drain. It runs Session.Jobs() jobs at a time.
 type Server struct {
 	session *report.Session
 	store   *report.Store
 	reg     *registry
 	pool    *pool
 	live    *sim.Live
-	workers int
-	every   uint64
+	every   uint64 // SSE publish cadence of traced jobs in simulated cycles
 	mux     *http.ServeMux
 	// replayMu makes finding a job's replay and enqueueing a new one a
 	// single step, so a job has at most one replay filling at a time.
@@ -52,16 +46,9 @@ func New(cfg Config) *Server {
 		session: cfg.Session,
 		store:   cfg.Store,
 		reg:     newRegistry(),
-		live:    sim.NewLive(0),
-		workers: cfg.Workers,
-		every:   cfg.StreamEvery,
+		live:    sim.NewLive(),
+		every:   2048,
 		mux:     http.NewServeMux(),
-	}
-	if s.workers == 0 {
-		s.workers = cfg.Session.Jobs()
-	}
-	if s.every == 0 {
-		s.every = 2048
 	}
 	// Every run publishes into the shared live snapshot; a traced run's
 	// machine also flushes its job's publisher (runTracedJob).
@@ -82,7 +69,7 @@ func New(cfg Config) *Server {
 
 // Start launches the worker pool. Separate from New so tests can submit
 // against a cold registry.
-func (s *Server) Start() { s.pool = startPool(s.workers, s.runJob) }
+func (s *Server) Start() { s.pool = startPool(s.session.Jobs(), s.runJob) }
 
 // Close drains the job feed and waits for in-flight simulations; a
 // submission from then on is answered 503.

@@ -487,7 +487,7 @@ func doneFrameOf(t *testing.T, stream []byte) []byte {
 func heldServer(t *testing.T) (*Server, *httptest.Server, chan<- struct{}) {
 	t.Helper()
 	session := report.NewSession(report.WithJobs(1))
-	srv := New(Config{Session: session, Workers: 1})
+	srv := New(Config{Session: session})
 	release := make(chan struct{}, 1)
 	inner := session.OnSystem
 	session.OnSystem = func(sys *sim.System) func() {
@@ -819,7 +819,7 @@ func TestStreamReplayDisconnect(t *testing.T) {
 // until the replay has been admitted.
 func TestStreamReplayMidRun(t *testing.T) {
 	session := report.NewSession(report.WithJobs(1))
-	srv := New(Config{Session: session, Workers: 1})
+	srv := New(Config{Session: session})
 	srv.every = 256 // publish often enough that chunks fill mid-run
 	var (
 		watched         atomic.Pointer[streamHub]

@@ -13,7 +13,7 @@ import (
 
 // Live publishes a periodically refreshed snapshot of a running System
 // over HTTP — the engine behind `dwsim -httpobs`. The simulation
-// goroutine refreshes the snapshot every `every` cycles from a System
+// goroutine refreshes the snapshot every liveEvery cycles from a System
 // observer; HTTP handlers only ever read the last published copy under the
 // mutex, so the endpoint never blocks the machine.
 //
@@ -29,8 +29,6 @@ import (
 // whichever run refreshed last, which is the intended "what is the
 // simulator doing right now" semantics.
 type Live struct {
-	every uint64
-
 	mu     sync.Mutex
 	bench  string
 	scheme string
@@ -55,14 +53,12 @@ type LiveSnapshot struct {
 	DRAMAccesses  uint64 `json:"dram_accesses"`
 }
 
-// NewLive returns a publisher refreshing every `every` cycles (0 selects
-// a default coarse enough to be invisible in the run time).
-func NewLive(every uint64) *Live {
-	if every == 0 {
-		every = 4096
-	}
-	return &Live{every: every}
-}
+// liveEvery is the refresh period in cycles, coarse enough to be invisible
+// in the run time.
+const liveEvery = 4096
+
+// NewLive returns a publisher refreshing every liveEvery cycles.
+func NewLive() *Live { return &Live{} }
 
 // SetMeta labels subsequent snapshots with the benchmark and scheme about
 // to run.
@@ -72,13 +68,13 @@ func (lv *Live) SetMeta(bench, scheme string) {
 	lv.mu.Unlock()
 }
 
-// Attach has sys refresh the snapshot every lv.every cycles and returns the
+// Attach has sys refresh the snapshot every liveEvery cycles and returns the
 // function that publishes the run's final state. Call that from the
 // goroutine that drove the simulation, while the machine is still the run's
 // own — it has the shape of report.Session.OnSystem, which calls it before
 // recycling the machine.
 func (lv *Live) Attach(sys *System) (finish func()) {
-	sys.Observe(lv.every, func(cycle uint64) { lv.capture(sys, cycle, false) })
+	sys.Observe(liveEvery, func(cycle uint64) { lv.capture(sys, cycle, false) })
 	return func() { lv.capture(sys, sys.Cycles(), true) }
 }
 

@@ -9,8 +9,9 @@ import (
 	"repro/internal/program"
 )
 
-// runLiveKernel executes a small kernel with a Live publisher attached
-// (capturing every cycle so even short runs publish) and finalised.
+// runLiveKernel executes a small kernel with a Live publisher attached and
+// finalised. The kernel ends before the first periodic refresh, so the
+// snapshot is the one Attach's finish publishes.
 func runLiveKernel(t *testing.T) *Live {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -19,7 +20,7 @@ func runLiveKernel(t *testing.T) *Live {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := NewLive(1)
+	lv := NewLive()
 	lv.SetMeta("nop", "Conv")
 	finish := lv.Attach(sys)
 	b := program.NewBuilder("nop")

@@ -472,7 +472,7 @@ func (s *System) sampleTimeline(cycle uint64) {
 			StallMem:    st.MemStallCycles() - prev.MemStallCycles(),
 			StallOther:  st.StallOtherCycles() - prev.StallOtherCycles(),
 			Issued:      st.Issued - prev.Issued,
-			WidthAccum:  st.WidthAccum - prev.WidthAccum,
+			WidthAccum:  st.ThreadOps - prev.ThreadOps,
 			WSTOcc:      w.LiveSplits(),
 			Resident:    w.ResidentSplits(),
 			SlotWaiters: w.SlotWaiters(),

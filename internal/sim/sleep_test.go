@@ -255,7 +255,7 @@ func TestSleepEngages(t *testing.T) {
 	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeConv, nil); slept < 0.40 || skipped == 0 {
 		t.Errorf("FFT under Conv: %.1f%% of WPU-cycles slept (want >= 40%%), %.1f%% of machine cycles skipped (want > 0)", 100*slept, 100*skipped)
 	}
-	if _, skipped := sleptShare(t, "FFT", wpu.SchemeConv, sim.NewLive(0).Attach); skipped == 0 {
+	if _, skipped := sleptShare(t, "FFT", wpu.SchemeConv, sim.NewLive().Attach); skipped == 0 {
 		t.Error("FFT under Conv with sim.Live attached: the clock never jumped")
 	}
 	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeSlip, nil); slept != 0 || skipped != 0 {

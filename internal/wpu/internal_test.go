@@ -509,7 +509,7 @@ func TestHitCompletionsShareAnEvent(t *testing.T) {
 		})
 		s := w.warps[0].splits[0]
 		cycle := q.Now()
-		for ; w.Stats.MemInsts == 0; cycle++ {
+		for ; w.Stats.MemAccesses == 0; cycle++ {
 			q.RunUntil(cycle)
 			w.Tick()
 		}

@@ -205,7 +205,7 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 }
 
 func TestStatsDerived(t *testing.T) {
-	s := Stats{Issued: 4, WidthAccum: 40, TickCycles: 100, BusyCycles: 25,
+	s := Stats{Issued: 4, ThreadOps: 40, TickCycles: 100, BusyCycles: 25,
 		StallMemCoherent: 50, StallMemDivergent: 25}
 	if s.MeanSIMDWidth() != 10 {
 		t.Fatalf("MeanSIMDWidth = %g", s.MeanSIMDWidth())

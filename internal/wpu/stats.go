@@ -29,17 +29,14 @@ type Stats struct {
 	Issued       uint64 // SIMD instructions issued
 	ThreadOps    uint64 // per-thread operations (sum of active-mask widths)
 	FloatOps     uint64
-	MemInsts     uint64 // SIMD memory instructions issued
 	IFetchMisses uint64 // cold instruction-cache fetches (stall the front end)
 	Branches     uint64 // conditional branches executed
 	DivBranch    uint64 // ... that diverged
-	WidthAccum   uint64 // sum of active widths, for mean SIMD width
 
 	// Memory divergence (per SIMD memory instruction).
 	MemAccesses  uint64 // SIMD memory instructions touching the D-cache
 	MemWithMiss  uint64 // ... where at least one thread missed
 	MemDivergent uint64 // ... where some threads hit and some missed
-	LineAccesses uint64 // coalesced line requests issued to the D-cache
 
 	// Static access-class concordance: dynamic SIMD accesses and their
 	// coalesced line transactions bucketed by the decoded 2-bit static
@@ -136,7 +133,7 @@ func (s *Stats) MeanSIMDWidth() float64 {
 	if s.Issued == 0 {
 		return 0
 	}
-	return float64(s.WidthAccum) / float64(s.Issued)
+	return float64(s.ThreadOps) / float64(s.Issued)
 }
 
 // MemStallFraction returns the fraction of cycles stalled on memory (the
@@ -164,15 +161,12 @@ func (s *Stats) Add(o *Stats) {
 	s.Issued += o.Issued
 	s.ThreadOps += o.ThreadOps
 	s.FloatOps += o.FloatOps
-	s.MemInsts += o.MemInsts
 	s.IFetchMisses += o.IFetchMisses
 	s.Branches += o.Branches
 	s.DivBranch += o.DivBranch
-	s.WidthAccum += o.WidthAccum
 	s.MemAccesses += o.MemAccesses
 	s.MemWithMiss += o.MemWithMiss
 	s.MemDivergent += o.MemDivergent
-	s.LineAccesses += o.LineAccesses
 	for i := range s.MemClassAccesses {
 		s.MemClassAccesses[i] += o.MemClassAccesses[i]
 		s.MemClassTransactions[i] += o.MemClassTransactions[i]

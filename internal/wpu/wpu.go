@@ -730,7 +730,6 @@ func (w *WPU) issueOne(s *Split) bool {
 	s.prog++
 	w.syncProg(s) // s came from pickNext: always resident
 	width := uint64(s.mask.Count())
-	w.Stats.WidthAccum += width
 	w.Stats.ThreadOps += width
 	if d.Flags&isa.DFFloat != 0 {
 		w.Stats.FloatOps += width
@@ -1038,9 +1037,7 @@ func (w *WPU) execMem(s *Split, d *isa.Decoded) {
 	}
 	w.memGroups = groups
 
-	w.Stats.MemInsts++
 	w.Stats.MemAccesses++
-	w.Stats.LineAccesses += uint64(len(groups))
 	cls := d.MemClass()
 	w.Stats.MemClassAccesses[cls]++
 	w.Stats.MemClassTransactions[cls] += uint64(len(groups))

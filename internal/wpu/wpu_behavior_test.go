@@ -84,7 +84,7 @@ func TestVecAddConventional(t *testing.T) {
 		t.Fatal("zero cycles")
 	}
 	st := sys.TotalStats()
-	if st.Issued == 0 || st.MemInsts == 0 {
+	if st.Issued == 0 || st.MemAccesses == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
 	if st.DivBranch != 0 {
