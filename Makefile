@@ -52,7 +52,7 @@ test:
 # (golden/determinism tests), and the daemon's end-to-end paths
 # (concurrent submissions, SSE subscribers racing the publisher).
 # TestJumpEqualsCrawl and TestRecycledMachineEqualsFresh are skipped: each
-# drives one machine on the test goroutine (no Session, no Prefetch, no
+# drives its machines on the test goroutine (no Session, no Prefetch, no
 # goroutine), so the detector has nothing to report in them, yet together
 # they were over half of internal/report's time under it. The allocation
 # pins (Test*Allocs, Test*AllocFree) are skipped too: they run on the test

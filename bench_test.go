@@ -121,20 +121,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 // its own: a GC cycle that empties a pool makes a run allocate again, so a
 // single reading can be high, while a regression raises the floor. After a
 // warm-up in the same process the counts are far below those of a run in a
-// fresh one (11 179, 607 and 297).
+// fresh one (8 579, 3 329 and 3 459).
 func TestEndToEndAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		pin  float64
 		op   func()
 	}{
-		{"Table1", 1238, func() {
+		{"Table1", 976, func() {
 			if _, err := report.NewSession().Table1(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"KMeans untraced", 173, func() { kmeansRun(t, false) }},
-		{"KMeans traced", 281, func() { kmeansRun(t, true) }},
+		{"KMeans untraced", 141, func() { kmeansRun(t, false) }},
+		{"KMeans traced", 251, func() { kmeansRun(t, true) }},
 	} {
 		allocs := math.Inf(1)
 		for range 5 {

@@ -22,10 +22,18 @@ type outcome struct {
 }
 
 // simulate runs one point on sys, which the caller has just built or Reset
-// for cfgFor(k, tr).
-func simulate(t *testing.T, sys *sim.System, bench string, k Knobs, tr *obs.Trace) outcome {
+// for cfgFor(k, tr). With crawl set, an observer of period 1 that does
+// nothing makes the run loop visit every cycle and bring every WPU's
+// counters up to date in each, instead of jumping over the cycles in which
+// all of them sleep.
+func simulate(t *testing.T, sys *sim.System, bench string, k Knobs, tr *obs.Trace, crawl bool) outcome {
 	t.Helper()
-	r, err := runOn(sys, bench, k, nil)
+	r, err := runOn(sys, bench, k, func(sys *sim.System) func() {
+		if crawl {
+			sys.Observe(1, func(uint64) {})
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("%s under %s: %v", bench, k.Scheme, err)
 	}
@@ -66,11 +74,23 @@ func abandonMidRun(t *testing.T, sys *sim.System, bench string, k Knobs, atCycle
 	})
 }
 
-// TestRecycledMachineEqualsFresh pushes one machine through every benchmark
-// under every scheme in a shuffled order — interleaved with geometry changes
-// (L1 size, warps per WPU, WST entries), a traced run and a run abandoned
-// mid-flight — resetting it between runs, and demands that each run is
-// indistinguishable from the same run on a machine built for it alone.
+// TestRecycledMachineEqualsFresh is the suite oracle: it runs each point
+// twice and demands the same outcome. The
+// reference is a fresh machine built for the point alone, on which stalled
+// WPUs sleep and the clock jumps over the cycles in which all of them do.
+// The other is one machine recycled through every point in turn — every
+// benchmark under every scheme in a shuffled order, interleaved with
+// geometry changes (L1 size, warps per WPU, WST entries, WPU count and
+// distribution), two traced runs and a run abandoned mid-flight — with an
+// observer of period 1 that makes it crawl through every cycle. Both must
+// leave the same Result (cycles, every Stats field, cache and DRAM counters,
+// energy), the same memory image and, when traced, the same events, samples
+// and latency histograms; so neither Reset nor the idle-cycle jump may
+// change anything a reader can see (TestJumpEqualsCrawl tells the two
+// apart when this test fails). Every run passes its benchmark's host
+// reference check (runOn verifies), issues instructions and touches memory,
+// and since a scheme changes timing only, every scheme must leave the
+// memory image Conv leaves for the same benchmark.
 func TestRecycledMachineEqualsFresh(t *testing.T) {
 	type point struct {
 		bench   string
@@ -107,6 +127,8 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 	half := len(pts) / 2
 	pts = append(pts[:half:half], append(mid, pts[half:]...)...)
 
+	// memHashes[bench][scheme] is the memory image of every finished run.
+	memHashes := make(map[string]map[wpu.Scheme]uint64)
 	var recycled *sim.System
 	for i, p := range pts {
 		name := fmt.Sprintf("run %d: %s under %s %+v", i, p.bench, p.k.Scheme, p.k)
@@ -131,13 +153,16 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := simulate(t, recycled, p.bench, p.k, trR)
-		want := simulate(t, fresh, p.bench, p.k, trF)
+		want := simulate(t, fresh, p.bench, p.k, trF, false)
+		got := simulate(t, recycled, p.bench, p.k, trR, true)
 		if !reflect.DeepEqual(got.r, want.r) {
-			t.Fatalf("%s: Result on the recycled machine differs from a fresh one:\n got %+v\nwant %+v", name, got.r, want.r)
+			t.Fatalf("%s: Result on the recycled machine crawling differs from a fresh one jumping:\n got %+v\nwant %+v", name, got.r, want.r)
 		}
 		if got.memHash != want.memHash {
-			t.Fatalf("%s: memory hash %#x on the recycled machine, %#x on a fresh one", name, got.memHash, want.memHash)
+			t.Fatalf("%s: memory hash %#x on the recycled machine crawling, %#x on a fresh one jumping", name, got.memHash, want.memHash)
+		}
+		if want.r.Stats.Issued == 0 || want.r.Stats.MemAccesses == 0 {
+			t.Fatalf("%s: %d instructions issued, %d memory accesses; every benchmark does both", name, want.r.Stats.Issued, want.r.Stats.MemAccesses)
 		}
 		if p.traced {
 			if len(want.events) == 0 || len(want.samples) == 0 {
@@ -151,52 +176,51 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 				t.Fatalf("%s: latency histograms differ", name)
 			}
 		}
+		if memHashes[p.bench] == nil {
+			memHashes[p.bench] = make(map[wpu.Scheme]uint64)
+		}
+		memHashes[p.bench][p.k.Scheme] = want.memHash
+	}
+	for _, b := range BenchNames() {
+		conv, ok := memHashes[b][wpu.SchemeConv]
+		if !ok {
+			continue // -short ran no Conv point of b
+		}
+		for _, sc := range wpu.AllSchemes {
+			if h, ok := memHashes[b][sc]; ok && h != conv {
+				t.Errorf("%s: memory image under %s (%#x) differs from Conv's (%#x); a scheme may change only timing", b, sc, h, conv)
+			}
+		}
 	}
 }
 
-// TestJumpEqualsCrawl runs every benchmark under every scheme twice: once
-// plainly, when stalled WPUs sleep and the clock jumps over the cycles in
-// which all of them do, and once with an observer of period 1 that does
-// nothing, which makes the run loop visit every cycle and bring every WPU's
-// counters up to date in each. The two must leave the same Result — cycles, every Stats field, cache
-// and DRAM counters, energy — and the same memory image. The observer is a
-// hook the machine already has; there is no switch that turns the sleep
-// off, so WPUs sleep in both runs and only the jump and the bulk credit
-// differ.
+// TestJumpEqualsCrawl isolates the idle-cycle jump from Reset: each point
+// runs on two machines built for it alone, one plainly, when stalled WPUs
+// sleep and the clock jumps over the cycles in which all of them do, and one
+// with an observer of period 1 that does nothing, which makes the run loop
+// visit every cycle and bring every WPU's counters up to date in each. The
+// two must leave the same Result and the same memory image. The suite
+// oracle makes the same comparison on every point, but against a recycled
+// machine, so a failure there alone points at Reset and a failure here at
+// the jump. One point per scheme, the benchmarks taken in turn, covers every
+// scheme and every benchmark.
 func TestJumpEqualsCrawl(t *testing.T) {
-	schemes := wpu.AllSchemes
-	if testing.Short() {
-		schemes = []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeSlip}
-	}
-	sys, err := sim.New(cfgFor(DefaultKnobs(wpu.SchemeConv), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bench := range BenchNames() {
-		for _, sc := range schemes {
-			k := DefaultKnobs(sc)
-			run := func(crawl bool) outcome {
-				if err := sys.Reset(cfgFor(k, nil)); err != nil {
-					t.Fatal(err)
-				}
-				r, err := runOn(sys, bench, k, func(sys *sim.System) func() {
-					if crawl {
-						sys.Observe(1, func(uint64) {})
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%s under %s: %v", bench, sc, err)
-				}
-				return outcome{r: r, memHash: sys.Memory().Hash()}
+	benches := BenchNames()
+	for i, sc := range wpu.AllSchemes {
+		bench, k := benches[i%len(benches)], DefaultKnobs(sc)
+		run := func(crawl bool) outcome {
+			sys, err := sim.New(cfgFor(k, nil))
+			if err != nil {
+				t.Fatal(err)
 			}
-			jump, crawl := run(false), run(true)
-			if !reflect.DeepEqual(jump.r, crawl.r) {
-				t.Fatalf("%s under %s: Result differs between the jumping and the cycle-by-cycle run:\n jump %+v\ncrawl %+v", bench, sc, jump.r, crawl.r)
-			}
-			if jump.memHash != crawl.memHash {
-				t.Fatalf("%s under %s: memory hash %#x jumping, %#x cycle by cycle", bench, sc, jump.memHash, crawl.memHash)
-			}
+			return simulate(t, sys, bench, k, nil, crawl)
+		}
+		jump, crawl := run(false), run(true)
+		if !reflect.DeepEqual(jump.r, crawl.r) {
+			t.Fatalf("%s under %s: Result differs between the jumping and the cycle-by-cycle run:\n jump %+v\ncrawl %+v", bench, sc, jump.r, crawl.r)
+		}
+		if jump.memHash != crawl.memHash {
+			t.Fatalf("%s under %s: memory hash %#x jumping, %#x cycle by cycle", bench, sc, jump.memHash, crawl.memHash)
 		}
 	}
 }
@@ -328,7 +352,7 @@ func TestResetRestoresEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulate(t, dirty, "KMeans", k, nil)
+	simulate(t, dirty, "KMeans", k, nil, false)
 	k = DefaultKnobs(wpu.SchemeAggressBL)
 	if err := dirty.Reset(cfgFor(k, obs.New(100))); err != nil {
 		t.Fatal(err)
@@ -349,7 +373,7 @@ func TestResetRestoresEveryField(t *testing.T) {
 			t.Fatalf("after Reset to %+v the machine differs from a new one at %s", k, d)
 		}
 		// Dirty it again, under this geometry, for the next round.
-		simulate(t, dirty, "Filter", k, nil)
+		simulate(t, dirty, "Filter", k, nil, false)
 	}
 }
 

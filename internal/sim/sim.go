@@ -486,6 +486,11 @@ func (s *System) sampleTimeline(cycle uint64) {
 // TotalStats sums the per-WPU statistics.
 func (s *System) TotalStats() wpu.Stats {
 	var t wpu.Stats
+	rows := 0
+	for _, w := range s.WPUs {
+		rows += len(w.Stats.ThreadMisses)
+	}
+	t.ThreadMisses = make([][]uint64, 0, rows)
 	for _, w := range s.WPUs {
 		t.Add(&w.Stats)
 	}

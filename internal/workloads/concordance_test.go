@@ -9,12 +9,14 @@ package workloads
 // gap reported in EXPERIMENTS.md.
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -31,18 +33,58 @@ type branchKey struct {
 	pc     int
 }
 
-// replaySuite runs every benchmark under one scheme with tracing enabled
-// and returns the set of branch sites that dynamically diverged, plus the
-// kernel programs seen. Every 1 000 cycles it checks the memory
-// hierarchy's MESI invariants (mem.Hierarchy.CheckCoherence). No suite
-// kernel issues BARRIER, so it checks that no benchmark spent a cycle at
-// one; under Conv, the one scheme that cannot split, it also checks that
-// none spent a cycle or an event on a full warp-split table or a
-// scheduler-slot wait.
-func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[string]*program.Program) {
-	t.Helper()
-	diverged := make(map[branchKey]bool)
-	progs := make(map[string]*program.Program)
+// replay is what one traced pass of the suite under one scheme leaves for
+// the trace-backed concordance tests.
+type replay struct {
+	scheme   wpu.Scheme
+	diverged map[branchKey]bool          // branch sites that diverged at run time
+	progs    map[string]*program.Program // every kernel the suite ran
+	stats    map[string]wpu.Stats        // per benchmark
+	exceeded []string                    // accesses above their static transaction bound
+}
+
+// concordanceSchemes are the schemes the suite is replayed under. Conv
+// exercises lockstep warps and full-width accesses, the worst case for the
+// transaction bounds; ReviveSplit exercises DWS warp-splits, BranchBypass
+// run-ahead, revival and PC re-convergence, and narrow split masks — the
+// mechanisms that could expose an unsound uniformity claim or a bound that
+// fails to dominate a subset of the lanes it was computed over.
+var concordanceSchemes = []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive}
+
+// suiteReplays is the package's one replay of the suite under each of
+// concordanceSchemes, made by the first test that asks and read by both
+// concordance tests, as report's suiteSession is shared by its exhibit
+// tests.
+var suiteReplays = sync.OnceValues(func() ([]*replay, error) {
+	var out []*replay
+	for _, scheme := range concordanceSchemes {
+		r, err := replaySuite(scheme)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+})
+
+// replaySuite runs every benchmark under one scheme with tracing enabled and
+// records the branch sites that dynamically diverged, the kernel programs
+// seen, each benchmark's statistics and every access the WPU flagged
+// (obs.EvMemBoundExceeded) as above its static transaction bound. Every
+// 1 000 cycles it checks the memory hierarchy's MESI invariants
+// (mem.Hierarchy.CheckCoherence), and every benchmark must pass its host
+// reference check. No suite kernel issues BARRIER, so no benchmark may spend
+// a cycle at one; under Conv, the one scheme that cannot split, none may
+// spend a cycle or an event on a full warp-split table or a scheduler-slot
+// wait. A failed check is returned as the error.
+func replaySuite(scheme wpu.Scheme) (*replay, error) {
+	r := &replay{
+		scheme:   scheme,
+		diverged: make(map[branchKey]bool),
+		progs:    make(map[string]*program.Program),
+		stats:    make(map[string]wpu.Stats),
+	}
+	var errs []error
 	for _, spec := range All() {
 		trace := obs.New(0)
 		cfg := sim.DefaultConfig()
@@ -50,61 +92,70 @@ func replaySuite(t *testing.T, scheme wpu.Scheme) (map[branchKey]bool, map[strin
 		cfg.Trace = trace
 		sys, err := sim.New(cfg)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
+		var incoherent error
 		sys.Observe(1000, func(cycle uint64) {
-			if msg := sys.Hier.CheckCoherence(); msg != "" {
-				t.Fatalf("%s under %s: cycle %d: %s", spec.Name, scheme, cycle, msg)
+			if msg := sys.Hier.CheckCoherence(); msg != "" && incoherent == nil {
+				incoherent = fmt.Errorf("%s under %s: cycle %d: %s", spec.Name, scheme, cycle, msg)
 			}
 		})
 		inst, err := spec.Build(sys)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		for i, st := range inst.Steps() {
-			progs[st.Prog.Name] = st.Prog
+			r.progs[st.Prog.Name] = st.Prog
 			evStart := len(trace.Events)
 			if _, err := sys.RunKernel(st.Prog, st.Threads); err != nil {
-				t.Fatalf("%s step %d: %v", spec.Name, i, err)
+				return nil, fmt.Errorf("%s step %d: %w", spec.Name, i, err)
 			}
 			for _, ev := range trace.Events[evStart:] {
-				if ev.Kind == obs.EvBranchDiverge {
-					diverged[branchKey{st.Prog.Name, ev.PC}] = true
+				switch ev.Kind {
+				case obs.EvBranchDiverge:
+					r.diverged[branchKey{st.Prog.Name, ev.PC}] = true
+				case obs.EvMemBoundExceeded:
+					r.exceeded = append(r.exceeded, fmt.Sprintf("%s under %s: access @pc %d observed %d line transactions, above its static bound",
+						spec.Name, scheme, ev.PC, ev.Mask2))
 				}
 			}
 		}
+		if incoherent != nil {
+			return nil, incoherent
+		}
 		if err := inst.Verify(); err != nil {
-			t.Fatal(err)
+			return nil, fmt.Errorf("%s under %s: %w", spec.Name, scheme, err)
 		}
 		st := sys.TotalStats()
+		r.stats[spec.Name] = st
 		if st.StallBarrier != 0 {
-			t.Errorf("%s under %s: %d barrier cycles; no suite kernel issues BARRIER", spec.Name, scheme, st.StallBarrier)
+			errs = append(errs, fmt.Errorf("%s under %s: %d barrier cycles; no suite kernel issues BARRIER", spec.Name, scheme, st.StallBarrier))
 		}
 		if scheme == wpu.SchemeConv {
 			if st.StallWSTFull != 0 || st.StallSlotWait != 0 || st.WSTFullRefusals != 0 || st.SlotWaits != 0 {
-				t.Errorf("%s under Conv: wst_full %d, slot_wait %d cycles, %d WST refusals, %d slot waits; a scheme that cannot split has none",
-					spec.Name, st.StallWSTFull, st.StallSlotWait, st.WSTFullRefusals, st.SlotWaits)
+				errs = append(errs, fmt.Errorf("%s under Conv: wst_full %d, slot_wait %d cycles, %d WST refusals, %d slot waits; a scheme that cannot split has none",
+					spec.Name, st.StallWSTFull, st.StallSlotWait, st.WSTFullRefusals, st.SlotWaits))
 			}
 		}
 	}
-	return diverged, progs
+	return r, errors.Join(errs...)
 }
 
 func TestDivergenceConcordance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	// Conv exercises lockstep warps; ReviveSplit exercises DWS warp-splits,
-	// BranchBypass run-ahead and PC re-convergence — the mechanisms that
-	// could expose an unsound uniformity claim if one existed.
+	replays, err := suiteReplays()
+	if err != nil {
+		t.Fatal(err)
+	}
 	diverged := make(map[branchKey]bool)
 	var progs map[string]*program.Program
-	for _, scheme := range []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive} {
-		d, p := replaySuite(t, scheme)
-		for k := range d {
+	for _, r := range replays {
+		for k := range r.diverged {
 			diverged[k] = true
 		}
-		progs = p
+		progs = r.progs
 	}
 	if len(progs) != 13 {
 		t.Fatalf("suite has %d distinct kernels, want 13", len(progs))

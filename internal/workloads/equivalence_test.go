@@ -4,56 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/wpu"
 )
 
-// TestPolicyEquivalence is the full functional-equivalence sweep: every
-// benchmark, run under every named scheduling policy, must leave a
-// byte-identical memory image. Subdivision, slip, and re-convergence
-// policies reorder and overlap work in time, but the architectural results
-// may never depend on the policy — the paper's speedups are timing-only.
-// Each run also passes the host-reference Verify, so a policy that broke a
-// kernel AND happened to break it identically everywhere would still be
-// caught.
-//
-// In -short mode the sweep keeps every policy but trims the benchmark list
-// to the three with the most divergent control flow.
-func TestPolicyEquivalence(t *testing.T) {
-	specs := All()
-	if testing.Short() {
-		short := specs[:0]
-		for _, spec := range specs {
-			switch spec.Name {
-			case "Merge", "KMeans", "Short":
-				short = append(short, spec)
-			}
-		}
-		specs = short
-	}
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			var baseline uint64
-			var baseScheme wpu.Scheme
-			for i, scheme := range wpu.AllSchemes {
-				sys := runBench(t, spec, scheme)
-				h := sys.Memory().Hash()
-				if i == 0 {
-					baseline, baseScheme = h, scheme
-					continue
-				}
-				if h != baseline {
-					t.Errorf("memory image under %s (%#x) differs from %s (%#x)",
-						scheme, h, baseScheme, baseline)
-				}
-			}
-		})
-	}
-}
-
-// TestMemoryHashDetectsDifferences guards the equivalence sweep's oracle:
-// the digest must react to a single changed word and must not depend on
-// whether untouched pages were instantiated.
+// TestMemoryHashDetectsDifferences guards the digest that report's
+// TestRecycledMachineEqualsFresh compares across machines and schemes: it must react to a
+// single changed word and must not depend on whether untouched pages were
+// instantiated.
 func TestMemoryHashDetectsDifferences(t *testing.T) {
 	sysA, err := sim.New(sim.DefaultConfig())
 	if err != nil {

@@ -114,22 +114,6 @@ func TestBranchyBenchmarksAllSchemes(t *testing.T) {
 	}
 }
 
-// Cycle counts must be identical across repeated runs for every scheme on
-// one benchmark (global determinism).
-func TestCycleDeterminismAcrossSchemes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	spec := mustSpec(t, "HotSpot")
-	for _, s := range []wpu.Scheme{wpu.SchemeRevive, wpu.SchemeSlipBranchBypass} {
-		a := runBench(t, spec, s).Cycles()
-		b := runBench(t, spec, s).Cycles()
-		if a != b {
-			t.Fatalf("%s: %d vs %d cycles across runs", s, a, b)
-		}
-	}
-}
-
 // The workloads must exercise the machine hard enough to be meaningful:
 // working sets beyond the L1 (so misses recur) and nontrivial instruction
 // volume.

@@ -15,9 +15,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/program"
-	"repro/internal/sim"
 	"repro/internal/wpu"
 )
 
@@ -25,50 +23,25 @@ func TestMemAccessConcordance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	// Conv exercises lockstep warps (full-width accesses, the worst case
-	// for the transaction bounds); ReviveSplit exercises narrow warp-split
-	// masks, run-ahead and revival — subsets of the lanes the static bound
-	// was computed over, which the bound must dominate too.
-	for _, scheme := range []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive} {
+	replays, err := suiteReplays()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range replays {
+		for _, msg := range r.exceeded {
+			t.Error(msg)
+		}
 		var total wpu.Stats
-		kernels := make(map[string]bool)
 		for _, spec := range All() {
-			trace := obs.New(0)
-			cfg := sim.DefaultConfig()
-			cfg.WPU = scheme.Apply(cfg.WPU)
-			cfg.Trace = trace
-			sys, err := sim.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := spec.Build(sys)
-			if err != nil {
-				t.Fatalf("%s: %v", spec.Name, err)
-			}
-			for i, st := range inst.Steps() {
-				kernels[st.Prog.Name] = true
-				if _, err := sys.RunKernel(st.Prog, st.Threads); err != nil {
-					t.Fatalf("%s step %d: %v", spec.Name, i, err)
-				}
-			}
-			if err := inst.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range trace.Events {
-				if ev.Kind == obs.EvMemBoundExceeded {
-					t.Errorf("%s: access @pc %d observed %d line transactions, above its static bound",
-						spec.Name, ev.PC, ev.Mask2)
-				}
-			}
-			st := sys.TotalStats()
+			st := r.stats[spec.Name]
 			if st.MemBoundExceeded != 0 {
 				t.Errorf("%s under %s: %d accesses exceeded their static transaction bound",
-					spec.Name, scheme, st.MemBoundExceeded)
+					spec.Name, r.scheme, st.MemBoundExceeded)
 			}
 			total.Add(&st)
 		}
-		if len(kernels) != 13 {
-			t.Fatalf("suite has %d distinct kernels, want 13", len(kernels))
+		if len(r.progs) != 13 {
+			t.Fatalf("suite has %d distinct kernels, want 13", len(r.progs))
 		}
 
 		// The precision table: per static class, how many line transactions
@@ -90,7 +63,7 @@ func TestMemAccessConcordance(t *testing.T) {
 				t.Errorf("uniform accesses issued %d transactions over %d accesses, want exactly 1 each", tx, n)
 			}
 			t.Logf("%s %-10s %9d accesses, %10d transactions, %.2f tx/access",
-				scheme, program.AccessClass(c), n, tx, float64(tx)/float64(n))
+				r.scheme, program.AccessClass(c), n, tx, float64(tx)/float64(n))
 		}
 	}
 }

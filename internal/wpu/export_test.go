@@ -21,3 +21,6 @@ func (w *WPU) QueuedSplits() int {
 	}
 	return n
 }
+
+// SlotWaitCap returns the capacity of the slot-wait queue's backing array.
+func (w *WPU) SlotWaitCap() int { return cap(w.slotWait) }

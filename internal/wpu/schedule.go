@@ -101,6 +101,8 @@ func (w *WPU) removeSplit(s *Split) {
 	// admitWaiter skips, so that nothing names the object it releases.
 	if s.queued {
 		w.slotWait[s.slotIdx] = nil
+		w.slotWaitHoles++
+		w.shrinkSlotWait()
 	}
 	w.splits.release(s, w.epoch)
 }
@@ -109,13 +111,12 @@ func (w *WPU) admitWaiter(slot int) {
 	for w.slotWaitHead < len(w.slotWait) {
 		c := w.slotWait[w.slotWaitHead]
 		w.slotWait[w.slotWaitHead] = nil
-		if w.slotWaitHead++; w.slotWaitHead == len(w.slotWait) {
-			w.slotWait = w.slotWait[:0]
-			w.slotWaitHead = 0
-		}
+		w.slotWaitHead++
 		if c == nil {
+			w.slotWaitHoles--
 			continue
 		}
+		w.shrinkSlotWait()
 		c.queued = false
 		if c.state == Ready {
 			w.slotWaitReady--
@@ -132,6 +133,27 @@ func (w *WPU) admitWaiter(slot int) {
 		}
 		return
 	}
+}
+
+// shrinkSlotWait moves the live splits of the slot-wait queue to the front
+// of slotWait, in order and without the holes, once the admitted prefix and
+// the holes fill half the slice. So the slice never holds more than twice
+// the splits waiting, where it used to hold every split queued since the
+// queue last drained. Each moved split's slotIdx follows it.
+func (w *WPU) shrinkSlotWait() {
+	if 2*(w.slotWaitHead+w.slotWaitHoles) < len(w.slotWait) {
+		return
+	}
+	n := 0
+	for _, s := range w.slotWait[w.slotWaitHead:] {
+		if s != nil {
+			w.slotWait[n] = s
+			s.slotIdx = n
+			n++
+		}
+	}
+	clear(w.slotWait[n:])
+	w.slotWait, w.slotWaitHead, w.slotWaitHoles = w.slotWait[:n], 0, 0
 }
 
 // syncProg mirrors a resident split's progress counter into the dense

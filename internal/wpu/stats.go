@@ -1,5 +1,7 @@
 package wpu
 
+import "slices"
+
 // Stats aggregates everything one WPU observes during a kernel; the
 // experiment harness derives the paper's tables and figures from these
 // counters plus the cache statistics.
@@ -183,8 +185,17 @@ func (s *Stats) Add(o *Stats) {
 	if o.PeakSplits > s.PeakSplits {
 		s.PeakSplits = o.PeakSplits
 	}
+	// o's rows are copied into one backing array: an allocation per Add,
+	// not one per warp.
+	cells := 0
 	for _, row := range o.ThreadMisses {
-		s.ThreadMisses = append(s.ThreadMisses, append([]uint64(nil), row...))
+		cells += len(row)
+	}
+	flat := make([]uint64, 0, cells)
+	s.ThreadMisses = slices.Grow(s.ThreadMisses, len(o.ThreadMisses))
+	for _, row := range o.ThreadMisses {
+		flat = append(flat, row...)
+		s.ThreadMisses = append(s.ThreadMisses, flat[len(flat)-len(row):len(flat):len(flat)])
 	}
 	s.SlipEvents += o.SlipEvents
 	s.SlipMerges += o.SlipMerges

@@ -39,12 +39,13 @@ type WPU struct {
 	// surplus splits queue in slotWait until a slot frees.
 	slots []*Split
 	// slotWait[slotWaitHead:] is the FIFO of splits waiting for a slot; the
-	// head advances on admission and the backing array is reused once the
-	// queue drains. A split that dies queued leaves a nil entry there, which
-	// admission and SlotWaiters skip. So a queue that never drains grows
-	// with the splits queued through it, not with the splits waiting.
-	slotWait     []*Split
-	slotWaitHead int
+	// head advances on admission. A split that dies queued leaves a nil
+	// entry there (one of slotWaitHoles), which admission and SlotWaiters
+	// skip. Once the admitted prefix and the holes are half the slice,
+	// shrinkSlotWait moves the waiting splits to the front.
+	slotWait      []*Split
+	slotWaitHead  int
+	slotWaitHoles int
 	// slotWaitReady counts Ready splits in slotWait, maintained on every
 	// queue edge and state transition so stall attribution never scans the
 	// queue (it can hold dozens of splits in small-slot-count sweeps).
@@ -415,13 +416,7 @@ func (w *WPU) ResidentSplits() int {
 // SlotWaiters returns how many live splits are queued for a scheduler slot:
 // the queue's entries less the holes dead splits left in it.
 func (w *WPU) SlotWaiters() int {
-	n := 0
-	for _, s := range w.slotWait[w.slotWaitHead:] {
-		if s != nil {
-			n++
-		}
-	}
-	return n
+	return len(w.slotWait) - w.slotWaitHead - w.slotWaitHoles
 }
 
 // MemParams is the geometry the static per-access transaction bounds of a
@@ -503,6 +498,7 @@ func (w *WPU) Launch(prog *program.Program, regs []isa.RegFile) error {
 	clear(w.slotWait)
 	w.slotWait = w.slotWait[:0]
 	w.slotWaitHead = 0
+	w.slotWaitHoles = 0
 	w.slotWaitReady = 0
 	for i := range w.slots {
 		w.slots[i] = nil
