@@ -128,13 +128,13 @@ func TestEndToEndAllocs(t *testing.T) {
 		pin  float64
 		op   func()
 	}{
-		{"Table1", 976, func() {
+		{"Table1", 936, func() {
 			if _, err := report.NewSession().Table1(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"KMeans untraced", 141, func() { kmeansRun(t, false) }},
-		{"KMeans traced", 251, func() { kmeansRun(t, true) }},
+		{"KMeans untraced", 136, func() { kmeansRun(t, false) }},
+		{"KMeans traced", 244, func() { kmeansRun(t, true) }},
 	} {
 		allocs := math.Inf(1)
 		for range 5 {

@@ -31,14 +31,13 @@ const (
 	DRAMNJ        = 220.0 // per memory access (Hur & Lin [13], as in §3.3)
 
 	// Per-cycle power, in nanojoules per cycle (= watts at 1 GHz).
-	ClockPerWPUNJ   = 0.150 // clock tree per active WPU
-	LeakPerWPUNJ    = 0.200 // WPU pipeline + L1 leakage
-	LeakL2NJ        = 1.000 // 4 MB L2 leakage
-	LeakPerWPUKBNJ  = 0.004 // additional leakage per KB of private cache
-	LeakL2PerMBNJ   = 0.250 // scaling for non-default L2 sizes
-	defaultL1KB     = program.L1SizeBytes >> 10
-	defaultL2MB     = program.L2SizeBytes >> 20
-	leakL2BaselineX = 0 // (kept for doc symmetry; L2 leakage scales purely by size)
+	ClockPerWPUNJ  = 0.150 // clock tree per active WPU
+	LeakPerWPUNJ   = 0.200 // WPU pipeline + L1 leakage
+	LeakL2NJ       = 1.000 // 4 MB L2 leakage
+	LeakPerWPUKBNJ = 0.004 // additional leakage per KB of private cache
+	LeakL2PerMBNJ  = 0.250 // scaling for non-default L2 sizes
+	defaultL1KB    = program.L1SizeBytes >> 10
+	defaultL2MB    = program.L2SizeBytes >> 20
 )
 
 // Breakdown is the estimated energy by component, in nanojoules.
@@ -98,11 +97,17 @@ func EstimateRaw(st wpu.Stats, l1 mem.L1Stats, l2Requests, xbarTransfers, dramAc
 
 // Estimate computes the breakdown for a finished system run.
 func Estimate(sys *sim.System) Breakdown {
-	st := sys.TotalStats()
-	l1 := sys.L1Stats()
+	// EstimateRaw reads three WPU counters: sum those, not every field
+	// TotalStats copies.
+	var st wpu.Stats
+	for _, w := range sys.WPUs {
+		st.Issued += w.Stats.Issued
+		st.ThreadOps += w.Stats.ThreadOps
+		st.FloatOps += w.Stats.FloatOps
+	}
 	return EstimateRaw(
 		st,
-		l1,
+		sys.L1Stats(),
 		sys.Hier.L2.Stats.Requests,
 		sys.Hier.Xbar.Transfers(),
 		sys.Hier.DRAM.Accesses,

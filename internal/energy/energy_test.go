@@ -151,4 +151,10 @@ func TestEstimateEndToEnd(t *testing.T) {
 	if e.TotalmJ() <= 0 {
 		t.Fatal("total energy zero")
 	}
+	raw := EstimateRaw(sys.TotalStats(), sys.L1Stats(), sys.Hier.L2.Stats.Requests,
+		sys.Hier.Xbar.Transfers(), sys.Hier.DRAM.Accesses, sys.Cycles(), cfg.WPUs,
+		cfg.Hier.L1.SizeBytes/1024, cfg.Hier.L2.SizeBytes/(1024*1024))
+	if e != raw {
+		t.Errorf("Estimate = %+v, EstimateRaw over TotalStats = %+v", e, raw)
+	}
 }

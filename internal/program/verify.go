@@ -645,9 +645,10 @@ func (p *Program) checkBounds(div *divResult) []Finding {
 
 // checkMemAccess recomputes the static access-pattern table (memaccess.go)
 // from the fresh divergence run and compares it against the table Build
-// recorded — the table the WPU's subdivide-on-miss hints and per-pc
-// transaction bounds are derived from, so a stale entry would prune probes
-// or flag concordance violations based on facts the code no longer has.
+// recorded — the table the WPU's per-pc transaction bounds and its
+// per-class access counters are derived from, so a stale entry would
+// misfile accesses or flag concordance violations based on facts the code
+// no longer has.
 // It also cross-checks the table against the exact-affine bounds domain:
 // where the address is region-relative with exact coefficients, the
 // recorded stride must equal the tid coefficient the bounds check uses,

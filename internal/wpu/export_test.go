@@ -9,17 +9,27 @@ func (w *WPU) ArenaObjects() (splits, scopes, slips int) {
 
 func (a *slab[T]) carved() int { return a.chunk*slabChunk + a.used }
 
-// QueuedSplits recounts the live splits whose queued flag is set.
-func (w *WPU) QueuedSplits() int {
-	n := 0
+// SlotWaitIDs appends to dst the ids of the splits in the slot-wait queue,
+// front first.
+func (w *WPU) SlotWaitIDs(dst []int) []int {
+	for _, s := range w.slotWait {
+		dst = append(dst, s.id)
+	}
+	return dst
+}
+
+// SplitIDs appends to live the ids of the WPU's live splits, and to queued
+// the ids of those whose queued flag is set.
+func (w *WPU) SplitIDs(live, queued []int) ([]int, []int) {
 	for _, warp := range w.warps {
 		for _, s := range warp.splits {
+			live = append(live, s.id)
 			if s.queued {
-				n++
+				queued = append(queued, s.id)
 			}
 		}
 	}
-	return n
+	return live, queued
 }
 
 // SlotWaitCap returns the capacity of the slot-wait queue's backing array.

@@ -1,6 +1,9 @@
 package wpu
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The bounded scheduler (§5.6/§6.6): slots and the slot-wait queue, the
 // ready mask and progress row pickNext scans, and stall attribution.
@@ -37,7 +40,6 @@ func (w *WPU) acquireSlot(s *Split) {
 		}
 	}
 	w.Stats.SlotWaits++
-	s.slotIdx = len(w.slotWait)
 	w.slotWait = append(w.slotWait, s)
 	s.queued = true
 	if s.state == Ready {
@@ -87,8 +89,14 @@ func (w *WPU) removeSplit(s *Split) {
 	if w.trace != nil {
 		w.trace.Hists.SplitLife.Record(uint64(w.q.Now() - s.born))
 	}
-	if s.queued && s.state == Ready {
-		w.slotWaitReady--
+	// A split that dies queued for a slot leaves the queue, so that nothing
+	// names the object it releases.
+	if s.queued {
+		if s.state == Ready {
+			w.slotWaitReady--
+		}
+		i := slices.Index(w.slotWait, s)
+		w.slotWait = slices.Delete(w.slotWait, i, i+1)
 	}
 	s.state = Dead
 	// Recycle the stack, and nil it so a use of the dead split fails fast
@@ -97,63 +105,28 @@ func (w *WPU) removeSplit(s *Split) {
 		w.stackPool = append(w.stackPool, s.stack)
 		s.stack = nil
 	}
-	// A split that dies queued for a slot leaves a hole in the queue, which
-	// admitWaiter skips, so that nothing names the object it releases.
-	if s.queued {
-		w.slotWait[s.slotIdx] = nil
-		w.slotWaitHoles++
-		w.shrinkSlotWait()
-	}
 	w.splits.release(s, w.epoch)
 }
 
+// admitWaiter gives the freed slot to the split at the front of the
+// slot-wait queue, if any.
 func (w *WPU) admitWaiter(slot int) {
-	for w.slotWaitHead < len(w.slotWait) {
-		c := w.slotWait[w.slotWaitHead]
-		w.slotWait[w.slotWaitHead] = nil
-		w.slotWaitHead++
-		if c == nil {
-			w.slotWaitHoles--
-			continue
-		}
-		w.shrinkSlotWait()
-		c.queued = false
-		if c.state == Ready {
-			w.slotWaitReady--
-		}
-		if c.resident {
-			continue
-		}
-		w.slots[slot] = c
-		c.resident = true
-		c.slotIdx = slot
-		w.syncProg(c)
-		if c.state == Ready {
-			w.readyMask |= 1 << uint(slot)
-		}
+	if len(w.slotWait) == 0 {
 		return
 	}
-}
-
-// shrinkSlotWait moves the live splits of the slot-wait queue to the front
-// of slotWait, in order and without the holes, once the admitted prefix and
-// the holes fill half the slice. So the slice never holds more than twice
-// the splits waiting, where it used to hold every split queued since the
-// queue last drained. Each moved split's slotIdx follows it.
-func (w *WPU) shrinkSlotWait() {
-	if 2*(w.slotWaitHead+w.slotWaitHoles) < len(w.slotWait) {
-		return
+	c := w.slotWait[0]
+	w.slotWait = slices.Delete(w.slotWait, 0, 1)
+	c.queued = false
+	if c.state == Ready {
+		w.slotWaitReady--
 	}
-	n := 0
-	for _, s := range w.slotWait[w.slotWaitHead:] {
-		if s != nil {
-			w.slotWait[n] = s
-			s.slotIdx = n
-			n++
-		}
+	w.slots[slot] = c
+	c.resident = true
+	c.slotIdx = slot
+	w.syncProg(c)
+	if c.state == Ready {
+		w.readyMask |= 1 << uint(slot)
 	}
-	clear(w.slotWait[n:])
-	w.slotWait, w.slotWaitHead, w.slotWaitHoles = w.slotWait[:n], 0, 0
 }
 
 // syncProg mirrors a resident split's progress counter into the dense

@@ -138,8 +138,7 @@ type Split struct {
 	// transitions can update the scheduler's ready bitmask without searching
 	// the slot array. queued mirrors membership in the WPU's slotWait queue
 	// so transitions can maintain slotWaitReady without rescanning the queue
-	// every stalled cycle; while queued, slotIdx is the split's index in
-	// slotWait, so a split that dies there can leave without a search.
+	// every stalled cycle.
 	resident bool
 	queued   bool
 	slotIdx  int

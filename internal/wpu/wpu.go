@@ -38,14 +38,9 @@ type WPU struct {
 	// The bounded scheduler (§5.6/§6.6): slots hold resident SIMD groups;
 	// surplus splits queue in slotWait until a slot frees.
 	slots []*Split
-	// slotWait[slotWaitHead:] is the FIFO of splits waiting for a slot; the
-	// head advances on admission. A split that dies queued leaves a nil
-	// entry there (one of slotWaitHoles), which admission and SlotWaiters
-	// skip. Once the admitted prefix and the holes are half the slice,
-	// shrinkSlotWait moves the waiting splits to the front.
-	slotWait      []*Split
-	slotWaitHead  int
-	slotWaitHoles int
+	// slotWait is the FIFO of splits waiting for a slot, in arrival order:
+	// admission pops its front, and a split that dies queued leaves it.
+	slotWait []*Split
 	// slotWaitReady counts Ready splits in slotWait, maintained on every
 	// queue edge and state transition so stall attribution never scans the
 	// queue (it can hold dozens of splits in small-slot-count sweeps).
@@ -142,7 +137,7 @@ type WPU struct {
 	// Per-run objects come from arenas that hold the live ones and those
 	// that died since the last Tick, so their size is bounded by the WST and
 	// not by run length. A split, a scope or a slip group is released where
-	// it dies (removeSplit, which also empties its slot-wait entry;
+	// it dies (removeSplit, which also takes it out of the slot-wait queue;
 	// maybeCompleteScope; a slip group absorbed, swapped in or promoted), and
 	// nothing reads it after that: no token outlives its owner (see
 	// memToken). It is handed out again only once epoch has moved on, that
@@ -413,11 +408,8 @@ func (w *WPU) ResidentSplits() int {
 	return n
 }
 
-// SlotWaiters returns how many live splits are queued for a scheduler slot:
-// the queue's entries less the holes dead splits left in it.
-func (w *WPU) SlotWaiters() int {
-	return len(w.slotWait) - w.slotWaitHead - w.slotWaitHoles
-}
+// SlotWaiters returns how many splits are queued for a scheduler slot.
+func (w *WPU) SlotWaiters() int { return len(w.slotWait) }
 
 // MemParams is the geometry the static per-access transaction bounds of a
 // WPU configured by c, on an L1 configured by l1, are computed against: the
@@ -497,8 +489,6 @@ func (w *WPU) Launch(prog *program.Program, regs []isa.RegFile) error {
 	w.rrNext = 0
 	clear(w.slotWait)
 	w.slotWait = w.slotWait[:0]
-	w.slotWaitHead = 0
-	w.slotWaitHoles = 0
 	w.slotWaitReady = 0
 	for i := range w.slots {
 		w.slots[i] = nil
