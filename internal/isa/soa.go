@@ -78,15 +78,6 @@ func (lr *LaneRegs) GetF(lane int, r Reg) float64 {
 	return math.Float64frombits(uint64(lr.Get(lane, r)))
 }
 
-// SetThread scatters one thread's architectural register file into a lane
-// column. Row 0 is skipped: the zero register reads as zero whatever the
-// source array holds, exactly like RegFile.Get.
-func (lr *LaneRegs) SetThread(lane int, rf *RegFile) {
-	for r := 1; r < NumRegs; r++ {
-		lr.slab[r*lr.width+lane] = rf[r]
-	}
-}
-
 // SetThreads scatters register files for lanes [0, len(rfs)) in one pass,
 // row-major so each register row is filled with sequential writes instead
 // of len(rfs) strided column scatters. Launch-time bulk load.

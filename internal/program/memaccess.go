@@ -90,7 +90,7 @@ const CoalesceLimit = 2
 // against. The analysis itself (class and stride) is machine-independent;
 // transaction and bank bounds are a pure function of class + stride +
 // these parameters, so they can be recomputed for any configuration
-// (MemAccessInfo.TransactionsFor, Program.MemAccessFor).
+// (Program.MemAccessFor).
 type MemParams struct {
 	// Lanes is the SIMD width (lanes per warp).
 	Lanes int
@@ -153,14 +153,6 @@ type MemAccessInfo struct {
 	// (stride·(Lanes−1) + word size), or -1 when unbounded (gather) or
 	// too large to represent exactly.
 	FootprintBytes int64
-}
-
-// TransactionsFor recomputes the worst-case transaction bound for a
-// different machine geometry. The bound is a pure function of the
-// machine-independent facts (Class, StrideBytes) and params, which is how
-// the WPU derives per-pc bounds for its own width and line size at Launch.
-func (a MemAccessInfo) TransactionsFor(params MemParams) int {
-	return memInfoFrom(a.PC, a.Store, a.Class, a.StrideBytes, params).Transactions
 }
 
 // maxEnumLine bounds the exact alignment-enumeration path; beyond it the

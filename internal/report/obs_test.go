@@ -122,9 +122,6 @@ func TestTracedRunBypassesStore(t *testing.T) {
 // produce byte-identical Chrome traces, timeline CSVs, and (wall-clock
 // zeroed) run documents.
 func TestTraceDeterminismAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
 	render := func(jobs int) (chrome, timeline, doc []byte) {
 		tr, r := traceFilter(t, WithJobs(jobs))
 		var cb, tb, db bytes.Buffer

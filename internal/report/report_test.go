@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,25 +81,23 @@ func TestBenchNames(t *testing.T) {
 	}
 }
 
+// TestSessionCaches: a second Suite over the same points on a default
+// session (Prefetch's workers are GOMAXPROCS) simulates nothing, returns
+// the same Results and keeps one cache slot per point.
 func TestSessionCaches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
 	s := NewSession()
-	k := DefaultKnobs(wpu.SchemeConv)
-	r1, err := s.Run("Filter", k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.Run("Filter", k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cycles != r2.Cycles {
+	points := defaults(wpu.SchemeConv)
+	first := suiteRows(t, s, shortBenches, points...)
+	second := suiteRows(t, s, shortBenches, points...)
+	if !slices.Equal(first, second) {
 		t.Fatal("cached run differs")
 	}
-	if len(s.cache) != 1 {
-		t.Fatalf("cache has %d entries, want 1", len(s.cache))
+	n := len(points) * len(shortBenches)
+	if st := s.Stats(); st.Misses != uint64(n) {
+		t.Errorf("two Suites of %d points ran %d simulations", n, st.Misses)
+	}
+	if len(s.cache) != n {
+		t.Fatalf("cache has %d entries, want %d", len(s.cache), n)
 	}
 }
 

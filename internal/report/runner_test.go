@@ -143,8 +143,10 @@ func TestPrefetchPropagatesError(t *testing.T) {
 // TestPrefetchClaimsOnce counts simulations in flight through the machine
 // hook. At WithJobs(n) no more than n run at once, and each distinct point
 // of a batch that lists every point twice simulates exactly once. At
-// WithJobs(1) the caller is the only worker: the hook sees no goroutine the
-// call did not start with. After an error nothing more is claimed.
+// WithJobs(1) the caller is the only worker: the hook runs on the calling
+// goroutine and sees no goroutine the call did not start with (goroutines
+// of earlier tests may still be exiting, so the count may only fall). After
+// an error nothing more is claimed.
 func TestPrefetchClaimsOnce(t *testing.T) {
 	var jobs []Job
 	for _, scheme := range []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeBranchOnly, wpu.SchemeReviveMemOnly} {
@@ -154,14 +156,19 @@ func TestPrefetchClaimsOnce(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		s := NewSession(WithJobs(n))
 		var inFlight, peak, calls atomic.Int64
-		before := runtime.NumGoroutine()
+		caller, before := goroutineID(), runtime.NumGoroutine()
 		s.OnSystem = func(*sim.System) func() {
 			calls.Add(1)
 			now := inFlight.Add(1)
 			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 			}
-			if n == 1 && runtime.NumGoroutine() != before {
-				t.Errorf("WithJobs(1): %d goroutines inside the run, %d before Prefetch", runtime.NumGoroutine(), before)
+			if n == 1 {
+				if id := goroutineID(); id != caller {
+					t.Errorf("WithJobs(1): a run on goroutine %s, Prefetch called on %s", id, caller)
+				}
+				if g := runtime.NumGoroutine(); g > before {
+					t.Errorf("WithJobs(1): %d goroutines inside the run, %d before Prefetch", g, before)
+				}
 			}
 			return func() { inFlight.Add(-1) }
 		}
@@ -186,6 +193,13 @@ func TestPrefetchClaimsOnce(t *testing.T) {
 	if calls.Load() != 0 || s.Provenance("Filter", DefaultKnobs(wpu.SchemeConv)) != "" {
 		t.Errorf("after the first job failed, %d more were simulated", calls.Load())
 	}
+}
+
+// goroutineID is the calling goroutine's number, read off its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
 }
 
 // TestSuiteMemHitAllocs holds a Suite call whose every point is already in
@@ -286,83 +300,75 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// renderTable1 runs Table1 on a fresh session and returns the rendered
-// text and structured rows.
-func renderTable1(t *testing.T, opts ...Option) (string, []Table1Row, CacheStats) {
+// shortBenches are the two cheapest benchmarks. Under -short the tests of
+// the concurrent paths (Prefetch's workers, the singleflight cache, the
+// store's write-through and loads) make their check on these through
+// Session.Suite instead of on whole-suite exhibits, so that `make race`
+// runs the same Session and Store code in a fraction of the time.
+var shortBenches = []string{"Filter", "FFT"}
+
+// suiteRows runs s.Suite on benches at points and prints every Result of
+// each point, one a line: equal rows are equal Results.
+func suiteRows(t *testing.T, s *Session, benches []string, points ...Knobs) []string {
 	t.Helper()
-	s := NewSession(opts...)
-	var buf bytes.Buffer
-	rows, err := s.Table1(&buf)
+	res, err := s.Suite(benches, points...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String(), rows, s.Stats()
+	rows := make([]string, len(res))
+	for i, row := range res {
+		var b strings.Builder
+		for _, r := range row {
+			fmt.Fprintf(&b, "%+v\n", *r)
+		}
+		rows[i] = b.String()
+	}
+	return rows
+}
+
+// table1 renders Table 1 on s and returns its text followed by every Result
+// behind it. Under -short it returns only the Results of shortBenches under
+// Conv: Table 1's Session.Suite call on two benchmarks instead of eight.
+func table1(t *testing.T, s *Session) string {
+	t.Helper()
+	if testing.Short() {
+		return suiteRows(t, s, shortBenches, DefaultKnobs(wpu.SchemeConv))[0]
+	}
+	var buf bytes.Buffer
+	if _, err := s.Table1(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String() + suiteRows(t, s, BenchNames(), DefaultKnobs(wpu.SchemeConv))[0]
 }
 
 // TestParallelDeterminism is the -j determinism guarantee: one exhibit
 // rendered at -j 1 and -j 8 must produce identical bytes and identical
-// structured results.
+// Results.
 func TestParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	text1, rows1, st1 := renderTable1(t, WithJobs(1))
-	text8, rows8, _ := renderTable1(t, WithJobs(8))
+	s1 := NewSession(WithJobs(1))
+	text1 := table1(t, s1)
+	text8 := table1(t, NewSession(WithJobs(8)))
 	if text1 != text8 {
-		t.Errorf("rendered text differs between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", text1, text8)
+		t.Errorf("output differs between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", text1, text8)
 	}
-	if !reflect.DeepEqual(rows1, rows8) {
-		t.Errorf("structured rows differ between -j 1 and -j 8")
-	}
-	if st1.Misses == 0 || strings.TrimSpace(text1) == "" {
-		t.Fatalf("degenerate exhibit run (misses=%d)", st1.Misses)
-	}
-}
-
-// TestDiskStoreWarmRun re-renders an exhibit against a warm on-disk
-// store: the second session must simulate nothing and still produce
-// byte-identical output.
-func TestDiskStoreWarmRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	textCold, rowsCold, cold := renderTable1(t, WithJobs(4), WithStore(st))
-	if cold.Misses == 0 || cold.DiskHits != 0 {
-		t.Fatalf("cold run: %+v", cold)
-	}
-	textWarm, rowsWarm, warm := renderTable1(t, WithJobs(4), WithStore(st))
-	if warm.Misses != 0 {
-		t.Errorf("warm run re-simulated %d points", warm.Misses)
-	}
-	if warm.DiskHits != cold.Misses {
-		t.Errorf("warm run loaded %d records, want %d", warm.DiskHits, cold.Misses)
-	}
-	if textCold != textWarm {
-		t.Errorf("rendered text differs across the warm store:\n--- cold ---\n%s--- warm ---\n%s", textCold, textWarm)
-	}
-	if !reflect.DeepEqual(rowsCold, rowsWarm) {
-		t.Errorf("structured rows differ across the warm store")
+	if st := s1.Stats(); st.Misses == 0 || strings.TrimSpace(text1) == "" {
+		t.Fatalf("degenerate exhibit run (misses=%d)", st.Misses)
 	}
 }
 
 // TestPrefetchOnlyWarmsCache checks the fan-out/render split end to end:
 // after Prefetch, rendering must be pure cache reads.
 func TestPrefetchOnlyWarmsCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
 	s := NewSession(WithJobs(4))
-	if _, err := s.Suite(BenchNames(), DefaultKnobs(wpu.SchemeConv)); err != nil {
+	benches := BenchNames()
+	if testing.Short() {
+		benches = shortBenches
+	}
+	if _, err := s.Suite(benches, DefaultKnobs(wpu.SchemeConv)); err != nil {
 		t.Fatal(err)
 	}
 	sims := s.Stats().Misses
-	if _, err := s.Table1(new(bytes.Buffer)); err != nil {
-		t.Fatal(err)
-	}
+	table1(t, s)
 	if got := s.Stats().Misses; got != sims {
 		t.Errorf("rendering after Prefetch ran %d extra simulations", got-sims)
 	}

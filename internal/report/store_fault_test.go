@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/wpu"
 )
 
 // spineExhibits is the §5 scheme-comparison spine: 8 kernels × 12 schemes
@@ -22,11 +24,27 @@ var spineExhibits = []string{"t1", "7", "11", "13", "headline", "14", "19", "sta
 
 const spinePoints = 96
 
-// renderExhibits renders the exhibits ids on a fresh -j 2 session over st and
-// returns each exhibit's report bytes and the session's counters.
-func renderExhibits(t *testing.T, st *Store, ids ...string) ([]string, CacheStats) {
+// faultPass is one pass of TestStoreFaultInjection on a fresh -j 2 session
+// over st. It renders the spine exhibits, or Table 1 alone (spineExhibits[0],
+// Conv's eight points) when spine is false, and returns each exhibit's
+// report bytes and the session's counters. Under -short each exhibit gives
+// way to the Results of one scheme on shortBenches: every scheme for the
+// spine (24 points, enough for the six faults), Conv for Table 1. Either
+// way the first element is Table 1's.
+func faultPass(t *testing.T, st *Store, spine bool) ([]string, CacheStats) {
 	t.Helper()
 	s := NewSession(WithJobs(2), WithStore(st))
+	if testing.Short() {
+		schemes := wpu.AllSchemes
+		if !spine {
+			schemes = schemes[:1]
+		}
+		return suiteRows(t, s, shortBenches, defaults(schemes...)...), s.Stats()
+	}
+	ids := spineExhibits
+	if !spine {
+		ids = ids[:1]
+	}
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		for _, e := range Exhibits {
@@ -248,20 +266,22 @@ func TestReadRecordShortReads(t *testing.T) {
 }
 
 // TestStoreFaultInjection is the store's two failure modes end to end,
-// against one clean run of the spine over an empty store.
+// against one clean run of the spine over an empty store (under -short, of
+// Filter and FFT under every scheme; see faultPass).
 //
-// Self-healing: six of the 96 records are replaced by the six faults, and
-// the next report comes out byte-identical having resimulated exactly those
-// six; the one after that is all disk hits again.
+// Self-healing: six of the records are replaced by the six faults, and the
+// next report comes out byte-identical having resimulated exactly those six;
+// the one after that is all disk hits again.
 //
 // Save failures: a store that cannot write costs nothing but the cache.
-// Table 1 (spineExhibits[0], eight points) renders over a store in which
-// every record directory's name is taken by a plain file, so each Save fails
-// creating its directory (a read-only directory would do for an ordinary
-// user, but tests also run as root, whom mode bits do not stop).
+// Table 1 renders over a store in which every record directory's name is
+// taken by a plain file, so each Save fails creating its directory (a
+// read-only directory would do for an ordinary user, but tests also run as
+// root, whom mode bits do not stop).
 func TestStoreFaultInjection(t *testing.T) {
+	spineN, table1N := uint64(spinePoints), uint64(len(BenchNames()))
 	if testing.Short() {
-		t.Skip("simulation-heavy")
+		spineN, table1N = uint64(len(shortBenches)*len(wpu.AllSchemes)), uint64(len(shortBenches))
 	}
 	open := func(t *testing.T, dir string) *Store {
 		st, err := OpenStore(dir)
@@ -271,15 +291,15 @@ func TestStoreFaultInjection(t *testing.T) {
 		return st
 	}
 	dir := t.TempDir()
-	clean, cold := renderExhibits(t, open(t, dir), spineExhibits...)
-	if cold.Misses != spinePoints || cold.DiskHits != 0 {
+	clean, cold := faultPass(t, open(t, dir), true)
+	if cold.Misses != spineN || cold.DiskHits != 0 {
 		t.Fatalf("cold run: %+v", cold)
 	}
 
 	t.Run("self-healing", func(t *testing.T) {
 		files := recordFiles(t, dir)
-		if len(files) != spinePoints {
-			t.Fatalf("cold run left %d record files, want %d", len(files), spinePoints)
+		if uint64(len(files)) != spineN {
+			t.Fatalf("cold run left %d record files, want %d", len(files), spineN)
 		}
 		for i, f := range faults {
 			path := files[i*len(files)/len(faults)] // spread over the directories
@@ -293,24 +313,24 @@ func TestStoreFaultInjection(t *testing.T) {
 		}
 
 		st := open(t, dir)
-		healed, stats := renderExhibits(t, st, spineExhibits...)
+		healed, stats := faultPass(t, st, true)
 		if !slices.Equal(healed, clean) {
 			t.Error("the report over the damaged store differs from the clean run's")
 		}
-		if stats.Misses != uint64(len(faults)) || stats.DiskHits != spinePoints-uint64(len(faults)) {
+		if stats.Misses != uint64(len(faults)) || stats.DiskHits != spineN-uint64(len(faults)) {
 			t.Errorf("damaged run: %+v, want exactly %d resimulated", stats, len(faults))
 		}
 		ss := st.Stats()
-		if ss.Corrupt != uint64(len(faults)) || ss.Saves != uint64(len(faults)) || ss.Records != spinePoints {
-			t.Errorf("damaged run: store %+v, want %d corrupt, as many saved, %d records", ss, len(faults), spinePoints)
+		if ss.Corrupt != uint64(len(faults)) || ss.Saves != uint64(len(faults)) || uint64(ss.Records) != spineN {
+			t.Errorf("damaged run: store %+v, want %d corrupt, as many saved, %d records", ss, len(faults), spineN)
 		}
 
 		st = open(t, dir)
-		again, stats := renderExhibits(t, st, spineExhibits...)
+		again, stats := faultPass(t, st, true)
 		if !slices.Equal(again, clean) {
 			t.Error("the report over the healed store differs from the clean run's")
 		}
-		if stats.Misses != 0 || stats.DiskHits != spinePoints || st.Stats().Corrupt != 0 {
+		if stats.Misses != 0 || stats.DiskHits != spineN || st.Stats().Corrupt != 0 {
 			t.Errorf("second pass: %+v, corrupt %d; want all disk hits", stats, st.Stats().Corrupt)
 		}
 	})
@@ -323,17 +343,16 @@ func TestStoreFaultInjection(t *testing.T) {
 			}
 		}
 		st := open(t, dir)
-		got, stats := renderExhibits(t, st, spineExhibits[0])
+		got, stats := faultPass(t, st, false)
 		if got[0] != clean[0] {
 			t.Error("Table 1 over a store that cannot save differs from the clean run's")
 		}
-		points := uint64(len(BenchNames()))
-		if stats.Misses != points {
-			t.Errorf("simulated %d points, want %d", stats.Misses, points)
+		if stats.Misses != table1N {
+			t.Errorf("simulated %d points, want %d", stats.Misses, table1N)
 		}
 		ss := st.Stats()
-		if ss.SaveErrors != points || ss.Saves != 0 || ss.Records != 0 || ss.Corrupt != 0 {
-			t.Errorf("store %+v, want %d save errors and nothing else", ss, points)
+		if ss.SaveErrors != table1N || ss.Saves != 0 || ss.Records != 0 || ss.Corrupt != 0 {
+			t.Errorf("store %+v, want %d save errors and nothing else", ss, table1N)
 		}
 	})
 }

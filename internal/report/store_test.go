@@ -203,7 +203,8 @@ func dirTotals(t *testing.T, dir string) (records int, bytes int64) {
 // TestStoreReindexesExistingFiles proves a freshly opened store sees (and
 // caps) records a previous process left behind. Uncapped, it indexes them
 // on the first Stats, after loads and a foreign save have indexed some:
-// each record is counted once.
+// each record is counted once, and the temporary file of a Save that was
+// interrupted before its rename is not a record.
 func TestStoreReindexesExistingFiles(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -229,6 +230,10 @@ func TestStoreReindexesExistingFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	records, bytes := dirTotals(t, dir)
+	tmp := filepath.Join(filepath.Dir(re.path(re.digest("k0"))), ".tmp-interrupted")
+	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if rs := re.Stats(); records != 7 || rs.Records != records || rs.BytesInUse != bytes {
 		t.Fatalf("reopened store indexed %d records / %d bytes, the directory holds %d / %d, want 7 records",
 			rs.Records, rs.BytesInUse, records, bytes)

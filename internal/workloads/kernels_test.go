@@ -1,8 +1,9 @@
 package workloads
 
 // Kernel-level tests: the benchmark kernels' static structure (branch
-// metadata from the compiler layer) and cross-scheme determinism for the
-// branchiest benchmarks.
+// metadata from the compiler layer) and the size of their inputs, scaled
+// and unscaled. That every benchmark verifies and leaves Conv's memory
+// image under every scheme is report's TestRecycledMachineEqualsFresh.
 
 import (
 	"strings"
@@ -90,26 +91,6 @@ func TestKernelRegisterDiscipline(t *testing.T) {
 			if in.Dst == 0 {
 				t.Errorf("%s@%d: kernel writes r0: %s", name, pc, in)
 			}
-		}
-	}
-}
-
-// The branchy benchmarks must produce identical results under every
-// scheme (Merge and KMeans are covered in workloads_test.go).
-func TestBranchyBenchmarksAllSchemes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	for _, name := range []string{"Short", "SVM"} {
-		spec, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range wpu.AllSchemes {
-			s := s
-			t.Run(name+"/"+string(s), func(t *testing.T) {
-				runBench(t, spec, s)
-			})
 		}
 	}
 }

@@ -29,7 +29,9 @@ func runBench(t *testing.T, spec Spec, scheme wpu.Scheme) *sim.System {
 }
 
 // Every benchmark must produce verified results under the conventional
-// configuration.
+// configuration. The other schemes are checked by report's suite oracle,
+// TestRecycledMachineEqualsFresh, which under -short runs only 16 of its
+// 96 points: this test is then the one run of every benchmark.
 func TestAllBenchmarksConv(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -43,42 +45,6 @@ func TestAllBenchmarksConv(t *testing.T) {
 				t.Fatal("no memory accesses")
 			}
 		})
-	}
-}
-
-// DWS must never change results, only timing.
-func TestAllBenchmarksDWSRevive(t *testing.T) {
-	for _, spec := range All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			runBench(t, spec, wpu.SchemeRevive)
-		})
-	}
-}
-
-func TestAllBenchmarksSlipBranchBypass(t *testing.T) {
-	for _, spec := range All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			runBench(t, spec, wpu.SchemeSlipBranchBypass)
-		})
-	}
-}
-
-// Merge and KMeans are the divergence-heavy benchmarks the paper leans on;
-// run them under every scheme.
-func TestDivergenceHeavyBenchmarksAllSchemes(t *testing.T) {
-	for _, name := range []string{"Merge", "KMeans"} {
-		spec, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range wpu.AllSchemes {
-			s := s
-			t.Run(name+"/"+string(s), func(t *testing.T) {
-				runBench(t, spec, s)
-			})
-		}
 	}
 }
 
