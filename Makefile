@@ -24,7 +24,7 @@ dwsverify:
 # Regenerate every golden file in one pass (all golden-pinned tests take
 # the same -update flag): obs exports, report run-doc and exhibit
 # goldens, and the workloads analysis reports (divergence, memory access,
-# cost model) and scheduling-dump digests.
+# cost model), scheduling-dump digests and trace-order digests.
 update-goldens:
 	$(GO) test ./internal/obs/... ./internal/report/... ./internal/workloads/... ./internal/serve/... -update
 
@@ -194,12 +194,11 @@ serve:
 # The traced-job memory probe (not part of ci, a few seconds): a fresh `dwsimd
 # -nocache` on PROBE_ADDR runs one traced KMeans job at the daemon's largest
 # scale, its SSE stream is read to the end, and the stream's bytes and
-# frames are printed. The finished job's stream is then read a second time,
-# which is a replay, and must `cmp` identical to the first; each read prints
-# the seconds it took. Last come the daemon's VmHWM (Linux /proc),
-# dwsimd_stream_log_bytes and dwsimd_stream_replays_total (1), before the
-# daemon is stopped. OUT=file keeps the stream, e.g. to `cmp` it against
-# another commit's.
+# frames are printed. The stream is then read a second time, a traced run of
+# its own for the second subscriber, and must `cmp` identical to the first;
+# each read prints the seconds it took. Last comes the daemon's VmHWM (Linux
+# /proc), before the daemon is stopped. OUT=file keeps the stream, e.g. to
+# `cmp` it against another commit's.
 PROBE_ADDR ?= 127.0.0.1:18092
 PROBE_JOB = {"schema_version":1,"bench":"KMeans","knobs":{"scheme":"DWS.ReviveSplit","scale":8},"trace":true}
 stream-probe:
@@ -211,11 +210,10 @@ stream-probe:
 	test -n "$$id" && curl -sfN -o $$tmp/s.sse -w 'live read: %{time_total} s\n' \
 		http://$(PROBE_ADDR)/v1/jobs/$$id/stream && \
 	echo "stream: $$(wc -c < $$tmp/s.sse) bytes, $$(grep -c '^event: ' $$tmp/s.sse) frames" && \
-	curl -sfN -o $$tmp/r.sse -w 'replay read: %{time_total} s\n' \
+	curl -sfN -o $$tmp/r.sse -w 'second read: %{time_total} s\n' \
 		http://$(PROBE_ADDR)/v1/jobs/$$id/stream && \
-	cmp $$tmp/s.sse $$tmp/r.sse && echo "replayed stream: identical" && \
+	cmp $$tmp/s.sse $$tmp/r.sse && echo "second stream: identical" && \
 	grep VmHWM /proc/$$pid/status && \
-	curl -sf http://$(PROBE_ADDR)/metrics | grep -E '^dwsimd_stream_(log_bytes|replays_total) ' && \
 	if [ -n "$(OUT)" ]; then cp $$tmp/s.sse $(OUT); fi
 
 # Regenerate the paper's exhibits with the parallel executor.

@@ -58,7 +58,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dwsimd:", err)
 		os.Exit(1)
 	}
-	// No WriteTimeout: an SSE stream is one long write.
+	// No WriteTimeout: an SSE stream is many writes, each with its own deadline.
 	hs := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

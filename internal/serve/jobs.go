@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/report"
@@ -38,17 +37,15 @@ type point struct {
 	status string // pending | done | failed
 }
 
-// job is the registry's record of one submitted request.
+// job is the registry's record of one submitted request, or, registered
+// nowhere, a stream subscriber's traced run of a job's point.
 type job struct {
 	id     string
 	req    *JobRequest
 	points []point
 	status string
 	errMsg string
-	hub    *streamHub // non-nil iff req.Trace
-	// replays are the hubs of the job's replays, newest last, until each is
-	// done with no subscriber left; under registry.mu.
-	replays []*streamHub
+	sub    *stream // non-nil iff this is a subscriber's run
 }
 
 // PointDoc is the wire rendering of one point's lifecycle.
@@ -85,7 +82,6 @@ type registry struct {
 	order   []string          // submission order for GET /v1/jobs
 	results map[string][]byte // result key -> rendered RunDoc JSON
 	pending map[string]int    // result key -> jobs referencing it, not yet done
-	replays int               // replays admitted for subscribers who found a log's start gone
 }
 
 func newRegistry() *registry {
@@ -102,9 +98,6 @@ func (rg *registry) add(req *JobRequest) *job {
 	j := &job{req: req, status: StatusQueued, points: make([]point, len(pts))}
 	for i, p := range pts {
 		j.points[i] = point{bench: p.Bench, knobs: p.Knobs, key: ResultKey(p.Bench, p.Knobs), status: "pending"}
-	}
-	if req.Trace {
-		j.hub = newStreamHub()
 	}
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
@@ -245,56 +238,6 @@ func (rg *registry) counts() map[string]int {
 		c[rg.jobs[id].status]++
 	}
 	return c
-}
-
-// replaysOf forgets j's replays that are done with no subscriber left and
-// returns the rest, newest last; rg.mu is held.
-func (rg *registry) replaysOf(j *job) []*streamHub {
-	j.replays = slices.DeleteFunc(j.replays, (*streamHub).idle)
-	return j.replays
-}
-
-// replayOf returns the hub of j's newest replay still read, or nil.
-func (rg *registry) replayOf(j *job) *streamHub {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	if rs := rg.replaysOf(j); len(rs) > 0 {
-		return rs[len(rs)-1]
-	}
-	return nil
-}
-
-// replaying records h as the hub of j's newest replay and counts it.
-func (rg *registry) replaying(j *job, h *streamHub) {
-	rg.mu.Lock()
-	j.replays = append(rg.replaysOf(j), h)
-	rg.replays++
-	rg.mu.Unlock()
-}
-
-// streamLogStats reports, for /metrics, the bytes every traced job's log
-// and its replays still read hold right now, finished or in flight
-// (records, plus done frames), how many jobs' finished logs have been cut
-// back to their done frame, and how many replays have been admitted.
-func (rg *registry) streamLogStats() (bytes, compacted, replays int) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	for _, id := range rg.order {
-		j := rg.jobs[id]
-		if j.hub == nil {
-			continue
-		}
-		n, cut := j.hub.held()
-		bytes += n
-		if cut {
-			compacted++
-		}
-		for _, h := range rg.replaysOf(j) {
-			n, _ := h.held()
-			bytes += n
-		}
-	}
-	return bytes, compacted, rg.replays
 }
 
 // RenderResultDoc is the canonical rendering of one completed point: the

@@ -9,8 +9,9 @@ import (
 // draining one submission-ordered feed. It is the only place in this
 // package that launches goroutines (dwslint's goroutine check approves
 // exactly this file alongside the report.Session worker pool) — HTTP
-// handler concurrency belongs to net/http, and streaming subscribers ride
-// their handler goroutines (see stream.go).
+// handler concurrency belongs to net/http. A stream subscriber's traced run
+// is a job of the pool like any other, and its handler goroutine waits for
+// it (see stream.go).
 //
 // Simulation-level parallelism inside one sweep job still comes from
 // Session.Prefetch; the pool bounds how many *jobs* make progress at

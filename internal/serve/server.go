@@ -6,9 +6,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
+	"time"
 
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -33,11 +32,11 @@ type Server struct {
 	reg     *registry
 	pool    *pool
 	live    *sim.Live
-	every   uint64 // SSE publish cadence of traced jobs in simulated cycles
-	mux     *http.ServeMux
-	// replayMu makes finding a job's replay and enqueueing a new one a
-	// single step, so a job has at most one replay filling at a time.
-	replayMu sync.Mutex
+	every   uint64 // SSE publish cadence of a stream subscriber's run in simulated cycles
+	// writeTimeout is the deadline of one write to a stream subscriber: the
+	// header, one publish period's frames or the terminal frame.
+	writeTimeout time.Duration
+	mux          *http.ServeMux
 }
 
 // New assembles a Server (not yet executing jobs; call Start).
@@ -48,10 +47,12 @@ func New(cfg Config) *Server {
 		reg:     newRegistry(),
 		live:    sim.NewLive(),
 		every:   2048,
-		mux:     http.NewServeMux(),
+		// A client that stops reading holds a pool worker this long.
+		writeTimeout: 10 * time.Second,
+		mux:          http.NewServeMux(),
 	}
-	// Every run publishes into the shared live snapshot; a traced run's
-	// machine also flushes its job's publisher (runTracedJob).
+	// Every run publishes into the shared live snapshot; a stream
+	// subscriber's run also publishes its frames (runStream).
 	s.session.OnSystem = s.live.Attach
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -147,52 +148,28 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream is GET /v1/jobs/{id}/stream: a traced job's obs events and
-// timeline samples as SSE, from the first. A subscriber that finds the
-// log's start gone gets a replay (see replay).
+// timeline samples as SSE, from a traced run of the job's point made for
+// this subscriber alone and admitted like a submission (see stream.go). The
+// run writes the response; the handler returns once it has ended.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, &Error{Status: http.StatusNotFound, Msg: "unknown job " + r.PathValue("id")})
 		return
 	}
-	if j.hub == nil {
+	if !j.req.Trace {
 		writeError(w, &Error{Status: http.StatusConflict,
 			Msg: "job " + j.id + " was not submitted with \"trace\": true"})
 		return
 	}
-	rd := j.hub.attach()
-	if rd == nil {
-		var err error
-		if rd, err = s.replay(j); err != nil {
-			refuse(w, err)
-			return
-		}
-	}
-	serveStream(w, r, rd)
-}
-
-// replay attaches a subscriber that found the start of j's log gone to j's
-// replay, the job's point re-run, traced, into a hub of its own. It joins
-// the newest replay while that still holds its start, so reconnects cost
-// one run; otherwise it enqueues a new one, admitted like a submission and
-// registered nowhere.
-func (s *Server) replay(j *job) (*reader, error) {
-	s.replayMu.Lock()
-	defer s.replayMu.Unlock()
-	if h := s.reg.replayOf(j); h != nil {
-		if rd := h.attach(); rd != nil {
-			return rd, nil
-		}
-	}
+	st := &stream{w: w, rc: http.NewResponseController(w), ctx: r.Context(), timeout: s.writeTimeout, done: make(chan struct{})}
 	p := &j.points[0] // its status may be changing; the rest is fixed
-	rj := &job{req: j.req, hub: newStreamHub(), points: []point{{bench: p.bench, knobs: p.knobs, key: p.key}}}
-	rd := rj.hub.attach() // before the run can finish unwatched
-	// The add function runs under the pool's lock, as handleSubmit's does.
-	_, err := s.pool.submit(func() *job {
-		s.reg.replaying(j, rj.hub)
-		return rj
-	})
-	return rd, err
+	sj := &job{req: j.req, points: []point{{bench: p.bench, knobs: p.knobs}}, sub: st}
+	if _, err := s.pool.submit(func() *job { return sj }); err != nil {
+		refuse(w, err)
+		return
+	}
+	<-st.done
 }
 
 // handleResult is GET /v1/results/{key}: the canonical RunDoc bytes for a
@@ -244,37 +221,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP dwsimd_store_records Records in the store's index.\n# TYPE dwsimd_store_records gauge\n")
 		fmt.Fprintf(w, "dwsimd_store_records %d\n", ss.Records)
 	}
-	logBytes, compacted, replays := s.reg.streamLogStats()
-	fmt.Fprintf(w, "# HELP dwsimd_stream_log_bytes Bytes held by traced jobs' logs, finished or in flight (records, plus done frames).\n# TYPE dwsimd_stream_log_bytes gauge\n")
-	fmt.Fprintf(w, "dwsimd_stream_log_bytes %d\n", logBytes)
-	fmt.Fprintf(w, "# HELP dwsimd_stream_logs_compacted_total Finished logs cut back to their done frame because no subscriber remained.\n# TYPE dwsimd_stream_logs_compacted_total counter\n")
-	fmt.Fprintf(w, "dwsimd_stream_logs_compacted_total %d\n", compacted)
-	fmt.Fprintf(w, "# HELP dwsimd_stream_replays_total Traced re-runs for subscribers that found the start of a log gone.\n# TYPE dwsimd_stream_replays_total counter\n")
-	fmt.Fprintf(w, "dwsimd_stream_replays_total %d\n", replays)
 	s.live.WriteMetrics(w)
 }
 
-// runJob executes one job on a pool worker. A panic under it (a simulator
-// self-check, say) fails the job instead of the daemon: Session.Run drops
-// the point it was computing, so a resubmission runs afresh, Suite hands
-// a sweep point's panic to this goroutine (its first line is the message),
-// and the machine never reaches report's free list, because runLive gives
-// back only machines whose run returned.
+// runJob executes one job on a pool worker: a stream subscriber's traced
+// run (runStream) or a submitted job. A panic under a submitted job (a
+// simulator self-check, say) fails the job instead of the daemon:
+// Session.Run drops the point it was computing, so a resubmission runs
+// afresh, Suite hands a sweep point's panic to this goroutine (its first
+// line is the message), and the machine never reaches report's free list,
+// because runLive gives back only machines whose run returned.
 func (s *Server) runJob(j *job) {
+	if j.sub != nil {
+		s.runStream(j)
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			msg, _, _ := strings.Cut(fmt.Sprintf("panic: %v", r), "\n")
-			s.reg.finish(j, msg)
-			if j.hub != nil {
-				j.hub.finishError(msg) // subscribers terminate
-			}
+			s.reg.finish(j, panicMessage(r))
 		}
 	}()
 	s.reg.setRunning(j)
-	if j.hub != nil {
-		s.runTracedJob(j)
-		return
-	}
 	// A sweep is benches x schemes, benches outer (JobRequest.Points), so the
 	// first bench's points carry every scheme's knobs. Suite simulates the
 	// points in parallel and the collection loop below reads warm cache.
@@ -301,33 +268,8 @@ func (s *Server) runJob(j *job) {
 	s.reg.finish(j, "")
 }
 
-// runTracedJob executes a single-point traced job, streaming the trace
-// through the job's hub while the machine runs; its registry record is
-// complete before its done frame is published. A replay's registry calls
-// touch only its own record, except that a replay overtaking its job on a
-// second worker records the point's (identical) result first, as a second
-// submission of the point would.
-func (s *Server) runTracedJob(j *job) {
-	p := &j.points[0]
-	every := j.req.TraceEvery
-	if every == 0 {
-		every = 1000 // the dwsim -obsevery default
-	}
-	tr := obs.New(every)
-	pub := &publisher{hub: j.hub, tr: tr}
-	s.live.SetMeta(p.bench, string(p.knobs.Scheme))
-	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(sys *sim.System) func() {
-		// Frames flow while the run is in flight, not only at the end.
-		sys.Observe(s.every, func(uint64) { pub.flush() })
-		return s.session.OnSystem(sys)
-	})
-	if err != nil {
-		j.hub.finishError(err.Error())
-		s.reg.finish(j, err.Error())
-		return
-	}
-	doc := RenderResultDoc(r, p.knobs)
-	s.reg.completePoint(j, 0, doc)
-	s.reg.finish(j, "")
-	pub.finishSuccess(doc)
+// panicMessage is the first line of a recovered panic's message.
+func panicMessage(r any) string {
+	msg, _, _ := strings.Cut(fmt.Sprintf("panic: %v", r), "\n")
+	return msg
 }

@@ -1,8 +1,9 @@
 // Package serve is the simulation-as-a-service layer: a stdlib net/http
 // daemon (cmd/dwsimd) that accepts simulation and sweep jobs as validated
 // JSON, deduplicates them through the singleflight report.Session,
-// executes them on a bounded worker pool, and streams observability
-// events and timeline samples for in-flight traced runs over SSE.
+// executes them on a bounded worker pool, and streams the observability
+// events and timeline samples of a traced job's point over SSE, from a
+// traced run of its own per subscriber.
 //
 // Wire format. Jobs arrive as JobRequest documents whose knob vector is a
 // report.Knobs under the JSON names that type declares — the same names a
@@ -15,7 +16,8 @@
 // a logical sequence (j001, j002, ...), result keys are content digests
 // of the canonical point encoding, result documents are rendered exactly
 // like a local Session.Run would render them (byte-identical — the e2e
-// tests diff the bytes), and the package never reads the wall clock (the
+// tests diff the bytes), and the package reads the wall clock only for a
+// stream subscriber's write deadline, which no document depends on (the
 // dwslint wallclock check applies here too).
 package serve
 
@@ -78,10 +80,10 @@ type JobRequest struct {
 	Benches []string `json:"benches,omitempty"`
 	Schemes []string `json:"schemes,omitempty"`
 
-	// Trace forces a live run with the observability sink attached and
-	// enables GET /v1/jobs/{id}/stream for this job (single-point runs
-	// only). TraceEvery is the timeline sampling interval in cycles
-	// (0 = 1000, the dwsim default).
+	// Trace enables GET /v1/jobs/{id}/stream for this job (single-point
+	// runs only): each request is a live run of the point with the
+	// observability sink attached. TraceEvery is the timeline sampling
+	// interval in cycles (0 = 1000, the dwsim default).
 	Trace      bool   `json:"trace,omitempty"`
 	TraceEvery uint64 `json:"trace_every,omitempty"`
 }

@@ -162,6 +162,8 @@ type System struct {
 
 	// observers are the periodic hooks (Observe), the timeline sampler first.
 	observers []observer
+	// stopped is set by Stop and read only after an observer has run.
+	stopped bool
 }
 
 // observer is one hook and the period it asked for.
@@ -180,6 +182,12 @@ type observer struct {
 func (s *System) Observe(every uint64, fn func(cycle uint64)) {
 	s.observers = append(s.observers, observer{max(every, 1), fn})
 }
+
+// Stop makes the run in progress return an error as soon as the observer
+// that calls it returns; the observers after it in that cycle do not run.
+// It is for observers: call it from one, on the goroutine that drives the
+// machine. Reset clears it.
+func (s *System) Stop() { s.stopped = true }
 
 // New builds a machine: an empty System put through Reset, so there is one
 // construction path and a recycled machine cannot differ from a new one by
@@ -385,6 +393,9 @@ func (s *System) run() error {
 			if uint64(s.cycle)%o.every == 0 {
 				s.syncStats() // a no-op once synced
 				o.fn(uint64(s.cycle))
+				if s.stopped {
+					return fmt.Errorf("sim: stopped at cycle %d", s.cycle)
+				}
 			}
 		}
 		if s.Q.Len() == 0 && !progress && !released {

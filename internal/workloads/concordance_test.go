@@ -9,6 +9,8 @@ package workloads
 // gap reported in EXPERIMENTS.md.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,6 +43,7 @@ type replay struct {
 	progs    map[string]*program.Program // every kernel the suite ran
 	stats    map[string]wpu.Stats        // per benchmark
 	exceeded []string                    // accesses above their static transaction bound
+	events   map[string]string           // per benchmark: its event count and a digest of its events in order
 }
 
 // concordanceSchemes are the schemes the suite is replayed under. Conv
@@ -49,7 +52,11 @@ type replay struct {
 // run-ahead, revival and PC re-convergence, and narrow split masks — the
 // mechanisms that could expose an unsound uniformity claim or a bound that
 // fails to dominate a subset of the lanes it was computed over.
-var concordanceSchemes = []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive}
+// AggressSplit.BL (BranchLimited scopes) and Slip.BranchBypass (slip
+// groups) are the other two subdivision triggers the scheduling dumps pin;
+// they are here for the event order (TestTraceOrderGolden), at about 0.8 s
+// a scheme.
+var concordanceSchemes = []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive, wpu.SchemeAggressBL, wpu.SchemeSlipBranchBypass}
 
 // suiteReplays is the package's one replay of the suite under each of
 // concordanceSchemes, made by the first test that asks and read by both
@@ -69,7 +76,8 @@ var suiteReplays = sync.OnceValues(func() ([]*replay, error) {
 
 // replaySuite runs every benchmark under one scheme with tracing enabled and
 // records the branch sites that dynamically diverged, the kernel programs
-// seen, each benchmark's statistics and every access the WPU flagged
+// seen, each benchmark's statistics, a digest of its events in emission
+// order (every field of each), and every access the WPU flagged
 // (obs.EvMemBoundExceeded) as above its static transaction bound. Every
 // 1 000 cycles it checks the memory hierarchy's MESI invariants
 // (mem.Hierarchy.CheckCoherence), and every benchmark must pass its host
@@ -83,6 +91,7 @@ func replaySuite(scheme wpu.Scheme) (*replay, error) {
 		diverged: make(map[branchKey]bool),
 		progs:    make(map[string]*program.Program),
 		stats:    make(map[string]wpu.Stats),
+		events:   make(map[string]string),
 	}
 	var errs []error
 	for _, spec := range All() {
@@ -126,6 +135,7 @@ func replaySuite(scheme wpu.Scheme) (*replay, error) {
 		if err := inst.Verify(); err != nil {
 			return nil, fmt.Errorf("%s under %s: %w", spec.Name, scheme, err)
 		}
+		r.events[spec.Name] = eventDigest(trace.Events)
 		st := sys.TotalStats()
 		r.stats[spec.Name] = st
 		if st.StallBarrier != 0 {
@@ -139,6 +149,59 @@ func replaySuite(scheme wpu.Scheme) (*replay, error) {
 		}
 	}
 	return r, errors.Join(errs...)
+}
+
+// eventDigest is the event count and the SHA-256 of every field of every
+// event, in order.
+func eventDigest(evs []obs.Event) string {
+	h := sha256.New()
+	var b []byte
+	for _, e := range evs {
+		b = binary.LittleEndian.AppendUint64(b[:0], e.Cycle)
+		for _, v := range [...]uint64{uint64(e.Kind), uint64(e.Unit), uint64(e.Warp), uint64(e.PC), e.Mask, e.Mask2, e.Addr} {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		h.Write(b)
+	}
+	return fmt.Sprintf("events=%d sha256=%x", len(evs), h.Sum(nil))
+}
+
+// TestTraceOrderGolden pins every event the suite emits under each of
+// concordanceSchemes, in emission order, with testdata/trace_order.golden:
+// one digest per benchmark and scheme. Cycle counts, memory hashes and the
+// scheduling dumps cannot see two events of one cycle emitted the other way
+// round; this can, and so can a stream subscriber, who reads the events in
+// this order. Regenerate with -update (or make update-goldens) only when the
+// order is meant to change, and say which event kinds moved and why.
+func TestTraceOrderGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	replays, err := suiteReplays()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, r := range replays {
+		for _, spec := range All() {
+			fmt.Fprintf(&sb, "%s %s %s\n", spec.Name, r.scheme, r.events[spec.Name])
+		}
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "trace_order.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("trace event order drifted from %s (run with -update only if it is meant to change)\n%s", path, firstDiff(got, string(want)))
+	}
 }
 
 func TestDivergenceConcordance(t *testing.T) {
