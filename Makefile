@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci lint fmt-check vet dwslint dwsverify build cross test race bench claims-smoke cli-smoke fuzz-smoke loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve stream-probe
+.PHONY: ci lint fmt-check vet dwslint dwsverify build cross test race bench claims-smoke cli-smoke fuzz-smoke mutants loc oracles oracles-check profile profile-diff report metrics trace update-goldens serve stream-probe
 
 ci: fmt-check vet lint build cross race test cli-smoke fuzz-smoke claims-smoke
 
@@ -85,12 +85,12 @@ claims-smoke:
 # The command-line programs on bad input: -h exits 0 or 2, and an unknown
 # scheme, benchmark, -param or exhibit id, a zero cache size, a -scale that is
 # not a power of two, a -values entry that is not a number, a dwstrace -wpu
-# the machine does not have, a timeline with a zero interval (dwsim
-# -timeline with -obsevery 0, dwstrace -format csv -every 0), a negative -j
-# or a dwsimd -cachemb that is negative or overflows is one line on
-# stderr and exit status 1, never a panic; and dwsweep along Figure 16's axis
-# prints Figure 16's DWS/Conv column (cmd/smoke_test.go; `make test` runs it
-# too).
+# the machine does not have, a dwstrace -format that dwsim writes instead
+# (chrome, csv), a timeline with a zero interval (dwsim -timeline with
+# -obsevery 0), a negative -j or a dwsimd -cachemb that is negative or
+# overflows is one line on stderr and exit status 1, never a panic; and
+# dwsweep along Figure 16's axis prints Figure 16's DWS/Conv column
+# (cmd/smoke_test.go; `make test` runs it too).
 # -count=1 because the test builds and runs the programs as child processes,
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:
@@ -106,6 +106,14 @@ cli-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/report -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 15s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzCoherence -fuzztime 15s
+
+# Plant each fault of mutants_test.go's table (the ones earlier changes
+# showed the tests catch) through `go test -overlay` and require a failing
+# test for every one; -v prints the tests that killed each. Not part of ci:
+# it runs the named packages' tests once per mutant (about 80 s on two
+# cores). A row whose old string no longer occurs exactly once fails.
+mutants:
+	$(GO) test -tags mutants -run '^TestMutants$$' -count=1 -v -timeout 30m .
 
 # Non-test Go lines per package and in total, bench/ (a module of its own)
 # excluded: the size figure CHANGES.md reports next to ns/op.
@@ -124,9 +132,9 @@ loc:
 # DWS, and one benchmark under one scheme), and a scheduling-state dump
 # every 2000 cycles (split ids, masks, PCs, states) of two divergent kernels
 # under three schemes — the only output that sees the order splits are
-# created and merged in — and the sampler's per-WPU timeline of one of them
-# (occupancy, residency, slot waiters, MSHRs). About two minutes on two
-# cores; stderr (timing lines) is not captured.
+# created and merged in — and dwsim's sampler timeline of one of them
+# (per-WPU occupancy, residency, slot waiters, MSHRs). About two minutes on
+# two cores; stderr (timing lines) is not captured.
 ORACLE_BENCHES = KMeans Merge
 ORACLE_SCHEMES = DWS.ReviveSplit DWS.AggressSplit.BL Slip.BranchBypass
 oracles:
@@ -144,7 +152,7 @@ oracles:
 	for b in $(ORACLE_BENCHES); do for s in $(ORACLE_SCHEMES); do \
 		$(GO) run ./cmd/dwstrace -bench $$b -scheme $$s -every 2000 > $(OUT)/dwstrace.$$b.$$s.txt || exit 1; \
 	done; done
-	$(GO) run ./cmd/dwstrace -bench KMeans -scheme DWS.ReviveSplit -format csv -every 2000 > $(OUT)/timeline.KMeans.csv
+	$(GO) run ./cmd/dwsim -bench KMeans -scheme DWS.ReviveSplit -nocache -timeline $(OUT)/timeline.KMeans.csv -obsevery 2000 >/dev/null
 
 # "Byte-identical to REF" as one command: `make oracles` on a copy of REF and
 # on the working tree, then `diff -r`; no output but the last line and exit 0

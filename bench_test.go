@@ -92,28 +92,6 @@ func kmeansRun(tb testing.TB, traced bool) int {
 	return len(tr.Events)
 }
 
-// BenchmarkObsOverhead times kmeansRun untraced ("off") and traced ("on").
-// What tracing costs end to end, a traced daemon job against an untraced
-// one, is the claims benchmark's serve.traced_over_untraced (bench/). Run as:
-//
-//	go test -bench ObsOverhead -benchtime 20x -run '^$' .
-func BenchmarkObsOverhead(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		traced bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			var events int
-			for i := 0; i < b.N; i++ {
-				events = kmeansRun(b, c.traced)
-			}
-			if c.traced {
-				b.ReportMetric(float64(events), "events")
-			}
-		})
-	}
-}
-
 // TestEndToEndAllocs holds three whole simulations to at most 10 % over the
 // allocation counts written here: Table 1 from a cold session (eight
 // simulations, every kernel) and kmeansRun untraced and traced. Each count
@@ -145,20 +123,4 @@ func TestEndToEndAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs, pinned at %.0f (+10 %% allowed)", c.name, allocs, c.pin)
 		}
 	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// cycles per wall-second) on the default configuration — useful when
-// tuning the simulator itself rather than reproducing exhibits.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		s := report.NewSession()
-		r, err := s.Run("Filter", report.DefaultKnobs(wpu.SchemeRevive))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += r.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }

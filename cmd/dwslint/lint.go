@@ -82,7 +82,7 @@ const ignoreDirective = "dwslint:ignore"
 // Linter holds configuration for a lint run.
 type Linter struct {
 	// ApprovedGoroutineFiles are path suffixes of files allowed to launch
-	// goroutines (the executor worker pool).
+	// goroutines; nil selects the default set.
 	ApprovedGoroutineFiles []string
 	// ObsGuardDirs are path fragments of the hot-path packages where the
 	// obsguard check applies; nil selects the default set.
@@ -94,6 +94,17 @@ type Linter struct {
 	// string-switches must be exhaustive or defaulted; nil selects the
 	// default set.
 	ExhaustiveLabelArrays []string
+}
+
+// approvedGoroutineFiles returns the files allowed to launch goroutines; a
+// nil slice selects the report executor's worker pool and the serve
+// daemon's job pool. Everything else under ./internal must stay
+// single-goroutine (per-System determinism depends on it).
+func (l *Linter) approvedGoroutineFiles() []string {
+	if l.ApprovedGoroutineFiles != nil {
+		return l.ApprovedGoroutineFiles
+	}
+	return []string{"internal/report/runner.go", "internal/serve/pool.go"}
 }
 
 // exhaustiveEnumTypes returns the enum type names the exhaustiveswitch
@@ -631,14 +642,15 @@ func baseIdent(e ast.Expr) *ast.Ident {
 // checkGoroutine flags go statements outside the approved executor files.
 func (w *walker) checkGoroutine(g *ast.GoStmt) {
 	file := filepath.ToSlash(w.fset.Position(g.Pos()).Filename)
-	for _, ok := range w.l.ApprovedGoroutineFiles {
+	approved := w.l.approvedGoroutineFiles()
+	for _, ok := range approved {
 		if strings.HasSuffix(file, ok) {
 			return
 		}
 	}
 	w.add(g.Pos(), "goroutine",
 		"goroutine launched outside the approved executor files (%s): simulator concurrency must flow through the report.Session worker pool",
-		strings.Join(w.l.ApprovedGoroutineFiles, ", "))
+		strings.Join(approved, ", "))
 }
 
 // checkObsGuard flags observability emissions in the hot-path packages

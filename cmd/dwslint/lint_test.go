@@ -8,15 +8,6 @@ import (
 	"testing"
 )
 
-// newTestLinter mirrors main.go's default approved-goroutine set: the
-// report executor's worker pool and the serve daemon's job pool.
-func newTestLinter() *Linter {
-	return &Linter{ApprovedGoroutineFiles: []string{
-		"internal/report/runner.go",
-		"internal/serve/pool.go",
-	}}
-}
-
 // expectedFindings parses the `// want <check>` markers out of a fixture.
 // A bare `//dwslint:ignore` (no reason) is itself expected to produce a
 // "directive" finding on its own line.
@@ -55,7 +46,7 @@ func TestBadFixture(t *testing.T) {
 		t.Fatal("fixture has no // want markers")
 	}
 
-	findings, err := newTestLinter().LintDirs(dir)
+	findings, err := (&Linter{}).LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +98,7 @@ func TestObsGuardFixture(t *testing.T) {
 		t.Fatal("fixture has no // want markers")
 	}
 
-	findings, err := newTestLinter().LintDirs(dir)
+	findings, err := (&Linter{}).LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +138,7 @@ func TestExhaustiveSwitchFixture(t *testing.T) {
 		t.Fatal("fixture has no // want markers")
 	}
 
-	findings, err := newTestLinter().LintDirs(dir)
+	findings, err := (&Linter{}).LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +170,7 @@ func TestExhaustiveSwitchFixture(t *testing.T) {
 // TestExhaustiveSwitchScope asserts the check is driven by the configured
 // enum names: under a configuration naming no enum, the fixture is clean.
 func TestExhaustiveSwitchScope(t *testing.T) {
-	l := newTestLinter()
+	l := &Linter{}
 	l.ExhaustiveEnumTypes = []string{"NoSuchType"}
 	l.ExhaustiveLabelArrays = []string{"NoSuchArray"}
 	findings, err := l.LintDirs(filepath.Join("testdata", "src", "exhaustive"))
@@ -196,7 +187,7 @@ func TestExhaustiveSwitchScope(t *testing.T) {
 // TestObsGuardScope asserts the check only applies inside ObsGuardDirs:
 // the same file linted under a non-hot-path configuration is clean.
 func TestObsGuardScope(t *testing.T) {
-	l := newTestLinter()
+	l := &Linter{}
 	l.ObsGuardDirs = []string{"no/such/dir"}
 	findings, err := l.LintDirs(filepath.Join("testdata", "src", "obsguard"))
 	if err != nil {
@@ -211,7 +202,7 @@ func TestObsGuardScope(t *testing.T) {
 
 // TestCleanFixture asserts the approved patterns produce no findings.
 func TestCleanFixture(t *testing.T) {
-	findings, err := newTestLinter().LintDirs(filepath.Join("testdata", "src", "clean"))
+	findings, err := (&Linter{}).LintDirs(filepath.Join("testdata", "src", "clean"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +214,7 @@ func TestCleanFixture(t *testing.T) {
 // TestRealTreeClean runs the linter over the actual simulator packages: the
 // tree it gates in CI must itself be clean.
 func TestRealTreeClean(t *testing.T) {
-	findings, err := newTestLinter().LintDirs(filepath.Join("..", "..", "internal"))
+	findings, err := (&Linter{}).LintDirs(filepath.Join("..", "..", "internal"))
 	if err != nil {
 		t.Fatal(err)
 	}

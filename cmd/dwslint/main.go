@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	dwslint [dirs...]                      # default: ./internal
-//	dwslint -approved-goroutine-files internal/report/runner.go ./internal
+//	dwslint [dirs...]    # default: ./internal
 //
 // Exit status 1 when any finding is reported.
 package main
@@ -16,52 +15,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 )
 
 func main() {
-	// The approved set: the report executor's worker pool and the serve
-	// daemon's job pool. Everything else under ./internal must stay
-	// single-goroutine (per-System determinism depends on it).
-	approved := flag.String("approved-goroutine-files",
-		"internal/report/runner.go,internal/serve/pool.go",
-		"comma-separated path suffixes of files allowed to launch goroutines")
-	obsDirs := flag.String("obsguard-dirs", "",
-		"comma-separated path fragments where obs emissions must be guarded (default: the built-in hot-path set)")
-	enumTypes := flag.String("exhaustive-enums", "",
-		"comma-separated enum type names whose switches must be exhaustive or defaulted (default: the built-in schema set)")
-	labelArrays := flag.String("exhaustive-labels", "",
-		"comma-separated label-array names whose string switches must be exhaustive or defaulted (default: the built-in schema set)")
 	flag.Parse()
-
 	dirs := flag.Args()
 	if len(dirs) == 0 {
 		dirs = []string{"./internal"}
 	}
 
-	l := &Linter{}
-	for _, s := range strings.Split(*approved, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			l.ApprovedGoroutineFiles = append(l.ApprovedGoroutineFiles, s)
-		}
-	}
-	for _, s := range strings.Split(*obsDirs, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			l.ObsGuardDirs = append(l.ObsGuardDirs, s)
-		}
-	}
-	for _, s := range strings.Split(*enumTypes, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			l.ExhaustiveEnumTypes = append(l.ExhaustiveEnumTypes, s)
-		}
-	}
-	for _, s := range strings.Split(*labelArrays, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			l.ExhaustiveLabelArrays = append(l.ExhaustiveLabelArrays, s)
-		}
-	}
-
-	findings, err := l.LintDirs(dirs...)
+	findings, err := (&Linter{}).LintDirs(dirs...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dwslint: %v\n", err)
 		os.Exit(2)

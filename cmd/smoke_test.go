@@ -155,7 +155,8 @@ func TestCLISmoke(t *testing.T) {
 		{"dwsweep", "-bench", "Filter", "-nocache", "-values", "10,x"},
 		{"dwstrace", "-bench", "Filter", "-scheme", "Nope"},
 		{"dwstrace", "-bench", "Filter", "-wpu", "9"},
-		{"dwstrace", "-bench", "Filter", "-format", "csv", "-every", "0"},
+		{"dwstrace", "-bench", "Filter", "-format", "chrome"},
+		{"dwstrace", "-bench", "Filter", "-format", "csv"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-timeline", "-", "-obsevery", "0"},
 		{"dwsreport", "-nocache", "-only", "nosuch"},
 		{"dwsverify", "-bench", "Nope"},
