@@ -63,10 +63,13 @@ test:
 # read 21-23 where it reads 19 without it); TestSuiteMemHitAllocs, which pins
 # the Prefetch pool's per-call cost, is one of them. `make test` runs every
 # test in full. See EXPERIMENTS.md "make race on two benchmarks" for the
-# wall time and the coverage check.
+# wall time and the coverage check. The second line adds the one concurrent
+# path outside those packages: several machines building one benchmark
+# through workloads' memo of prepared inputs at once.
 RACE_SKIP = ^(TestJumpEqualsCrawl|TestRecycledMachineEqualsFresh|Test\w+Allocs|Test\w+AllocFree)$$
 race:
 	$(GO) test -race -short -skip '$(RACE_SKIP)' ./internal/report/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race -run '^TestMemoConcurrentBuild$$' ./internal/workloads
 
 # The full exhibit set at -j 1 vs -j GOMAXPROCS, one run each: the
 # executor's wall-clock speedup on this host. Timing claims are judged with

@@ -99,20 +99,21 @@ func kmeansRun(tb testing.TB, traced bool) int {
 // its own: a GC cycle that empties a pool makes a run allocate again, so a
 // single reading can be high, while a regression raises the floor. After a
 // warm-up in the same process the counts are far below those of a run in a
-// fresh one (8 579, 3 329 and 3 459).
+// fresh one (8 411, 3 302 and 3 430), which also prepares each benchmark and
+// fills the machine's pools.
 func TestEndToEndAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		pin  float64
 		op   func()
 	}{
-		{"Table1", 936, func() {
+		{"Table1", 301, func() {
 			if _, err := report.NewSession().Table1(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"KMeans untraced", 136, func() { kmeansRun(t, false) }},
-		{"KMeans traced", 244, func() { kmeansRun(t, true) }},
+		{"KMeans untraced", 22, func() { kmeansRun(t, false) }},
+		{"KMeans traced", 130, func() { kmeansRun(t, true) }},
 	} {
 		allocs := math.Inf(1)
 		for range 5 {

@@ -12,6 +12,7 @@
 package mem
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -213,6 +214,69 @@ func (m *Memory) Alloc(n uint64, align uint64) uint64 {
 // the base address.
 func (m *Memory) AllocWords(n int) uint64 {
 	return m.Alloc(uint64(n)*8, 128)
+}
+
+// Image is an initial memory image built off any machine: regions laid out
+// by a bump allocator that starts where a fresh Memory's does and aligns as
+// AllocWords does, so the addresses it hands out are the ones the same
+// AllocWords calls on a fresh Memory return. Load copies it into a Memory;
+// the image itself is never written after it is built, so one image can
+// seed any number of machines, concurrently.
+type Image struct {
+	brk     uint64
+	regions []imageRegion
+}
+
+type imageRegion struct {
+	addr  uint64
+	words []int64
+}
+
+// NewImage returns an empty image whose allocator is at a fresh Memory's
+// base.
+func NewImage() *Image { return &Image{brk: allocBase} }
+
+// AllocWords reserves n words like Memory.AllocWords and returns the base
+// address; the region reads zero unless Set gives it contents.
+func (im *Image) AllocWords(n int) uint64 {
+	base := (im.brk + 127) &^ 127
+	im.brk = base + uint64(n)*8
+	return base
+}
+
+// Set makes words the contents starting at addr. The image keeps the
+// slice, which the caller must not write afterwards.
+func (im *Image) Set(addr uint64, words []int64) {
+	im.regions = append(im.regions, imageRegion{addr, words})
+}
+
+// Bytes is the host memory the image's contents hold.
+func (im *Image) Bytes() int {
+	n := 0
+	for _, r := range im.regions {
+		n += 8 * len(r.words)
+	}
+	return n
+}
+
+// Load lays im out in m, which must not have allocated since NewMemory or
+// Reset: the image's addresses are only the ones m's own allocator would
+// have handed out if it starts at its base. Afterwards m reads exactly
+// what im holds and allocates past im's last region.
+func (m *Memory) Load(im *Image) error {
+	if m.brk != allocBase {
+		return fmt.Errorf("mem: image loaded into a memory that has allocated up to %#x", m.brk)
+	}
+	m.brk = im.brk
+	m.growDir()
+	for _, r := range im.regions {
+		for w, words := r.addr/8, r.words; len(words) > 0; {
+			n := copy(m.page(w)[w%pageWords:], words)
+			words = words[n:]
+			w += uint64(n)
+		}
+	}
+	return nil
 }
 
 // Hash returns a deterministic FNV-1a digest of the memory image. Pages are

@@ -98,3 +98,40 @@ func TestMemoryDirGrowthPreservesData(t *testing.T) {
 		t.Fatalf("neighbouring words corrupt after migration")
 	}
 }
+
+// TestImageLoad: an image lays its regions out at the addresses the same
+// AllocWords calls give a fresh Memory, Load copies every region word for
+// word (here across page boundaries and into a recycled image), leaves the
+// allocator past the image, and refuses a memory that has allocated.
+func TestImageLoad(t *testing.T) {
+	im := NewImage()
+	ref := NewMemory()
+	sizes := []int{5, pageWords + 3, 2*pageWords - 1}
+	for i, n := range sizes {
+		addr := im.AllocWords(n)
+		if want := ref.AllocWords(n); addr != want {
+			t.Fatalf("region %d at %#x, a fresh Memory allocates %#x", i, addr, want)
+		}
+		words := make([]int64, n)
+		for j := range words {
+			words[j] = int64(i+1)<<32 | int64(j)
+			ref.Write(addr+8*uint64(j), words[j])
+		}
+		im.Set(addr, words)
+	}
+	m := NewMemory()
+	m.Write(0x5000000, 7) // a page the image does not cover, zeroed by Reset
+	m.Reset()
+	if err := m.Load(im); err != nil {
+		t.Fatal(err)
+	}
+	if m.Hash() != ref.Hash() {
+		t.Fatal("loaded image differs from the same words written one by one")
+	}
+	if next, want := m.AllocWords(1), ref.AllocWords(1); next != want {
+		t.Fatalf("after Load the allocator hands out %#x, want %#x", next, want)
+	}
+	if err := m.Load(im); err == nil {
+		t.Fatal("Load into a memory that has allocated succeeded")
+	}
+}

@@ -101,11 +101,11 @@ func FuzzVerify(f *testing.F) {
 			}
 		}
 
-		// Tamper with one instruction of a private copy (built programs are
-		// shared and immutable) and re-verify: findings are expected, panics
+		// Tamper with one instruction of a second build (built programs are
+		// immutable once shared) and re-verify: findings are expected, panics
 		// are not.
 		if len(data) > 0 && len(p.Code) > 0 {
-			q, err := b.buildFresh()
+			q, err := b.Build()
 			if err != nil {
 				t.Fatalf("second build of an accepted program failed: %v", err)
 			}

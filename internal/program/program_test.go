@@ -360,73 +360,3 @@ func TestUniformRangeRejected(t *testing.T) {
 		t.Errorf("one-value range on r5: %v", err)
 	}
 }
-
-// memoKernel is a small kernel whose every Builder input a test can vary.
-func memoKernel(name string, imm int64, threads int) *Builder {
-	b := NewBuilder(name)
-	b.DeclareRegion(4, 64)
-	b.DeclareUniformRange(5, 1, 8)
-	b.DeclareThreads(threads)
-	b.Shli(6, 1, 3)
-	b.Add(6, 6, 4)
-	b.Ld(7, 6, 0)
-	b.Label("loop")
-	b.Addi(7, 7, imm)
-	b.Addi(5, 5, -1)
-	b.Bnez(5, "loop")
-	b.St(7, 6, 0)
-	b.Halt()
-	return b
-}
-
-// TestBuildMemoized: two Builders holding the same kernel get the same
-// *Program (so a WPU gives the kernel one fetch range however often a
-// workload is instantiated), while a difference in anything Build reads —
-// name, code, a declaration — gives another.
-func TestBuildMemoized(t *testing.T) {
-	base := memoKernel("memo", 3, 8).MustBuild()
-	if again := memoKernel("memo", 3, 8).MustBuild(); again != base {
-		t.Fatal("identical kernels built twice are two programs")
-	}
-	for what, b := range map[string]*Builder{
-		"name":    memoKernel("memo2", 3, 8),
-		"code":    memoKernel("memo", 4, 8),
-		"threads": memoKernel("memo", 3, 6),
-	} {
-		if b.MustBuild() == base {
-			t.Fatalf("kernels differing in %s share a program", what)
-		}
-	}
-	extra := memoKernel("memo", 3, 8)
-	extra.DeclareUniformInputs(9)
-	if extra.MustBuild() == base {
-		t.Fatal("kernels differing in declared inputs share a program")
-	}
-
-	// Concurrent first builds of one kernel settle on one program.
-	const n = 8
-	got := make(chan *Program, n)
-	for i := 0; i < n; i++ {
-		go func() { got <- memoKernel("memo-concurrent", 3, 8).MustBuild() }()
-	}
-	first := <-got
-	for i := 1; i < n; i++ {
-		if p := <-got; p != first {
-			t.Fatal("concurrent builds of one kernel returned different programs")
-		}
-	}
-}
-
-// TestBuildMemoBounded: a generator of distinct kernels cannot grow the memo
-// past its bound.
-func TestBuildMemoBounded(t *testing.T) {
-	for i := 0; i < maxBuilds+10; i++ {
-		memoKernel("memo-many", int64(i+100), 8).MustBuild()
-	}
-	builds.mu.Lock()
-	n := len(builds.byDigest)
-	builds.mu.Unlock()
-	if n > maxBuilds {
-		t.Fatalf("memo holds %d programs, bound is %d", n, maxBuilds)
-	}
-}

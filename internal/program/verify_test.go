@@ -329,17 +329,7 @@ func TestFormatFindingsStable(t *testing.T) {
 	}
 }
 
-// buildFresh is Build without the memo: a Program of the caller's own,
-// which a tamper test may corrupt without poisoning the shared one.
-func (b *Builder) buildFresh() (*Program, error) {
-	code, err := b.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return b.build(code)
-}
-
-// mustIfElse builds a private copy of the if/else kernel used by the tamper
+// mustIfElse builds a Program of its own of the if/else kernel used by the tamper
 // tests.
 func mustIfElse(t *testing.T) *Program {
 	t.Helper()
@@ -352,7 +342,7 @@ func mustIfElse(t *testing.T) *Program {
 	b.Label("join")
 	b.Add(5, 4, 4)
 	b.Halt()
-	p, err := b.buildFresh()
+	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

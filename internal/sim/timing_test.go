@@ -45,17 +45,22 @@ func loadOneLine(sys *System) (*program.Program, []isa.RegFile) {
 	return laneLoad(sys, oneLine(freshLine(sys)))
 }
 
-// laneLoad builds the same kernel with lane i of the one warp loading
-// addr(i). Every laneLoad and loadOneLine program is one program (Build is
-// memoized), so after the first launch its instructions are resident.
+// laneLoad returns the same kernel with lane i of the one warp loading
+// addr(i). Every laneLoad and loadOneLine launch runs the one program,
+// loadKernel, so after the first launch its instructions are resident (a
+// WPU gives each distinct program its own fetch range).
 func laneLoad(sys *System, addr func(lane int) uint64) (*program.Program, []isa.RegFile) {
-	b := program.NewBuilder("load-one-line")
-	b.Ld(5, 4, 0)
-	b.Halt()
-	return b.MustBuild(), Threads(sys.Cfg.WPU.Width, func(tid int, r *isa.RegFile) {
+	return loadKernel, Threads(sys.Cfg.WPU.Width, func(tid int, r *isa.RegFile) {
 		r.Set(4, int64(addr(tid)))
 	})
 }
+
+var loadKernel = func() *program.Program {
+	b := program.NewBuilder("load-one-line")
+	b.Ld(5, 4, 0)
+	b.Halt()
+	return b.MustBuild()
+}()
 
 // runLoad launches laneLoad's kernel and returns its cycles.
 func runLoad(t *testing.T, sys *System, addr func(lane int) uint64) uint64 {

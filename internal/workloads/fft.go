@@ -1,12 +1,11 @@
 package workloads
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // FFT: radix-2 decimation-in-time fast Fourier transform (Splash2,
@@ -131,28 +130,24 @@ func fftStageKernel(n, maxThreads int) *program.Program {
 	return b.MustVerify()
 }
 
-// buildFFT prepares the FFT benchmark at n = 2048·scale points.
-func buildFFT(sys *sim.System, scale int) (*Instance, error) {
-	m := sys.Memory()
+// prepareFFT prepares the FFT benchmark at n = 2048·scale points.
+func prepareFFT(scale, capacity int) *prepared {
+	im := mem.NewImage()
 	n := fftN * scale
 	logN := 0
 	for 1<<logN < n {
 		logN++
 	}
-	srcRe := m.AllocWords(n)
-	srcIm := m.AllocWords(n)
-	re := m.AllocWords(n)
-	im := m.AllocWords(n)
-	twRe := m.AllocWords(n / 2)
-	twIm := m.AllocWords(n / 2)
+	srcRe := im.AllocWords(n)
+	srcIm := im.AllocWords(n) // the input is real: zero
+	re := im.AllocWords(n)
+	imag := im.AllocWords(n)
+	twRe := im.AllocWords(n / 2)
+	twIm := im.AllocWords(n / 2)
 
 	inRe := make([]float64, n)
-	inIm := make([]float64, n)
 	for i := 0; i < n; i++ {
 		inRe[i] = math.Sin(2*math.Pi*float64(i)/64) + 0.25*float64((i*7)%13)/13
-		inIm[i] = 0
-		m.WriteF(srcRe+uint64(i)*8, inRe[i])
-		m.WriteF(srcIm+uint64(i)*8, inIm[i])
 	}
 	wr := make([]float64, n/2)
 	wi := make([]float64, n/2)
@@ -160,25 +155,26 @@ func buildFFT(sys *sim.System, scale int) (*Instance, error) {
 		ang := -2 * math.Pi * float64(j) / float64(n)
 		wr[j] = math.Cos(ang)
 		wi[j] = math.Sin(ang)
-		m.WriteF(twRe+uint64(j)*8, wr[j])
-		m.WriteF(twIm+uint64(j)*8, wi[j])
 	}
+	im.Set(srcRe, bits(inRe))
+	im.Set(twRe, bits(wr))
+	im.Set(twIm, bits(wi))
 
 	var steps []launchSpec
-	steps = append(steps, launch(fftBitrevKernel(n, threadsFor(sys, n)), threadsFor(sys, n), func(tid int, r *isa.RegFile) {
+	steps = append(steps, launch(fftBitrevKernel(n, threadsFor(capacity, n)), threadsFor(capacity, n), func(tid int, r *isa.RegFile) {
 		r.Set(4, int64(srcRe))
 		r.Set(5, int64(srcIm))
 		r.Set(6, int64(re))
-		r.Set(7, int64(im))
+		r.Set(7, int64(imag))
 		r.Set(8, int64(n))
 		r.Set(9, int64(logN))
 	}))
-	stage := fftStageKernel(n, threadsFor(sys, n/2))
+	stage := fftStageKernel(n, threadsFor(capacity, n/2))
 	for s := 1; s <= logN; s++ {
 		mm := 1 << s
-		steps = append(steps, launch(stage, threadsFor(sys, n/2), func(tid int, r *isa.RegFile) {
+		steps = append(steps, launch(stage, threadsFor(capacity, n/2), func(tid int, r *isa.RegFile) {
 			r.Set(4, int64(re))
-			r.Set(5, int64(im))
+			r.Set(5, int64(imag))
 			r.Set(6, int64(twRe))
 			r.Set(7, int64(twIm))
 			r.Set(9, int64(mm))
@@ -188,41 +184,33 @@ func buildFFT(sys *sim.System, scale int) (*Instance, error) {
 		}))
 	}
 
-	verify := func() error {
-		// Reference: the identical iterative radix-2 algorithm.
-		refRe := make([]float64, n)
-		refIm := make([]float64, n)
-		for i := 0; i < n; i++ {
-			rev := 0
-			for b := 0; b < logN; b++ {
-				rev = rev<<1 | (i >> b & 1)
-			}
-			refRe[rev] = inRe[i]
-			refIm[rev] = inIm[i]
+	// Reference: the identical iterative radix-2 algorithm.
+	refRe := make([]float64, n)
+	refIm := make([]float64, n)
+	for i := 0; i < n; i++ {
+		rev := 0
+		for b := 0; b < logN; b++ {
+			rev = rev<<1 | (i >> b & 1)
 		}
-		for s := 1; s <= logN; s++ {
-			mm := 1 << s
-			half := mm / 2
-			stride := n / mm
-			for b := 0; b < n/2; b++ {
-				group, pos := b/half, b%half
-				i1 := group*mm + pos
-				i2 := i1 + half
-				cr, ci := wr[pos*stride], wi[pos*stride]
-				tr := cr*refRe[i2] - ci*refIm[i2]
-				ti := cr*refIm[i2] + ci*refRe[i2]
-				refRe[i1], refRe[i2] = refRe[i1]+tr, refRe[i1]-tr
-				refIm[i1], refIm[i2] = refIm[i1]+ti, refIm[i1]-ti
-			}
-		}
-		for i := 0; i < n; i++ {
-			gr := m.ReadF(re + uint64(i)*8)
-			gi := m.ReadF(im + uint64(i)*8)
-			if math.Abs(gr-refRe[i]) > 1e-6 || math.Abs(gi-refIm[i]) > 1e-6 {
-				return fmt.Errorf("fft: X[%d] = (%g,%g), want (%g,%g)", i, gr, gi, refRe[i], refIm[i])
-			}
-		}
-		return nil
+		refRe[rev] = inRe[i]
 	}
-	return &Instance{name: "FFT", steps: steps, verify: verify}, nil
+	for s := 1; s <= logN; s++ {
+		mm := 1 << s
+		half := mm / 2
+		stride := n / mm
+		for b := 0; b < n/2; b++ {
+			group, pos := b/half, b%half
+			i1 := group*mm + pos
+			i2 := i1 + half
+			cr, ci := wr[pos*stride], wi[pos*stride]
+			tr := cr*refRe[i2] - ci*refIm[i2]
+			ti := cr*refIm[i2] + ci*refRe[i2]
+			refRe[i1], refRe[i2] = refRe[i1]+tr, refRe[i1]-tr
+			refIm[i1], refIm[i2] = refIm[i1]+ti, refIm[i1]-ti
+		}
+	}
+	return &prepared{steps: steps, image: im, outputs: []output{
+		{"re", re, bits(refRe), absolute},
+		{"im", imag, bits(refIm), absolute},
+	}}
 }

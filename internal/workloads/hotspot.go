@@ -1,11 +1,9 @@
 package workloads
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // HotSpot: iterative thermal-simulation PDE solver (Rodinia, Table 2).
@@ -81,15 +79,15 @@ func hotspotKernel(width, height, maxThreads int) *program.Program {
 	return b.MustVerify()
 }
 
-// buildHotSpot prepares the HotSpot benchmark; scale multiplies the grid
+// prepareHotSpot prepares the HotSpot benchmark; scale multiplies the grid
 // height (60×68·scale cells).
-func buildHotSpot(sys *sim.System, scale int) (*Instance, error) {
-	m := sys.Memory()
+func prepareHotSpot(scale, capacity int) *prepared {
+	im := mem.NewImage()
 	w, h := hotspotW, hotspotH*scale
 	n := w * h
-	bufA := m.AllocWords(n)
-	bufB := m.AllocWords(n)
-	power := m.AllocWords(n)
+	bufA := im.AllocWords(n)
+	bufB := im.AllocWords(n)
+	power := im.AllocWords(n)
 
 	temp := make([]float64, n)
 	pw := make([]float64, n)
@@ -97,11 +95,11 @@ func buildHotSpot(sys *sim.System, scale int) (*Instance, error) {
 		x, y := i%w, i/w
 		temp[i] = 60 + 20*float64((x*y)%7)/7
 		pw[i] = float64((x+3*y)%11) / 11
-		m.WriteF(bufA+uint64(i)*8, temp[i])
-		m.WriteF(power+uint64(i)*8, pw[i])
 	}
+	im.Set(bufA, bits(temp))
+	im.Set(power, bits(pw))
 
-	nt := threadsFor(sys, n)
+	nt := threadsFor(capacity, n)
 	p := hotspotKernel(w, h, nt)
 	var steps []launchSpec
 	src, dst := bufA, bufB
@@ -117,30 +115,20 @@ func buildHotSpot(sys *sim.System, scale int) (*Instance, error) {
 	}
 	final := src // after the last swap, src holds the latest buffer
 
-	verify := func() error {
-		cur := append([]float64(nil), temp...)
-		next := make([]float64, n)
-		for it := 0; it < hotspotIters; it++ {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					i := y*w + x
-					if y == 0 || y == h-1 || x == 0 || x == w-1 {
-						next[i] = cur[i]
-						continue
-					}
-					nb := cur[i-w] + cur[i+w] + cur[i-1] + cur[i+1]
-					next[i] = cur[i] + hotspotC1*(nb-4*cur[i]) + hotspotC2*pw[i]
+	cur, next := temp, make([]float64, n)
+	for it := 0; it < hotspotIters; it++ {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				i := y*w + x
+				if y == 0 || y == h-1 || x == 0 || x == w-1 {
+					next[i] = cur[i]
+					continue
 				}
-			}
-			cur, next = next, cur
-		}
-		for i := 0; i < n; i++ {
-			got := m.ReadF(final + uint64(i)*8)
-			if !almostEqual(got, cur[i]) {
-				return fmt.Errorf("hotspot: cell %d = %g, want %g", i, got, cur[i])
+				nb := cur[i-w] + cur[i+w] + cur[i-1] + cur[i+1]
+				next[i] = cur[i] + hotspotC1*(nb-4*cur[i]) + hotspotC2*pw[i]
 			}
 		}
-		return nil
+		cur, next = next, cur
 	}
-	return &Instance{name: "HotSpot", steps: steps, verify: verify}, nil
+	return &prepared{steps: steps, image: im, outputs: []output{{"cell", final, bits(cur), relative}}}
 }

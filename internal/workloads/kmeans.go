@@ -1,11 +1,9 @@
 package workloads
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // KMeans: unsupervised classification with map-reduce distance aggregation
@@ -239,43 +237,40 @@ func kmeansFinalizeKernel(k, d, maxThreads int) *program.Program {
 	return b.MustVerify()
 }
 
-// buildKMeans prepares the KMeans benchmark at 4096·scale points.
-func buildKMeans(sys *sim.System, scale int) (*Instance, error) {
-	m := sys.Memory()
+// prepareKMeans prepares the KMeans benchmark at 4096·scale points.
+func prepareKMeans(scale, capacity int) *prepared {
+	im := mem.NewImage()
 	p, d, k, ch := kmeansP*scale, kmeansD, kmeansK, kmeansChunks
-	x := m.AllocWords(p * d)
-	cent := m.AllocWords(k * d)
-	assign := m.AllocWords(p)
-	psums := m.AllocWords(k * ch * d)
-	pcounts := m.AllocWords(k * ch)
-	sums := m.AllocWords(k * d)
-	counts := m.AllocWords(k)
+	x := im.AllocWords(p * d)
+	cent := im.AllocWords(k * d)
+	assign := im.AllocWords(p)
+	psums := im.AllocWords(k * ch * d)
+	pcounts := im.AllocWords(k * ch)
+	sums := im.AllocWords(k * d)
+	counts := im.AllocWords(k)
 
 	points := make([]float64, p*d)
 	for i := 0; i < p; i++ {
 		cluster := i % k
 		for j := 0; j < d; j++ {
-			v := float64(cluster*10) + float64((i*13+j*7)%23)/23
-			points[i*d+j] = v
-			m.WriteF(x+uint64(i*d+j)*8, v)
+			points[i*d+j] = float64(cluster*10) + float64((i*13+j*7)%23)/23
 		}
 	}
-	initCent := make([]float64, k*d)
-	for c := 0; c < k; c++ {
-		for j := 0; j < d; j++ {
-			initCent[c*d+j] = points[((c*17)%p)*d+j]
-			m.WriteF(cent+uint64(c*d+j)*8, initCent[c*d+j])
-		}
+	c := make([]float64, k*d)
+	for cc := 0; cc < k; cc++ {
+		copy(c[cc*d:(cc+1)*d], points[((cc*17)%p)*d:])
 	}
+	im.Set(x, bits(points))
+	im.Set(cent, bits(c))
 
-	aK := kmeansAssignKernel(p, k, d, threadsFor(sys, p))
-	uK := kmeansUpdateKernel(p, k, ch, threadsFor(sys, k*ch))
-	rK := kmeansReduceKernel(k, d, ch, threadsFor(sys, k*d))
-	fK := kmeansFinalizeKernel(k, d, threadsFor(sys, k*d))
+	aK := kmeansAssignKernel(p, k, d, threadsFor(capacity, p))
+	uK := kmeansUpdateKernel(p, k, ch, threadsFor(capacity, k*ch))
+	rK := kmeansReduceKernel(k, d, ch, threadsFor(capacity, k*d))
+	fK := kmeansFinalizeKernel(k, d, threadsFor(capacity, k*d))
 	var steps []launchSpec
 	for it := 0; it < kmeansIters; it++ {
 		steps = append(steps,
-			launch(aK, threadsFor(sys, p), func(tid int, r *isa.RegFile) {
+			launch(aK, threadsFor(capacity, p), func(tid int, r *isa.RegFile) {
 				r.Set(4, int64(x))
 				r.Set(5, int64(cent))
 				r.Set(6, int64(assign))
@@ -283,7 +278,7 @@ func buildKMeans(sys *sim.System, scale int) (*Instance, error) {
 				r.Set(8, int64(k))
 				r.Set(9, int64(d))
 			}),
-			launch(uK, threadsFor(sys, k*ch), func(tid int, r *isa.RegFile) {
+			launch(uK, threadsFor(capacity, k*ch), func(tid int, r *isa.RegFile) {
 				r.Set(4, int64(x))
 				r.Set(5, int64(assign))
 				r.Set(6, int64(psums))
@@ -293,7 +288,7 @@ func buildKMeans(sys *sim.System, scale int) (*Instance, error) {
 				r.Set(11, int64(ch))
 				r.Set(12, int64(p/ch))
 			}),
-			launch(rK, threadsFor(sys, k*d), func(tid int, r *isa.RegFile) {
+			launch(rK, threadsFor(capacity, k*d), func(tid int, r *isa.RegFile) {
 				r.Set(4, int64(psums))
 				r.Set(5, int64(pcounts))
 				r.Set(6, int64(sums))
@@ -302,7 +297,7 @@ func buildKMeans(sys *sim.System, scale int) (*Instance, error) {
 				r.Set(9, int64(d))
 				r.Set(10, int64(ch))
 			}),
-			launch(fK, threadsFor(sys, k*d), func(tid int, r *isa.RegFile) {
+			launch(fK, threadsFor(capacity, k*d), func(tid int, r *isa.RegFile) {
 				r.Set(4, int64(cent))
 				r.Set(5, int64(sums))
 				r.Set(6, int64(counts))
@@ -312,54 +307,45 @@ func buildKMeans(sys *sim.System, scale int) (*Instance, error) {
 		)
 	}
 
-	verify := func() error {
-		c := append([]float64(nil), initCent...)
-		asg := make([]int, p)
-		for it := 0; it < kmeansIters; it++ {
-			for i := 0; i < p; i++ {
-				best, bestK := 1e30, 0
-				for cc := 0; cc < k; cc++ {
-					dist := 0.0
-					for j := 0; j < d; j++ {
-						t := points[i*d+j] - c[cc*d+j]
-						dist += t * t
-					}
-					if dist < best {
-						best, bestK = dist, cc
-					}
-				}
-				asg[i] = bestK
-			}
-			for cc := 0; cc < k; cc++ {
-				cnt := 0
-				sum := make([]float64, d)
-				for i := 0; i < p; i++ {
-					if asg[i] != cc {
-						continue
-					}
-					cnt++
-					for j := 0; j < d; j++ {
-						sum[j] += points[i*d+j]
-					}
-				}
-				if cnt > 0 {
-					for j := 0; j < d; j++ {
-						c[cc*d+j] = sum[j] / float64(cnt)
-					}
-				}
-			}
-		}
+	// Reference: the same iterations on the host, from the same centroids.
+	asg := make([]int64, p)
+	sum := make([]float64, d)
+	for it := 0; it < kmeansIters; it++ {
 		for i := 0; i < p; i++ {
-			if got := m.Read(assign + uint64(i)*8); got != int64(asg[i]) {
-				return fmt.Errorf("kmeans: assign[%d] = %d, want %d", i, got, asg[i])
+			best, bestK := 1e30, 0
+			for cc := 0; cc < k; cc++ {
+				dist := 0.0
+				for j := 0; j < d; j++ {
+					t := points[i*d+j] - c[cc*d+j]
+					dist += t * t
+				}
+				if dist < best {
+					best, bestK = dist, cc
+				}
+			}
+			asg[i] = int64(bestK)
+		}
+		for cc := 0; cc < k; cc++ {
+			cnt := 0
+			clear(sum)
+			for i := 0; i < p; i++ {
+				if asg[i] != int64(cc) {
+					continue
+				}
+				cnt++
+				for j := 0; j < d; j++ {
+					sum[j] += points[i*d+j]
+				}
+			}
+			if cnt > 0 {
+				for j := 0; j < d; j++ {
+					c[cc*d+j] = sum[j] / float64(cnt)
+				}
 			}
 		}
-		for i := 0; i < k*d; i++ {
-			if got := m.ReadF(cent + uint64(i)*8); !almostEqual(got, c[i]) {
-				return fmt.Errorf("kmeans: cent[%d] = %g, want %g", i, got, c[i])
-			}
-		}
-		return nil
 	}
-	return &Instance{name: "KMeans", steps: steps, verify: verify}, nil
+	return &prepared{steps: steps, image: im, outputs: []output{
+		{"assign", assign, asg, exact},
+		{"cent", cent, bits(c), relative},
+	}}
 }

@@ -1,11 +1,11 @@
 package workloads
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // Merge: parallel merge sort (Table 2). Paper input: 300,000 integers;
@@ -59,26 +59,26 @@ func mergeKernel(n, maxThreads int) *program.Program {
 	return b.MustVerify()
 }
 
-// buildMerge prepares the Merge benchmark at 4096·scale records (scale
+// prepareMerge prepares the Merge benchmark at 4096·scale records (scale
 // must be a power of two: bitonic networks need power-of-two sizes).
-func buildMerge(sys *sim.System, scale int) (*Instance, error) {
-	m := sys.Memory()
+func prepareMerge(scale, capacity int) *prepared {
+	im := mem.NewImage()
 	n := mergeN * scale
-	a := m.AllocWords(3 * n) // 24-byte records (key, payload, pad)
+	a := im.AllocWords(3 * n) // 24-byte records (key, payload, pad)
 
-	input := make([]int64, n)
+	recs := make([]int64, 3*n)
 	seed := int64(0x2545F4914F6CDD1D)
-	for i := range input {
+	for i := 0; i < n; i++ {
 		// xorshift-style deterministic pseudo-random values
 		seed ^= seed << 13
 		seed ^= int64(uint64(seed) >> 7)
 		seed ^= seed << 17
-		input[i] = seed % 1000003
-		m.Write(a+uint64(i)*24, input[i])
-		m.Write(a+uint64(i)*24+8, int64(i)) // payload: original position
+		recs[3*i] = seed % 1000003
+		recs[3*i+1] = int64(i) // payload: original position
 	}
+	im.Set(a, recs)
 
-	nt := threadsFor(sys, n)
+	nt := threadsFor(capacity, n)
 	p := mergeKernel(n, nt)
 	var steps []launchSpec
 	for k := 2; k <= n; k *= 2 {
@@ -93,25 +93,24 @@ func buildMerge(sys *sim.System, scale int) (*Instance, error) {
 		}
 	}
 
-	verify := func() error {
-		var prev int64 = -1 << 62
-		seen := make([]bool, n)
-		for i := 0; i < n; i++ {
-			v := m.Read(a + uint64(i)*24)
-			if v < prev {
-				return fmt.Errorf("merge: out[%d]=%d < out[%d]=%d, not sorted", i, v, i-1, prev)
-			}
-			prev = v
-			pay := m.Read(a + uint64(i)*24 + 8)
-			if pay < 0 || pay >= int64(n) || seen[pay] {
-				return fmt.Errorf("merge: payload %d at %d invalid or duplicated", pay, i)
-			}
-			seen[pay] = true
-			if input[pay] != v {
-				return fmt.Errorf("merge: record %d separated from its key (%d != %d)", pay, v, input[pay])
+	// Reference: the same network on the host. Each substage's pairs are
+	// disjoint, so their order does not matter; the swap rule is the
+	// kernel's, ties included, so equal keys leave their payloads where the
+	// kernel leaves them.
+	want := slices.Clone(recs)
+	for k := 2; k <= n; k *= 2 {
+		for j := k / 2; j >= 1; j /= 2 {
+			for i := 0; i < n; i++ {
+				q := i ^ j
+				if q <= i {
+					continue
+				}
+				if ascending := i&k == 0; (want[3*q] < want[3*i]) == ascending {
+					want[3*i], want[3*q] = want[3*q], want[3*i]
+					want[3*i+1], want[3*q+1] = want[3*q+1], want[3*i+1]
+				}
 			}
 		}
-		return nil
 	}
-	return &Instance{name: "Merge", steps: steps, verify: verify}, nil
+	return &prepared{steps: steps, image: im, outputs: []output{{"records", a, want, exact}}}
 }

@@ -1,11 +1,11 @@
 package workloads
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // Short: winning-path search for chess (dynamic programming over rows,
@@ -84,20 +84,20 @@ func shortCost(step, j, k int) int64 {
 	return int64((j + 3*k + step) & shortCostMod)
 }
 
-// buildShort prepares the Short benchmark at 16384·scale choices per row.
-func buildShort(sys *sim.System, scale int) (*Instance, error) {
-	m := sys.Memory()
+// prepareShort prepares the Short benchmark at 16384·scale choices per row.
+func prepareShort(scale, capacity int) *prepared {
+	im := mem.NewImage()
 	c := shortChoices * scale
-	rowA := m.AllocWords(c)
-	rowB := m.AllocWords(c)
+	rowA := im.AllocWords(c)
+	rowB := im.AllocWords(c)
 
-	init := make([]int64, c)
-	for j := range init {
-		init[j] = int64((j*7919 + 13) % 97)
-		m.Write(rowA+uint64(j)*8, init[j])
+	cur := make([]int64, c)
+	for j := range cur {
+		cur[j] = int64((j*7919 + 13) % 97)
 	}
+	im.Set(rowA, slices.Clone(cur))
 
-	nt := threadsFor(sys, c)
+	nt := threadsFor(capacity, c)
 	p := shortKernel(c, nt)
 	var steps []launchSpec
 	src, dst := rowA, rowB
@@ -113,30 +113,18 @@ func buildShort(sys *sim.System, scale int) (*Instance, error) {
 	}
 	final := src
 
-	verify := func() error {
-		cur := append([]int64(nil), init...)
-		next := make([]int64, c)
-		for s := 0; s < shortSteps; s++ {
-			for j := 0; j < c; j++ {
-				best := int64(1) << 40
-				for _, k := range []int{j - 1, j, j + 1} {
-					if k < 0 || k >= c {
-						continue
-					}
-					if v := cur[k] + shortCost(s, j, k); v < best {
-						best = v
-					}
-				}
-				next[j] = best
-			}
-			cur, next = next, cur
-		}
+	next := make([]int64, c)
+	for s := 0; s < shortSteps; s++ {
 		for j := 0; j < c; j++ {
-			if got := m.Read(final + uint64(j)*8); got != cur[j] {
-				return fmt.Errorf("short: out[%d] = %d, want %d", j, got, cur[j])
+			best := int64(1) << 40
+			for k := max(j-1, 0); k <= min(j+1, c-1); k++ {
+				if v := cur[k] + shortCost(s, j, k); v < best {
+					best = v
+				}
 			}
+			next[j] = best
 		}
-		return nil
+		cur, next = next, cur
 	}
-	return &Instance{name: "Short", steps: steps, verify: verify}, nil
+	return &prepared{steps: steps, image: im, outputs: []output{{"row", final, cur, exact}}}
 }

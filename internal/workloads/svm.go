@@ -1,11 +1,9 @@
 package workloads
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // SVM: support-vector-machine kernel computation (MineBench, Table 2).
@@ -79,25 +77,23 @@ func svmKernel(n, d, band, maxThreads int) *program.Program {
 	return b.MustVerify()
 }
 
-// buildSVM prepares the SVM benchmark at 384·scale vectors.
-func buildSVM(sys *sim.System, scale int) (*Instance, error) {
-	m := sys.Memory()
+// prepareSVM prepares the SVM benchmark at 384·scale vectors.
+func prepareSVM(scale, capacity int) *prepared {
+	im := mem.NewImage()
 	n, d, band := svmN*scale, svmD, svmBand
-	x := m.AllocWords(n * d)
-	out := m.AllocWords(n * band)
+	x := im.AllocWords(n * d)
+	out := im.AllocWords(n * band)
 
 	vecs := make([]float64, n*d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
-			v := float64((i*29+j*13)%17)/17 - 0.45
-			vecs[i*d+j] = v
-			m.WriteF(x+uint64(i*d+j)*8, v)
+			vecs[i*d+j] = float64((i*29+j*13)%17)/17 - 0.45
 		}
 	}
+	im.Set(x, bits(vecs))
 
-	nt := threadsFor(sys, n*band)
-	p := svmKernel(n, d, band, nt)
-	step := launch(p, nt, func(tid int, r *isa.RegFile) {
+	nt := threadsFor(capacity, n*band)
+	step := launch(svmKernel(n, d, band, nt), nt, func(tid int, r *isa.RegFile) {
 		r.Set(4, int64(x))
 		r.Set(5, int64(out))
 		r.Set(6, int64(n))
@@ -106,25 +102,19 @@ func buildSVM(sys *sim.System, scale int) (*Instance, error) {
 		r.Set(9, int64(band))
 	})
 
-	verify := func() error {
-		for i := 0; i < n; i++ {
-			for b := 0; b < band; b++ {
-				j := (i + b) % n
-				dot := 0.0
-				for k := 0; k < d; k++ {
-					dot += vecs[i*d+k] * vecs[j*d+k]
-				}
-				want := dot * dot
-				if dot < 0 {
-					want = -dot
-				}
-				got := m.ReadF(out + uint64(i*band+b)*8)
-				if !almostEqual(got, want) {
-					return fmt.Errorf("svm: out[%d,%d] = %g, want %g", i, b, got, want)
-				}
+	want := make([]float64, n*band)
+	for i := 0; i < n; i++ {
+		for b := 0; b < band; b++ {
+			j := (i + b) % n
+			dot := 0.0
+			for k := 0; k < d; k++ {
+				dot += vecs[i*d+k] * vecs[j*d+k]
+			}
+			want[i*band+b] = dot * dot
+			if dot < 0 {
+				want[i*band+b] = -dot
 			}
 		}
-		return nil
 	}
-	return &Instance{name: "SVM", steps: []launchSpec{step}, verify: verify}, nil
+	return &prepared{steps: []launchSpec{step}, image: im, outputs: []output{{"out", out, bits(want), relative}}}
 }

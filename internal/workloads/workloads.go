@@ -12,8 +12,11 @@ package workloads
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/program"
 	"repro/internal/sim"
 )
@@ -27,24 +30,98 @@ type Step struct {
 // launchSpec is a Step before its register files exist: the thread count
 // and the setup that fills each thread's workload registers. A launch plan
 // runs to hundreds of kernels (LU: two per elimination step), so the plan
-// keeps these recipes and Run stages one launch at a time.
+// keeps these recipes and Run stages one launch at a time. A setup writes
+// constants only (addresses of the image, sizes): it captures no machine,
+// so one plan serves every machine it is loaded on.
 type launchSpec struct {
 	prog  *program.Program
 	n     int
 	setup func(tid int, r *isa.RegFile)
 }
 
-// Instance is a prepared workload bound to one system's memory.
+// prepared is everything a benchmark derives from its scale and the
+// machine's thread capacity alone: the launch plan with its kernels, the
+// initial memory image, and the output regions a correct run leaves, from
+// the host reference. It is built once per memo key (memo.go) and only
+// read afterwards, by any number of machines at once.
+type prepared struct {
+	steps   []launchSpec
+	image   *mem.Image
+	outputs []output
+}
+
+// output is one region a run must leave equal to want, word for word under
+// tol.
+type output struct {
+	name string
+	addr uint64
+	want []int64
+	tol  tolerance
+}
+
+// tolerance is how an output word is compared with the reference.
+type tolerance uint8
+
+const (
+	exact    tolerance = iota // integers: bit for bit
+	relative                  // floats: almostEqual
+	absolute                  // floats: within 1e-6
+)
+
+// equal reports whether got matches want under t.
+func (t tolerance) equal(got, want int64) bool {
+	g, w := math.Float64frombits(uint64(got)), math.Float64frombits(uint64(want))
+	switch t {
+	case relative:
+		return almostEqual(g, w)
+	case absolute:
+		return math.Abs(g-w) <= 1e-6
+	default:
+		return got == want
+	}
+}
+
+// word renders one word of a region compared under t.
+func (t tolerance) word(v int64) string {
+	if t == exact {
+		return strconv.FormatInt(v, 10)
+	}
+	return strconv.FormatFloat(math.Float64frombits(uint64(v)), 'g', -1, 64)
+}
+
+// check compares every output word in m with the reference.
+func (p *prepared) check(m *mem.Memory) error {
+	for _, o := range p.outputs {
+		for i, want := range o.want {
+			if got := m.Read(o.addr + uint64(i)*8); !o.tol.equal(got, want) {
+				return fmt.Errorf("%s[%d] = %s, want %s", o.name, i, o.tol.word(got), o.tol.word(want))
+			}
+		}
+	}
+	return nil
+}
+
+// bytes is the host memory the entry holds: image and reference (the plan
+// and kernels are a few KB at any scale).
+func (p *prepared) bytes() int {
+	n := p.image.Bytes()
+	for _, o := range p.outputs {
+		n += 8 * len(o.want)
+	}
+	return n
+}
+
+// Instance is a prepared workload loaded into one system's memory.
 type Instance struct {
-	name   string
-	steps  []launchSpec
-	verify func() error
+	name string
+	prep *prepared
+	mem  *mem.Memory
 }
 
 // Run executes every kernel launch in order, staging each launch's
 // registers in the machine's reusable buffer.
 func (in *Instance) Run(sys *sim.System) error {
-	for i, st := range in.steps {
+	for i, st := range in.prep.steps {
 		if _, err := sys.RunKernel(st.prog, sys.StageThreads(st.n, st.setup)); err != nil {
 			return fmt.Errorf("%s step %d: %w", in.name, i, err)
 		}
@@ -52,9 +129,9 @@ func (in *Instance) Run(sys *sim.System) error {
 	return nil
 }
 
-// Verify checks the computed results against the host reference.
+// Verify compares every output word of the run with the host reference.
 func (in *Instance) Verify() error {
-	if err := in.verify(); err != nil {
+	if err := in.prep.check(in.mem); err != nil {
 		return fmt.Errorf("%s: %w", in.name, err)
 	}
 	return nil
@@ -68,12 +145,12 @@ type Plan struct {
 	Threads        []int
 }
 
-// Plan builds the benchmark on a throwaway machine of configuration cfg and
-// returns its launch plan; nothing is simulated. It is the one enumerator
-// behind the tools that inspect a workload's kernels instead of running
-// them. Kernels are built with MustVerify, so a kernel that stops verifying
-// is a panic under Build; Plan reports it as an error, so that a tool can
-// go on to the next benchmark.
+// Plan returns the benchmark's launch plan on a machine of configuration
+// cfg; nothing is simulated. It is the one enumerator behind the tools that
+// inspect a workload's kernels instead of running them. Kernels are built
+// with MustVerify, so a kernel that stops verifying is a panic under Build;
+// Plan reports it as an error, so that a tool can go on to the next
+// benchmark.
 func (s Spec) Plan(cfg sim.Config) (pl Plan, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -84,12 +161,8 @@ func (s Spec) Plan(cfg sim.Config) (pl Plan, err error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	inst, err := s.Build(sys)
-	if err != nil {
-		return Plan{}, fmt.Errorf("%s: %w", s.Name, err)
-	}
 	seen := make(map[string]bool)
-	for _, st := range inst.steps {
+	for _, st := range s.prepared(sys.ThreadCapacity()).steps {
 		pl.Progs, pl.Threads = append(pl.Progs, st.prog), append(pl.Threads, st.n)
 		if !seen[st.prog.Name] {
 			seen[st.prog.Name] = true
@@ -102,18 +175,45 @@ func (s Spec) Plan(cfg sim.Config) (pl Plan, err error) {
 // Steps materialises the launch plan, register files included (for callers
 // that launch the kernels themselves; Run never builds it).
 func (in *Instance) Steps() []Step {
-	steps := make([]Step, len(in.steps))
-	for i, st := range in.steps {
+	steps := make([]Step, len(in.prep.steps))
+	for i, st := range in.prep.steps {
 		steps[i] = Step{Prog: st.prog, Threads: sim.Threads(st.n, st.setup)}
 	}
 	return steps
 }
 
-// Spec names a benchmark and knows how to instantiate it on a system.
+// Spec names a benchmark at one input scale.
 type Spec struct {
 	Name  string
 	Desc  string
-	Build func(sys *sim.System) (*Instance, error)
+	scale int
+	// prepare builds the benchmark for a machine of the given thread
+	// capacity; it reads nothing else of the machine.
+	prepare func(scale, capacity int) *prepared
+}
+
+// Build loads the benchmark into sys, whose memory must be fresh (as
+// sim.New or Reset leave it): the prepared plan, image and reference come
+// from the memo, and the image is copied into the machine's memory.
+func (s Spec) Build(sys *sim.System) (*Instance, error) {
+	p := s.prepared(sys.ThreadCapacity())
+	if err := sys.Memory().Load(p.image); err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	return &Instance{name: s.Name, prep: p, mem: sys.Memory()}, nil
+}
+
+// suite is the benchmark table in the paper's presentation order, at no
+// scale; All, AllWithScale and ByNameScaled copy from it.
+var suite = [...]Spec{
+	{Name: "FFT", Desc: "radix-2 fast Fourier transform (Splash2), butterfly computation", prepare: prepareFFT},
+	{Name: "Filter", Desc: "3x3 edge-detection convolution over a grayscale image", prepare: prepareFilter},
+	{Name: "HotSpot", Desc: "iterative thermal simulation PDE solver (Rodinia)", prepare: prepareHotSpot},
+	{Name: "LU", Desc: "dense LU decomposition (Splash2)", prepare: prepareLU},
+	{Name: "Merge", Desc: "bottom-up parallel merge sort", prepare: prepareMerge},
+	{Name: "Short", Desc: "winning-path search, dynamic programming over rows", prepare: prepareShort},
+	{Name: "KMeans", Desc: "unsupervised classification, map-reduce distance aggregation (MineBench)", prepare: prepareKMeans},
+	{Name: "SVM", Desc: "support vector machine kernel computation (MineBench)", prepare: prepareSVM},
 }
 
 // All returns the benchmark suite in the paper's presentation order, at the
@@ -127,22 +227,11 @@ func All() []Spec { return AllWithScale(1) }
 // simulation times (Filter and HotSpot grow their image height; LU grows
 // its matrix side by √scale steps, so its O(n³) work grows ≈ scale^1.5).
 func AllWithScale(scale int) []Spec {
-	if scale < 1 {
-		scale = 1
+	specs := suite
+	for i := range specs {
+		specs[i].scale = max(scale, 1)
 	}
-	bld := func(fn func(sys *sim.System, scale int) (*Instance, error)) func(*sim.System) (*Instance, error) {
-		return func(sys *sim.System) (*Instance, error) { return fn(sys, scale) }
-	}
-	return []Spec{
-		{Name: "FFT", Desc: "radix-2 fast Fourier transform (Splash2), butterfly computation", Build: bld(buildFFT)},
-		{Name: "Filter", Desc: "3x3 edge-detection convolution over a grayscale image", Build: bld(buildFilter)},
-		{Name: "HotSpot", Desc: "iterative thermal simulation PDE solver (Rodinia)", Build: bld(buildHotSpot)},
-		{Name: "LU", Desc: "dense LU decomposition (Splash2)", Build: bld(buildLU)},
-		{Name: "Merge", Desc: "bottom-up parallel merge sort", Build: bld(buildMerge)},
-		{Name: "Short", Desc: "winning-path search, dynamic programming over rows", Build: bld(buildShort)},
-		{Name: "KMeans", Desc: "unsupervised classification, map-reduce distance aggregation (MineBench)", Build: bld(buildKMeans)},
-		{Name: "SVM", Desc: "support vector machine kernel computation (MineBench)", Build: bld(buildSVM)},
-	}
+	return specs[:]
 }
 
 // ByName returns the named benchmark spec at the default scale.
@@ -150,8 +239,9 @@ func ByName(name string) (Spec, error) { return ByNameScaled(name, 1) }
 
 // ByNameScaled returns the named benchmark spec at the given scale.
 func ByNameScaled(name string, scale int) (Spec, error) {
-	for _, s := range AllWithScale(scale) {
+	for _, s := range suite {
 		if s.Name == name {
+			s.scale = max(scale, 1)
 			return s, nil
 		}
 	}
@@ -169,18 +259,21 @@ func isqrt(n int) int {
 
 // threadsFor picks the launch width: every hardware thread when the work is
 // large (threads stride over items), or one thread per item for small work.
-func threadsFor(sys *sim.System, items int) int {
-	cap := sys.ThreadCapacity()
-	if items < cap {
-		return items
-	}
-	return cap
-}
+func threadsFor(capacity, items int) int { return min(items, capacity) }
 
 // launch records one kernel launch of n threads with the standard ABI
 // (R1 = tid, R2 = nthreads) plus workload registers from setup.
 func launch(p *program.Program, n int, setup func(tid int, r *isa.RegFile)) launchSpec {
 	return launchSpec{prog: p, n: n, setup: setup}
+}
+
+// bits returns the words that hold vs, for an image region or a reference.
+func bits(vs []float64) []int64 {
+	out := make([]int64, len(vs))
+	for i, v := range vs {
+		out[i] = int64(math.Float64bits(v))
+	}
+	return out
 }
 
 func almostEqual(a, b float64) bool {

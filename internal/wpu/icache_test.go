@@ -10,8 +10,8 @@ import (
 func loopProgram(t *testing.T) *program.Program { return namedLoopProgram(t, "loopy") }
 
 // namedLoopProgram builds the loop kernel under a name of the caller's
-// choosing: Build is memoized, so only a different kernel is a different
-// program with a fetch range of its own.
+// choosing. Every Build is a program of its own, with a fetch range of its
+// own on a WPU that runs it.
 func namedLoopProgram(t *testing.T, name string) *program.Program {
 	t.Helper()
 	b := program.NewBuilder(name)

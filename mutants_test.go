@@ -135,6 +135,52 @@ var mutants = []struct {
 `,
 		pkgs: []string{"./internal/workloads"},
 	},
+	{ // every preparation would be the first capacity's: launches too wide for a smaller machine
+		name: "MemoKeyDropsCapacity",
+		file: "internal/workloads/memo.go",
+		old:  `k := memoKey{s.Name, s.scale, capacity}`,
+		new:  `k := memoKey{s.Name, s.scale, 0}`,
+		pkgs: []string{"./internal/workloads"},
+	},
+	{
+		name: "LoadSkipsLastRegion",
+		file: "internal/mem/funcmem.go",
+		old: `	for _, r := range im.regions {
+		for w, words`,
+		new: `	for _, r := range im.regions[:len(im.regions)-1] {
+		for w, words`,
+		pkgs: []string{"./internal/mem", "./internal/workloads"},
+	},
+	{
+		name: "VerifyAgainstZeroedReference",
+		file: "internal/workloads/workloads.go",
+		old:  `for i, want := range o.want {`,
+		new:  `for i, want := range make([]int64, len(o.want)) {`,
+		pkgs: []string{"./internal/workloads"},
+	},
+	{ // one scheme's fault: only a run under ReviveSplit sees it
+		name: "ExecMemSkipsLaneZeroStore",
+		file: "internal/wpu/wpu.go",
+		old: `			w.fmem.Write(addr, val[lane])
+`,
+		new: `			if lane != 0 || w.cfg.MemScheme != ReviveSplit {
+				w.fmem.Write(addr, val[lane])
+			}
+`,
+		pkgs: []string{"./internal/workloads"},
+	},
+	{ // every output word stays right: only the image hash against Conv's sees it
+		name: "ExecMemStrayStore",
+		file: "internal/wpu/wpu.go",
+		old: `			w.fmem.Write(addr, val[lane])
+`,
+		new: `			w.fmem.Write(addr, val[lane])
+			if lane == 0 && w.cfg.MemScheme == ReviveSplit {
+				w.fmem.Write(addr+1<<32, val[lane])
+			}
+`,
+		pkgs: []string{"./internal/report"},
+	},
 }
 
 // TestMutants plants each mutant through `go test -overlay`, so the tree is
