@@ -93,7 +93,9 @@ claims-smoke:
 # -obsevery 0), a negative -j or a dwsimd -cachemb that is negative or
 # overflows is one line on stderr and exit status 1, never a panic; and
 # dwsweep along Figure 16's axis prints Figure 16's DWS/Conv column
-# (cmd/smoke_test.go; `make test` runs it too).
+# (cmd/smoke_test.go; `make test` runs it too). `dwsim -httpobs` on a free
+# loopback port names its address on stderr and exits 0 after the run; on an
+# address that cannot be listened on it is one line and exit status 1.
 # -count=1 because the test builds and runs the programs as child processes,
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:
@@ -113,7 +115,7 @@ fuzz-smoke:
 # Plant each fault of mutants_test.go's table (the ones earlier changes
 # showed the tests catch) through `go test -overlay` and require a failing
 # test for every one; -v prints the tests that killed each. Not part of ci:
-# it runs the named packages' tests once per mutant (about 80 s on two
+# it runs the named packages' tests once per mutant (about three minutes on two
 # cores). A row whose old string no longer occurs exactly once fails.
 mutants:
 	$(GO) test -tags mutants -run '^TestMutants$$' -count=1 -v -timeout 30m .

@@ -108,10 +108,12 @@ func main() {
 	var live *sim.Live
 	if *httpObs != "" {
 		live = sim.NewLive()
-		// Attach's finish function publishes each run's final snapshot from
-		// inside the run; by the time Session.Run returns the machine may
-		// already be simulating something else.
-		s.OnSystem = live.Attach
+		// Each run labels its own snapshots and publishes its final one from
+		// inside the run (Attach's finish): by the time Session.Run returns
+		// the machine may already be simulating something else.
+		s.OnSystem = func(j report.Job, sys *sim.System) func() {
+			return live.Attach(sys, j.Bench, string(j.Knobs.Scheme))
+		}
 		ln, err := net.Listen("tcp", *httpObs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dwsim: -httpobs:", err)
@@ -129,9 +131,6 @@ func main() {
 	}
 
 	var docs []report.RunDoc
-	if live != nil {
-		live.SetMeta(*benchName, string(k.Scheme))
-	}
 	if traced {
 		tr := obs.New(*obsEvery)
 		start := time.Now()
@@ -196,8 +195,8 @@ func writeTo(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-// disasm prints each kernel's disassembly; it builds the workload against
-// a throwaway machine instead of simulating it.
+// disasm prints each kernel's disassembly from the workload's launch plan;
+// nothing is simulated.
 func disasm(name string, k report.Knobs) error {
 	spec, err := workloads.ByNameScaled(name, max(k.Scale, 1))
 	if err != nil {

@@ -57,11 +57,11 @@ func main() {
 	// text dumps the machine every -every cycles from a hook on the run's
 	// System; json and hist read the obs sink after it.
 	var tr *obs.Trace
-	var dump func(*sim.System) func()
+	var dump func(report.Job, *sim.System) func()
 	if *format != "text" {
 		tr = obs.New(*every)
 	} else if *every != 0 {
-		dump = func(sys *sim.System) func() {
+		dump = func(_ report.Job, sys *sim.System) func() {
 			sys.Observe(*every, func(cycle uint64) {
 				if cycle < *from || cycle > *until {
 					return

@@ -28,7 +28,7 @@ type outcome struct {
 // all of them sleep.
 func simulate(t *testing.T, sys *sim.System, bench string, k Knobs, tr *obs.Trace, crawl bool) outcome {
 	t.Helper()
-	r, err := runOn(sys, bench, k, func(sys *sim.System) func() {
+	r, err := runOn(sys, bench, k, func(_ Job, sys *sim.System) func() {
 		if crawl {
 			sys.Observe(1, func(uint64) {})
 		}
@@ -64,7 +64,7 @@ func abandonMidRun(t *testing.T, sys *sim.System, bench string, k Knobs, atCycle
 			t.Fatal("abandoned run left no event in flight; pick an earlier cycle")
 		}
 	}()
-	runOn(sys, bench, k, func(sys *sim.System) func() { //nolint:errcheck // it panics
+	runOn(sys, bench, k, func(_ Job, sys *sim.System) func() { //nolint:errcheck // it panics
 		sys.Observe(atCycle, func(cycle uint64) {
 			if cycle == atCycle {
 				panic("abandon")
@@ -394,7 +394,7 @@ func TestIdleMachinesHoldNoRunState(t *testing.T) {
 
 	k := DefaultKnobs(wpu.SchemeRevive)
 	finished := false
-	hook := func(sys *sim.System) func() {
+	hook := func(_ Job, sys *sim.System) func() {
 		sys.Observe(1, func(uint64) {})
 		return func() {
 			if sys.Cycles() == 0 {

@@ -65,15 +65,15 @@ type Session struct {
 	jobs  int    // worker-pool width for Prefetch (0 = GOMAXPROCS)
 	store *Store // optional cross-process result store
 
-	// OnSystem, when set, observes every machine immediately before its run
-	// starts — the dwsim -httpobs live-metrics hook. The function it returns
-	// (nil for none) is called on the same goroutine once the run has ended,
-	// successfully or not, and is the hook's last chance to look at the
-	// machine: afterwards it is recycled for another run (see machines), so
-	// nothing may hold on to it. OnSystem must be set before the first
-	// Run; it is called from the executor's worker goroutines, so
-	// implementations must be safe for concurrent use.
-	OnSystem func(*sim.System) (finish func())
+	// OnSystem, when set, observes every machine immediately before it runs
+	// the Job it is given — the live-metrics hook, which labels the run's
+	// snapshots with it. The function it returns (nil for none) is called on
+	// the same goroutine once the run has ended, successfully or not, and is
+	// the hook's last chance to look at the machine: afterwards it is
+	// recycled for another run (see machines), so nothing may hold on to it.
+	// OnSystem must be set before the first Run; it is called from the
+	// executor's worker goroutines, so it must be safe for concurrent use.
+	OnSystem func(Job, *sim.System) (finish func())
 }
 
 // inflight is one cache slot: done closes once r/err are final, so
@@ -216,7 +216,7 @@ func (s *Session) RunTraced(bench string, k Knobs, tr *obs.Trace) (Result, error
 // one shared hook. The hook obeys OnSystem's contract: it runs on the
 // goroutine that will drive the simulation, immediately before it starts,
 // and must not touch the machine after its finish function has returned.
-func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func(*sim.System) func()) (Result, error) {
+func (s *Session) RunTracedWith(bench string, k Knobs, tr *obs.Trace, onSys func(Job, *sim.System) func()) (Result, error) {
 	s.mu.Lock()
 	s.stats.Misses++
 	s.stats.Traced++
@@ -340,7 +340,7 @@ func releaseMachine(sys *sim.System) {
 // after a clean run: one that returned an error (deadlock, failed
 // verification) or panicked leaves it for the garbage collector, whatever
 // state it is in.
-func runLive(bench string, k Knobs, tr *obs.Trace, onSys func(*sim.System) func()) (Result, error) {
+func runLive(bench string, k Knobs, tr *obs.Trace, onSys func(Job, *sim.System) func()) (Result, error) {
 	cfg := k.Config()
 	cfg.Trace = tr
 	sys, err := takeMachine(cfg)
@@ -359,7 +359,7 @@ func runLive(bench string, k Knobs, tr *obs.Trace, onSys func(*sim.System) func(
 // built state for k's configuration, and collects the Result. Everything
 // that reads the machine happens in here, so the caller is free to recycle
 // it the moment runOn returns.
-func runOn(sys *sim.System, bench string, k Knobs, onSys func(*sim.System) func()) (Result, error) {
+func runOn(sys *sim.System, bench string, k Knobs, onSys func(Job, *sim.System) func()) (Result, error) {
 	spec, err := workloads.ByNameScaled(bench, max(k.Scale, 1))
 	if err != nil {
 		return Result{}, err
@@ -370,7 +370,7 @@ func runOn(sys *sim.System, bench string, k Knobs, onSys func(*sim.System) func(
 	}
 	var finish func()
 	if onSys != nil {
-		finish = onSys(sys)
+		finish = onSys(Job{bench, k}, sys)
 	}
 	err = inst.Run(sys)
 	if finish != nil {

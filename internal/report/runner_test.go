@@ -157,7 +157,7 @@ func TestPrefetchClaimsOnce(t *testing.T) {
 		s := NewSession(WithJobs(n))
 		var inFlight, peak, calls atomic.Int64
 		caller, before := goroutineID(), runtime.NumGoroutine()
-		s.OnSystem = func(*sim.System) func() {
+		s.OnSystem = func(Job, *sim.System) func() {
 			calls.Add(1)
 			now := inFlight.Add(1)
 			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
@@ -185,7 +185,7 @@ func TestPrefetchClaimsOnce(t *testing.T) {
 
 	s := NewSession(WithJobs(1))
 	var calls atomic.Int64
-	s.OnSystem = func(*sim.System) func() { calls.Add(1); return nil }
+	s.OnSystem = func(Job, *sim.System) func() { calls.Add(1); return nil }
 	bad := append([]Job{{Bench: "NoSuchBench", Knobs: DefaultKnobs(wpu.SchemeConv)}}, jobs...)
 	if err := s.Prefetch(bad); err == nil {
 		t.Fatal("Prefetch ignored an unknown benchmark")
@@ -239,7 +239,7 @@ func TestSuiteMemHitAllocs(t *testing.T) {
 // flight, so the next Run of it simulates instead of blocking forever.
 func TestRunPanicIsNotMemoized(t *testing.T) {
 	s := NewSession(WithJobs(2))
-	s.OnSystem = func(*sim.System) func() { panic("injected") }
+	s.OnSystem = func(Job, *sim.System) func() { panic("injected") }
 	k := DefaultKnobs(wpu.SchemeConv)
 	panics := func(f func()) (v any) {
 		defer func() { v = recover() }()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/wpu"
 )
 
 // testServer assembles a started Server over a fresh Session (optionally
@@ -292,7 +294,7 @@ func TestJobPanic(t *testing.T) {
 		interrupted = map[*sim.System]bool{}
 	)
 	inner := session.OnSystem
-	session.OnSystem = func(sys *sim.System) func() {
+	session.OnSystem = func(j report.Job, sys *sim.System) func() {
 		mu.Lock()
 		defer mu.Unlock()
 		if boom {
@@ -302,7 +304,7 @@ func TestJobPanic(t *testing.T) {
 		if interrupted[sys] {
 			t.Errorf("machine %p ran again after a panic interrupted it", sys)
 		}
-		return inner(sys)
+		return inner(j, sys)
 	}
 	setBoom := func(v bool) { mu.Lock(); boom = v; mu.Unlock() }
 	srv.Start()
@@ -426,9 +428,9 @@ func TestSubmitBackpressure(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var hold, unhold sync.Once
 	inner := session.OnSystem
-	session.OnSystem = func(sys *sim.System) func() {
+	session.OnSystem = func(j report.Job, sys *sim.System) func() {
 		hold.Do(func() { close(entered); <-release })
-		return inner(sys)
+		return inner(j, sys)
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
@@ -552,6 +554,81 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestMetricsLabelTheirRun: after a run job and then a sweep on a
+// two-worker server, every dwsim_* series on /metrics carries the (bench,
+// scheme) of the run whose counters it prints, and equals that point's
+// result document. A sweep's points run inside Suite, before its job has
+// walked its points, so a label the job set rather than the run would name
+// the earlier job's point.
+func TestMetricsLabelTheirRun(t *testing.T) {
+	_, _, ts := testServer(t, 2, false)
+	docs := map[[2]string]report.RunDoc{}
+	for _, body := range []string{
+		`{"schema_version":1,"bench":"FFT","knobs":{"scheme":"Conv"}}`,
+		`{"schema_version":1,"kind":"sweep","benches":["Filter"],"schemes":["Conv","DWS.ReviveSplit"]}`,
+	} {
+		doc, _ := postJob(t, ts, body)
+		for _, p := range waitJob(t, ts, doc.ID).Points {
+			b, status := fetchResult(t, ts, p.ResultKey)
+			var rd report.RunDoc
+			if err := json.Unmarshal(b, &rd); status != http.StatusOK || err != nil {
+				t.Fatalf("result of %s/%s: status %d, %v", p.Bench, p.Scheme, status, err)
+			}
+			docs[[2]string{rd.Bench, rd.Scheme}] = rd
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "dwsim_") {
+			got[name] = val
+		}
+	}
+	var bench, scheme string
+	if m := regexp.MustCompile(`(?m)^dwsim_cycles_total\{bench="([^"]*)",scheme="([^"]*)"\} `).FindSubmatch(body); m != nil {
+		bench, scheme = string(m[1]), string(m[2])
+	}
+	rd, ok := docs[[2]string{bench, scheme}]
+	if !ok {
+		t.Fatalf("dwsim_cycles_total labelled %q/%q, not a point that ran:\n%s", bench, scheme, body)
+	}
+	labels := fmt.Sprintf("bench=%q,scheme=%q", bench, scheme)
+	series := func(name string) string { return name + "{" + labels + "}" }
+	want := map[string]uint64{
+		series("dwsim_cycles_total"):        rd.Cycles,
+		series("dwsim_wpu_cycles_total"):    rd.WPU.Cycles(),
+		series("dwsim_instructions_total"):  rd.WPU.Issued,
+		series("dwsim_l1_accesses_total"):   rd.L1.Accesses,
+		series("dwsim_l1_misses_total"):     rd.L1.Misses,
+		series("dwsim_l2_misses_total"):     rd.L2.Misses,
+		series("dwsim_dram_accesses_total"): rd.DRAMAccesses,
+		series("dwsim_l2_mshr_outstanding"): 0,
+		series("dwsim_run_done"):            1,
+	}
+	for i, v := range rd.WPU.CycleBuckets() {
+		want[fmt.Sprintf("dwsim_cycle_bucket_total{%s,cause=%q}", labels, wpu.CycleBucketLabels[i])] = v
+	}
+	for name, v := range want {
+		if got[name] != fmt.Sprint(v) {
+			t.Errorf("%s = %q, the %s/%s result document says %d", name, got[name], bench, scheme, v)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("series %s does not carry the labels %s", name, labels)
 		}
 	}
 }

@@ -51,9 +51,11 @@ func New(cfg Config) *Server {
 		writeTimeout: 10 * time.Second,
 		mux:          http.NewServeMux(),
 	}
-	// Every run publishes into the shared live snapshot; a stream
+	// Every run publishes the live snapshot under its own labels; a stream
 	// subscriber's run also publishes its frames (runStream).
-	s.session.OnSystem = s.live.Attach
+	s.session.OnSystem = func(j report.Job, sys *sim.System) func() {
+		return s.live.Attach(sys, j.Bench, string(j.Knobs.Scheme))
+	}
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -190,8 +192,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics is GET /metrics: daemon counters (jobs, session cache,
-// store) followed by the live snapshot of whatever the simulator
-// is doing right now.
+// store) followed by the live snapshot of the run that refreshed last,
+// labelled with that run's benchmark and scheme.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	counts := s.reg.counts()
@@ -257,7 +259,6 @@ func (s *Server) runJob(j *job) {
 	}
 	for i := range j.points {
 		p := &j.points[i]
-		s.live.SetMeta(p.bench, string(p.knobs.Scheme))
 		r, err := s.session.Run(p.bench, p.knobs)
 		if err != nil {
 			s.reg.finish(j, err.Error())

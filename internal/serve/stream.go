@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sim"
 )
 
@@ -148,14 +149,13 @@ func (s *Server) runStream(j *job) {
 		every = 1000 // the dwsim -obsevery default
 	}
 	tr := obs.New(every)
-	s.live.SetMeta(p.bench, string(p.knobs.Scheme))
-	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(sys *sim.System) func() {
+	r, err := s.session.RunTracedWith(p.bench, p.knobs, tr, func(rj report.Job, sys *sim.System) func() {
 		sys.Observe(s.every, func(uint64) {
 			if st.publish(tr) != nil {
 				sys.Stop()
 			}
 		})
-		return s.session.OnSystem(sys)
+		return s.session.OnSystem(rj, sys)
 	})
 	if err != nil {
 		st.endError(err.Error())

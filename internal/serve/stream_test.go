@@ -361,9 +361,9 @@ func heldServer(t *testing.T) (*Server, *httptest.Server, chan<- struct{}) {
 	srv := New(Config{Session: session})
 	release := make(chan struct{}, 1)
 	inner := session.OnSystem
-	session.OnSystem = func(sys *sim.System) func() {
+	session.OnSystem = func(j report.Job, sys *sim.System) func() {
 		<-release
-		return inner(sys)
+		return inner(j, sys)
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
@@ -493,7 +493,7 @@ func TestStreamReplayMidRun(t *testing.T) {
 	held, resume := make(chan struct{}), make(chan struct{})
 	var hold, unhold sync.Once
 	inner := session.OnSystem
-	session.OnSystem = func(sys *sim.System) func() {
+	session.OnSystem = func(j report.Job, sys *sim.System) func() {
 		if sys.Cfg.Trace == nil { // the job's own run
 			sys.Observe(256, func(cycle uint64) {
 				if cycle > 0 {
@@ -501,7 +501,7 @@ func TestStreamReplayMidRun(t *testing.T) {
 				}
 			})
 		}
-		return inner(sys)
+		return inner(j, sys)
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
@@ -562,13 +562,13 @@ func TestStreamStopsOnSlowOrGoneSubscriber(t *testing.T) {
 	)
 	started := make(chan struct{}, 1)
 	inner := session.OnSystem
-	session.OnSystem = func(sys *sim.System) func() {
+	session.OnSystem = func(j report.Job, sys *sim.System) func() {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, ok := stopped[sys]; ok {
 			t.Errorf("machine %p of a stopped run was recycled", sys)
 		}
-		finish := inner(sys)
+		finish := inner(j, sys)
 		if sys.Cfg.Trace == nil {
 			return finish
 		}

@@ -9,20 +9,18 @@ import (
 	"repro/internal/program"
 )
 
-// runLiveKernel executes a small kernel with a Live publisher attached and
-// finalised. The kernel ends before the first periodic refresh, so the
-// snapshot is the one Attach's finish publishes.
-func runLiveKernel(t *testing.T) *Live {
+// runLiveKernel executes a small kernel on a machine of cfg with a Live
+// publisher attached and finalised, and returns both. The kernel ends before
+// the first periodic refresh, so the snapshot is the one Attach's finish
+// publishes.
+func runLiveKernel(t *testing.T, cfg Config) (*Live, *System) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.WPUs = 1
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	lv.SetMeta("nop", "Conv")
-	finish := lv.Attach(sys)
+	finish := lv.Attach(sys, "nop", "Conv")
 	b := program.NewBuilder("nop")
 	b.Nop()
 	b.Nop()
@@ -31,31 +29,50 @@ func runLiveKernel(t *testing.T) *Live {
 		t.Fatal(err)
 	}
 	finish()
-	return lv
+	return lv, sys
+}
+
+func oneWPU() Config {
+	cfg := DefaultConfig()
+	cfg.WPUs = 1
+	return cfg
 }
 
 func TestLiveSnapshotAndInvariant(t *testing.T) {
-	lv := runLiveKernel(t)
+	lv, _ := runLiveKernel(t, oneWPU())
 	snap := lv.Snapshot()
 	if !snap.Done {
 		t.Fatal("Attach's finish did not mark the snapshot done")
 	}
 	if snap.Bench != "nop" || snap.Scheme != "Conv" {
-		t.Fatalf("meta = %q/%q", snap.Bench, snap.Scheme)
+		t.Fatalf("labels = %q/%q", snap.Bench, snap.Scheme)
 	}
-	if snap.Total.Cycles() == 0 {
+	if snap.WPUCycles == 0 {
 		t.Fatal("snapshot has no cycles")
 	}
-	if snap.Total.StallSum() != snap.Total.Cycles() {
-		t.Fatalf("taxonomy sum %d != cycles %d", snap.Total.StallSum(), snap.Total.Cycles())
+	if sum := bucketSum(snap); sum != snap.WPUCycles {
+		t.Fatalf("taxonomy sum %d != cycles %d", sum, snap.WPUCycles)
 	}
-	if len(snap.WPUs) != 1 || len(snap.L1Outstanding) != 1 {
-		t.Fatalf("per-WPU slices sized %d/%d, want 1/1", len(snap.WPUs), len(snap.L1Outstanding))
+}
+
+func bucketSum(s LiveSnapshot) (sum uint64) {
+	for _, v := range s.Buckets {
+		sum += v
+	}
+	return sum
+}
+
+// TestLiveRefreshAllocFree: a refresh copies counters into the snapshot by
+// value, so on a Table 3 machine that has run it allocates nothing.
+func TestLiveRefreshAllocFree(t *testing.T) {
+	lv, sys := runLiveKernel(t, DefaultConfig())
+	if allocs := testing.AllocsPerRun(100, func() { lv.capture(sys, "nop", "Conv", sys.Cycles(), false) }); allocs != 0 {
+		t.Errorf("one refresh: %.0f allocs, want 0", allocs)
 	}
 }
 
 func TestLiveJSONEndpoint(t *testing.T) {
-	lv := runLiveKernel(t)
+	lv, _ := runLiveKernel(t, oneWPU())
 	rec := httptest.NewRecorder()
 	lv.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != 200 {
@@ -68,13 +85,13 @@ func TestLiveJSONEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot does not parse: %v", err)
 	}
-	if snap.Total.StallSum() != snap.Total.Cycles() {
-		t.Fatalf("served taxonomy sum %d != cycles %d", snap.Total.StallSum(), snap.Total.Cycles())
+	if snap != lv.Snapshot() {
+		t.Fatalf("served snapshot %+v, published %+v", snap, lv.Snapshot())
 	}
 }
 
 func TestLivePrometheusEndpoint(t *testing.T) {
-	lv := runLiveKernel(t)
+	lv, _ := runLiveKernel(t, oneWPU())
 	rec := httptest.NewRecorder()
 	lv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
@@ -99,6 +116,21 @@ func TestLivePrometheusEndpoint(t *testing.T) {
 		}
 		if parts := strings.Fields(line); len(parts) != 2 {
 			t.Errorf("malformed exposition line %q", line)
+		}
+	}
+}
+
+// TestLiveUnlabelledBeforeFirstRefresh: a publisher no run has refreshed
+// prints every series without labels, at zero.
+func TestLiveUnlabelledBeforeFirstRefresh(t *testing.T) {
+	var b strings.Builder
+	NewLive().WriteMetrics(&b)
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if strings.Contains(line, "bench=") || !strings.HasSuffix(line, " 0") {
+			t.Errorf("unrefreshed exposition line %q", line)
 		}
 	}
 }

@@ -120,6 +120,22 @@ func (cfg Config) wpuConfig() wpu.Config {
 	return w
 }
 
+// ThreadCapacity returns the hardware thread count of a machine of this
+// configuration: WPUs × Warps × Width.
+func (cfg Config) ThreadCapacity() int { return cfg.WPUs * cfg.WPU.Warps * cfg.WPU.Width }
+
+// Validate rejects a configuration no machine can be built for: the check
+// Reset makes before it touches the machine.
+func (cfg Config) Validate() error {
+	if cfg.WPUs <= 0 {
+		return fmt.Errorf("sim: need at least one WPU")
+	}
+	if cfg.WPUs > mem.MaxL1s {
+		return fmt.Errorf("sim: %d WPUs exceed the L2 directory's %d", cfg.WPUs, mem.MaxL1s)
+	}
+	return cfg.WPU.Validate()
+}
+
 // CostParamsFor translates a machine configuration plus a launch thread
 // count into the static cost model's parameter block: the Launch-time
 // counterpart of program.DefaultCostParams, which it equals on DefaultConfig
@@ -209,11 +225,8 @@ func New(cfg Config) (*System, error) {
 // sink's attachment, not pointers into its memory image. On error (cfg
 // invalid) the machine is in no defined state and must be dropped.
 func (s *System) Reset(cfg Config) error {
-	if cfg.WPUs <= 0 {
-		return fmt.Errorf("sim: need at least one WPU")
-	}
-	if cfg.WPUs > mem.MaxL1s {
-		return fmt.Errorf("sim: %d WPUs exceed the L2 directory's %d", cfg.WPUs, mem.MaxL1s)
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	cfg.Hier.Trace = cfg.Trace
 	cfg.WPU = cfg.wpuConfig()
@@ -259,9 +272,7 @@ func (s *System) Memory() *mem.Memory { return s.Hier.Mem }
 func (s *System) Cycles() uint64 { return uint64(s.cycle) }
 
 // ThreadCapacity returns the machine's hardware thread count.
-func (s *System) ThreadCapacity() int {
-	return s.Cfg.WPUs * s.WPUs[0].ThreadCapacity()
-}
+func (s *System) ThreadCapacity() int { return s.Cfg.ThreadCapacity() }
 
 // Threads builds n initial register files with the launch ABI (R1 = global
 // thread ID, R2 = thread count, R3 = WPU-local index filled at dispatch)

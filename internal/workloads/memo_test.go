@@ -187,3 +187,33 @@ func TestMemoBudget(t *testing.T) {
 		t.Fatalf("an oversized entry left %d entries", len(memo.order))
 	}
 }
+
+// TestPlanAllocs: a Plan builds no machine, so once the suite is prepared
+// eight Plans allocate fewer than 100 times; and a configuration Reset
+// refuses is Plan's error too, with the same message.
+func TestPlanAllocs(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	specs := All()
+	for _, s := range specs {
+		if _, err := s.Plan(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, s := range specs {
+			s.Plan(cfg) //nolint:errcheck // checked above
+		}
+	})
+	t.Logf("%d warm Plans: %.0f allocs", len(specs), allocs)
+	if allocs >= 100 {
+		t.Errorf("%d warm Plans: %.0f allocs, want fewer than 100", len(specs), allocs)
+	}
+
+	wide := cfg
+	wide.WPU.Width = 65
+	_, err := specs[0].Plan(wide)
+	_, resetErr := sim.New(wide)
+	if err == nil || resetErr == nil || err.Error() != resetErr.Error() {
+		t.Errorf("width 65: Plan says %v, Reset says %v", err, resetErr)
+	}
+}

@@ -137,16 +137,15 @@ func (in *Instance) Verify() error {
 	return nil
 }
 
-// Plan is a benchmark's launch plan without a run: launch i runs Progs[i]
-// on Threads[i] threads, and Kernels are the distinct programs by name, in
-// first-launch order.
+// Plan is what a benchmark launches, without a run: Kernels are the
+// distinct programs by name, in first-launch order.
 type Plan struct {
-	Kernels, Progs []*program.Program
-	Threads        []int
+	Kernels []*program.Program
 }
 
 // Plan returns the benchmark's launch plan on a machine of configuration
-// cfg; nothing is simulated. It is the one enumerator behind the tools that
+// cfg, which it checks as a machine's Reset does; no machine is built and
+// nothing is simulated. It is the one enumerator behind the tools that
 // inspect a workload's kernels instead of running them. Kernels are built
 // with MustVerify, so a kernel that stops verifying is a panic under Build;
 // Plan reports it as an error, so that a tool can go on to the next
@@ -157,13 +156,11 @@ func (s Spec) Plan(cfg sim.Config) (pl Plan, err error) {
 			pl, err = Plan{}, fmt.Errorf("%s: %v", s.Name, r)
 		}
 	}()
-	sys, err := sim.New(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Plan{}, err
 	}
 	seen := make(map[string]bool)
-	for _, st := range s.prepared(sys.ThreadCapacity()).steps {
-		pl.Progs, pl.Threads = append(pl.Progs, st.prog), append(pl.Threads, st.n)
+	for _, st := range s.prepared(cfg.ThreadCapacity()).steps {
 		if !seen[st.prog.Name] {
 			seen[st.prog.Name] = true
 			pl.Kernels = append(pl.Kernels, st.prog)

@@ -37,6 +37,39 @@ var mutants = []struct {
 		new:  `return start + 10*c.cfg.HitLat`,
 		pkgs: []string{"./internal/sim"},
 	},
+	{ // the other half of the latency mutation: a hit in no time
+		name: "L1HitLatencyZero",
+		file: "internal/mem/l1.go",
+		old:  `return start + c.cfg.HitLat`,
+		new:  `return start`,
+		pkgs: []string{"./internal/sim"},
+	},
+	{
+		name: "DRAMLatencyZero",
+		file: "internal/mem/l2.go",
+		old:  `d.q.ScheduleAfter(d.Latency, r.h, r.arg)`,
+		new:  `d.q.ScheduleAfter(0, r.h, r.arg)`,
+		pkgs: []string{"./internal/sim"},
+	},
+	{ // a miss that finds every L2 MSHR busy is granted against another line's frame
+		name: "L2MSHRFullGrantsOtherFrame",
+		file: "internal/mem/l2.go",
+		old: `		l.Stats.MSHRFull++
+		l.waiting.push(r)
+`,
+		new: `		l.Stats.MSHRFull++
+		l.grant(l.st.victim(r.lineAddr), r)
+`,
+		pkgs: []string{"./internal/mem", "./internal/sim"},
+	},
+	{ // the directory keeps naming caches it has just invalidated
+		name: "RevokeLeavesSharerBits",
+		file: "internal/mem/l2.go",
+		old: `		row[b] = 0
+`,
+		new:  ``,
+		pkgs: []string{"./internal/mem"},
+	},
 	{ // a recycled machine starts with the last run's bank reservations
 		name: "L1ResetKeepsBankFree",
 		file: "internal/mem/l1.go",
@@ -180,6 +213,20 @@ var mutants = []struct {
 			}
 `,
 		pkgs: []string{"./internal/report"},
+	},
+	{ // every refresh after the first run keeps that run's labels
+		name: "LiveKeepsFirstRunLabels",
+		file: "internal/sim/live.go",
+		old: `	lv.mu.Lock()
+	lv.snap = s
+`,
+		new: `	lv.mu.Lock()
+	if lv.snap.Bench != "" {
+		s.Bench, s.Scheme = lv.snap.Bench, lv.snap.Scheme
+	}
+	lv.snap = s
+`,
+		pkgs: []string{"./internal/serve"},
 	},
 }
 
