@@ -93,9 +93,7 @@ claims-smoke:
 # -obsevery 0), a negative -j or a dwsimd -cachemb that is negative or
 # overflows is one line on stderr and exit status 1, never a panic; and
 # dwsweep along Figure 16's axis prints Figure 16's DWS/Conv column
-# (cmd/smoke_test.go; `make test` runs it too). `dwsim -httpobs` on a free
-# loopback port names its address on stderr and exits 0 after the run; on an
-# address that cannot be listened on it is one line and exit status 1.
+# (cmd/smoke_test.go; `make test` runs it too).
 # -count=1 because the test builds and runs the programs as child processes,
 # which the Go test cache cannot see: a cached pass may predate an edit.
 cli-smoke:

@@ -19,15 +19,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"runtime/pprof"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 	"repro/internal/wpu"
 )
@@ -39,7 +36,6 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file ('-' = stdout; single benchmark only)")
 		tlOut     = flag.String("timeline", "", "write the interval timeline CSV to this file ('-' = stdout; single benchmark only)")
 		statsOut  = flag.String("stats", "", "write machine-readable run metrics JSON to this file ('-' = stdout)")
-		httpObs   = flag.String("httpobs", "", "serve live run metrics over HTTP at this address (e.g. :8080) while the process runs: '/' returns a JSON snapshot, '/metrics' the Prometheus text format")
 		obsEvery  = flag.Uint64("obsevery", 1000, "timeline sample interval in cycles for -trace/-timeline")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
@@ -104,25 +100,6 @@ func main() {
 	}
 
 	s, _ := openSess("dwsim", report.StoreOptions{})
-
-	var live *sim.Live
-	if *httpObs != "" {
-		live = sim.NewLive()
-		// Each run labels its own snapshots and publishes its final one from
-		// inside the run (Attach's finish): by the time Session.Run returns
-		// the machine may already be simulating something else.
-		s.OnSystem = func(j report.Job, sys *sim.System) func() {
-			return live.Attach(sys, j.Bench, string(j.Knobs.Scheme))
-		}
-		ln, err := net.Listen("tcp", *httpObs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwsim: -httpobs:", err)
-			os.Exit(1)
-		}
-		defer ln.Close()
-		go http.Serve(ln, live) //nolint:errcheck // serves until process exit
-		fmt.Fprintf(os.Stderr, "dwsim: live metrics at http://%s/ (JSON) and http://%s/metrics (Prometheus)\n", ln.Addr(), ln.Addr())
-	}
 
 	traced := *traceOut != "" || *tlOut != ""
 	if traced && len(names) != 1 {

@@ -143,17 +143,6 @@ func TestCLISmoke(t *testing.T) {
 			t.Errorf("want one line saying the run continues without the store on stderr, got:\n%s", stderr)
 		}
 	})
-	// -httpobs serves the live snapshot while the run lasts: the program
-	// names the address it listens on and exits 0 when the run is done.
-	t.Run("dwsim -httpobs", func(t *testing.T) {
-		code, stderr := run(t, "dwsim", "-bench", "Filter", "-nocache", "-httpobs", "127.0.0.1:0")
-		if code != 0 {
-			t.Errorf("exit status %d, want 0", code)
-		}
-		if !strings.Contains(stderr, "live metrics at http://127.0.0.1:") {
-			t.Errorf("stderr does not name the listener's address:\n%s", stderr)
-		}
-	})
 	for _, tc := range [][]string{
 		{"dwsim", "-bench", "Filter", "-nocache", "-scheme", "Nope"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-l1kb", "0"},
@@ -169,7 +158,6 @@ func TestCLISmoke(t *testing.T) {
 		{"dwstrace", "-bench", "Filter", "-format", "chrome"},
 		{"dwstrace", "-bench", "Filter", "-format", "csv"},
 		{"dwsim", "-bench", "Filter", "-nocache", "-timeline", "-", "-obsevery", "0"},
-		{"dwsim", "-bench", "Filter", "-nocache", "-httpobs", "256.0.0.1:0"},
 		{"dwsreport", "-nocache", "-only", "nosuch"},
 		{"dwsverify", "-bench", "Nope"},
 		{"dwsverify", "-scale", "3"},

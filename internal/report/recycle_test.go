@@ -90,7 +90,10 @@ func abandonMidRun(t *testing.T, sys *sim.System, bench string, k Knobs, atCycle
 // apart when this test fails). Every run passes its benchmark's host
 // reference check (runOn verifies), issues instructions and touches memory,
 // and since a scheme changes timing only, every scheme must leave the
-// memory image Conv leaves for the same benchmark.
+// memory image Conv leaves for the same benchmark and, on the Table 3
+// geometry, perform the thread operations and floating-point operations
+// Conv performs: subdivision regroups threads, it never adds or drops a
+// thread's instruction.
 func TestRecycledMachineEqualsFresh(t *testing.T) {
 	type point struct {
 		bench   string
@@ -127,8 +130,11 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 	half := len(pts) / 2
 	pts = append(pts[:half:half], append(mid, pts[half:]...)...)
 
-	// memHashes[bench][scheme] is the memory image of every finished run.
+	// memHashes[bench][scheme] is the memory image of every finished run;
+	// threadOps[bench][scheme] its ThreadOps and FloatOps, kept for the
+	// Table 3 geometry only, since the thread count follows the geometry.
 	memHashes := make(map[string]map[wpu.Scheme]uint64)
+	threadOps := make(map[string]map[wpu.Scheme][2]uint64)
 	var recycled *sim.System
 	for i, p := range pts {
 		name := fmt.Sprintf("run %d: %s under %s %+v", i, p.bench, p.k.Scheme, p.k)
@@ -180,15 +186,26 @@ func TestRecycledMachineEqualsFresh(t *testing.T) {
 			memHashes[p.bench] = make(map[wpu.Scheme]uint64)
 		}
 		memHashes[p.bench][p.k.Scheme] = want.memHash
+		if p.k == DefaultKnobs(p.k.Scheme) {
+			if threadOps[p.bench] == nil {
+				threadOps[p.bench] = make(map[wpu.Scheme][2]uint64)
+			}
+			threadOps[p.bench][p.k.Scheme] = [2]uint64{want.r.Stats.ThreadOps, want.r.Stats.FloatOps}
+		}
 	}
 	for _, b := range BenchNames() {
 		conv, ok := memHashes[b][wpu.SchemeConv]
 		if !ok {
 			continue // -short ran no Conv point of b
 		}
+		convOps := threadOps[b][wpu.SchemeConv]
 		for _, sc := range wpu.AllSchemes {
 			if h, ok := memHashes[b][sc]; ok && h != conv {
 				t.Errorf("%s: memory image under %s (%#x) differs from Conv's (%#x); a scheme may change only timing", b, sc, h, conv)
+			}
+			if ops, ok := threadOps[b][sc]; ok && ops != convOps {
+				t.Errorf("%s: %d thread ops and %d float ops under %s, %d and %d under Conv; a scheme may change only timing",
+					b, ops[0], ops[1], sc, convOps[0], convOps[1])
 			}
 		}
 	}

@@ -31,7 +31,7 @@ type Server struct {
 	store   *report.Store
 	reg     *registry
 	pool    *pool
-	live    *sim.Live
+	live    sim.Live
 	every   uint64 // SSE publish cadence of a stream subscriber's run in simulated cycles
 	// writeTimeout is the deadline of one write to a stream subscriber: the
 	// header, one publish period's frames or the terminal frame.
@@ -45,7 +45,6 @@ func New(cfg Config) *Server {
 		session: cfg.Session,
 		store:   cfg.Store,
 		reg:     newRegistry(),
-		live:    sim.NewLive(),
 		every:   2048,
 		// A client that stops reading holds a pool worker this long.
 		writeTimeout: 10 * time.Second,

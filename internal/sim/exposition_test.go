@@ -16,7 +16,7 @@ import (
 // the DRAM give for the same machine, and no other series is printed.
 func TestExpositionMatchesMachine(t *testing.T) {
 	sys := newMachine(t, wpu.SchemeRevive, nil)
-	lv := sim.NewLive()
+	var lv sim.Live
 	finish := lv.Attach(sys, "FFT", string(wpu.SchemeRevive))
 	if err := build(t, "FFT", sys).Run(sys); err != nil {
 		t.Fatal(err)

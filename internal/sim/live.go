@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"slices"
 	"strings"
 	"sync"
@@ -12,48 +10,39 @@ import (
 	"repro/internal/wpu"
 )
 
-// Live publishes the last refreshed snapshot of the running machines over
-// HTTP — the engine behind `dwsim -httpobs` and the daemon's /metrics. Every
-// run refreshes it from a System observer each liveEvery cycles, labelled
-// with its own benchmark and scheme (Attach); HTTP handlers only read the
-// last published copy under the mutex, so the endpoint never blocks a
-// machine. /metrics is the Prometheus text format, every other path the
-// same LiveSnapshot as indented JSON.
-//
-// Live carries no goroutines of its own: the caller owns the HTTP server
-// (and its listener goroutine) so the simulator tree stays free of
-// unmanaged concurrency.
+// Live holds the last refreshed snapshot of the running machines — the
+// engine behind the daemon's /metrics. Every run refreshes it from a System
+// observer each liveEvery cycles, labelled with its own benchmark and scheme
+// (Attach); WriteMetrics only reads the last published copy under the
+// mutex, so a scrape never blocks a machine. The zero Live is ready to use.
 type Live struct {
 	mu   sync.Mutex
-	snap LiveSnapshot
+	snap liveSnapshot
 }
 
-// LiveSnapshot is one published state of a run: exactly the values /metrics
-// prints. The buckets sum to WPUCycles.
-type LiveSnapshot struct {
-	Bench  string `json:"bench,omitempty"`
-	Scheme string `json:"scheme,omitempty"`
-	Cycle  uint64 `json:"cycle"`
-	Done   bool   `json:"done"`
+// liveSnapshot is one published state of a run: exactly the values
+// WriteMetrics prints. The buckets sum to WPUCycles.
+type liveSnapshot struct {
+	Bench  string
+	Scheme string
+	Cycle  uint64
+	Done   bool
 
 	// Buckets is the cycle taxonomy summed over the WPUs, in
 	// wpu.CycleBucketLabels order.
-	Buckets       [8]uint64 `json:"cycle_buckets"`
-	WPUCycles     uint64    `json:"wpu_cycles"`
-	Instructions  uint64    `json:"instructions"`
-	L1Accesses    uint64    `json:"l1_accesses"`
-	L1Misses      uint64    `json:"l1_misses"`
-	L2Misses      uint64    `json:"l2_misses"`
-	DRAMAccesses  uint64    `json:"dram_accesses"`
-	L2Outstanding int       `json:"l2_outstanding"` // busy L2 MSHRs
+	Buckets       [8]uint64
+	WPUCycles     uint64
+	Instructions  uint64
+	L1Accesses    uint64
+	L1Misses      uint64
+	L2Misses      uint64
+	DRAMAccesses  uint64
+	L2Outstanding int // busy L2 MSHRs
 }
 
 // liveEvery is the refresh period in cycles, coarse enough to be invisible
 // in the run time.
 const liveEvery = 4096
-
-// NewLive returns a publisher refreshing every liveEvery cycles.
-func NewLive() *Live { return &Live{} }
 
 // Attach has sys refresh the snapshot every liveEvery cycles, labelled with
 // bench and scheme, and returns the function that publishes the run's final
@@ -66,10 +55,10 @@ func (lv *Live) Attach(sys *System, bench, scheme string) (finish func()) {
 }
 
 // capture runs on the simulation goroutine. It copies counters by value
-// into the snapshot and allocates nothing, so HTTP readers never share
-// mutable state with the still-running machine.
+// into the snapshot and allocates nothing, so a scrape never shares mutable
+// state with the still-running machine.
 func (lv *Live) capture(sys *System, bench, scheme string, cycle uint64, done bool) {
-	s := LiveSnapshot{
+	s := liveSnapshot{
 		Bench:         bench,
 		Scheme:        scheme,
 		Cycle:         cycle,
@@ -94,41 +83,26 @@ func (lv *Live) capture(sys *System, bench, scheme string, cycle uint64, done bo
 	lv.mu.Unlock()
 }
 
-// Snapshot returns the last published state.
-func (lv *Live) Snapshot() LiveSnapshot {
+// snapshot returns the last published state.
+func (lv *Live) snapshot() liveSnapshot {
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
 	return lv.snap
 }
 
 // WriteMetrics renders the last published snapshot in the Prometheus text
-// exposition format. It is the /metrics body of the standalone dwsim
-// -httpobs endpoint, and the dwsimd server appends it to its own metric
-// families so one scrape covers both the daemon and the run that refreshed
+// exposition format. The dwsimd server appends it to its own metric
+// families, so one scrape covers both the daemon and the run that refreshed
 // last.
 func (lv *Live) WriteMetrics(w io.Writer) {
-	writeProm(w, lv.Snapshot())
-}
-
-// ServeHTTP implements the live endpoint.
-func (lv *Live) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	snap := lv.Snapshot()
-	if r.URL.Path == "/metrics" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeProm(w, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap) //nolint:errcheck // best-effort: the peer may hang up
+	writeProm(w, lv.snapshot())
 }
 
 // writeProm renders the snapshot in the Prometheus text exposition
 // format: the cycle taxonomy as one counter family plus the headline
 // machine counters, every series labelled with the run's benchmark and
 // scheme (none before the first refresh).
-func writeProm(w io.Writer, s LiveSnapshot) {
+func writeProm(w io.Writer, s liveSnapshot) {
 	var run []string
 	if s.Bench != "" || s.Scheme != "" {
 		run = []string{fmt.Sprintf("bench=%q,scheme=%q", s.Bench, s.Scheme)}

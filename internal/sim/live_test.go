@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -19,7 +17,7 @@ func runLiveKernel(t *testing.T, cfg Config) (*Live, *System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := NewLive()
+	lv := new(Live)
 	finish := lv.Attach(sys, "nop", "Conv")
 	b := program.NewBuilder("nop")
 	b.Nop()
@@ -40,7 +38,7 @@ func oneWPU() Config {
 
 func TestLiveSnapshotAndInvariant(t *testing.T) {
 	lv, _ := runLiveKernel(t, oneWPU())
-	snap := lv.Snapshot()
+	snap := lv.snapshot()
 	if !snap.Done {
 		t.Fatal("Attach's finish did not mark the snapshot done")
 	}
@@ -55,7 +53,7 @@ func TestLiveSnapshotAndInvariant(t *testing.T) {
 	}
 }
 
-func bucketSum(s LiveSnapshot) (sum uint64) {
+func bucketSum(s liveSnapshot) (sum uint64) {
 	for _, v := range s.Buckets {
 		sum += v
 	}
@@ -71,33 +69,11 @@ func TestLiveRefreshAllocFree(t *testing.T) {
 	}
 }
 
-func TestLiveJSONEndpoint(t *testing.T) {
-	lv, _ := runLiveKernel(t, oneWPU())
-	rec := httptest.NewRecorder()
-	lv.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
-	var snap LiveSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot does not parse: %v", err)
-	}
-	if snap != lv.Snapshot() {
-		t.Fatalf("served snapshot %+v, published %+v", snap, lv.Snapshot())
-	}
-}
-
 func TestLivePrometheusEndpoint(t *testing.T) {
 	lv, _ := runLiveKernel(t, oneWPU())
-	rec := httptest.NewRecorder()
-	lv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	body := rec.Body.String()
+	var b strings.Builder
+	lv.WriteMetrics(&b)
+	body := b.String()
 	for _, want := range []string{
 		`dwsim_cycles_total{bench="nop",scheme="Conv"} `,
 		`dwsim_cycle_bucket_total{bench="nop",scheme="Conv",cause="busy"} `,
@@ -124,7 +100,7 @@ func TestLivePrometheusEndpoint(t *testing.T) {
 // prints every series without labels, at zero.
 func TestLiveUnlabelledBeforeFirstRefresh(t *testing.T) {
 	var b strings.Builder
-	NewLive().WriteMetrics(&b)
+	new(Live).WriteMetrics(&b)
 	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue

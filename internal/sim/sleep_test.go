@@ -9,6 +9,7 @@ package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -227,11 +228,11 @@ func TestTimelineSamplesExact(t *testing.T) {
 }
 
 // sleptShare runs bench under scheme, on a machine attach (if any) has seen
-// first, and returns the share of WPU-cycles credited in bulk and the share
-// of machine cycles jumped over.
-func sleptShare(t *testing.T, bench string, scheme wpu.Scheme, attach func(*sim.System) func()) (slept, skipped float64) {
+// first, and returns the share of WPU-cycles credited in bulk, the share of
+// machine cycles jumped over and the finished machine.
+func sleptShare(t *testing.T, bench string, scheme wpu.Scheme, attach func(*sim.System) func()) (slept, skipped float64, sys *sim.System) {
 	t.Helper()
-	sys := newMachine(t, scheme, nil)
+	sys = newMachine(t, scheme, nil)
 	if attach != nil {
 		defer attach(sys)()
 	}
@@ -243,28 +244,34 @@ func sleptShare(t *testing.T, bench string, scheme wpu.Scheme, attach func(*sim.
 		s += w.SleptCycles()
 		ticks += w.Stats.TickCycles
 	}
-	return float64(s) / float64(ticks), float64(sys.SkippedCycles()) / float64(sys.Cycles())
+	return float64(s) / float64(ticks), float64(sys.SkippedCycles()) / float64(sys.Cycles()), sys
 }
 
 // TestSleepEngages: on a memory-bound kernel under the conventional WPU most
 // WPU-cycles are slept through and the clock jumps; under a slip scheme,
 // whose stalled cycles differ from one another, neither ever happens. The
 // live-metrics observer, which every dwsimd job runs under, costs the jump
-// only the cycles it is due in. The log is the table in EXPERIMENTS.md "Idle-cycle skipping" (go test -v).
+// only the cycles it is due in and moves no cycle or counter of the run. The
+// log is the table in EXPERIMENTS.md "Idle-cycle skipping" (go test -v).
 func TestSleepEngages(t *testing.T) {
-	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeConv, nil); slept < 0.40 || skipped == 0 {
+	slept, skipped, plain := sleptShare(t, "FFT", wpu.SchemeConv, nil)
+	if slept < 0.40 || skipped == 0 {
 		t.Errorf("FFT under Conv: %.1f%% of WPU-cycles slept (want >= 40%%), %.1f%% of machine cycles skipped (want > 0)", 100*slept, 100*skipped)
 	}
-	if _, skipped := sleptShare(t, "FFT", wpu.SchemeConv, func(sys *sim.System) func() { return sim.NewLive().Attach(sys, "FFT", "Conv") }); skipped == 0 {
+	_, skipped, watched := sleptShare(t, "FFT", wpu.SchemeConv, func(sys *sim.System) func() { return new(sim.Live).Attach(sys, "FFT", "Conv") })
+	if skipped == 0 {
 		t.Error("FFT under Conv with sim.Live attached: the clock never jumped")
 	}
-	if slept, skipped := sleptShare(t, "FFT", wpu.SchemeSlip, nil); slept != 0 || skipped != 0 {
+	if same := reflect.DeepEqual(watched.TotalStats(), plain.TotalStats()); watched.Cycles() != plain.Cycles() || !same {
+		t.Errorf("FFT under Conv: %d cycles with sim.Live attached, %d without; same Stats: %t", watched.Cycles(), plain.Cycles(), same)
+	}
+	if slept, skipped, _ := sleptShare(t, "FFT", wpu.SchemeSlip, nil); slept != 0 || skipped != 0 {
 		t.Errorf("FFT under Slip: %.1f%% slept, %.1f%% skipped; a slip scheme must never sleep", 100*slept, 100*skipped)
 	}
 	if testing.Verbose() {
 		for _, spec := range workloads.All() {
 			for _, scheme := range []wpu.Scheme{wpu.SchemeConv, wpu.SchemeRevive} {
-				slept, skipped := sleptShare(t, spec.Name, scheme, nil)
+				slept, skipped, _ := sleptShare(t, spec.Name, scheme, nil)
 				t.Logf("%-8s %-16s slept %5.1f%% of WPU-cycles, skipped %5.1f%% of machine cycles", spec.Name, scheme, 100*slept, 100*skipped)
 			}
 		}
