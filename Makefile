@@ -48,7 +48,7 @@ test:
 	$(GO) test ./...
 
 # The race run is `go test -race -short` over the packages with concurrent
-# code: Session use (singleflight, Prefetch's worker pool, the disk store),
+# code: Session use (singleflight, prefetch's worker pool, the disk store),
 # the observability exports and the daemon's end-to-end paths (concurrent
 # submissions, SSE subscribers racing the publisher). Under -short the tests
 # of Session and store concurrency make their check through Session.Suite on
@@ -56,12 +56,12 @@ test:
 # exhibits, and the exhibit-shape tests, which add no concurrent path, skip.
 # RACE_SKIP holds what the detector cannot judge. TestJumpEqualsCrawl and
 # TestRecycledMachineEqualsFresh drive their machines on the test goroutine
-# (no Session, no Prefetch, no goroutine), so the detector has nothing to
+# (no Session, no prefetch, no goroutine), so the detector has nothing to
 # report in them. The allocation pins (Test*Allocs, Test*AllocFree) run on
 # the test goroutine too, and under -race AllocsPerRun also counts the
 # detector's own allocations, which vary from run to run (TestStoreOpenAllocs
 # read 21-23 where it reads 19 without it); TestSuiteMemHitAllocs, which pins
-# the Prefetch pool's per-call cost, is one of them. `make test` runs every
+# the prefetch pool's per-call cost, is one of them. `make test` runs every
 # test in full. See EXPERIMENTS.md "make race on two benchmarks" for the
 # wall time and the coverage check. The second line adds the one concurrent
 # path outside those packages: several machines building one benchmark

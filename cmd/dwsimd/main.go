@@ -1,5 +1,5 @@
 // dwsimd is the simulation-as-a-service daemon: a long-running HTTP
-// server that accepts simulation and sweep jobs as validated JSON,
+// server that accepts simulation jobs as validated JSON, one point each,
 // deduplicates them through the singleflight report.Session, executes
 // them on a bounded worker pool over the on-disk result store,
 // and streams observability events for traced runs as Server-Sent

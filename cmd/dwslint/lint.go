@@ -79,60 +79,27 @@ func (f Finding) String() string {
 // own line or the line below.
 const ignoreDirective = "dwslint:ignore"
 
-// Linter holds configuration for a lint run.
-type Linter struct {
-	// ApprovedGoroutineFiles are path suffixes of files allowed to launch
-	// goroutines; nil selects the default set.
-	ApprovedGoroutineFiles []string
-	// ObsGuardDirs are path fragments of the hot-path packages where the
-	// obsguard check applies; nil selects the default set.
-	ObsGuardDirs []string
-	// ExhaustiveEnumTypes are type names of iota enums whose switches must
-	// be exhaustive or defaulted; nil selects the default set.
-	ExhaustiveEnumTypes []string
-	// ExhaustiveLabelArrays are names of canonical label arrays whose
-	// string-switches must be exhaustive or defaulted; nil selects the
-	// default set.
-	ExhaustiveLabelArrays []string
-}
+// Linter runs the checks. Their scopes are the package-level lists below,
+// which name the simulator tree's own files, packages and enums.
+type Linter struct{}
 
-// approvedGoroutineFiles returns the files allowed to launch goroutines; a
-// nil slice selects the report executor's worker pool and the serve
-// daemon's job pool. Everything else under ./internal must stay
-// single-goroutine (per-System determinism depends on it).
-func (l *Linter) approvedGoroutineFiles() []string {
-	if l.ApprovedGoroutineFiles != nil {
-		return l.ApprovedGoroutineFiles
-	}
-	return []string{"internal/report/runner.go", "internal/serve/pool.go"}
-}
+// approvedGoroutineFiles are the files allowed to launch goroutines: the
+// report executor's worker pool and the serve daemon's job pool. Everything
+// else under ./internal must stay single-goroutine (per-System determinism
+// depends on it).
+var approvedGoroutineFiles = []string{"internal/report/runner.go", "internal/serve/pool.go"}
 
-// exhaustiveEnumTypes returns the enum type names the exhaustiveswitch
-// check guards; a nil slice selects the schema enums.
-func (l *Linter) exhaustiveEnumTypes() []string {
-	if l.ExhaustiveEnumTypes != nil {
-		return l.ExhaustiveEnumTypes
-	}
-	return []string{"EventKind"}
-}
+// exhaustiveEnumTypes and exhaustiveLabelArrays name the schema enums the
+// exhaustiveswitch check guards: the iota enum obs.EventKind and the cycle
+// taxonomy's label array.
+var (
+	exhaustiveEnumTypes   = []string{"EventKind"}
+	exhaustiveLabelArrays = []string{"CycleBucketLabels"}
+)
 
-// exhaustiveLabelArrays returns the label-array names the exhaustiveswitch
-// check guards; a nil slice selects the cycle taxonomy.
-func (l *Linter) exhaustiveLabelArrays() []string {
-	if l.ExhaustiveLabelArrays != nil {
-		return l.ExhaustiveLabelArrays
-	}
-	return []string{"CycleBucketLabels"}
-}
-
-// obsGuardDirs returns the directories whose obs emissions must be guarded
-// by the enabled check; a nil slice selects the simulator's hot paths.
-func (l *Linter) obsGuardDirs() []string {
-	if l.ObsGuardDirs != nil {
-		return l.ObsGuardDirs
-	}
-	return []string{"internal/wpu", "internal/mem"}
-}
+// obsGuardDirs are the directories whose obs emissions must be guarded by
+// the enabled check: the simulator's hot paths.
+var obsGuardDirs = []string{"internal/wpu", "internal/mem"}
 
 // LintDirs lints every non-test Go file under the given roots and returns
 // the findings sorted by position.
@@ -166,14 +133,14 @@ func (l *Linter) LintDirs(roots ...string) ([]Finding, error) {
 	}
 	sort.Strings(dirs)
 	sort.Strings(files)
-	enums, err := l.collectEnums(files)
+	enums, err := collectEnums(files)
 	if err != nil {
 		return nil, err
 	}
 
 	var all []Finding
 	for _, dir := range dirs {
-		fs, err := l.lintPackageDir(dir, enums)
+		fs, err := lintPackageDir(dir, enums)
 		if err != nil {
 			return nil, err
 		}
@@ -204,16 +171,16 @@ type enumSets struct {
 }
 
 // collectEnums pre-parses every file once and extracts the enumerator and
-// label sets of the configured schema enums. A guarded enum defined in
+// label sets of the guarded schema enums. A guarded enum defined in
 // multiple packages (the fixture case) merges by name; the simulator tree
 // defines each exactly once.
-func (l *Linter) collectEnums(files []string) (*enumSets, error) {
+func collectEnums(files []string) (*enumSets, error) {
 	typeTargets := map[string]bool{}
-	for _, t := range l.exhaustiveEnumTypes() {
+	for _, t := range exhaustiveEnumTypes {
 		typeTargets[t] = true
 	}
 	arrTargets := map[string]bool{}
-	for _, a := range l.exhaustiveLabelArrays() {
+	for _, a := range exhaustiveLabelArrays {
 		arrTargets[a] = true
 	}
 	es := &enumSets{members: map[string][]string{}, labels: map[string][]string{}}
@@ -284,7 +251,7 @@ func (l *Linter) collectEnums(files []string) (*enumSets, error) {
 	return es, nil
 }
 
-func (l *Linter) lintPackageDir(dir string, enums *enumSets) ([]Finding, error) {
+func lintPackageDir(dir string, enums *enumSets) ([]Finding, error) {
 	fset := token.NewFileSet()
 	entries, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -325,7 +292,7 @@ func (l *Linter) lintPackageDir(dir string, enums *enumSets) ([]Finding, error) 
 		// package has type errors; the returned error is ignored on purpose.
 		conf.Check(dir, fset, files, info) //nolint:errcheck
 		for _, file := range files {
-			w := &walker{l: l, fset: fset, info: info, file: file, enums: enums}
+			w := &walker{fset: fset, info: info, file: file, enums: enums}
 			ast.Walk(w, file)
 			all = append(all, w.applyIgnores()...)
 		}
@@ -354,7 +321,6 @@ func (f *fakeImporter) Import(path string) (*types.Package, error) {
 
 // walker runs the checks over one file.
 type walker struct {
-	l        *Linter
 	fset     *token.FileSet
 	info     *types.Info
 	file     *ast.File
@@ -440,10 +406,10 @@ func (w *walker) checkExhaustiveSwitch(sw *ast.SwitchStmt) {
 				name, kind, strings.Join(missing, ", "))
 		}
 	}
-	for _, t := range w.l.exhaustiveEnumTypes() {
+	for _, t := range exhaustiveEnumTypes {
 		report("enumerators", t, w.enums.members[t])
 	}
-	for _, a := range w.l.exhaustiveLabelArrays() {
+	for _, a := range exhaustiveLabelArrays {
 		report("labels", a, w.enums.labels[a])
 	}
 }
@@ -642,15 +608,14 @@ func baseIdent(e ast.Expr) *ast.Ident {
 // checkGoroutine flags go statements outside the approved executor files.
 func (w *walker) checkGoroutine(g *ast.GoStmt) {
 	file := filepath.ToSlash(w.fset.Position(g.Pos()).Filename)
-	approved := w.l.approvedGoroutineFiles()
-	for _, ok := range approved {
+	for _, ok := range approvedGoroutineFiles {
 		if strings.HasSuffix(file, ok) {
 			return
 		}
 	}
 	w.add(g.Pos(), "goroutine",
 		"goroutine launched outside the approved executor files (%s): simulator concurrency must flow through the report.Session worker pool",
-		strings.Join(approved, ", "))
+		strings.Join(approvedGoroutineFiles, ", "))
 }
 
 // checkObsGuard flags observability emissions in the hot-path packages
@@ -674,7 +639,7 @@ func (w *walker) checkObsGuard(call *ast.CallExpr) {
 	}
 	file := filepath.ToSlash(w.fset.Position(call.Pos()).Filename)
 	applies := false
-	for _, d := range w.l.obsGuardDirs() {
+	for _, d := range obsGuardDirs {
 		if strings.Contains(file, d) {
 			applies = true
 			break

@@ -167,37 +167,42 @@ func TestExhaustiveSwitchFixture(t *testing.T) {
 	}
 }
 
-// TestExhaustiveSwitchScope asserts the check is driven by the configured
-// enum names: under a configuration naming no enum, the fixture is clean.
-func TestExhaustiveSwitchScope(t *testing.T) {
-	l := &Linter{}
-	l.ExhaustiveEnumTypes = []string{"NoSuchType"}
-	l.ExhaustiveLabelArrays = []string{"NoSuchArray"}
-	findings, err := l.LintDirs(filepath.Join("testdata", "src", "exhaustive"))
+// checkScope lints dir and asserts that check fires in some file of it and
+// in none whose path contains outside.
+func checkScope(t *testing.T, check, dir, outside string) {
+	t.Helper()
+	findings, err := (&Linter{}).LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inside := 0
 	for _, f := range findings {
-		if f.Check == "exhaustiveswitch" {
-			t.Errorf("exhaustiveswitch fired outside its configured enums: %s", f)
+		switch {
+		case f.Check != check:
+		case strings.Contains(filepath.ToSlash(f.Pos.Filename), outside):
+			t.Errorf("%s fired outside its scope: %s", check, f)
+		default:
+			inside++
 		}
+	}
+	if inside == 0 {
+		t.Errorf("%s found nothing in %s, inside its scope", check, dir)
 	}
 }
 
-// TestObsGuardScope asserts the check only applies inside ObsGuardDirs:
-// the same file linted under a non-hot-path configuration is clean.
+// TestExhaustiveSwitchScope asserts the check is driven by the guarded enum
+// names: it fires on the fixture's partial EventKind and CycleBucketLabels
+// switches, and not on the same partial switches in other/, over an enum
+// and a label array it does not guard.
+func TestExhaustiveSwitchScope(t *testing.T) {
+	checkScope(t, "exhaustiveswitch", filepath.Join("testdata", "src", "exhaustive"), "/other/")
+}
+
+// TestObsGuardScope asserts the check only applies inside the hot-path
+// packages: the unguarded emissions under internal/wpu are findings, the
+// same ones under internal/other are not.
 func TestObsGuardScope(t *testing.T) {
-	l := &Linter{}
-	l.ObsGuardDirs = []string{"no/such/dir"}
-	findings, err := l.LintDirs(filepath.Join("testdata", "src", "obsguard"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.Check == "obsguard" {
-			t.Errorf("obsguard fired outside its configured dirs: %s", f)
-		}
-	}
+	checkScope(t, "obsguard", filepath.Join("testdata", "src", "obsguard"), "/internal/other/")
 }
 
 // TestCleanFixture asserts the approved patterns produce no findings.

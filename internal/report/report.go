@@ -9,7 +9,7 @@
 // goroutines. Run deduplicates identical in-flight simulations
 // singleflight-style — concurrent callers asking for the same
 // (benchmark, Knobs) point block on one simulation and share its Result.
-// The exhibit drivers exploit this through Prefetch (see runner.go),
+// The exhibit drivers exploit this through prefetch (see runner.go),
 // which fans a figure's full job set out over a bounded worker pool and
 // then renders from the warm cache, so output bytes are identical at any
 // parallelism level.
@@ -62,7 +62,7 @@ type Session struct {
 	cache map[Job]*inflight // keyed by the point itself: a memory hit formats nothing
 	stats CacheStats
 
-	jobs  int    // worker-pool width for Prefetch (0 = GOMAXPROCS)
+	jobs  int    // worker-pool width for prefetch (0 = GOMAXPROCS)
 	store *Store // optional cross-process result store
 
 	// OnSystem, when set, observes every machine immediately before it runs
@@ -88,7 +88,7 @@ type inflight struct {
 // Option configures a Session.
 type Option func(*Session)
 
-// WithJobs bounds the Prefetch worker pool. n <= 0 means
+// WithJobs bounds the prefetch worker pool. n <= 0 means
 // runtime.GOMAXPROCS(0).
 func WithJobs(n int) Option { return func(s *Session) { s.jobs = n } }
 
@@ -169,7 +169,7 @@ func (s *Session) slot(job Job) (*Result, error) {
 }
 
 // Suite is the one way an exhibit or a sweep evaluates its points: every
-// benchmark of benches at every point, simulated on the Prefetch pool, and
+// benchmark of benches at every point, simulated on the prefetch pool, and
 // handed back as [point][bench] in the order given. The Results are the
 // session's cache slots (see slot): read-only, and never copied. On an
 // error nothing is returned, not the points that did run.
@@ -180,7 +180,7 @@ func (s *Session) Suite(benches []string, points ...Knobs) ([][]*Result, error) 
 			jobs = append(jobs, Job{b, k})
 		}
 	}
-	if err := s.Prefetch(jobs); err != nil {
+	if err := s.prefetch(jobs); err != nil {
 		return nil, err
 	}
 	flat := make([]*Result, len(jobs))

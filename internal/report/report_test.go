@@ -82,7 +82,7 @@ func TestBenchNames(t *testing.T) {
 }
 
 // TestSessionCaches: a second Suite over the same points on a default
-// session (Prefetch's workers are GOMAXPROCS) simulates nothing, returns
+// session (prefetch's workers are GOMAXPROCS) simulates nothing, returns
 // the same Results and keeps one cache slot per point.
 func TestSessionCaches(t *testing.T) {
 	s := NewSession()

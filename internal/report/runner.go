@@ -15,7 +15,7 @@ type Job struct {
 	Knobs Knobs
 }
 
-// Prefetch simulates the given jobs on a bounded worker pool (Jobs
+// prefetch simulates the given jobs on a bounded worker pool (Jobs
 // workers) and fills the session cache, so that Suite, its one caller,
 // then only reads warm results. Duplicate jobs — within the batch or
 // against earlier runs — cost nothing beyond a cache hit, because Run
@@ -31,12 +31,12 @@ type Job struct {
 // that panics, on the caller or on another worker, stops the claims the
 // same way, and once the workers are done the panic continues on the
 // caller's goroutine, original stack attached.
-func (s *Session) Prefetch(jobs []Job) error {
+func (s *Session) prefetch(jobs []Job) error {
 	workers := min(s.Jobs(), len(jobs))
 	if workers == 0 {
 		return nil
 	}
-	p := &prefetch{s: s, jobs: jobs}
+	p := &prefetchPool{s: s, jobs: jobs}
 	p.wg.Add(workers - 1)
 	for i := 1; i < workers; i++ {
 		go func() { defer p.wg.Done(); p.work() }()
@@ -49,8 +49,8 @@ func (s *Session) Prefetch(jobs []Job) error {
 	return p.firstErr
 }
 
-// prefetch is one Prefetch call's shared state.
-type prefetch struct {
+// prefetchPool is one prefetch call's shared state.
+type prefetchPool struct {
 	s    *Session
 	jobs []Job
 	next atomic.Int64 // index of the next unclaimed job
@@ -63,8 +63,8 @@ type prefetch struct {
 }
 
 // work claims and runs jobs until none is left or one has failed. A panic
-// is recorded, with the stack it unwound, for Prefetch to re-raise.
-func (p *prefetch) work() {
+// is recorded, with the stack it unwound, for prefetch to re-raise.
+func (p *prefetchPool) work() {
 	defer func() {
 		if r := recover(); r != nil {
 			p.errOnce.Do(func() { p.panicked = fmt.Sprintf("%v\n\n%s", r, debug.Stack()) })

@@ -132,11 +132,11 @@ func TestConcurrentSessionSingleflight(t *testing.T) {
 func TestPrefetchPropagatesError(t *testing.T) {
 	s := NewSession(WithJobs(4))
 	jobs := []Job{{Bench: "NoSuchBench", Knobs: DefaultKnobs(wpu.SchemeConv)}}
-	if err := s.Prefetch(jobs); err == nil {
-		t.Fatal("Prefetch ignored an unknown benchmark")
+	if err := s.prefetch(jobs); err == nil {
+		t.Fatal("prefetch ignored an unknown benchmark")
 	}
-	if err := s.Prefetch(nil); err != nil {
-		t.Fatalf("empty Prefetch: %v", err)
+	if err := s.prefetch(nil); err != nil {
+		t.Fatalf("empty prefetch: %v", err)
 	}
 }
 
@@ -164,15 +164,15 @@ func TestPrefetchClaimsOnce(t *testing.T) {
 			}
 			if n == 1 {
 				if id := goroutineID(); id != caller {
-					t.Errorf("WithJobs(1): a run on goroutine %s, Prefetch called on %s", id, caller)
+					t.Errorf("WithJobs(1): a run on goroutine %s, prefetch called on %s", id, caller)
 				}
 				if g := runtime.NumGoroutine(); g > before {
-					t.Errorf("WithJobs(1): %d goroutines inside the run, %d before Prefetch", g, before)
+					t.Errorf("WithJobs(1): %d goroutines inside the run, %d before prefetch", g, before)
 				}
 			}
 			return func() { inFlight.Add(-1) }
 		}
-		if err := s.Prefetch(jobs); err != nil {
+		if err := s.prefetch(jobs); err != nil {
 			t.Fatal(err)
 		}
 		if p := peak.Load(); p > int64(n) {
@@ -187,8 +187,8 @@ func TestPrefetchClaimsOnce(t *testing.T) {
 	var calls atomic.Int64
 	s.OnSystem = func(Job, *sim.System) func() { calls.Add(1); return nil }
 	bad := append([]Job{{Bench: "NoSuchBench", Knobs: DefaultKnobs(wpu.SchemeConv)}}, jobs...)
-	if err := s.Prefetch(bad); err == nil {
-		t.Fatal("Prefetch ignored an unknown benchmark")
+	if err := s.prefetch(bad); err == nil {
+		t.Fatal("prefetch ignored an unknown benchmark")
 	}
 	if calls.Load() != 0 || s.Provenance("Filter", DefaultKnobs(wpu.SchemeConv)) != "" {
 		t.Errorf("after the first job failed, %d more were simulated", calls.Load())
@@ -234,7 +234,7 @@ func TestSuiteMemHitAllocs(t *testing.T) {
 }
 
 // TestRunPanicIsNotMemoized panics a run through the machine hook, directly
-// and on a Prefetch worker: the panic reaches the caller's goroutine both
+// and on a prefetch worker: the panic reaches the caller's goroutine both
 // times, and the point it was computing is dropped rather than left in
 // flight, so the next Run of it simulates instead of blocking forever.
 func TestRunPanicIsNotMemoized(t *testing.T) {
@@ -250,12 +250,12 @@ func TestRunPanicIsNotMemoized(t *testing.T) {
 		t.Errorf("Run recovered %v, want the injected panic", v)
 	}
 	jobs := []Job{{Bench: "Filter", Knobs: k}, {Bench: "Filter", Knobs: DefaultKnobs(wpu.SchemeRevive)}}
-	v := panics(func() { s.Prefetch(jobs) }) //nolint:errcheck // it panics
+	v := panics(func() { s.prefetch(jobs) }) //nolint:errcheck // it panics
 	if msg, _ := v.(string); !strings.HasPrefix(msg, "injected\n") || !strings.Contains(msg, "goroutine") {
-		t.Errorf("Prefetch recovered %v, want the injected panic and its stack", v)
+		t.Errorf("prefetch recovered %v, want the injected panic and its stack", v)
 	}
 	s.OnSystem = nil
-	if err := s.Prefetch(jobs); err != nil {
+	if err := s.prefetch(jobs); err != nil {
 		t.Fatalf("rerun of the points that panicked: %v", err)
 	}
 }
@@ -301,7 +301,7 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // shortBenches are the two cheapest benchmarks. Under -short the tests of
-// the concurrent paths (Prefetch's workers, the singleflight cache, the
+// the concurrent paths (prefetch's workers, the singleflight cache, the
 // store's write-through and loads) make their check on these through
 // Session.Suite instead of on whole-suite exhibits, so that `make race`
 // runs the same Session and Store code in a fraction of the time.
@@ -357,7 +357,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestPrefetchOnlyWarmsCache checks the fan-out/render split end to end:
-// after Prefetch, rendering must be pure cache reads.
+// after prefetch, rendering must be pure cache reads.
 func TestPrefetchOnlyWarmsCache(t *testing.T) {
 	s := NewSession(WithJobs(4))
 	benches := BenchNames()
@@ -370,7 +370,7 @@ func TestPrefetchOnlyWarmsCache(t *testing.T) {
 	sims := s.Stats().Misses
 	table1(t, s)
 	if got := s.Stats().Misses; got != sims {
-		t.Errorf("rendering after Prefetch ran %d extra simulations", got-sims)
+		t.Errorf("rendering after prefetch ran %d extra simulations", got-sims)
 	}
 }
 

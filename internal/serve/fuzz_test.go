@@ -9,11 +9,11 @@ import (
 
 // FuzzJobDecode fuzzes the wire-format decoder with the three invariants
 // the package comment promises: it never panics, every rejection is a
-// *serve.Error mapping to a 4xx status, and every accepted request is
-// well-formed enough to expand into points and re-encode losslessly. The
-// checked-in corpus (testdata/fuzz/FuzzJobDecode) seeds the interesting
-// shapes: valid runs and sweeps, boundary knobs, and the strictness cases
-// (unknown fields, trailing documents, schema skew).
+// *serve.Error mapping to a 4xx status, and every accepted request names a
+// point and re-encodes losslessly. The checked-in corpus
+// (testdata/fuzz/FuzzJobDecode) seeds the interesting shapes: valid runs,
+// boundary knobs, and the strictness cases (unknown fields, the retired
+// sweep shape, trailing documents, schema skew).
 func FuzzJobDecode(f *testing.F) {
 	f.Add([]byte(`{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.ReviveSplit"}}`))
 	f.Add([]byte(`{"schema_version":1,"kind":"sweep","benches":["Filter","Merge"],"schemes":["Conv","Slip"]}`))
@@ -37,16 +37,10 @@ func FuzzJobDecode(f *testing.F) {
 			}
 			return
 		}
-		// Accepted requests must expand and survive a re-encode/re-decode
-		// cycle without changing meaning.
-		pts := req.Points()
-		if len(pts) == 0 {
-			t.Fatalf("accepted request expands to zero points: %s", data)
-		}
-		for _, p := range pts {
-			if ResultKey(p.Bench, p.Knobs) == "" {
-				t.Fatal("point without a result key")
-			}
+		// Accepted requests must name a point and survive a
+		// re-encode/re-decode cycle without changing meaning.
+		if ResultKey(req.Bench, req.Knobs.Knobs()) == "" {
+			t.Fatal("point without a result key")
 		}
 		enc, err := json.Marshal(req)
 		if err != nil {
@@ -56,8 +50,8 @@ func FuzzJobDecode(f *testing.F) {
 		if derr2 != nil {
 			t.Fatalf("re-decoding accepted request %s (from %s): %d %s", enc, data, derr2.Status, derr2.Msg)
 		}
-		if len(again.Points()) != len(pts) {
-			t.Fatalf("re-decode changed the point count: %s", enc)
+		if *again != *req {
+			t.Fatalf("re-decode changed the request: %s", enc)
 		}
 	})
 }

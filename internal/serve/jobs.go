@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/report"
@@ -22,14 +24,17 @@ const (
 
 // ResultKey addresses one simulation point: a digest of the session cache
 // key, so every server process derives the same key for the same
-// (benchmark, Knobs) point and clients can cache result URLs across
-// daemon restarts.
+// (benchmark, Knobs) point. The key is stable across daemon restarts, but
+// the results a daemon serves are only those of points its own jobs named:
+// a new daemon answers GET /v1/results/{key} with 404 "unknown result key"
+// until a job names the point again, which the session then serves from the
+// store if it holds the point.
 func ResultKey(bench string, k report.Knobs) string {
 	d := sha256.Sum256([]byte(k.Key(bench)))
 	return hex.EncodeToString(d[:16])
 }
 
-// point is one simulation point of a job.
+// point is a job's simulation point.
 type point struct {
 	bench  string
 	knobs  report.Knobs
@@ -42,13 +47,13 @@ type point struct {
 type job struct {
 	id     string
 	req    *JobRequest
-	points []point
+	point  point
 	status string
 	errMsg string
 	sub    *stream // non-nil iff this is a subscriber's run
 }
 
-// PointDoc is the wire rendering of one point's lifecycle.
+// PointDoc is the wire rendering of a job's point.
 type PointDoc struct {
 	Bench     string `json:"bench"`
 	Scheme    string `json:"scheme"`
@@ -58,12 +63,12 @@ type PointDoc struct {
 }
 
 // JobDoc is the wire rendering of a job: what GET /v1/jobs/{id} returns
-// and what POST /v1/jobs echoes back with the assigned ID.
+// and what POST /v1/jobs echoes back with the assigned ID. Points always
+// holds exactly one point, the job's.
 type JobDoc struct {
 	SchemaVersion int        `json:"schema_version"`
 	ID            string     `json:"id"`
 	Status        string     `json:"status"`
-	Kind          string     `json:"kind"`
 	Trace         bool       `json:"trace,omitempty"`
 	StreamURL     string     `json:"stream_url,omitempty"`
 	Points        []PointDoc `json:"points"`
@@ -72,55 +77,46 @@ type JobDoc struct {
 
 // registry tracks jobs and finished result documents. IDs are a logical
 // sequence — j001, j002, ... in submission order — because the package
-// must stay wall-clock- and randomness-free (see the package comment);
-// they reset on daemon restart, which is fine because result keys, the
-// durable addresses, are content-derived.
+// must stay wall-clock- and randomness-free (see the package comment), so
+// the job of ID jN is jobs[N-1]. IDs reset on daemon restart.
 type registry struct {
 	mu      sync.Mutex
-	seq     int
-	jobs    map[string]*job
-	order   []string          // submission order for GET /v1/jobs
+	jobs    []*job            // in submission order
 	results map[string][]byte // result key -> rendered RunDoc JSON
-	pending map[string]int    // result key -> jobs referencing it, not yet done
+	pending map[string]int    // result key -> jobs owing it
 }
 
 func newRegistry() *registry {
-	return &registry{
-		jobs:    make(map[string]*job),
-		results: make(map[string][]byte),
-		pending: make(map[string]int),
-	}
+	return &registry{results: make(map[string][]byte), pending: make(map[string]int)}
 }
 
 // add registers a validated request and returns its job.
 func (rg *registry) add(req *JobRequest) *job {
-	pts := req.Points()
-	j := &job{req: req, status: StatusQueued, points: make([]point, len(pts))}
-	for i, p := range pts {
-		j.points[i] = point{bench: p.Bench, knobs: p.Knobs, key: ResultKey(p.Bench, p.Knobs), status: "pending"}
-	}
+	k := req.Knobs.Knobs()
+	j := &job{req: req, status: StatusQueued,
+		point: point{bench: req.Bench, knobs: k, key: ResultKey(req.Bench, k), status: "pending"}}
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	rg.seq++
-	j.id = fmt.Sprintf("j%03d", rg.seq)
-	rg.jobs[j.id] = j
-	rg.order = append(rg.order, j.id)
-	for i := range j.points {
-		if _, done := rg.results[j.points[i].key]; done {
-			j.points[i].status = StatusDone
-		} else {
-			rg.pending[j.points[i].key]++
-		}
+	rg.jobs = append(rg.jobs, j)
+	j.id = fmt.Sprintf("j%03d", len(rg.jobs))
+	if _, done := rg.results[j.point.key]; done {
+		j.point.status = StatusDone
+	} else {
+		rg.pending[j.point.key]++
 	}
 	return j
 }
 
-// get returns the job by ID.
+// get returns the job by ID. Only the ID add assigned names a job: j1 and
+// j0001 do not name j001.
 func (rg *registry) get(id string) (*job, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	j, ok := rg.jobs[id]
-	return j, ok
+	if err != nil || n < 1 || n > len(rg.jobs) || rg.jobs[n-1].id != id {
+		return nil, false
+	}
+	return rg.jobs[n-1], true
 }
 
 // setRunning marks the job picked up by a worker.
@@ -130,43 +126,33 @@ func (rg *registry) setRunning(j *job) {
 	rg.mu.Unlock()
 }
 
-// completePoint records one finished point and its rendered document.
-func (rg *registry) completePoint(j *job, i int, doc []byte) {
+// finish closes out a job: done with its point's rendered document when
+// errMsg is "", failed otherwise. A failed job no longer owes its point:
+// the key stops answering "pending" unless another job still owes it.
+func (rg *registry) finish(j *job, doc []byte, errMsg string) {
 	rg.mu.Lock()
-	j.points[i].status = StatusDone
-	key := j.points[i].key
-	if _, ok := rg.results[key]; !ok {
-		rg.results[key] = doc
-	}
-	delete(rg.pending, key)
-	rg.mu.Unlock()
-}
-
-// finish closes out a job; err == "" means success. Points still pending
-// (after a mid-sweep failure) are marked failed and no longer owed: their
-// keys stop answering "pending" unless another job still references them.
-func (rg *registry) finish(j *job, errMsg string) {
-	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	p := &j.point
 	j.errMsg = errMsg
 	if errMsg == "" {
-		j.status = StatusDone
-	} else {
-		j.status = StatusFailed
-		for i := range j.points {
-			p := &j.points[i]
-			if p.status != "pending" {
-				continue
-			}
-			p.status = StatusFailed
-			// completePoint deletes a key outright, so it may be gone already.
-			if n := rg.pending[p.key]; n > 1 {
-				rg.pending[p.key] = n - 1
-			} else {
-				delete(rg.pending, p.key)
-			}
+		j.status, p.status = StatusDone, StatusDone
+		if _, ok := rg.results[p.key]; !ok {
+			rg.results[p.key] = doc
 		}
+		delete(rg.pending, p.key)
+		return
 	}
-	rg.mu.Unlock()
+	j.status = StatusFailed
+	if p.status != "pending" {
+		return
+	}
+	p.status = StatusFailed
+	// A job that succeeds deletes its key outright, so it may be gone already.
+	if n := rg.pending[p.key]; n > 1 {
+		rg.pending[p.key] = n - 1
+	} else {
+		delete(rg.pending, p.key)
+	}
 }
 
 // result returns the rendered document for a result key, with a
@@ -187,46 +173,25 @@ func (rg *registry) result(key string) (doc []byte, ok, pending bool) {
 func (rg *registry) doc(j *job) JobDoc {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	kind := j.req.Kind
-	if kind == "" {
-		kind = "run"
-	}
+	p := j.point
 	d := JobDoc{
 		SchemaVersion: WireSchemaVersion,
 		ID:            j.id,
 		Status:        j.status,
-		Kind:          kind,
 		Trace:         j.req.Trace,
 		Error:         j.errMsg,
-		Points:        make([]PointDoc, len(j.points)),
-	}
-	if j.req.Trace {
-		d.StreamURL = "/v1/jobs/" + j.id + "/stream"
-	}
-	for i, p := range j.points {
-		d.Points[i] = PointDoc{
+		Points: []PointDoc{{
 			Bench:     p.bench,
 			Scheme:    string(p.knobs.Scheme),
 			ResultKey: p.key,
 			ResultURL: "/v1/results/" + p.key,
 			Status:    p.status,
-		}
+		}},
+	}
+	if j.req.Trace {
+		d.StreamURL = "/v1/jobs/" + j.id + "/stream"
 	}
 	return d
-}
-
-// list renders every job in submission order.
-func (rg *registry) list() []JobDoc {
-	rg.mu.Lock()
-	ids := append([]string(nil), rg.order...)
-	rg.mu.Unlock()
-	docs := make([]JobDoc, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := rg.get(id); ok {
-			docs = append(docs, rg.doc(j))
-		}
-	}
-	return docs
 }
 
 // counts tallies jobs by status for /metrics.
@@ -234,8 +199,8 @@ func (rg *registry) counts() map[string]int {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	c := map[string]int{StatusQueued: 0, StatusRunning: 0, StatusDone: 0, StatusFailed: 0}
-	for _, id := range rg.order {
-		c[rg.jobs[id].status]++
+	for _, j := range rg.jobs {
+		c[j.status]++
 	}
 	return c
 }

@@ -13,10 +13,9 @@ import (
 // is a job of the pool like any other, and its handler goroutine waits for
 // it (see stream.go).
 //
-// Simulation-level parallelism inside one sweep job still comes from
-// Session.Prefetch; the pool bounds how many *jobs* make progress at
-// once, so one giant sweep cannot starve interactive single runs for
-// longer than its own prefetch batch.
+// Every job is one simulation (a submitted point or a subscriber's traced
+// run), so the n of startPool, the session's -j, bounds the daemon's
+// simulations in flight.
 //
 // Admission goes by observed occupancy: a submission that finds the
 // backlog full is refused, not queued behind it, so a handler never

@@ -107,6 +107,18 @@ func fetchResult(t *testing.T, ts *httptest.Server, key string) ([]byte, int) {
 	return b, resp.StatusCode
 }
 
+// registered renders the registry's jobs in submission order.
+func registered(srv *Server) []JobDoc {
+	srv.reg.mu.Lock()
+	jobs := srv.reg.jobs
+	srv.reg.mu.Unlock()
+	docs := make([]JobDoc, len(jobs))
+	for i, j := range jobs {
+		docs[i] = srv.reg.doc(j)
+	}
+	return docs
+}
+
 const runFilterBody = `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.ReviveSplit"}}`
 
 // TestSubmitPollFetch is the core e2e contract: submit → poll → fetch
@@ -119,7 +131,7 @@ func TestSubmitPollFetch(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
-	if doc.ID != "j001" || doc.Kind != "run" || len(doc.Points) != 1 {
+	if doc.ID != "j001" || len(doc.Points) != 1 {
 		t.Fatalf("submit echo: %+v", doc)
 	}
 
@@ -207,34 +219,6 @@ func TestDuplicateSubmissionsSingleflight(t *testing.T) {
 	}
 }
 
-// TestSweepJob submits a benches × schemes sweep and checks every point
-// completes with its own result.
-func TestSweepJob(t *testing.T) {
-	_, _, ts := testServer(t, 2, false)
-	doc, resp := postJob(t, ts,
-		`{"schema_version":1,"kind":"sweep","benches":["Filter"],"schemes":["Conv","DWS.ReviveSplit"]}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d", resp.StatusCode)
-	}
-	if doc.Kind != "sweep" || len(doc.Points) != 2 {
-		t.Fatalf("submit echo: %+v", doc)
-	}
-	done := waitJob(t, ts, doc.ID)
-	keys := map[string]bool{}
-	for _, p := range done.Points {
-		if p.Status != StatusDone {
-			t.Fatalf("point %+v not done (job %+v)", p, done)
-		}
-		keys[p.ResultKey] = true
-		if _, status := fetchResult(t, ts, p.ResultKey); status != http.StatusOK {
-			t.Errorf("point %s/%s: result fetch status %d", p.Bench, p.Scheme, status)
-		}
-	}
-	if len(keys) != 2 {
-		t.Errorf("sweep points share result keys: %+v", done.Points)
-	}
-}
-
 // TestResultPendingVsUnknown distinguishes the three fetch outcomes using
 // a server whose workers were never started: submitted keys are pending,
 // unnamed keys are unknown, and a key stops being pending once every job
@@ -266,7 +250,7 @@ func TestResultPendingVsUnknown(t *testing.T) {
 	dup, _ := postJob(t, ts, runFilterBody)
 	for i, id := range []string{doc.ID, dup.ID} {
 		j, _ := srv.reg.get(id)
-		srv.reg.finish(j, "boom")
+		srv.reg.finish(j, nil, "boom")
 		b, status = fetchResult(t, ts, doc.Points[0].ResultKey)
 		if pending := bytes.Contains(b, []byte(`"pending"`)); status != http.StatusNotFound || pending != (i == 0) {
 			t.Errorf("after %d of 2 jobs failed: status %d body %s", i+1, status, b)
@@ -278,10 +262,9 @@ func TestResultPendingVsUnknown(t *testing.T) {
 }
 
 // TestJobPanic injects a panic into the run of an untraced job, of a traced
-// job, of that job's stream subscriber and of a sweep point (which runs on a
-// Prefetch goroutine) through the session's machine hook: each job fails
-// with the panic's message, the subscriber gets an error frame as its
-// terminal frame, the daemon keeps serving —
+// job and of that job's stream subscriber through the session's machine
+// hook: each job fails with the panic's message, the subscriber gets an
+// error frame as its terminal frame, the daemon keeps serving —
 // the very points that panicked included, which a retrying client resubmits
 // — and the machines the panics interrupted never come back from report's
 // free list.
@@ -333,17 +316,12 @@ func TestJobPanic(t *testing.T) {
 	if doc := waitJob(t, ts, traced.ID); doc.Status != StatusFailed {
 		t.Errorf("traced job after a panic: %+v", doc)
 	}
-	const sweepBody = `{"schema_version":1,"kind":"sweep","benches":["Filter"],"schemes":["Conv","DWS.ReviveSplit"]}`
-	sweep, _ := postJob(t, ts, sweepBody)
-	if doc := waitJob(t, ts, sweep.ID); doc.Status != StatusFailed || doc.Error != "panic: injected" {
-		t.Errorf("sweep job after a panic: %+v", doc)
-	}
 	setBoom(false)
 
-	// The one worker survived all three, reruns the points that panicked
-	// (the session dropped them instead of leaving them in flight), and
-	// runs on other machines.
-	for _, body := range []string{plainBody, sweepBody, tracedFilterBody} {
+	// The one worker survived all three panics, reruns the points that
+	// panicked (the session dropped them instead of leaving them in
+	// flight), and runs on other machines.
+	for _, body := range []string{plainBody, tracedFilterBody} {
 		doc, _ := postJob(t, ts, body)
 		if done := waitJob(t, ts, doc.ID); done.Status != StatusDone {
 			t.Errorf("job after the panics: %+v", done)
@@ -351,8 +329,8 @@ func TestJobPanic(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(interrupted) != 4 {
-		t.Errorf("%d machines were interrupted, want 4 (a panic must not reuse an earlier one's)", len(interrupted))
+	if len(interrupted) != 3 {
+		t.Errorf("%d machines were interrupted, want 3 (a panic must not reuse an earlier one's)", len(interrupted))
 	}
 }
 
@@ -390,37 +368,108 @@ func TestJobEndpointsErrors(t *testing.T) {
 	}
 }
 
-// TestJobList checks GET /v1/jobs preserves submission order.
-func TestJobList(t *testing.T) {
+// TestJobRoutes: a job is one point, so the daemon has no job list (GET
+// /v1/jobs is 405) and takes no sweep body (400 naming its first field);
+// and only the ID a job was given names it, so j1 and j0001 are not j001.
+func TestJobRoutes(t *testing.T) {
 	_, _, ts := testServer(t, 1, false)
-	a, _ := postJob(t, ts, runFilterBody)
-	b, _ := postJob(t, ts, `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"}}`)
-	waitJob(t, ts, a.ID)
-	waitJob(t, ts, b.ID)
+	get := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get("/v1/jobs"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/jobs: status %d, want 405", code)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"schema_version":1,"kind":"sweep","benches":["Filter"],"schemes":["Conv","DWS.ReviveSplit"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte(`\"kind\"`)) {
+		t.Errorf("sweep body: status %d body %s, want 400 naming \"kind\"", resp.StatusCode, b)
+	}
 
-	if docs := listJobs(t, ts); len(docs) != 2 || docs[0].ID != a.ID || docs[1].ID != b.ID {
-		t.Errorf("job list %+v, want [%s %s] in submission order", docs, a.ID, b.ID)
+	doc, _ := postJob(t, ts, runFilterBody)
+	if doc.ID != "j001" {
+		t.Fatalf("first job is %q, want j001", doc.ID)
+	}
+	waitJob(t, ts, doc.ID)
+	for _, id := range []string{"j1", "j01", "j0001", "001", "J001", "j+01", "j000", "j002"} {
+		if code := get("/v1/jobs/" + id); code != http.StatusNotFound {
+			t.Errorf("GET /v1/jobs/%s: status %d, want 404", id, code)
+		}
 	}
 }
 
-func listJobs(t *testing.T, ts *httptest.Server) []JobDoc {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs")
+// TestResultKeyAcrossRestart: a result key is the same address in a new
+// daemon over the same store, but a daemon serves only the points its own
+// jobs named. The new one answers the key with a plain 404 until a job names
+// the point again, and that job's point comes from the store, not from a
+// simulation.
+func TestResultKeyAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	start := func() (*Server, *httptest.Server) {
+		st, err := report.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Session: report.NewSession(report.WithJobs(1), report.WithStore(st)), Store: st})
+		srv.Start()
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts
+	}
+	srv, ts := start()
+	doc, _ := postJob(t, ts, runFilterBody)
+	key := waitJob(t, ts, doc.ID).Points[0].ResultKey
+	want, status := fetchResult(t, ts, key)
+	if status != http.StatusOK {
+		t.Fatalf("result before the restart: status %d", status)
+	}
+	ts.Close()
+	srv.Close()
+
+	_, ts = start()
+	if b, status := fetchResult(t, ts, key); status != http.StatusNotFound ||
+		!bytes.Contains(b, []byte("unknown result key")) || bytes.Contains(b, []byte(`"pending"`)) {
+		t.Errorf("key after the restart: status %d body %s, want a plain 404 unknown result key", status, b)
+	}
+	doc, _ = postJob(t, ts, runFilterBody)
+	if done := waitJob(t, ts, doc.ID); done.Status != StatusDone || done.Points[0].ResultKey != key {
+		t.Fatalf("resubmitted job: %+v, want done under key %s", done, key)
+	}
+	if got, status := fetchResult(t, ts, key); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("resubmitted point: status %d, same bytes %v", status, bytes.Equal(got, want))
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var docs []JobDoc
-	if err := json.NewDecoder(resp.Body).Decode(&docs); err != nil {
-		t.Fatal(err)
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range []string{
+		`dwsimd_session_requests_total{source="disk"} 1`,
+		`dwsimd_session_requests_total{source="simulated"} 0`,
+	} {
+		if !strings.Contains(string(body), line+"\n") {
+			t.Errorf("metrics after the resubmission lack %q:\n%s", line, body)
+		}
 	}
-	return docs
 }
 
 // TestSubmitBackpressure holds a one-worker server's worker inside its first
 // job's machine hook and fills the backlog behind it: the next submission is
 // refused with 429 and Retry-After, without blocking and without a trace in
-// the job list. Released, the worker finishes every accepted job, and the
+// the registry. Released, the worker finishes every accepted job, and the
 // backlog admits again.
 func TestSubmitBackpressure(t *testing.T) {
 	session := report.NewSession(report.WithJobs(1))
@@ -455,7 +504,7 @@ func TestSubmitBackpressure(t *testing.T) {
 		t.Fatalf("submission past the backlog: status %d, Retry-After %q; want 429, 1",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	docs := listJobs(t, ts)
+	docs := registered(srv)
 	if len(docs) != backlog+1 {
 		t.Fatalf("%d jobs listed, want %d: the refused one was registered", len(docs), backlog+1)
 	}
@@ -514,7 +563,7 @@ func TestCloseRacesSubmissions(t *testing.T) {
 			t.Errorf("submission %d: status %d", i, code)
 		}
 	}
-	docs := srv.reg.list()
+	docs := registered(srv)
 	if len(docs) != accepted {
 		t.Errorf("%d jobs registered, %d accepted", len(docs), accepted)
 	}
@@ -558,21 +607,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsLabelTheirRun: after a run job and then a sweep on a
-// two-worker server, every dwsim_* series on /metrics carries the (bench,
-// scheme) of the run whose counters it prints, and equals that point's
-// result document. A sweep's points run inside Suite, before its job has
-// walked its points, so a label the job set rather than the run would name
-// the earlier job's point.
+// TestMetricsLabelTheirRun: after an FFT/Conv job and then two concurrent
+// Filter jobs (Conv and DWS.ReviveSplit) on a two-worker server, every
+// dwsim_* series on /metrics carries the (bench, scheme) of the run whose
+// counters it prints, and equals that point's result document. The two
+// Filter runs refresh the snapshot at once, so a label that one run set and
+// the other's counters overwrote would name the wrong point.
 func TestMetricsLabelTheirRun(t *testing.T) {
 	_, _, ts := testServer(t, 2, false)
 	docs := map[[2]string]report.RunDoc{}
-	for _, body := range []string{
-		`{"schema_version":1,"bench":"FFT","knobs":{"scheme":"Conv"}}`,
-		`{"schema_version":1,"kind":"sweep","benches":["Filter"],"schemes":["Conv","DWS.ReviveSplit"]}`,
+	for _, bodies := range [][]string{
+		{`{"schema_version":1,"bench":"FFT","knobs":{"scheme":"Conv"}}`},
+		{`{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"}}`,
+			`{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.ReviveSplit"}}`},
 	} {
-		doc, _ := postJob(t, ts, body)
-		for _, p := range waitJob(t, ts, doc.ID).Points {
+		var ids []string
+		for _, body := range bodies {
+			doc, _ := postJob(t, ts, body)
+			ids = append(ids, doc.ID)
+		}
+		for _, id := range ids {
+			p := waitJob(t, ts, id).Points[0]
 			b, status := fetchResult(t, ts, p.ResultKey)
 			var rd report.RunDoc
 			if err := json.Unmarshal(b, &rd); status != http.StatusOK || err != nil {

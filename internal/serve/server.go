@@ -57,7 +57,6 @@ func New(cfg Config) *Server {
 	}
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
@@ -133,11 +132,6 @@ func refuse(w http.ResponseWriter, err error) {
 	writeError(w, &Error{Status: http.StatusServiceUnavailable, Msg: err.Error()})
 }
 
-// handleList is GET /v1/jobs.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.list())
-}
-
 // handleJob is GET /v1/jobs/{id}.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.reg.get(r.PathValue("id"))
@@ -164,8 +158,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := &stream{w: w, rc: http.NewResponseController(w), ctx: r.Context(), timeout: s.writeTimeout, done: make(chan struct{})}
-	p := &j.points[0] // its status may be changing; the rest is fixed
-	sj := &job{req: j.req, points: []point{{bench: p.bench, knobs: p.knobs}}, sub: st}
+	// j.point.status may be changing; the rest is fixed.
+	sj := &job{req: j.req, point: point{bench: j.point.bench, knobs: j.point.knobs}, sub: st}
 	if _, err := s.pool.submit(func() *job { return sj }); err != nil {
 		refuse(w, err)
 		return
@@ -226,12 +220,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob executes one job on a pool worker: a stream subscriber's traced
-// run (runStream) or a submitted job. A panic under a submitted job (a
-// simulator self-check, say) fails the job instead of the daemon:
-// Session.Run drops the point it was computing, so a resubmission runs
-// afresh, Suite hands a sweep point's panic to this goroutine (its first
-// line is the message), and the machine never reaches report's free list,
-// because runLive gives back only machines whose run returned.
+// run (runStream) or a submitted job's one Session.Run. A panic under a
+// submitted job (a simulator self-check, say) fails the job instead of the
+// daemon: Session.Run drops the point it was computing, so a resubmission
+// runs afresh, and the machine never reaches report's free list, because
+// runLive gives back only machines whose run returned.
 func (s *Server) runJob(j *job) {
 	if j.sub != nil {
 		s.runStream(j)
@@ -239,33 +232,17 @@ func (s *Server) runJob(j *job) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			s.reg.finish(j, panicMessage(r))
+			s.reg.finish(j, nil, panicMessage(r))
 		}
 	}()
 	s.reg.setRunning(j)
-	// A sweep is benches x schemes, benches outer (JobRequest.Points), so the
-	// first bench's points carry every scheme's knobs. Suite simulates the
-	// points in parallel and the collection loop below reads warm cache.
-	if len(j.points) > 1 {
-		knobs := make([]report.Knobs, len(j.req.Schemes))
-		for i := range knobs {
-			knobs[i] = j.points[i].knobs
-		}
-		if _, err := s.session.Suite(j.req.Benches, knobs...); err != nil {
-			s.reg.finish(j, err.Error())
-			return
-		}
+	p := &j.point
+	r, err := s.session.Run(p.bench, p.knobs)
+	if err != nil {
+		s.reg.finish(j, nil, err.Error())
+		return
 	}
-	for i := range j.points {
-		p := &j.points[i]
-		r, err := s.session.Run(p.bench, p.knobs)
-		if err != nil {
-			s.reg.finish(j, err.Error())
-			return
-		}
-		s.reg.completePoint(j, i, RenderResultDoc(r, p.knobs))
-	}
-	s.reg.finish(j, "")
+	s.reg.finish(j, RenderResultDoc(r, p.knobs), "")
 }
 
 // panicMessage is the first line of a recovered panic's message.

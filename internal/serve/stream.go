@@ -143,7 +143,7 @@ func (s *Server) runStream(j *job) {
 	if st.write(nil) != nil {
 		return // the subscriber left while the run was queued
 	}
-	p := &j.points[0]
+	p := &j.point
 	every := j.req.TraceEvery
 	if every == 0 {
 		every = 1000 // the dwsim -obsevery default

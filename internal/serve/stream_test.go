@@ -397,7 +397,7 @@ func TestStreamAdmission(t *testing.T) {
 			t.Fatalf("submission %d of a backlog of %d: status %d", i+1, backlog, resp.StatusCode)
 		}
 	}
-	before := listJobs(t, ts)
+	before := registered(srv)
 	impatient := &http.Client{Timeout: 10 * time.Second} // a request that blocks fails here, not at the test timeout
 	resp, err := impatient.Get(ts.URL + "/v1/jobs/" + traced.ID + "/stream")
 	if err != nil {
@@ -409,13 +409,13 @@ func TestStreamAdmission(t *testing.T) {
 		t.Fatalf("stream past the backlog: status %d, Retry-After %q; want 429, 1",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	if after := listJobs(t, ts); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Errorf("the refused subscriber changed the job list:\n%+v\nvs\n%+v", after, before)
+	if after := registered(srv); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("the refused subscriber changed the registry:\n%+v\nvs\n%+v", after, before)
 	}
 
 	release <- struct{}{} // the backlog's jobs are memory hits of the held one
 	srv.Close()
-	for _, d := range srv.reg.list() {
+	for _, d := range registered(srv) {
 		if d.Status != StatusDone {
 			t.Errorf("job %s is %s after Close", d.ID, d.Status)
 		}

@@ -1,16 +1,19 @@
 // Package serve is the simulation-as-a-service layer: a stdlib net/http
-// daemon (cmd/dwsimd) that accepts simulation and sweep jobs as validated
-// JSON, deduplicates them through the singleflight report.Session,
-// executes them on a bounded worker pool, and streams the observability
-// events and timeline samples of a traced job's point over SSE, from a
-// traced run of its own per subscriber.
+// daemon (cmd/dwsimd) that accepts simulation jobs as validated JSON, one
+// point (a benchmark under one knob vector) each, deduplicates them through
+// the singleflight report.Session, executes them on a bounded worker pool,
+// and streams the observability events and timeline samples of a traced
+// job's point over SSE, from a traced run of its own per subscriber. Sweeps
+// run locally (dwsweep, dwsreport) through Session.Suite.
 //
 // Wire format. Jobs arrive as JobRequest documents whose knob vector is a
 // report.Knobs under the JSON names that type declares — the same names a
 // result document's knobs object carries, so one can be posted back as the
 // other. Decoding is strict (unknown fields and trailing garbage rejected,
 // schema version pinned) and every failure maps to a 4xx status via
-// *Error; the decoder is fuzzed (FuzzJobDecode) and must never panic.
+// *Error; the decoder is fuzzed (FuzzJobDecode) and must never panic. The
+// fields of the retired multi-point shape (kind, benches, schemes) are
+// unknown fields like any other: a 400 that names the field.
 //
 // Determinism. The server adds no nondeterminism of its own: job IDs are
 // a logical sequence (j001, j002, ...), result keys are content digests
@@ -30,7 +33,6 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/workloads"
-	"repro/internal/wpu"
 )
 
 // WireSchemaVersion pins the request layout. Requests carrying any other
@@ -67,29 +69,23 @@ type WireKnobs report.Knobs
 // Knobs returns the point the vector denotes.
 func (w WireKnobs) Knobs() report.Knobs { return report.Knobs(w).WithDefaults() }
 
-// JobRequest is the POST /v1/jobs body.
+// JobRequest is the POST /v1/jobs body: one simulation point, Bench under
+// Knobs.
 type JobRequest struct {
-	SchemaVersion int `json:"schema_version"`
-	// Kind selects the job shape: "run" (default) simulates Bench under
-	// Knobs; "sweep" crosses Benches × Schemes over the shared Knobs.
-	Kind  string    `json:"kind,omitempty"`
-	Bench string    `json:"bench,omitempty"`
-	Knobs WireKnobs `json:"knobs"`
+	SchemaVersion int       `json:"schema_version"`
+	Bench         string    `json:"bench,omitempty"`
+	Knobs         WireKnobs `json:"knobs"`
 
-	// Sweep dimensions (kind == "sweep" only).
-	Benches []string `json:"benches,omitempty"`
-	Schemes []string `json:"schemes,omitempty"`
-
-	// Trace enables GET /v1/jobs/{id}/stream for this job (single-point
-	// runs only): each request is a live run of the point with the
-	// observability sink attached. TraceEvery is the timeline sampling
-	// interval in cycles (0 = 1000, the dwsim default).
+	// Trace enables GET /v1/jobs/{id}/stream for this job: each request is
+	// a live run of the point with the observability sink attached.
+	// TraceEvery is the timeline sampling interval in cycles (0 = 1000, the
+	// dwsim default).
 	Trace      bool   `json:"trace,omitempty"`
 	TraceEvery uint64 `json:"trace_every,omitempty"`
 }
 
-// maxJobBody bounds a request body: the largest legitimate sweep (all
-// benchmarks × all schemes, every knob spelled out) is well under 4 KiB.
+// maxJobBody bounds a request body: a legitimate job, every knob spelled
+// out, is well under 1 KiB.
 const maxJobBody = 1 << 16
 
 // DecodeJobRequest reads and strictly validates one job request. Any
@@ -120,73 +116,29 @@ func DecodeJobRequest(r io.Reader) (*JobRequest, *Error) {
 	return &req, nil
 }
 
-// checkKnobs answers 400 for a point over the endpoint's caps or one the
-// simulator cannot build. The caps come first: nothing is derived from a
-// vector before it is known to be small.
-func checkKnobs(k report.Knobs) *Error {
+// Validate checks the request against the schema: version pin, a known
+// benchmark and scheme, bounded knobs. The knob caps come first: nothing is
+// derived from a vector before it is known to be small.
+func (r *JobRequest) Validate() *Error {
+	if r.SchemaVersion != WireSchemaVersion {
+		return badRequest("schema_version = %d, this server speaks %d", r.SchemaVersion, WireSchemaVersion)
+	}
+	if r.Bench == "" {
+		return badRequest("bench required")
+	}
+	if _, err := workloads.ByName(r.Bench); err != nil {
+		return badRequest("unknown bench %q", r.Bench)
+	}
+	if r.Knobs.Scheme == "" {
+		return badRequest("knobs.scheme required")
+	}
+	k := r.Knobs.Knobs()
 	err := k.CheckCaps()
 	if err == nil {
 		err = k.Validate()
 	}
 	if err != nil {
 		return badRequest("knobs: %v", err)
-	}
-	return nil
-}
-
-// Validate checks the request against the schema: version pin, job shape,
-// known benchmarks and schemes, bounded knobs.
-func (r *JobRequest) Validate() *Error {
-	if r.SchemaVersion != WireSchemaVersion {
-		return badRequest("schema_version = %d, this server speaks %d", r.SchemaVersion, WireSchemaVersion)
-	}
-	k := r.Knobs.Knobs()
-	switch r.Kind {
-	case "", "run":
-		if r.Bench == "" {
-			return badRequest("run job: bench required")
-		}
-		if len(r.Benches) > 0 || len(r.Schemes) > 0 {
-			return badRequest("run job: benches/schemes are sweep fields")
-		}
-		if _, err := workloads.ByName(r.Bench); err != nil {
-			return badRequest("unknown bench %q", r.Bench)
-		}
-		if r.Knobs.Scheme == "" {
-			return badRequest("run job: knobs.scheme required")
-		}
-		if err := checkKnobs(k); err != nil {
-			return err
-		}
-	case "sweep":
-		if r.Trace {
-			return badRequest("sweep jobs cannot be traced (stream a single run instead)")
-		}
-		if r.Bench != "" {
-			return badRequest("sweep job: use benches, not bench")
-		}
-		if r.Knobs.Scheme != "" {
-			return badRequest("sweep job: use schemes, not knobs.scheme")
-		}
-		if len(r.Benches) == 0 || len(r.Schemes) == 0 {
-			return badRequest("sweep job: benches and schemes both required")
-		}
-		if len(r.Benches)*len(r.Schemes) > 1024 {
-			return badRequest("sweep of %d points exceeds the 1024-point cap", len(r.Benches)*len(r.Schemes))
-		}
-		for _, b := range r.Benches {
-			if _, err := workloads.ByName(b); err != nil {
-				return badRequest("unknown bench %q", b)
-			}
-		}
-		for _, s := range r.Schemes {
-			k.Scheme = wpu.Scheme(s)
-			if err := checkKnobs(k); err != nil {
-				return err
-			}
-		}
-	default:
-		return badRequest("kind = %q (want run or sweep)", r.Kind)
 	}
 	if r.Trace && r.TraceEvery > 1_000_000_000 {
 		return badRequest("trace_every = %d out of range", r.TraceEvery)
@@ -195,22 +147,4 @@ func (r *JobRequest) Validate() *Error {
 		return badRequest("trace_every without trace")
 	}
 	return nil
-}
-
-// Points expands a validated request into its simulation points in
-// deterministic order (benches outer, schemes inner — the sweep's
-// presentation order).
-func (r *JobRequest) Points() []report.Job {
-	k := r.Knobs.Knobs()
-	if r.Kind == "" || r.Kind == "run" {
-		return []report.Job{{Bench: r.Bench, Knobs: k}}
-	}
-	pts := make([]report.Job, 0, len(r.Benches)*len(r.Schemes))
-	for _, b := range r.Benches {
-		for _, s := range r.Schemes {
-			k.Scheme = wpu.Scheme(s)
-			pts = append(pts, report.Job{Bench: b, Knobs: k})
-		}
-	}
-	return pts
 }

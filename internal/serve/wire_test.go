@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -31,11 +30,10 @@ func TestMinimalJobSharesTheCLIKey(t *testing.T) {
 		t.Fatal(derr)
 	}
 	k := report.DefaultKnobs(wpu.SchemeRevive)
-	pt := req.Points()[0]
-	if pt.Knobs != k {
-		t.Fatalf("minimal job decodes to %#v, want DefaultKnobs %#v", pt.Knobs, k)
+	if got := req.Knobs.Knobs(); got != k {
+		t.Fatalf("minimal job decodes to %#v, want DefaultKnobs %#v", got, k)
 	}
-	if got, want := ResultKey(pt.Bench, pt.Knobs), ResultKey("Filter", k); got != want {
+	if got, want := ResultKey(req.Bench, req.Knobs.Knobs()), ResultKey("Filter", k); got != want {
 		t.Fatalf("result key %s, want %s", got, want)
 	}
 
@@ -52,7 +50,7 @@ func TestMinimalJobSharesTheCLIKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := report.NewSession(report.WithStore(st2))
-	if _, err := s.Run(pt.Bench, pt.Knobs); err != nil {
+	if _, err := s.Run(req.Bench, req.Knobs.Knobs()); err != nil {
 		t.Fatal(err)
 	}
 	if c := s.Stats(); c.Misses != 0 || c.DiskHits != 1 {
@@ -77,8 +75,8 @@ func TestResultKnobsPostBack(t *testing.T) {
 	if derr != nil {
 		t.Fatalf("%s: %s", body, derr.Msg)
 	}
-	if got := req.Points()[0]; got.Bench != "Filter" || got.Knobs != k {
-		t.Errorf("posted back %s\n got %#v\nwant %#v", doc.Knobs, got.Knobs, k)
+	if got := req.Knobs.Knobs(); req.Bench != "Filter" || got != k {
+		t.Errorf("posted back %s\n got %#v\nwant %#v", doc.Knobs, got, k)
 	}
 }
 
@@ -90,8 +88,6 @@ func TestDecodeJobRequest(t *testing.T) {
 		status int // 0 = accept
 	}{
 		{"minimal run", valid, 0},
-		{"explicit kind", `{"schema_version":1,"kind":"run","bench":"Merge","knobs":{"scheme":"Conv"}}`, 0},
-		{"sweep", `{"schema_version":1,"kind":"sweep","benches":["Filter","Merge"],"schemes":["Conv","DWS.ReviveSplit"]}`, 0},
 		{"traced run", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"},"trace":true,"trace_every":500}`, 0},
 
 		{"empty body", ``, http.StatusBadRequest},
@@ -105,6 +101,9 @@ func TestDecodeJobRequest(t *testing.T) {
 		{"unknown bench", `{"schema_version":1,"bench":"Nope","knobs":{"scheme":"Conv"}}`, http.StatusBadRequest},
 		{"missing scheme", `{"schema_version":1,"bench":"Filter","knobs":{}}`, http.StatusBadRequest},
 		{"unknown scheme", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"DWS.Nope"}}`, http.StatusBadRequest},
+		// The retired multi-point shape: each of its fields is unknown.
+		{"explicit kind", `{"schema_version":1,"kind":"run","bench":"Merge","knobs":{"scheme":"Conv"}}`, http.StatusBadRequest},
+		{"sweep", `{"schema_version":1,"kind":"sweep","benches":["Filter","Merge"],"schemes":["Conv","DWS.ReviveSplit"]}`, http.StatusBadRequest},
 		{"unknown kind", `{"schema_version":1,"kind":"walk","bench":"Filter","knobs":{"scheme":"Conv"}}`, http.StatusBadRequest},
 		{"run with sweep fields", `{"schema_version":1,"bench":"Filter","knobs":{"scheme":"Conv"},"schemes":["Conv"]}`, http.StatusBadRequest},
 		{"sweep with bench", `{"schema_version":1,"kind":"sweep","bench":"Filter","benches":["Merge"],"schemes":["Conv"]}`, http.StatusBadRequest},
@@ -126,8 +125,8 @@ func TestDecodeJobRequest(t *testing.T) {
 				if err != nil {
 					t.Fatalf("want accept, got %d: %s", err.Status, err.Msg)
 				}
-				if n := len(req.Points()); n == 0 {
-					t.Fatal("accepted request expands to zero points")
+				if req.Bench == "" {
+					t.Fatal("accepted request names no benchmark")
 				}
 				return
 			}
@@ -138,25 +137,6 @@ func TestDecodeJobRequest(t *testing.T) {
 				t.Fatalf("want status %d, got %d (%s)", tc.status, err.Status, err.Msg)
 			}
 		})
-	}
-}
-
-// TestSweepPointOrder pins the deterministic benches-outer × schemes-inner
-// expansion order the job document presents.
-func TestSweepPointOrder(t *testing.T) {
-	req, derr := DecodeJobRequest(strings.NewReader(
-		`{"schema_version":1,"kind":"sweep","benches":["Filter","Merge"],"schemes":["Conv","Slip"]}`))
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	pts := req.Points()
-	var got []string
-	for _, p := range pts {
-		got = append(got, p.Bench+"/"+string(p.Knobs.Scheme))
-	}
-	want := []string{"Filter/Conv", "Filter/Slip", "Merge/Conv", "Merge/Slip"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sweep order %v, want %v", got, want)
 	}
 }
 

@@ -228,6 +228,25 @@ var mutants = []struct {
 `,
 		pkgs: []string{"./internal/serve"},
 	},
+	{ // a failed job keeps owing its point: the key answers "pending" for ever
+		name: "FailedJobKeepsKeyPending",
+		file: "internal/serve/jobs.go",
+		old: `	if n := rg.pending[p.key]; n > 1 {
+		rg.pending[p.key] = n - 1
+	} else {
+		delete(rg.pending, p.key)
+	}
+`,
+		new:  ``,
+		pkgs: []string{"./internal/serve"},
+	},
+	{ // j1 and j0001 would name j001
+		name: "JobLookupAcceptsNonCanonicalID",
+		file: "internal/serve/jobs.go",
+		old:  ` || rg.jobs[n-1].id != id {`,
+		new:  ` {`,
+		pkgs: []string{"./internal/serve"},
+	},
 }
 
 // TestMutants plants each mutant through `go test -overlay`, so the tree is
