@@ -119,9 +119,10 @@ mutants:
 	$(GO) test -tags mutants -run '^TestMutants$$' -count=1 -v -timeout 30m .
 
 # Non-test Go lines per package and in total, bench/ (a module of its own)
-# excluded: the size figure CHANGES.md reports next to ns/op.
+# and testdata fixtures excluded: the size figure CHANGES.md reports next to
+# ns/op.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | \
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 

@@ -79,10 +79,6 @@ func (f Finding) String() string {
 // own line or the line below.
 const ignoreDirective = "dwslint:ignore"
 
-// Linter runs the checks. Their scopes are the package-level lists below,
-// which name the simulator tree's own files, packages and enums.
-type Linter struct{}
-
 // approvedGoroutineFiles are the files allowed to launch goroutines: the
 // report executor's worker pool and the serve daemon's job pool. Everything
 // else under ./internal must stay single-goroutine (per-System determinism
@@ -102,8 +98,10 @@ var (
 var obsGuardDirs = []string{"internal/wpu", "internal/mem"}
 
 // LintDirs lints every non-test Go file under the given roots and returns
-// the findings sorted by position.
-func (l *Linter) LintDirs(roots ...string) ([]Finding, error) {
+// the findings sorted by position. The checks' scopes are the
+// package-level lists above, which name the simulator tree's own files,
+// packages and enums.
+func LintDirs(roots ...string) ([]Finding, error) {
 	pkgDirs := map[string]bool{}
 	var files []string
 	for _, root := range roots {

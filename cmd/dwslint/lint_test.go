@@ -46,7 +46,7 @@ func TestBadFixture(t *testing.T) {
 		t.Fatal("fixture has no // want markers")
 	}
 
-	findings, err := (&Linter{}).LintDirs(dir)
+	findings, err := LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestObsGuardFixture(t *testing.T) {
 		t.Fatal("fixture has no // want markers")
 	}
 
-	findings, err := (&Linter{}).LintDirs(dir)
+	findings, err := LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestExhaustiveSwitchFixture(t *testing.T) {
 		t.Fatal("fixture has no // want markers")
 	}
 
-	findings, err := (&Linter{}).LintDirs(dir)
+	findings, err := LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestExhaustiveSwitchFixture(t *testing.T) {
 // in none whose path contains outside.
 func checkScope(t *testing.T, check, dir, outside string) {
 	t.Helper()
-	findings, err := (&Linter{}).LintDirs(dir)
+	findings, err := LintDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestObsGuardScope(t *testing.T) {
 
 // TestCleanFixture asserts the approved patterns produce no findings.
 func TestCleanFixture(t *testing.T) {
-	findings, err := (&Linter{}).LintDirs(filepath.Join("testdata", "src", "clean"))
+	findings, err := LintDirs(filepath.Join("testdata", "src", "clean"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCleanFixture(t *testing.T) {
 // TestRealTreeClean runs the linter over the actual simulator packages: the
 // tree it gates in CI must itself be clean.
 func TestRealTreeClean(t *testing.T) {
-	findings, err := (&Linter{}).LintDirs(filepath.Join("..", "..", "internal"))
+	findings, err := LintDirs(filepath.Join("..", "..", "internal"))
 	if err != nil {
 		t.Fatal(err)
 	}

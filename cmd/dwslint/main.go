@@ -24,7 +24,7 @@ func main() {
 		dirs = []string{"./internal"}
 	}
 
-	findings, err := (&Linter{}).LintDirs(dirs...)
+	findings, err := LintDirs(dirs...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dwslint: %v\n", err)
 		os.Exit(2)

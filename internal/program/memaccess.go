@@ -155,11 +155,6 @@ type MemAccessInfo struct {
 	FootprintBytes int64
 }
 
-// maxEnumLine bounds the exact alignment-enumeration path; beyond it the
-// conservative closed form is used instead (no real configuration is near
-// this: line sizes are 32..256 bytes).
-const maxEnumLine = 4096
-
 // worstAffine returns the worst-case distinct-line (transaction) count
 // and per-bank conflict degree for an affine access whose per-lane byte
 // step is step (mod 2^64, wrapping exactly like machine addresses).
@@ -169,14 +164,16 @@ const maxEnumLine = 4096
 // / LineBytes⌋) mod (2^64/LineBytes), so the number of distinct lines —
 // and, because Q only rotates residues mod Banks, the per-bank multiset
 // shape — depends on B only through φ. Maximising over φ ∈ [0, LineBytes)
-// therefore covers every base the machine can present.
+// therefore covers every base the machine can present. The line size must
+// be a power of two of at most 4 KB, as every cache's is (mem.L1 derives
+// its masks from it); any other panics.
 func worstAffine(step int64, p MemParams) (tx, bank int) {
 	L := uint64(p.LineBytes)
 	if p.Lanes <= 1 {
 		return 1, 1
 	}
-	if L == 0 || L&(L-1) != 0 || L > maxEnumLine {
-		return conservativeAffine(step, p)
+	if L&(L-1) != 0 || L > 4096 {
+		panic(fmt.Sprintf("program: line size %d is not a power of two of at most 4 KB", L))
 	}
 	ud := uint64(step)
 	maxTx, maxBank := 1, 1
@@ -214,26 +211,9 @@ func worstAffine(step int64, p MemParams) (tx, bank int) {
 	return maxTx, maxBank
 }
 
-// conservativeAffine is the fallback bound for exotic line sizes: span
-// over line size plus one boundary crossing, capped at the lane count;
-// the bank degree gives up and mirrors the transaction count.
-func conservativeAffine(step int64, p MemParams) (tx, bank int) {
-	span, ok := affineSpan(step, p.Lanes)
-	tx = p.Lanes
-	if ok && p.LineBytes > 0 {
-		if t := int(span/p.LineBytes) + 2; t < tx {
-			tx = t
-		}
-	}
-	if tx < 1 {
-		tx = 1
-	}
-	return tx, tx
-}
-
 // affineSpan returns |step|·(lanes−1) when it is exactly representable
-// within the affine-coefficient window, which is all the footprint and
-// fallback math needs.
+// within the affine-coefficient window, which is all the footprint math
+// needs.
 func affineSpan(step int64, lanes int) (int64, bool) {
 	a := step
 	if a == -a && a != 0 { // MinInt64

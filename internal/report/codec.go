@@ -17,23 +17,23 @@ import (
 //	crc32 (IEEE, 4 bytes little-endian) | payload
 //
 // and the payload is record{Key, Salt, Result} written positionally: no
-// names, no tags, every value in declaration order. Unsigned integers are
-// uvarints, signed ones zig-zag varints, a bool one byte (0 or 1), a float
-// its eight IEEE-754 bytes little-endian, a string or slice a uvarint
-// length and then its bytes or elements, an array its elements and a struct
-// its fields. A length can never exceed the bytes that remain, so a decode
-// allocates no more than a small multiple of its input whatever the input
-// claims.
+// names, no tags, every value in declaration order. A uint64 is a uvarint,
+// an int a zig-zag varint, a float64 its eight IEEE-754 bytes
+// little-endian, a string or slice a uvarint length and then its bytes or
+// elements, an array its elements and a struct its fields; a record holds
+// no other kind. A length can never exceed the bytes that remain, so a
+// decode allocates no more than a small multiple of its input whatever the
+// input claims.
 //
 // The layout is read off the Go types once, when the package is
 // initialised, not per value: one walk over record's type renders its
 // fingerprint and compiles its plan, a flat list of steps that each encode
-// or decode one value through a pointer at its offset. A field added to
-// Result (or to wpu.Stats, mem.L1Stats, ... beneath it) joins the record
-// without further code. Nothing in a record says which layout wrote it:
-// the fingerprint is digested into the store's version salt instead, so a
-// record written under any other layout has a different file name and is
-// never read at all.
+// or decode one value through a pointer at its offset. A field of those
+// kinds added to Result (or to wpu.Stats, mem.L1Stats, ... beneath it)
+// joins the record without further code. Nothing in a record says which
+// layout wrote it: the fingerprint is digested into the store's version
+// salt instead, so a record written under any other layout has a different
+// file name and is never read at all.
 
 // errRecord is every way a record can fail to decode; Load does not care
 // which, it removes the file.
@@ -69,29 +69,21 @@ type step struct {
 	codec
 }
 
-// scalars holds the codecs of every kind that is one value on the wire.
+// scalars holds the codecs of every kind that is one value on the wire:
+// the four a record holds. compile panics on any other.
 var scalars = map[reflect.Kind]scalar{
-	reflect.Bool:    boolScalar,
 	reflect.String:  stringScalar,
-	reflect.Int:     signed[int](),
-	reflect.Int8:    signed[int8](),
-	reflect.Int16:   signed[int16](),
-	reflect.Int32:   signed[int32](),
-	reflect.Int64:   signed[int64](),
-	reflect.Uint:    unsigned[uint](),
-	reflect.Uint8:   unsigned[uint8](),
-	reflect.Uint16:  unsigned[uint16](),
-	reflect.Uint32:  unsigned[uint32](),
-	reflect.Uint64:  unsigned[uint64](),
-	reflect.Float32: float[float32](),
-	reflect.Float64: float[float64](),
+	reflect.Int:     intScalar,
+	reflect.Uint64:  uint64Scalar,
+	reflect.Float64: float64Scalar,
 }
 
 // compile walks t once. shape renders everything about t the codec depends
 // on — kinds, array lengths, field names and order, recursively — and plan
-// is its codec. It panics on a type the codec cannot carry (maps,
-// pointers, interfaces, unexported fields). Type names are left out:
-// renaming a type moves no byte of its records.
+// is its codec. It panics on a type the codec cannot carry (a bool, a
+// narrow integer or any other kind scalars lacks, maps, pointers,
+// interfaces, unexported fields). Type names are left out: renaming a type
+// moves no byte of its records.
 func compile(t reflect.Type) (shape string, plan []step) {
 	var sb strings.Builder
 	plan = compileAt(&sb, t, 0, nil)
@@ -248,15 +240,15 @@ func decodeLen(b []byte) ([]byte, int, bool) {
 type scalar struct{ one, slice codec }
 
 // scalarOf builds a scalar from how to append one T and how to read one:
-// read returns the value and the bytes it took, 0 if b does not begin with
-// one.
+// read returns the value and the bytes it took, 0 or less if b does not
+// begin with one (binary.Uvarint's convention).
 func scalarOf[T any](app func([]byte, T) []byte, read func([]byte) (T, int)) scalar {
 	return scalar{
 		one: codec{
 			func(b []byte, p unsafe.Pointer) []byte { return app(b, *(*T)(p)) },
 			func(b []byte, p unsafe.Pointer) ([]byte, bool) {
 				v, n := read(b)
-				if n == 0 {
+				if n <= 0 {
 					return nil, false
 				}
 				*(*T)(p) = v
@@ -283,7 +275,7 @@ func scalarOf[T any](app func([]byte, T) []byte, read func([]byte) (T, int)) sca
 				}
 				for i := range s {
 					v, m := read(b)
-					if m == 0 {
+					if m <= 0 {
 						return nil, false
 					}
 					s[i], b = v, b[m:]
@@ -295,20 +287,6 @@ func scalarOf[T any](app func([]byte, T) []byte, read func([]byte) (T, int)) sca
 	}
 }
 
-var boolScalar = scalarOf(
-	func(b []byte, v bool) []byte {
-		if v {
-			return append(b, 1)
-		}
-		return append(b, 0)
-	},
-	func(b []byte) (bool, int) {
-		if len(b) == 0 || b[0] > 1 {
-			return false, 0
-		}
-		return b[0] == 1, 1
-	})
-
 var stringScalar = scalarOf(
 	func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) },
 	func(b []byte) (string, int) {
@@ -319,44 +297,28 @@ var stringScalar = scalarOf(
 		return string(rest[:n]), len(b) - len(rest) + n // a copy: Load's buffer is reused
 	})
 
-// signed is the scalar of one signed integer kind; a value that overflows
-// T does not decode.
-func signed[T int | int8 | int16 | int32 | int64]() scalar {
-	return scalarOf(
-		func(b []byte, v T) []byte { return binary.AppendVarint(b, int64(v)) },
-		func(b []byte) (T, int) {
-			x, n := binary.Varint(b)
-			if n <= 0 || int64(T(x)) != x {
-				return 0, 0
-			}
-			return T(x), n
-		})
-}
+// intScalar carries an int as a zig-zag varint; one that overflows int
+// does not decode.
+var intScalar = scalarOf(
+	func(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) },
+	func(b []byte) (int, int) {
+		x, n := binary.Varint(b)
+		if int64(int(x)) != x {
+			return 0, 0
+		}
+		return int(x), n
+	})
 
-// unsigned is signed for the unsigned kinds.
-func unsigned[T uint | uint8 | uint16 | uint32 | uint64]() scalar {
-	return scalarOf(
-		func(b []byte, v T) []byte { return binary.AppendUvarint(b, uint64(v)) },
-		func(b []byte) (T, int) {
-			x, n := binary.Uvarint(b)
-			if n <= 0 || uint64(T(x)) != x {
-				return 0, 0
-			}
-			return T(x), n
-		})
-}
+var uint64Scalar = scalarOf(binary.AppendUvarint, binary.Uvarint)
 
-// float is the scalar of one float kind, carried as a float64.
-func float[T float32 | float64]() scalar {
-	return scalarOf(
-		func(b []byte, v T) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(v))) },
-		func(b []byte) (T, int) {
-			if len(b) < 8 {
-				return 0, 0
-			}
-			return T(math.Float64frombits(binary.LittleEndian.Uint64(b))), 8
-		})
-}
+var float64Scalar = scalarOf(
+	func(b []byte, v float64) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) },
+	func(b []byte) (float64, int) {
+		if len(b) < 8 {
+			return 0, 0
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(b)), 8
+	})
 
 // sliceHeader is the layout of every Go slice.
 type sliceHeader struct {

@@ -3,11 +3,9 @@ package report
 import (
 	"flag"
 	"fmt"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
-	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/program"
@@ -21,10 +19,11 @@ import (
 // the dwsim flags and the dwsweep -param values all carry these names,
 // and every integer knob has one row in knobTable.
 //
-// Every field participates in the cache key (see key and
-// TestKnobKeyCoversAllFields): adding a field here automatically extends
-// the key, so distinct configurations can never alias in the run cache or
-// the on-disk store. Field order and types are part of the key.
+// Every field participates in the cache key (see key): a field added here
+// needs its line there, or TestKnobKeyMatchesGoSyntax and
+// TestKnobKeyCoversAllFields fail, so distinct configurations can never
+// alias in the run cache or the on-disk store. Field order and types are
+// part of the key.
 //
 // Knobs must stay comparable: the session cache is a map keyed by
 // Job{Bench, Knobs}, so a slice-, map- or func-typed knob fails the build.
@@ -207,91 +206,31 @@ func (k Knobs) Config() sim.Config {
 // plus every Knobs field: what the on-disk store digests into a file name
 // and serve.ResultKey into a result address. (The session cache needs no
 // string; it is keyed by the Job itself.) It is fmt.Sprintf("%s|%#v"),
-// appended by knobsSyntax instead of formatted: every field by name, so a
-// newly added knob joins the key without further code;
-// TestKnobKeyCoversAllFields enforces that the rendering actually
+// appended field by field instead of formatted, so a field added to Knobs
+// needs its line here: TestKnobKeyMatchesGoSyntax holds the key equal to
+// %#v over random vectors and TestKnobKeyCoversAllFields checks that it
 // distinguishes each field. Struct tags and the text form of Dist do not
-// show in %#v. A GoString or Format method on a field type would, and
-// would move every key: the renderer refuses such a type at start-up, and
-// TestKnobKeyMatchesGoSyntax holds it equal to %#v.
+// show in %#v; a GoString or Format method on a field type would, and
+// would fail the first of those tests.
 func (k Knobs) key(bench string) string {
 	var buf [256]byte // a default key is ~210 bytes; the string is the one allocation
 	b := append(append(buf[:0], bench...), '|')
-	return string(knobsSyntax.append(b, unsafe.Pointer(&k)))
-}
-
-// knobsSyntax renders a Knobs as %#v does, its fields read off the type
-// once.
-var knobsSyntax = goSyntaxOf(reflect.TypeOf(Knobs{}))
-
-// goSyntax appends a struct of bool, string and int fields the way fmt's
-// %#v prints it: the type's name, then Name:value for each field.
-type goSyntax struct {
-	open   string // "report.Knobs{"
-	fields []goField
-}
-
-type goField struct {
-	label string // "Name:", after ", " from the second field on
-	off   uintptr
-	kind  reflect.Kind
-}
-
-var goStringer, formatter = reflect.TypeFor[fmt.GoStringer](), reflect.TypeFor[fmt.Formatter]()
-
-// goSyntaxOf lays out t for goSyntax.append. It panics on a type it does
-// not render exactly as %#v does: anything but a struct of bool, string
-// and int fields (%#v prints unsigned integers in hex and floats by rules
-// of their own), and a type with a GoString or Format method, which %#v
-// would call instead.
-func goSyntaxOf(t reflect.Type) goSyntax {
-	if t.Kind() != reflect.Struct {
-		panic(fmt.Sprintf("report: key renderer needs a struct, not %s", t))
-	}
-	mustPrintPlainly(t)
-	gs := goSyntax{open: t.String() + "{"}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		switch f.Type.Kind() {
-		case reflect.Bool, reflect.String, reflect.Int:
-		default:
-			panic(fmt.Sprintf("report: key renderer renders bool, string and int fields, not %s.%s (kind %s)", t, f.Name, f.Type.Kind()))
-		}
-		mustPrintPlainly(f.Type)
-		label := f.Name + ":"
-		if i > 0 {
-			label = ", " + label
-		}
-		gs.fields = append(gs.fields, goField{label, f.Offset, f.Type.Kind()})
-	}
-	return gs
-}
-
-// mustPrintPlainly panics if %#v would call a method of t instead of
-// printing its value.
-func mustPrintPlainly(t reflect.Type) {
-	if p := reflect.PointerTo(t); p.Implements(goStringer) || p.Implements(formatter) {
-		panic(fmt.Sprintf("report: key renderer cannot render %s: %%#v would call its GoString or Format method", t))
-	}
-}
-
-// append appends the struct p points to; p must point to a value of the
-// type gs was laid out for.
-func (gs *goSyntax) append(b []byte, p unsafe.Pointer) []byte {
-	b = append(b, gs.open...)
-	for _, f := range gs.fields {
-		b = append(b, f.label...)
-		q := unsafe.Add(p, f.off)
-		switch f.kind {
-		case reflect.Bool:
-			b = strconv.AppendBool(b, *(*bool)(q))
-		case reflect.String:
-			b = strconv.AppendQuote(b, *(*string)(q))
-		case reflect.Int:
-			b = strconv.AppendInt(b, int64(*(*int)(q)), 10)
-		}
-	}
-	return append(b, '}')
+	b = strconv.AppendInt(append(b, "report.Knobs{WPUs:"...), int64(k.WPUs), 10)
+	b = strconv.AppendInt(append(b, ", Width:"...), int64(k.Width), 10)
+	b = strconv.AppendInt(append(b, ", Warps:"...), int64(k.Warps), 10)
+	b = strconv.AppendInt(append(b, ", Slots:"...), int64(k.Slots), 10)
+	b = strconv.AppendInt(append(b, ", WST:"...), int64(k.WST), 10)
+	b = strconv.AppendInt(append(b, ", L1KB:"...), int64(k.L1KB), 10)
+	b = strconv.AppendInt(append(b, ", L1Assoc:"...), int64(k.L1Assoc), 10)
+	b = strconv.AppendInt(append(b, ", L2KB:"...), int64(k.L2KB), 10)
+	b = strconv.AppendInt(append(b, ", L2Lat:"...), int64(k.L2Lat), 10)
+	b = strconv.AppendQuote(append(b, ", Scheme:"...), string(k.Scheme))
+	b = strconv.AppendInt(append(b, ", Dist:"...), int64(k.Dist), 10)
+	b = strconv.AppendInt(append(b, ", Scale:"...), int64(k.Scale), 10)
+	b = strconv.AppendBool(append(b, ", NoWaitMerge:"...), k.NoWaitMerge)
+	b = strconv.AppendBool(append(b, ", NoProgSched:"...), k.NoProgSched)
+	b = strconv.AppendInt(append(b, ", BranchThresh:"...), int64(k.BranchThresh), 10)
+	return string(append(b, '}'))
 }
 
 // Key exposes the cache key for one point. The serve layer digests it

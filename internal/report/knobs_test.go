@@ -40,40 +40,6 @@ func TestKnobKeyMatchesGoSyntax(t *testing.T) {
 	}
 }
 
-// goStringKnob has a GoString method, which %#v would call.
-type goStringKnob int
-
-func (goStringKnob) GoString() string { return "knob" }
-
-// formatKnob has a Format method, which %#v would call.
-type formatKnob bool
-
-func (formatKnob) Format(fmt.State, rune) {}
-
-// TestKnobKeyRefusesWhatGoSyntaxRendersOtherwise: the key renderer panics
-// on a field it does not render exactly as %#v does, as the record codec
-// does on one it cannot carry, so for Knobs that is at process start.
-func TestKnobKeyRefusesWhatGoSyntaxRendersOtherwise(t *testing.T) {
-	for name, typ := range map[string]any{
-		"float":        struct{ F float64 }{},
-		"unsigned":     struct{ U uint }{},
-		"int8":         struct{ I int8 }{},
-		"struct":       struct{ S struct{ A int } }{},
-		"GoString":     struct{ G goStringKnob }{},
-		"Format":       struct{ F formatKnob }{},
-		"not a struct": 0,
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("goSyntaxOf accepted a %s", name)
-				}
-			}()
-			goSyntaxOf(reflect.TypeOf(typ))
-		}()
-	}
-}
-
 // TestKnobsConfigMapsDefaultKnobs: the knob table's default column and
 // sim.DefaultConfig both name program's Table 3 constants, so what this
 // checks is Knobs.Config, which must put every default knob into the

@@ -247,6 +247,27 @@ var mutants = []struct {
 		new:  ` {`,
 		pkgs: []string{"./internal/serve"},
 	},
+	{ // two points differing only in NoProgSched would share a cache key
+		name: "KeyDropsNoProgSched",
+		file: "internal/report/knobs.go",
+		old: `	b = strconv.AppendBool(append(b, ", NoProgSched:"...), k.NoProgSched)
+`,
+		new:  ``,
+		pkgs: []string{"./internal/report"},
+	},
+	{ // a record cut inside its last float decodes, the missing bytes read as a zero
+		name: "Float64ScalarAcceptsShortInput",
+		file: "internal/report/codec.go",
+		old: `		if len(b) < 8 {
+			return 0, 0
+		}
+`,
+		new: `		if len(b) < 8 {
+			return 0, len(b)
+		}
+`,
+		pkgs: []string{"./internal/report"},
+	},
 }
 
 // TestMutants plants each mutant through `go test -overlay`, so the tree is
